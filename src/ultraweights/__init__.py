@@ -6,7 +6,6 @@ derived optimal-weight constructions (L, S, K, Q) with their family lifts,
 and three-valued asymptotic order relations between all of them.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .errors import (
     CatalogError,
     DivergentTail,
@@ -72,3 +71,6 @@ from .relations import (
 )
 
 __version__ = "0.1.0"
+
+# The one kernel implementation (numpy); benchmark records carry this name.
+KERNEL_BACKEND = "pure"

@@ -1,14 +1,16 @@
-"""Pure numpy implementations of the hot kernels.
+"""Numpy kernels behind the derived sequences and the order relations.
 
-Mirror of the compiled module `_hot`; same signatures, same results.
 Every function takes and returns float64 arrays in the natural-log domain.
+
+`min_chord` and `sv_sup` require `log_m` to have nondecreasing quotients
+(log-convex M), which every caller guarantees through `require_weight_seq`.
+Under that precondition each inner minimization or maximization is over a
+unimodal objective, so a quotient search replaces the scan over all pairs.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-BACKEND = "pure"
 
 
 def lower_hull(y: np.ndarray) -> np.ndarray:
@@ -38,40 +40,51 @@ def lower_hull(y: np.ndarray) -> np.ndarray:
 def min_chord(log_m: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """out[k] = min_{0<=j<k} (k-j)*coef[k] + log_m[j], out[0] = 0.
 
-    `log_m` is convex in j for weight sequences, so the inner objective is
-    convex and the scan can stop at the first increase.
+    Requires nondecreasing quotients diff(log_m).  The objective then falls
+    while log mu_{j+1} <= coef[k] and rises after, so the minimizer is
+    j* = min(#{quotients <= coef[k]}, k-1): one `searchsorted` for all k.
+    out[k] is k*coef[k] minus the discrete Legendre transform of log_m (on
+    j < k) at coef[k].  A quotient equal to coef[k] ties two minimizers of
+    equal value; an infinite or NaN coefficient gives the same infinity or
+    NaN as the full scan.
     """
     log_m = np.asarray(log_m, dtype=np.float64)
     coef = np.asarray(coef, dtype=np.float64)
     n = log_m.shape[0] - 1
     out = np.zeros(n + 1)
-    for k in range(1, n + 1):
-        c = coef[k]
-        best = k * c + log_m[0]
-        for j in range(1, k):
-            v = (k - j) * c + log_m[j]
-            if v < best:
-                best = v
-            elif v > best:
-                break
-        out[k] = best
+    ks = np.arange(1, n + 1)
+    c = coef[1 : n + 1]
+    j = np.minimum(np.searchsorted(np.diff(log_m), c, side="right"), ks - 1)
+    out[1:] = (ks - j) * c + log_m[j]
     return out
 
 
 def sv_sup(log_mp: np.ndarray, log_m: np.ndarray, log_s: float) -> np.ndarray:
     """out[j] = max_{0<=i<j} (log_mp[j] - j*log_s - log_m[i]) / (j-i), j = 1..n.
 
-    Exact scan; no convexity is assumed on log_mp (it may be any positive
-    sequence).  out[0] is set to -inf as a placeholder.
+    Both arrays hold n+1 terms.  Requires nondecreasing quotients
+    diff(log_m); `log_mp` may be any sequence.  With a = log_mp[j] - j*log_s,
+    the slope from (i, log_m[i]) to (j, a) rises from i to i+1 iff
+    a >= log_m[i+1] + (j-i-1)*diff(log_m)[i], and that threshold is
+    nondecreasing in i.  One vectorised bisection over all j (about log2 n
+    numpy passes) finds the first i where it exceeds a: the maximizer.
+    out[0] is set to -inf as a placeholder.
     """
     log_mp = np.asarray(log_mp, dtype=np.float64)
     log_m = np.asarray(log_m, dtype=np.float64)
     n = log_mp.shape[0] - 1
     out = np.full(n + 1, -np.inf)
-    js = np.arange(n + 1, dtype=np.float64)
-    for j in range(1, n + 1):
-        num = (log_mp[j] - j * log_s) - log_m[:j]
-        out[j] = np.max(num / (j - js[:j]))
+    js = np.arange(1, n + 1)
+    a = log_mp[1:] - js * log_s
+    d = np.diff(log_m)
+    lo = np.zeros(n, dtype=np.int64)
+    hi = js - 1
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        rises = log_m[mid + 1] + (js - mid - 1) * d[mid] <= a
+        lo = np.where(rises, np.minimum(mid + 1, hi), lo)
+        hi = np.where(rises, hi, mid)
+    out[1:] = (a - log_m[lo]) / (js - lo)
     return out
 
 

@@ -204,9 +204,6 @@ def cmd_compute(args) -> int:
             fh.write(payload)
     else:
         sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
-    if args.plot_data:
-        with open(args.plot_data, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload if payload.startswith("{") is False else payload)
     return 0
 
 
@@ -404,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--format", choices=("csv", "json"), default="csv")
     pm.add_argument("--config", default=None)
     pm.add_argument("--grid", default=None, help="dyadic exponent range for matrices, e.g. -3..3")
-    pm.add_argument("--plot-data", default=None, help="also write the table as a plot series CSV")
     pm.set_defaults(func=cmd_compute)
 
     pk = sub.add_parser("check", help="decide an order relation, print the verdict JSON")

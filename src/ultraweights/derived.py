@@ -66,7 +66,8 @@ def _tilde(m: WeightSeq) -> WeightFn:
 def seq_L(m: WeightSeq, n: int) -> WeightSeq:
     """The Borel-optimal derived sequence; see module docstring.
 
-    Inner minimization scans j with early exit (log M is convex).  Attaches
+    The inner minimization is one quotient search (`_kernels.min_chord`;
+    log M is convex, so the minimizer is fixed by the quotients).  Attaches
     `.spread`: the largest log deviation when the tail midpoint is replaced
     by either bracket endpoint.
     """

@@ -70,7 +70,8 @@ def prec_SV(mp: WeightSeq, m: WeightSeq, n: int, s_grid=None) -> Verdict:
 
     stays bounded over j.  Holds when any s on the grid passes the trend
     test, Fails when every s certifies growth, Inconclusive otherwise.
-    The inner sup is an exact scan (M' may be any positive sequence).
+    The inner sup is exact: a bisection over i that relies on M being
+    log-convex (`_kernels.sv_sup`); M' may be any positive sequence.
     """
     require_weight_seq(m, "prec_SV rhs")
     s_grid = DEFAULT_S_GRID if s_grid is None else np.asarray(s_grid, dtype=float)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import threading
 from typing import Callable, Optional
@@ -113,10 +112,6 @@ class WeightSeq:
         seq = WeightSeq(name, ev, tail=tail, is_weight_seq=is_weight_seq, max_index=nmax, note=note)
         seq._prefix = vals
         return seq
-
-    @staticmethod
-    def from_scalar_fn(name: str, fn: Callable[[float], float], **kw) -> "WeightSeq":
-        return WeightSeq(name, lambda kk: np.vectorize(fn, otypes=[float])(kk), **kw)
 
     # -- evaluation --------------------------------------------------------
 
@@ -432,14 +427,16 @@ def seq_to_json(seq: WeightSeq, n: int) -> dict:
 
 
 def seq_from_csv(name: str, text: str, *, is_weight_seq: bool = False) -> WeightSeq:
+    """Read (k, log_m) rows.  A declared weight sequence must be log-convex on
+    the rows given; a quotient drop beyond LOG_TOL raises NotAWeightSequence."""
     rows = list(csv.DictReader(io.StringIO(text)))
     ks = [int(r["k"]) for r in rows]
     if ks != list(range(len(ks))):
         raise ValueError("CSV must list k = 0..n contiguously")
     vals = np.array([float(r["log_m"]) for r in rows])
     seq = WeightSeq.from_values(name, vals, is_weight_seq=is_weight_seq)
+    if is_weight_seq and len(vals) > 2:
+        convex = is_log_convex(seq, len(vals) - 1)
+        if convex.fails:
+            raise NotAWeightSequence(f"{name}: declared a weight sequence, but {convex.note}")
     return seq.renormalized()
-
-
-def json_dump_seq(seq: WeightSeq, n: int, **kw) -> str:
-    return json.dumps(seq_to_json(seq, n), **kw)

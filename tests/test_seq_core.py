@@ -266,6 +266,22 @@ def test_csv_roundtrip(gevrey2):
     assert np.allclose(back.values(16), gevrey2.values(16), atol=1e-12)
 
 
+def test_csv_declared_weight_sequence_must_be_log_convex(tmp_path):
+    from ultraweights.catalog import resolve
+    from ultraweights.func_core import omega_from_seq
+
+    log_mu = [0.5, 4.0, 1.0, 5.0, 2.0, 6.0, 3.0, 7.0]  # zig-zag quotients
+    vals = np.concatenate([[0.0], np.cumsum(log_mu)])
+    path = tmp_path / "zigzag.csv"
+    path.write_text("k,log_m\n" + "".join(f"{k},{float(v)!r}\n" for k, v in enumerate(vals)))
+    with pytest.raises(NotAWeightSequence, match="drops at k=3"):
+        resolve(f"seq:csv?path={path}&weight=1")
+    plain = resolve(f"seq:csv?path={path}&weight=0")
+    assert not plain.is_weight_seq
+    brute = max(k * 5.0 - v for k, v in enumerate(vals))
+    assert omega_from_seq(plain).omega(math.exp(5.0)) == pytest.approx(brute)
+
+
 def test_json_shape(gevrey2):
     d = seq_to_json(gevrey2, 8)
     assert d["name"].startswith("gevrey") and d["n"] == 8
