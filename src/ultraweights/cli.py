@@ -56,6 +56,9 @@ from .seq_core import (
 from .verdicts import Status, Verdict
 
 DERIVE_CHOICES = ("none", "L", "underlineL", "S", "K", "Q", "omega_M", "kappa", "poisson", "minorant")
+# sequence-to-sequence derivations of `compute --derive` and `derived:OP(...)` URIs
+SEQ_DERIVATIONS = {"L": seq_L, "underlineL": seq_underline_L, "S": seq_S, "K": seq_K, "Q": seq_Q,
+                   "minorant": log_convex_minorant}
 CHECK_CHOICES = (
     "preceq", "equiv", "sv", "gamma1", "st", "mg", "mmg",
     "braces-preceq", "rmg", "liminf", "liminf2", "roquS", "invmg", "membership",
@@ -104,11 +107,9 @@ def _resolve(uri: str, n: int, grid) -> object:
             raise cat.CatalogError(f"malformed derived URI {uri!r}")
         inner = _resolve(rest[:-1], n, grid)
         if isinstance(inner, WeightSeq):
-            fns = {"L": seq_L, "underlineL": seq_underline_L, "S": seq_S, "K": seq_K, "Q": seq_Q,
-                   "minorant": log_convex_minorant}
-            if op not in fns:
+            if op not in SEQ_DERIVATIONS:
                 raise cat.CatalogError(f"unknown derived op {op!r}")
-            return fns[op](inner, n)
+            return SEQ_DERIVATIONS[op](inner, n)
         if isinstance(inner, WeightMatrix):
             if op not in FAMILY_NAMES:
                 raise cat.CatalogError(f"unknown family op {op!r}")
@@ -150,10 +151,8 @@ def cmd_compute(args) -> int:
     derive = args.derive
 
     if isinstance(obj, WeightSeq):
-        if derive in ("L", "underlineL", "S", "K", "Q", "minorant"):
-            fns = {"L": seq_L, "underlineL": seq_underline_L, "S": seq_S, "K": seq_K, "Q": seq_Q,
-                   "minorant": log_convex_minorant}
-            out_seq = fns[derive](obj, n)
+        if derive in SEQ_DERIVATIONS:
+            out_seq = SEQ_DERIVATIONS[derive](obj, n)
             if args.format == "json":
                 payload = json.dumps(seq_to_json(out_seq, n) | {"config": cfg}, indent=2)
             else:

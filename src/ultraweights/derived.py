@@ -27,7 +27,7 @@ from typing import Literal
 import numpy as np
 
 from . import _kernels
-from .errors import DivergentTail, MaximizerUnbounded
+from .errors import MaximizerUnbounded
 from .func_core import (
     WeightFn,
     WeightMatrix,
@@ -50,13 +50,6 @@ Q_R_CAP = 1e12
 Q_GRID_DX = 0.1
 
 
-def _tails_or_raise(m: WeightSeq, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    lo, mid, hi = tail_mids(m, n)
-    if not np.all(np.isfinite(hi)):
-        raise DivergentTail(f"{m.name}: reciprocal-quotient tail has no finite bracket")
-    return lo, mid, hi
-
-
 def _tilde(m: WeightSeq) -> WeightFn:
     if not hasattr(m, "_tilde_fn"):
         m._tilde_fn = omega_tilde_from_seq(m)
@@ -72,7 +65,7 @@ def seq_L(m: WeightSeq, n: int) -> WeightSeq:
     by either bracket endpoint.
     """
     require_weight_seq(m, "seq_L")
-    t_lo, t_mid, t_hi = _tails_or_raise(m, n)
+    t_lo, t_mid, t_hi = tail_mids(m, n)
     vals = m.values(n)
     ks = np.arange(0, n + 1, dtype=float)
     logs_k = np.log(np.maximum(ks, 1.0))
@@ -109,7 +102,7 @@ def seq_S(m: WeightSeq, n: int) -> WeightSeq:
     `.spread` for the tail bracket.
     """
     require_weight_seq(m, "seq_S")
-    t_lo, t_mid, t_hi = _tails_or_raise(m, n)
+    t_lo, t_mid, t_hi = tail_mids(m, n)
     ks = np.arange(1, n + 1, dtype=float)
     inv_mu = np.exp(-m.log_mu(n))
 
@@ -138,7 +131,7 @@ def seq_K(m: WeightSeq, n: int) -> WeightSeq:
     (subtract kappa(1), clamp to zero on [0,1]).
     """
     require_weight_seq(m, "seq_K")
-    _tails_or_raise(m, 1)
+    tail_mids(m, 1)  # raises DivergentTail for a quasianalytic input
     w = _tilde(m)
     _require_envelope(w, "seq_K")
     c = float(np.asarray(kappa_assoc(w, np.array([1.0])))[0])
@@ -167,7 +160,7 @@ def seq_Q(m: WeightSeq, n: int) -> WeightSeq:
     M_0 = 1, which stays in the equivalence class.
     """
     require_weight_seq(m, "seq_Q")
-    _tails_or_raise(m, 1)
+    tail_mids(m, 1)  # raises DivergentTail for a quasianalytic input
     w = _tilde(m)
     env = _require_envelope(w, "seq_Q")
 

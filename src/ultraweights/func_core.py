@@ -10,7 +10,11 @@ weight function via the scaled conjugate.
 Improper integrals are only computed for functions carrying a certified
 growth envelope omega(u) <= a + b u^theta (theta < 1); the envelope supplies
 the cutoff and an explicit tail bracket, so every transform value comes with
-an error bound.
+an error bound.  kappa_interval, poisson_interval and poisson_batch share one
+adaptive engine (`_quadrature`): a single 9-point Gauss-Legendre rule,
+global bisection over the panels of all arguments at once, and one panel
+budget (PANEL_BUDGET per four arguments) whose exhaustion widens the
+brackets of the arguments left open instead of passing silently.
 """
 
 from __future__ import annotations
@@ -30,8 +34,17 @@ from .errors import (
     TruncationExhausted,
     UnboundedConjugate,
 )
-from .seq_core import WeightSeq, tail_recip_mu
-from .verdicts import Interval, Status, Verdict, subsample, trend_bounded, trend_liminf_positive, trend_to_infinity
+from .seq_core import WeightSeq, _dyadic_exponent, tail_recip_mu
+from .verdicts import (
+    Interval,
+    Status,
+    Verdict,
+    _regression_slope,
+    subsample,
+    trend_bounded,
+    trend_liminf_positive,
+    trend_to_infinity,
+)
 
 __all__ = [
     "Envelope",
@@ -59,8 +72,9 @@ __all__ = [
 ]
 
 QUAD_ABS_TOL = 1e-10
+BATCH_ABS_TOL = 1e-7
 PANEL_BUDGET = 10_000
-GAUSS_ORDER = 15
+GAUSS_ORDER = 9
 PHI_Y_START = 8.0
 PHI_Y_MAX = 700.0
 GOLDEN_ITERS = 80
@@ -354,7 +368,7 @@ class _AssocEvaluator:
         far = ~near
         if np.any(far):
             # power-law remainder from the last window fit: T(k) ~ k / ((p-1) mu_k)
-            p = self._fit_exponent()
+            p = _dyadic_exponent(self._log_mu)
             kf = kstar[far]
             log_mu_k = self._proxy(np.maximum(kf, 1.0))
             if p > 1:
@@ -362,13 +376,6 @@ class _AssocEvaluator:
             else:
                 out[far] = np.inf
         return out
-
-    def _fit_exponent(self) -> float:
-        lo = self._n // 2
-        ells = np.arange(lo, self._n + 1, dtype=float)
-        x = np.log(ells) - np.log(ells).mean()
-        seg = self._log_mu[lo - 1 :]
-        return float(x @ (seg - seg.mean()) / (x @ x))
 
     def synth_envelope(self, extra_log: bool) -> tuple[Optional[Envelope], bool]:
         """Fitted growth envelope (trend fit, theta capped at 0.99).
@@ -392,9 +399,7 @@ class _AssocEvaluator:
             return None, True
         ys, om = ys[good], om[good]
         half = len(ys) // 2
-        x = ys[half:] - ys[half:].mean()
-        lo_om = np.log(om[half:])
-        theta_hat = float(x @ (lo_om - lo_om.mean()) / (x @ x))
+        theta_hat = _regression_slope(ys[half:], np.log(om[half:]))
         if theta_hat > 0.97:
             return None, True
         theta = min(0.99, theta_hat + 0.03)
@@ -456,54 +461,78 @@ def omega_tilde_from_seq(seq: WeightSeq) -> WeightFn:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
 
-def _panel_integrals(g, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = g(pts.ravel()).reshape(pts.shape)
-    return half * (vals @ _GL_WEIGHTS)
+def _quadrature(g, edges: list[np.ndarray], tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of g(u, i) over [edges[i][0], edges[i][-1]], with error bounds.
 
-
-def _adaptive_gauss(g, a: float, b: float, abs_tol: float, budget: int = PANEL_BUDGET, edges=None) -> tuple[float, float]:
-    """Adaptive bisection with fixed-order Gauss panels; returns (value, error bound).
-
-    Panel error is estimated by comparing against its two halves; panels are
-    accepted at a share of the absolute tolerance proportional to width.
+    The one adaptive engine behind kappa and P: a global bisection loop with
+    a fixed Gauss-Legendre rule over the open panels of all arguments at
+    once.  A panel's error is its difference from the sum of its two halves.
+    Argument i starts with the len(edges[i]) - 1 panels given (none when its
+    edges are empty), each with the share tol / n0_i of the tolerance, and
+    a bisection halves a panel's share.  All arguments draw on one budget of
+    PANEL_BUDGET panels per four arguments (at least PANEL_BUDGET), read at
+    call time.  When it runs out, the open panels are summed as they are and
+    their argument's bound widens by max(tol, 1e-8 * sum of |open panels|).
     Deterministic by construction.
     """
-    if b <= a:
-        return 0.0, 0.0
-    if edges is None:
-        edges = np.linspace(a, b, max(8, int(math.ceil((b - a) / 2.0))) + 1)
-    lo = edges[:-1]
-    hi = edges[1:]
-    n0 = len(lo)
-    vals = _panel_integrals(g, lo, hi)
-    total = 0.0
-    err = 0.0
-    n_panels = n0
+    n = len(edges)
+    counts = np.array([max(len(e) - 1, 0) for e in edges], dtype=np.int64)
+    idx = np.repeat(np.arange(n), counts)
+    lo = np.concatenate([np.empty(0), *(e[:-1] for e in edges)])
+    hi = np.concatenate([np.empty(0), *(e[1:] for e in edges)])
+    share = tol / counts[idx]
+
+    def panels(lo_: np.ndarray, hi_: np.ndarray, idx_: np.ndarray) -> np.ndarray:
+        if len(lo_) == 0:
+            return np.empty(0)
+        half = 0.5 * (hi_ - lo_)
+        pts = (0.5 * (lo_ + hi_))[:, None] + half[:, None] * _GL_NODES[None, :]
+        vals = g(pts.ravel(), np.repeat(idx_, GAUSS_ORDER)).reshape(pts.shape)
+        return half * (vals @ _GL_WEIGHTS)
+
+    val = np.zeros(n)
+    err = np.zeros(n)
+    vals = panels(lo, hi, idx)
+    n_panels = len(lo)
+    budget = PANEL_BUDGET * max(1, n // 4)
     for _ in range(64):
         if len(lo) == 0 or n_panels > budget:
             break
         mid = 0.5 * (lo + hi)
-        l2 = np.concatenate([lo, mid])
-        h2 = np.concatenate([mid, hi])
-        vals2 = _panel_integrals(g, l2, h2)
-        refined = vals2[: len(lo)] + vals2[len(lo) :]
+        halves = panels(np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.concatenate([idx, idx]))
+        left, right = halves[: len(lo)], halves[len(lo) :]
+        refined = left + right
         perr = np.abs(vals - refined)
-        tol_share = abs_tol * (hi - lo) / (b - a)
-        done = perr <= tol_share
-        total += float(refined[done].sum())
-        err += float(perr[done].sum())
+        done = perr <= share
+        val += np.bincount(idx[done], refined[done], minlength=n)
+        err += np.bincount(idx[done], perr[done], minlength=n)
         keep = ~done
-        lo = np.concatenate([l2[: len(lo)][keep], l2[len(lo) :][keep]])
-        hi = np.concatenate([h2[: len(hi)][keep], h2[len(hi) :][keep]])
-        vals = np.concatenate([vals2[: len(keep)][keep], vals2[len(keep) :][keep]])
-        n_panels += int(keep.sum()) * 2
+        lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
+        idx = np.concatenate([idx[keep], idx[keep]])
+        share = np.tile(0.5 * share[keep], 2)
+        vals = np.concatenate([left[keep], right[keep]])
+        n_panels += 2 * int(keep.sum())
     if len(lo):
-        total += float(vals.sum())
-        err += max(abs_tol, float(np.abs(vals).sum()) * 1e-8)
-    return total, err
+        val += np.bincount(idx, vals, minlength=n)
+        widen = np.maximum(tol, 1e-8 * np.bincount(idx, np.abs(vals), minlength=n))
+        err += np.where(np.bincount(idx, minlength=n) > 0, widen, 0.0)
+    return val, err
+
+
+def _cutoff(env: Envelope, x, tol: float, c: float):
+    """Cutoff U per argument x: the envelope tail `_envelope_tail(env, x, U, c)`
+    is below tol (each of its two terms below tol / 2), and U >= 4."""
+    th = env.theta
+    u_a = math.log(max(2 * c * env.a / tol, 1.0) + 1.0)
+    u_b = np.log(np.maximum(2 * c * env.b * x**th / ((1 - th) * tol), 1.0) + 1.0) / (1 - th)
+    return np.maximum(np.maximum(u_a, u_b), 4.0)
+
+
+def _envelope_tail(env: Envelope, x, U, c: float):
+    """c * int_U^inf (a + b (x e^u)^theta) e^-u du, which bounds both transforms'
+    integrals beyond U: kappa with c = 1, and P with c = 2/pi (1/cosh u <= 2 e^-u)."""
+    th = env.theta
+    return c * (env.a * np.exp(-U) + env.b * x**th * np.exp(-(1 - th) * U) / (1 - th))
 
 
 def _require_envelope(w: WeightFn, op: str) -> Envelope:
@@ -519,7 +548,7 @@ def _require_envelope(w: WeightFn, op: str) -> Envelope:
 def kappa_interval(w: WeightFn, t: float) -> Interval:
     """Bracketed kappa(t) = int_0^inf omega(t e^u) e^-u du by adaptive quadrature.
 
-    The cutoff U solves envelope-tail < 1e-10; the remaining tail is
+    The cutoff U makes the envelope tail < 1e-10; the remaining tail is
     bracketed between omega(t e^U) e^-U (monotonicity) and the envelope bound.
     """
     env = _require_envelope(w, "kappa")
@@ -527,19 +556,16 @@ def kappa_interval(w: WeightFn, t: float) -> Interval:
         raise ValueError("kappa is defined for t >= 0")
     if t == 0.0:
         return Interval(0.0, 0.0)
-    th = env.theta
-    u_a = math.log(max(2 * env.a / QUAD_ABS_TOL, 1.0) + 1.0)
-    u_b = math.log(max(2 * env.b * t**th / ((1 - th) * QUAD_ABS_TOL), 1.0) + 1.0) / (1 - th)
-    U = max(u_a, u_b, 4.0)
+    U = float(_cutoff(env, t, QUAD_ABS_TOL, 1.0))
 
-    def g(u: np.ndarray) -> np.ndarray:
+    def g(u: np.ndarray, i: np.ndarray) -> np.ndarray:
         return w.omega(t * np.exp(u)) * np.exp(-u)
 
-    val, err = _adaptive_gauss(g, 0.0, U, QUAD_ABS_TOL, edges=_initial_edges(w, 0.0, U, t))
+    vals, errs = _quadrature(g, [_initial_edges(w, 0.0, U, t)], QUAD_ABS_TOL)
+    val, err = float(vals[0]), float(errs[0])
     err += 4e-15 * abs(val)  # accumulated rounding of the panel sums
     tail_lo = float(w.omega(t * math.exp(U))) * math.exp(-U)
-    tail_hi = env.a * math.exp(-U) + env.b * t**th * math.exp(-(1 - th) * U) / (1 - th)
-    tail_hi = max(tail_hi, tail_lo)
+    tail_hi = max(float(_envelope_tail(env, t, U, 1.0)), tail_lo)
     return Interval(val - err + tail_lo, val + err + tail_hi)
 
 
@@ -578,9 +604,11 @@ def kappa_assoc(w: WeightFn, t) -> np.ndarray | float:
 
 
 def _initial_edges(w: WeightFn, L: float, U: float, r: float) -> np.ndarray:
-    """Coarse panel edges on [L, U]; for sequence-associated integrands the
-    first quotient breakpoints (where the integrand has kinks) are inserted,
-    which removes most of the bisection depth."""
+    """Coarse panel edges on [L, U], none when U <= L; for sequence-associated
+    integrands the first quotient breakpoints (where the integrand has kinks)
+    are inserted, which removes most of the bisection depth."""
+    if U <= L:
+        return np.empty(0)
     n0 = max(8, int(math.ceil((U - L) / 2.0)))
     edges = np.linspace(L, U, n0 + 1)
     if w.assoc is not None and w.assoc.convex:
@@ -591,126 +619,63 @@ def _initial_edges(w: WeightFn, L: float, U: float, r: float) -> np.ndarray:
     return edges
 
 
-def poisson_interval(w: WeightFn, r: float) -> Interval:
-    """Bracketed harmonic extension on the imaginary axis.
+def _poisson_brackets(w: WeightFn, env: Envelope, rs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper ends of the P(ir) bracket for every radius in rs.
 
-    P(ir) = (2/pi) int_0^inf omega(rs)/(1+s^2) ds, computed after s = e^u as
-    (1/pi) int omega(r e^u) sech(u) du with envelope-certified cutoffs.
+    P(ir) = (2/pi) int_0^inf omega(rs)/(1+s^2) ds becomes, after s = e^u,
+    (1/pi) int omega(r e^u) sech(u) du, integrated over [L, U] per radius.
+    For a normalized omega the integrand vanishes for r e^u <= 1, so
+    L = -log r; otherwise L is where the part below it is under tol, and
+    that part is bracketed by [0, (2/pi) omega(r e^L) e^L].  The part beyond
+    U = max(cutoff, L) is bracketed by [0, envelope tail], so a radius with
+    nothing between L and U still gets a certified bracket.
     """
+    c = 2.0 / math.pi
+    if w.normalized:
+        L = -np.log(rs)
+        below = np.zeros(len(rs))
+    else:
+        L = -(np.log(np.maximum(w.omega(rs), 1.0) / tol) + 2.0)
+        below = c * w.omega(rs * np.exp(L)) * np.exp(L)
+    U = np.maximum(_cutoff(env, rs, tol, c), L)
+
+    def g(u: np.ndarray, i: np.ndarray) -> np.ndarray:
+        return w.omega(rs[i] * np.exp(u)) / (np.pi * np.cosh(u))
+
+    edges = [_initial_edges(w, lo, hi, r) for lo, hi, r in zip(L, U, rs)]
+    val, err = _quadrature(g, edges, tol)
+    err += 4e-15 * np.abs(val)
+    return np.maximum(val - err, 0.0), val + err + _envelope_tail(env, rs, U, c) + below
+
+
+def poisson_interval(w: WeightFn, r: float) -> Interval:
+    """Bracketed harmonic extension P(ir) on the imaginary axis, with
+    envelope-certified cutoffs at absolute tolerance 1e-10; see
+    `_poisson_brackets`."""
     env = _require_envelope(w, "poisson")
     if r <= 0:
         raise ValueError("the harmonic extension is evaluated at ir with r > 0")
-    th = env.theta
-    tol = QUAD_ABS_TOL
-    U = max(
-        math.log(max(4 * env.a / (math.pi * tol), 1.0) + 1.0),
-        math.log(max(4 * env.b * r**th / (math.pi * (1 - th) * tol), 1.0) + 1.0) / (1 - th),
-        4.0,
-    )
-    if w.normalized:
-        L = -math.log(r)  # integrand vanishes exactly for r e^u <= 1
-        tail_lo_bound = 0.0
-    else:
-        om_r = max(float(w.omega(r)), 1e-300)
-        L = -(math.log(max(om_r, 1.0) / tol) + 2.0)
-        tail_lo_bound = (2.0 / math.pi) * float(w.omega(r * math.exp(L))) * math.exp(L)
-    if L >= U:
-        return Interval(0.0, max(tail_lo_bound, tol))
-
-    def g(u: np.ndarray) -> np.ndarray:
-        return w.omega(r * np.exp(u)) / (np.pi * np.cosh(u))
-
-    val, err = _adaptive_gauss(g, L, U, tol, edges=_initial_edges(w, L, U, r))
-    err += 4e-15 * abs(val)
-    tail_hi = (2.0 / math.pi) * (env.a * math.exp(-U) + env.b * r**th * math.exp(-(1 - th) * U) / (1 - th))
-    tail_hi += tail_lo_bound
-    return Interval(max(val - err, 0.0), val + err + tail_hi)
+    lo, hi = _poisson_brackets(w, env, np.array([float(r)]), QUAD_ABS_TOL)
+    return Interval(float(lo[0]), float(hi[0]))
 
 
 def poisson_imag(w: WeightFn, r: float) -> float:
     return poisson_interval(w, r).mid
 
 
-def poisson_batch(w: WeightFn, rs, abs_tol: float = 1e-7, budget: int = PANEL_BUDGET) -> np.ndarray:
+def poisson_batch(w: WeightFn, rs) -> np.ndarray:
     """Harmonic-extension midpoints for many radii through one quadrature pass.
 
-    Same construction as poisson_interval, but panels of all radii are
-    refined together (amortizing the per-level array overhead; the
-    radial-sup construction needs hundreds of radii) at a documented looser
-    default tolerance: the radial sup consumes P through order relations
-    with 1e-3 slack, where 1e-7 absolute is already noise.
+    The same P bracket as poisson_interval, at the looser absolute tolerance
+    BATCH_ABS_TOL = 1e-7: the radial-sup construction of Q needs hundreds of
+    radii and consumes P through order relations with 1e-3 slack, where 1e-7
+    is already noise.  The panels of all radii are refined together and
+    share one budget of PANEL_BUDGET panels per four radii; a radius still
+    open when it runs out keeps a bracket widened by the engine.
     """
     env = _require_envelope(w, "poisson")
-    rs = np.asarray(rs, dtype=float)
-    th = env.theta
-    out = np.zeros(len(rs))
-    om_rs = w.omega(rs) if not w.normalized else None
-
-    lo_list, hi_list, ridx_list, share_list = [], [], [], []
-    for i, r in enumerate(rs):
-        U = max(
-            math.log(max(4 * env.a / (math.pi * abs_tol), 1.0) + 1.0),
-            math.log(max(4 * env.b * r**th / (math.pi * (1 - th) * abs_tol), 1.0) + 1.0) / (1 - th),
-            4.0,
-        )
-        if w.normalized:
-            L = -math.log(r)
-        else:
-            om_r = max(float(om_rs[i]), 1e-300)
-            L = -(math.log(max(om_r, 1.0) / abs_tol) + 2.0)
-        if L >= U:
-            continue
-        edges = _initial_edges(w, L, U, float(r))
-        n0 = len(edges) - 1
-        lo_list.append(edges[:-1])
-        hi_list.append(edges[1:])
-        ridx_list.append(np.full(n0, i, dtype=np.int64))
-        share_list.append(np.full(n0, abs_tol / n0))
-        out[i] += (2.0 / math.pi) * (env.a * math.exp(-U) + env.b * r**th * math.exp(-(1 - th) * U) / (1 - th)) / 2.0
-
-    lo = np.concatenate(lo_list)
-    hi = np.concatenate(hi_list)
-    ridx = np.concatenate(ridx_list)
-    share = np.concatenate(share_list)
-
-    nodes9, weights9 = np.polynomial.legendre.leggauss(9)
-
-    def g(u: np.ndarray, rr: np.ndarray) -> np.ndarray:
-        return w.omega(rr * np.exp(u)) / (np.pi * np.cosh(u))
-
-    def panel_vals(lo_, hi_, ridx_):
-        mid = 0.5 * (lo_ + hi_)
-        half = 0.5 * (hi_ - lo_)
-        pts = mid[:, None] + half[:, None] * nodes9[None, :]
-        rr = np.repeat(rs[ridx_], len(nodes9))
-        vals = g(pts.ravel(), rr).reshape(pts.shape)
-        return half * (vals @ weights9)
-
-    vals = panel_vals(lo, hi, ridx)
-    n_panels = len(lo)
-    for _ in range(64):
-        if len(lo) == 0 or n_panels > budget * max(1, len(rs) // 4):
-            break
-        mid = 0.5 * (lo + hi)
-        l2 = np.concatenate([lo, mid])
-        h2 = np.concatenate([mid, hi])
-        i2 = np.concatenate([ridx, ridx])
-        vals2 = panel_vals(l2, h2, i2)
-        refined = vals2[: len(lo)] + vals2[len(lo) :]
-        perr = np.abs(vals - refined)
-        done = perr <= share
-        np.add.at(out, ridx[done], refined[done])
-        keep = ~done
-        lo = np.concatenate([l2[: len(lo)][keep], l2[len(lo) :][keep]])
-        hi = np.concatenate([h2[: len(hi)][keep], h2[len(hi) :][keep]])
-        ridx = np.concatenate([ridx[keep], ridx[keep]])
-        share2 = 0.5 * share
-        share = np.concatenate([share2[keep], share2[keep]])
-        vals = np.concatenate([vals2[: len(keep)][keep], vals2[len(keep) :][keep]])
-        n_panels += 2 * int(keep.sum())
-    if len(lo):
-        np.add.at(out, ridx, vals)
-    return out
+    lo, hi = _poisson_brackets(w, env, np.asarray(rs, dtype=float), BATCH_ABS_TOL)
+    return 0.5 * (lo + hi)
 
 
 # -- normalization and derived weight functions ------------------------------
@@ -765,7 +730,7 @@ def normalize_fn(w: WeightFn) -> WeightFn:
     )
 
 
-def kappa_fn(w: WeightFn, *, use_ref: bool = True, memo: bool = True) -> WeightFn:
+def kappa_fn(w: WeightFn, *, use_ref: bool = True) -> WeightFn:
     """kappa as a WeightFn (normalized representative), for chaining transforms.
 
     Evaluates through the attached closed form when available and allowed,

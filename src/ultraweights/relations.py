@@ -56,13 +56,6 @@ def _extended(grid: np.ndarray, steps: int = 2) -> np.ndarray:
     return np.concatenate([g, g[-1] * 2.0 ** np.arange(1, steps + 1)])
 
 
-def _tails_finite(m: WeightSeq, n: int) -> np.ndarray:
-    lo, mid, hi = tail_mids(m, n)
-    if not np.all(np.isfinite(hi)):
-        raise DivergentTail(f"{m.name}: reciprocal-quotient tail has no finite bracket")
-    return mid
-
-
 def prec_SV(mp: WeightSeq, m: WeightSeq, n: int, s_grid=None) -> Verdict:
     """The mixed strong-nonquasianalyticity order: for some integer factor s,
 
@@ -75,7 +68,7 @@ def prec_SV(mp: WeightSeq, m: WeightSeq, n: int, s_grid=None) -> Verdict:
     """
     require_weight_seq(m, "prec_SV rhs")
     s_grid = DEFAULT_S_GRID if s_grid is None else np.asarray(s_grid, dtype=float)
-    t_mid = _tails_finite(m, n)
+    t_mid = tail_mids(m, n)[1]
     log_mp = mp.values(n)
     log_m = m.values(n)
     js = np.arange(1, n + 1, dtype=float)
@@ -113,7 +106,7 @@ def prec_SV(mp: WeightSeq, m: WeightSeq, n: int, s_grid=None) -> Verdict:
 def prec_gamma1(mp: WeightSeq, m: WeightSeq, n: int) -> Verdict:
     """Whitney-extension order: trend test on (mu'_j / j) * T_j."""
     require_weight_seq(m, "prec_gamma1 rhs")
-    t_mid = _tails_finite(m, n)
+    t_mid = tail_mids(m, n)[1]
     js = np.arange(1, n + 1, dtype=float)
     vals = np.exp(np.minimum(mp.log_mu(n) - np.log(js) + np.log(np.maximum(t_mid, 1e-300)), 709.0))
     return trend_bounded(vals, js, relation="prec_gamma1", lhs=mp.name, rhs=m.name)
@@ -153,9 +146,7 @@ def cond_Mmg(m: WeightSeq, n: int) -> Verdict:
     """liminf (mu_j / j) * sum_{k>=2j} 1/mu_k > 0 (shifted-tail balance)."""
     require_weight_seq(m, "cond_Mmg")
     try:
-        lo, mid, hi = tail_mids(m, 2 * n)
-        if not np.all(np.isfinite(hi)):
-            raise DivergentTail(m.name)
+        _, mid, _ = tail_mids(m, 2 * n)
     except DivergentTail:
         return Verdict(Status.INCONCLUSIVE, relation="shifted-liminf", lhs=m.name,
                        note="tail bracket divergent (quasianalytic input)")
@@ -242,7 +233,7 @@ def cond_liminf(mat: WeightMatrix, n: int, beta_grid=None, *, shift: int = 1) ->
     def test(al: float, be: float) -> Verdict:
         ma, mb = mat.member(al), mat.member(be)
         try:
-            mid = _tails_finite(ma, shift * n)
+            mid = tail_mids(ma, shift * n)[1]
         except DivergentTail:
             return Verdict(Status.INCONCLUSIVE, relation=rel, note="divergent tail")
         js = np.arange(1, n + 1, dtype=float)

@@ -25,6 +25,7 @@ from .verdicts import (
     Interval,
     Status,
     Verdict,
+    _regression_slope,
     combine_all,
     subsample,
     trend_bounded,
@@ -215,6 +216,14 @@ def is_strongly_log_convex(seq: WeightSeq, n: int) -> Verdict:
     return _monotone_check(seq, n - 1, np.log(np.arange(1, n + 1, dtype=float)), "strong log-convexity")
 
 
+def _dyadic_exponent(log_mu: np.ndarray) -> float:
+    """Log-log least-squares exponent p of mu_l ~ l^p over the last dyadic
+    window l = n/2 .. n, where log_mu holds log mu_1 .. log mu_n."""
+    n = len(log_mu)
+    lo = n // 2
+    return _regression_slope(np.log(np.arange(lo, n + 1, dtype=float)), log_mu[lo - 1 :])
+
+
 def tail_recip_mu(seq: WeightSeq, k: int, n_max: int = DEFAULT_TAIL_N) -> Interval:
     """Bracket sum_{l >= k} 1/mu_l.
 
@@ -232,11 +241,7 @@ def tail_recip_mu(seq: WeightSeq, k: int, n_max: int = DEFAULT_TAIL_N) -> Interv
         raise ValueError(f"tail start {k} beyond partial-sum range {n_max}")
     log_mu = seq.log_mu(n_max)  # k = 1..n_max
     partial = float(np.exp(-log_mu[k - 1 :]).sum())
-    lo_win = n_max // 2
-    ells = np.arange(lo_win, n_max + 1, dtype=float)
-    slope_x = np.log(ells) - np.log(ells).mean()
-    seg = log_mu[lo_win - 1 :]
-    p = float(slope_x @ (seg - seg.mean()) / (slope_x @ slope_x))
+    p = _dyadic_exponent(log_mu)
     if p > 1.0 + 1e-6:  # margin: a harmonic quotient fits p = 1 up to rounding
         rem_hi = n_max / ((p - 1.0) * math.exp(log_mu[-1]))
         return Interval(partial, partial + rem_hi)
@@ -244,7 +249,10 @@ def tail_recip_mu(seq: WeightSeq, k: int, n_max: int = DEFAULT_TAIL_N) -> Interv
 
 
 def tail_mids(seq: WeightSeq, n: int, n_max: int = DEFAULT_TAIL_N) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lo, mid, hi) arrays of the tail bracket for k = 1..n (index k-1)."""
+    """(lo, mid, hi) arrays of the tail bracket for k = 1..n (index k-1).
+
+    Raises DivergentTail when an upper end is not finite.
+    """
     if seq.tail is not None:
         ivals = [seq.tail(k) for k in range(1, n + 1)]
         lo = np.array([i.lo for i in ivals])
@@ -257,6 +265,8 @@ def tail_mids(seq: WeightSeq, n: int, n_max: int = DEFAULT_TAIL_N) -> tuple[np.n
         suffix = np.concatenate([np.cumsum(recip[::-1])[::-1], [0.0]])
         lo = suffix[:n]
         hi = suffix[:n] + rem_hi
+    if not np.all(np.isfinite(hi)):
+        raise DivergentTail(f"{seq.name}: reciprocal-quotient tail has no finite bracket")
     return lo, 0.5 * (lo + hi), hi
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ultraweights import _kernels
+from ultraweights import _kernels, func_core
 from ultraweights.catalog import make_exp_gevrey_member, make_power_weight
 from ultraweights.errors import EnvelopeRequired, QuasianalyticInput, UnboundedConjugate
 from ultraweights.func_core import (
@@ -135,9 +135,25 @@ def test_kappa_power_closed_form(beta):
         assert kappa(w, t) == pytest.approx(t**beta / (1 - beta), rel=1e-8)
 
 
-def test_kappa_interval_brackets_truth(power_half):
-    iv = kappa_interval(power_half, 4.0)
-    assert iv.lo <= 4.0 <= iv.hi and iv.width < 1e-9
+@pytest.mark.parametrize("t", [1.0, 4.0, 123.0, 1e6])
+def test_kappa_interval_brackets_truth(power_half, t):
+    iv = kappa_interval(power_half, t)
+    assert iv.lo <= t**0.5 / 0.5 <= iv.hi and iv.width < 1e-9
+
+
+@pytest.mark.parametrize("r", [1.0, 4.0, 123.0, 1e6])
+def test_poisson_interval_brackets_truth(power_half, r):
+    iv = poisson_interval(power_half, r)
+    assert iv.lo <= r**0.5 / math.cos(math.pi / 4) <= iv.hi and iv.width < 1e-9
+
+
+@pytest.mark.parametrize("x", [1.0, 4.0, 123.0, 1e6])
+def test_brackets_hold_when_the_panel_budget_runs_out(power_half, monkeypatch, x):
+    kap, pois = kappa_interval(power_half, x), poisson_interval(power_half, x)
+    monkeypatch.setattr(func_core, "PANEL_BUDGET", 1)
+    kap_cut, pois_cut = kappa_interval(power_half, x), poisson_interval(power_half, x)
+    assert kap_cut.lo <= x**0.5 / 0.5 <= kap_cut.hi and kap_cut.width > kap.width
+    assert pois_cut.lo <= x**0.5 / math.cos(math.pi / 4) <= pois_cut.hi and pois_cut.width > pois.width
 
 
 def test_kappa_dominates_omega(power_half, logsq):
@@ -201,6 +217,18 @@ def test_poisson_batch_matches_scalar(gevrey2):
     batch = poisson_batch(w, rs)
     single = np.array([poisson_imag(w, float(r)) for r in rs])
     assert np.allclose(batch, single, rtol=1e-5, atol=1e-6)
+
+
+def test_poisson_batch_without_quadrature_matches_interval():
+    # omega vanishes on [0, 1], so for r = 1e-3 the integral starts at
+    # u = -log r, beyond the cutoff: the whole value is the envelope tail
+    w = WeightFn("tiny", lambda ts: 1e-12 * np.sqrt(np.maximum(ts - 1.0, 0.0)),
+                 envelope=Envelope(0.5, 0.0, 1e-12), normalized=True)
+    assert poisson_batch(w, [1e-3])[0] == poisson_interval(w, 1e-3).mid
+    mixed = poisson_batch(w, [1e-3, 10.0])
+    assert mixed[0] == poisson_interval(w, 1e-3).mid
+    assert mixed[1] == pytest.approx(poisson_imag(w, 10.0), abs=1e-7)
+    assert poisson_batch(w, []).shape == (0,)
 
 
 def test_sandwich_on_assoc(gevrey2):

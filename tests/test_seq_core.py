@@ -20,6 +20,7 @@ from ultraweights.seq_core import (
     seq_preceq,
     seq_to_csv,
     seq_to_json,
+    tail_mids,
     tail_recip_mu,
 )
 from ultraweights.catalog import make_gevrey
@@ -306,3 +307,16 @@ def test_divergent_tail_surfaces_in_derived(factorial):
 
     with pytest.raises(DivergentTail):
         seq_L(factorial, 32)
+
+
+def test_tail_mids_raises_on_divergent_tail(factorial):
+    bare = WeightSeq("bare", factorial._eval, is_weight_seq=True)
+    for seq in (factorial, bare):  # analytic tail, then the integral-test bracket
+        with pytest.raises(DivergentTail):
+            tail_mids(seq, 8)
+
+
+def test_divergent_tail_makes_shifted_liminf_inconclusive(factorial):
+    from ultraweights.relations import cond_Mmg
+
+    assert cond_Mmg(factorial, 32).inconclusive
