@@ -1,14 +1,14 @@
 """Built-in weight families with closed-form evaluators, tails, and envelopes.
 
-These entries are the ground truth of the test suite: each carries exact (or
-tightly bracketed) tail sums and, where available, closed-form reference
-values for the integral transforms and the Young conjugate.  Entries are
+These entries are the ground truth of the test suite: each carries tightly
+bracketed log tail sums over index arrays and, where available, closed-form
+reference values for the integral transforms and the Young conjugate.  Entries are
 addressed by URI-like names, e.g. seq:gevrey?s=2, fn:power?beta=0.5,
 mat:omega?fn=power&beta=0.5.
 
 Closed forms used:
-  - Gevrey index s: log M_k = s log k!, mu_k = k^s, tail sum via the Hurwitz
-    zeta tail (trigamma for s = 2), with an integral-test bracket otherwise.
+  - Gevrey index s: log M_k = s log k!, mu_k = k^s, tail sum the Hurwitz
+    zeta value zeta(s, k): exact terms plus an Euler-Maclaurin remainder.
   - geometric-quadratic base q: log M_k = k^2 log q, mu_k = q^{2k-1},
     exact geometric tails.
   - power weight t^beta: kappa = t^beta/(1-beta), P(ir) = r^beta/cos(pi beta/2),
@@ -25,12 +25,10 @@ from typing import Callable
 from urllib.parse import parse_qsl
 
 import numpy as np
-from scipy.special import gammaln, polygamma
 
 from .errors import CatalogError
 from .func_core import Envelope, WeightFn, WeightMatrix, matrix_from_omega
-from .seq_core import WeightSeq
-from .verdicts import Interval
+from .seq_core import LogBracket, WeightSeq, log_suffix_bracket
 
 __all__ = [
     "make_gevrey",
@@ -47,7 +45,32 @@ __all__ = [
     "CatalogEntry",
 ]
 
-_ZETA_PARTIAL_N = 10_000
+_TAIL_HEAD = 64  # exact terms summed past the largest index before a remainder bound
+
+
+def gammaln(x: np.ndarray) -> np.ndarray:
+    """log Gamma(x) for a float array of x > 0: math.lgamma below 20, above it
+    Stirling's series to the z^-7 term (truncation error below 2e-15)."""
+    z = np.maximum(x, 20.0)
+    r = 1.0 / z
+    out = (z - 0.5) * np.log(z) - z + 0.5 * math.log(2.0 * math.pi) + r * (
+        1.0 / 12.0 - r * r * (1.0 / 360.0 - r * r * (1.0 / 1260.0 - r * r / 1680.0)))
+    out[x < 20.0] = np.frompyfunc(math.lgamma, 1, 1)(x[x < 20.0])
+    return out
+
+
+def _series_log_tail(neg_log_term, span: int, log_rem) -> Callable[[np.ndarray], LogBracket]:
+    """`log_tail` of T_k = sum_{j>=k} exp(neg_log_term(j)): exact terms on
+    k_min .. k_max + span, plus the log bracket `log_rem(top)` of the rest,
+    widened by the rounding of the sums (1e-13 plus a few ulps)."""
+
+    def log_tail(ks: np.ndarray) -> LogBracket:
+        k0, top = int(ks.min()), int(ks.max()) + span + 1
+        rem_lo, rem_hi = log_rem(float(top))
+        lo, hi = log_suffix_bracket(neg_log_term(np.arange(k0, top, dtype=float)), ks - k0, rem_hi, rem_lo)
+        return lo - 1e-13 - 1e-15 * np.abs(lo), hi + 1e-13 + 1e-15 * np.abs(hi)
+
+    return log_tail
 
 
 # -- sequences ---------------------------------------------------------------
@@ -57,9 +80,10 @@ def make_gevrey(s: float) -> WeightSeq:
     """The factorial-power sequence log M_k = s log k!, quotients mu_k = k^s.
 
     Non-quasianalytic exactly when s > 1; s <= 1 is rejected (the harmonic
-    boundary).  Tails: exact trigamma for s = 2, otherwise a partial sum to
-    10^4 plus the integral-test bracket [((s-1)(K+1)^{s-1})^{-1},
-    ((s-1)K^{s-1})^{-1}].
+    boundary).  Tails: exact terms up to 64 past the largest index, then from
+    K on sum_{l>=K} l^-s = K^{1-s}/(s-1) (1 + (s-1)/(2K) + s(s-1)/(12K^2)
+    - theta (s-1)s(s+1)(s+2)/(720K^4)) with theta in [0, 1] (Euler-Maclaurin;
+    x^-s is completely monotone), and at least the integral K^{1-s}/(s-1).
     """
     if not s > 1:
         raise ValueError(f"gevrey index must be > 1 (got {s}); s = 1 is the quasianalytic boundary")
@@ -67,25 +91,15 @@ def make_gevrey(s: float) -> WeightSeq:
     def ev(kk: np.ndarray) -> np.ndarray:
         return s * gammaln(kk + 1.0)
 
-    if s == 2:
+    def log_rem(K: float) -> tuple[float, float]:
+        x = 1.0 / K
+        c_hi = 1.0 + (s - 1.0) * x / 2.0 + (s - 1.0) * s * x * x / 12.0
+        c_lo = max(c_hi - (s - 1.0) * s * (s + 1.0) * (s + 2.0) * x**4 / 720.0, 1.0)
+        base = (1.0 - s) * math.log(K) - math.log(s - 1.0)
+        return base + math.log(c_lo), base + math.log(c_hi)
 
-        def tail(k: int) -> Interval:
-            v = float(polygamma(1, k))
-            pad = abs(v) * 1e-13
-            return Interval(v - pad, v + pad)
-
-    else:
-
-        def tail(k: int) -> Interval:
-            kk = np.arange(k, _ZETA_PARTIAL_N + 1, dtype=float)
-            partial = float(np.sum(kk**-s))
-            top = float(_ZETA_PARTIAL_N)
-            return Interval(
-                partial + 1.0 / ((s - 1.0) * (top + 1.0) ** (s - 1.0)),
-                partial + 1.0 / ((s - 1.0) * top ** (s - 1.0)),
-            )
-
-    seq = WeightSeq(f"gevrey(s={s:g})", ev, tail=tail, is_weight_seq=True)
+    log_tail = _series_log_tail(lambda js: -s * np.log(js), _TAIL_HEAD, log_rem)
+    seq = WeightSeq(f"gevrey(s={s:g})", ev, log_tail=log_tail, is_weight_seq=True)
     seq.quotient_proxy = lambda kk: s * np.log(np.maximum(kk, 1.0))
     return seq
 
@@ -106,12 +120,12 @@ def make_q_gevrey(q: float) -> WeightSeq:
         raise ValueError("base must be > 1")
     lq = math.log(q)
 
-    def tail(k: int) -> Interval:
-        v = math.exp(-(2 * k - 1) * lq) / (1.0 - math.exp(-2 * lq))
-        pad = v * 1e-14
-        return Interval(v - pad, v + pad)
+    def log_rem(top: float) -> tuple[float, float]:  # the exact geometric tail
+        v = -(2.0 * top - 1.0) * lq - math.log(-math.expm1(-2.0 * lq))
+        return v, v
 
-    seq = WeightSeq(f"qgevrey(q={q:g})", lambda kk: kk**2 * lq, tail=tail, is_weight_seq=True)
+    log_tail = _series_log_tail(lambda js: -(2.0 * js - 1.0) * lq, 0, log_rem)
+    seq = WeightSeq(f"qgevrey(q={q:g})", lambda kk: kk**2 * lq, log_tail=log_tail, is_weight_seq=True)
     seq.quotient_proxy = lambda kk: (2 * kk - 1) * lq
     return seq
 
@@ -119,8 +133,8 @@ def make_q_gevrey(q: float) -> WeightSeq:
 def make_exp_gevrey_member(p: float, a: float) -> WeightSeq:
     """Mixed polynomial-geometric quotients mu_k = k^p e^{a k}.
 
-    log M_k = p log k! + a k(k+1)/2.  Tail bracketed by an adaptive partial
-    sum plus a geometric remainder bound.  As a one-parameter family in `a`
+    log M_k = p log k! + a k(k+1)/2.  Tail bracketed by exact terms plus a
+    geometric remainder bound.  As a one-parameter family in `a`
     this is the catalog's example where the inverse-moderate-growth and
     shifted-liminf conditions genuinely hold together.
     """
@@ -130,17 +144,14 @@ def make_exp_gevrey_member(p: float, a: float) -> WeightSeq:
     def ev(kk: np.ndarray) -> np.ndarray:
         return p * gammaln(kk + 1.0) + a * kk * (kk + 1.0) / 2.0
 
-    def tail(k: int) -> Interval:
-        # sum_{j>=k} j^-p e^-aj: extend the partial sum until the geometric
-        # remainder bound is negligible against it
-        span = max(64, int(40.0 / a))
-        js = np.arange(k, k + span + 1, dtype=float)
-        partial = float(np.sum(js**-p * np.exp(-a * js))) if p else float(np.sum(np.exp(-a * js)))
-        top = k + span + 1
-        rem = top**-p * math.exp(-a * top) / (1.0 - math.exp(-a))
-        return Interval(partial, partial + rem)
+    def neg_log_mu(js):
+        return -(p * np.log(js) + a * js)
 
-    seq = WeightSeq(f"expgevrey(p={p:g},a={a:g})", ev, tail=tail, is_weight_seq=True)
+    def log_rem(top: float) -> tuple[float, float]:  # mu_j / mu_{j+1} stays below e^-a
+        return -math.inf, float(neg_log_mu(top)) - math.log(-math.expm1(-a))
+
+    log_tail = _series_log_tail(neg_log_mu, max(_TAIL_HEAD, int(40.0 / a)), log_rem)
+    seq = WeightSeq(f"expgevrey(p={p:g},a={a:g})", ev, log_tail=log_tail, is_weight_seq=True)
     seq.quotient_proxy = lambda kk: p * np.log(np.maximum(kk, 1.0)) + a * kk
     return seq
 

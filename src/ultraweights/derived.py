@@ -14,9 +14,10 @@ T_k = sum_{l>=k} 1/mu_l:
   Q: the moment-problem weights log Q_k = sup_r ((k+1/2) log r - P(ir)/2)
      with P the harmonic extension of the same function.
 
-Tail uncertainty: L and S use the tail midpoint and re-evaluate with both
-bracket endpoints; the observed spread is attached to the result so that
-downstream verdicts can widen their slack.
+Tail uncertainty: the tails enter as log brackets (`tail_mids`).  L and S
+use the log of the bracket's arithmetic midpoint and re-evaluate with both
+endpoints; the observed spread is attached to the result so that downstream
+verdicts can widen their slack.
 """
 
 from __future__ import annotations
@@ -67,12 +68,10 @@ def seq_L(m: WeightSeq, n: int) -> WeightSeq:
     require_weight_seq(m, "seq_L")
     t_lo, t_mid, t_hi = tail_mids(m, n)
     vals = m.values(n)
-    ks = np.arange(0, n + 1, dtype=float)
-    logs_k = np.log(np.maximum(ks, 1.0))
+    log_k = np.log(np.arange(1, n + 1, dtype=float))
 
-    def build(tails: np.ndarray) -> np.ndarray:
-        coef = np.concatenate([[0.0], logs_k[1:] - np.log(tails)])
-        return _kernels.min_chord(vals, coef)
+    def build(log_tails: np.ndarray) -> np.ndarray:
+        return _kernels.min_chord(vals, np.concatenate([[0.0], log_k - log_tails]))
 
     center = build(t_mid)
     spread = 0.0
@@ -103,21 +102,21 @@ def seq_S(m: WeightSeq, n: int) -> WeightSeq:
     """
     require_weight_seq(m, "seq_S")
     t_lo, t_mid, t_hi = tail_mids(m, n)
-    ks = np.arange(1, n + 1, dtype=float)
-    inv_mu = np.exp(-m.log_mu(n))
+    log_k = np.log(np.arange(1, n + 1, dtype=float))
+    log_k_over_mu = log_k - m.log_mu(n)
 
-    def build(tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        tau = ks * inv_mu + tails
-        sigma_log = math.log(tau[0]) + np.log(ks) - np.log(tau)
-        return np.concatenate([[0.0], np.cumsum(sigma_log)]), tau
+    def build(log_tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        log_tau = np.logaddexp(log_k_over_mu, log_tails)
+        sigma_log = log_tau[0] + log_k - log_tau
+        return np.concatenate([[0.0], np.cumsum(sigma_log)]), log_tau
 
-    center, tau = build(t_mid)
+    center, log_tau = build(t_mid)
     spread = 0.0
     if float(np.max(t_hi - t_lo)) > 0:
         spread = float(max(np.max(np.abs(build(t_lo)[0] - center)), np.max(np.abs(build(t_hi)[0] - center))))
     out = WeightSeq.from_values(f"S({m.name})", center, is_weight_seq=True, note=f"tail spread {spread:.3g} (log)")
     out.sigma_log = np.diff(center)
-    out.tau = tau
+    out.tau = np.exp(log_tau)
     out.spread = spread
     out.rescale_c = float(max(1.0, np.exp(np.max(out.sigma_log - m.log_mu(n)))))
     return out

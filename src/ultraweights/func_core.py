@@ -34,7 +34,7 @@ from .errors import (
     TruncationExhausted,
     UnboundedConjugate,
 )
-from .seq_core import WeightSeq, _dyadic_exponent, tail_recip_mu
+from .seq_core import WeightSeq, _dyadic_exponent, _log_mid, log_tail_bracket
 from .verdicts import (
     Interval,
     Status,
@@ -259,8 +259,7 @@ class _AssocEvaluator:
         self._n = 0
         self._vals = None
         self._log_mu = None
-        self._suffix = None
-        self._rem = Interval(0.0, 0.0)
+        self._tail_mid = None
         self._grow(min(self.ARRAY_START, self._cap()))
 
     def _cap(self) -> int:
@@ -271,15 +270,9 @@ class _AssocEvaluator:
         if n <= self._n:
             return
         vals = self.seq.values(n)
-        log_mu = np.diff(vals)
-        recip = np.exp(-log_mu)
-        suffix = np.concatenate([np.cumsum(recip[::-1])[::-1], [0.0]])  # suffix[k-1] = sum_{j>=k} 1/mu_j (within array)
-        if self.seq.tail is not None:
-            rem = self.seq.tail(n + 1) if n + 1 <= self.seq.max_index else Interval(0.0, 0.0)
-        else:
-            full = tail_recip_mu(self.seq, 1, n)
-            rem = Interval(0.0, full.hi - full.lo) if math.isfinite(full.hi) else Interval(0.0, math.inf)
-        self._n, self._vals, self._log_mu, self._suffix, self._rem = n, vals, log_mu, suffix, rem
+        # tail_mid[c] = midpoint of sum_{j > c} 1/mu_j for counts c = 0..n
+        tail_mid = np.exp(_log_mid(*log_tail_bracket(self.seq, np.arange(1, n + 2), n)))
+        self._n, self._vals, self._log_mu, self._tail_mid = n, vals, np.diff(vals), tail_mid
 
     def ensure_cover(self, max_log_t: float) -> None:
         with self._lock:
@@ -362,9 +355,8 @@ class _AssocEvaluator:
         """Midpoint of sum_{j > k*} 1/mu_j for an array of counts."""
         kstar = np.asarray(kstar, dtype=float)
         out = np.zeros_like(kstar)
-        near = kstar <= self._n  # suffix has entries for counts 0..n
-        idx = kstar[near].astype(np.int64)
-        out[near] = self._suffix[idx] + self._rem.mid
+        near = kstar <= self._n  # tail_mid has entries for counts 0..n
+        out[near] = self._tail_mid[kstar[near].astype(np.int64)]
         far = ~near
         if np.any(far):
             # power-law remainder from the last window fit: T(k) ~ k / ((p-1) mu_k)
@@ -918,6 +910,8 @@ def fn_predicates(w: WeightFn, t_grid=None) -> FnPredicateReport:
     t_grid = log_t_grid(4.0, 1e8, 64) if t_grid is None else np.asarray(t_grid, dtype=float)
     om = w.omega(t_grid)
     den = np.maximum(om, 1e-300)
+    with np.errstate(divide="ignore"):
+        log_ratio = np.log(om) - np.log(t_grid)  # -inf where omega vanishes
 
     doubling = trend_bounded(w.omega(2 * t_grid) / den, t_grid, relation="doubling", lhs=w.name)
 
@@ -946,7 +940,7 @@ def fn_predicates(w: WeightFn, t_grid=None) -> FnPredicateReport:
         nq = Verdict(Status.HOLDS, relation="fn-non-quasianalytic", lhs=w.name,
                      note=f"envelope exponent {w.envelope.theta:g} < 1 certifies the integral")
     else:
-        lim = trend_liminf_positive(om / t_grid, t_grid)
+        lim = trend_liminf_positive(log_ratio, t_grid)
         if lim.holds:
             nq = Verdict(Status.FAILS, relation="fn-non-quasianalytic", lhs=w.name,
                          note="omega(t)/t bounded below: integral diverges")
@@ -955,7 +949,7 @@ def fn_predicates(w: WeightFn, t_grid=None) -> FnPredicateReport:
                          note="no envelope and no divergence certificate")
 
     ratio = om / t_grid
-    lim = trend_liminf_positive(ratio, t_grid)
+    lim = trend_liminf_positive(log_ratio, t_grid)
     if lim.holds:
         little_o = Verdict(Status.FAILS, relation="omega=o(t)", lhs=w.name,
                            witness=lim.witness, note="omega(t)/t bounded away from zero")

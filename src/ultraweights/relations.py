@@ -68,12 +68,11 @@ def prec_SV(mp: WeightSeq, m: WeightSeq, n: int, s_grid=None) -> Verdict:
     """
     require_weight_seq(m, "prec_SV rhs")
     s_grid = DEFAULT_S_GRID if s_grid is None else np.asarray(s_grid, dtype=float)
-    t_mid = tail_mids(m, n)[1]
+    log_t = tail_mids(m, n)[1]
     log_mp = mp.values(n)
     log_m = m.values(n)
     js = np.arange(1, n + 1, dtype=float)
     log_j = np.log(js)
-    log_t = np.log(np.maximum(t_mid, 1e-300))
 
     per_s: list[tuple[float, Verdict]] = []
     best = None
@@ -106,9 +105,9 @@ def prec_SV(mp: WeightSeq, m: WeightSeq, n: int, s_grid=None) -> Verdict:
 def prec_gamma1(mp: WeightSeq, m: WeightSeq, n: int) -> Verdict:
     """Whitney-extension order: trend test on (mu'_j / j) * T_j."""
     require_weight_seq(m, "prec_gamma1 rhs")
-    t_mid = tail_mids(m, n)[1]
+    log_t = tail_mids(m, n)[1]
     js = np.arange(1, n + 1, dtype=float)
-    vals = np.exp(np.minimum(mp.log_mu(n) - np.log(js) + np.log(np.maximum(t_mid, 1e-300)), 709.0))
+    vals = np.exp(np.minimum(mp.log_mu(n) - np.log(js) + log_t, 709.0))
     return trend_bounded(vals, js, relation="prec_gamma1", lhs=mp.name, rhs=m.name)
 
 
@@ -151,9 +150,8 @@ def cond_Mmg(m: WeightSeq, n: int) -> Verdict:
         return Verdict(Status.INCONCLUSIVE, relation="shifted-liminf", lhs=m.name,
                        note="tail bracket divergent (quasianalytic input)")
     js = np.arange(1, n + 1, dtype=float)
-    t2j = mid[2 * np.arange(1, n + 1) - 1]
-    vals = np.exp(m.log_mu(n) - np.log(js)) * t2j
-    return trend_liminf_positive(vals, js, relation="shifted-liminf", lhs=m.name)
+    log_vals = m.log_mu(n) - np.log(js) + mid[2 * np.arange(1, n + 1) - 1]
+    return trend_liminf_positive(log_vals, js, relation="shifted-liminf", lhs=m.name)
 
 
 # -- family-level checks -------------------------------------------------------
@@ -237,9 +235,8 @@ def cond_liminf(mat: WeightMatrix, n: int, beta_grid=None, *, shift: int = 1) ->
         except DivergentTail:
             return Verdict(Status.INCONCLUSIVE, relation=rel, note="divergent tail")
         js = np.arange(1, n + 1, dtype=float)
-        t_shift = mid[shift * np.arange(1, n + 1) - 1]
-        vals = np.exp(mb.log_mu(n) - np.log(js)) * t_shift
-        return trend_liminf_positive(vals, js)
+        log_vals = mb.log_mu(n) - np.log(js) + mid[shift * np.arange(1, n + 1) - 1]
+        return trend_liminf_positive(log_vals, js)
 
     return _exists_beta(mat.grid, beta_grid, test, rel, mat.name, mat.name)
 

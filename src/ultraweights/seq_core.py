@@ -4,8 +4,10 @@ A sequence M is represented by an evaluator k -> log M_k (natural logs;
 factorial-scale magnitudes overflow floats, so nothing is ever exponentiated
 except quotients).  Quotients mu_k = M_k / M_{k-1} drive everything:
 log-convexity is "mu increasing", non-quasianalyticity is "sum 1/mu_k finite",
-and the reciprocal-quotient tail sum is the main analytic input to the
-derived-weight constructions.
+and the reciprocal-quotient tail sum T_k = sum_{l>=k} 1/mu_l is the main
+analytic input to the derived-weight constructions.
+Tails are log brackets over index arrays (`log_tail_bracket`, `tail_mids`),
+summed with logaddexp, so nothing underflows however fast mu grows.
 """
 
 from __future__ import annotations
@@ -53,14 +55,17 @@ __all__ = [
 # Default truncation for tail partial sums when no analytic tail is attached.
 DEFAULT_TAIL_N = 4096
 
+LogBracket = tuple[np.ndarray, np.ndarray]
+
 
 class WeightSeq:
     """A positive sequence given by a log-domain evaluator.
 
     Evaluators must accept a float64 numpy array of indices and be pure;
     indices may exceed 2^53 in the far-tail probes of integral transforms,
-    which is why they are floats.  `tail`, when present, brackets
-    sum_{l>=k} 1/mu_l analytically.  `is_weight_seq` records whether the
+    which is why they are floats.  `log_tail`, when present, maps an integer
+    array of indices k >= 1 to arrays (log_lo, log_hi) bracketing
+    log sum_{l>=k} 1/mu_l analytically.  `is_weight_seq` records whether the
     sequence was declared (and validated as) log-convex with mu -> infinity;
     merely positive sequences are accepted but some operations refuse them.
     """
@@ -70,14 +75,14 @@ class WeightSeq:
         name: str,
         log_m_vec: Callable[[np.ndarray], np.ndarray],
         *,
-        tail: Optional[Callable[[int], Interval]] = None,
+        log_tail: Optional[Callable[[np.ndarray], LogBracket]] = None,
         is_weight_seq: bool = False,
         max_index: float = math.inf,
         note: str = "",
     ):
         self.name = name
         self._eval = log_m_vec
-        self.tail = tail
+        self.log_tail = log_tail
         self.is_weight_seq = is_weight_seq
         self.max_index = max_index
         self.note = note
@@ -97,7 +102,7 @@ class WeightSeq:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_values(name: str, log_values, *, tail=None, is_weight_seq=False, note="") -> "WeightSeq":
+    def from_values(name: str, log_values, *, is_weight_seq=False, note="") -> "WeightSeq":
         vals = np.asarray(log_values, dtype=float).copy()
         if abs(vals[0]) > 1e-12:
             note = (note + " " if note else "") + f"shifted by -log M_0 = {-vals[0]:.6g}"
@@ -110,7 +115,7 @@ class WeightSeq:
                 raise TruncationExhausted(f"{name}: index beyond truncation {nmax}")
             return vals[np.round(kk).astype(np.int64)]
 
-        seq = WeightSeq(name, ev, tail=tail, is_weight_seq=is_weight_seq, max_index=nmax, note=note)
+        seq = WeightSeq(name, ev, is_weight_seq=is_weight_seq, max_index=nmax, note=note)
         seq._prefix = vals
         return seq
 
@@ -155,13 +160,11 @@ class WeightSeq:
         def ev(kk: np.ndarray) -> np.ndarray:
             return base._eval(kk) + logh * kk
 
-        tail = None
-        if base.tail is not None:
-            tail = lambda k: base.tail(k).scale(math.exp(-logh))
+        log_tail = None if base.log_tail is None else (lambda ks: tuple(b - logh for b in base.log_tail(ks)))
         return WeightSeq(
             f"{self.name}*geom({logh:.4g})",
             ev,
-            tail=tail,
+            log_tail=log_tail,
             is_weight_seq=self.is_weight_seq,
             max_index=self.max_index,
             note=(self.note + " " if self.note else "") + f"renormalized by geometric factor e^{logh:.6g}",
@@ -224,50 +227,59 @@ def _dyadic_exponent(log_mu: np.ndarray) -> float:
     return _regression_slope(np.log(np.arange(lo, n + 1, dtype=float)), log_mu[lo - 1 :])
 
 
-def tail_recip_mu(seq: WeightSeq, k: int, n_max: int = DEFAULT_TAIL_N) -> Interval:
-    """Bracket sum_{l >= k} 1/mu_l.
+def log_suffix_bracket(x: np.ndarray, idx: np.ndarray, log_rem_hi: float, log_rem_lo: float = -math.inf) -> LogBracket:
+    """Log bracket of sum_{j >= i} e^{x_j} + R at each i in `idx` (i = len(x)
+    leaves R, the remainder beyond the array, in [e^log_rem_lo, e^log_rem_hi]).
+    One backward logaddexp pass: O(len(x)) time and memory, no underflow."""
+    suffix = np.concatenate([np.logaddexp.accumulate(x[::-1])[::-1], [-math.inf]])
+    return np.logaddexp(suffix[idx], log_rem_lo), np.logaddexp(suffix[idx], log_rem_hi)
 
-    Uses the analytic tail when attached.  Otherwise: partial sum to n_max,
+
+def _log_mid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Log of the arithmetic midpoint of the bracket [e^lo, e^hi]."""
+    return np.logaddexp(lo, hi) - math.log(2.0)
+
+
+def log_tail_bracket(seq: WeightSeq, ks, n_max: int = DEFAULT_TAIL_N) -> LogBracket:
+    """(log_lo, log_hi) arrays bracketing T_k = sum_{l >= k} 1/mu_l at integer ks >= 1.
+
+    Uses the analytic `log_tail` when attached.  Otherwise: suffix sums to
+    n_max (ks may reach n_max + 1, where only the remainder is left), the
     remainder bounded below by 0 and above through a power-law minorant
     mu_l >= mu_{n_max} (l/n_max)^p fitted on the last dyadic window (log-log
     least squares); only a fitted exponent p > 1 yields a finite bound.
     """
-    if k < 1:
+    ks = np.atleast_1d(np.asarray(ks, dtype=np.int64))
+    if ks.min() < 1:
         raise ValueError("tail is defined for k >= 1")
-    if seq.tail is not None:
-        return seq.tail(k)
+    if seq.log_tail is not None:
+        return seq.log_tail(ks)
     n_max = int(min(n_max, seq.max_index))
-    if k > n_max:
-        raise ValueError(f"tail start {k} beyond partial-sum range {n_max}")
+    if ks.max() > n_max + 1:
+        raise ValueError(f"tail start {int(ks.max())} beyond partial-sum range {n_max}")
     log_mu = seq.log_mu(n_max)  # k = 1..n_max
-    partial = float(np.exp(-log_mu[k - 1 :]).sum())
     p = _dyadic_exponent(log_mu)
-    if p > 1.0 + 1e-6:  # margin: a harmonic quotient fits p = 1 up to rounding
-        rem_hi = n_max / ((p - 1.0) * math.exp(log_mu[-1]))
-        return Interval(partial, partial + rem_hi)
-    return Interval(partial, math.inf)
+    # margin: a harmonic quotient fits p = 1 up to rounding
+    log_rem = math.log(n_max / (p - 1.0)) - log_mu[-1] if p > 1.0 + 1e-6 else math.inf
+    return log_suffix_bracket(-log_mu, ks - 1, log_rem)
+
+
+def tail_recip_mu(seq: WeightSeq, k: int, n_max: int = DEFAULT_TAIL_N) -> Interval:
+    """Bracket sum_{l >= k} 1/mu_l: `log_tail_bracket` at one index."""
+    lo, hi = log_tail_bracket(seq, k, n_max)
+    return Interval(math.exp(lo[0]), math.exp(hi[0]))
 
 
 def tail_mids(seq: WeightSeq, n: int, n_max: int = DEFAULT_TAIL_N) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lo, mid, hi) arrays of the tail bracket for k = 1..n (index k-1).
+    """Log arrays (lo, mid, hi) of the tail bracket for k = 1..n (index k-1).
 
-    Raises DivergentTail when an upper end is not finite.
+    mid is the log of the arithmetic midpoint.  Generic brackets sum to
+    max(n_max, 2n).  Raises DivergentTail when an upper end is not finite.
     """
-    if seq.tail is not None:
-        ivals = [seq.tail(k) for k in range(1, n + 1)]
-        lo = np.array([i.lo for i in ivals])
-        hi = np.array([i.hi for i in ivals])
-    else:
-        n_max = int(min(max(n_max, 2 * n), seq.max_index))
-        base = tail_recip_mu(seq, 1, n_max)
-        rem_hi = base.hi - base.lo  # fitted remainder beyond n_max
-        recip = np.exp(-seq.log_mu(n_max))
-        suffix = np.concatenate([np.cumsum(recip[::-1])[::-1], [0.0]])
-        lo = suffix[:n]
-        hi = suffix[:n] + rem_hi
+    lo, hi = log_tail_bracket(seq, np.arange(1, n + 1), max(n_max, 2 * n))
     if not np.all(np.isfinite(hi)):
         raise DivergentTail(f"{seq.name}: reciprocal-quotient tail has no finite bracket")
-    return lo, 0.5 * (lo + hi), hi
+    return lo, _log_mid(lo, hi), hi
 
 
 def is_non_quasianalytic(seq: WeightSeq, n_max: int = DEFAULT_TAIL_N) -> Verdict:
@@ -358,22 +370,19 @@ def power_shift(seq: WeightSeq, n: int) -> WeightSeq:
     def ev(kk: np.ndarray) -> np.ndarray:
         return base._eval(kk * n) / n
 
-    def shifted_tail(k: int) -> Interval:
-        if k < 1:
-            raise ValueError("tail start must be >= 1")
-        if k == 1:
-            inner = shifted_tail(2)
-            inv_mu1 = math.exp(-base.log_m(n) / n)
-            return Interval(inner.lo + inv_mu1, inner.hi + inv_mu1)
-        n_max = max(DEFAULT_TAIL_N, 4 * n * k)
-        lo = tail_recip_mu(base, n * k, n_max).lo / n
-        hi = tail_recip_mu(base, n * (k - 2) + 2, n_max).hi / n
-        return Interval(min(lo, hi), hi)
+    def shifted_log_tail(ks: np.ndarray) -> LogBracket:
+        k2 = np.maximum(ks, 2)
+        n_max = max(DEFAULT_TAIL_N, 4 * n * int(ks.max()))
+        lo = log_tail_bracket(base, n * k2, n_max)[0] - math.log(n)
+        hi = log_tail_bracket(base, n * (k2 - 2) + 2, n_max)[1] - math.log(n)
+        # k = 1 adds the term 1/mu^[n]_1 = M_n^{-1/n} to the k = 2 bracket
+        first = np.where(ks == 1, -base.log_m(n) / n, -math.inf)
+        return np.logaddexp(lo, first), np.logaddexp(hi, first)
 
     return WeightSeq(
         f"{seq.name}^[{n}]",
         ev,
-        tail=shifted_tail,
+        log_tail=shifted_log_tail,
         is_weight_seq=seq.is_weight_seq,
         max_index=seq.max_index / n,
         note=f"power shift of {seq.name} by {n}",
@@ -422,7 +431,7 @@ def seq_to_csv(seq: WeightSeq, n: int, out=None) -> str:
 
 
 def seq_to_json(seq: WeightSeq, n: int) -> dict:
-    if seq.tail is not None:
+    if seq.log_tail is not None:
         tail_kind = "analytic"
     elif math.isinf(seq.max_index):
         tail_kind = "integral-test"

@@ -67,16 +67,6 @@ class Interval:
 
     __radd__ = __add__
 
-    def scale(self, c: float) -> "Interval":
-        """Multiply by a non-negative constant."""
-        if c < 0:
-            raise ValueError("scale expects c >= 0")
-        return Interval(self.lo * c, self.hi * c)
-
-    @staticmethod
-    def point(x: float) -> "Interval":
-        return Interval(x, x)
-
 
 @dataclass
 class Verdict:
@@ -267,18 +257,18 @@ def trend_to_infinity(values, xs=None, **kw) -> Verdict:
                    witness=v.witness, trajectory=v.trajectory, note=note)
 
 
-def trend_liminf_positive(values, xs=None, *, relation: str = "", lhs: str = "", rhs: str = "") -> Verdict:
-    """Decide whether a positive sampled functional stays bounded away from 0.
+def trend_liminf_positive(log_values, xs=None, *, relation: str = "", lhs: str = "", rhs: str = "") -> Verdict:
+    """Decide whether a positive sampled functional v stays bounded away from 0,
+    given log v.
 
     liminf v > 0 iff sup(-log v) < infinity, so this reuses `trend_bounded`
-    on -log(values); non-positive values become overflow certificates.
+    on -log v; log v = -inf (v = 0) becomes an overflow certificate.  The
+    trajectory holds the sampled log values.
     """
-    values = np.asarray(values, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        neg_log = np.where(values > 0, -np.log(np.maximum(values, 1e-300)), np.inf)
-    v = trend_bounded(neg_log, xs, relation=relation, lhs=lhs, rhs=rhs)
-    xs_arr = np.arange(1, len(values) + 1) if xs is None else np.asarray(xs)
-    v.trajectory = subsample(xs_arr, values)
+    log_values = np.asarray(log_values, dtype=float)
+    v = trend_bounded(-log_values, xs, relation=relation, lhs=lhs, rhs=rhs)
+    xs_arr = np.arange(1, len(log_values) + 1) if xs is None else np.asarray(xs)
+    v.trajectory = subsample(xs_arr, log_values)
     if v.holds:
         v.note = "liminf bounded away from zero: " + v.note
     elif v.fails:

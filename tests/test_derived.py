@@ -41,6 +41,14 @@ def test_L_grows_past_factorial(gevrey2, factorial):
     assert trend_to_infinity(vals).holds
 
 
+def test_L_and_S_finite_where_tails_leave_float_range():
+    from ultraweights.catalog import make_q_gevrey
+
+    q = make_q_gevrey(1.5)  # T_k ~ 1.5^(1-2k) falls below the float range at k ~ 920
+    for build in (seq_L, seq_S):
+        assert np.all(np.isfinite(build(q, 1024).values(1024)))
+
+
 def test_L_requires_weight_sequence():
     pos = WeightSeq.from_values("wiggle", [0.0, 1.0, 0.5, 2.0])
     with pytest.raises(NotAWeightSequence):

@@ -182,10 +182,13 @@ def test_kappa_refuses_theta_ge_one(power_half):
         kappa(w, 2.0)
 
 
-def test_kappa_assoc_matches_quadrature(gevrey2):
-    w = omega_tilde_from_seq(gevrey2)
-    for t in (0.5, 3.0, 100.0, 1e4):
-        assert kappa_assoc(w, t) == pytest.approx(kappa(w, t), rel=1e-7)
+def test_kappa_assoc_matches_quadrature(gevrey2, gevrey15, gevrey3):
+    # t = 1e6 grows the quotient array past 10^4 terms, where the tail
+    # remainder must still come from the right index
+    for seq in (gevrey2, gevrey15, gevrey3):
+        w = omega_tilde_from_seq(seq)
+        for t in (0.5, 3.0, 100.0, 1e4, 1e6):
+            assert kappa_assoc(w, t) == pytest.approx(kappa(w, t), rel=1e-7)
 
 
 def test_kappa_assoc_matches_quadrature_exp_gevrey():

@@ -82,6 +82,26 @@ def test_tail_gevrey2_trigamma(gevrey2):
     assert tail_recip_mu(gevrey2, 2).mid == pytest.approx(PI2_6 - 1.0, rel=1e-10)
 
 
+def test_gevrey_tail_brackets_hurwitz_zeta(gevrey15, gevrey3):
+    from scipy.special import zeta
+
+    for seq, s in ((gevrey15, 1.5), (gevrey3, 3.0)):
+        for k in (9000, 16385, 131073):
+            iv = tail_recip_mu(seq, k)
+            assert iv.lo <= zeta(s, k) <= iv.hi
+        lo, _, hi = tail_mids(seq, 4096)
+        log_zeta = np.log(zeta(s, np.arange(1, 4097, dtype=float)))
+        assert np.all((lo <= log_zeta) & (log_zeta <= hi))
+
+
+def test_gammaln_matches_math_lgamma():
+    from ultraweights.catalog import gammaln
+
+    xs = np.concatenate([np.linspace(0.01, 40.0, 4000), np.geomspace(40.0, 1e70, 2000)])
+    ref = np.array([math.lgamma(x) for x in xs])
+    assert np.all(np.abs(gammaln(xs) - ref) <= 2e-15 * np.maximum(1.0, np.abs(ref)))
+
+
 def test_tail_harmonic_diverges(factorial):
     assert tail_recip_mu(factorial, 1).hi == math.inf
 
@@ -196,7 +216,7 @@ def test_power_shift_tail_bracket(gevrey2):
     # exact: sum_j 1/mu^[2]_j with mu^[2]_j = ((2j-1)(2j))  ... geometric mean of squares
     js = np.arange(1, 4000)
     exact = float(np.sum([1.0 / math.sqrt(((2 * j - 1) * (2 * j)) ** 2) for j in range(1, 20000)]))
-    iv = ps.tail(1)
+    iv = tail_recip_mu(ps, 1)
     assert iv.lo <= exact <= iv.hi
 
 
