@@ -6,15 +6,16 @@ reference values for the integral transforms and the Young conjugate.  Entries a
 addressed by URI-like names, e.g. seq:gevrey?s=2, fn:power?beta=0.5,
 mat:omega?fn=power&beta=0.5.
 
+Functions and their kappa/P references take y = log t; conjugates take x.
 Closed forms used:
   - Gevrey index s: log M_k = s log k!, mu_k = k^s, tail sum the Hurwitz
     zeta value zeta(s, k): exact terms plus an Euler-Maclaurin remainder.
   - geometric-quadratic base q: log M_k = k^2 log q, mu_k = q^{2k-1},
     exact geometric tails.
-  - power weight t^beta: kappa = t^beta/(1-beta), P(ir) = r^beta/cos(pi beta/2),
+  - power weight t^beta: phi = kappa (1-beta) = P cos(pi beta/2) = e^(beta y),
     conjugate (x/beta)(log(x/beta) - 1) for x >= beta.
-  - squared-log weight (max(0, log t))^2: kappa = log^2 t + 2 log t + 2 on
-    t >= 1 (2t below), conjugate x^2/4.
+  - squared-log weight (max(0, log t))^2: phi = max(y, 0)^2, kappa =
+    y^2 + 2y + 2 for y >= 0 (2e^y below), conjugate x^2/4.
 """
 
 from __future__ import annotations
@@ -159,11 +160,6 @@ def make_exp_gevrey_member(p: float, a: float) -> WeightSeq:
 # -- functions -----------------------------------------------------------------
 
 
-def _pow_vec(ts: np.ndarray, beta: float) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.where(ts > 0, np.exp(beta * np.log(np.maximum(ts, 1e-300))), 0.0)
-
-
 def make_power_weight(beta: float) -> WeightFn:
     """omega(t) = t^beta for beta in (0,1): the strong weight workhorse.
 
@@ -174,50 +170,40 @@ def make_power_weight(beta: float) -> WeightFn:
     if not 0 < beta < 1:
         raise ValueError("exponent must lie in (0, 1)")
 
-    def om(ts: np.ndarray) -> np.ndarray:
-        return _pow_vec(ts, beta)
+    def phi(ys):
+        return np.exp(beta * ys)
 
     def phi_star_ref(xs):
         xs = np.asarray(xs, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            interior = (xs / beta) * (np.log(np.maximum(xs, 1e-300) / beta) - 1.0)
-        return np.where(xs >= beta, interior, -1.0)
+        return np.where(xs >= beta, (xs / beta) * (np.log(np.maximum(xs, beta) / beta) - 1.0), -1.0)
 
     return WeightFn(
         f"power(beta={beta:g})",
-        om,
+        phi,
         envelope=Envelope(beta, 0.0, 1.0),
         normalized=False,
-        kappa_ref=lambda ts: _pow_vec(np.asarray(ts, dtype=float), beta) / (1.0 - beta),
-        poisson_ref=lambda rs: _pow_vec(np.asarray(rs, dtype=float), beta) / math.cos(math.pi * beta / 2.0),
+        kappa_ref=lambda ys: phi(ys) / (1.0 - beta),
+        poisson_ref=lambda ys: phi(ys) / math.cos(math.pi * beta / 2.0),
         phi_star_ref=phi_star_ref,
     )
 
 
 def make_log_square_weight() -> WeightFn:
-    """omega(t) = (max(0, log t))^2: a normalized pre-weight with phi(y) = y^2.
+    """omega(t) = (max(0, log t))^2: a normalized pre-weight with phi(y) = max(y, 0)^2.
 
     It is non-quasianalytic and doubling but has no growth-doubling constant
     (no H with 2 omega(t) <= omega(Ht) + H), so the members of its canonical
-    matrix are inequivalent.  kappa(t) = log^2 t + 2 log t + 2 for t >= 1 and
-    2t below; conjugate x^2/4.
+    matrix are inequivalent.  kappa = y^2 + 2y + 2 for y >= 0 and 2e^y
+    below; conjugate x^2/4.
     """
 
-    def om(ts: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            ly = np.maximum(np.log(np.maximum(ts, 1e-300)), 0.0)
-        return ly * ly
-
-    def kappa_ref(ts):
-        ts = np.asarray(ts, dtype=float)
-        with np.errstate(divide="ignore"):
-            lt = np.log(np.maximum(ts, 1e-300))
-        return np.where(ts >= 1.0, lt * lt + 2.0 * lt + 2.0, 2.0 * ts)
+    def kappa_ref(ys):
+        return np.where(ys >= 0.0, ys * ys + 2.0 * ys + 2.0, 2.0 * np.exp(np.minimum(ys, 0.0)))
 
     return WeightFn(
         "logsq",
-        om,
-        envelope=Envelope(0.5, 17.0, 1.0),  # max(log^2 t - sqrt t) ~ 16.31
+        lambda ys: np.maximum(ys, 0.0) ** 2,
+        envelope=Envelope(0.5, 17.0, 1.0),  # max(y^2 - e^(y/2)) ~ 16.31
         normalized=True,
         kappa_ref=kappa_ref,
         phi_star_ref=lambda xs: np.asarray(xs, dtype=float) ** 2 / 4.0,
@@ -225,7 +211,7 @@ def make_log_square_weight() -> WeightFn:
 
 
 def make_linear_weight() -> WeightFn:
-    """omega(t) = t: quasianalytic; conjugate x log x - x for x >= 1, -1 below.
+    """omega(t) = t, phi(y) = e^y: quasianalytic; conjugate x log x - x for x >= 1.
 
     No envelope is attached (no theta < 1 works), so the integral transforms
     refuse it; it exercises the conjugate and predicate paths.
@@ -233,13 +219,11 @@ def make_linear_weight() -> WeightFn:
 
     def phi_star_ref(xs):
         xs = np.asarray(xs, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            interior = xs * (np.log(np.maximum(xs, 1e-300)) - 1.0)
-        return np.where(xs >= 1.0, interior, -1.0)
+        return np.where(xs >= 1.0, xs * (np.log(np.maximum(xs, 1.0)) - 1.0), -1.0)
 
     return WeightFn(
         "linear",
-        lambda ts: np.asarray(ts, dtype=float),
+        np.exp,
         envelope=None,
         normalized=False,
         phi_star_ref=phi_star_ref,
@@ -283,7 +267,7 @@ class CatalogEntry:
 
 def entries() -> list[CatalogEntry]:
     return [
-        CatalogEntry("sequence", "seq:gevrey", "s > 1", "factorial power (k!)^s; exact zeta/trigamma tails", make_gevrey),
+        CatalogEntry("sequence", "seq:gevrey", "s > 1", "factorial power (k!)^s; exact terms plus Euler-Maclaurin tails", make_gevrey),
         CatalogEntry("sequence", "seq:factorial", "", "k!; quasianalytic reference sequence", make_factorial),
         CatalogEntry("sequence", "seq:qgevrey", "q > 1", "q^(k^2); geometric quotients, no moderate growth", make_q_gevrey),
         CatalogEntry("sequence", "seq:expgevrey", "p >= 0, a > 0", "quotients k^p e^(a k)", make_exp_gevrey_member),

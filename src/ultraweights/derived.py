@@ -32,6 +32,7 @@ from .errors import MaximizerUnbounded
 from .func_core import (
     WeightFn,
     WeightMatrix,
+    _kappa_assoc,
     kappa_assoc,
     omega_tilde_from_seq,
     phi_star,
@@ -133,10 +134,10 @@ def seq_K(m: WeightSeq, n: int) -> WeightSeq:
     tail_mids(m, 1)  # raises DivergentTail for a quasianalytic input
     w = _tilde(m)
     _require_envelope(w, "seq_K")
-    c = float(np.asarray(kappa_assoc(w, np.array([1.0])))[0])
+    c = float(kappa_assoc(w, 1.0))
 
-    def khat(ts: np.ndarray) -> np.ndarray:
-        return np.where(ts <= 1.0, 0.0, np.maximum(np.asarray(kappa_assoc(w, ts)) - c, 0.0))
+    def khat(ys: np.ndarray) -> np.ndarray:
+        return np.where(ys <= 0.0, 0.0, np.maximum(_kappa_assoc(w, ys) - c, 0.0))
 
     khat_fn = WeightFn(f"kappahat[{m.name}]", khat, normalized=True)
     logk = phi_star(khat_fn, np.arange(0, n + 1, dtype=float))

@@ -1,20 +1,23 @@
-"""Weight functions and their transforms.
+"""Weight functions and their transforms, in the log domain.
 
-Covers the Young conjugate (bracketed concave maximization), the associated
-function of a sequence (sup_k log(t^k/M_k), binary search on quotients), the
-two integral transforms used by the Borel-optimality constructions (the
-average kappa(t) = t * int_t^inf omega(s)/s^2 ds and the harmonic extension
-along the imaginary axis), and the canonical weight matrix attached to a
-weight function via the scaled conjugate.
+A weight function is held as phi(y) = omega(e^y); every transform below
+evaluates phi at log arguments, and `WeightFn.omega(t)` is the view
+phi(log t) for t grids.  Covers the Young conjugate phi* (bracketed concave
+maximization), the associated function of a sequence (sup_k (k y - log M_k),
+binary search on quotients), the two integral transforms used by the
+Borel-optimality constructions (the average kappa(t) = int_0^inf
+phi(log t + u) e^-u du and the harmonic extension along the imaginary axis),
+and the canonical weight matrix attached to a weight function via the scaled
+conjugate.
 
 Improper integrals are only computed for functions carrying a certified
-growth envelope omega(u) <= a + b u^theta (theta < 1); the envelope supplies
-the cutoff and an explicit tail bracket, so every transform value comes with
-an error bound.  kappa_interval, poisson_interval and poisson_batch share one
-adaptive engine (`_quadrature`): a single 9-point Gauss-Legendre rule,
-global bisection over the panels of all arguments at once, and one panel
-budget (PANEL_BUDGET per four arguments) whose exhaustion widens the
-brackets of the arguments left open instead of passing silently.
+growth envelope phi(y) <= a + b e^(theta y) (theta < 1); the envelope
+supplies the cutoff and an explicit tail bracket, so every transform value
+comes with an error bound.  kappa_interval, poisson_interval and
+poisson_batch share one adaptive engine (`_quadrature`): a single 9-point
+Gauss-Legendre rule, global bisection over the panels of all arguments at
+once, and one panel budget (PANEL_BUDGET per four arguments) whose
+exhaustion widens the brackets of the arguments left open.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ BATCH_ABS_TOL = 1e-7
 PANEL_BUDGET = 10_000
 GAUSS_ORDER = 9
 PHI_Y_START = 8.0
-PHI_Y_MAX = 700.0
+DOUBLINGS = 64
 GOLDEN_ITERS = 80
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -89,33 +92,30 @@ def log_t_grid(lo: float = 1.0, hi: float = 1e8, n: int = 50) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Envelope:
-    """Certificate omega(u) <= a + b * u^theta for all u >= 0, theta in (0,1)."""
+    """Certificate phi(y) <= a + b * e^(theta y) for all real y, theta in (0,1)."""
 
     theta: float
     a: float
     b: float
 
-    def bound(self, t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            pw = np.where(t > 0, np.exp(self.theta * np.log(np.maximum(t, 1e-300))), 0.0)
-        return self.a + self.b * pw
+    def bound(self, y):
+        return self.a + self.b * np.exp(self.theta * np.asarray(y, dtype=float))
 
 
 class WeightFn:
-    """A weight (or pre-weight) function given by a vectorized evaluator.
+    """A weight (or pre-weight) function given by phi(y) = omega(e^y).
 
-    `omega` must accept float64 arrays of non-negative arguments (possibly
-    huge: quadrature tails probe t up to ~1e70) and be pure.  Optional
-    closed-form reference evaluators (kappa_ref, poisson_ref, phi_star_ref)
-    are catalog metadata used as test oracles, never as the production path
-    of the generic transforms.
+    `phi` must accept float64 arrays of any y, -inf (t = 0) included, be
+    pure, and stay finite wherever phi is: the conjugate's bracket doubles y
+    up to 8 * 2^64.  Optional closed-form references (kappa_ref and
+    poisson_ref in y, phi_star_ref in x) are catalog metadata used as test
+    oracles, never as the production path of the generic transforms.
     """
 
     def __init__(
         self,
         name: str,
-        omega_vec: Callable[[np.ndarray], np.ndarray],
+        phi: Callable[[np.ndarray], np.ndarray],
         *,
         envelope: Optional[Envelope] = None,
         normalized: bool = False,
@@ -128,7 +128,7 @@ class WeightFn:
         note: str = "",
     ):
         self.name = name
-        self._omega = omega_vec
+        self._phi = phi
         self.envelope = envelope
         self.normalized = normalized
         self.kappa_ref = kappa_ref
@@ -139,10 +139,15 @@ class WeightFn:
         self.quasi_suspect = quasi_suspect
         self.note = note
 
+    def phi(self, y):
+        yy = np.asarray(y, dtype=float)
+        out = self._phi(np.atleast_1d(yy))
+        return float(out[0]) if yy.ndim == 0 else out
+
     def omega(self, t):
-        tt = np.asarray(t, dtype=float)
-        out = self._omega(np.atleast_1d(tt.astype(float)))
-        return float(out[0]) if tt.ndim == 0 else out
+        """omega(t) = phi(log t), for t grids (t = 0 gives y = -inf)."""
+        with np.errstate(divide="ignore"):
+            return self.phi(np.log(t))
 
     def __repr__(self) -> str:
         return f"WeightFn({self.name!r})"
@@ -151,29 +156,33 @@ class WeightFn:
 # -- Young conjugate ---------------------------------------------------------
 
 
-def _phi_star_impl(w: WeightFn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sup_{y>=0} (x y - omega(e^y)) per component, with the maximizer.
+def _doubling(y: np.ndarray, still_open: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Double each component of y while `still_open` holds there, at most
+    DOUBLINGS times; returns y and the mask of components still open."""
+    for _ in range(DOUBLINGS):
+        grow = still_open(y)
+        if not np.any(grow):
+            return y, grow
+        y = np.where(grow, 2.0 * y, y)
+    return y, still_open(y)
 
-    The objective is concave in y (phi_omega is convex), so: expand the
-    bracket [0, Y] by doubling until the objective decreases at the right
-    end, then fixed-count golden section.  If no decrease is seen before
-    y = 700 the conjugate is unbounded (omega is at most logarithmic).
+
+def _phi_star_impl(w: WeightFn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sup_{y>=0} (x y - phi(y)) per component, with the maximizer.
+
+    The objective is concave in y (phi is convex), so: expand the bracket
+    [0, Y] by doubling until the objective decreases at the right end, then
+    fixed-count golden section.  If it still rises after DOUBLINGS doublings
+    (y = 8 * 2^64) the conjugate is unbounded (omega is at most logarithmic).
     """
 
     def f(y: np.ndarray) -> np.ndarray:
-        return xs * y - w.omega(np.exp(y))
+        return xs * y - w.phi(y)
 
-    y_hi = np.full_like(xs, PHI_Y_START)
-    for _ in range(64):
-        probe = np.minimum(y_hi, PHI_Y_MAX)
-        slope_ok = f(probe) - f(probe * (1 - 1e-6)) < 0  # decreasing at right end
-        if np.all(slope_ok | (y_hi >= PHI_Y_MAX)):
-            break
-        y_hi = np.where(slope_ok, y_hi, y_hi * 2.0)
-    y_hi = np.minimum(y_hi, PHI_Y_MAX)
-    still_rising = f(y_hi) - f(y_hi * (1 - 1e-6)) >= 0
-    if np.any(still_rising & (y_hi >= PHI_Y_MAX)):
-        bad = float(xs[np.argmax(still_rising)])
+    # a NaN slope counts as rising, so it ends in UnboundedConjugate
+    y_hi, rising = _doubling(np.full_like(xs, PHI_Y_START), lambda y: ~(f(y) - f(y * (1 - 1e-6)) < 0))
+    if np.any(rising):
+        bad = float(xs[np.argmax(rising)])
         raise UnboundedConjugate(f"{w.name}: no finite bracket for the conjugate at x={bad:.6g}")
 
     a = np.zeros_like(xs)
@@ -197,7 +206,7 @@ def _phi_star_impl(w: WeightFn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def phi_star(w: WeightFn, x):
-    """Young conjugate of phi(y) = omega(e^y) at x >= 0 (scalar or array)."""
+    """Young conjugate of phi at x >= 0 (scalar or array)."""
     xx = np.asarray(x, dtype=float)
     if np.any(xx < 0):
         raise ValueError("conjugate is defined for x >= 0")
@@ -213,13 +222,13 @@ def phi_star_maximizer(w: WeightFn, x):
 
 
 def phi_star_involution_check(w: WeightFn, t_grid=None, rel_tol: float = 1e-4) -> Verdict:
-    """Check that conjugating twice recovers omega(e^y) on sampled arguments."""
+    """Check that conjugating twice recovers phi(y) on sampled arguments."""
     t_grid = log_t_grid(1.0, 100.0, 24) if t_grid is None else np.asarray(t_grid, dtype=float)
     ys = np.log(t_grid)
-    direct = w.omega(t_grid)
+    direct = w.phi(ys)
 
     # outer conjugate: sup_x (y*x - phi_star(x)), concave in x
-    star = WeightFn(f"conj({w.name})", lambda ts: phi_star(w, np.log(np.maximum(ts, 1e-300))))
+    star = WeightFn(f"conj({w.name})", lambda xs: phi_star(w, xs))
     bi = phi_star(star, ys)
 
     err = np.abs(bi - direct) / np.maximum(1.0, np.abs(direct))
@@ -239,9 +248,9 @@ def phi_star_involution_check(w: WeightFn, t_grid=None, rel_tol: float = 1e-4) -
 
 
 class _AssocEvaluator:
-    """Evaluator machinery for omega_M(t) = sup_k (k log t - log M_k).
+    """Evaluator machinery for phi_M(y) = omega_M(e^y) = sup_k (k y - log M_k).
 
-    For log-convex sequences the sup is attained at k*(t) = #{j : mu_j <= t};
+    For log-convex sequences the sup is attained at k*(y) = #{j : log mu_j <= y};
     a cached quotient array answers desk-scale arguments by binary search,
     and far-tail arguments (quadrature probes far beyond the array) fall back
     to a bisection on the sequence's monotone quotient proxy with a
@@ -259,7 +268,7 @@ class _AssocEvaluator:
         self._n = 0
         self._vals = None
         self._log_mu = None
-        self._tail_mid = None
+        self._log_tail_mid = None
         self._grow(min(self.ARRAY_START, self._cap()))
 
     def _cap(self) -> int:
@@ -270,9 +279,9 @@ class _AssocEvaluator:
         if n <= self._n:
             return
         vals = self.seq.values(n)
-        # tail_mid[c] = midpoint of sum_{j > c} 1/mu_j for counts c = 0..n
-        tail_mid = np.exp(_log_mid(*log_tail_bracket(self.seq, np.arange(1, n + 2), n)))
-        self._n, self._vals, self._log_mu, self._tail_mid = n, vals, np.diff(vals), tail_mid
+        # log_tail_mid[c] = log of the midpoint of sum_{j > c} 1/mu_j for counts c = 0..n
+        log_tail_mid = _log_mid(*log_tail_bracket(self.seq, np.arange(1, n + 2), n))
+        self._n, self._vals, self._log_mu, self._log_tail_mid = n, vals, np.diff(vals), log_tail_mid
 
     def ensure_cover(self, max_log_t: float) -> None:
         with self._lock:
@@ -282,7 +291,7 @@ class _AssocEvaluator:
     # -- counting and evaluation --------------------------------------------
 
     def _proxy(self, kk: np.ndarray) -> np.ndarray:
-        if getattr(self.seq, "quotient_proxy", None) is not None:
+        if self.seq.quotient_proxy is not None:
             return self.seq.quotient_proxy(kk)
         return self.seq.log_m(kk) - self.seq.log_m(np.maximum(kk - 1, 0))
 
@@ -314,24 +323,26 @@ class _AssocEvaluator:
         return lo
 
     def eval(self, log_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(omega_M(e^log_t), k*(t)) for an array of log arguments."""
+        """(phi_M(y), k*(y)) for an array of y = log t, -inf (t = 0) included."""
         log_t = np.asarray(log_t, dtype=float)
         out = np.zeros_like(log_t)
         kstar = np.zeros_like(log_t)
         pos = log_t > 0  # omega_M vanishes for t <= 1 (M_k >= M_0 = 1 need not hold, handled by sup with k=0)
         if not self.convex:
             vals = self.seq.values(self._cap())
-            sup, arg = _kernels.assoc_sup(vals, log_t)
-            if np.any((arg >= len(vals) - 1) & (log_t > 0)):
+            finite = log_t > -np.inf  # t = 0: omega_M = 0 and k* = 0
+            sup, arg = _kernels.assoc_sup(vals, np.where(finite, log_t, 0.0))
+            if np.any((arg >= len(vals) - 1) & pos):
                 raise TruncationExhausted(f"{self.seq.name}: associated-function scan hit the truncation")
-            return np.maximum(sup, 0.0), arg.astype(float)
+            return np.where(finite, np.maximum(sup, 0.0), 0.0), np.where(finite, arg, 0).astype(float)
 
         self.ensure_cover(float(np.max(log_t, initial=0.0)))
         near = log_t <= self._log_mu[-1]
         if np.any(near):
-            ks = np.searchsorted(self._log_mu, log_t[near], side="right")
-            o = ks * log_t[near] - self._vals[ks]
-            out[near] = np.maximum(o, 0.0)
+            lt = log_t[near]
+            ks = np.searchsorted(self._log_mu, lt, side="right")
+            k_log_t = np.multiply(ks, lt, out=np.zeros_like(lt), where=ks > 0)  # k* = 0 at y = -inf
+            out[near] = np.maximum(k_log_t - self._vals[ks], 0.0)
             kstar[near] = ks
         far = ~near
         if np.any(far):
@@ -351,20 +362,19 @@ class _AssocEvaluator:
         out[~pos] = 0.0
         return out, kstar
 
-    def tail_mid_after(self, kstar: np.ndarray) -> np.ndarray:
-        """Midpoint of sum_{j > k*} 1/mu_j for an array of counts."""
+    def log_tail_mid_after(self, kstar: np.ndarray) -> np.ndarray:
+        """Log of the midpoint of sum_{j > k*} 1/mu_j for an array of counts."""
         kstar = np.asarray(kstar, dtype=float)
         out = np.zeros_like(kstar)
-        near = kstar <= self._n  # tail_mid has entries for counts 0..n
-        out[near] = self._tail_mid[kstar[near].astype(np.int64)]
+        near = kstar <= self._n  # log_tail_mid has entries for counts 0..n
+        out[near] = self._log_tail_mid[kstar[near].astype(np.int64)]
         far = ~near
         if np.any(far):
             # power-law remainder from the last window fit: T(k) ~ k / ((p-1) mu_k)
             p = _dyadic_exponent(self._log_mu)
             kf = kstar[far]
-            log_mu_k = self._proxy(np.maximum(kf, 1.0))
             if p > 1:
-                out[far] = kf / (p - 1.0) * np.exp(-log_mu_k)
+                out[far] = np.log(kf / (p - 1.0)) - self._proxy(np.maximum(kf, 1.0))
             else:
                 out[far] = np.inf
         return out
@@ -385,7 +395,7 @@ class _AssocEvaluator:
         ys = np.linspace(lo, hi, 400)
         om, _ = self.eval(ys)
         if extra_log:
-            om = om + np.log1p(np.exp(2.0 * np.minimum(ys, 300.0)))
+            om = om + np.logaddexp(0.0, 2.0 * ys)
         good = om > 0
         if good.sum() < 8:
             return None, True
@@ -406,17 +416,10 @@ def omega_from_seq(seq: WeightSeq) -> WeightFn:
     if growth.fails:
         raise NotAWeightSequence(f"{seq.name}: M_k^{{1/k}} appears bounded, associated function degenerates")
     ev = _AssocEvaluator(seq)
-
-    def omega_vec(ts: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            lt = np.where(ts > 0, np.log(np.maximum(ts, 1e-300)), -np.inf)
-        out, _ = ev.eval(np.where(np.isfinite(lt), lt, 0.0))
-        return np.where(ts > 0, out, 0.0)
-
     env, suspect = ev.synth_envelope(extra_log=False)
     return WeightFn(
         f"omega[{seq.name}]",
-        omega_vec,
+        lambda ys: ev.eval(ys)[0],
         envelope=env,
         normalized=True,  # omega_M(t) = 0 for t <= 1 when M_0 = 1 and M_k >= 1
         assoc=ev,
@@ -426,18 +429,14 @@ def omega_from_seq(seq: WeightSeq) -> WeightFn:
 
 
 def omega_tilde_from_seq(seq: WeightSeq) -> WeightFn:
-    """omega_M + log(1+t^2): the non-quasianalytic representative used by the
-    moment-problem constructions; equivalent to omega_M."""
+    """omega_M + log(1+t^2), in y logaddexp(0, 2y): the non-quasianalytic
+    representative used by the moment-problem constructions; equivalent to omega_M."""
     base = omega_from_seq(seq)
     ev = base.assoc
-
-    def omega_vec(ts: np.ndarray) -> np.ndarray:
-        return base._omega(ts) + np.log1p(np.minimum(ts, 1e150) ** 2)
-
     env, suspect = ev.synth_envelope(extra_log=True)
     return WeightFn(
         f"omega~[{seq.name}]",
-        omega_vec,
+        lambda ys: base._phi(ys) + np.logaddexp(0.0, 2.0 * ys),
         envelope=env,
         normalized=False,  # log(1+t^2) > 0 on (0,1]
         assoc=ev,
@@ -511,20 +510,21 @@ def _quadrature(g, edges: list[np.ndarray], tol: float) -> tuple[np.ndarray, np.
     return val, err
 
 
-def _cutoff(env: Envelope, x, tol: float, c: float):
-    """Cutoff U per argument x: the envelope tail `_envelope_tail(env, x, U, c)`
-    is below tol (each of its two terms below tol / 2), and U >= 4."""
+def _cutoff(env: Envelope, y, tol: float, c: float):
+    """Cutoff U per argument y = log x: `_envelope_tail(env, y, U, c)` is
+    below tol (each of its two terms below tol / 2), and U >= 4."""
     th = env.theta
     u_a = math.log(max(2 * c * env.a / tol, 1.0) + 1.0)
-    u_b = np.log(np.maximum(2 * c * env.b * x**th / ((1 - th) * tol), 1.0) + 1.0) / (1 - th)
+    log_b = math.log(2 * c * env.b / ((1 - th) * tol)) if env.b > 0 else -math.inf
+    u_b = np.logaddexp(np.maximum(th * np.asarray(y, dtype=float) + log_b, 0.0), 0.0) / (1 - th)
     return np.maximum(np.maximum(u_a, u_b), 4.0)
 
 
-def _envelope_tail(env: Envelope, x, U, c: float):
-    """c * int_U^inf (a + b (x e^u)^theta) e^-u du, which bounds both transforms'
+def _envelope_tail(env: Envelope, y, U, c: float):
+    """c * int_U^inf (a + b e^(theta (y+u))) e^-u du, which bounds both transforms'
     integrals beyond U: kappa with c = 1, and P with c = 2/pi (1/cosh u <= 2 e^-u)."""
     th = env.theta
-    return c * (env.a * np.exp(-U) + env.b * x**th * np.exp(-(1 - th) * U) / (1 - th))
+    return c * (env.a * np.exp(-U) + env.b * np.exp(th * y - (1 - th) * U) / (1 - th))
 
 
 def _require_envelope(w: WeightFn, op: str) -> Envelope:
@@ -538,26 +538,30 @@ def _require_envelope(w: WeightFn, op: str) -> Envelope:
 
 
 def kappa_interval(w: WeightFn, t: float) -> Interval:
-    """Bracketed kappa(t) = int_0^inf omega(t e^u) e^-u du by adaptive quadrature.
+    """Bracketed kappa(t) = int_0^inf phi(log t + u) e^-u du by adaptive quadrature.
 
     The cutoff U makes the envelope tail < 1e-10; the remaining tail is
-    bracketed between omega(t e^U) e^-U (monotonicity) and the envelope bound.
+    bracketed between phi(log t + U) e^-U (monotonicity) and the envelope bound.
     """
     env = _require_envelope(w, "kappa")
     if t < 0:
         raise ValueError("kappa is defined for t >= 0")
     if t == 0.0:
         return Interval(0.0, 0.0)
-    U = float(_cutoff(env, t, QUAD_ABS_TOL, 1.0))
+    return _kappa_bracket(w, env, math.log(t))
+
+
+def _kappa_bracket(w: WeightFn, env: Envelope, y: float) -> Interval:
+    U = float(_cutoff(env, y, QUAD_ABS_TOL, 1.0))
 
     def g(u: np.ndarray, i: np.ndarray) -> np.ndarray:
-        return w.omega(t * np.exp(u)) * np.exp(-u)
+        return w.phi(y + u) * np.exp(-u)
 
-    vals, errs = _quadrature(g, [_initial_edges(w, 0.0, U, t)], QUAD_ABS_TOL)
+    vals, errs = _quadrature(g, [_initial_edges(w, 0.0, U, y)], QUAD_ABS_TOL)
     val, err = float(vals[0]), float(errs[0])
     err += 4e-15 * abs(val)  # accumulated rounding of the panel sums
-    tail_lo = float(w.omega(t * math.exp(U))) * math.exp(-U)
-    tail_hi = max(float(_envelope_tail(env, t, U, 1.0)), tail_lo)
+    tail_lo = float(w.phi(y + U)) * math.exp(-U)
+    tail_hi = max(float(_envelope_tail(env, y, U, 1.0)), tail_lo)
     return Interval(val - err + tail_lo, val + err + tail_hi)
 
 
@@ -566,10 +570,21 @@ def kappa(w: WeightFn, t: float) -> float:
     return kappa_interval(w, t).mid
 
 
-def _kappa_log_term(t) -> np.ndarray:
-    """Exact transform of log(1+s^2): log(1+t^2) + t (pi - 2 arctan t)."""
-    t = np.asarray(t, dtype=float)
-    return np.log1p(np.minimum(t, 1e150) ** 2) + t * (math.pi - 2.0 * np.arctan(t))
+def _kappa_log_term(ys: np.ndarray) -> np.ndarray:
+    """Exact transform of log(1+t^2) at y = log t: log(1+t^2) + 2t arctan(1/t),
+    with s = e^-|y|: 2 arctan(s)/s for t >= 1 and 2s (pi/2 - arctan s) below."""
+    s = np.exp(-np.abs(ys))
+    atan = np.arctan(s)
+    above = np.divide(atan, s, out=np.ones_like(s), where=s > 0)
+    return np.logaddexp(0.0, 2.0 * ys) + 2.0 * np.where(ys >= 0, above, s * (0.5 * math.pi - atan))
+
+
+def _kappa_assoc(w: WeightFn, ys: np.ndarray) -> np.ndarray:
+    """kappa_assoc at y = log t: phi_M(y) + k* + e^(y + log T_{k*+1}), plus
+    the transform of log(1+t^2) for the tilde representative."""
+    om, kstar = w.assoc.eval(ys)
+    out = om + kstar + np.exp(ys + w.assoc.log_tail_mid_after(kstar))
+    return out + _kappa_log_term(ys) if w.include_log_term else out
 
 
 def kappa_assoc(w: WeightFn, t) -> np.ndarray | float:
@@ -583,19 +598,13 @@ def kappa_assoc(w: WeightFn, t) -> np.ndarray | float:
     """
     if w.assoc is None:
         raise ValueError(f"{w.name} is not sequence-associated")
-    tt = np.atleast_1d(np.asarray(t, dtype=float))
+    tt = np.asarray(t, dtype=float)
     with np.errstate(divide="ignore"):
-        lt = np.where(tt > 0, np.log(np.maximum(tt, 1e-300)), 0.0)
-    om, kstar = w.assoc.eval(lt)
-    tail_mid = w.assoc.tail_mid_after(kstar)
-    out = om + kstar + tt * tail_mid
-    out = np.where(tt > 0, out, 0.0)
-    if w.include_log_term:
-        out = out + _kappa_log_term(tt)
-    return out if np.asarray(t).ndim else float(out[0])
+        out = _kappa_assoc(w, np.log(np.atleast_1d(tt)))
+    return out if tt.ndim else float(out[0])
 
 
-def _initial_edges(w: WeightFn, L: float, U: float, r: float) -> np.ndarray:
+def _initial_edges(w: WeightFn, L: float, U: float, y: float) -> np.ndarray:
     """Coarse panel edges on [L, U], none when U <= L; for sequence-associated
     integrands the first quotient breakpoints (where the integrand has kinks)
     are inserted, which removes most of the bisection depth."""
@@ -604,40 +613,40 @@ def _initial_edges(w: WeightFn, L: float, U: float, r: float) -> np.ndarray:
     n0 = max(8, int(math.ceil((U - L) / 2.0)))
     edges = np.linspace(L, U, n0 + 1)
     if w.assoc is not None and w.assoc.convex:
-        kinks = w.assoc._log_mu[:64] - math.log(r)
+        kinks = w.assoc._log_mu[:64] - y
         kinks = kinks[(kinks > L + 1e-9) & (kinks < U - 1e-9)]
         if len(kinks):
             edges = np.unique(np.concatenate([edges, kinks]))
     return edges
 
 
-def _poisson_brackets(w: WeightFn, env: Envelope, rs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper ends of the P(ir) bracket for every radius in rs.
+def _poisson_brackets(w: WeightFn, env: Envelope, ys: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper ends of the P(ir) bracket for every y = log r in ys.
 
     P(ir) = (2/pi) int_0^inf omega(rs)/(1+s^2) ds becomes, after s = e^u,
-    (1/pi) int omega(r e^u) sech(u) du, integrated over [L, U] per radius.
-    For a normalized omega the integrand vanishes for r e^u <= 1, so
+    (1/pi) int phi(log r + u) sech(u) du, integrated over [L, U] per radius.
+    For a normalized omega the integrand vanishes for log r + u <= 0, so
     L = -log r; otherwise L is where the part below it is under tol, and
-    that part is bracketed by [0, (2/pi) omega(r e^L) e^L].  The part beyond
-    U = max(cutoff, L) is bracketed by [0, envelope tail], so a radius with
-    nothing between L and U still gets a certified bracket.
+    that part is bracketed by [0, (2/pi) phi(log r + L) e^L].  The part
+    beyond U = max(cutoff, L) is bracketed by [0, envelope tail], so a
+    radius with nothing between L and U still gets a certified bracket.
     """
     c = 2.0 / math.pi
     if w.normalized:
-        L = -np.log(rs)
-        below = np.zeros(len(rs))
+        L = -ys
+        below = np.zeros(len(ys))
     else:
-        L = -(np.log(np.maximum(w.omega(rs), 1.0) / tol) + 2.0)
-        below = c * w.omega(rs * np.exp(L)) * np.exp(L)
-    U = np.maximum(_cutoff(env, rs, tol, c), L)
+        L = -(np.log(np.maximum(w.phi(ys), 1.0) / tol) + 2.0)
+        below = c * w.phi(ys + L) * np.exp(L)
+    U = np.maximum(_cutoff(env, ys, tol, c), L)
 
     def g(u: np.ndarray, i: np.ndarray) -> np.ndarray:
-        return w.omega(rs[i] * np.exp(u)) / (np.pi * np.cosh(u))
+        return w.phi(ys[i] + u) / (np.pi * np.cosh(u))
 
-    edges = [_initial_edges(w, lo, hi, r) for lo, hi, r in zip(L, U, rs)]
+    edges = [_initial_edges(w, lo, hi, y) for lo, hi, y in zip(L, U, ys)]
     val, err = _quadrature(g, edges, tol)
     err += 4e-15 * np.abs(val)
-    return np.maximum(val - err, 0.0), val + err + _envelope_tail(env, rs, U, c) + below
+    return np.maximum(val - err, 0.0), val + err + _envelope_tail(env, ys, U, c) + below
 
 
 def poisson_interval(w: WeightFn, r: float) -> Interval:
@@ -647,7 +656,7 @@ def poisson_interval(w: WeightFn, r: float) -> Interval:
     env = _require_envelope(w, "poisson")
     if r <= 0:
         raise ValueError("the harmonic extension is evaluated at ir with r > 0")
-    lo, hi = _poisson_brackets(w, env, np.array([float(r)]), QUAD_ABS_TOL)
+    lo, hi = _poisson_brackets(w, env, np.array([math.log(r)]), QUAD_ABS_TOL)
     return Interval(float(lo[0]), float(hi[0]))
 
 
@@ -666,7 +675,7 @@ def poisson_batch(w: WeightFn, rs) -> np.ndarray:
     open when it runs out keeps a bracket widened by the engine.
     """
     env = _require_envelope(w, "poisson")
-    lo, hi = _poisson_brackets(w, env, np.asarray(rs, dtype=float), BATCH_ABS_TOL)
+    lo, hi = _poisson_brackets(w, env, np.log(np.asarray(rs, dtype=float)), BATCH_ABS_TOL)
     return 0.5 * (lo + hi)
 
 
@@ -674,29 +683,30 @@ def poisson_batch(w: WeightFn, rs) -> np.ndarray:
 
 
 def normalize_fn(w: WeightFn) -> WeightFn:
-    """Normalized representative: max(0, omega(t) - omega(1)), zero on [0,1].
+    """Normalized representative: max(0, phi(y) - phi(0)), zero for y <= 0.
 
     A closed-form conjugate transports exactly through this shift: with
-    c = omega(1) and y_c the largest y where omega(e^y) <= c, the normalized
+    c = phi(0) and y_c the largest y where phi(y) <= c, the normalized
     conjugate is max(x y_c, phi*(x) + c) (the objective is x y on the
     clamped region and shifts by c beyond it).
     """
     if w.normalized:
         return w
-    c = float(w.omega(1.0))
+    c = float(w.phi(0.0))
 
-    def omega_vec(ts: np.ndarray) -> np.ndarray:
-        return np.where(ts <= 1.0, 0.0, np.maximum(w._omega(ts) - c, 0.0))
+    def phi_vec(ys: np.ndarray) -> np.ndarray:
+        return np.where(ys <= 0.0, 0.0, np.maximum(w._phi(ys) - c, 0.0))
 
+    # plateau end: the conjugate's bounded doubling, then bisection
+    (hi,), (flat,) = _doubling(np.array([1e-6]), lambda y: w.phi(y) <= c)
+    if flat:
+        raise UnboundedConjugate(f"{w.name}: constant up to y = {hi:.3g}, the normalized conjugate is unbounded")
     y_c = 0.0
-    if float(w.omega(math.exp(1e-6))) <= c:  # omega flat past 1: find the plateau end
-        hi = 1e-6
-        while hi < PHI_Y_MAX and float(w.omega(math.exp(hi))) <= c:
-            hi *= 2
+    if hi > 1e-6:
         lo = hi / 2
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if float(w.omega(math.exp(mid))) <= c:
+            if float(w.phi(mid)) <= c:
                 lo = mid
             else:
                 hi = mid
@@ -712,7 +722,7 @@ def normalize_fn(w: WeightFn) -> WeightFn:
 
     return WeightFn(
         f"norm({w.name})",
-        omega_vec,
+        phi_vec,
         envelope=w.envelope,  # still an upper bound
         normalized=True,
         phi_star_ref=ref,
@@ -730,35 +740,35 @@ def kappa_fn(w: WeightFn, *, use_ref: bool = True) -> WeightFn:
     """
     env = _require_envelope(w, "kappa")
     if use_ref and w.kappa_ref is not None:
-        raw = lambda ts: np.asarray(w.kappa_ref(ts), dtype=float)
+        raw = w.kappa_ref
         how = "closed form"
     elif w.assoc is not None:
-        raw = lambda ts: np.asarray(kappa_assoc(w, ts), dtype=float)
+        raw = lambda ys: _kappa_assoc(w, ys)
         how = "piecewise closed form"
     else:
         cache: dict[float, float] = {}
         lock = threading.Lock()
 
-        def raw(ts: np.ndarray) -> np.ndarray:
-            out = np.empty_like(ts)
+        def raw(ys: np.ndarray) -> np.ndarray:
+            out = np.empty_like(ys)
             with lock:
-                for i, t in enumerate(ts):
-                    t = float(t)
-                    if t not in cache:
-                        cache[t] = kappa(w, t)
-                    out[i] = cache[t]
+                for i, y in enumerate(ys):
+                    y = float(y)
+                    if y not in cache:
+                        cache[y] = _kappa_bracket(w, env, y).mid
+                    out[i] = cache[y]
             return out
 
         how = "memoized quadrature"
-    c = float(raw(np.array([1.0]))[0])
+    c = float(raw(np.array([0.0]))[0])
 
-    def omega_vec(ts: np.ndarray) -> np.ndarray:
-        return np.where(ts <= 1.0, 0.0, np.maximum(raw(ts) - c, 0.0))
+    def phi_vec(ys: np.ndarray) -> np.ndarray:
+        return np.where(ys <= 0.0, 0.0, np.maximum(raw(ys) - c, 0.0))
 
     kap_env = Envelope(env.theta, env.a, env.b / (1 - env.theta))  # kappa(t) <= a + b t^th / (1-th)
     return WeightFn(
         f"kappa({w.name})",
-        omega_vec,
+        phi_vec,
         envelope=kap_env,
         normalized=True,
         note=f"kappa via {how}, normalized by kappa(1) = {c:.6g}",
@@ -840,7 +850,7 @@ def matrix_from_omega(w: WeightFn, grid=None) -> WeightMatrix:
             # maximizer duality: mu_j <= t iff alpha j <= phi'(log t);
             # the slope by central difference, re-maximized over neighbours
             h = 1e-3
-            slope = (wn.omega(np.exp(log_t + h)) - wn.omega(np.exp(log_t - h))) / (2 * h)
+            slope = (wn.phi(log_t + h) - wn.phi(log_t - h)) / (2 * h)
             return np.floor(np.maximum(slope, 0.0) / alpha)
 
         seq = WeightSeq(

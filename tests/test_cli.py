@@ -39,3 +39,20 @@ def test_compute_S_on_csv_with_quotients_beyond_float_range(tmp_path, capsys):
     assert rc == 0
     vals = np.array([float(row.split(",")[1]) for row in out.splitlines()[1:]])
     assert len(vals) == 65 and np.all(np.isfinite(vals))
+
+
+def test_check_inconclusive_exits_three(capsys):
+    rc, out, _ = run(capsys, "check", "preceq", "--lhs", "seq:gevrey?s=2", "--rhs", "seq:gevrey?s=2", "--n", "8")
+    assert rc == 3
+    assert json.loads(out)["status"] == "Inconclusive"  # too few samples for the trend test
+
+
+def test_verify_chain_on_squared_log_completes(capsys):
+    # the conjugate of phi(y) = y^2 peaks at y = x/2: member 8 at k = 64 needs
+    # y = 256, and the normalized kappa matrix goes further
+    rc, out, _ = run(capsys, "verify-chain", "mat:omega?fn=logsq", "--n", "64")
+    assert rc != 2
+    links = {lk["name"]: lk["verdict"]["status"] for lk in json.loads(out)["links"]}
+    assert len(links) == 9
+    # K_into_Q is left unpinned: it Fails while the Q radial grid stops at r = 1e12
+    assert all(status == "Holds" for name, status in links.items() if name != "K_into_Q")

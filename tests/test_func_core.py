@@ -48,9 +48,7 @@ def test_phi_star_zero_of_normalized(logsq):
 
 def test_phi_star_matches_closed_forms(power_half, logsq, linear):
     xs = np.array([0.0, 0.2, 1.0, 4.7, 33.0, 1e3, 1e6])
-    # the squared-log weight peaks at y = x/2, so its x range is capped by the
-    # e^y representation limit
-    xs_slow = np.array([0.0, 0.2, 1.0, 4.7, 33.0, 400.0, 1000.0])
+    xs_slow = np.array([0.0, 0.2, 1.0, 4.7, 33.0, 400.0, 1000.0, 1400.0, 1e4])
     for w, grid in ((power_half, xs), (logsq, xs_slow), (linear, xs)):
         got = phi_star(w, grid)
         want = np.asarray(w.phi_star_ref(grid), dtype=float)
@@ -64,7 +62,7 @@ def test_phi_star_maximizer_monotone(power_half):
 
 
 def test_phi_star_unbounded_for_logarithmic_weight():
-    w = WeightFn("slowlog", lambda ts: np.log1p(np.maximum(ts, 0.0)))
+    w = WeightFn("slowlog", lambda ys: np.logaddexp(0.0, ys))  # log(1 + t)
     with pytest.raises(UnboundedConjugate):
         phi_star(w, 2.0)
 
@@ -122,7 +120,7 @@ def test_assoc_quasianalytic_suspect_refuses_transform(factorial):
 def test_assoc_envelope_covers_samples(gevrey2):
     w = omega_tilde_from_seq(gevrey2)
     ts = log_t_grid(1.0, 1e10, 80)
-    assert np.all(w.envelope.bound(ts) + 1e-9 >= w.omega(ts))
+    assert np.all(w.envelope.bound(np.log(ts)) + 1e-9 >= w.omega(ts))
 
 
 # -- integral transforms -----------------------------------------------------------
@@ -176,7 +174,7 @@ def test_kappa_refuses_without_envelope(linear):
 
 
 def test_kappa_refuses_theta_ge_one(power_half):
-    w = WeightFn("bad", power_half._omega, envelope=Envelope(0.999999, 0, 1))
+    w = WeightFn("bad", power_half._phi, envelope=Envelope(0.999999, 0, 1))
     w.envelope = Envelope(1.0, 0.0, 1.0).__class__(1.0, 0.0, 1.0)
     with pytest.raises(QuasianalyticInput):
         kappa(w, 2.0)
@@ -198,6 +196,32 @@ def test_kappa_assoc_matches_quadrature_exp_gevrey():
         assert kappa_assoc(w, t) == pytest.approx(kappa(w, t), rel=1e-6)
 
 
+def test_kappa_assoc_inside_quadrature_bracket_at_large_t():
+    # the transform of log(1+t^2) is log(1+t^2) + 2t arctan(1/t) -> 2; written
+    # as t (pi - 2 arctan t) it cancels to rounding noise beyond t ~ 1e8
+    w = omega_tilde_from_seq(make_exp_gevrey_member(2.0, 8.0))
+    for y in (20.0, 50.0, 400.0):
+        iv = kappa_interval(w, math.exp(y))
+        assert iv.lo <= kappa_assoc(w, math.exp(y)) <= iv.hi, y
+
+
+def test_kappa_fn_of_logsq_is_exact_at_large_y(logsq):
+    # kappa = y^2 + 2y + 2 for y >= 0, normalized by kappa(1) = 2; t = e^800
+    # is beyond the float range
+    assert kappa_fn(logsq).phi(800.0) == 800.0**2 + 2 * 800.0
+
+
+def test_tilde_log_term_is_exact_for_every_y(gevrey2, qgevrey2):
+    # omega~ - omega_M = log(1 + t^2) = logaddexp(0, 2y); a cap of t at 1e150
+    # would give log1p(1e300) = 690.8 at y = 400.  omega_M of gevrey2 passes
+    # 1e43 by y = 200, where adding the log term is below its rounding, so the
+    # slowly growing q-Gevrey sequence carries the large arguments
+    for seq, ys in ((gevrey2, (1.0,)), (qgevrey2, (1.0, 200.0, 400.0))):
+        base, tilde = omega_from_seq(seq), omega_tilde_from_seq(seq)
+        for y in ys:
+            assert tilde.phi(y) - base.phi(y) == pytest.approx(np.logaddexp(0.0, 2 * y), abs=1e-9)
+
+
 def test_poisson_sqrt_value(power_half):
     assert poisson_imag(power_half, 1.0) == pytest.approx(math.sqrt(2), abs=1e-8)
 
@@ -210,7 +234,7 @@ def test_poisson_power_closed_form(beta):
 
 
 def test_poisson_scaling_linearity(power_half):
-    doubled = WeightFn("2w", lambda ts: 2.0 * power_half._omega(ts), envelope=Envelope(0.5, 0.0, 2.0))
+    doubled = WeightFn("2w", lambda ys: 2.0 * power_half._phi(ys), envelope=Envelope(0.5, 0.0, 2.0))
     assert poisson_imag(doubled, 3.0) == pytest.approx(2 * poisson_imag(power_half, 3.0), rel=1e-8)
 
 
@@ -225,7 +249,7 @@ def test_poisson_batch_matches_scalar(gevrey2):
 def test_poisson_batch_without_quadrature_matches_interval():
     # omega vanishes on [0, 1], so for r = 1e-3 the integral starts at
     # u = -log r, beyond the cutoff: the whole value is the envelope tail
-    w = WeightFn("tiny", lambda ts: 1e-12 * np.sqrt(np.maximum(ts - 1.0, 0.0)),
+    w = WeightFn("tiny", lambda ys: 1e-12 * np.sqrt(np.maximum(np.expm1(ys), 0.0)),
                  envelope=Envelope(0.5, 0.0, 1e-12), normalized=True)
     assert poisson_batch(w, [1e-3])[0] == poisson_interval(w, 1e-3).mid
     mixed = poisson_batch(w, [1e-3, 10.0])
@@ -260,6 +284,14 @@ def test_normalize_fn_zero_on_unit_interval(power_half):
     assert wn.normalized
     assert wn.omega(0.5) == 0.0 and wn.omega(1.0) == 0.0
     assert wn.omega(4.0) == pytest.approx(1.0)
+
+
+def test_normalize_fn_refuses_a_flat_weight():
+    # omega constant past 1: the normalized function vanishes and its
+    # conjugate sup_y x y is unbounded; the plateau search must stop
+    flat = WeightFn("flat", lambda ys: np.minimum(ys, 0.0))
+    with pytest.raises(UnboundedConjugate):
+        normalize_fn(flat)
 
 
 def test_normalize_transported_conjugate(power_half):
@@ -297,10 +329,10 @@ def test_matrix_power_shift_identity(power_half):
 def test_matrix_members_equivalent_iff_value_doubling(power_half, logsq):
     mat_p = matrix_from_omega(power_half)
     assert seq_equivalent(mat_p.member(0.125), mat_p.member(8.0), 256).holds
-    # squared-log members diverge linearly; stay inside the e^y representation
-    # cap (maximizer alpha*k/2 <= 700)
+    # squared-log members diverge linearly; member 8 at k = 256 has its
+    # conjugate maximizer at y = 1024
     mat_l = matrix_from_omega(logsq)
-    assert not seq_equivalent(mat_l.member(0.125), mat_l.member(2.0), 128).holds
+    assert not seq_equivalent(mat_l.member(0.125), mat_l.member(8.0), 256).holds
 
 
 def test_matrix_member_far_fast_paths_agree(power_half):
@@ -356,7 +388,7 @@ def test_fn_predicates_logsq(logsq):
 
 def test_equivalence_transports_to_kappa(power_half):
     # omega and its dilate are equivalent, so their transforms are too
-    dil = WeightFn("dilate", lambda ts: power_half._omega(2.0 * ts), envelope=Envelope(0.5, 0.0, 2.0))
+    dil = WeightFn("dilate", lambda ys: power_half._phi(ys + math.log(2.0)), envelope=Envelope(0.5, 0.0, 2.0))
     assert fn_preceq(power_half, dil).holds and fn_preceq(dil, power_half).holds
     k1 = kappa_fn(power_half, use_ref=False)
     k2 = kappa_fn(dil, use_ref=False)
