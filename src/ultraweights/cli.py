@@ -23,7 +23,6 @@ from .errors import UltraweightsError
 from .func_core import (
     WeightFn,
     WeightMatrix,
-    fn_predicates,
     kappa,
     kappa_fn,
     log_t_grid,

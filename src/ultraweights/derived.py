@@ -12,7 +12,7 @@ T_k = sum_{l>=k} 1/mu_l:
      exp(phi*_kappa(j)) where kappa is the (normalized) transform of
      omega_M + log(1+t^2).
   Q: the moment-problem weights log Q_k = sup_r ((k+1/2) log r - P(ir)/2)
-     with P the harmonic extension of the same function.
+     with P the harmonic extension of the same function (`poisson_batch`).
 
 Tail uncertainty: the tails enter as log brackets (`tail_mids`).  L and S
 use the log of the bracket's arithmetic midpoint and re-evaluate with both
@@ -28,8 +28,9 @@ from typing import Literal
 import numpy as np
 
 from . import _kernels
-from .errors import MaximizerUnbounded
+from .errors import MaximizerUnbounded, TruncationExhausted
 from .func_core import (
+    DOUBLINGS,
     WeightFn,
     WeightMatrix,
     _kappa_assoc,
@@ -37,7 +38,6 @@ from .func_core import (
     omega_tilde_from_seq,
     phi_star,
     poisson_batch,
-    _require_envelope,
 )
 from .seq_core import WeightSeq, log_convex_minorant, require_weight_seq, tail_mids
 from .verdicts import Status
@@ -46,10 +46,9 @@ __all__ = ["seq_L", "seq_S", "seq_K", "seq_Q", "seq_underline_L", "derive_family
 
 FAMILY_NAMES = ("L", "underlineL", "S", "K", "Q")
 
-Q_R_LO = 1e-2
-Q_R_HI = 1e6
-Q_R_CAP = 1e12
+Q_GRID_START = (math.log(1e-2), math.log(1e6))
 Q_GRID_DX = 0.1
+Q_TABLE_CELLS = 2**18
 
 
 def _tilde(m: WeightSeq) -> WeightFn:
@@ -133,7 +132,6 @@ def seq_K(m: WeightSeq, n: int) -> WeightSeq:
     require_weight_seq(m, "seq_K")
     tail_mids(m, 1)  # raises DivergentTail for a quasianalytic input
     w = _tilde(m)
-    _require_envelope(w, "seq_K")
     c = float(kappa_assoc(w, 1.0))
 
     def khat(ys: np.ndarray) -> np.ndarray:
@@ -148,64 +146,54 @@ def seq_K(m: WeightSeq, n: int) -> WeightSeq:
 
 
 def seq_Q(m: WeightSeq, n: int) -> WeightSeq:
-    """Moment-problem weights via a dense common radial grid.
+    """Moment-problem weights via a common grid of y = log r.
 
-    log Q_k = sup over the grid of ((k+1/2) log r - P(ir)/2).  A sup of
-    k-linear forms over one shared probe set is exactly log-convex, and the
-    grid-completeness bound theta (k+1/2) dx^2 / 8 is recorded in
-    `.completeness_bound`.  The grid starts as [1e-2, 1e6], expands by
-    factors of 10 while any maximizer touches the boundary, and gives up at
-    1e12 (MaximizerUnbounded).  Raw (unnormalized) values are kept in
-    `.log_q_raw`; the returned sequence is divided by Q_0 to restore
-    M_0 = 1, which stays in the equivalence class.
+    log Q_k = max over the grid of ((k+1/2) y - P(ie^y)/2): exactly log-convex.
+    The grid starts as [log 1e-2, log 1e6], step Q_GRID_DX; each end doubles
+    while a maximizer touches it, until a radius passes the last quotient of
+    the capped array (MaximizerUnbounded).  A finite M with J quotients is
+    refused when 2n + 1 >= J + 2: P grows with slope J + 2, so Q_n = inf.
+    Raw values are kept in `.log_q_raw`; the returned sequence is divided by
+    Q_0 to restore M_0 = 1, which stays in the equivalence class.
     """
     require_weight_seq(m, "seq_Q")
     tail_mids(m, 1)  # raises DivergentTail for a quasianalytic input
+    if 2 * n + 1 >= m.max_index + 2:
+        raise MaximizerUnbounded(f"seq_Q({m.name}): P grows with slope {m.max_index + 2:g}, so Q_{n} is infinite")
     w = _tilde(m)
-    env = _require_envelope(w, "seq_Q")
 
     dx = Q_GRID_DX
-    i_lo = math.ceil(math.log(Q_R_LO) / dx)
-    i_hi = math.floor(math.log(Q_R_HI) / dx)
-    cache: dict[int, float] = {}
-
-    def p_half(idx: np.ndarray) -> np.ndarray:
-        missing = [int(i) for i in idx if int(i) not in cache]
-        if missing:
-            vals = poisson_batch(w, np.exp(np.asarray(missing, dtype=float) * dx))
-            cache.update(zip(missing, vals))
-        return np.array([0.5 * cache[int(i)] for i in idx])
-
+    i_lo = math.ceil(Q_GRID_START[0] / dx)
+    i_hi = math.floor(Q_GRID_START[1] / dx)
     ks = np.arange(0, n + 1, dtype=float) + 0.5
-    for _ in range(64):
-        idx = np.arange(i_lo, i_hi + 1)
-        rho = idx * dx
-        ph = p_half(idx)
-        table = np.outer(ks, rho) - ph[None, :]
-        arg = np.argmax(table, axis=1)
-        at_right = np.any(arg >= len(idx) - 2)
-        at_left = np.any(arg <= 1)
+    for _ in range(DOUBLINGS):
+        rho = np.arange(i_lo, i_hi + 1) * dx
+        try:
+            p_half = 0.5 * poisson_batch(w, rho)
+        except TruncationExhausted as e:
+            raise MaximizerUnbounded(f"seq_Q({m.name}): radial sup still increasing; {e}") from None
+        rows = max(1, Q_TABLE_CELLS // len(rho))  # the table is built 2 MB at a time
+        arg = np.concatenate([np.argmax(np.outer(ks[i : i + rows], rho) - p_half[None, :], axis=1)
+                              for i in range(0, len(ks), rows)])
+        at_right = arg.max() >= len(rho) - 2
+        at_left = arg.min() <= 1
         if not (at_right or at_left):
             break
         if at_right:
-            if math.exp(i_hi * dx) >= Q_R_CAP:
-                raise MaximizerUnbounded(
-                    f"seq_Q({m.name}): radial sup still increasing at the {Q_R_CAP:g} cap"
-                )
-            i_hi = math.floor(min(math.log(Q_R_CAP), i_hi * dx + math.log(10.0)) / dx)
+            i_hi *= 2
         if at_left:
-            i_lo = math.ceil((i_lo * dx - math.log(10.0)) / dx)
-    log_q = table[np.arange(len(ks)), arg].astype(float)
+            i_lo *= 2
+    else:
+        raise MaximizerUnbounded(f"seq_Q({m.name}): radial sup still at the grid ends after {DOUBLINGS} doublings")
+    log_q = ks * rho[arg] - p_half[arg]
 
     out = WeightSeq.from_values(
         f"Q({m.name})",
         log_q - log_q[0],
         is_weight_seq=True,
-        note=f"normalized by log Q_0 = {log_q[0]:.6g}; sup over r grid [{math.exp(i_lo*dx):.3g}, {math.exp(i_hi*dx):.3g}], dx={dx}",
+        note=f"normalized by log Q_0 = {log_q[0]:.6g}; sup over log r grid [{i_lo * dx:.6g}, {i_hi * dx:.6g}], dx={dx}",
     )
     out.log_q_raw = log_q
-    out.completeness_bound = env.theta * (n + 0.5) * dx * dx / 8.0
-    out.grid_rho = (i_lo * dx, i_hi * dx, dx)
     return out
 
 

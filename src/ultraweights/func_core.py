@@ -6,18 +6,18 @@ phi(log t) for t grids.  Covers the Young conjugate phi* (bracketed concave
 maximization), the associated function of a sequence (sup_k (k y - log M_k),
 binary search on quotients), the two integral transforms used by the
 Borel-optimality constructions (the average kappa(t) = int_0^inf
-phi(log t + u) e^-u du and the harmonic extension along the imaginary axis),
-and the canonical weight matrix attached to a weight function via the scaled
-conjugate.
+phi(log t + u) e^-u du and the harmonic extension P along the imaginary
+axis), and the canonical weight matrix attached to a weight function via the
+scaled conjugate.
 
-Improper integrals are only computed for functions carrying a certified
-growth envelope phi(y) <= a + b e^(theta y) (theta < 1); the envelope
-supplies the cutoff and an explicit tail bracket, so every transform value
-comes with an error bound.  kappa_interval, poisson_interval and
-poisson_batch share one adaptive engine (`_quadrature`): a single 9-point
-Gauss-Legendre rule, global bisection over the panels of all arguments at
-once, and one panel budget (PANEL_BUDGET per four arguments) whose
-exhaustion widens the brackets of the arguments left open.
+For associated functions both transforms are closed forms over the quotients
+(`kappa_assoc`, `poisson_batch`).  Other functions are integrated only when
+they carry a certified growth envelope phi(y) <= a + b e^(theta y)
+(theta < 1), which supplies the cutoff and an explicit tail bracket.
+kappa_interval and poisson_interval share one adaptive engine
+(`_quadrature`): a 9-point Gauss-Legendre rule, global bisection over the
+panels of all arguments at once, and one panel budget (PANEL_BUDGET per four
+arguments) whose exhaustion widens the brackets of the arguments left open.
 """
 
 from __future__ import annotations
@@ -37,12 +37,11 @@ from .errors import (
     TruncationExhausted,
     UnboundedConjugate,
 )
-from .seq_core import WeightSeq, _dyadic_exponent, _log_mid, log_tail_bracket
+from .seq_core import WeightSeq, _dyadic_exponent, _log_mid, is_non_quasianalytic, log_tail_bracket
 from .verdicts import (
     Interval,
     Status,
     Verdict,
-    _regression_slope,
     subsample,
     trend_bounded,
     trend_liminf_positive,
@@ -75,9 +74,11 @@ __all__ = [
 ]
 
 QUAD_ABS_TOL = 1e-10
-BATCH_ABS_TOL = 1e-7
 PANEL_BUDGET = 10_000
 GAUSS_ORDER = 9
+TI2_ORDER = 16
+P_WINDOW = 8.0
+P_CHUNK = 2**14
 PHI_Y_START = 8.0
 DOUBLINGS = 64
 GOLDEN_ITERS = 80
@@ -124,7 +125,6 @@ class WeightFn:
         phi_star_ref: Optional[Callable] = None,
         assoc: Optional["_AssocEvaluator"] = None,
         include_log_term: bool = False,
-        quasi_suspect: bool = False,
         note: str = "",
     ):
         self.name = name
@@ -136,7 +136,6 @@ class WeightFn:
         self.phi_star_ref = phi_star_ref
         self.assoc = assoc
         self.include_log_term = include_log_term
-        self.quasi_suspect = quasi_suspect
         self.note = note
 
     def phi(self, y):
@@ -252,10 +251,10 @@ class _AssocEvaluator:
 
     For log-convex sequences the sup is attained at k*(y) = #{j : log mu_j <= y};
     a cached quotient array answers desk-scale arguments by binary search,
-    and far-tail arguments (quadrature probes far beyond the array) fall back
-    to a bisection on the sequence's monotone quotient proxy with a
-    three-candidate local max.  Non-log-convex positive sequences use a full
-    scan over the truncation.
+    and arguments beyond the array (the conjugate's bracket probes in seq_K)
+    fall back to a bisection on the sequence's monotone quotient proxy with
+    a five-candidate local max.  Non-log-convex positive sequences use a
+    full scan over the truncation.
     """
 
     ARRAY_START = 4096
@@ -265,11 +264,11 @@ class _AssocEvaluator:
         self.seq = seq
         self.convex = seq.is_weight_seq
         self._lock = threading.Lock()
-        self._n = 0
-        self._vals = None
-        self._log_mu = None
-        self._log_tail_mid = None
+        self._n = 0  # _grow sets the arrays _vals, _log_mu, _log_tail_lo and _log_tail_hi
         self._grow(min(self.ARRAY_START, self._cap()))
+        if self.convex:
+            # cover log mu_J >= 55: with 4096 terms the fitted far tail moves K-power by 2.9e-4
+            self.ensure_cover(55.0)
 
     def _cap(self) -> int:
         return int(min(self.ARRAY_CAP, self.seq.max_index))
@@ -279,9 +278,9 @@ class _AssocEvaluator:
         if n <= self._n:
             return
         vals = self.seq.values(n)
-        # log_tail_mid[c] = log of the midpoint of sum_{j > c} 1/mu_j for counts c = 0..n
-        log_tail_mid = _log_mid(*log_tail_bracket(self.seq, np.arange(1, n + 2), n))
-        self._n, self._vals, self._log_mu, self._log_tail_mid = n, vals, np.diff(vals), log_tail_mid
+        # log_tail_lo/hi[c] bracket log sum_{j > c} 1/mu_j for counts c = 0..n
+        lo, hi = log_tail_bracket(self.seq, np.arange(1, n + 2), n)
+        self._n, self._vals, self._log_mu, self._log_tail_lo, self._log_tail_hi = n, vals, np.diff(vals), lo, hi
 
     def ensure_cover(self, max_log_t: float) -> None:
         with self._lock:
@@ -337,7 +336,7 @@ class _AssocEvaluator:
             return np.where(finite, np.maximum(sup, 0.0), 0.0), np.where(finite, arg, 0).astype(float)
 
         self.ensure_cover(float(np.max(log_t, initial=0.0)))
-        near = log_t <= self._log_mu[-1]
+        near = (log_t <= self._log_mu[-1]) | (self._n == self.seq.max_index)  # all of a finite M: k* <= n
         if np.any(near):
             lt = log_t[near]
             ks = np.searchsorted(self._log_mu, lt, side="right")
@@ -366,8 +365,9 @@ class _AssocEvaluator:
         """Log of the midpoint of sum_{j > k*} 1/mu_j for an array of counts."""
         kstar = np.asarray(kstar, dtype=float)
         out = np.zeros_like(kstar)
-        near = kstar <= self._n  # log_tail_mid has entries for counts 0..n
-        out[near] = self._log_tail_mid[kstar[near].astype(np.int64)]
+        near = kstar <= self._n  # the tail arrays have entries for counts 0..n
+        c = kstar[near].astype(np.int64)
+        out[near] = _log_mid(self._log_tail_lo[c], self._log_tail_hi[c])
         far = ~near
         if np.any(far):
             # power-law remainder from the last window fit: T(k) ~ k / ((p-1) mu_k)
@@ -379,36 +379,6 @@ class _AssocEvaluator:
                 out[far] = np.inf
         return out
 
-    def synth_envelope(self, extra_log: bool) -> tuple[Optional[Envelope], bool]:
-        """Fitted growth envelope (trend fit, theta capped at 0.99).
-
-        Returns (envelope, quasianalytic_suspect).  The fit adds a safety
-        margin to the exponent and is re-validated on a dense grid that
-        extends well past the cached-array range (far arguments go through
-        the same evaluator as the quadrature tails).
-        """
-        if math.isinf(self.seq.max_index):
-            hi = 55.0
-        else:
-            hi = min(float(self._log_mu[-1]) * 0.95, 55.0)
-        lo = min(0.05, hi / 8)
-        ys = np.linspace(lo, hi, 400)
-        om, _ = self.eval(ys)
-        if extra_log:
-            om = om + np.logaddexp(0.0, 2.0 * ys)
-        good = om > 0
-        if good.sum() < 8:
-            return None, True
-        ys, om = ys[good], om[good]
-        half = len(ys) // 2
-        theta_hat = _regression_slope(ys[half:], np.log(om[half:]))
-        if theta_hat > 0.97:
-            return None, True
-        theta = min(0.99, theta_hat + 0.03)
-        b = 1.05 * float(np.max(np.exp(np.log(om) - theta * ys)))
-        a = float(np.max(om - b * np.exp(theta * ys))) + 1.0
-        return Envelope(theta, max(a, 0.0), b), False
-
 
 def omega_from_seq(seq: WeightSeq) -> WeightFn:
     """Associated function of a positive sequence with M_k^{1/k} -> infinity."""
@@ -416,15 +386,12 @@ def omega_from_seq(seq: WeightSeq) -> WeightFn:
     if growth.fails:
         raise NotAWeightSequence(f"{seq.name}: M_k^{{1/k}} appears bounded, associated function degenerates")
     ev = _AssocEvaluator(seq)
-    env, suspect = ev.synth_envelope(extra_log=False)
     return WeightFn(
         f"omega[{seq.name}]",
         lambda ys: ev.eval(ys)[0],
-        envelope=env,
         normalized=True,  # omega_M(t) = 0 for t <= 1 when M_0 = 1 and M_k >= 1
         assoc=ev,
-        quasi_suspect=suspect,
-        note="associated function" + (" (quasianalytic-suspect fit)" if suspect else ""),
+        note="associated function",
     )
 
 
@@ -432,16 +399,12 @@ def omega_tilde_from_seq(seq: WeightSeq) -> WeightFn:
     """omega_M + log(1+t^2), in y logaddexp(0, 2y): the non-quasianalytic
     representative used by the moment-problem constructions; equivalent to omega_M."""
     base = omega_from_seq(seq)
-    ev = base.assoc
-    env, suspect = ev.synth_envelope(extra_log=True)
     return WeightFn(
         f"omega~[{seq.name}]",
         lambda ys: base._phi(ys) + np.logaddexp(0.0, 2.0 * ys),
-        envelope=env,
         normalized=False,  # log(1+t^2) > 0 on (0,1]
-        assoc=ev,
+        assoc=base.assoc,
         include_log_term=True,
-        quasi_suspect=suspect or base.quasi_suspect,
         note="associated function plus log(1+t^2)",
     )
 
@@ -528,8 +491,6 @@ def _envelope_tail(env: Envelope, y, U, c: float):
 
 
 def _require_envelope(w: WeightFn, op: str) -> Envelope:
-    if w.quasi_suspect:
-        raise QuasianalyticInput(f"{op} refused for {w.name}: growth fit is quasianalytic-suspect")
     if w.envelope is None:
         raise EnvelopeRequired(f"{op} refused for {w.name}: no growth envelope attached")
     if not (0 < w.envelope.theta < 1):
@@ -615,8 +576,7 @@ def _initial_edges(w: WeightFn, L: float, U: float, y: float) -> np.ndarray:
     if w.assoc is not None and w.assoc.convex:
         kinks = w.assoc._log_mu[:64] - y
         kinks = kinks[(kinks > L + 1e-9) & (kinks < U - 1e-9)]
-        if len(kinks):
-            edges = np.unique(np.concatenate([edges, kinks]))
+        edges = np.unique(np.concatenate([edges, kinks]))
     return edges
 
 
@@ -664,19 +624,71 @@ def poisson_imag(w: WeightFn, r: float) -> float:
     return poisson_interval(w, r).mid
 
 
-def poisson_batch(w: WeightFn, rs) -> np.ndarray:
-    """Harmonic-extension midpoints for many radii through one quadrature pass.
+def poisson_batch(w: WeightFn, log_rs) -> np.ndarray:
+    """Closed-form P(ir) of a sequence-associated function at y = log r (as
+    `kappa_assoc` is the closed form of kappa); see `_poisson_assoc`."""
+    return _poisson_assoc(w, np.asarray(log_rs, dtype=float))[0]
 
-    The same P bracket as poisson_interval, at the looser absolute tolerance
-    BATCH_ABS_TOL = 1e-7: the radial-sup construction of Q needs hundreds of
-    radii and consumes P through order relations with 1e-3 slack, where 1e-7
-    is already noise.  The panels of all radii are refined together and
-    share one budget of PANEL_BUDGET panels per four radii; a radius still
-    open when it runs out keeps a bracket widened by the engine.
+
+_TI2_NODES, _TI2_WEIGHTS = np.polynomial.legendre.leggauss(TI2_ORDER)
+_TI2_NODES = 0.5 * (_TI2_NODES + 1.0)
+_TI2_COEFFS = 0.5 * _TI2_WEIGHTS / _TI2_NODES
+
+
+def _ti2(x: np.ndarray) -> np.ndarray:
+    """Ti2(x) = int_0^x arctan(v)/v dv = int_0^1 arctan(x w)/w dw, 0 <= x <= 1
+    (Lewin 1981, ch. 2), by a 16-point Gauss-Legendre rule: the poles of
+    arctan(x w)/(x w) lie outside its Bernstein ellipse (rho ~ 4.6)."""
+    return np.arctan(np.multiply.outer(x, _TI2_NODES)) @ _TI2_COEFFS
+
+
+def _poisson_assoc(w: WeightFn, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P(ir) at every y = log r, and the ends of its bracket.
+
+    For log-convex M, omega_M(t) = sum_j log+(t/mu_j) extends to (2/pi) sum_j
+    Ti2(r/mu_j) at ir; by Ti2(x) = Ti2(1/x) + (pi/2) log x this is omega_M(r)
+    + (2/pi) sum_j Ti2(e^-|log r - log mu_j|), and log(1+t^2) adds 2 log(1+r).
+    Terms with |log mu_j - log r| <= P_WINDOW are summed exactly, P_CHUNK at a
+    time; the rest as mu_j / r (a prefix log-sum) below and r T (the tail
+    bracket) above, off by at most e^(-2 P_WINDOW)/9 relative as x - x^3/9 <=
+    Ti2(x) <= x.  Past the array, Ti2(x)/x >= Ti2(x_J)/x_J with x_J = r/mu_J;
+    a finite M has no terms there.  A radius beyond the last quotient of an
+    array at its cap raises TruncationExhausted.
     """
-    env = _require_envelope(w, "poisson")
-    lo, hi = _poisson_brackets(w, env, np.log(np.asarray(rs, dtype=float)), BATCH_ABS_TOL)
-    return 0.5 * (lo + hi)
+    ev = w.assoc
+    if ev is None or not ev.convex:
+        raise ValueError(f"{w.name} is not associated with a log-convex sequence")
+    ev.ensure_cover(float(np.max(ys, initial=-np.inf)) + P_WINDOW)
+    log_mu, n = ev._log_mu, ev._n
+    complete = n == ev.seq.max_index
+    if not complete and np.any(ys > log_mu[-1]):
+        raise TruncationExhausted(f"{ev.seq.name}: P at log r = {float(np.max(ys)):.6g}, past the {n}-term array")
+    i_lo = np.searchsorted(log_mu, ys - P_WINDOW, side="left")
+    i_hi = np.searchsorted(log_mu, ys + P_WINDOW, side="right")
+    offsets = np.concatenate([[0], np.cumsum(i_hi - i_lo)])
+    window = np.zeros(len(ys))
+    for start in range(0, int(offsets[-1]), P_CHUNK):
+        term = np.arange(start, min(start + P_CHUNK, int(offsets[-1])))
+        at = np.searchsorted(offsets, term, side="right") - 1  # the radius of each term
+        x = np.exp(-np.abs(ys[at] - log_mu[i_lo[at] + term - offsets[at]]))
+        window += np.bincount(at, _ti2(x), minlength=len(ys))
+
+    below = np.exp(np.concatenate([[-np.inf], np.logaddexp.accumulate(log_mu)])[i_lo] - ys)
+    past = i_hi == n
+    above_lo = np.where(past & complete, 0.0, np.exp(ys + ev._log_tail_lo[i_hi]))
+    above_hi = np.where(past & complete, 0.0, np.exp(ys + ev._log_tail_hi[i_hi]))
+    above = 0.5 * (above_lo + above_hi)
+    first_order = 1.0 - math.exp(-2.0 * P_WINDOW) / 9.0
+    x_last = np.exp(np.minimum(ys - log_mu[-1], 0.0))
+    above_lo *= np.where(past, np.divide(_ti2(x_last), x_last, out=np.ones_like(ys), where=x_last > 0), first_order)
+
+    c = 2.0 / math.pi
+    exact = ev.eval(ys)[0] + c * window
+    if w.include_log_term:
+        exact = exact + 2.0 * np.logaddexp(0.0, ys)
+    p = exact + c * (below + above)
+    err = 1e-14 * np.abs(p)  # rounding: summing 1.3e5 window terms in order measured below 5.2e-15 |P|
+    return p, exact + c * (first_order * below + above_lo) - err, exact + c * (below + above_hi) + err
 
 
 # -- normalization and derived weight functions ------------------------------
@@ -727,7 +739,6 @@ def normalize_fn(w: WeightFn) -> WeightFn:
         normalized=True,
         phi_star_ref=ref,
         assoc=None,
-        quasi_suspect=w.quasi_suspect,
         note=f"normalized by omega(1) = {c:.6g}",
     )
 
@@ -736,9 +747,8 @@ def kappa_fn(w: WeightFn, *, use_ref: bool = True) -> WeightFn:
     """kappa as a WeightFn (normalized representative), for chaining transforms.
 
     Evaluates through the attached closed form when available and allowed,
-    else through memoized quadrature midpoints.
+    else through memoized quadrature midpoints (which need an envelope).
     """
-    env = _require_envelope(w, "kappa")
     if use_ref and w.kappa_ref is not None:
         raw = w.kappa_ref
         how = "closed form"
@@ -746,6 +756,7 @@ def kappa_fn(w: WeightFn, *, use_ref: bool = True) -> WeightFn:
         raw = lambda ys: _kappa_assoc(w, ys)
         how = "piecewise closed form"
     else:
+        env = _require_envelope(w, "kappa")
         cache: dict[float, float] = {}
         lock = threading.Lock()
 
@@ -765,7 +776,8 @@ def kappa_fn(w: WeightFn, *, use_ref: bool = True) -> WeightFn:
     def phi_vec(ys: np.ndarray) -> np.ndarray:
         return np.where(ys <= 0.0, 0.0, np.maximum(raw(ys) - c, 0.0))
 
-    kap_env = Envelope(env.theta, env.a, env.b / (1 - env.theta))  # kappa(t) <= a + b t^th / (1-th)
+    env = w.envelope  # kappa(t) <= a + b t^th / (1-th)
+    kap_env = None if env is None else Envelope(env.theta, env.a, env.b / (1 - env.theta))
     return WeightFn(
         f"kappa({w.name})",
         phi_vec,
@@ -914,7 +926,8 @@ def fn_predicates(w: WeightFn, t_grid=None) -> FnPredicateReport:
 
     doubling: omega(2t) = O(omega(t)); om6: exists H >= 1 with
     2 omega(t) <= omega(Ht) + H (H searched over a dyadic grid);
-    non-quasianalyticity of int omega(t)/(1+t^2) dt (decided through the
+    non-quasianalyticity of int omega(t)/(1+t^2) dt (for an associated
+    function, the tail bracket of its sequence decides; otherwise the
     envelope, with a linear-growth divergence certificate); omega(t) = o(t).
     """
     t_grid = log_t_grid(4.0, 1e8, 64) if t_grid is None else np.asarray(t_grid, dtype=float)
@@ -946,7 +959,11 @@ def fn_predicates(w: WeightFn, t_grid=None) -> FnPredicateReport:
                       note=f"no dyadic H <= {h_top:g} works on the grid"
                            + ("; violation grows" if grow.holds else ""))
 
-    if w.envelope is not None and w.envelope.theta < 1 and not w.quasi_suspect:
+    if w.assoc is not None and w.assoc.convex:
+        nq = is_non_quasianalytic(w.assoc.seq)  # the tail bracket of the quotients decides
+        nq.relation = "fn-non-quasianalytic"
+        nq.lhs = w.name
+    elif w.envelope is not None and w.envelope.theta < 1:
         nq = Verdict(Status.HOLDS, relation="fn-non-quasianalytic", lhs=w.name,
                      note=f"envelope exponent {w.envelope.theta:g} < 1 certifies the integral")
     else:

@@ -62,8 +62,9 @@ class WeightSeq:
     """A positive sequence given by a log-domain evaluator.
 
     Evaluators must accept a float64 numpy array of indices and be pure;
-    indices may exceed 2^53 in the far-tail probes of integral transforms,
-    which is why they are floats.  `log_tail`, when present, maps an integer
+    indices may exceed 2^53 in the associated function's far path (the
+    conjugate's bracket probes beyond its quotient array), which is why
+    they are floats.  `log_tail`, when present, maps an integer
     array of indices k >= 1 to arrays (log_lo, log_hi) bracketing
     log sum_{l>=k} 1/mu_l analytically.  `is_weight_seq` records whether the
     sequence was declared (and validated as) log-convex with mu -> infinity;
@@ -89,8 +90,8 @@ class WeightSeq:
         # optional monotone proxy for log mu_k at huge float indices, where
         # differencing the evaluator would lose all precision
         self.quotient_proxy: Optional[Callable[[np.ndarray], np.ndarray]] = None
-        # optional far-tail fast paths used only inside quadrature tails:
-        # a closed-form twin of log_m, and a direct quotient-count hook
+        # optional fast paths of the associated function beyond its quotient
+        # array: a closed-form twin of log_m, and a direct quotient-count hook
         self.log_m_fast: Optional[Callable[[np.ndarray], np.ndarray]] = None
         self.count_leq: Optional[Callable[[np.ndarray], np.ndarray]] = None
         self._prefix = np.zeros(1)

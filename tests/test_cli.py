@@ -1,8 +1,20 @@
 import json
+import math
 
 import numpy as np
+import pytest
 
-from ultraweights.cli import main
+from ultraweights import func_core
+from ultraweights.cli import load_config, main
+
+CHAIN5 = ["S_into_K", "K_into_Q", "Q_into_K", "K_into_uL", "uL_into_L"]
+CHAIN9 = CHAIN5 + ["uL_into_K", "kappaMatrix_into_K", "K_into_kappaMatrix", "family_moderate_growth"]
+GOLDEN = {
+    "gevrey2": ("mat:gevrey?s=2", 256, CHAIN5),
+    "power": ("mat:omega?fn=power&beta=0.5", 64, CHAIN9),
+    "expgevrey": ("mat:expgevrey?p=2", 64, CHAIN5),
+    "logsq": ("mat:omega?fn=logsq", 64, CHAIN9),
+}
 
 
 def run(capsys, *argv):
@@ -47,12 +59,77 @@ def test_check_inconclusive_exits_three(capsys):
     assert json.loads(out)["status"] == "Inconclusive"  # too few samples for the trend test
 
 
-def test_verify_chain_on_squared_log_completes(capsys):
+def _no_quadrature(*args, **kwargs):
+    raise AssertionError("the quadrature engine ran")
+
+
+def _verify_chain(path, uri: str, n: int) -> tuple[int, dict]:
+    rc = main(["verify-chain", uri, "--n", str(n), "--report", str(path)])
+    report = json.loads(path.read_text())
+    return rc, {lk["name"]: lk["verdict"]["status"] for lk in report["links"]}
+
+
+@pytest.fixture(scope="module")
+def chains(tmp_path_factory):
+    """Link statuses of four catalog chains, each run once with the
+    quadrature engine replaced by a function that raises."""
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(func_core, "_quadrature", _no_quadrature)
+        for name, (uri, n, _links) in GOLDEN.items():
+            out[name] = _verify_chain(tmp_path_factory.mktemp(name) / "report.json", uri, n)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_chain(chains, name):
+    rc, links = chains[name]
+    assert rc == 0
+    assert links == {link: "Holds" for link in GOLDEN[name][2]}
+
+
+def test_verify_chain_on_squared_log_completes(chains):
     # the conjugate of phi(y) = y^2 peaks at y = x/2: member 8 at k = 64 needs
-    # y = 256, and the normalized kappa matrix goes further
-    rc, out, _ = run(capsys, "verify-chain", "mat:omega?fn=logsq", "--n", "64")
-    assert rc != 2
-    links = {lk["name"]: lk["verdict"]["status"] for lk in json.loads(out)["links"]}
-    assert len(links) == 9
-    # K_into_Q is left unpinned: it Fails while the Q radial grid stops at r = 1e12
-    assert all(status == "Holds" for name, status in links.items() if name != "K_into_Q")
+    # y = 256, and the normalized kappa matrix goes further; the maximizer of
+    # Q_64 of member 8 lies near log r = 508
+    rc, links = chains["logsq"]
+    assert rc == 0
+    assert len(links) == 9 and links["K_into_Q"] == "Holds"
+    assert all(status == "Holds" for status in links.values())
+
+
+def test_verify_chain_runs_no_quadrature(chains, tmp_path, monkeypatch):
+    # the chains fixture ran with the engine disabled; so does gevrey2 at
+    # n = 64, whose K_into_Q and K_into_uL stay Inconclusive at that n
+    assert chains["gevrey2"][0] == 0 and chains["expgevrey"][0] == 0
+    monkeypatch.setattr(func_core, "_quadrature", _no_quadrature)
+    rc, links = _verify_chain(tmp_path / "report.json", "mat:gevrey?s=2", 64)
+    assert rc in (0, 3) and "Fails" not in links.values()
+
+
+def test_check_invmg(capsys):
+    rc, out, _ = run(capsys, "check", "invmg", "--lhs", "mat:expgevrey?p=2")
+    assert rc == 0 and json.loads(out)["status"] == "Holds"
+    # constant Gevrey family: mu_j^2 / mu_2j = 1/4^s j^s grows
+    rc, out, _ = run(capsys, "check", "invmg", "--lhs", "mat:gevrey?s=2")
+    assert rc == 1 and json.loads(out)["status"] == "Fails"
+
+
+def test_check_roquS_on_gevrey(capsys):
+    rc, out, _ = run(capsys, "check", "roquS", "--lhs", "mat:gevrey?s=2")
+    assert rc == 0 and json.loads(out)["status"] == "Holds"
+
+
+def test_check_membership_from_csv(tmp_path, capsys):
+    # a_k = (k!)^3 is not dominated by C sigma^k (k!)^2 for any sigma
+    path = tmp_path / "coeffs.csv"
+    path.write_text("k,log_a\n" + "".join(f"{k},{3 * math.lgamma(k + 1)!r}\n" for k in range(257)))
+    rc, out, _ = run(capsys, "check", "membership", "--lhs", str(path), "--rhs", "seq:gevrey?s=2", "--n", "256")
+    assert rc == 1 and json.loads(out)["status"] == "Fails"
+
+
+def test_load_config_skips_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# a comment line\n\nn = 128  # trailing comment\n   \ngrid=-1..2\n#n=4\n")
+    assert load_config(str(path)) == {"n": "128", "grid": "-1..2"}
+    assert load_config(None) == {}

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ultraweights.catalog import exp_gevrey_matrix, make_power_weight
+from ultraweights.catalog import exp_gevrey_matrix, make_exp_gevrey_member, make_power_weight
 from ultraweights.derived import derive_family, seq_K, seq_L, seq_Q, seq_S, seq_underline_L
-from ultraweights.errors import DivergentTail, NotAWeightSequence
-from ultraweights.func_core import matrix_from_omega, omega_tilde_from_seq, poisson_imag
+from ultraweights.errors import DivergentTail, MaximizerUnbounded, NotAWeightSequence
+from ultraweights.func_core import _AssocEvaluator, matrix_from_omega, omega_tilde_from_seq, poisson_batch
 from ultraweights.seq_core import (
     WeightSeq,
     is_log_convex,
@@ -151,11 +151,9 @@ def test_Q_log_convex_exactly(gevrey2):
 
 def test_Q_dominates_single_probe(gevrey2):
     Q = seq_Q(gevrey2, 64)
-    w = omega_tilde_from_seq(gevrey2)
-    p1 = poisson_imag(w, 1.0)
-    ks = np.arange(0, 65)
-    # log r = 0 probe: raw values dominate -P(i)/2 (up to batch-vs-scalar noise)
-    assert np.all(Q.log_q_raw >= -p1 / 2 - 1e-5)
+    p1 = poisson_batch(omega_tilde_from_seq(gevrey2), [0.0])[0]
+    # log r = 0 is a grid point: raw values dominate -P(i)/2
+    assert np.all(Q.log_q_raw >= -p1 / 2)
 
 
 def test_Q_sandwich_between_kappa_sups(gevrey2):
@@ -174,9 +172,28 @@ def test_Q_sandwich_between_kappa_sups(gevrey2):
     assert np.all(Q.log_q_raw >= lo_env - 1e-3)
 
 
-def test_Q_completeness_bound_recorded(gevrey2):
-    Q = seq_Q(gevrey2, 64)
-    assert 0 < Q.completeness_bound < 0.1
+def test_Q_grid_grows_to_far_maximizers():
+    # the maximizer of Q_64 for quotients k^2 e^(8k) lies near log r = 1030
+    Q = seq_Q(make_exp_gevrey_member(2.0, 8.0), 64)
+    assert np.all(np.isfinite(Q.values(64)))
+    assert is_log_convex(Q, 64).holds
+
+
+def test_Q_refused_past_the_array_cap(gevrey2, monkeypatch):
+    # with 4096 quotients (log mu_J = 16.6) the maximizer of Q_2048 leaves the array
+    monkeypatch.setattr(_AssocEvaluator, "ARRAY_CAP", 4096)
+    from ultraweights.catalog import make_gevrey
+
+    with pytest.raises(MaximizerUnbounded):
+        seq_Q(make_gevrey(2), 2048)
+
+
+def test_Q_refused_for_a_short_finite_sequence(gevrey2):
+    # 64 quotients: P grows with slope 66, so Q_k is infinite from k = 33 on
+    S = seq_S(gevrey2, 64)
+    assert np.all(np.isfinite(seq_Q(S, 32).values(32)))
+    with pytest.raises(MaximizerUnbounded):
+        seq_Q(S, 33)
 
 
 def test_Q_quasianalytic_refused(factorial):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ultraweights import _kernels, func_core
-from ultraweights.catalog import make_exp_gevrey_member, make_power_weight
-from ultraweights.errors import EnvelopeRequired, QuasianalyticInput, UnboundedConjugate
+from ultraweights.catalog import make_exp_gevrey_member, make_gevrey, make_power_weight
+from ultraweights.errors import EnvelopeRequired, QuasianalyticInput, TruncationExhausted, UnboundedConjugate
 from ultraweights.func_core import (
     Envelope,
     WeightFn,
@@ -29,6 +29,27 @@ from ultraweights.func_core import (
     prec_st,
 )
 from ultraweights.seq_core import WeightSeq, has_moderate_growth, power_shift, seq_equivalent
+
+CATALAN = 0.915965594177219015054603514932
+
+
+def proven(seq, theta: float, b: float) -> WeightFn:
+    """omega~ of seq with the envelope log 2 + b e^(theta y), so that the
+    quadrature can serve as a reference for the closed forms."""
+    w = omega_tilde_from_seq(seq)
+    return WeightFn(w.name, w._phi, envelope=Envelope(theta, math.log(2.0), b), assoc=w.assoc, include_log_term=True)
+
+
+def gevrey_tilde(s: float) -> WeightFn:
+    # log k! >= k log(k/e) gives omega_M(e^y) <= sup_k k (y - s log k + s) =
+    # s e^(y/s); log(1+t^2) <= log 2 + max(2y, 0) and 2y <= (2s/e) e^(y/s)
+    return proven(make_gevrey(s), 1.0 / s, s + 2.0 * s / math.e)
+
+
+def expgevrey_tilde(a: float) -> WeightFn:
+    # log M_k >= a k^2/2 gives omega_M(e^y) <= max(y, 0)^2/(2a), and
+    # y^2 e^(-y/2) <= 16/e^2; log(1+t^2) <= log 2 + max(2y, 0), 2y <= (4/e) e^(y/2)
+    return proven(make_exp_gevrey_member(2.0, a), 0.5, 8.0 / (a * math.e**2) + 4.0 / math.e)
 
 
 # -- Young conjugate -----------------------------------------------------------
@@ -110,17 +131,24 @@ def test_assoc_full_scan_for_positive_sequences():
     assert w.omega(t) == pytest.approx(float(np.max(ks * math.log(t) - vals)))
 
 
-def test_assoc_quasianalytic_suspect_refuses_transform(factorial):
-    w = omega_from_seq(factorial)  # omega ~ t: fit exceeds the cap
-    assert w.quasi_suspect
-    with pytest.raises(QuasianalyticInput):
-        kappa(w, 2.0)
-
-
-def test_assoc_envelope_covers_samples(gevrey2):
+def test_assoc_quadrature_refused_without_envelope(factorial, gevrey2):
+    # associated functions carry no envelope: their transforms are closed forms
+    for seq in (factorial, gevrey2):
+        w = omega_from_seq(seq)
+        with pytest.raises(EnvelopeRequired):
+            kappa(w, 2.0)
+        with pytest.raises(EnvelopeRequired):
+            poisson_interval(omega_tilde_from_seq(seq), 2.0)
     w = omega_tilde_from_seq(gevrey2)
-    ts = log_t_grid(1.0, 1e10, 80)
-    assert np.all(w.envelope.bound(np.log(ts)) + 1e-9 >= w.omega(ts))
+    kap = kappa_fn(w)
+    assert kap.envelope is None
+    assert kap.phi(3.0) == pytest.approx(kappa_assoc(w, math.e**3) - kappa_assoc(w, 1.0), rel=1e-12)
+
+
+def test_proven_envelopes_cover_samples():
+    ys = np.linspace(-5.0, 400.0, 2000)
+    for w in [gevrey_tilde(s) for s in (1.5, 2.0, 3.0)] + [expgevrey_tilde(a) for a in (0.125, 1.0, 8.0)]:
+        assert np.all(w.envelope.bound(ys) - w.phi(ys) >= 0.5), w.name
 
 
 # -- integral transforms -----------------------------------------------------------
@@ -180,18 +208,17 @@ def test_kappa_refuses_theta_ge_one(power_half):
         kappa(w, 2.0)
 
 
-def test_kappa_assoc_matches_quadrature(gevrey2, gevrey15, gevrey3):
+def test_kappa_assoc_matches_quadrature():
     # t = 1e6 grows the quotient array past 10^4 terms, where the tail
     # remainder must still come from the right index
-    for seq in (gevrey2, gevrey15, gevrey3):
-        w = omega_tilde_from_seq(seq)
+    for s in (2.0, 1.5, 3.0):
+        w = gevrey_tilde(s)
         for t in (0.5, 3.0, 100.0, 1e4, 1e6):
             assert kappa_assoc(w, t) == pytest.approx(kappa(w, t), rel=1e-7)
 
 
 def test_kappa_assoc_matches_quadrature_exp_gevrey():
-    m = make_exp_gevrey_member(2.0, 1.0)
-    w = omega_tilde_from_seq(m)
+    w = expgevrey_tilde(1.0)
     for t in (2.0, 50.0, 1e3):
         assert kappa_assoc(w, t) == pytest.approx(kappa(w, t), rel=1e-6)
 
@@ -199,7 +226,7 @@ def test_kappa_assoc_matches_quadrature_exp_gevrey():
 def test_kappa_assoc_inside_quadrature_bracket_at_large_t():
     # the transform of log(1+t^2) is log(1+t^2) + 2t arctan(1/t) -> 2; written
     # as t (pi - 2 arctan t) it cancels to rounding noise beyond t ~ 1e8
-    w = omega_tilde_from_seq(make_exp_gevrey_member(2.0, 8.0))
+    w = expgevrey_tilde(8.0)
     for y in (20.0, 50.0, 400.0):
         iv = kappa_interval(w, math.exp(y))
         assert iv.lo <= kappa_assoc(w, math.exp(y)) <= iv.hi, y
@@ -238,30 +265,72 @@ def test_poisson_scaling_linearity(power_half):
     assert poisson_imag(doubled, 3.0) == pytest.approx(2 * poisson_imag(power_half, 3.0), rel=1e-8)
 
 
-def test_poisson_batch_matches_scalar(gevrey2):
-    w = omega_tilde_from_seq(gevrey2)
-    rs = np.exp(np.linspace(-2.0, 10.0, 9))
-    batch = poisson_batch(w, rs)
-    single = np.array([poisson_imag(w, float(r)) for r in rs])
-    assert np.allclose(batch, single, rtol=1e-5, atol=1e-6)
+def test_poisson_batch_matches_scalar():
+    w = gevrey_tilde(2.0)
+    ys = np.linspace(-2.0, 10.0, 9)
+    batch = poisson_batch(w, ys)
+    single = np.array([poisson_imag(w, float(r)) for r in np.exp(ys)])
+    assert np.allclose(batch, single, rtol=1e-9, atol=1e-9)
+    assert poisson_batch(w, []).shape == (0,)
 
 
 def test_poisson_batch_without_quadrature_matches_interval():
-    # omega vanishes on [0, 1], so for r = 1e-3 the integral starts at
-    # u = -log r, beyond the cutoff: the whole value is the envelope tail
-    w = WeightFn("tiny", lambda ys: 1e-12 * np.sqrt(np.maximum(np.expm1(ys), 0.0)),
-                 envelope=Envelope(0.5, 0.0, 1e-12), normalized=True)
-    assert poisson_batch(w, [1e-3])[0] == poisson_interval(w, 1e-3).mid
-    mixed = poisson_batch(w, [1e-3, 10.0])
-    assert mixed[0] == poisson_interval(w, 1e-3).mid
-    assert mixed[1] == pytest.approx(poisson_imag(w, 10.0), abs=1e-7)
-    assert poisson_batch(w, []).shape == (0,)
+    # the closed form lies inside the quadrature bracket wherever the
+    # window |log mu_j - log r| <= 8 stays inside the quotient array
+    for w in [gevrey_tilde(s) for s in (1.5, 2.0, 3.0)] + [expgevrey_tilde(a) for a in (0.125, 1.0, 8.0)]:
+        for r in (0.5, 10.0, 1e3, 1e6):
+            if r == 1e6 and w.assoc._log_mu[-1] < math.log(r) + func_core.P_WINDOW:
+                continue
+            iv = poisson_interval(w, r)
+            assert iv.lo <= poisson_batch(w, [math.log(r)])[0] <= iv.hi, (w.name, r)
+
+
+def test_ti2_is_catalan_at_one_and_inverts():
+    assert abs(func_core._ti2(np.array([1.0]))[0] - CATALAN) <= 1e-15
+    # Ti2(x) = Ti2(1) + int_0^log(x) arctan(e^u) du, by a 200-point rule
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+    for x in (1.5, 10.0, 1e3):
+        half = 0.5 * math.log(x)
+        direct = CATALAN + half * float(weights @ np.arctan(np.exp(half * (nodes + 1.0))))
+        inverted = float(func_core._ti2(np.array([1.0 / x]))[0]) + 0.5 * math.pi * math.log(x)
+        assert inverted == pytest.approx(direct, rel=1e-14, abs=1e-14), x
+
+
+def test_closed_form_P_past_the_array_overlaps_quadrature():
+    # gevrey 1.5 at r = 1e6: log mu_J = 17.7 < log r + 8, so the terms past
+    # the 2^17-term array are only bracketed
+    w = gevrey_tilde(1.5)
+    p, lo, hi = func_core._poisson_assoc(w, np.array([math.log(1e6)]))
+    assert w.assoc._log_mu[-1] < math.log(1e6) + func_core.P_WINDOW
+    iv = poisson_interval(w, 1e6)
+    assert lo[0] <= iv.hi and iv.lo <= hi[0] and lo[0] <= p[0] <= hi[0]
+
+
+def test_closed_form_P_at_huge_radius():
+    w = omega_tilde_from_seq(make_exp_gevrey_member(2.0, 8.0))
+    assert np.all(np.isfinite(poisson_batch(w, [1000.0])))
+    # a radius beyond the last quotient of an array at its cap is refused
+    g = omega_tilde_from_seq(make_gevrey(2.0))
+    with pytest.raises(TruncationExhausted):
+        poisson_batch(g, [g.assoc._log_mu[-1] + 1.0])
+
+
+def test_closed_form_P_of_a_finite_sequence_is_exact_beyond_its_quotients():
+    # M with quotients e, e^2: omega_M(r) = 2 log r - 3 beyond e^2, and every
+    # term of the sum is in the window
+    seq = WeightSeq.from_values("two", [0.0, 1.0, 3.0], is_weight_seq=True)
+    w = omega_from_seq(seq)
+    y = 20.0
+    p, lo, hi = func_core._poisson_assoc(w, np.array([y]))
+    ti2 = [float(func_core._ti2(np.array([math.exp(v - y)]))[0]) for v in (1.0, 2.0)]
+    assert p[0] == pytest.approx(2 * y - 3 + (2 / math.pi) * sum(ti2), rel=1e-15)
+    assert lo[0] <= p[0] <= hi[0]
 
 
 def test_sandwich_on_assoc(gevrey2):
     w = omega_tilde_from_seq(gevrey2)
     for r in log_t_grid(1.0, 1e5, 9):
-        P = poisson_imag(w, float(r))
+        P = poisson_batch(w, [math.log(r)])[0]
         K = kappa_assoc(w, float(r))
         assert P <= (4 / math.pi) * K + 1e-6
         assert (4 / math.pi) * K <= 4 * P + 1e-6
@@ -405,6 +474,11 @@ def test_mg_matches_value_doubling_of_assoc(gevrey2, qgevrey2):
     assert fn_predicates(omega_from_seq(gevrey2)).om6.holds
     assert has_moderate_growth(qgevrey2, 64).fails
     assert not fn_predicates(omega_from_seq(qgevrey2)).om6.holds
+
+
+def test_assoc_non_quasianalyticity_from_the_tail_bracket(gevrey2, factorial):
+    assert fn_predicates(omega_from_seq(gevrey2)).non_quasianalytic.holds
+    assert fn_predicates(omega_from_seq(factorial)).non_quasianalytic.fails
 
 
 def test_factorial_gap_matches_linear_assoc(gevrey2, factorial):

@@ -1,8 +1,15 @@
+import math
+
+import numpy as np
+import pytest
+
 from ultraweights.catalog import resolve
 from ultraweights.relations import (
     cond_liminf2,
     gamma1_implies_SV_check,
+    lambda_membership,
     matrix_braces_preceq,
+    matrix_r_equivalent,
     r_moderate_growth,
 )
 
@@ -28,3 +35,35 @@ def test_gamma1_implies_SV_between_gevrey_sequences():
 def test_braces_preceq_is_reflexive():
     mat = resolve("mat:gevrey?s=2")
     assert matrix_braces_preceq(mat, mat, 128).holds
+
+
+def test_r_equivalent_is_reflexive():
+    mat = resolve("mat:gevrey?s=2")
+    assert matrix_r_equivalent(mat, mat, 128).holds
+
+
+def _log_factorial(n: int) -> np.ndarray:
+    return np.array([math.lgamma(k + 1) for k in range(n + 1)])
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_membership_in_the_gevrey2_class(n):
+    # |a_k| <= C sigma^k (k!)^2 iff (log|a_k| - 2 log k!)/k is bounded above;
+    # for (k!)^3 and (k!)^2.5 it grows like log k
+    gevrey2 = resolve("seq:gevrey?s=2")
+    lf, ks = _log_factorial(n), np.arange(n + 1, dtype=float)
+    for a_log in (3 * lf, 2.5 * lf):
+        assert lambda_membership(a_log, gevrey2, n).fails
+    inside = (2 * lf, 2 * lf + ks * math.log(3.0), 2 * lf + 5 * np.log(np.maximum(ks, 1.0)), 1.5 * lf)
+    for a_log in inside:
+        assert lambda_membership(a_log, gevrey2, n).holds
+    v = lambda_membership(2 * lf + ks * math.log(3.0), gevrey2, n)
+    assert v.witness["sigma"] == pytest.approx(3.0)
+
+
+def test_membership_with_zero_coefficients():
+    gevrey2 = resolve("seq:gevrey?s=2")
+    a_log = 2 * _log_factorial(64)
+    a_log[1::2] = -np.inf  # a_k = 0 at odd k
+    assert lambda_membership(a_log, gevrey2, 64).holds
+    assert lambda_membership(np.full(65, -np.inf), gevrey2, 64).holds
