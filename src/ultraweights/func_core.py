@@ -637,8 +637,8 @@ _TI2_COEFFS = 0.5 * _TI2_WEIGHTS / _TI2_NODES
 
 def _ti2(x: np.ndarray) -> np.ndarray:
     """Ti2(x) = int_0^x arctan(v)/v dv = int_0^1 arctan(x w)/w dw, 0 <= x <= 1
-    (Lewin 1981, ch. 2), by a 16-point Gauss-Legendre rule: the poles of
-    arctan(x w)/(x w) lie outside its Bernstein ellipse (rho ~ 4.6)."""
+    (Lewin 1981, ch. 2), by a 16-point Gauss-Legendre rule, exact to rounding:
+    the poles w = +-i/x lie outside the Bernstein ellipse rho ~ 4.6 of [0, 1]."""
     return np.arctan(np.multiply.outer(x, _TI2_NODES)) @ _TI2_COEFFS
 
 

@@ -285,6 +285,16 @@ def test_poisson_batch_without_quadrature_matches_interval():
             assert iv.lo <= poisson_batch(w, [math.log(r)])[0] <= iv.hi, (w.name, r)
 
 
+def test_poisson_interval_of_a_radius_past_the_cutoff():
+    # omega vanishes on [0, 1], so for r = 1e-3 the integral starts at
+    # u = -log r, beyond the cutoff: the whole value is the envelope tail
+    w = WeightFn("tiny", lambda ys: 1e-12 * np.sqrt(np.maximum(np.expm1(ys), 0.0)),
+                 envelope=Envelope(0.5, 0.0, 1e-12), normalized=True)
+    y = math.log(1e-3)
+    iv = poisson_interval(w, 1e-3)
+    assert iv.lo == 0.0 and iv.hi == float(func_core._envelope_tail(w.envelope, y, -y, 2.0 / math.pi)) > 0.0
+
+
 def test_ti2_is_catalan_at_one_and_inverts():
     assert abs(func_core._ti2(np.array([1.0]))[0] - CATALAN) <= 1e-15
     # Ti2(x) = Ti2(1) + int_0^log(x) arctan(e^u) du, by a 200-point rule
