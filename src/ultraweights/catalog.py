@@ -100,16 +100,14 @@ def make_gevrey(s: float) -> WeightSeq:
         return base + math.log(c_lo), base + math.log(c_hi)
 
     log_tail = _series_log_tail(lambda js: -s * np.log(js), _TAIL_HEAD, log_rem)
-    seq = WeightSeq(f"gevrey(s={s:g})", ev, log_tail=log_tail, is_weight_seq=True)
-    seq.quotient_proxy = lambda kk: s * np.log(np.maximum(kk, 1.0))
-    return seq
+    return WeightSeq(f"gevrey(s={s:g})", ev, log_tail=log_tail, is_weight_seq=True,
+                     quotient_proxy=lambda kk: s * np.log(np.maximum(kk, 1.0)))
 
 
 def make_factorial() -> WeightSeq:
     """log M_k = log k!: quasianalytic (harmonic quotient tail), still a weight sequence."""
-    seq = WeightSeq("factorial", lambda kk: gammaln(kk + 1.0), is_weight_seq=True)
-    seq.quotient_proxy = lambda kk: np.log(np.maximum(kk, 1.0))
-    return seq
+    return WeightSeq("factorial", lambda kk: gammaln(kk + 1.0), is_weight_seq=True,
+                     quotient_proxy=lambda kk: np.log(np.maximum(kk, 1.0)))
 
 
 def make_q_gevrey(q: float) -> WeightSeq:
@@ -126,9 +124,8 @@ def make_q_gevrey(q: float) -> WeightSeq:
         return v, v
 
     log_tail = _series_log_tail(lambda js: -(2.0 * js - 1.0) * lq, 0, log_rem)
-    seq = WeightSeq(f"qgevrey(q={q:g})", lambda kk: kk**2 * lq, log_tail=log_tail, is_weight_seq=True)
-    seq.quotient_proxy = lambda kk: (2 * kk - 1) * lq
-    return seq
+    return WeightSeq(f"qgevrey(q={q:g})", lambda kk: kk**2 * lq, log_tail=log_tail, is_weight_seq=True,
+                     quotient_proxy=lambda kk: (2 * kk - 1) * lq)
 
 
 def make_exp_gevrey_member(p: float, a: float) -> WeightSeq:
@@ -152,9 +149,8 @@ def make_exp_gevrey_member(p: float, a: float) -> WeightSeq:
         return -math.inf, float(neg_log_mu(top)) - math.log(-math.expm1(-a))
 
     log_tail = _series_log_tail(neg_log_mu, max(_TAIL_HEAD, int(40.0 / a)), log_rem)
-    seq = WeightSeq(f"expgevrey(p={p:g},a={a:g})", ev, log_tail=log_tail, is_weight_seq=True)
-    seq.quotient_proxy = lambda kk: p * np.log(np.maximum(kk, 1.0)) + a * kk
-    return seq
+    return WeightSeq(f"expgevrey(p={p:g},a={a:g})", ev, log_tail=log_tail, is_weight_seq=True,
+                     quotient_proxy=lambda kk: p * np.log(np.maximum(kk, 1.0)) + a * kk)
 
 
 # -- functions -----------------------------------------------------------------

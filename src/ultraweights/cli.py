@@ -62,6 +62,11 @@ CHECK_CHOICES = (
     "preceq", "equiv", "sv", "gamma1", "st", "mg", "mmg",
     "braces-preceq", "rmg", "liminf", "liminf2", "roquS", "invmg", "membership",
 )
+NEEDS_RHS = ("preceq", "equiv", "sv", "gamma1", "st", "braces-preceq", "membership")
+
+
+class UsageError(UltraweightsError):
+    """Malformed command-line input."""
 
 
 def _err(kind: str, message: str) -> int:
@@ -84,15 +89,20 @@ def load_config(path: str | None) -> dict:
 
 
 def _resolved_config(args, cfg: dict) -> dict:
-    n = args.n if args.n is not None else int(cfg.get("n", 256))
-    lo, hi = -3, 3
-    grid_spec = getattr(args, "grid", None) or cfg.get("grid")
-    if grid_spec:
-        lo_s, _, hi_s = grid_spec.partition("..")
-        lo, hi = int(lo_s), int(hi_s)
+    """n and the dyadic exponent range LO..HI of the grid, from the flags, else
+    the config file, else 256 and -3..3; malformed values raise UsageError."""
+    n_spec = args.n if args.n is not None else cfg.get("n", 256)
+    grid_spec = args.grid or cfg.get("grid") or "-3..3"
+    lo_s, _, hi_s = grid_spec.partition("..")
+    try:
+        n, lo, hi = int(n_spec), int(lo_s), int(hi_s)
+    except ValueError:
+        raise UsageError(f"need an integer n and a grid LO..HI of integers, got n={n_spec!r}, grid={grid_spec!r}") from None
+    if n < 1 or lo > hi:
+        raise UsageError(f"need n >= 1 and a grid LO..HI with LO <= HI, got n={n}, grid={grid_spec!r}")
     return {
         "n": n,
-        "grid": grid_spec or f"{lo}..{hi}",
+        "grid": grid_spec,
         "grid_values": [float(2.0**e) for e in range(lo, hi + 1)],
     }
 
@@ -209,6 +219,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.relation in NEEDS_RHS and args.rhs is None:
+        return _err("UsageError", f"check {args.relation} needs --rhs")
     cfg = _resolved_config(args, load_config(args.config))
     n = cfg["n"]
     grid = cfg["grid_values"]
@@ -257,9 +269,8 @@ def cmd_check(args) -> int:
     elif rel == "liminf2":
         v = cond_liminf2(mat(args.lhs), n)
     elif rel == "roquS":
-        m = _resolve(args.lhs, n, grid)
-        fam = m if "S[" in getattr(m, "name", "") else derive_family(m, "S", n)
-        v = cond_roquS(fam, n)
+        m = mat(args.lhs)
+        v = cond_roquS(m if m.provenance.get("construction") == "S" else derive_family(m, "S", n), n)
     elif rel == "invmg":
         v = cond_invmg(mat(args.lhs), n)
     elif rel == "membership":
@@ -299,7 +310,7 @@ def cmd_verify_chain(args) -> int:
     link("K_into_uL", "every K member dominated by a minorant-L member", matrix_braces_preceq(fams["K"], fams["underlineL"], n))
     link("uL_into_L", "minorant never exceeds its source", matrix_braces_preceq(fams["underlineL"], fams["L"], n))
 
-    src = getattr(mat, "source_fn", None)
+    src = mat.source_fn
     if src is not None:
         link("uL_into_K", "reverse inclusion closing the equality loop", matrix_braces_preceq(fams["underlineL"], fams["K"], n))
         try:

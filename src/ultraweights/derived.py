@@ -16,8 +16,10 @@ T_k = sum_{l>=k} 1/mu_l:
 
 Tail uncertainty: the tails enter as log brackets (`tail_mids`).  L and S
 use the log of the bracket's arithmetic midpoint and re-evaluate with both
-endpoints; the observed spread is attached to the result so that downstream
-verdicts can widen their slack.
+endpoints; the observed spread is the result's `tail_spread` diagnostic.
+The by-products of a construction are read from the result's `diagnostics`
+mapping: `tail_spread` (L, underline-L, S), `sigma_rescale` (S) and
+`log_q0` (Q); `derive_family` copies the first two into its provenance.
 """
 
 from __future__ import annotations
@@ -29,16 +31,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import MaximizerUnbounded, TruncationExhausted
-from .func_core import (
-    DOUBLINGS,
-    WeightFn,
-    WeightMatrix,
-    _kappa_assoc,
-    kappa_assoc,
-    omega_tilde_from_seq,
-    phi_star,
-    poisson_batch,
-)
+from .func_core import DOUBLINGS, WeightFn, WeightMatrix, kappa_fn, omega_tilde_from_seq, phi_star, poisson_batch
 from .seq_core import WeightSeq, log_convex_minorant, require_weight_seq, tail_mids
 from .verdicts import Status
 
@@ -52,18 +45,17 @@ Q_TABLE_CELLS = 2**18
 
 
 def _tilde(m: WeightSeq) -> WeightFn:
-    if not hasattr(m, "_tilde_fn"):
-        m._tilde_fn = omega_tilde_from_seq(m)
-    return m._tilde_fn
+    """omega~ of m, built once per sequence (`WeightSeq.tilde`)."""
+    return m.tilde(omega_tilde_from_seq)
 
 
 def seq_L(m: WeightSeq, n: int) -> WeightSeq:
     """The Borel-optimal derived sequence; see module docstring.
 
     The inner minimization is one quotient search (`_kernels.min_chord`;
-    log M is convex, so the minimizer is fixed by the quotients).  Attaches
-    `.spread`: the largest log deviation when the tail midpoint is replaced
-    by either bracket endpoint.
+    log M is convex, so the minimizer is fixed by the quotients).  The
+    `tail_spread` diagnostic is the largest log deviation when the tail
+    midpoint is replaced by either bracket endpoint.
     """
     require_weight_seq(m, "seq_L")
     t_lo, t_mid, t_hi = tail_mids(m, n)
@@ -77,72 +69,57 @@ def seq_L(m: WeightSeq, n: int) -> WeightSeq:
     spread = 0.0
     if float(np.max(t_hi - t_lo)) > 0:
         spread = float(max(np.max(np.abs(build(t_lo) - center)), np.max(np.abs(build(t_hi) - center))))
-    out = WeightSeq.from_values(f"L({m.name})", center, note=f"tail spread {spread:.3g} (log)")
-    out.spread = spread
-    return out
+    return WeightSeq.from_values(f"L({m.name})", center, note=f"tail spread {spread:.3g} (log)",
+                                 diagnostics={"tail_spread": spread})
 
 
 def seq_underline_L(m: WeightSeq, n: int) -> WeightSeq:
-    """Log-convex minorant of L, derived with the hull look-ahead buffer."""
-    buffer = max(16, n // 4)
-    big = seq_L(m, n + buffer)
-    out = log_convex_minorant(big, n)
-    out.name = f"uL({m.name})"
-    out.spread = big.spread
-    out.is_weight_seq = True
-    return out
+    """Log-convex minorant of L, derived with the hull look-ahead buffer;
+    keeps the `tail_spread` of that L."""
+    big = seq_L(m, n + max(16, n // 4))
+    hull = log_convex_minorant(big, n)
+    return WeightSeq.from_values(f"uL({m.name})", hull.values(n), is_weight_seq=True, note=hull.note,
+                                 diagnostics=big.diagnostics)
 
 
 def seq_S(m: WeightSeq, n: int) -> WeightSeq:
     """The strongly log-convex derived sequence built from tau_k = k/mu_k + T_k.
 
-    Exposes `.sigma_log` (log sigma_1..sigma_n), `.tau` (tau_1..tau_n),
-    `.rescale_c` (the constant making sigma <= mu on the truncation), and
-    `.spread` for the tail bracket.
+    Diagnostics: `sigma_rescale`, the constant c >= 1 with sigma_k <= c mu_k
+    on the truncation, and `tail_spread` for the tail bracket.  sigma is
+    read back from the values: log sigma_k = log S_k - log S_{k-1}.
     """
     require_weight_seq(m, "seq_S")
     t_lo, t_mid, t_hi = tail_mids(m, n)
     log_k = np.log(np.arange(1, n + 1, dtype=float))
     log_k_over_mu = log_k - m.log_mu(n)
 
-    def build(log_tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def build(log_tails: np.ndarray) -> np.ndarray:
         log_tau = np.logaddexp(log_k_over_mu, log_tails)
-        sigma_log = log_tau[0] + log_k - log_tau
-        return np.concatenate([[0.0], np.cumsum(sigma_log)]), log_tau
+        return np.concatenate([[0.0], np.cumsum(log_tau[0] + log_k - log_tau)])
 
-    center, log_tau = build(t_mid)
+    center = build(t_mid)
     spread = 0.0
     if float(np.max(t_hi - t_lo)) > 0:
-        spread = float(max(np.max(np.abs(build(t_lo)[0] - center)), np.max(np.abs(build(t_hi)[0] - center))))
-    out = WeightSeq.from_values(f"S({m.name})", center, is_weight_seq=True, note=f"tail spread {spread:.3g} (log)")
-    out.sigma_log = np.diff(center)
-    out.tau = np.exp(log_tau)
-    out.spread = spread
-    out.rescale_c = float(max(1.0, np.exp(np.max(out.sigma_log - m.log_mu(n)))))
-    return out
+        spread = float(max(np.max(np.abs(build(t_lo) - center)), np.max(np.abs(build(t_hi) - center))))
+    rescale = float(max(1.0, np.exp(np.max(np.diff(center) - m.log_mu(n)))))
+    return WeightSeq.from_values(f"S({m.name})", center, is_weight_seq=True, note=f"tail spread {spread:.3g} (log)",
+                                 diagnostics={"tail_spread": spread, "sigma_rescale": rescale})
 
 
 def seq_K(m: WeightSeq, n: int) -> WeightSeq:
     """Conjugate-of-kappa derived sequence: log K_j = phi*_kappa-hat(j).
 
-    kappa is evaluated through the exact piecewise form for
-    sequence-associated functions and normalized so that K_0 = 1 exactly
-    (subtract kappa(1), clamp to zero on [0,1]).
+    kappa of omega~ is the exact piecewise form for sequence-associated
+    functions, normalized so that K_0 = 1 exactly (subtract kappa(1), clamp
+    to zero on [0,1]): `kappa_fn`.
     """
     require_weight_seq(m, "seq_K")
     tail_mids(m, 1)  # raises DivergentTail for a quasianalytic input
-    w = _tilde(m)
-    c = float(kappa_assoc(w, 1.0))
-
-    def khat(ys: np.ndarray) -> np.ndarray:
-        return np.where(ys <= 0.0, 0.0, np.maximum(_kappa_assoc(w, ys) - c, 0.0))
-
-    khat_fn = WeightFn(f"kappahat[{m.name}]", khat, normalized=True)
-    logk = phi_star(khat_fn, np.arange(0, n + 1, dtype=float))
+    logk = phi_star(kappa_fn(_tilde(m)), np.arange(0, n + 1, dtype=float))
     logk[0] = 0.0
-    out = WeightSeq.from_values(f"K({m.name})", logk, is_weight_seq=True,
-                                note="K_j/M_j stays bounded; conjugate of the averaged associated function")
-    return out
+    return WeightSeq.from_values(f"K({m.name})", logk, is_weight_seq=True,
+                                 note="K_j/M_j stays bounded; conjugate of the averaged associated function")
 
 
 def seq_Q(m: WeightSeq, n: int) -> WeightSeq:
@@ -153,8 +130,8 @@ def seq_Q(m: WeightSeq, n: int) -> WeightSeq:
     while a maximizer touches it, until a radius passes the last quotient of
     the capped array (MaximizerUnbounded).  A finite M with J quotients is
     refused when 2n + 1 >= J + 2: P grows with slope J + 2, so Q_n = inf.
-    Raw values are kept in `.log_q_raw`; the returned sequence is divided by
-    Q_0 to restore M_0 = 1, which stays in the equivalence class.
+    The returned sequence is divided by Q_0 to restore M_0 = 1, which stays
+    in the equivalence class; the `log_q0` diagnostic holds log Q_0.
     """
     require_weight_seq(m, "seq_Q")
     tail_mids(m, 1)  # raises DivergentTail for a quasianalytic input
@@ -187,14 +164,13 @@ def seq_Q(m: WeightSeq, n: int) -> WeightSeq:
         raise MaximizerUnbounded(f"seq_Q({m.name}): radial sup still at the grid ends after {DOUBLINGS} doublings")
     log_q = ks * rho[arg] - p_half[arg]
 
-    out = WeightSeq.from_values(
+    return WeightSeq.from_values(
         f"Q({m.name})",
         log_q - log_q[0],
         is_weight_seq=True,
         note=f"normalized by log Q_0 = {log_q[0]:.6g}; sup over log r grid [{i_lo * dx:.6g}, {i_hi * dx:.6g}], dx={dx}",
+        diagnostics={"log_q0": float(log_q[0])},
     )
-    out.log_q_raw = log_q
-    return out
 
 
 _CONSTRUCTORS = {
@@ -238,9 +214,7 @@ def derive_family(mat: WeightMatrix, which: Literal["L", "underlineL", "S", "K",
     mono = fam.check_monotone(n=min(n, 64))
     if mono.status is not Status.HOLDS:
         fam.warnings.append(f"member monotonicity not satisfied: {mono.note} (tolerated for derived families)")
-    spreads = {f"{a:g}": getattr(fam.member(a), "spread", None) for a in fam.grid}
-    if any(v is not None for v in spreads.values()):
-        fam.provenance["tail_spread"] = spreads
-    if which == "S":
-        fam.provenance["sigma_rescale"] = {f"{a:g}": getattr(fam.member(a), "rescale_c", None) for a in fam.grid}
+    for key in ("tail_spread", "sigma_rescale"):
+        if key in fam.member(fam.grid[0]).diagnostics:
+            fam.provenance[key] = {f"{a:g}": fam.member(a).diagnostics[key] for a in fam.grid}
     return fam

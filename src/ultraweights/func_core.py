@@ -220,9 +220,10 @@ def phi_star_maximizer(w: WeightFn, x):
     return ym if np.asarray(x).ndim else float(ym[0])
 
 
-def phi_star_involution_check(w: WeightFn, t_grid=None, rel_tol: float = 1e-4) -> Verdict:
-    """Check that conjugating twice recovers phi(y) on sampled arguments."""
-    t_grid = log_t_grid(1.0, 100.0, 24) if t_grid is None else np.asarray(t_grid, dtype=float)
+def phi_star_involution_check(w: WeightFn) -> Verdict:
+    """Check that conjugating twice recovers phi(y) within 1e-4 relative on
+    24 log-spaced t in [1, 100]."""
+    t_grid = log_t_grid(1.0, 100.0, 24)
     ys = np.log(t_grid)
     direct = w.phi(ys)
 
@@ -232,7 +233,7 @@ def phi_star_involution_check(w: WeightFn, t_grid=None, rel_tol: float = 1e-4) -
 
     err = np.abs(bi - direct) / np.maximum(1.0, np.abs(direct))
     i = int(np.argmax(err))
-    status = Status.HOLDS if err[i] <= rel_tol else Status.FAILS
+    status = Status.HOLDS if err[i] <= 1e-4 else Status.FAILS
     return Verdict(
         status,
         relation="biconjugate-identity",
@@ -743,13 +744,14 @@ def normalize_fn(w: WeightFn) -> WeightFn:
     )
 
 
-def kappa_fn(w: WeightFn, *, use_ref: bool = True) -> WeightFn:
+def kappa_fn(w: WeightFn) -> WeightFn:
     """kappa as a WeightFn (normalized representative), for chaining transforms.
 
-    Evaluates through the attached closed form when available and allowed,
-    else through memoized quadrature midpoints (which need an envelope).
+    Evaluates through the attached closed form when there is one, else the
+    piecewise closed form of an associated function, else memoized
+    quadrature midpoints (which need an envelope).
     """
-    if use_ref and w.kappa_ref is not None:
+    if w.kappa_ref is not None:
         raw = w.kappa_ref
         how = "closed form"
     elif w.assoc is not None:
@@ -793,11 +795,13 @@ def kappa_fn(w: WeightFn, *, use_ref: bool = True) -> WeightFn:
 class WeightMatrix:
     """One-parameter family of weight sequences, non-decreasing in the parameter."""
 
-    def __init__(self, name: str, member_fn: Callable[[float], WeightSeq], grid=None, provenance: dict | None = None):
+    def __init__(self, name: str, member_fn: Callable[[float], WeightSeq], grid=None, provenance: dict | None = None,
+                 source_fn: Optional[WeightFn] = None):
         self.name = name
         self._member_fn = member_fn
         self.grid = np.asarray(DEFAULT_GRID if grid is None else grid, dtype=float)
         self.provenance = provenance or {}
+        self.source_fn = source_fn  # the weight function of a canonical matrix
         self.warnings: list[str] = []
         self._cache: dict[float, WeightSeq] = {}
         self._lock = threading.Lock()
@@ -812,8 +816,8 @@ class WeightMatrix:
     def members(self) -> list[WeightSeq]:
         return [self.member(a) for a in self.grid]
 
-    def check_monotone(self, n: int = 64, tol: float = 1e-7) -> Verdict:
-        """Pointwise log-domain monotonicity across the grid (sampled)."""
+    def check_monotone(self, n: int = 64) -> Verdict:
+        """Pointwise log-domain monotonicity across the grid (sampled), within 1e-7."""
         vals = [m.values(int(min(n, m.max_index))) for m in self.members()]
         n_eff = min(len(v) for v in vals)
         worst = 0.0
@@ -822,7 +826,7 @@ class WeightMatrix:
             gap = float(np.max(vals[i][:n_eff] - vals[i + 1][:n_eff]))
             if gap > worst:
                 worst, where = gap, (float(self.grid[i]), float(self.grid[i + 1]))
-        if worst > tol:
+        if worst > 1e-7:
             return Verdict(Status.FAILS, relation="matrix-monotone", lhs=self.name, witness=where,
                            note=f"log gap {worst:.3g} between members {where}")
         return Verdict(Status.HOLDS, relation="matrix-monotone", lhs=self.name)
@@ -865,43 +869,43 @@ def matrix_from_omega(w: WeightFn, grid=None) -> WeightMatrix:
             slope = (wn.phi(log_t + h) - wn.phi(log_t - h)) / (2 * h)
             return np.floor(np.maximum(slope, 0.0) / alpha)
 
-        seq = WeightSeq(
+        ref = wn.phi_star_ref
+        return WeightSeq(
             f"M[{w.name};a={alpha:g}]",
             ev,
             is_weight_seq=True,
             note=f"scaled-conjugate member, parameter {alpha:g}",
+            quotient_proxy=proxy,
+            count_leq=count_leq,
+            log_m_fast=None if ref is None else (
+                lambda kk: np.asarray(ref(alpha * np.asarray(kk, dtype=float)), dtype=float) / alpha),
         )
-        seq.quotient_proxy = proxy
-        seq.count_leq = count_leq
-        if wn.phi_star_ref is not None:
-            ref = wn.phi_star_ref
-            seq.log_m_fast = lambda kk: np.asarray(ref(alpha * np.asarray(kk, dtype=float)), dtype=float) / alpha
-        return seq
 
-    mat = WeightMatrix(
+    return WeightMatrix(
         f"matrix[{w.name}]",
         make,
         grid=grid,
         provenance={"source": w.name, "construction": "scaled Young conjugate"},
+        source_fn=w,
     )
-    mat.source_fn = w
-    return mat
 
 
 # -- order relations on functions ---------------------------------------------
 
 
-def fn_preceq(sigma: WeightFn, omega: WeightFn, t_grid=None) -> Verdict:
-    """sigma precedes omega when omega(t) = O(sigma(t)): trend on the ratio."""
-    t_grid = log_t_grid(4.0, 1e8, 64) if t_grid is None else np.asarray(t_grid, dtype=float)
+def fn_preceq(sigma: WeightFn, omega: WeightFn) -> Verdict:
+    """sigma precedes omega when omega(t) = O(sigma(t)): trend on the ratio
+    over 64 log-spaced t in [4, 1e8]."""
+    t_grid = log_t_grid(4.0, 1e8, 64)
     num = omega.omega(t_grid)
     den = np.maximum(sigma.omega(t_grid), 1e-300)
     return trend_bounded(num / den, t_grid, relation="fn-preceq", lhs=sigma.name, rhs=omega.name)
 
 
-def prec_st(sigma: WeightFn, omega: WeightFn, t_grid=None) -> Verdict:
-    """Strong order: kappa_omega(t) <= C sigma(t) + C along the grid (trend)."""
-    t_grid = log_t_grid(4.0, 1e8, 40) if t_grid is None else np.asarray(t_grid, dtype=float)
+def prec_st(sigma: WeightFn, omega: WeightFn) -> Verdict:
+    """Strong order: kappa_omega(t) <= C sigma(t) + C over 40 log-spaced t in
+    [4, 1e8] (trend)."""
+    t_grid = log_t_grid(4.0, 1e8, 40)
     if omega.assoc is not None:
         kap = np.asarray(kappa_assoc(omega, t_grid), dtype=float)
     else:
@@ -917,11 +921,8 @@ class FnPredicateReport:
     non_quasianalytic: Verdict
     little_o: Verdict
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k).to_dict() for k in ("doubling", "om6", "non_quasianalytic", "little_o")}
 
-
-def fn_predicates(w: WeightFn, t_grid=None) -> FnPredicateReport:
+def fn_predicates(w: WeightFn) -> FnPredicateReport:
     """Structure predicates of a weight function, each as a Verdict.
 
     doubling: omega(2t) = O(omega(t)); om6: exists H >= 1 with
@@ -929,8 +930,9 @@ def fn_predicates(w: WeightFn, t_grid=None) -> FnPredicateReport:
     non-quasianalyticity of int omega(t)/(1+t^2) dt (for an associated
     function, the tail bracket of its sequence decides; otherwise the
     envelope, with a linear-growth divergence certificate); omega(t) = o(t).
+    Sampled on 64 log-spaced t in [4, 1e8].
     """
-    t_grid = log_t_grid(4.0, 1e8, 64) if t_grid is None else np.asarray(t_grid, dtype=float)
+    t_grid = log_t_grid(4.0, 1e8, 64)
     om = w.omega(t_grid)
     den = np.maximum(om, 1e-300)
     with np.errstate(divide="ignore"):

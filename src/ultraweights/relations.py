@@ -23,7 +23,6 @@ from .seq_core import WeightSeq, require_weight_seq, seq_preceq, tail_mids
 from .verdicts import (
     Status,
     Verdict,
-    subsample,
     trend_bounded,
     trend_liminf_positive,
 )
@@ -43,30 +42,29 @@ __all__ = [
     "cond_kappa_doubling",
     "lambda_membership",
     "implication",
-    "DEFAULT_S_GRID",
+    "S_GRID",
 ]
 
-DEFAULT_S_GRID = 2.0 ** np.arange(0, 11)
+S_GRID = 2.0 ** np.arange(0, 11)
 
 
-def _extended(grid: np.ndarray, steps: int = 2) -> np.ndarray:
-    """Existential search grid: the declared grid plus a few dyadic steps up."""
+def _extended(grid: np.ndarray) -> np.ndarray:
+    """Existential search grid: the declared grid plus two dyadic steps up."""
     g = np.asarray(grid, dtype=float)
-    return np.concatenate([g, g[-1] * 2.0 ** np.arange(1, steps + 1)])
+    return np.concatenate([g, g[-1] * 2.0 ** np.arange(1, 3)])
 
 
-def prec_SV(mp: WeightSeq, m: WeightSeq, n: int, s_grid=None) -> Verdict:
+def prec_SV(mp: WeightSeq, m: WeightSeq, n: int) -> Verdict:
     """The mixed strong-nonquasianalyticity order: for some integer factor s,
 
         F_s(j) = exp(sup_{0<=i<j} (log M'_j - j log s - log M_i)/(j-i)) / j * T_j
 
-    stays bounded over j.  Holds when any s on the grid passes the trend
+    stays bounded over j.  Holds when any s on S_GRID passes the trend
     test, Fails when every s certifies growth, Inconclusive otherwise.
     The inner sup is exact: a bisection over i that relies on M being
     log-convex (`_kernels.sv_sup`); M' may be any positive sequence.
     """
     require_weight_seq(m, "prec_SV rhs")
-    s_grid = DEFAULT_S_GRID if s_grid is None else np.asarray(s_grid, dtype=float)
     log_t = tail_mids(m, n)[1]
     log_mp = mp.values(n)
     log_m = m.values(n)
@@ -75,7 +73,7 @@ def prec_SV(mp: WeightSeq, m: WeightSeq, n: int, s_grid=None) -> Verdict:
 
     per_s: list[tuple[float, Verdict]] = []
     best = None
-    for s in s_grid:
+    for s in S_GRID:
         sup = _kernels.sv_sup(log_mp, log_m, math.log(s))[1:]
         log_f = sup - log_j + log_t
         f = np.exp(np.minimum(log_f, 709.0))
@@ -90,14 +88,14 @@ def prec_SV(mp: WeightSeq, m: WeightSeq, n: int, s_grid=None) -> Verdict:
     if best is not None:
         s, v = best
         return Verdict(Status.HOLDS, relation="prec_SV", lhs=mp.name, rhs=m.name, witness=s,
-                       trajectory=v.trajectory, pairing=pairing, grid=[float(x) for x in s_grid],
+                       trajectory=v.trajectory, pairing=pairing, grid=[float(x) for x in S_GRID],
                        note=f"bounded with s={s:g}: {v.note}")
     if all(st is Status.FAILS for st in statuses):
         return Verdict(Status.FAILS, relation="prec_SV", lhs=mp.name, rhs=m.name,
-                       pairing=pairing, grid=[float(x) for x in s_grid],
+                       pairing=pairing, grid=[float(x) for x in S_GRID],
                        note="growth certified for every s on the grid")
     return Verdict(Status.INCONCLUSIVE, relation="prec_SV", lhs=mp.name, rhs=m.name,
-                   pairing=pairing, grid=[float(x) for x in s_grid],
+                   pairing=pairing, grid=[float(x) for x in S_GRID],
                    note="no s passes, growth not certified everywhere")
 
 
@@ -187,14 +185,13 @@ def _exists_beta(alpha_grid, beta_grid, test, relation: str, lhs: str, rhs: str)
                    grid=[float(x) for x in alpha_grid], note=note)
 
 
-def matrix_braces_preceq(a: WeightMatrix, b: WeightMatrix, n: int, beta_grid=None) -> Verdict:
+def matrix_braces_preceq(a: WeightMatrix, b: WeightMatrix, n: int) -> Verdict:
     """Family order: every member of `a` is dominated by some member of `b`."""
-    beta_grid = _extended(b.grid) if beta_grid is None else np.asarray(beta_grid, dtype=float)
 
     def test(al: float, be: float) -> Verdict:
         return seq_preceq(a.member(al), b.member(be), n)
 
-    return _exists_beta(a.grid, beta_grid, test, "braces-preceq", a.name, b.name)
+    return _exists_beta(a.grid, _extended(b.grid), test, "braces-preceq", a.name, b.name)
 
 
 def matrix_r_equivalent(a: WeightMatrix, b: WeightMatrix, n: int) -> Verdict:
@@ -208,9 +205,8 @@ def matrix_r_equivalent(a: WeightMatrix, b: WeightMatrix, n: int) -> Verdict:
                    note=f"forward {fwd.status.value}, backward {bwd.status.value}")
 
 
-def r_moderate_growth(mat: WeightMatrix, n: int, beta_grid=None) -> Verdict:
+def r_moderate_growth(mat: WeightMatrix, n: int) -> Verdict:
     """Family moderate growth: log M^(a)_{j+k} <= (j+k) log C + log M^(b)_j + log M^(b)_k."""
-    beta_grid = _extended(mat.grid) if beta_grid is None else np.asarray(beta_grid, dtype=float)
 
     def test(al: float, be: float) -> Verdict:
         va = mat.member(al).values(n)
@@ -219,12 +215,11 @@ def r_moderate_growth(mat: WeightMatrix, n: int, beta_grid=None) -> Verdict:
         ms = np.arange(2, n + 1, dtype=float)
         return trend_bounded(gap[2:] / ms, ms)
 
-    return _exists_beta(mat.grid, beta_grid, test, "r-moderate-growth", mat.name, mat.name)
+    return _exists_beta(mat.grid, _extended(mat.grid), test, "r-moderate-growth", mat.name, mat.name)
 
 
-def cond_liminf(mat: WeightMatrix, n: int, beta_grid=None, *, shift: int = 1) -> Verdict:
+def cond_liminf(mat: WeightMatrix, n: int, *, shift: int = 1) -> Verdict:
     """liminf (mu^(b)_k / k) sum_{j >= shift*k} 1/mu^(a)_j > 0, quantified on the grid."""
-    beta_grid = _extended(mat.grid) if beta_grid is None else np.asarray(beta_grid, dtype=float)
     rel = "liminf" if shift == 1 else f"liminf{shift}"
 
     def test(al: float, be: float) -> Verdict:
@@ -237,33 +232,26 @@ def cond_liminf(mat: WeightMatrix, n: int, beta_grid=None, *, shift: int = 1) ->
         log_vals = mb.log_mu(n) - np.log(js) + mid[shift * np.arange(1, n + 1) - 1]
         return trend_liminf_positive(log_vals, js)
 
-    return _exists_beta(mat.grid, beta_grid, test, rel, mat.name, mat.name)
+    return _exists_beta(mat.grid, _extended(mat.grid), test, rel, mat.name, mat.name)
 
 
-def cond_liminf2(mat: WeightMatrix, n: int, beta_grid=None) -> Verdict:
-    return cond_liminf(mat, n, beta_grid, shift=2)
+def cond_liminf2(mat: WeightMatrix, n: int) -> Verdict:
+    return cond_liminf(mat, n, shift=2)
 
 
-def cond_roquS(s_family: WeightMatrix, n: int, beta_grid=None) -> Verdict:
+def cond_roquS(s_family: WeightMatrix, n: int) -> Verdict:
     """sigma^(a)_j <= A (S^(b)_j)^{1/j}: root-quotient domination inside the S family."""
-    beta_grid = _extended(s_family.grid) if beta_grid is None else np.asarray(beta_grid, dtype=float)
 
     def test(al: float, be: float) -> Verdict:
-        sa = s_family.member(al)
-        sb = s_family.member(be)
-        sigma_log = getattr(sa, "sigma_log", None)
-        if sigma_log is None:
-            sigma_log = np.diff(sa.values(n))
         js = np.arange(1, n + 1, dtype=float)
-        d = sigma_log[:n] - sb.values(n)[1:] / js
+        d = np.diff(s_family.member(al).values(n)) - s_family.member(be).values(n)[1:] / js
         return trend_bounded(d, js)
 
-    return _exists_beta(s_family.grid, beta_grid, test, "root-quotient-S", s_family.name, s_family.name)
+    return _exists_beta(s_family.grid, _extended(s_family.grid), test, "root-quotient-S", s_family.name, s_family.name)
 
 
-def cond_invmg(mat: WeightMatrix, n: int, beta_grid=None) -> Verdict:
+def cond_invmg(mat: WeightMatrix, n: int) -> Verdict:
     """(mu^(a)_j)^2 <= A mu^(b)_{2j}: inverse moderate growth across members."""
-    beta_grid = _extended(mat.grid) if beta_grid is None else np.asarray(beta_grid, dtype=float)
 
     def test(al: float, be: float) -> Verdict:
         la = mat.member(al).log_mu(n)
@@ -271,16 +259,15 @@ def cond_invmg(mat: WeightMatrix, n: int, beta_grid=None) -> Verdict:
         js = np.arange(1, n + 1, dtype=float)
         return trend_bounded(2.0 * la - lb2, js)
 
-    return _exists_beta(mat.grid, beta_grid, test, "inverse-moderate-growth", mat.name, mat.name)
+    return _exists_beta(mat.grid, _extended(mat.grid), test, "inverse-moderate-growth", mat.name, mat.name)
 
 
-def cond_kappa_doubling(mat: WeightMatrix, t_grid=None, h_grid=None, beta_grid=None) -> Verdict:
-    """2 kappa_b(t) <= kappa_a(H t) + H for some H: value-doubling of the
-    averaged associated functions across members (the family analogue of the
-    growth-doubling condition)."""
-    t_grid = log_t_grid(2.0, 1e6, 40) if t_grid is None else np.asarray(t_grid, dtype=float)
-    h_grid = 2.0 ** np.arange(0, 13) if h_grid is None else np.asarray(h_grid, dtype=float)
-    beta_grid = _extended(mat.grid) if beta_grid is None else np.asarray(beta_grid, dtype=float)
+def cond_kappa_doubling(mat: WeightMatrix) -> Verdict:
+    """2 kappa_b(t) <= kappa_a(H t) + H for some dyadic H <= 2^12 on 40
+    log-spaced t in [2, 1e6]: value-doubling of the averaged associated
+    functions across members (the family analogue of the growth-doubling
+    condition)."""
+    t_grid = log_t_grid(2.0, 1e6, 40)
 
     def kap(alpha: float, ts: np.ndarray) -> np.ndarray:
         w = _tilde(mat.member(alpha))
@@ -288,13 +275,13 @@ def cond_kappa_doubling(mat: WeightMatrix, t_grid=None, h_grid=None, beta_grid=N
 
     def test(al: float, be: float) -> Verdict:
         lhs = 2.0 * kap(be, t_grid)
-        for H in h_grid:
+        for H in 2.0 ** np.arange(0, 13):
             rhs = kap(al, H * t_grid) + H
             if np.all(lhs <= rhs + 1e-9):
                 return Verdict(Status.HOLDS, witness=float(H))
         return Verdict(Status.INCONCLUSIVE, note="no dyadic H <= 2^12 works on the grid")
 
-    return _exists_beta(mat.grid, beta_grid, test, "kappa-doubling", mat.name, mat.name)
+    return _exists_beta(mat.grid, _extended(mat.grid), test, "kappa-doubling", mat.name, mat.name)
 
 
 def lambda_membership(a_log, weight, n: int) -> Verdict:
@@ -317,9 +304,8 @@ def lambda_membership(a_log, weight, n: int) -> Verdict:
                            witness={"sigma": sigma, "member": m.name},
                            trajectory=v.trajectory, note=f"bounded with sigma={sigma:.6g}")
         statuses.append(v.status)
-    name = weight.name if hasattr(weight, "name") else "weight"
     if all(st is Status.FAILS for st in statuses):
-        return Verdict(Status.FAILS, relation="membership", lhs="coefficients", rhs=name,
+        return Verdict(Status.FAILS, relation="membership", lhs="coefficients", rhs=weight.name,
                        note="(log|a_k| - log M_k)/k grows for every member")
-    return Verdict(Status.INCONCLUSIVE, relation="membership", lhs="coefficients", rhs=name,
+    return Verdict(Status.INCONCLUSIVE, relation="membership", lhs="coefficients", rhs=weight.name,
                    note="(log|a_k| - log M_k)/k neither bounded nor certified to grow")

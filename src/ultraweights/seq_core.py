@@ -16,7 +16,8 @@ import csv
 import io
 import math
 import threading
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .verdicts import (
     combine_all,
     subsample,
     trend_bounded,
-    trend_to_infinity,
 )
 
 __all__ = [
@@ -80,6 +80,10 @@ class WeightSeq:
         is_weight_seq: bool = False,
         max_index: float = math.inf,
         note: str = "",
+        quotient_proxy: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        count_leq: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        log_m_fast: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        diagnostics: Optional[Mapping[str, float]] = None,
     ):
         self.name = name
         self._eval = log_m_vec
@@ -87,13 +91,16 @@ class WeightSeq:
         self.is_weight_seq = is_weight_seq
         self.max_index = max_index
         self.note = note
-        # optional monotone proxy for log mu_k at huge float indices, where
+        # monotone proxy for log mu_k at huge float indices, where
         # differencing the evaluator would lose all precision
-        self.quotient_proxy: Optional[Callable[[np.ndarray], np.ndarray]] = None
-        # optional fast paths of the associated function beyond its quotient
-        # array: a closed-form twin of log_m, and a direct quotient-count hook
-        self.log_m_fast: Optional[Callable[[np.ndarray], np.ndarray]] = None
-        self.count_leq: Optional[Callable[[np.ndarray], np.ndarray]] = None
+        self.quotient_proxy = quotient_proxy
+        # fast paths of the associated function beyond its quotient array:
+        # a direct quotient-count hook and a closed-form twin of log_m
+        self.count_leq = count_leq
+        self.log_m_fast = log_m_fast
+        # by-products of the construction that built this sequence
+        self.diagnostics: Mapping[str, float] = MappingProxyType(dict(diagnostics or {}))
+        self._tilde = None  # omega~ of this sequence, built once by `tilde`
         self._prefix = np.zeros(1)
         self._lock = threading.Lock()
         m0 = float(self.log_m(0))
@@ -103,7 +110,7 @@ class WeightSeq:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_values(name: str, log_values, *, is_weight_seq=False, note="") -> "WeightSeq":
+    def from_values(name: str, log_values, *, is_weight_seq=False, note="", diagnostics=None) -> "WeightSeq":
         vals = np.asarray(log_values, dtype=float).copy()
         if abs(vals[0]) > 1e-12:
             note = (note + " " if note else "") + f"shifted by -log M_0 = {-vals[0]:.6g}"
@@ -116,7 +123,7 @@ class WeightSeq:
                 raise TruncationExhausted(f"{name}: index beyond truncation {nmax}")
             return vals[np.round(kk).astype(np.int64)]
 
-        seq = WeightSeq(name, ev, is_weight_seq=is_weight_seq, max_index=nmax, note=note)
+        seq = WeightSeq(name, ev, is_weight_seq=is_weight_seq, max_index=nmax, note=note, diagnostics=diagnostics)
         seq._prefix = vals
         return seq
 
@@ -140,6 +147,13 @@ class WeightSeq:
     def log_mu(self, n: int) -> np.ndarray:
         """log mu_1 .. log mu_n (index i holds log mu_{i+1})."""
         return np.diff(self.values(n))
+
+    def tilde(self, build: Callable[["WeightSeq"], Any]) -> Any:
+        """omega~ of this sequence: `build(self)` on the first call, the same
+        object after it, so that K and Q share one associated-function array."""
+        if self._tilde is None:
+            self._tilde = build(self)
+        return self._tilde
 
     def mu(self, k: int) -> float:
         if k < 1:
@@ -265,31 +279,31 @@ def log_tail_bracket(seq: WeightSeq, ks, n_max: int = DEFAULT_TAIL_N) -> LogBrac
     return log_suffix_bracket(-log_mu, ks - 1, log_rem)
 
 
-def tail_recip_mu(seq: WeightSeq, k: int, n_max: int = DEFAULT_TAIL_N) -> Interval:
+def tail_recip_mu(seq: WeightSeq, k: int) -> Interval:
     """Bracket sum_{l >= k} 1/mu_l: `log_tail_bracket` at one index."""
-    lo, hi = log_tail_bracket(seq, k, n_max)
+    lo, hi = log_tail_bracket(seq, k)
     return Interval(math.exp(lo[0]), math.exp(hi[0]))
 
 
-def tail_mids(seq: WeightSeq, n: int, n_max: int = DEFAULT_TAIL_N) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def tail_mids(seq: WeightSeq, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Log arrays (lo, mid, hi) of the tail bracket for k = 1..n (index k-1).
 
     mid is the log of the arithmetic midpoint.  Generic brackets sum to
-    max(n_max, 2n).  Raises DivergentTail when an upper end is not finite.
+    max(DEFAULT_TAIL_N, 2n).  Raises DivergentTail when an upper end is not finite.
     """
-    lo, hi = log_tail_bracket(seq, np.arange(1, n + 1), max(n_max, 2 * n))
+    lo, hi = log_tail_bracket(seq, np.arange(1, n + 1), max(DEFAULT_TAIL_N, 2 * n))
     if not np.all(np.isfinite(hi)):
         raise DivergentTail(f"{seq.name}: reciprocal-quotient tail has no finite bracket")
     return lo, _log_mid(lo, hi), hi
 
 
-def is_non_quasianalytic(seq: WeightSeq, n_max: int = DEFAULT_TAIL_N) -> Verdict:
+def is_non_quasianalytic(seq: WeightSeq) -> Verdict:
     """Holds iff the reciprocal-quotient tail has a finite upper bracket.
 
     Fails when divergence is certified by mu_k staying within a constant
     multiple of k (harmonic comparison); otherwise Inconclusive.
     """
-    bracket = tail_recip_mu(seq, 1, n_max)
+    bracket = tail_recip_mu(seq, 1)
     if math.isfinite(bracket.hi):
         return Verdict(
             Status.HOLDS,
@@ -298,7 +312,7 @@ def is_non_quasianalytic(seq: WeightSeq, n_max: int = DEFAULT_TAIL_N) -> Verdict
             witness=bracket,
             note=f"sum 1/mu bracketed by [{bracket.lo:.9g}, {bracket.hi:.9g}]",
         )
-    n_eff = int(min(n_max, seq.max_index))
+    n_eff = int(min(DEFAULT_TAIL_N, seq.max_index))
     ratio = seq.log_mu(n_eff) - np.log(np.arange(1, n_eff + 1, dtype=float))
     v = trend_bounded(ratio, relation="non-quasianalytic", lhs=seq.name)
     if v.holds:  # mu_k <= c k persistently: harmonic minorant diverges
@@ -415,7 +429,7 @@ def log_convex_minorant(seq: WeightSeq, n: int) -> WeightSeq:
 # -- serialization ---------------------------------------------------------
 
 
-def seq_to_csv(seq: WeightSeq, n: int, out=None) -> str:
+def seq_to_csv(seq: WeightSeq, n: int) -> str:
     """Columns (k, log_m, mu); mu is empty at k = 0.  LF endings, '.' decimal."""
     vals = seq.values(n)
     buf = io.StringIO()
@@ -425,10 +439,7 @@ def seq_to_csv(seq: WeightSeq, n: int, out=None) -> str:
     mus = np.exp(np.diff(vals))
     for k in range(1, n + 1):
         w.writerow([k, repr(float(vals[k])), repr(float(mus[k - 1]))])
-    text = buf.getvalue()
-    if out is not None:
-        out.write(text)
-    return text
+    return buf.getvalue()
 
 
 def seq_to_json(seq: WeightSeq, n: int) -> dict:

@@ -21,6 +21,7 @@ import numpy as np
 LOG_TOL = 1e-9
 TREND_SLACK = 1e-3
 TREND_SLOPE = 0.05
+TRAJECTORY_SAMPLES = 24
 # Overflow guard: a trajectory value beyond exp(700) is treated as a growth
 # certificate rather than propagated as inf.
 LOG_CLAMP = 700.0
@@ -132,7 +133,7 @@ def _jsonable(x):
     return str(x)
 
 
-def combine_all(verdicts, note: str = "") -> Status:
+def combine_all(verdicts) -> Status:
     """Conjunction: Fails dominates, then Inconclusive, then Holds."""
     statuses = [v.status if isinstance(v, Verdict) else v for v in verdicts]
     if any(s is Status.FAILS for s in statuses):
@@ -142,14 +143,14 @@ def combine_all(verdicts, note: str = "") -> Status:
     return Status.HOLDS
 
 
-def subsample(xs, values, limit: int = 24) -> list:
-    """Thin a trajectory to at most `limit` (x, value) pairs for reports."""
+def subsample(xs, values) -> list:
+    """Thin a trajectory to at most TRAJECTORY_SAMPLES (x, value) pairs for reports."""
     xs = np.asarray(xs)
     values = np.asarray(values, dtype=float)
-    if len(xs) <= limit:
+    if len(xs) <= TRAJECTORY_SAMPLES:
         idx = np.arange(len(xs))
     else:
-        idx = np.unique(np.linspace(0, len(xs) - 1, limit).round().astype(int))
+        idx = np.unique(np.linspace(0, len(xs) - 1, TRAJECTORY_SAMPLES).round().astype(int))
     return [(float(xs[i]), float(values[i])) for i in idx]
 
 
@@ -163,23 +164,14 @@ def _windows(m: int) -> tuple[slice, slice, slice] | None:
     return w1, w2, w3
 
 
-def trend_bounded(
-    values,
-    xs=None,
-    *,
-    slack: float = TREND_SLACK,
-    slope_tol: float = TREND_SLOPE,
-    relation: str = "",
-    lhs: str = "",
-    rhs: str = "",
-) -> Verdict:
+def trend_bounded(values, xs=None, *, relation: str = "", lhs: str = "", rhs: str = "") -> Verdict:
     """Decide whether a sampled functional stays bounded above.
 
     Holds when the max over the last dyadic window exceeds the max over the
-    previous one by at most `slack`, or when the window maxima increase with
+    previous one by at most TREND_SLACK, or when the window maxima increase with
     geometrically decaying increments (ratio <= 3/4), which certifies
     convergence to a finite limit from below.  Fails when the regression of
-    the values on log(x) over the last half has slope > `slope_tol`, the
+    the values on log(x) over the last half has slope > TREND_SLOPE, the
     window maxima increase across three consecutive dyadic windows, and the
     slope persists between the last two windows (saturating trajectories
     lose slope; genuine growth keeps it) -- or when a value overflows the
@@ -209,7 +201,7 @@ def trend_bounded(
     i_max = int(np.argmax(values))
     meta["witness"] = float(xs[i_max])
 
-    if m3 <= m2 + slack:
+    if m3 <= m2 + TREND_SLACK:
         return Verdict(Status.HOLDS, note=f"window maxima {m2:.6g} -> {m3:.6g}", **meta)
     gap21, gap32 = m2 - m1, m3 - m2
     if gap21 > 0 and gap32 <= 0.75 * gap21:
@@ -226,7 +218,7 @@ def trend_bounded(
     slope2 = _regression_slope(np.log(xs[w2]), values[w2])
     slope3 = _regression_slope(np.log(xs[w3]), values[w3])
     persistent = slope3 >= 0.9 * max(slope2, 0.0)
-    if slope > slope_tol and m2 > m1 + slack and m3 > m2 + slack and persistent:
+    if slope > TREND_SLOPE and m2 > m1 + TREND_SLACK and m3 > m2 + TREND_SLACK and persistent:
         return Verdict(
             Status.FAILS,
             note=f"growth certified: slope {slope:.4g} over log x, maxima {m1:.6g} < {m2:.6g} < {m3:.6g}",
@@ -248,16 +240,15 @@ def _regression_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(x @ (y - y.mean())) / denom
 
 
-def trend_to_infinity(values, xs=None, **kw) -> Verdict:
+def trend_to_infinity(values, xs=None) -> Verdict:
     """Certify that a sampled functional grows without bound (mirror test)."""
-    v = trend_bounded(values, xs, **kw)
+    v = trend_bounded(values, xs)
     flip = {Status.HOLDS: Status.FAILS, Status.FAILS: Status.HOLDS, Status.INCONCLUSIVE: Status.INCONCLUSIVE}
     note = {"Fails": "growth certified", "Holds": "trajectory stays bounded"}.get(v.status.value, v.note)
-    return Verdict(flip[v.status], relation=v.relation, lhs=v.lhs, rhs=v.rhs,
-                   witness=v.witness, trajectory=v.trajectory, note=note)
+    return Verdict(flip[v.status], witness=v.witness, trajectory=v.trajectory, note=note)
 
 
-def trend_liminf_positive(log_values, xs=None, *, relation: str = "", lhs: str = "", rhs: str = "") -> Verdict:
+def trend_liminf_positive(log_values, xs=None, *, relation: str = "", lhs: str = "") -> Verdict:
     """Decide whether a positive sampled functional v stays bounded away from 0,
     given log v.
 
@@ -266,7 +257,7 @@ def trend_liminf_positive(log_values, xs=None, *, relation: str = "", lhs: str =
     trajectory holds the sampled log values.
     """
     log_values = np.asarray(log_values, dtype=float)
-    v = trend_bounded(-log_values, xs, relation=relation, lhs=lhs, rhs=rhs)
+    v = trend_bounded(-log_values, xs, relation=relation, lhs=lhs)
     xs_arr = np.arange(1, len(log_values) + 1) if xs is None else np.asarray(xs)
     v.trajectory = subsample(xs_arr, log_values)
     if v.holds:

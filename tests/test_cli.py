@@ -133,3 +133,56 @@ def test_load_config_skips_comments_and_blank_lines(tmp_path):
     path.write_text("# a comment line\n\nn = 128  # trailing comment\n   \ngrid=-1..2\n#n=4\n")
     assert load_config(str(path)) == {"n": "128", "grid": "-1..2"}
     assert load_config(None) == {}
+
+
+def _usage_error(capsys, *argv, kind="UsageError"):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == kind
+
+
+@pytest.mark.parametrize("relation, lhs", [
+    ("sv", "seq:gevrey?s=2"), ("preceq", "seq:gevrey?s=2"), ("equiv", "seq:gevrey?s=2"),
+    ("gamma1", "seq:gevrey?s=2"), ("st", "fn:power?beta=0.5"), ("braces-preceq", "mat:gevrey?s=2"),
+    ("membership", "coeffs.csv"),
+])
+def test_check_without_rhs_is_a_usage_error(tmp_path, monkeypatch, capsys, relation, lhs):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "coeffs.csv").write_text("k,log_a\n" + "".join(f"{k},0.0\n" for k in range(65)))
+    _usage_error(capsys, "check", relation, "--lhs", lhs, "--n", "64")
+
+
+def test_check_roquS_needs_a_matrix(capsys):
+    _usage_error(capsys, "check", "roquS", "--lhs", "seq:gevrey?s=2", kind="CatalogError")
+
+
+@pytest.mark.parametrize("grid", ["1", "a..b", "0.5..1"])
+def test_malformed_grid_is_a_usage_error(capsys, grid):
+    _usage_error(capsys, "compute", "mat:gevrey?s=2", "--grid", grid)
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "mat:gevrey?s=2"), ("verify-chain", "mat:gevrey?s=2"), ("check", "liminf", "--lhs", "mat:gevrey?s=2"),
+])
+def test_empty_grid_is_a_usage_error(capsys, argv):
+    _usage_error(capsys, *argv, "--grid", "3..1", "--n", "32")
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "seq:gevrey?s=2", "--derive", "L"), ("compute", "seq:gevrey?s=2", "--derive", "S"),
+    ("verify-chain", "mat:gevrey?s=2"),
+])
+def test_n_below_one_is_a_usage_error(capsys, argv):
+    _usage_error(capsys, *argv, "--n", "0")
+
+
+def test_family_provenance_in_the_json_table(capsys):
+    argv = ("compute", "mat:gevrey?s=1.5", "--n", "64", "--grid", "0..1", "--format", "json")
+    rc, out, _ = run(capsys, *argv, "--derive", "S")
+    provenance = json.loads(out)["provenance"]
+    assert rc == 0
+    assert provenance["tail_spread"] == pytest.approx({"1": 2.793854037008714e-10, "2": 2.793854037008714e-10}, rel=1e-6)
+    assert provenance["sigma_rescale"] == pytest.approx({"1": 1.2009853336275151, "2": 1.2009853336275151}, rel=1e-12)
+    rc, out, _ = run(capsys, *argv, "--derive", "K")
+    provenance = json.loads(out)["provenance"]
+    assert rc == 0 and "tail_spread" not in provenance and "sigma_rescale" not in provenance

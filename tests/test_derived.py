@@ -3,10 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from ultraweights.catalog import exp_gevrey_matrix, make_exp_gevrey_member, make_power_weight
-from ultraweights.derived import derive_family, seq_K, seq_L, seq_Q, seq_S, seq_underline_L
+from ultraweights import derived
+from ultraweights.catalog import exp_gevrey_matrix, make_exp_gevrey_member, make_power_weight, resolve
+from ultraweights.derived import FAMILY_NAMES, derive_family, seq_K, seq_L, seq_Q, seq_S, seq_underline_L
 from ultraweights.errors import DivergentTail, MaximizerUnbounded, NotAWeightSequence
-from ultraweights.func_core import _AssocEvaluator, matrix_from_omega, omega_tilde_from_seq, poisson_batch
+from ultraweights.func_core import (
+    WeightMatrix,
+    _AssocEvaluator,
+    matrix_from_omega,
+    omega_tilde_from_seq,
+    poisson_batch,
+)
 from ultraweights.seq_core import (
     WeightSeq,
     is_log_convex,
@@ -56,7 +63,7 @@ def test_L_requires_weight_sequence():
 
 
 def test_L_spread_is_small_for_analytic_tails(gevrey2):
-    assert seq_L(gevrey2, 128).spread < 1e-10
+    assert seq_L(gevrey2, 128).diagnostics["tail_spread"] < 1e-10
 
 
 def test_underline_L_below_L_and_convex(gevrey2):
@@ -83,12 +90,13 @@ def test_underline_L_matches_hull_oracle(gevrey2):
 def test_S_sigma1_is_one(gevrey2, gevrey15):
     for m in (gevrey2, gevrey15):
         S = seq_S(m, 32)
-        assert math.exp(S.sigma_log[0]) == pytest.approx(1.0, abs=1e-12)
+        assert math.exp(np.diff(S.values(32))[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_S_tau1_trigamma(gevrey2):
+    # tau_1 = 1 + pi^2/6 and tau_2 = 2/4 + (pi^2/6 - 1) give sigma_2 = 2 tau_1 / tau_2
     S = seq_S(gevrey2, 32)
-    assert S.tau[0] == pytest.approx(1.0 + PI2_6, rel=1e-10)
+    assert math.exp(np.diff(S.values(32))[1]) == pytest.approx(2 * (1.0 + PI2_6) / (PI2_6 - 0.5), rel=1e-10)
 
 
 def test_S_strongly_log_convex(gevrey2):
@@ -106,8 +114,8 @@ def test_sigma_below_mu_trend(gevrey2):
     S = seq_S(gevrey2, n)
     from ultraweights.verdicts import trend_bounded
 
-    assert trend_bounded(S.sigma_log - gevrey2.log_mu(n)).holds
-    assert S.rescale_c < 4.0
+    assert trend_bounded(np.diff(S.values(n)) - gevrey2.log_mu(n)).holds
+    assert S.diagnostics["sigma_rescale"] < 4.0
 
 
 # -- K ---------------------------------------------------------------------------
@@ -153,7 +161,7 @@ def test_Q_dominates_single_probe(gevrey2):
     Q = seq_Q(gevrey2, 64)
     p1 = poisson_batch(omega_tilde_from_seq(gevrey2), [0.0])[0]
     # log r = 0 is a grid point: raw values dominate -P(i)/2
-    assert np.all(Q.log_q_raw >= -p1 / 2)
+    assert np.all(Q.values(64) + Q.diagnostics["log_q0"] >= -p1 / 2)
 
 
 def test_Q_sandwich_between_kappa_sups(gevrey2):
@@ -168,8 +176,9 @@ def test_Q_sandwich_between_kappa_sups(gevrey2):
     ks = np.arange(0, n + 1) + 0.5
     hi_env = np.max(np.outer(ks, rho) - kap[None, :] / 4.0, axis=1)
     lo_env = np.max(np.outer(ks, rho) - kap[None, :] * (2.0 / math.pi), axis=1)
-    assert np.all(Q.log_q_raw <= hi_env + 1e-3)
-    assert np.all(Q.log_q_raw >= lo_env - 1e-3)
+    log_q = Q.values(n) + Q.diagnostics["log_q0"]
+    assert np.all(log_q <= hi_env + 1e-3)
+    assert np.all(log_q >= lo_env - 1e-3)
 
 
 def test_Q_grid_grows_to_far_maximizers():
@@ -212,7 +221,7 @@ def power_mat():
 def test_family_sigma_one_everywhere(power_mat):
     fam = derive_family(power_mat, "S", 64)
     for a in fam.grid:
-        assert math.exp(fam.member(a).sigma_log[0]) == pytest.approx(1.0, abs=1e-9)
+        assert math.exp(np.diff(fam.member(a).values(64))[0]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_family_underlineL_below_L(power_mat):
@@ -246,3 +255,34 @@ def test_family_kappa_doubling(power_mat):
 def test_family_monotone_warning_tolerated():
     fam = derive_family(exp_gevrey_matrix(2.0, grid=[0.5, 1.0, 2.0]), "L", 48)
     assert isinstance(fam.warnings, list)  # populated or not, never raises
+
+
+@pytest.mark.parametrize("uri, n, grid", [("mat:gevrey?s=2", 32, None), ("mat:omega?fn=power&beta=0.5", 16, [1.0])])
+def test_constructors_declare_every_attribute(uri, n, grid):
+    # no construction attaches state to a sequence or matrix after building it
+    seq_fields = set(vars(WeightSeq("fresh", np.zeros_like)))
+    mat_fields = set(vars(WeightMatrix("fresh", lambda alpha: None)))
+    mat = resolve(uri, grid=grid)
+    fams = [derive_family(mat, which, n) for which in FAMILY_NAMES]
+    member = mat.member(mat.grid[0])
+    seq_K(member, n)
+    seq_Q(member, n)  # fills the omega~ cache of the member
+    for m in (mat, *fams):
+        assert set(vars(m)) == mat_fields
+        for seq in m.members():
+            assert set(vars(seq)) == seq_fields
+
+
+def test_K_and_Q_share_one_omega_tilde(monkeypatch):
+    # building omega~ grows the associated-function array; K and Q must not build it twice
+    built = []
+
+    def counted(m):
+        built.append(m.name)
+        return omega_tilde_from_seq(m)
+
+    monkeypatch.setattr(derived, "omega_tilde_from_seq", counted)
+    m = make_exp_gevrey_member(2.0, 1.0)
+    seq_K(m, 32)
+    seq_Q(m, 32)
+    assert built == [m.name]

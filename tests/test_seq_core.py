@@ -109,7 +109,7 @@ def test_tail_harmonic_diverges(factorial):
 def test_tail_generic_bracket_vs_exact(gevrey2):
     # strip the analytic tail and check the integral-test bracket contains it
     bare = WeightSeq("bare", gevrey2._eval, is_weight_seq=True)
-    iv = tail_recip_mu(bare, 1, 4096)
+    iv = tail_recip_mu(bare, 1)
     assert iv.lo <= PI2_6 <= iv.hi
     assert iv.width < 1e-3
 
