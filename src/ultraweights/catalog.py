@@ -100,14 +100,12 @@ def make_gevrey(s: float) -> WeightSeq:
         return base + math.log(c_lo), base + math.log(c_hi)
 
     log_tail = _series_log_tail(lambda js: -s * np.log(js), _TAIL_HEAD, log_rem)
-    return WeightSeq(f"gevrey(s={s:g})", ev, log_tail=log_tail, is_weight_seq=True,
-                     quotient_proxy=lambda kk: s * np.log(np.maximum(kk, 1.0)))
+    return WeightSeq(f"gevrey(s={s:g})", ev, log_tail=log_tail, is_weight_seq=True)
 
 
 def make_factorial() -> WeightSeq:
     """log M_k = log k!: quasianalytic (harmonic quotient tail), still a weight sequence."""
-    return WeightSeq("factorial", lambda kk: gammaln(kk + 1.0), is_weight_seq=True,
-                     quotient_proxy=lambda kk: np.log(np.maximum(kk, 1.0)))
+    return WeightSeq("factorial", lambda kk: gammaln(kk + 1.0), is_weight_seq=True)
 
 
 def make_q_gevrey(q: float) -> WeightSeq:
@@ -124,8 +122,7 @@ def make_q_gevrey(q: float) -> WeightSeq:
         return v, v
 
     log_tail = _series_log_tail(lambda js: -(2.0 * js - 1.0) * lq, 0, log_rem)
-    return WeightSeq(f"qgevrey(q={q:g})", lambda kk: kk**2 * lq, log_tail=log_tail, is_weight_seq=True,
-                     quotient_proxy=lambda kk: (2 * kk - 1) * lq)
+    return WeightSeq(f"qgevrey(q={q:g})", lambda kk: kk**2 * lq, log_tail=log_tail, is_weight_seq=True)
 
 
 def make_exp_gevrey_member(p: float, a: float) -> WeightSeq:
@@ -149,8 +146,7 @@ def make_exp_gevrey_member(p: float, a: float) -> WeightSeq:
         return -math.inf, float(neg_log_mu(top)) - math.log(-math.expm1(-a))
 
     log_tail = _series_log_tail(neg_log_mu, max(_TAIL_HEAD, int(40.0 / a)), log_rem)
-    return WeightSeq(f"expgevrey(p={p:g},a={a:g})", ev, log_tail=log_tail, is_weight_seq=True,
-                     quotient_proxy=lambda kk: p * np.log(np.maximum(kk, 1.0)) + a * kk)
+    return WeightSeq(f"expgevrey(p={p:g},a={a:g})", ev, log_tail=log_tail, is_weight_seq=True)
 
 
 # -- functions -----------------------------------------------------------------
@@ -159,9 +155,10 @@ def make_exp_gevrey_member(p: float, a: float) -> WeightSeq:
 def make_power_weight(beta: float) -> WeightFn:
     """omega(t) = t^beta for beta in (0,1): the strong weight workhorse.
 
-    Exact envelope (beta, 0, 1).  Attached references: kappa = t^beta/(1-beta),
-    P(ir) = r^beta / cos(pi beta / 2), conjugate (x/beta)(log(x/beta)-1) for
-    x >= beta and -1 below (the objective peaks at the y = 0 boundary there).
+    Exact envelope (beta, 0, 1).  Attached references: kappa = t^beta/(1-beta)
+    and the conjugate (x/beta)(log(x/beta)-1) for x >= beta, -1 below (the
+    objective peaks at the y = 0 boundary there).  P(ir) = r^beta / cos(pi
+    beta / 2) is not attached: only the test suite compares against it.
     """
     if not 0 < beta < 1:
         raise ValueError("exponent must lie in (0, 1)")
@@ -179,7 +176,6 @@ def make_power_weight(beta: float) -> WeightFn:
         envelope=Envelope(beta, 0.0, 1.0),
         normalized=False,
         kappa_ref=lambda ys: phi(ys) / (1.0 - beta),
-        poisson_ref=lambda ys: phi(ys) / math.cos(math.pi * beta / 2.0),
         phi_star_ref=phi_star_ref,
     )
 

@@ -276,7 +276,10 @@ def cmd_check(args) -> int:
     elif rel == "membership":
         with open(args.lhs, "r", encoding="utf-8") as fh:
             a_log = [float(row[args.column]) for row in csv.DictReader(fh)]
-        v = lambda_membership(np.asarray(a_log), _resolve(args.rhs, n, grid), min(n, len(a_log) - 1))
+        weight = _resolve(args.rhs, n, grid)
+        if not isinstance(weight, (WeightSeq, WeightMatrix)):
+            raise cat.CatalogError(f"{args.rhs!r} is not a sequence or matrix")
+        v = lambda_membership(np.asarray(a_log), weight, min(n, len(a_log) - 1))
     else:
         return _err("UsageError", f"unknown relation {rel!r}")
 

@@ -4,11 +4,11 @@ A weight function is held as phi(y) = omega(e^y); every transform below
 evaluates phi at log arguments, and `WeightFn.omega(t)` is the view
 phi(log t) for t grids.  Covers the Young conjugate phi* (bracketed concave
 maximization), the associated function of a sequence (sup_k (k y - log M_k),
-binary search on quotients), the two integral transforms used by the
-Borel-optimality constructions (the average kappa(t) = int_0^inf
-phi(log t + u) e^-u du and the harmonic extension P along the imaginary
-axis), and the canonical weight matrix attached to a weight function via the
-scaled conjugate.
+binary search on quotients, the same bracketed maximization past them), the
+two integral transforms used by the Borel-optimality constructions (the
+average kappa(t) = int_0^inf phi(log t + u) e^-u du and the harmonic
+extension P along the imaginary axis), and the canonical weight matrix
+attached to a weight function via the scaled conjugate.
 
 For associated functions both transforms are closed forms over the quotients
 (`kappa_assoc`, `poisson_batch`).  Other functions are integrated only when
@@ -108,9 +108,9 @@ class WeightFn:
 
     `phi` must accept float64 arrays of any y, -inf (t = 0) included, be
     pure, and stay finite wherever phi is: the conjugate's bracket doubles y
-    up to 8 * 2^64.  Optional closed-form references (kappa_ref and
-    poisson_ref in y, phi_star_ref in x) are catalog metadata used as test
-    oracles, never as the production path of the generic transforms.
+    up to 8 * 2^64.  `kappa_ref` (in y) is a closed form that `kappa_fn`
+    evaluates through; `phi_star_ref` (in x) is catalog metadata used as a
+    test oracle, never as the production path of the conjugate.
     """
 
     def __init__(
@@ -121,7 +121,6 @@ class WeightFn:
         envelope: Optional[Envelope] = None,
         normalized: bool = False,
         kappa_ref: Optional[Callable] = None,
-        poisson_ref: Optional[Callable] = None,
         phi_star_ref: Optional[Callable] = None,
         assoc: Optional["_AssocEvaluator"] = None,
         include_log_term: bool = False,
@@ -132,7 +131,6 @@ class WeightFn:
         self.envelope = envelope
         self.normalized = normalized
         self.kappa_ref = kappa_ref
-        self.poisson_ref = poisson_ref
         self.phi_star_ref = phi_star_ref
         self.assoc = assoc
         self.include_log_term = include_log_term
@@ -166,6 +164,25 @@ def _doubling(y: np.ndarray, still_open: Callable[[np.ndarray], np.ndarray]) -> 
     return y, still_open(y)
 
 
+def _golden_max(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Maximizer of a unimodal f on [a, b] per component: fixed-count golden
+    section (GOLDEN_ITERS steps), returning the better of the last two probes."""
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(GOLDEN_ITERS):
+        left = fc >= fd  # keep [a, d] where the left probe wins
+        b = np.where(left, d, b)
+        a = np.where(left, a, c)
+        c_new = b - _INVPHI * (b - a)
+        d_new = a + _INVPHI * (b - a)
+        fresh = np.where(left, c_new, d_new)
+        f_fresh = f(fresh)
+        fc, fd = np.where(left, f_fresh, fd), np.where(left, fc, f_fresh)
+        c, d = c_new, d_new
+    return np.where(fc >= fd, c, d)
+
+
 def _phi_star_impl(w: WeightFn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sup_{y>=0} (x y - phi(y)) per component, with the maximizer.
 
@@ -184,22 +201,7 @@ def _phi_star_impl(w: WeightFn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         bad = float(xs[np.argmax(rising)])
         raise UnboundedConjugate(f"{w.name}: no finite bracket for the conjugate at x={bad:.6g}")
 
-    a = np.zeros_like(xs)
-    b = y_hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(GOLDEN_ITERS):
-        left = fc >= fd  # keep [a, d] where the left probe wins
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        c_new = b - _INVPHI * (b - a)
-        d_new = a + _INVPHI * (b - a)
-        fresh = np.where(left, c_new, d_new)
-        f_fresh = f(fresh)
-        fc, fd = np.where(left, f_fresh, fd), np.where(left, fc, f_fresh)
-        c, d = c_new, d_new
-    y_best = np.where(fc >= fd, c, d)
+    y_best = _golden_max(f, np.zeros_like(xs), y_hi)
     val = np.maximum(f(y_best), f(np.zeros_like(xs)))
     return val, y_best
 
@@ -248,14 +250,15 @@ def phi_star_involution_check(w: WeightFn) -> Verdict:
 
 
 class _AssocEvaluator:
-    """Evaluator machinery for phi_M(y) = omega_M(e^y) = sup_k (k y - log M_k).
+    """Evaluator of phi_M(y) = omega_M(e^y) = sup_k (k y - log M_k), the
+    Young conjugate of k -> log M_k, with the count k*(y) that attains it.
 
-    For log-convex sequences the sup is attained at k*(y) = #{j : log mu_j <= y};
-    a cached quotient array answers desk-scale arguments by binary search,
-    and arguments beyond the array (the conjugate's bracket probes in seq_K)
-    fall back to a bisection on the sequence's monotone quotient proxy with
-    a five-candidate local max.  Non-log-convex positive sequences use a
-    full scan over the truncation.
+    For log-convex sequences k*(y) = #{j : log mu_j <= y}.  A cached quotient
+    array (grown by fours up to ARRAY_CAP terms) answers every y up to its
+    last quotient by binary search.  Past it (the conjugate's bracket probes
+    in seq_K) the sup is taken over real k >= n of the sequence's own
+    evaluator (`_far`), with the golden section that phi_star uses.
+    Non-log-convex positive sequences use a full scan over the truncation.
     """
 
     ARRAY_START = 4096
@@ -288,39 +291,33 @@ class _AssocEvaluator:
             while self._n < self._cap() and self._log_mu[-1] < max_log_t:
                 self._grow(self._n * 4)
 
-    # -- counting and evaluation --------------------------------------------
+    # -- evaluation ---------------------------------------------------------
 
-    def _proxy(self, kk: np.ndarray) -> np.ndarray:
-        if self.seq.quotient_proxy is not None:
-            return self.seq.quotient_proxy(kk)
-        return self.seq.log_m(kk) - self.seq.log_m(np.maximum(kk - 1, 0))
-
-    def _kstar_far(self, log_t: np.ndarray) -> np.ndarray:
-        """Quotient count beyond the cached array.
-
-        Uses the sequence's direct count hook when present (one slope
-        evaluation instead of a bisection); falls back to bisection on the
-        monotone quotient proxy.  Either way the caller re-maximizes over
-        neighbouring candidates, so an off-by-one here is harmless.
+    def _far(self, log_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(sup_{k >= n} (k y - log M_k), its k) for y past the array's last
+        quotient, where k* >= n: the conjugate of the sequence's own evaluator
+        over real k.  The objective is concave in k, so unimodal in u = log k:
+        double u from log n while it rises, golden section on the bracket,
+        then the better of floor(k) and ceil(k) is the integer sup.  A
+        bracket still open after DOUBLINGS raises TruncationExhausted.
         """
-        if self.seq.count_leq is not None:
-            return np.maximum(self.seq.count_leq(log_t), float(self._n))
-        lo = np.full(log_t.shape, float(self._n))
-        hi = lo * 2
-        for _ in range(200):
-            active = self._proxy(hi) <= log_t
-            if not np.any(active):
-                break
-            lo = np.where(active, hi, lo)
-            hi = np.where(active, hi * 2, hi)
-        for _ in range(80):
-            mid = np.floor(0.5 * (lo + hi))
-            take = self._proxy(mid) <= log_t
-            lo = np.where(take, np.maximum(mid, lo), lo)
-            hi = np.where(take, hi, np.minimum(mid, hi))
-            if np.all(hi - lo <= 1):
-                break
-        return lo
+        n = float(self._n)
+
+        def f(u: np.ndarray) -> np.ndarray:
+            k = np.exp(u)
+            return k * log_t - self.seq.log_m(k)
+
+        u0 = np.full_like(log_t, math.log(n))
+        with np.errstate(over="ignore", invalid="ignore"):  # k overflows only in a bracket that stays open
+            # a NaN slope counts as rising, so it ends in TruncationExhausted
+            u_hi, rising = _doubling(u0, lambda u: ~(f(u) - f(u * (1 - 1e-6)) < 0))
+        if np.any(rising):
+            bad = float(log_t[np.argmax(rising)])
+            raise TruncationExhausted(f"{self.seq.name}: associated function at y = {bad:.6g} has no finite bracket")
+        k = np.exp(_golden_max(f, u0, u_hi))
+        k_lo, k_hi = np.maximum(np.floor(k), n), np.maximum(np.ceil(k), n)
+        v_lo, v_hi = k_lo * log_t - self.seq.log_m(k_lo), k_hi * log_t - self.seq.log_m(k_hi)
+        return np.maximum(v_lo, v_hi), np.where(v_hi > v_lo, k_hi, k_lo)
 
     def eval(self, log_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(phi_M(y), k*(y)) for an array of y = log t, -inf (t = 0) included."""
@@ -346,36 +343,27 @@ class _AssocEvaluator:
             kstar[near] = ks
         far = ~near
         if np.any(far):
-            lt = log_t[far]
-            kf = self._kstar_far(lt)
-            log_m = self.seq.log_m_fast or self.seq.log_m
-            best = np.full(lt.shape, -np.inf)
-            kbest = np.zeros_like(kf)
-            for dk in (-2.0, -1.0, 0.0, 1.0, 2.0):
-                kc = np.maximum(kf + dk, 0.0)
-                v = kc * lt - log_m(kc)
-                better = v > best
-                best = np.where(better, v, best)
-                kbest = np.where(better, kc, kbest)
-            out[far] = np.maximum(best, 0.0)
-            kstar[far] = kbest
+            val, kf = self._far(log_t[far])
+            out[far] = np.maximum(val, 0.0)
+            kstar[far] = kf
         out[~pos] = 0.0
         return out, kstar
 
-    def log_tail_mid_after(self, kstar: np.ndarray) -> np.ndarray:
-        """Log of the midpoint of sum_{j > k*} 1/mu_j for an array of counts."""
-        kstar = np.asarray(kstar, dtype=float)
+    def log_tail_mid_after(self, kstar: np.ndarray, log_t: np.ndarray) -> np.ndarray:
+        """Log of the midpoint of sum_{j > k*} 1/mu_j for the counts k* = k*(y)
+        at an array of y = log t."""
+        kstar, log_t = np.asarray(kstar, dtype=float), np.asarray(log_t, dtype=float)
         out = np.zeros_like(kstar)
         near = kstar <= self._n  # the tail arrays have entries for counts 0..n
         c = kstar[near].astype(np.int64)
         out[near] = _log_mid(self._log_tail_lo[c], self._log_tail_hi[c])
         far = ~near
         if np.any(far):
-            # power-law remainder from the last window fit: T(k) ~ k / ((p-1) mu_k)
+            # power-law remainder from the last window fit: T(k) ~ k / ((p-1) mu_k),
+            # with log mu_k* <= y < log mu_{k*+1}
             p = _dyadic_exponent(self._log_mu)
-            kf = kstar[far]
             if p > 1:
-                out[far] = np.log(kf / (p - 1.0)) - self._proxy(np.maximum(kf, 1.0))
+                out[far] = np.log(kstar[far] / (p - 1.0)) - log_t[far]
             else:
                 out[far] = np.inf
         return out
@@ -545,7 +533,7 @@ def _kappa_assoc(w: WeightFn, ys: np.ndarray) -> np.ndarray:
     """kappa_assoc at y = log t: phi_M(y) + k* + e^(y + log T_{k*+1}), plus
     the transform of log(1+t^2) for the tilde representative."""
     om, kstar = w.assoc.eval(ys)
-    out = om + kstar + np.exp(ys + w.assoc.log_tail_mid_after(kstar))
+    out = om + kstar + np.exp(ys + w.assoc.log_tail_mid_after(kstar, ys))
     return out + _kappa_log_term(ys) if w.include_log_term else out
 
 
@@ -859,27 +847,8 @@ def matrix_from_omega(w: WeightFn, grid=None) -> WeightMatrix:
         def ev(kk: np.ndarray) -> np.ndarray:
             return phi_star(wn, alpha * kk) / alpha
 
-        def proxy(kk: np.ndarray) -> np.ndarray:
-            return phi_star_maximizer(wn, alpha * kk)
-
-        def count_leq(log_t: np.ndarray) -> np.ndarray:
-            # maximizer duality: mu_j <= t iff alpha j <= phi'(log t);
-            # the slope by central difference, re-maximized over neighbours
-            h = 1e-3
-            slope = (wn.phi(log_t + h) - wn.phi(log_t - h)) / (2 * h)
-            return np.floor(np.maximum(slope, 0.0) / alpha)
-
-        ref = wn.phi_star_ref
-        return WeightSeq(
-            f"M[{w.name};a={alpha:g}]",
-            ev,
-            is_weight_seq=True,
-            note=f"scaled-conjugate member, parameter {alpha:g}",
-            quotient_proxy=proxy,
-            count_leq=count_leq,
-            log_m_fast=None if ref is None else (
-                lambda kk: np.asarray(ref(alpha * np.asarray(kk, dtype=float)), dtype=float) / alpha),
-        )
+        return WeightSeq(f"M[{w.name};a={alpha:g}]", ev, is_weight_seq=True,
+                         note=f"scaled-conjugate member, parameter {alpha:g}")
 
     return WeightMatrix(
         f"matrix[{w.name}]",

@@ -59,8 +59,9 @@ def prec_SV(mp: WeightSeq, m: WeightSeq, n: int) -> Verdict:
 
         F_s(j) = exp(sup_{0<=i<j} (log M'_j - j log s - log M_i)/(j-i)) / j * T_j
 
-    stays bounded over j.  Holds when any s on S_GRID passes the trend
-    test, Fails when every s certifies growth, Inconclusive otherwise.
+    stays bounded over j.  The trend test runs on log F_s, which is bounded
+    above exactly when F_s is.  Holds when any s on S_GRID passes it, Fails
+    when every s certifies growth, Inconclusive otherwise.
     The inner sup is exact: a bisection over i that relies on M being
     log-convex (`_kernels.sv_sup`); M' may be any positive sequence.
     """
@@ -75,10 +76,7 @@ def prec_SV(mp: WeightSeq, m: WeightSeq, n: int) -> Verdict:
     best = None
     for s in S_GRID:
         sup = _kernels.sv_sup(log_mp, log_m, math.log(s))[1:]
-        log_f = sup - log_j + log_t
-        f = np.exp(np.minimum(log_f, 709.0))
-        f[log_f > 709.0] = np.inf
-        v = trend_bounded(f, js, relation=f"sv[s={s:g}]", lhs=mp.name, rhs=m.name)
+        v = trend_bounded(sup - log_j + log_t, js, relation=f"sv[s={s:g}]", lhs=mp.name, rhs=m.name)
         per_s.append((float(s), v))
         if v.holds:
             best = (float(s), v)
@@ -100,12 +98,11 @@ def prec_SV(mp: WeightSeq, m: WeightSeq, n: int) -> Verdict:
 
 
 def prec_gamma1(mp: WeightSeq, m: WeightSeq, n: int) -> Verdict:
-    """Whitney-extension order: trend test on (mu'_j / j) * T_j."""
+    """Whitney-extension order: trend test on log((mu'_j / j) * T_j)."""
     require_weight_seq(m, "prec_gamma1 rhs")
     log_t = tail_mids(m, n)[1]
     js = np.arange(1, n + 1, dtype=float)
-    vals = np.exp(np.minimum(mp.log_mu(n) - np.log(js) + log_t, 709.0))
-    return trend_bounded(vals, js, relation="prec_gamma1", lhs=mp.name, rhs=m.name)
+    return trend_bounded(mp.log_mu(n) - np.log(js) + log_t, js, relation="prec_gamma1", lhs=mp.name, rhs=m.name)
 
 
 def implication(name: str, antecedent: Verdict | Iterable[Verdict], consequent: Verdict | Iterable[Verdict]) -> Verdict:

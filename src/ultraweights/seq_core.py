@@ -61,14 +61,16 @@ LogBracket = tuple[np.ndarray, np.ndarray]
 class WeightSeq:
     """A positive sequence given by a log-domain evaluator.
 
-    Evaluators must accept a float64 numpy array of indices and be pure;
-    indices may exceed 2^53 in the associated function's far path (the
-    conjugate's bracket probes beyond its quotient array), which is why
-    they are floats.  `log_tail`, when present, maps an integer
-    array of indices k >= 1 to arrays (log_lo, log_hi) bracketing
-    log sum_{l>=k} 1/mu_l analytically.  `is_weight_seq` records whether the
-    sequence was declared (and validated as) log-convex with mu -> infinity;
-    merely positive sequences are accepted but some operations refuse them.
+    Evaluators must accept a float64 numpy array of indices and be pure.
+    The indices are floats because the associated function maximizes
+    k y - log M_k over real k past its quotient array, where they may exceed
+    2^53; an evaluator should extend k -> log M_k convexly to real k.
+    `log_tail`, when present, maps an integer array of indices k >= 1 to
+    arrays (log_lo, log_hi) bracketing log sum_{l>=k} 1/mu_l analytically.
+    `is_weight_seq` records whether the sequence was declared (and validated
+    as) log-convex with mu -> infinity; merely positive sequences are
+    accepted but some operations refuse them.  `diagnostics` holds the
+    by-products of the construction that built the sequence, read-only.
     """
 
     def __init__(
@@ -80,9 +82,6 @@ class WeightSeq:
         is_weight_seq: bool = False,
         max_index: float = math.inf,
         note: str = "",
-        quotient_proxy: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        count_leq: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        log_m_fast: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         diagnostics: Optional[Mapping[str, float]] = None,
     ):
         self.name = name
@@ -91,14 +90,6 @@ class WeightSeq:
         self.is_weight_seq = is_weight_seq
         self.max_index = max_index
         self.note = note
-        # monotone proxy for log mu_k at huge float indices, where
-        # differencing the evaluator would lose all precision
-        self.quotient_proxy = quotient_proxy
-        # fast paths of the associated function beyond its quotient array:
-        # a direct quotient-count hook and a closed-form twin of log_m
-        self.count_leq = count_leq
-        self.log_m_fast = log_m_fast
-        # by-products of the construction that built this sequence
         self.diagnostics: Mapping[str, float] = MappingProxyType(dict(diagnostics or {}))
         self._tilde = None  # omega~ of this sequence, built once by `tilde`
         self._prefix = np.zeros(1)
@@ -340,6 +331,8 @@ def has_moderate_growth(seq: WeightSeq, n: int) -> Verdict:
     ms = np.arange(2, n + 1)
     d = gap[2:] / ms
     v = trend_bounded(d, ms, relation="moderate-growth", lhs=seq.name)
+    if len(d) == 0:  # n < 2: no pair j + k <= n, Inconclusive for too few samples
+        return v
     m_star = int(ms[np.argmax(d)])
     j_star = int(argj[m_star])
     v.witness = (j_star, m_star - j_star)

@@ -22,9 +22,6 @@ LOG_TOL = 1e-9
 TREND_SLACK = 1e-3
 TREND_SLOPE = 0.05
 TRAJECTORY_SAMPLES = 24
-# Overflow guard: a trajectory value beyond exp(700) is treated as a growth
-# certificate rather than propagated as inf.
-LOG_CLAMP = 700.0
 
 
 class Status(Enum):
@@ -174,8 +171,9 @@ def trend_bounded(values, xs=None, *, relation: str = "", lhs: str = "", rhs: st
     the values on log(x) over the last half has slope > TREND_SLOPE, the
     window maxima increase across three consecutive dyadic windows, and the
     slope persists between the last two windows (saturating trajectories
-    lose slope; genuine growth keeps it) -- or when a value overflows the
-    clamp.  Anything else is Inconclusive: finite data cannot decide a sup.
+    lose slope; genuine growth keeps it) -- or when a value is +inf, the
+    one overflow certificate.  Anything else is Inconclusive: finite data
+    cannot decide a sup.
     """
     values = np.asarray(values, dtype=float)
     xs = np.arange(1, len(values) + 1, dtype=float) if xs is None else np.asarray(xs, dtype=float)
@@ -183,13 +181,12 @@ def trend_bounded(values, xs=None, *, relation: str = "", lhs: str = "", rhs: st
     if len(values) != len(xs):
         raise ValueError("values and xs length mismatch")
 
-    bad = ~np.isfinite(values)
-    clamped = values >= LOG_CLAMP
     if np.any(np.isnan(values)):
         i = int(np.argmax(np.isnan(values)))
         return Verdict(Status.INCONCLUSIVE, witness=xs[i], note="NaN in trajectory", **meta)
-    if np.any(clamped | (bad & (values > 0))):
-        i = int(np.argmax(clamped | bad))
+    overflow = values == np.inf
+    if np.any(overflow):
+        i = int(np.argmax(overflow))
         return Verdict(Status.FAILS, witness=float(xs[i]), note="overflow growth certificate", **meta)
 
     m = len(values)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -186,3 +189,60 @@ def test_family_provenance_in_the_json_table(capsys):
     rc, out, _ = run(capsys, *argv, "--derive", "K")
     provenance = json.loads(out)["provenance"]
     assert rc == 0 and "tail_spread" not in provenance and "sigma_rescale" not in provenance
+
+
+def _log_csv(path, log_m) -> str:
+    path.write_text("k,log_m\n" + "".join(f"{k},{log_m(k)!r}\n" for k in range(1025)))
+    return f"seq:csv?path={path}&weight=1"
+
+
+@pytest.mark.parametrize("relation", ["preceq", "equiv"])
+def test_check_with_log_ratio_above_700_holds(tmp_path, capsys, relation):
+    # log M_k = 800 k + 2 log k!: (log M_k - log N_k)/k = 800 for N = (k!)^2, bounded
+    lhs = _log_csv(tmp_path / "m.csv", lambda k: 800.0 * k + 2.0 * math.lgamma(k + 1))
+    rc, out, _ = run(capsys, "check", relation, "--lhs", lhs, "--rhs", "seq:gevrey?s=2", "--n", "1024")
+    assert rc == 0 and json.loads(out)["status"] == "Holds"
+
+
+def test_check_gamma1_with_functional_above_700_holds(tmp_path, capsys):
+    # M_k = 1000^k (k!)^2: (mu_j / j) T_j tends to 1000 for T the tail of (k!)^2
+    lhs = _log_csv(tmp_path / "m.csv", lambda k: k * math.log(1000.0) + 2.0 * math.lgamma(k + 1))
+    rc, out, _ = run(capsys, "check", "gamma1", "--lhs", lhs, "--rhs", "seq:gevrey?s=2", "--n", "1024")
+    assert rc == 0 and json.loads(out)["status"] == "Holds"
+
+
+def test_check_membership_in_a_function_is_a_catalog_error(tmp_path, capsys):
+    path = tmp_path / "coeffs.csv"
+    path.write_text("k,log_a\n" + "".join(f"{k},0.0\n" for k in range(65)))
+    _usage_error(capsys, "check", "membership", "--lhs", str(path), "--rhs", "fn:power?beta=0.5", "--n", "64",
+                 kind="CatalogError")
+
+
+def test_check_mg_with_one_term_is_inconclusive(capsys):
+    rc, out, _ = run(capsys, "check", "mg", "--lhs", "seq:gevrey?s=2", "--n", "1")
+    assert rc == 3 and "too few samples" in json.loads(out)["note"]
+
+
+def test_compute_K_reaches_past_the_assoc_array(capsys, monkeypatch):
+    # the conjugate's bracket probes y = 32, past log mu_J = 23.6 of the 2^17-term array
+    far_ys = []
+    far = func_core._AssocEvaluator._far
+
+    def spy(self, log_t):
+        far_ys.extend(log_t.tolist())
+        return far(self, log_t)
+
+    monkeypatch.setattr(func_core._AssocEvaluator, "_far", spy)
+    rc, out, _ = run(capsys, "compute", "seq:gevrey?s=2", "--derive", "K", "--n", "8192")
+    vals = np.array([float(row.split(",")[1]) for row in out.splitlines()[1:]])
+    assert rc == 0 and len(vals) == 8193
+    assert np.all(np.diff(np.diff(vals)) >= -1e-9)  # log quotients non-decreasing up to rounding
+    assert 32.0 in far_ys
+
+
+def test_cli_imports_no_scipy():
+    src = os.path.dirname(os.path.dirname(func_core.__file__))
+    code = "import sys, ultraweights.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

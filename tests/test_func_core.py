@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ultraweights import _kernels, func_core
-from ultraweights.catalog import make_exp_gevrey_member, make_gevrey, make_power_weight
+from ultraweights.catalog import make_exp_gevrey_member, make_factorial, make_gevrey, make_power_weight
 from ultraweights.errors import EnvelopeRequired, QuasianalyticInput, TruncationExhausted, UnboundedConjugate
 from ultraweights.func_core import (
     Envelope,
@@ -414,10 +414,34 @@ def test_matrix_members_equivalent_iff_value_doubling(power_half, logsq):
     assert not seq_equivalent(mat_l.member(0.125), mat_l.member(8.0), 256).holds
 
 
-def test_matrix_member_far_fast_paths_agree(power_half):
-    m1 = matrix_from_omega(power_half).member(1.0)
-    kk = np.array([1e5, 1e8, 1e12])
-    assert np.allclose(m1.log_m_fast(kk), m1.log_m(kk), rtol=1e-10)
+@pytest.mark.parametrize("s", [1.5, 2.0, 3.0, 1.0])
+def test_assoc_far_path_matches_the_factorial_closed_form(s):
+    # past the array the sup of k y - s log k! is at k* = floor(e^(y/s)); s = 1 is k!
+    seq = make_factorial() if s == 1.0 else make_gevrey(s)
+    ev = omega_from_seq(seq).assoc
+    ys = np.linspace(ev._log_mu[-1] + 1e-3, s * math.log(2.0**52), 40)
+    ks = np.floor(np.exp(ys / s))
+    exact = np.array([k * y - s * math.lgamma(k + 1.0) for k, y in zip(ks, ys)])
+    val, _ = ev.eval(ys)
+    assert np.max(np.abs(val - exact) / exact) < 1e-13
+
+
+def test_assoc_far_path_of_a_conjugate_member(power_half):
+    # member 1 of the canonical matrix has log M_k = phi*(k) for phi(y) = e^(y/2) - 1,
+    # so the sup of k y - log M_k sits near k = phi'(y) = e^(y/2)/2
+    ev = omega_from_seq(matrix_from_omega(power_half).member(1.0)).assoc
+    ys = np.linspace(ev._log_mu[-1] + 1e-3, 60.0, 20)
+    ref = normalize_fn(power_half).phi_star_ref
+    k0 = np.floor(0.5 * np.exp(ys / 2.0))
+    oracle = np.max([(k0 + d) * ys - ref(k0 + d) for d in (-2.0, -1.0, 0.0, 1.0, 2.0)], axis=0)
+    val, _ = ev.eval(ys)
+    assert np.max(np.abs(val - oracle) / oracle) < 1e-13
+
+
+def test_assoc_far_bracket_that_stays_open_is_refused(factorial):
+    # k* = e^800 is past the float range, so no finite bracket exists
+    with pytest.raises(TruncationExhausted):
+        omega_from_seq(factorial).phi(800.0)
 
 
 # -- order relations and predicates ------------------------------------------------

@@ -78,9 +78,15 @@ def test_trend_bounded_certifies_power_growth():
 
 
 def test_trend_bounded_overflow_certificate():
-    vals = np.linspace(0, 800, 64)
+    vals = np.zeros(64)
+    vals[40] = np.inf
     v = trend_bounded(vals, np.arange(1, 65))
-    assert v.fails and "overflow" in v.note
+    assert v.fails and "overflow" in v.note and v.witness == 41.0
+
+
+def test_trend_bounded_large_finite_values_are_no_certificate():
+    # a bounded log trajectory above 700 holds: only +inf certifies overflow
+    assert trend_bounded(np.full(64, 800.0), np.arange(1, 65)).holds
 
 
 def test_trend_bounded_too_short_is_inconclusive():
