@@ -14,6 +14,7 @@ import io
 import json
 import math
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -107,24 +108,36 @@ def _resolved_config(args, cfg: dict) -> dict:
     }
 
 
-def _resolve(uri: str, n: int, grid) -> object:
-    """Catalog URIs plus the derived:OP(inner) composition."""
-    if uri.startswith("derived:"):
-        body = uri[len("derived:"):]
-        op, _, rest = body.partition("(")
-        if not rest.endswith(")"):
-            raise cat.CatalogError(f"malformed derived URI {uri!r}")
-        inner = _resolve(rest[:-1], n, grid)
-        if isinstance(inner, WeightSeq):
-            if op not in SEQ_DERIVATIONS:
-                raise cat.CatalogError(f"unknown derived op {op!r}")
-            return SEQ_DERIVATIONS[op](inner, n)
-        if isinstance(inner, WeightMatrix):
-            if op not in FAMILY_NAMES:
-                raise cat.CatalogError(f"unknown family op {op!r}")
-            return derive_family(inner, op, n)
-        raise cat.CatalogError(f"derived:{op} expects a sequence or matrix")
-    return cat.resolve(uri, grid=grid)
+def _resolver(n: int, grid) -> Callable[[str], object]:
+    """Resolution of catalog URIs plus the derived:OP(inner) composition.
+
+    Each catalog URI is resolved once per resolver, and a command makes one:
+    `derived:Q(X)` and `derived:K(X)` then share X's members and the omega~
+    array of each.  Derived URIs are built afresh on every call.
+    """
+    catalog: dict[str, object] = {}
+
+    def resolve(uri: str) -> object:
+        if uri.startswith("derived:"):
+            body = uri[len("derived:"):]
+            op, _, rest = body.partition("(")
+            if not rest.endswith(")"):
+                raise cat.CatalogError(f"malformed derived URI {uri!r}")
+            inner = resolve(rest[:-1])
+            if isinstance(inner, WeightSeq):
+                if op not in SEQ_DERIVATIONS:
+                    raise cat.CatalogError(f"unknown derived op {op!r}")
+                return SEQ_DERIVATIONS[op](inner, n)
+            if isinstance(inner, WeightMatrix):
+                if op not in FAMILY_NAMES:
+                    raise cat.CatalogError(f"unknown family op {op!r}")
+                return derive_family(inner, op, n)
+            raise cat.CatalogError(f"derived:{op} expects a sequence or matrix")
+        if uri not in catalog:
+            catalog[uri] = cat.resolve(uri, grid=grid)
+        return catalog[uri]
+
+    return resolve
 
 
 # -- catalog --------------------------------------------------------------------
@@ -156,7 +169,7 @@ def _csv_table(header: list[str], rows) -> str:
 def cmd_compute(args) -> int:
     cfg = _resolved_config(args, load_config(args.config))
     n = cfg["n"]
-    obj = _resolve(args.entry, n, cfg["grid_values"])
+    obj = _resolver(n, cfg["grid_values"])(args.entry)
     derive = args.derive
 
     if isinstance(obj, WeightSeq):
@@ -223,22 +236,22 @@ def cmd_check(args) -> int:
         return _err("UsageError", f"check {args.relation} needs --rhs")
     cfg = _resolved_config(args, load_config(args.config))
     n = cfg["n"]
-    grid = cfg["grid_values"]
+    resolve = _resolver(n, cfg["grid_values"])
 
     def seq(uri):
-        o = _resolve(uri, n, grid)
+        o = resolve(uri)
         if not isinstance(o, WeightSeq):
             raise cat.CatalogError(f"{uri!r} is not a sequence")
         return o
 
     def mat(uri):
-        o = _resolve(uri, n, grid)
+        o = resolve(uri)
         if not isinstance(o, WeightMatrix):
             raise cat.CatalogError(f"{uri!r} is not a matrix")
         return o
 
     def fn(uri):
-        o = _resolve(uri, n, grid)
+        o = resolve(uri)
         if not isinstance(o, WeightFn):
             raise cat.CatalogError(f"{uri!r} is not a function")
         return o
@@ -276,7 +289,7 @@ def cmd_check(args) -> int:
     elif rel == "membership":
         with open(args.lhs, "r", encoding="utf-8") as fh:
             a_log = [float(row[args.column]) for row in csv.DictReader(fh)]
-        weight = _resolve(args.rhs, n, grid)
+        weight = resolve(args.rhs)
         if not isinstance(weight, (WeightSeq, WeightMatrix)):
             raise cat.CatalogError(f"{args.rhs!r} is not a sequence or matrix")
         v = lambda_membership(np.asarray(a_log), weight, min(n, len(a_log) - 1))
@@ -293,7 +306,7 @@ def cmd_check(args) -> int:
 def cmd_verify_chain(args) -> int:
     cfg = _resolved_config(args, load_config(args.config))
     n = cfg["n"]
-    mat = _resolve(args.matrix, n, cfg["grid_values"])
+    mat = _resolver(n, cfg["grid_values"])(args.matrix)
     if not isinstance(mat, WeightMatrix):
         return _err("UsageError", f"{args.matrix!r} is not a matrix")
 

@@ -18,6 +18,10 @@ kappa_interval and poisson_interval share one adaptive engine
 (`_quadrature`): a 9-point Gauss-Legendre rule, global bisection over the
 panels of all arguments at once, and one panel budget (PANEL_BUDGET per four
 arguments) whose exhaustion widens the brackets of the arguments left open.
+
+The conjugate and Ti2 work over their arguments in blocks (PHI_STAR_BLOCK x
+values, TI2_ROWS rows), so that no temporary exceeds 64 KiB: glibc serves
+larger arrays with mmap, and each fresh one costs a page fault per page.
 """
 
 from __future__ import annotations
@@ -79,6 +83,8 @@ GAUSS_ORDER = 9
 TI2_ORDER = 16
 P_WINDOW = 8.0
 P_CHUNK = 2**14
+TI2_ROWS = 2**9
+PHI_STAR_BLOCK = 2**13
 PHI_Y_START = 8.0
 DOUBLINGS = 64
 GOLDEN_ITERS = 80
@@ -184,7 +190,18 @@ def _golden_max(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndar
 
 
 def _phi_star_impl(w: WeightFn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sup_{y>=0} (x y - phi(y)) per component, with the maximizer.
+    """sup_{y>=0} (x y - phi(y)) per component, with the maximizer,
+    PHI_STAR_BLOCK components at a time.  Every step of `_phi_star_block`
+    is elementwise, so the blocks give the values of a single pass."""
+    val, y_best = np.empty_like(xs), np.empty_like(xs)
+    for i in range(0, len(xs), PHI_STAR_BLOCK):
+        block = slice(i, i + PHI_STAR_BLOCK)
+        val[block], y_best[block] = _phi_star_block(w, xs[block])
+    return val, y_best
+
+
+def _phi_star_block(w: WeightFn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The conjugate and its maximizer on one block of xs.
 
     The objective is concave in y (phi is convex), so: expand the bracket
     [0, Y] by doubling until the objective decreases at the right end, then
@@ -254,11 +271,15 @@ class _AssocEvaluator:
     Young conjugate of k -> log M_k, with the count k*(y) that attains it.
 
     For log-convex sequences k*(y) = #{j : log mu_j <= y}.  A cached quotient
-    array (grown by fours up to ARRAY_CAP terms) answers every y up to its
-    last quotient by binary search.  Past it (the conjugate's bracket probes
-    in seq_K) the sup is taken over real k >= n of the sequence's own
-    evaluator (`_far`), with the golden section that phi_star uses.
-    Non-log-convex positive sequences use a full scan over the truncation.
+    array answers every y up to its last quotient by binary search.  It is
+    grown by fours (up to ARRAY_CAP terms) until its last quotient covers
+    the largest y asked for; the sequence extends its prefix of values, so
+    each log M_k is evaluated once, and the tail brackets are computed once
+    per growth, at the final length.  Past the array (the conjugate's
+    bracket probes in seq_K) the sup is taken over real k >= n of the
+    sequence's own evaluator (`_far`), with the golden section that phi_star
+    uses.  Non-log-convex positive sequences use a full scan over the
+    truncation.
     """
 
     ARRAY_START = 4096
@@ -268,28 +289,34 @@ class _AssocEvaluator:
         self.seq = seq
         self.convex = seq.is_weight_seq
         self._lock = threading.Lock()
-        self._n = 0  # _grow sets the arrays _vals, _log_mu, _log_tail_lo and _log_tail_hi
-        self._grow(min(self.ARRAY_START, self._cap()))
+        vals = seq.values(min(self.ARRAY_START, self._cap()))
         if self.convex:
             # cover log mu_J >= 55: with 4096 terms the fitted far tail moves K-power by 2.9e-4
-            self.ensure_cover(55.0)
+            vals = self._grown(vals, 55.0)
+        self._set(vals)
 
     def _cap(self) -> int:
         return int(min(self.ARRAY_CAP, self.seq.max_index))
 
-    def _grow(self, n: int) -> None:
-        n = int(min(n, self._cap()))
-        if n <= self._n:
-            return
-        vals = self.seq.values(n)
+    def _grown(self, vals: np.ndarray, max_log_t: float) -> np.ndarray:
+        """log M_0 .. log M_n, n grown by fours from len(vals) - 1 up to the
+        cap, until the last quotient log mu_n reaches max_log_t."""
+        cap = self._cap()
+        while len(vals) - 1 < cap and vals[-1] - vals[-2] < max_log_t:
+            vals = self.seq.values(min(4 * (len(vals) - 1), cap))
+        return vals
+
+    def _set(self, vals: np.ndarray) -> None:
+        n = len(vals) - 1
         # log_tail_lo/hi[c] bracket log sum_{j > c} 1/mu_j for counts c = 0..n
         lo, hi = log_tail_bracket(self.seq, np.arange(1, n + 2), n)
         self._n, self._vals, self._log_mu, self._log_tail_lo, self._log_tail_hi = n, vals, np.diff(vals), lo, hi
 
     def ensure_cover(self, max_log_t: float) -> None:
         with self._lock:
-            while self._n < self._cap() and self._log_mu[-1] < max_log_t:
-                self._grow(self._n * 4)
+            vals = self._grown(self._vals, max_log_t)
+            if len(vals) - 1 > self._n:
+                self._set(vals)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -627,8 +654,12 @@ _TI2_COEFFS = 0.5 * _TI2_WEIGHTS / _TI2_NODES
 def _ti2(x: np.ndarray) -> np.ndarray:
     """Ti2(x) = int_0^x arctan(v)/v dv = int_0^1 arctan(x w)/w dw, 0 <= x <= 1
     (Lewin 1981, ch. 2), by a 16-point Gauss-Legendre rule, exact to rounding:
-    the poles w = +-i/x lie outside the Bernstein ellipse rho ~ 4.6 of [0, 1]."""
-    return np.arctan(np.multiply.outer(x, _TI2_NODES)) @ _TI2_COEFFS
+    the poles w = +-i/x lie outside the Bernstein ellipse rho ~ 4.6 of [0, 1].
+    TI2_ROWS values at a time; each row's sum is the same in any block."""
+    out = np.empty_like(x)
+    for i in range(0, len(x), TI2_ROWS):
+        out[i : i + TI2_ROWS] = np.arctan(np.multiply.outer(x[i : i + TI2_ROWS], _TI2_NODES)) @ _TI2_COEFFS
+    return out
 
 
 def _poisson_assoc(w: WeightFn, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

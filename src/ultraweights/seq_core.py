@@ -61,10 +61,13 @@ LogBracket = tuple[np.ndarray, np.ndarray]
 class WeightSeq:
     """A positive sequence given by a log-domain evaluator.
 
-    Evaluators must accept a float64 numpy array of indices and be pure.
-    The indices are floats because the associated function maximizes
-    k y - log M_k over real k past its quotient array, where they may exceed
-    2^53; an evaluator should extend k -> log M_k convexly to real k.
+    Evaluators must accept a float64 numpy array of indices, be pure and be
+    elementwise: the value at k does not depend on the other indices passed.
+    `values(n)` relies on that: it extends its cached prefix log M_0 ..
+    log M_m by evaluating only the indices m+1 .. n.  The indices are floats
+    because the associated function maximizes k y - log M_k over real k past
+    its quotient array, where they may exceed 2^53; an evaluator should
+    extend k -> log M_k convexly to real k.
     `log_tail`, when present, maps an integer array of indices k >= 1 to
     arrays (log_lo, log_hi) bracketing log sum_{l>=k} 1/mu_l analytically.
     `is_weight_seq` records whether the sequence was declared (and validated
@@ -127,12 +130,15 @@ class WeightSeq:
         return float(out[0]) if kk.ndim == 0 else out
 
     def values(self, n: int) -> np.ndarray:
-        """log M_0 .. log M_n as a cached contiguous prefix."""
+        """log M_0 .. log M_n as a cached contiguous prefix, extended by
+        evaluating only the indices past it; log M_0 is the exact 0 that the
+        constructor checks."""
         if n > self.max_index:
             raise TruncationExhausted(f"{self.name}: values({n}) beyond truncation {self.max_index}")
         with self._lock:
-            if len(self._prefix) <= n:
-                self._prefix = self._eval(np.arange(0, n + 1, dtype=float))
+            have = len(self._prefix)
+            if have <= n:
+                self._prefix = np.concatenate([self._prefix, self._eval(np.arange(have, n + 1, dtype=float))])
             return self._prefix[: n + 1].copy()
 
     def log_mu(self, n: int) -> np.ndarray:

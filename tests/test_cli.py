@@ -3,11 +3,12 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ultraweights import func_core
+from ultraweights import catalog, func_core
 from ultraweights.cli import load_config, main
 
 CHAIN5 = ["S_into_K", "K_into_Q", "Q_into_K", "K_into_uL", "uL_into_L"]
@@ -238,6 +239,33 @@ def test_compute_K_reaches_past_the_assoc_array(capsys, monkeypatch):
     assert rc == 0 and len(vals) == 8193
     assert np.all(np.diff(np.diff(vals)) >= -1e-9)  # log quotients non-decreasing up to rounding
     assert 32.0 in far_ys
+
+
+def test_check_resolves_a_shared_inner_uri_once(capsys, monkeypatch):
+    resolved = []
+    plain = catalog.resolve
+
+    def counted(uri, grid=None):
+        resolved.append(uri)
+        return plain(uri, grid=grid)
+
+    monkeypatch.setattr(catalog, "resolve", counted)
+    argv = ("check", "braces-preceq", "--lhs", "derived:Q(mat:gevrey?s=3)", "--rhs", "derived:K(mat:gevrey?s=3)",
+            "--n", "64")
+    rc, out, _ = run(capsys, *argv)
+    assert json.loads(out)["relation"] == "braces-preceq"
+    assert resolved == ["mat:gevrey?s=3"]
+    run(capsys, *argv)  # each call resolves afresh
+    assert resolved == ["mat:gevrey?s=3"] * 2
+
+
+def test_compute_K_on_the_power_matrix_matches_the_reference_table(capsys):
+    # the conjugate-built path: every member is a scaled Young conjugate
+    reference = json.loads((Path(__file__).resolve().parents[1] / "bench" / "reference.json").read_text())["K-power"]
+    rc, out, _ = run(capsys, "compute", "mat:omega?fn=power&beta=0.5", "--derive", "K", "--n", "64", "--grid", "0..1")
+    got = [v for member in json.loads(out)["members"] for v in member["log_m"]]
+    assert rc == 0 and len(got) == len(reference)
+    assert np.allclose(got, reference, rtol=1e-10, atol=1e-10)
 
 
 def test_cli_imports_no_scipy():

@@ -306,6 +306,19 @@ def test_ti2_is_catalan_at_one_and_inverts():
         assert inverted == pytest.approx(direct, rel=1e-14, abs=1e-14), x
 
 
+def test_ti2_blocks_match_one_pass(rng):
+    x = rng.uniform(0.0, 1.0, 2**14 + 5)
+    one_pass = np.arctan(np.multiply.outer(x, func_core._TI2_NODES)) @ func_core._TI2_COEFFS
+    assert np.array_equal(func_core._ti2(x), one_pass)
+
+
+def test_phi_star_blocks_match_per_block_calls(power_half, rng):
+    block = func_core.PHI_STAR_BLOCK
+    xs = rng.uniform(0.0, 50.0, 2 * block + 1)
+    per_block = np.concatenate([phi_star(power_half, xs[i : i + block]) for i in range(0, len(xs), block)])
+    assert np.array_equal(phi_star(power_half, xs), per_block)
+
+
 def test_closed_form_P_past_the_array_overlaps_quadrature():
     # gevrey 1.5 at r = 1e6: log mu_J = 17.7 < log r + 8, so the terms past
     # the 2^17-term array are only bracketed

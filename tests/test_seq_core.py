@@ -23,7 +23,7 @@ from ultraweights.seq_core import (
     tail_mids,
     tail_recip_mu,
 )
-from ultraweights.catalog import make_gevrey
+from ultraweights.catalog import make_gevrey, resolve
 from ultraweights.verdicts import Interval
 
 PI2_6 = math.pi**2 / 6
@@ -311,6 +311,27 @@ def test_json_shape(gevrey2):
     assert seq_to_json(bare, 4)["tail_kind"] == "integral-test"
     arr = WeightSeq.from_values("arr", [0.0, 1.0])
     assert seq_to_json(arr, 1)["tail_kind"] == "none"
+
+
+@pytest.mark.parametrize("make", [lambda: resolve("mat:omega?fn=power&beta=0.5").member(0.125),
+                                  lambda: make_gevrey(2)], ids=["power-member", "gevrey2"])
+def test_values_extend_the_prefix(make):
+    # grown as the associated-function array grows, the prefix evaluates each
+    # index once (0 in the constructor's check) and equals one fresh
+    # evaluation bit for bit
+    ev = make()._eval
+    evaluated = []
+
+    def counted(kk):
+        evaluated.append(kk)
+        return ev(kk)
+
+    seq = WeightSeq("counted", counted, is_weight_seq=True)
+    for n in (4096, 16384, 131072):
+        vals = seq.values(n)
+    assert sum(len(kk) for kk in evaluated) == 131073
+    assert np.array_equal(np.concatenate(evaluated), np.arange(131073))
+    assert np.array_equal(vals, make().values(131072))
 
 
 def test_weight_seq_rejects_nonzero_start():
