@@ -4,7 +4,9 @@ These entries are the ground truth of the test suite: each carries tightly
 bracketed log tail sums over index arrays and, where available, closed-form
 reference values for the integral transforms and the Young conjugate.  Entries are
 addressed by URI-like names, e.g. seq:gevrey?s=2, fn:power?beta=0.5,
-mat:omega?fn=power&beta=0.5.
+mat:omega?fn=power&beta=0.5.  The registry `_ENTRIES` is the one list of
+them: `entries()` lists it and `resolve` dispatches through it, calling the
+entry's `make(params, grid)`; `seq:csv?path=...` is the one unlisted URI.
 
 Functions and their kappa/P references take y = log t; conjugates take x.
 Closed forms used:
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import CatalogError
 from .func_core import Envelope, WeightFn, WeightMatrix, matrix_from_omega
-from .seq_core import LogBracket, WeightSeq, log_suffix_bracket
+from .seq_core import LogBracket, WeightSeq, log_suffix_bracket, seq_from_csv
 
 __all__ = [
     "make_gevrey",
@@ -254,38 +256,52 @@ class CatalogEntry:
     key: str
     params: str
     doc: str
-    make: Callable[..., object]
+    make: Callable[[dict[str, str], object], object]  # (URI parameters, matrix grid) -> object
+
+
+def _omega_matrix(p: dict[str, str], grid) -> WeightMatrix:
+    """mat:omega: the canonical matrix of the fn: entry named by `fn`
+    (default power, with beta = 0.5 unless given)."""
+    kind = p.get("fn", "power")
+    fn = _ENTRIES.get(f"fn:{kind}")
+    if fn is None:
+        raise CatalogError(f"unknown function kind {kind!r}")
+    return matrix_from_omega(fn.make({"beta": "0.5"} | p, None), grid=grid)
+
+
+_ENTRIES = {e.key: e for e in (
+    CatalogEntry("sequence", "seq:gevrey", "s > 1", "factorial power (k!)^s; exact terms plus Euler-Maclaurin tails",
+                 lambda p, grid: make_gevrey(float(p["s"]))),
+    CatalogEntry("sequence", "seq:factorial", "", "k!; quasianalytic reference sequence",
+                 lambda p, grid: make_factorial()),
+    CatalogEntry("sequence", "seq:qgevrey", "q > 1", "q^(k^2); geometric quotients, no moderate growth",
+                 lambda p, grid: make_q_gevrey(float(p["q"]))),
+    CatalogEntry("sequence", "seq:expgevrey", "p >= 0, a > 0", "quotients k^p e^(a k)",
+                 lambda p, grid: make_exp_gevrey_member(float(p.get("p", 2)), float(p["a"]))),
+    CatalogEntry("function", "fn:power", "beta in (0,1)", "t^beta with closed-form transforms",
+                 lambda p, grid: make_power_weight(float(p["beta"]))),
+    CatalogEntry("function", "fn:logsq", "", "(max(0, log t))^2, normalized pre-weight",
+                 lambda p, grid: make_log_square_weight()),
+    CatalogEntry("function", "fn:linear", "", "t; quasianalytic, conjugate checks only",
+                 lambda p, grid: make_linear_weight()),
+    CatalogEntry("matrix", "mat:omega", "fn=power&beta=..., fn=logsq", "canonical matrix of a weight function",
+                 _omega_matrix),
+    CatalogEntry("matrix", "mat:gevrey", "s > 1", "constant family of a Gevrey sequence",
+                 lambda p, grid: constant_matrix(make_gevrey(float(p["s"])), grid=grid)),
+    CatalogEntry("matrix", "mat:qgevrey", "q > 1", "constant family of a q-Gevrey sequence",
+                 lambda p, grid: constant_matrix(make_q_gevrey(float(p["q"])), grid=grid)),
+    CatalogEntry("matrix", "mat:expgevrey", "p >= 0", "family with quotients k^p e^(alpha k)",
+                 lambda p, grid: exp_gevrey_matrix(float(p.get("p", 2)), grid=grid)),
+)}
 
 
 def entries() -> list[CatalogEntry]:
-    return [
-        CatalogEntry("sequence", "seq:gevrey", "s > 1", "factorial power (k!)^s; exact terms plus Euler-Maclaurin tails", make_gevrey),
-        CatalogEntry("sequence", "seq:factorial", "", "k!; quasianalytic reference sequence", make_factorial),
-        CatalogEntry("sequence", "seq:qgevrey", "q > 1", "q^(k^2); geometric quotients, no moderate growth", make_q_gevrey),
-        CatalogEntry("sequence", "seq:expgevrey", "p >= 0, a > 0", "quotients k^p e^(a k)", make_exp_gevrey_member),
-        CatalogEntry("function", "fn:power", "beta in (0,1)", "t^beta with closed-form transforms", make_power_weight),
-        CatalogEntry("function", "fn:logsq", "", "(max(0, log t))^2, normalized pre-weight", make_log_square_weight),
-        CatalogEntry("function", "fn:linear", "", "t; quasianalytic, conjugate checks only", make_linear_weight),
-        CatalogEntry("matrix", "mat:omega", "fn=power&beta=..., fn=logsq", "canonical matrix of a weight function", None),
-        CatalogEntry("matrix", "mat:gevrey", "s > 1", "constant family of a Gevrey sequence", None),
-        CatalogEntry("matrix", "mat:qgevrey", "q > 1", "constant family of a q-Gevrey sequence", None),
-        CatalogEntry("matrix", "mat:expgevrey", "p >= 0", "family with quotients k^p e^(alpha k)", None),
-    ]
+    return list(_ENTRIES.values())
 
 
-def _params(query: str) -> dict[str, str]:
-    return dict(parse_qsl(query, keep_blank_values=True))
-
-
-def _fn_from_params(p: dict[str, str]) -> WeightFn:
-    kind = p.get("fn", "power")
-    if kind == "power":
-        return make_power_weight(float(p.get("beta", 0.5)))
-    if kind == "logsq":
-        return make_log_square_weight()
-    if kind == "linear":
-        return make_linear_weight()
-    raise CatalogError(f"unknown function kind {kind!r}")
+def _seq_from_csv(p: dict[str, str]) -> WeightSeq:
+    with open(p["path"], "r", encoding="utf-8") as fh:
+        return seq_from_csv(p.get("name", p["path"]), fh.read(), is_weight_seq=bool(int(p.get("weight", "0"))))
 
 
 def resolve(uri: str, grid=None):
@@ -293,37 +309,13 @@ def resolve(uri: str, grid=None):
     if ":" not in uri:
         raise CatalogError(f"malformed entry URI {uri!r}")
     head, _, query = uri.partition("?")
-    p = _params(query)
+    entry = _ENTRIES.get(head)
+    if entry is None and head != "seq:csv":
+        raise CatalogError(f"unknown catalog entry {uri!r}")
+    p = dict(parse_qsl(query, keep_blank_values=True))
     try:
-        if head == "seq:gevrey":
-            return make_gevrey(float(p["s"]))
-        if head == "seq:factorial":
-            return make_factorial()
-        if head == "seq:qgevrey":
-            return make_q_gevrey(float(p["q"]))
-        if head == "seq:expgevrey":
-            return make_exp_gevrey_member(float(p.get("p", 2)), float(p["a"]))
-        if head == "seq:csv":
-            from .seq_core import seq_from_csv
-
-            with open(p["path"], "r", encoding="utf-8") as fh:
-                return seq_from_csv(p.get("name", p["path"]), fh.read(), is_weight_seq=bool(int(p.get("weight", "0"))))
-        if head == "fn:power":
-            return make_power_weight(float(p["beta"]))
-        if head == "fn:logsq":
-            return make_log_square_weight()
-        if head == "fn:linear":
-            return make_linear_weight()
-        if head == "mat:omega":
-            return matrix_from_omega(_fn_from_params(p), grid=grid)
-        if head == "mat:gevrey":
-            return constant_matrix(make_gevrey(float(p["s"])), grid=grid)
-        if head == "mat:qgevrey":
-            return constant_matrix(make_q_gevrey(float(p["q"])), grid=grid)
-        if head == "mat:expgevrey":
-            return exp_gevrey_matrix(float(p.get("p", 2)), grid=grid)
+        return _seq_from_csv(p) if entry is None else entry.make(p, grid)
     except KeyError as e:
         raise CatalogError(f"{uri!r}: missing parameter {e}") from None
     except ValueError as e:
         raise CatalogError(f"{uri!r}: {e}") from None
-    raise CatalogError(f"unknown catalog entry {uri!r}")

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import catalog as cat
-from .derived import FAMILY_NAMES, derive_family, seq_K, seq_L, seq_Q, seq_S, seq_underline_L
+from .derived import CONSTRUCTORS, FAMILY_NAMES, derive_family, seq_K, seq_L, seq_S
 from .errors import UltraweightsError
 from .func_core import (
     WeightFn,
@@ -53,12 +53,11 @@ from .seq_core import (
     seq_to_csv,
     seq_to_json,
 )
-from .verdicts import Status, Verdict
+from .verdicts import Status, Verdict, combine_all
 
-DERIVE_CHOICES = ("none", "L", "underlineL", "S", "K", "Q", "omega_M", "kappa", "poisson", "minorant")
+DERIVE_CHOICES = ("none", *FAMILY_NAMES, "omega_M", "kappa", "poisson", "minorant")
 # sequence-to-sequence derivations of `compute --derive` and `derived:OP(...)` URIs
-SEQ_DERIVATIONS = {"L": seq_L, "underlineL": seq_underline_L, "S": seq_S, "K": seq_K, "Q": seq_Q,
-                   "minorant": log_convex_minorant}
+SEQ_DERIVATIONS = CONSTRUCTORS | {"minorant": log_convex_minorant}
 CHECK_CHOICES = (
     "preceq", "equiv", "sv", "gamma1", "st", "mg", "mmg",
     "braces-preceq", "rmg", "liminf", "liminf2", "roquS", "invmg", "membership",
@@ -316,9 +315,11 @@ def cmd_verify_chain(args) -> int:
 
     fams = {which: derive_family(mat, which, n) for which in FAMILY_NAMES}
     links: list[dict] = []
+    statuses: list[Status] = []
 
     def link(name: str, detail: str, verdict: Verdict) -> None:
         links.append({"name": name, "detail": detail, "verdict": verdict.to_dict()})
+        statuses.append(verdict.status)
 
     link("S_into_K", "every S member dominated by a K member", matrix_braces_preceq(fams["S"], fams["K"], n))
     link("K_into_Q", "every K member dominated by a Q member", matrix_braces_preceq(fams["K"], fams["Q"], n))
@@ -338,16 +339,15 @@ def cmd_verify_chain(args) -> int:
             link("kappaMatrix_equals_K", "skipped: " + str(e), Verdict(Status.INCONCLUSIVE, note=str(e)))
         link("family_moderate_growth", "source family has matrix-level moderate growth", r_moderate_growth(mat, min(n, 128)))
 
-    statuses = [lk["verdict"]["status"] for lk in links]
-    overall = "Holds" if all(s == "Holds" for s in statuses) else ("Fails" if "Fails" in statuses else "Inconclusive")
+    overall = combine_all(statuses)
     report = {
         "config": cfg | {"matrix": args.matrix},
         "links": links,
         "summary": {
-            "overall": overall,
-            "holds": statuses.count("Holds"),
-            "fails": statuses.count("Fails"),
-            "inconclusive": statuses.count("Inconclusive"),
+            "overall": overall.value,
+            "holds": statuses.count(Status.HOLDS),
+            "fails": statuses.count(Status.FAILS),
+            "inconclusive": statuses.count(Status.INCONCLUSIVE),
             "warnings": sum((fams[w].warnings for w in FAMILY_NAMES), []),
         },
     }
@@ -357,7 +357,7 @@ def cmd_verify_chain(args) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    return {"Holds": 0, "Fails": 1, "Inconclusive": 3}[overall]
+    return overall.exit_code()
 
 
 # -- selftest ---------------------------------------------------------------------

@@ -35,9 +35,7 @@ from .func_core import DOUBLINGS, WeightFn, WeightMatrix, kappa_fn, omega_tilde_
 from .seq_core import WeightSeq, log_convex_minorant, require_weight_seq, tail_mids
 from .verdicts import Status
 
-__all__ = ["seq_L", "seq_S", "seq_K", "seq_Q", "seq_underline_L", "derive_family", "FAMILY_NAMES"]
-
-FAMILY_NAMES = ("L", "underlineL", "S", "K", "Q")
+__all__ = ["seq_L", "seq_S", "seq_K", "seq_Q", "seq_underline_L", "derive_family", "CONSTRUCTORS", "FAMILY_NAMES"]
 
 Q_GRID_START = (math.log(1e-2), math.log(1e6))
 Q_GRID_DX = 0.1
@@ -49,6 +47,17 @@ def _tilde(m: WeightSeq) -> WeightFn:
     return m.tilde(omega_tilde_from_seq)
 
 
+def _centre_and_spread(build, tails) -> tuple[np.ndarray, float]:
+    """`build` at the tail midpoint, and the largest log deviation from it
+    when the midpoint is replaced by either bracket end (0 for exact tails);
+    `tails` is the (lo, mid, hi) of `tail_mids`."""
+    t_lo, t_mid, t_hi = tails
+    center = build(t_mid)
+    if not float(np.max(t_hi - t_lo)) > 0:
+        return center, 0.0
+    return center, float(max(np.max(np.abs(build(t_lo) - center)), np.max(np.abs(build(t_hi) - center))))
+
+
 def seq_L(m: WeightSeq, n: int) -> WeightSeq:
     """The Borel-optimal derived sequence; see module docstring.
 
@@ -58,19 +67,15 @@ def seq_L(m: WeightSeq, n: int) -> WeightSeq:
     midpoint is replaced by either bracket endpoint.
     """
     require_weight_seq(m, "seq_L")
-    t_lo, t_mid, t_hi = tail_mids(m, n)
+    tails = tail_mids(m, n)
     vals = m.values(n)
     log_k = np.log(np.arange(1, n + 1, dtype=float))
 
     def build(log_tails: np.ndarray) -> np.ndarray:
         return _kernels.min_chord(vals, np.concatenate([[0.0], log_k - log_tails]))
 
-    center = build(t_mid)
-    spread = 0.0
-    if float(np.max(t_hi - t_lo)) > 0:
-        spread = float(max(np.max(np.abs(build(t_lo) - center)), np.max(np.abs(build(t_hi) - center))))
-    return WeightSeq.from_values(f"L({m.name})", center, note=f"tail spread {spread:.3g} (log)",
-                                 diagnostics={"tail_spread": spread})
+    center, spread = _centre_and_spread(build, tails)
+    return WeightSeq.from_values(f"L({m.name})", center, diagnostics={"tail_spread": spread})
 
 
 def seq_underline_L(m: WeightSeq, n: int) -> WeightSeq:
@@ -78,8 +83,7 @@ def seq_underline_L(m: WeightSeq, n: int) -> WeightSeq:
     keeps the `tail_spread` of that L."""
     big = seq_L(m, n + max(16, n // 4))
     hull = log_convex_minorant(big, n)
-    return WeightSeq.from_values(f"uL({m.name})", hull.values(n), is_weight_seq=True, note=hull.note,
-                                 diagnostics=big.diagnostics)
+    return WeightSeq.from_values(f"uL({m.name})", hull.values(n), is_weight_seq=True, diagnostics=big.diagnostics)
 
 
 def seq_S(m: WeightSeq, n: int) -> WeightSeq:
@@ -90,7 +94,7 @@ def seq_S(m: WeightSeq, n: int) -> WeightSeq:
     read back from the values: log sigma_k = log S_k - log S_{k-1}.
     """
     require_weight_seq(m, "seq_S")
-    t_lo, t_mid, t_hi = tail_mids(m, n)
+    tails = tail_mids(m, n)
     log_k = np.log(np.arange(1, n + 1, dtype=float))
     log_k_over_mu = log_k - m.log_mu(n)
 
@@ -98,12 +102,9 @@ def seq_S(m: WeightSeq, n: int) -> WeightSeq:
         log_tau = np.logaddexp(log_k_over_mu, log_tails)
         return np.concatenate([[0.0], np.cumsum(log_tau[0] + log_k - log_tau)])
 
-    center = build(t_mid)
-    spread = 0.0
-    if float(np.max(t_hi - t_lo)) > 0:
-        spread = float(max(np.max(np.abs(build(t_lo) - center)), np.max(np.abs(build(t_hi) - center))))
+    center, spread = _centre_and_spread(build, tails)
     rescale = float(max(1.0, np.exp(np.max(np.diff(center) - m.log_mu(n)))))
-    return WeightSeq.from_values(f"S({m.name})", center, is_weight_seq=True, note=f"tail spread {spread:.3g} (log)",
+    return WeightSeq.from_values(f"S({m.name})", center, is_weight_seq=True,
                                  diagnostics={"tail_spread": spread, "sigma_rescale": rescale})
 
 
@@ -118,8 +119,7 @@ def seq_K(m: WeightSeq, n: int) -> WeightSeq:
     tail_mids(m, 1)  # raises DivergentTail for a quasianalytic input
     logk = phi_star(kappa_fn(_tilde(m)), np.arange(0, n + 1, dtype=float))
     logk[0] = 0.0
-    return WeightSeq.from_values(f"K({m.name})", logk, is_weight_seq=True,
-                                 note="K_j/M_j stays bounded; conjugate of the averaged associated function")
+    return WeightSeq.from_values(f"K({m.name})", logk, is_weight_seq=True)
 
 
 def seq_Q(m: WeightSeq, n: int) -> WeightSeq:
@@ -164,22 +164,13 @@ def seq_Q(m: WeightSeq, n: int) -> WeightSeq:
         raise MaximizerUnbounded(f"seq_Q({m.name}): radial sup still at the grid ends after {DOUBLINGS} doublings")
     log_q = ks * rho[arg] - p_half[arg]
 
-    return WeightSeq.from_values(
-        f"Q({m.name})",
-        log_q - log_q[0],
-        is_weight_seq=True,
-        note=f"normalized by log Q_0 = {log_q[0]:.6g}; sup over log r grid [{i_lo * dx:.6g}, {i_hi * dx:.6g}], dx={dx}",
-        diagnostics={"log_q0": float(log_q[0])},
-    )
+    return WeightSeq.from_values(f"Q({m.name})", log_q - log_q[0], is_weight_seq=True,
+                                 diagnostics={"log_q0": float(log_q[0])})
 
 
-_CONSTRUCTORS = {
-    "L": seq_L,
-    "underlineL": seq_underline_L,
-    "S": seq_S,
-    "K": seq_K,
-    "Q": seq_Q,
-}
+# the derived constructions by family name, in report order
+CONSTRUCTORS = {"L": seq_L, "underlineL": seq_underline_L, "S": seq_S, "K": seq_K, "Q": seq_Q}
+FAMILY_NAMES = tuple(CONSTRUCTORS)
 
 
 def derive_family(mat: WeightMatrix, which: Literal["L", "underlineL", "S", "K", "Q"], n: int) -> WeightMatrix:
@@ -188,9 +179,9 @@ def derive_family(mat: WeightMatrix, which: Literal["L", "underlineL", "S", "K",
     The result need not satisfy the strict matrix monotonicity invariant;
     a violation is recorded as a warning rather than an error.
     """
-    if which not in _CONSTRUCTORS:
+    if which not in CONSTRUCTORS:
         raise ValueError(f"unknown construction {which!r}; pick one of {FAMILY_NAMES}")
-    build = _CONSTRUCTORS[which]
+    build = CONSTRUCTORS[which]
     by_member: dict[int, WeightSeq] = {}  # constant families share one member object
 
     def make(alpha: float) -> WeightSeq:

@@ -41,7 +41,7 @@ from .errors import (
     TruncationExhausted,
     UnboundedConjugate,
 )
-from .seq_core import WeightSeq, _dyadic_exponent, _log_mid, is_non_quasianalytic, log_tail_bracket
+from .seq_core import WeightSeq, _log_mid, _tail_exponent, is_non_quasianalytic, log_tail_bracket
 from .verdicts import (
     Interval,
     Status,
@@ -116,7 +116,9 @@ class WeightFn:
     pure, and stay finite wherever phi is: the conjugate's bracket doubles y
     up to 8 * 2^64.  `kappa_ref` (in y) is a closed form that `kappa_fn`
     evaluates through; `phi_star_ref` (in x) is catalog metadata used as a
-    test oracle, never as the production path of the conjugate.
+    test oracle, never as the production path of the conjugate.  There is
+    no free-text description: the name says what the function is, and
+    `kappa_ref` or `assoc` decides how `kappa_fn` evaluates its transform.
     """
 
     def __init__(
@@ -130,7 +132,6 @@ class WeightFn:
         phi_star_ref: Optional[Callable] = None,
         assoc: Optional["_AssocEvaluator"] = None,
         include_log_term: bool = False,
-        note: str = "",
     ):
         self.name = name
         self._phi = phi
@@ -140,7 +141,6 @@ class WeightFn:
         self.phi_star_ref = phi_star_ref
         self.assoc = assoc
         self.include_log_term = include_log_term
-        self.note = note
 
     def phi(self, y):
         yy = np.asarray(y, dtype=float)
@@ -386,13 +386,10 @@ class _AssocEvaluator:
         out[near] = _log_mid(self._log_tail_lo[c], self._log_tail_hi[c])
         far = ~near
         if np.any(far):
-            # power-law remainder from the last window fit: T(k) ~ k / ((p-1) mu_k),
+            # the power-law remainder k / ((p-1) mu_k) of `_tail_exponent`,
             # with log mu_k* <= y < log mu_{k*+1}
-            p = _dyadic_exponent(self._log_mu)
-            if p > 1:
-                out[far] = np.log(kstar[far] / (p - 1.0)) - log_t[far]
-            else:
-                out[far] = np.inf
+            p = _tail_exponent(self._log_mu)
+            out[far] = np.inf if p is None else np.log(kstar[far] / (p - 1.0)) - log_t[far]
         return out
 
 
@@ -407,7 +404,6 @@ def omega_from_seq(seq: WeightSeq) -> WeightFn:
         lambda ys: ev.eval(ys)[0],
         normalized=True,  # omega_M(t) = 0 for t <= 1 when M_0 = 1 and M_k >= 1
         assoc=ev,
-        note="associated function",
     )
 
 
@@ -421,7 +417,6 @@ def omega_tilde_from_seq(seq: WeightSeq) -> WeightFn:
         normalized=False,  # log(1+t^2) > 0 on (0,1]
         assoc=base.assoc,
         include_log_term=True,
-        note="associated function plus log(1+t^2)",
     )
 
 
@@ -758,8 +753,6 @@ def normalize_fn(w: WeightFn) -> WeightFn:
         envelope=w.envelope,  # still an upper bound
         normalized=True,
         phi_star_ref=ref,
-        assoc=None,
-        note=f"normalized by omega(1) = {c:.6g}",
     )
 
 
@@ -772,10 +765,8 @@ def kappa_fn(w: WeightFn) -> WeightFn:
     """
     if w.kappa_ref is not None:
         raw = w.kappa_ref
-        how = "closed form"
     elif w.assoc is not None:
         raw = lambda ys: _kappa_assoc(w, ys)
-        how = "piecewise closed form"
     else:
         env = _require_envelope(w, "kappa")
         cache: dict[float, float] = {}
@@ -791,7 +782,6 @@ def kappa_fn(w: WeightFn) -> WeightFn:
                     out[i] = cache[y]
             return out
 
-        how = "memoized quadrature"
     c = float(raw(np.array([0.0]))[0])
 
     def phi_vec(ys: np.ndarray) -> np.ndarray:
@@ -804,7 +794,6 @@ def kappa_fn(w: WeightFn) -> WeightFn:
         phi_vec,
         envelope=kap_env,
         normalized=True,
-        note=f"kappa via {how}, normalized by kappa(1) = {c:.6g}",
     )
 
 
@@ -878,8 +867,7 @@ def matrix_from_omega(w: WeightFn, grid=None) -> WeightMatrix:
         def ev(kk: np.ndarray) -> np.ndarray:
             return phi_star(wn, alpha * kk) / alpha
 
-        return WeightSeq(f"M[{w.name};a={alpha:g}]", ev, is_weight_seq=True,
-                         note=f"scaled-conjugate member, parameter {alpha:g}")
+        return WeightSeq(f"M[{w.name};a={alpha:g}]", ev, is_weight_seq=True)
 
     return WeightMatrix(
         f"matrix[{w.name}]",

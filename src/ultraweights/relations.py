@@ -23,6 +23,8 @@ from .seq_core import WeightSeq, require_weight_seq, seq_preceq, tail_mids
 from .verdicts import (
     Status,
     Verdict,
+    combine_all,
+    first_holding,
     trend_bounded,
     trend_liminf_positive,
 )
@@ -72,29 +74,19 @@ def prec_SV(mp: WeightSeq, m: WeightSeq, n: int) -> Verdict:
     js = np.arange(1, n + 1, dtype=float)
     log_j = np.log(js)
 
-    per_s: list[tuple[float, Verdict]] = []
-    best = None
-    for s in S_GRID:
+    def test(s: float) -> Verdict:
         sup = _kernels.sv_sup(log_mp, log_m, math.log(s))[1:]
-        v = trend_bounded(sup - log_j + log_t, js, relation=f"sv[s={s:g}]", lhs=mp.name, rhs=m.name)
-        per_s.append((float(s), v))
-        if v.holds:
-            best = (float(s), v)
-            break
-    statuses = [v.status for _, v in per_s]
-    pairing = [{"s": s, "status": v.status.value} for s, v in per_s]
-    if best is not None:
-        s, v = best
-        return Verdict(Status.HOLDS, relation="prec_SV", lhs=mp.name, rhs=m.name, witness=s,
-                       trajectory=v.trajectory, pairing=pairing, grid=[float(x) for x in S_GRID],
-                       note=f"bounded with s={s:g}: {v.note}")
-    if all(st is Status.FAILS for st in statuses):
-        return Verdict(Status.FAILS, relation="prec_SV", lhs=mp.name, rhs=m.name,
-                       pairing=pairing, grid=[float(x) for x in S_GRID],
-                       note="growth certified for every s on the grid")
-    return Verdict(Status.INCONCLUSIVE, relation="prec_SV", lhs=mp.name, rhs=m.name,
-                   pairing=pairing, grid=[float(x) for x in S_GRID],
-                   note="no s passes, growth not certified everywhere")
+        return trend_bounded(sup - log_j + log_t, js, relation=f"sv[s={s:g}]", lhs=mp.name, rhs=m.name)
+
+    status, tried = first_holding(S_GRID, test)
+    meta = dict(relation="prec_SV", lhs=mp.name, rhs=m.name, grid=[float(x) for x in S_GRID],
+                pairing=[{"s": float(s), "status": v.status.value} for s, v in tried])
+    if status is Status.HOLDS:
+        s, v = float(tried[-1][0]), tried[-1][1]
+        return Verdict(status, witness=s, trajectory=v.trajectory, note=f"bounded with s={s:g}: {v.note}", **meta)
+    if status is Status.FAILS:
+        return Verdict(status, note="growth certified for every s on the grid", **meta)
+    return Verdict(status, note="no s passes, growth not certified everywhere", **meta)
 
 
 def prec_gamma1(mp: WeightSeq, m: WeightSeq, n: int) -> Verdict:
@@ -112,12 +104,8 @@ def implication(name: str, antecedent: Verdict | Iterable[Verdict], consequent: 
     antecedent is vacuously true; any Inconclusive side is reported as a
     skip (Inconclusive status, never Fails).
     """
-    ants = [antecedent] if isinstance(antecedent, Verdict) else list(antecedent)
-    cons = [consequent] if isinstance(consequent, Verdict) else list(consequent)
-    a_status = (Status.FAILS if any(v.fails for v in ants)
-                else Status.INCONCLUSIVE if any(v.inconclusive for v in ants) else Status.HOLDS)
-    c_status = (Status.FAILS if any(v.fails for v in cons)
-                else Status.INCONCLUSIVE if any(v.inconclusive for v in cons) else Status.HOLDS)
+    a_status = combine_all([antecedent] if isinstance(antecedent, Verdict) else antecedent)
+    c_status = combine_all([consequent] if isinstance(consequent, Verdict) else consequent)
     detail = {"antecedent": a_status.value, "consequent": c_status.value}
     if a_status is Status.FAILS:
         return Verdict(Status.HOLDS, relation=name, witness=detail, note="vacuously true (antecedent fails)")
@@ -135,17 +123,22 @@ def gamma1_implies_SV_check(mp: WeightSeq, m: WeightSeq, n: int) -> Verdict:
     return implication("gamma1=>SV", prec_gamma1(mp, m, n), prec_SV(mp, m, n))
 
 
+def _shifted_liminf(ma: WeightSeq, mb: WeightSeq, n: int, shift: int, **meta) -> Verdict:
+    """`trend_liminf_positive` on log((mu^b_k / k) sum_{j >= shift k} 1/mu^a_j),
+    k = 1..n; raises DivergentTail when the tail of `ma` has no finite bracket."""
+    mid = tail_mids(ma, shift * n)[1]
+    js = np.arange(1, n + 1, dtype=float)
+    return trend_liminf_positive(mb.log_mu(n) - np.log(js) + mid[shift * np.arange(1, n + 1) - 1], js, **meta)
+
+
 def cond_Mmg(m: WeightSeq, n: int) -> Verdict:
     """liminf (mu_j / j) * sum_{k>=2j} 1/mu_k > 0 (shifted-tail balance)."""
     require_weight_seq(m, "cond_Mmg")
     try:
-        _, mid, _ = tail_mids(m, 2 * n)
+        return _shifted_liminf(m, m, n, 2, relation="shifted-liminf", lhs=m.name)
     except DivergentTail:
         return Verdict(Status.INCONCLUSIVE, relation="shifted-liminf", lhs=m.name,
                        note="tail bracket divergent (quasianalytic input)")
-    js = np.arange(1, n + 1, dtype=float)
-    log_vals = m.log_mu(n) - np.log(js) + mid[2 * np.arange(1, n + 1) - 1]
-    return trend_liminf_positive(log_vals, js, relation="shifted-liminf", lhs=m.name)
 
 
 # -- family-level checks -------------------------------------------------------
@@ -154,27 +147,16 @@ def cond_Mmg(m: WeightSeq, n: int) -> Verdict:
 def _exists_beta(alpha_grid, beta_grid, test, relation: str, lhs: str, rhs: str) -> Verdict:
     """forall alpha (rows) exists beta (candidates): generic grid quantifier.
 
-    `test(alpha, beta) -> Verdict`.  Records the pairing per alpha; Fails
-    only when some alpha fails against every beta with certification.
+    `test(alpha, beta) -> Verdict`.  Each alpha is `first_holding` over the
+    betas, and the verdict is the conjunction over the alphas; the pairing
+    records the matching beta (or None) and the status of each alpha.
     """
     pairing = []
-    worst = Status.HOLDS
     for a in alpha_grid:
-        found = None
-        statuses = []
-        for b in beta_grid:
-            v = test(float(a), float(b))
-            statuses.append(v.status)
-            if v.holds:
-                found = (float(b), v)
-                break
-        if found is not None:
-            pairing.append({"alpha": float(a), "beta": found[0], "status": "Holds"})
-            continue
-        st = Status.FAILS if all(s is Status.FAILS for s in statuses) else Status.INCONCLUSIVE
-        pairing.append({"alpha": float(a), "beta": None, "status": st.value})
-        worst = Status.FAILS if st is Status.FAILS else (worst if worst is Status.FAILS else Status.INCONCLUSIVE)
-    status = worst if any(p["beta"] is None for p in pairing) else Status.HOLDS
+        st, tried = first_holding(beta_grid, lambda b: test(float(a), float(b)))
+        pairing.append({"alpha": float(a), "beta": float(tried[-1][0]) if st is Status.HOLDS else None,
+                        "status": st.value})
+    status = combine_all(Status(p["status"]) for p in pairing)
     note = "all parameters matched" if status is Status.HOLDS else "unmatched parameters: " + ", ".join(
         f"{p['alpha']:g}" for p in pairing if p["beta"] is None
     )
@@ -194,9 +176,7 @@ def matrix_braces_preceq(a: WeightMatrix, b: WeightMatrix, n: int) -> Verdict:
 def matrix_r_equivalent(a: WeightMatrix, b: WeightMatrix, n: int) -> Verdict:
     fwd = matrix_braces_preceq(a, b, n)
     bwd = matrix_braces_preceq(b, a, n)
-    status = (Status.FAILS if Status.FAILS in (fwd.status, bwd.status)
-              else Status.INCONCLUSIVE if Status.INCONCLUSIVE in (fwd.status, bwd.status) else Status.HOLDS)
-    return Verdict(status, relation="r-equivalent", lhs=a.name, rhs=b.name,
+    return Verdict(combine_all([fwd, bwd]), relation="r-equivalent", lhs=a.name, rhs=b.name,
                    witness={"forward": fwd.status.value, "backward": bwd.status.value},
                    pairing=[{"forward": fwd.pairing}, {"backward": bwd.pairing}],
                    note=f"forward {fwd.status.value}, backward {bwd.status.value}")
@@ -220,14 +200,10 @@ def cond_liminf(mat: WeightMatrix, n: int, *, shift: int = 1) -> Verdict:
     rel = "liminf" if shift == 1 else f"liminf{shift}"
 
     def test(al: float, be: float) -> Verdict:
-        ma, mb = mat.member(al), mat.member(be)
         try:
-            mid = tail_mids(ma, shift * n)[1]
+            return _shifted_liminf(mat.member(al), mat.member(be), n, shift)
         except DivergentTail:
             return Verdict(Status.INCONCLUSIVE, relation=rel, note="divergent tail")
-        js = np.arange(1, n + 1, dtype=float)
-        log_vals = mb.log_mu(n) - np.log(js) + mid[shift * np.arange(1, n + 1) - 1]
-        return trend_liminf_positive(log_vals, js)
 
     return _exists_beta(mat.grid, _extended(mat.grid), test, rel, mat.name, mat.name)
 
@@ -290,19 +266,18 @@ def lambda_membership(a_log, weight, n: int) -> Verdict:
         raise ValueError("coefficient sequence shorter than the requested truncation")
     members = weight.members() if isinstance(weight, WeightMatrix) else [weight]
     ks = np.arange(1, n + 1, dtype=float)
-    statuses = []
-    for m in members:
+
+    def ratios(m: WeightSeq) -> np.ndarray:
         r = (a_log[1 : n + 1] - m.values(n)[1:]) / ks
-        r = np.maximum(r, np.min(r[np.isfinite(r)], initial=0.0))  # a_k = 0 sits below every other r_k
-        v = trend_bounded(r, ks)
-        if v.holds:
-            sigma = math.exp(float(np.max(r)))
-            return Verdict(Status.HOLDS, relation="membership", lhs="coefficients", rhs=m.name,
-                           witness={"sigma": sigma, "member": m.name},
-                           trajectory=v.trajectory, note=f"bounded with sigma={sigma:.6g}")
-        statuses.append(v.status)
-    if all(st is Status.FAILS for st in statuses):
-        return Verdict(Status.FAILS, relation="membership", lhs="coefficients", rhs=weight.name,
-                       note="(log|a_k| - log M_k)/k grows for every member")
-    return Verdict(Status.INCONCLUSIVE, relation="membership", lhs="coefficients", rhs=weight.name,
-                   note="(log|a_k| - log M_k)/k neither bounded nor certified to grow")
+        return np.maximum(r, np.min(r[np.isfinite(r)], initial=0.0))  # a_k = 0 sits below every other r_k
+
+    status, tried = first_holding(members, lambda m: trend_bounded(ratios(m), ks))
+    if status is Status.HOLDS:
+        m, v = tried[-1]
+        sigma = math.exp(float(np.max(ratios(m))))
+        return Verdict(status, relation="membership", lhs="coefficients", rhs=m.name,
+                       witness={"sigma": sigma, "member": m.name},
+                       trajectory=v.trajectory, note=f"bounded with sigma={sigma:.6g}")
+    note = "grows for every member" if status is Status.FAILS else "neither bounded nor certified to grow"
+    return Verdict(status, relation="membership", lhs="coefficients", rhs=weight.name,
+                   note="(log|a_k| - log M_k)/k " + note)

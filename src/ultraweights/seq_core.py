@@ -64,7 +64,9 @@ class WeightSeq:
     Evaluators must accept a float64 numpy array of indices, be pure and be
     elementwise: the value at k does not depend on the other indices passed.
     `values(n)` relies on that: it extends its cached prefix log M_0 ..
-    log M_m by evaluating only the indices m+1 .. n.  The indices are floats
+    log M_m by evaluating only the indices m+1 .. n, and returns a read-only
+    view of the prefix (a later growth replaces the prefix, so an earlier
+    view keeps its values).  The indices are floats
     because the associated function maximizes k y - log M_k over real k past
     its quotient array, where they may exceed 2^53; an evaluator should
     extend k -> log M_k convexly to real k.
@@ -73,7 +75,8 @@ class WeightSeq:
     `is_weight_seq` records whether the sequence was declared (and validated
     as) log-convex with mu -> infinity; merely positive sequences are
     accepted but some operations refuse them.  `diagnostics` holds the
-    by-products of the construction that built the sequence, read-only.
+    by-products of the construction that built the sequence, read-only: it
+    is their one channel, and no free-text note is kept.
     """
 
     def __init__(
@@ -84,7 +87,6 @@ class WeightSeq:
         log_tail: Optional[Callable[[np.ndarray], LogBracket]] = None,
         is_weight_seq: bool = False,
         max_index: float = math.inf,
-        note: str = "",
         diagnostics: Optional[Mapping[str, float]] = None,
     ):
         self.name = name
@@ -92,7 +94,6 @@ class WeightSeq:
         self.log_tail = log_tail
         self.is_weight_seq = is_weight_seq
         self.max_index = max_index
-        self.note = note
         self.diagnostics: Mapping[str, float] = MappingProxyType(dict(diagnostics or {}))
         self._tilde = None  # omega~ of this sequence, built once by `tilde`
         self._prefix = np.zeros(1)
@@ -104,10 +105,9 @@ class WeightSeq:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_values(name: str, log_values, *, is_weight_seq=False, note="", diagnostics=None) -> "WeightSeq":
+    def from_values(name: str, log_values, *, is_weight_seq=False, diagnostics=None) -> "WeightSeq":
         vals = np.asarray(log_values, dtype=float).copy()
         if abs(vals[0]) > 1e-12:
-            note = (note + " " if note else "") + f"shifted by -log M_0 = {-vals[0]:.6g}"
             vals = vals - vals[0]
         nmax = len(vals) - 1
 
@@ -117,7 +117,7 @@ class WeightSeq:
                 raise TruncationExhausted(f"{name}: index beyond truncation {nmax}")
             return vals[np.round(kk).astype(np.int64)]
 
-        seq = WeightSeq(name, ev, is_weight_seq=is_weight_seq, max_index=nmax, note=note, diagnostics=diagnostics)
+        seq = WeightSeq(name, ev, is_weight_seq=is_weight_seq, max_index=nmax, diagnostics=diagnostics)
         seq._prefix = vals
         return seq
 
@@ -130,16 +130,18 @@ class WeightSeq:
         return float(out[0]) if kk.ndim == 0 else out
 
     def values(self, n: int) -> np.ndarray:
-        """log M_0 .. log M_n as a cached contiguous prefix, extended by
-        evaluating only the indices past it; log M_0 is the exact 0 that the
-        constructor checks."""
+        """log M_0 .. log M_n: a read-only view of the cached contiguous
+        prefix, extended by evaluating only the indices past it; log M_0 is
+        the exact 0 that the constructor checks."""
         if n > self.max_index:
             raise TruncationExhausted(f"{self.name}: values({n}) beyond truncation {self.max_index}")
         with self._lock:
             have = len(self._prefix)
             if have <= n:
                 self._prefix = np.concatenate([self._prefix, self._eval(np.arange(have, n + 1, dtype=float))])
-            return self._prefix[: n + 1].copy()
+            view = self._prefix[: n + 1]
+        view.flags.writeable = False
+        return view
 
     def log_mu(self, n: int) -> np.ndarray:
         """log mu_1 .. log mu_n (index i holds log mu_{i+1})."""
@@ -161,7 +163,7 @@ class WeightSeq:
         """Rescale by a geometric factor so that mu_1 >= 1, if needed.
 
         Replaces M_k by M_k h^k with h = 1/mu_1; stays in the equivalence
-        class.  The factor is recorded in the name and note.
+        class.  The factor is recorded in the name.
         """
         lm1 = self.log_m(1)
         if lm1 >= -1e-12:
@@ -179,7 +181,6 @@ class WeightSeq:
             log_tail=log_tail,
             is_weight_seq=self.is_weight_seq,
             max_index=self.max_index,
-            note=(self.note + " " if self.note else "") + f"renormalized by geometric factor e^{logh:.6g}",
         )
 
     def __repr__(self) -> str:
@@ -231,12 +232,16 @@ def is_strongly_log_convex(seq: WeightSeq, n: int) -> Verdict:
     return _monotone_check(seq, n - 1, np.log(np.arange(1, n + 1, dtype=float)), "strong log-convexity")
 
 
-def _dyadic_exponent(log_mu: np.ndarray) -> float:
-    """Log-log least-squares exponent p of mu_l ~ l^p over the last dyadic
-    window l = n/2 .. n, where log_mu holds log mu_1 .. log mu_n."""
+def _tail_exponent(log_mu: np.ndarray) -> float | None:
+    """Exponent p of the power-law minorant mu_l >= mu_n (l/n)^p past the
+    last quotient, which bounds sum_{l > k} 1/mu_l by k / ((p - 1) mu_k) for
+    k >= n; log_mu holds log mu_1 .. log mu_n.  p is the log-log least-squares
+    slope over the last dyadic window l = n/2 .. n.  None unless p > 1 + 1e-6:
+    a harmonic quotient fits p = 1 up to rounding, and its tail diverges."""
     n = len(log_mu)
     lo = n // 2
-    return _regression_slope(np.log(np.arange(lo, n + 1, dtype=float)), log_mu[lo - 1 :])
+    p = _regression_slope(np.log(np.arange(lo, n + 1, dtype=float)), log_mu[lo - 1 :])
+    return p if p > 1.0 + 1e-6 else None
 
 
 def log_suffix_bracket(x: np.ndarray, idx: np.ndarray, log_rem_hi: float, log_rem_lo: float = -math.inf) -> LogBracket:
@@ -257,9 +262,8 @@ def log_tail_bracket(seq: WeightSeq, ks, n_max: int = DEFAULT_TAIL_N) -> LogBrac
 
     Uses the analytic `log_tail` when attached.  Otherwise: suffix sums to
     n_max (ks may reach n_max + 1, where only the remainder is left), the
-    remainder bounded below by 0 and above through a power-law minorant
-    mu_l >= mu_{n_max} (l/n_max)^p fitted on the last dyadic window (log-log
-    least squares); only a fitted exponent p > 1 yields a finite bound.
+    remainder bounded below by 0 and above through the power-law minorant
+    of `_tail_exponent`, or +inf when it fits none.
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=np.int64))
     if ks.min() < 1:
@@ -270,9 +274,8 @@ def log_tail_bracket(seq: WeightSeq, ks, n_max: int = DEFAULT_TAIL_N) -> LogBrac
     if ks.max() > n_max + 1:
         raise ValueError(f"tail start {int(ks.max())} beyond partial-sum range {n_max}")
     log_mu = seq.log_mu(n_max)  # k = 1..n_max
-    p = _dyadic_exponent(log_mu)
-    # margin: a harmonic quotient fits p = 1 up to rounding
-    log_rem = math.log(n_max / (p - 1.0)) - log_mu[-1] if p > 1.0 + 1e-6 else math.inf
+    p = _tail_exponent(log_mu)
+    log_rem = math.inf if p is None else math.log(n_max / (p - 1.0)) - log_mu[-1]
     return log_suffix_bracket(-log_mu, ks - 1, log_rem)
 
 
@@ -399,7 +402,6 @@ def power_shift(seq: WeightSeq, n: int) -> WeightSeq:
         log_tail=shifted_log_tail,
         is_weight_seq=seq.is_weight_seq,
         max_index=seq.max_index / n,
-        note=f"power shift of {seq.name} by {n}",
     )
 
 
@@ -417,12 +419,7 @@ def log_convex_minorant(seq: WeightSeq, n: int) -> WeightSeq:
         buffer = max(buffer, 0)
     vals = seq.values(n + buffer)
     hull = _kernels.lower_hull(vals)[: n + 1]
-    return WeightSeq.from_values(
-        f"minorant({seq.name})",
-        hull,
-        is_weight_seq=seq.is_weight_seq,
-        note=f"lower convex hull on [0, {n + buffer}], truncated to {n}",
-    )
+    return WeightSeq.from_values(f"minorant({seq.name})", hull, is_weight_seq=seq.is_weight_seq)
 
 
 # -- serialization ---------------------------------------------------------

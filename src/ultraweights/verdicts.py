@@ -4,6 +4,12 @@ Deciding "sup_k r_k < infinity" from finitely many samples is impossible, so
 every asymptotic decision in this package goes through one of the trend tests
 below, which compare dyadic tail windows and return an explicit Inconclusive
 when the data does not certify either outcome.
+
+Statuses combine through two helpers only:
+  - `combine_all`, the conjunction: Fails dominates, then Inconclusive;
+  - `first_holding`, the existential: the first Holds wins, Fails only when
+    every candidate Fails (so an empty list Fails), else Inconclusive.
+`Status.exit_code` is the one table from statuses to CLI exit codes.
 """
 
 from __future__ import annotations
@@ -31,6 +37,10 @@ class Status(Enum):
 
     def __bool__(self) -> bool:
         return self is Status.HOLDS
+
+    def exit_code(self) -> int:
+        """0 for Holds, 1 for Fails, 3 for Inconclusive (2 is a usage error)."""
+        return {Status.HOLDS: 0, Status.FAILS: 1, Status.INCONCLUSIVE: 3}[self]
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,7 @@ class Verdict:
         return self.status is Status.INCONCLUSIVE
 
     def exit_code(self) -> int:
-        return {Status.HOLDS: 0, Status.FAILS: 1, Status.INCONCLUSIVE: 3}[self.status]
+        return self.status.exit_code()
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -138,6 +148,20 @@ def combine_all(verdicts) -> Status:
     if any(s is Status.INCONCLUSIVE for s in statuses):
         return Status.INCONCLUSIVE
     return Status.HOLDS
+
+
+def first_holding(candidates, test) -> tuple[Status, list]:
+    """Existential: `test(c) -> Verdict` on each candidate in order, stopping
+    at the first that Holds.  Returns the status (Holds if one holds, Fails
+    if every one Fails, Inconclusive otherwise) and the (candidate, verdict)
+    pairs tested; when the status is Holds, the last pair is the witness."""
+    tried = []
+    for c in candidates:
+        v = test(c)
+        tried.append((c, v))
+        if v.holds:
+            return Status.HOLDS, tried
+    return (Status.FAILS if all(v.fails for _, v in tried) else Status.INCONCLUSIVE), tried
 
 
 def subsample(xs, values) -> list:

@@ -1,11 +1,16 @@
 """The names that bench/spans.py wraps must stay bound in the package.
 
 `bench/run.py --trace 1` rebinds each listed function and method; one that a
-change renamed or deleted would make the traced benchmark raise.
+change renamed or deleted would make the traced benchmark raise.  The pair
+counters wrap `relations._exists_beta` positionally, so its signature and its
+calls of `test(alpha, beta)` must stay as they are.
 """
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -24,3 +29,25 @@ def test_traced_names_are_bound_in_the_package():
     for mod, cls, meth, _span, _opts in spans.METHODS:
         assert callable(vars(getattr(importlib.import_module(mod), cls)).get(meth)), f"{mod}.{cls}.{meth}"
     assert callable(importlib.import_module("ultraweights.relations")._exists_beta)
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, tested, held",
+    [
+        # expgevrey members outgrow every Gevrey member: 2 alphas x 4 betas, none holds
+        ("mat:expgevrey?p=2", "mat:gevrey?s=2", 8, 0),
+        # each Gevrey member is dominated by the first expgevrey member tried
+        ("mat:gevrey?s=2", "mat:expgevrey?p=2", 2, 2),
+    ],
+)
+def test_pair_counters_under_the_traced_benchmark(capsys, lhs, rhs, tested, held):
+    from ultraweights.cli import main
+
+    spans = _spans()
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        rc = main(["check", "braces-preceq", "--lhs", lhs, "--rhs", rhs, "--n", "64", "--grid", "0..1"])
+    assert rc == (0 if held else 1)
+    assert json.loads(capsys.readouterr().out)["status"] == ("Holds" if held else "Fails")
+    assert tracer.counts["relations.pairs_tested"] == tested
+    assert tracer.counts["relations.pairs_held"] == held

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ultraweights import _kernels, func_core
-from ultraweights.catalog import make_exp_gevrey_member, make_factorial, make_gevrey, make_power_weight
+from ultraweights.catalog import gammaln, make_exp_gevrey_member, make_factorial, make_gevrey, make_power_weight
 from ultraweights.errors import EnvelopeRequired, QuasianalyticInput, TruncationExhausted, UnboundedConjugate
 from ultraweights.func_core import (
     Envelope,
@@ -28,7 +28,7 @@ from ultraweights.func_core import (
     poisson_interval,
     prec_st,
 )
-from ultraweights.seq_core import WeightSeq, has_moderate_growth, power_shift, seq_equivalent
+from ultraweights.seq_core import WeightSeq, has_moderate_growth, log_tail_bracket, power_shift, seq_equivalent
 
 CATALAN = 0.915965594177219015054603514932
 
@@ -449,6 +449,16 @@ def test_assoc_far_path_of_a_conjugate_member(power_half):
     oracle = np.max([(k0 + d) * ys - ref(k0 + d) for d in (-2.0, -1.0, 0.0, 1.0, 2.0)], axis=0)
     val, _ = ev.eval(ys)
     assert np.max(np.abs(val - oracle) / oracle) < 1e-13
+
+
+def test_kappa_past_the_array_of_a_quasianalytic_sequence_is_infinite():
+    # mu_k = k e^7: harmonic quotients, so sum 1/mu_k diverges, yet the last
+    # window fits p = 1 + 1.4e-14; past the array the tail remainder must be
+    # refused by the same rule as the tail bracket, not read as k / (p - 1)
+    h = WeightSeq("h", lambda kk: gammaln(kk + 1.0) + 7.0 * kk, is_weight_seq=True)
+    assert log_tail_bracket(h, [1])[1][0] == np.inf
+    w = omega_from_seq(h)
+    assert kappa_assoc(w, math.exp(w.assoc._log_mu[-1] + 5.0)) == np.inf
 
 
 def test_assoc_far_bracket_that_stays_open_is_refused(factorial):

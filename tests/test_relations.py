@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from ultraweights.catalog import resolve
+from ultraweights.verdicts import Status, Verdict
 from ultraweights.relations import (
     cond_liminf2,
     gamma1_implies_SV_check,
+    implication,
     lambda_membership,
     matrix_braces_preceq,
     matrix_r_equivalent,
@@ -67,3 +69,29 @@ def test_membership_with_zero_coefficients():
     a_log[1::2] = -np.inf  # a_k = 0 at odd k
     assert lambda_membership(a_log, gevrey2, 64).holds
     assert lambda_membership(np.full(65, -np.inf), gevrey2, 64).holds
+
+
+H, F, I = Status.HOLDS, Status.FAILS, Status.INCONCLUSIVE
+
+
+@pytest.mark.parametrize(
+    "antecedent, consequent, expected, note",
+    [
+        (F, F, H, "vacuously true (antecedent fails)"),
+        (I, F, I, "skipped: antecedent inconclusive"),
+        (H, H, H, ""),
+        (H, I, I, "skipped: consequent inconclusive"),
+        (H, F, F, "antecedent holds but consequent fails"),
+    ],
+)
+def test_implication_outcomes(antecedent, consequent, expected, note):
+    v = implication("a=>c", Verdict(antecedent), Verdict(consequent))
+    assert (v.status, v.note, v.relation) == (expected, note, "a=>c")
+    assert v.witness == {"antecedent": antecedent.value, "consequent": consequent.value}
+
+
+def test_implication_combines_several_verdicts_per_side():
+    # each side is a conjunction: one Fails antecedent makes it vacuous
+    assert implication("x", [Verdict(H), Verdict(F)], Verdict(F)).holds
+    assert implication("x", iter([Verdict(H), Verdict(H)]), [Verdict(H), Verdict(F)]).fails
+    assert implication("x", [Verdict(H), Verdict(I)], Verdict(F)).inconclusive

@@ -272,11 +272,24 @@ def test_minorant_of_evaluator_backed_uses_buffer(gevrey2):
 # -- normalization / serialization ------------------------------------------------------
 
 
+def test_values_is_a_read_only_view_of_the_prefix():
+    seq = WeightSeq("g", lambda kk: kk * kk)
+    early = seq.values(8)
+    assert not early.flags.writeable
+    with pytest.raises(ValueError):
+        early[1] = 0.0
+    kept = early.copy()
+    later = seq.values(64)  # grows the prefix past the earlier view
+    assert not later.flags.writeable
+    assert np.array_equal(early, kept) and np.array_equal(later[:9], kept)
+    assert np.shares_memory(seq.values(32), later)  # no copy when the prefix covers n
+
+
 def test_renormalized_restores_quotient():
     seq = WeightSeq.from_values("drop", [0.0, -1.0, -1.5, -1.0, 1.0])
     fixed = seq.renormalized()
     assert fixed.log_m(1) >= -1e-12
-    assert "geometric" in fixed.note
+    assert fixed.name == "drop*geom(1)"
 
 
 def test_csv_roundtrip(gevrey2):

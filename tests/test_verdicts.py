@@ -9,6 +9,7 @@ from ultraweights.verdicts import (
     Status,
     Verdict,
     combine_all,
+    first_holding,
     trend_bounded,
     trend_liminf_positive,
     trend_to_infinity,
@@ -39,6 +40,40 @@ def test_combine_all_ordering():
     assert combine_all([Verdict(H), Verdict(H)]) is H
     assert combine_all([Verdict(H), Verdict(I)]) is I
     assert combine_all([Verdict(I), Verdict(F)]) is F
+    assert combine_all([]) is H
+    assert combine_all([I, H, F]) is F  # bare statuses combine the same way
+
+
+def test_first_holding_stops_at_the_first_holds():
+    H, F, I = Status.HOLDS, Status.FAILS, Status.INCONCLUSIVE
+    calls = []
+
+    def test(c):
+        calls.append(c)
+        return Verdict(c)
+
+    status, tried = first_holding([F, I, H, F], test)
+    assert status is H and calls == [F, I, H]
+    assert tried[-1][0] is H and tried[-1][1].holds
+
+
+@pytest.mark.parametrize(
+    "candidates, expected",
+    [
+        ([Status.FAILS, Status.FAILS], Status.FAILS),
+        ([Status.FAILS, Status.INCONCLUSIVE, Status.FAILS], Status.INCONCLUSIVE),
+        ([], Status.FAILS),
+    ],
+    ids=["all-fail", "mixed", "empty"],
+)
+def test_first_holding_without_a_holds(candidates, expected):
+    status, tried = first_holding(candidates, Verdict)
+    assert status is expected
+    assert [c for c, _ in tried] == candidates
+
+
+def test_exit_code_table():
+    assert [s.exit_code() for s in (Status.HOLDS, Status.FAILS, Status.INCONCLUSIVE)] == [0, 1, 3]
 
 
 def test_trend_bounded_on_constant():
