@@ -55,7 +55,6 @@ from .func_core import (
 from .derived import derive_family, seq_K, seq_L, seq_Q, seq_S, seq_underline_L
 from .relations import (
     cond_invmg,
-    cond_kappa_doubling,
     cond_liminf,
     cond_liminf2,
     cond_Mmg,

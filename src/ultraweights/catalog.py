@@ -71,7 +71,15 @@ def _series_log_tail(neg_log_term, span: int, log_rem) -> Callable[[np.ndarray],
         k0, top = int(ks.min()), int(ks.max()) + span + 1
         rem_lo, rem_hi = log_rem(float(top))
         lo, hi = log_suffix_bracket(neg_log_term(np.arange(k0, top, dtype=float)), ks - k0, rem_hi, rem_lo)
-        return lo - 1e-13 - 1e-15 * np.abs(lo), hi + 1e-13 + 1e-15 * np.abs(hi)
+        ulps = np.abs(lo)  # widened in place, in the order lo - 1e-13 - 1e-15 |lo|
+        ulps *= 1e-15
+        lo -= 1e-13
+        lo -= ulps
+        np.abs(hi, out=ulps)
+        ulps *= 1e-15
+        hi += 1e-13
+        hi += ulps
+        return lo, hi
 
     return log_tail
 

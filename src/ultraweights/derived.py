@@ -12,7 +12,31 @@ T_k = sum_{l>=k} 1/mu_l:
      exp(phi*_kappa(j)) where kappa is the (normalized) transform of
      omega_M + log(1+t^2).
   Q: the moment-problem weights log Q_k = sup_r ((k+1/2) log r - P(ir)/2)
-     with P the harmonic extension of the same function (`poisson_batch`).
+     with P the harmonic extension of the same function (`poisson_batch`),
+     taken over the lattice rho = log r = i Q_GRID_DX.
+
+Where the Q maximizers lie.  With k*(rho) = #{j : log mu_j <= rho}, the
+slope of P(rho) = omega_M(e^rho) + (2/pi) sum_j Ti2(e^-|rho - log mu_j|)
++ 2 log(1 + e^rho) is
+
+  P'(rho) = k* + (2/pi) sum_j sign(log mu_j - rho) arctan(e^-|rho - log mu_j|)
+            + 2/(1 + e^-rho),
+
+as omega_M' = k* and d/drho Ti2(e^-|rho - l|) = -sign(rho - l) arctan(e^-|rho - l|).
+The terms with log mu_j > rho are positive.  Each of the k* others is at
+least -(2/pi) min(pi/4, mu_j e^-rho), since arctan x <= min(x, pi/4) on
+[0, 1].  Dropping quotients at or below rho only lowers the sum (each adds
+at least 1/2), so for every k <= k*(rho)
+
+  P'(rho) >= s(rho) = k - (2/pi) min(k pi/4, e^-rho sum_{j<=k} mu_j)
+                      + 2/(1 + e^-rho) >= k/2.
+
+P is convex, so g_k(rho) = (k+1/2) rho - P/2 is concave, and for every
+k <= n it decreases wherever P' > 2n + 1.  At rho = log mu_k at least k
+quotients lie at or below rho, so the first k with s(log mu_k) > 2n + 1,
+k <= 4n + 3 as s >= k/2, bounds the maximizer of every Q_k, k <= n.  A
+complete finite M with J quotients may meet no such k; past log mu_J,
+k* = J and s rises to J + 2 > 2n + 1.
 
 Tail uncertainty: the tails enter as log brackets (`tail_mids`).  L and S
 use the log of the bracket's arithmetic midpoint and re-evaluate with both
@@ -37,9 +61,9 @@ from .verdicts import Status
 
 __all__ = ["seq_L", "seq_S", "seq_K", "seq_Q", "seq_underline_L", "derive_family", "CONSTRUCTORS", "FAMILY_NAMES"]
 
-Q_GRID_START = (math.log(1e-2), math.log(1e6))
+Q_GRID_START = math.log(1e-2)  # the left end of the rho = log r lattice, before doubling
 Q_GRID_DX = 0.1
-Q_TABLE_CELLS = 2**18
+Q_TABLE_CELLS = 2**13  # cells of the (k, rho) table built at a time (64 KiB), or one row
 
 
 def _tilde(m: WeightSeq) -> WeightFn:
@@ -122,16 +146,49 @@ def seq_K(m: WeightSeq, n: int) -> WeightSeq:
     return WeightSeq.from_values(f"K({m.name})", logk, is_weight_seq=True)
 
 
-def seq_Q(m: WeightSeq, n: int) -> WeightSeq:
-    """Moment-problem weights via a common grid of y = log r.
+def _slope_floor(k, log_sum_mu, rho):
+    """s(rho), the lower bound on P'(rho) of the module docstring, valid when
+    at least k quotients lie at or below rho; log_sum_mu = log sum_{j<=k} mu_j."""
+    return (k - (2.0 / math.pi) * np.minimum(k * (math.pi / 4.0), np.exp(log_sum_mu - rho))
+            + 2.0 * np.exp(-np.logaddexp(0.0, -rho)))
 
-    log Q_k = max over the grid of ((k+1/2) y - P(ie^y)/2): exactly log-convex.
-    The grid starts as [log 1e-2, log 1e6], step Q_GRID_DX; each end doubles
-    while a maximizer touches it, until a radius passes the last quotient of
-    the capped array (MaximizerUnbounded).  A finite M with J quotients is
-    refused when 2n + 1 >= J + 2: P grows with slope J + 2, so Q_n = inf.
-    The returned sequence is divided by Q_0 to restore M_0 = 1, which stays
-    in the equivalence class; the `log_q0` diagnostic holds log Q_0.
+
+def _q_right_end(m: WeightSeq, cap: int, n: int) -> float:
+    """A radius rho with s(rho) > 2n + 1, past which every g_k with k <= n
+    decreases: the first log mu_k, k <= 4n + 3, that meets the bound, or,
+    past the last quotient of a complete finite M, a radius found by
+    doubling.  `cap` is the length of the associated-function array; a
+    capped array too short to meet the bound raises MaximizerUnbounded.
+    """
+    log_mu = m.log_mu(min(4 * n + 3, cap))
+    log_sum = np.logaddexp.accumulate(log_mu)
+    met = np.flatnonzero(_slope_floor(np.arange(1, len(log_mu) + 1), log_sum, log_mu) > 2 * n + 1)
+    if len(met):
+        return float(log_mu[met[0]])
+    if cap < m.max_index:
+        raise MaximizerUnbounded(f"seq_Q({m.name}): P' stays below {2 * n + 1} on the {cap}-term "
+                                 "associated-function array, so no last maximizer is certified")
+    rho = max(float(log_mu[-1]), 1.0)
+    while not _slope_floor(len(log_mu), log_sum[-1], rho) > 2 * n + 1:  # s = J + 2 once e^-rho underflows
+        rho *= 2.0
+    return rho
+
+
+def seq_Q(m: WeightSeq, n: int) -> WeightSeq:
+    """Moment-problem weights: log Q_k = max over the lattice of
+    ((k+1/2) rho - P(i e^rho)/2), exactly log-convex.
+
+    P is evaluated once, on [i_lo, i_hi] of the step-Q_GRID_DX lattice.  The
+    right end is certified: i_hi = max(ceil(rho/dx), 1) + 1 with rho from
+    `_q_right_end` (the bound of the module docstring), so the grid stops
+    just past the last maximizer.  The left end starts at log 1e-2
+    (Q_GRID_START) and doubles while a maximizer touches it.  A lattice
+    maximizer at the right end raises MaximizerUnbounded, so a wrong bound
+    never becomes a grid-end value; so does a radius past the last quotient
+    of a capped array.  A finite M with J quotients is refused when
+    2n + 1 >= J + 2: P grows with slope J + 2, so Q_n = inf.  The returned
+    sequence is divided by Q_0 to restore M_0 = 1, which stays in the
+    equivalence class; the `log_q0` diagnostic holds log Q_0.
     """
     require_weight_seq(m, "seq_Q")
     tail_mids(m, 1)  # raises DivergentTail for a quasianalytic input
@@ -140,28 +197,26 @@ def seq_Q(m: WeightSeq, n: int) -> WeightSeq:
     w = _tilde(m)
 
     dx = Q_GRID_DX
-    i_lo = math.ceil(Q_GRID_START[0] / dx)
-    i_hi = math.floor(Q_GRID_START[1] / dx)
+    i_lo = math.ceil(Q_GRID_START / dx)
+    # past log r = 0 at least: below it P lacks omega_M when mu_1 < 1 (`omega_from_seq` takes omega_M = 0 on t <= 1)
+    i_hi = max(math.ceil(_q_right_end(m, w.assoc._cap(), n) / dx), 1) + 1
     ks = np.arange(0, n + 1, dtype=float) + 0.5
     for _ in range(DOUBLINGS):
         rho = np.arange(i_lo, i_hi + 1) * dx
         try:
             p_half = 0.5 * poisson_batch(w, rho)
         except TruncationExhausted as e:
-            raise MaximizerUnbounded(f"seq_Q({m.name}): radial sup still increasing; {e}") from None
-        rows = max(1, Q_TABLE_CELLS // len(rho))  # the table is built 2 MB at a time
+            raise MaximizerUnbounded(f"seq_Q({m.name}): radial sup needs P past the array; {e}") from None
+        rows = max(1, Q_TABLE_CELLS // len(rho))
         arg = np.concatenate([np.argmax(np.outer(ks[i : i + rows], rho) - p_half[None, :], axis=1)
                               for i in range(0, len(ks), rows)])
-        at_right = arg.max() >= len(rho) - 2
-        at_left = arg.min() <= 1
-        if not (at_right or at_left):
+        if arg.min() > 1:
             break
-        if at_right:
-            i_hi *= 2
-        if at_left:
-            i_lo *= 2
+        i_lo *= 2
     else:
-        raise MaximizerUnbounded(f"seq_Q({m.name}): radial sup still at the grid ends after {DOUBLINGS} doublings")
+        raise MaximizerUnbounded(f"seq_Q({m.name}): radial sup still at the left grid end after {DOUBLINGS} doublings")
+    if arg.max() >= len(rho) - 1:
+        raise MaximizerUnbounded(f"seq_Q({m.name}): lattice maximizer at the certified right end log r = {rho[-1]:.6g}")
     log_q = ks * rho[arg] - p_half[arg]
 
     return WeightSeq.from_values(f"Q({m.name})", log_q - log_q[0], is_weight_seq=True,

@@ -688,7 +688,7 @@ def _poisson_assoc(w: WeightFn, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray,
         x = np.exp(-np.abs(ys[at] - log_mu[i_lo[at] + term - offsets[at]]))
         window += np.bincount(at, _ti2(x), minlength=len(ys))
 
-    below = np.exp(np.concatenate([[-np.inf], np.logaddexp.accumulate(log_mu)])[i_lo] - ys)
+    below = np.exp(np.concatenate([[-np.inf], np.logaddexp.accumulate(log_mu[: i_lo.max(initial=0)])])[i_lo] - ys)
     past = i_hi == n
     above_lo = np.where(past & complete, 0.0, np.exp(ys + ev._log_tail_lo[i_hi]))
     above_hi = np.where(past & complete, 0.0, np.exp(ys + ev._log_tail_hi[i_hi]))

@@ -17,8 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DivergentTail
-from .func_core import WeightMatrix, kappa_assoc, log_t_grid
-from .derived import _tilde
+from .func_core import WeightMatrix
 from .seq_core import WeightSeq, require_weight_seq, seq_preceq, tail_mids
 from .verdicts import (
     Status,
@@ -41,7 +40,6 @@ __all__ = [
     "cond_liminf2",
     "cond_roquS",
     "cond_invmg",
-    "cond_kappa_doubling",
     "lambda_membership",
     "implication",
     "S_GRID",
@@ -233,28 +231,6 @@ def cond_invmg(mat: WeightMatrix, n: int) -> Verdict:
         return trend_bounded(2.0 * la - lb2, js)
 
     return _exists_beta(mat.grid, _extended(mat.grid), test, "inverse-moderate-growth", mat.name, mat.name)
-
-
-def cond_kappa_doubling(mat: WeightMatrix) -> Verdict:
-    """2 kappa_b(t) <= kappa_a(H t) + H for some dyadic H <= 2^12 on 40
-    log-spaced t in [2, 1e6]: value-doubling of the averaged associated
-    functions across members (the family analogue of the growth-doubling
-    condition)."""
-    t_grid = log_t_grid(2.0, 1e6, 40)
-
-    def kap(alpha: float, ts: np.ndarray) -> np.ndarray:
-        w = _tilde(mat.member(alpha))
-        return np.asarray(kappa_assoc(w, ts))
-
-    def test(al: float, be: float) -> Verdict:
-        lhs = 2.0 * kap(be, t_grid)
-        for H in 2.0 ** np.arange(0, 13):
-            rhs = kap(al, H * t_grid) + H
-            if np.all(lhs <= rhs + 1e-9):
-                return Verdict(Status.HOLDS, witness=float(H))
-        return Verdict(Status.INCONCLUSIVE, note="no dyadic H <= 2^12 works on the grid")
-
-    return _exists_beta(mat.grid, _extended(mat.grid), test, "kappa-doubling", mat.name, mat.name)
 
 
 def lambda_membership(a_log, weight, n: int) -> Verdict:

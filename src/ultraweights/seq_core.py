@@ -54,6 +54,7 @@ __all__ = [
 
 # Default truncation for tail partial sums when no analytic tail is attached.
 DEFAULT_TAIL_N = 4096
+VALUES_BLOCK = 2**13  # indices evaluated at a time when `WeightSeq.values` grows its prefix
 
 LogBracket = tuple[np.ndarray, np.ndarray]
 
@@ -64,9 +65,10 @@ class WeightSeq:
     Evaluators must accept a float64 numpy array of indices, be pure and be
     elementwise: the value at k does not depend on the other indices passed.
     `values(n)` relies on that: it extends its cached prefix log M_0 ..
-    log M_m by evaluating only the indices m+1 .. n, and returns a read-only
-    view of the prefix (a later growth replaces the prefix, so an earlier
-    view keeps its values).  The indices are floats
+    log M_m by evaluating only the indices m+1 .. n, VALUES_BLOCK at a time
+    into a preallocated array, and returns a read-only view of the prefix
+    (a later growth replaces the prefix, so an earlier view keeps its
+    values).  The indices are floats
     because the associated function maximizes k y - log M_k over real k past
     its quotient array, where they may exceed 2^53; an evaluator should
     extend k -> log M_k convexly to real k.
@@ -138,7 +140,11 @@ class WeightSeq:
         with self._lock:
             have = len(self._prefix)
             if have <= n:
-                self._prefix = np.concatenate([self._prefix, self._eval(np.arange(have, n + 1, dtype=float))])
+                grown = np.empty(n + 1)
+                grown[:have] = self._prefix
+                for i in range(have, n + 1, VALUES_BLOCK):
+                    grown[i : i + VALUES_BLOCK] = self._eval(np.arange(i, min(i + VALUES_BLOCK, n + 1), dtype=float))
+                self._prefix = grown
             view = self._prefix[: n + 1]
         view.flags.writeable = False
         return view
@@ -247,9 +253,16 @@ def _tail_exponent(log_mu: np.ndarray) -> float | None:
 def log_suffix_bracket(x: np.ndarray, idx: np.ndarray, log_rem_hi: float, log_rem_lo: float = -math.inf) -> LogBracket:
     """Log bracket of sum_{j >= i} e^{x_j} + R at each i in `idx` (i = len(x)
     leaves R, the remainder beyond the array, in [e^log_rem_lo, e^log_rem_hi]).
-    One backward logaddexp pass: O(len(x)) time and memory, no underflow."""
-    suffix = np.concatenate([np.logaddexp.accumulate(x[::-1])[::-1], [-math.inf]])
-    return np.logaddexp(suffix[idx], log_rem_lo), np.logaddexp(suffix[idx], log_rem_hi)
+    One backward logaddexp pass, written in place: O(len(x)) time and memory,
+    no underflow."""
+    suffix = np.empty(len(x) + 1)
+    suffix[-1] = -math.inf
+    np.logaddexp.accumulate(x[::-1], out=suffix[-2::-1])
+    hi = suffix[idx]
+    del suffix  # freed before the second result is allocated
+    lo = np.logaddexp(hi, log_rem_lo)
+    np.logaddexp(hi, log_rem_hi, out=hi)
+    return lo, hi
 
 
 def _log_mid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -205,6 +205,58 @@ def test_Q_refused_for_a_short_finite_sequence(gevrey2):
         seq_Q(S, 33)
 
 
+def _doubled_lattice_log_q(m, n):
+    # log Q_0 .. log Q_n over a lattice of step 0.1 that starts as [log 1e-2, log 1e6]
+    # and doubles each end while a maximizer touches it
+    w = omega_tilde_from_seq(m)
+    i_lo, i_hi = math.ceil(math.log(1e-2) / 0.1), math.floor(math.log(1e6) / 0.1)
+    ks = np.arange(0, n + 1) + 0.5
+    while True:
+        rho = np.arange(i_lo, i_hi + 1) * 0.1
+        table = np.outer(ks, rho) - 0.5 * poisson_batch(w, rho)[None, :]
+        arg = np.argmax(table, axis=1)
+        at_right, at_left = arg.max() >= len(rho) - 2, arg.min() <= 1
+        if not (at_right or at_left):
+            return table[np.arange(n + 1), arg]
+        i_hi, i_lo = (2 * i_hi if at_right else i_hi), (2 * i_lo if at_left else i_lo)
+
+
+@pytest.mark.parametrize("uri, alpha, n", [("seq:gevrey?s=3", None, 256),
+                                           ("mat:omega?fn=power&beta=0.5", 8.0, 64)])
+def test_Q_matches_the_doubled_lattice(uri, alpha, n):
+    # the certified right end keeps every lattice maximizer of the doubled grid
+    m = resolve(uri) if alpha is None else resolve(uri, grid=[alpha]).member(alpha)
+    Q = seq_Q(m, n)
+    log_q = Q.values(n) + Q.diagnostics["log_q0"]
+    ref = _doubled_lattice_log_q(m, n)
+    np.testing.assert_allclose(log_q, ref, rtol=1e-13, atol=1e-13)
+
+
+def test_Q_finite_where_the_doubled_grid_left_the_array():
+    # member a=2 of the power matrix: the maximizer of Q_256 lies near log r = 14.6,
+    # but a doubled grid end (27.6) passes the array's last quotient (26.3)
+    m = resolve("mat:omega?fn=power&beta=0.5", grid=[2.0]).member(2.0)
+    assert np.all(np.isfinite(seq_Q(m, 256).values(256)))
+
+
+def test_Q_slope_floor_below_the_slope_of_P(gevrey2):
+    # s(rho) bounds P'(rho) from below; P is convex, so a backward difference is at most P'(rho)
+    w = omega_tilde_from_seq(gevrey2)
+    log_mu = gevrey2.log_mu(4096)
+    for rho in (-2.0, 0.5, 3.0, 7.0, 12.0):
+        k = int(np.searchsorted(log_mu, rho, side="right"))
+        log_sum = float(np.logaddexp.reduce(log_mu[:k])) if k else -math.inf
+        p_before, p_at = poisson_batch(w, [rho - 1e-4, rho])
+        assert derived._slope_floor(k, log_sum, rho) <= (p_at - p_before) / 1e-4
+
+
+def test_Q_refuses_a_lattice_maximizer_at_the_certified_end(gevrey2, monkeypatch):
+    # a wrong right end must raise, never turn into grid-end values
+    monkeypatch.setattr(derived, "_q_right_end", lambda m, cap, n: 3.0)
+    with pytest.raises(MaximizerUnbounded, match="certified right end"):
+        seq_Q(gevrey2, 64)
+
+
 def test_Q_quasianalytic_refused(factorial):
     with pytest.raises(DivergentTail):
         seq_Q(factorial, 16)
@@ -244,12 +296,6 @@ def test_family_K_members_all_equivalent_for_power(power_mat):
 
     fam = derive_family(power_mat, "K", 128)
     assert seq_equivalent(fam.member(0.125), fam.member(8.0), 128).holds
-
-
-def test_family_kappa_doubling(power_mat):
-    from ultraweights.relations import cond_kappa_doubling
-
-    assert cond_kappa_doubling(power_mat).holds
 
 
 def test_family_monotone_warning_tolerated():
