@@ -182,7 +182,8 @@ def cmd_compute(args) -> int:
                 payload = _csv_table(["k", col], [(k, float(vals[k])) for k in range(n + 1)])
         elif derive == "omega_M":
             w = omega_from_seq(obj)
-            ts = log_t_grid(1.0, 10.0 ** max(4, int(math.log10(max(obj.mu(min(n, 64)), 10.0)) * 2)), n)
+            decades = int(max(float(obj.log_mu(min(n, 64))[-1]) / math.log(10.0), 1.0) * 2)
+            ts = log_t_grid(1.0, 10.0 ** min(max(4, decades), sys.float_info.max_10_exp), n)
             om = w.omega(ts)
             payload = _csv_table(["t", "omega"], zip(map(float, ts), map(float, om)))
         elif derive == "none":

@@ -23,20 +23,32 @@ slope of P(rho) = omega_M(e^rho) + (2/pi) sum_j Ti2(e^-|rho - log mu_j|)
             + 2/(1 + e^-rho),
 
 as omega_M' = k* and d/drho Ti2(e^-|rho - l|) = -sign(rho - l) arctan(e^-|rho - l|).
-The terms with log mu_j > rho are positive.  Each of the k* others is at
-least -(2/pi) min(pi/4, mu_j e^-rho), since arctan x <= min(x, pi/4) on
-[0, 1].  Dropping quotients at or below rho only lowers the sum (each adds
-at least 1/2), so for every k <= k*(rho)
+P is convex, so g_k(rho) = (k+1/2) rho - P/2 is concave: it rises where
+P' < 2k + 1 and falls where P' > 2k + 1.
+
+Left end: below log mu_1, k* = 0, and arctan x <= x and d/drho 2 log(1 +
+e^rho) <= 2 e^rho give P'(rho) <= e^rho ((2/pi) T_1 + 2), with T_1 the
+upper end of the tail bracket.  So P' < 1, and every g_k rises, left of
+rho_L = min(log mu_1, -log((2/pi) T_1 + 2)).
+
+Right end: the terms with log mu_j > rho are positive.  Each of the k*
+others is at least -(2/pi) min(pi/4, mu_j e^-rho), since arctan x <=
+min(x, pi/4) on [0, 1].  Dropping quotients at or below rho only lowers the
+sum (each adds at least 1/2), so for every k <= k*(rho)
 
   P'(rho) >= s(rho) = k - (2/pi) min(k pi/4, e^-rho sum_{j<=k} mu_j)
                       + 2/(1 + e^-rho) >= k/2.
 
-P is convex, so g_k(rho) = (k+1/2) rho - P/2 is concave, and for every
-k <= n it decreases wherever P' > 2n + 1.  At rho = log mu_k at least k
-quotients lie at or below rho, so the first k with s(log mu_k) > 2n + 1,
-k <= 4n + 3 as s >= k/2, bounds the maximizer of every Q_k, k <= n.  A
-complete finite M with J quotients may meet no such k; past log mu_J,
-k* = J and s rises to J + 2 > 2n + 1.
+At rho = log mu_k at least k quotients lie at or below rho, so the first k
+with s(log mu_k) > 2n + 1, k <= 4n + 3 as s >= k/2, bounds the maximizer
+of every Q_k, k <= n.  A complete finite M with J quotients may meet no
+such k; past log mu_J, k* = J and s(rho) >= J + 2 - e^-rho ((2/pi) sum_j
+mu_j + 2), which is 2n + 1 at rho_R = log((2/pi) sum_j mu_j + 2) - log(J +
+1 - 2n).
+
+Lattice maximum: the samples of P on rho_i = i Q_GRID_DX are convex, so
+the first lattice maximizer of g_k is the first i whose slope (P_{i+1} -
+P_i)/(2 Q_GRID_DX) reaches k + 1/2: one quotient search for all k.
 
 Tail uncertainty: the tails enter as log brackets (`tail_mids`).  L and S
 use the log of the bracket's arithmetic midpoint and re-evaluate with both
@@ -55,15 +67,13 @@ import numpy as np
 
 from . import _kernels
 from .errors import MaximizerUnbounded, TruncationExhausted
-from .func_core import DOUBLINGS, WeightFn, WeightMatrix, kappa_fn, omega_tilde_from_seq, phi_star, poisson_batch
+from .func_core import WeightFn, WeightMatrix, kappa_fn, omega_tilde_from_seq, phi_star, poisson_batch
 from .seq_core import WeightSeq, log_convex_minorant, require_weight_seq, tail_mids
 from .verdicts import Status
 
 __all__ = ["seq_L", "seq_S", "seq_K", "seq_Q", "seq_underline_L", "derive_family", "CONSTRUCTORS", "FAMILY_NAMES"]
 
-Q_GRID_START = math.log(1e-2)  # the left end of the rho = log r lattice, before doubling
 Q_GRID_DX = 0.1
-Q_TABLE_CELLS = 2**13  # cells of the (k, rho) table built at a time (64 KiB), or one row
 
 
 def _tilde(m: WeightSeq) -> WeightFn:
@@ -153,11 +163,17 @@ def _slope_floor(k, log_sum_mu, rho):
             + 2.0 * np.exp(-np.logaddexp(0.0, -rho)))
 
 
+def _q_left_end(m: WeightSeq) -> float:
+    """rho_L of the module docstring; raises DivergentTail for a quasianalytic input."""
+    log_t1 = float(tail_mids(m, 1)[2][0])
+    return min(float(m.log_mu(1)[0]), -float(np.logaddexp(math.log(2.0 / math.pi) + log_t1, math.log(2.0))))
+
+
 def _q_right_end(m: WeightSeq, cap: int, n: int) -> float:
-    """A radius rho with s(rho) > 2n + 1, past which every g_k with k <= n
+    """A radius rho with s(rho) >= 2n + 1, past which every g_k with k <= n
     decreases: the first log mu_k, k <= 4n + 3, that meets the bound, or,
-    past the last quotient of a complete finite M, a radius found by
-    doubling.  `cap` is the length of the associated-function array; a
+    for a complete finite M with J quotients, the closed form of the module
+    docstring.  `cap` is the length of the associated-function array; a
     capped array too short to meet the bound raises MaximizerUnbounded.
     """
     log_mu = m.log_mu(min(4 * n + 3, cap))
@@ -168,55 +184,42 @@ def _q_right_end(m: WeightSeq, cap: int, n: int) -> float:
     if cap < m.max_index:
         raise MaximizerUnbounded(f"seq_Q({m.name}): P' stays below {2 * n + 1} on the {cap}-term "
                                  "associated-function array, so no last maximizer is certified")
-    rho = max(float(log_mu[-1]), 1.0)
-    while not _slope_floor(len(log_mu), log_sum[-1], rho) > 2 * n + 1:  # s = J + 2 once e^-rho underflows
-        rho *= 2.0
-    return rho
+    log_c = float(np.logaddexp(math.log(2.0 / math.pi) + log_sum[-1], math.log(2.0)))
+    return max(float(log_mu[-1]), log_c - math.log(len(log_mu) + 1 - 2 * n))
 
 
 def seq_Q(m: WeightSeq, n: int) -> WeightSeq:
     """Moment-problem weights: log Q_k = max over the lattice of
     ((k+1/2) rho - P(i e^rho)/2), exactly log-convex.
 
-    P is evaluated once, on [i_lo, i_hi] of the step-Q_GRID_DX lattice.  The
-    right end is certified: i_hi = max(ceil(rho/dx), 1) + 1 with rho from
-    `_q_right_end` (the bound of the module docstring), so the grid stops
-    just past the last maximizer.  The left end starts at log 1e-2
-    (Q_GRID_START) and doubles while a maximizer touches it.  A lattice
-    maximizer at the right end raises MaximizerUnbounded, so a wrong bound
-    never becomes a grid-end value; so does a radius past the last quotient
-    of a capped array.  A finite M with J quotients is refused when
-    2n + 1 >= J + 2: P grows with slope J + 2, so Q_n = inf.  The returned
-    sequence is divided by Q_0 to restore M_0 = 1, which stays in the
-    equivalence class; the `log_q0` diagnostic holds log Q_0.
+    P is evaluated once, on the step-Q_GRID_DX lattice from one point left
+    of `_q_left_end` to one point right of `_q_right_end` (the closed-form
+    slope bounds of the module docstring).  The first lattice maximizer of
+    each Q_k is one quotient search over the slopes of P/2 between lattice
+    points.  A lattice maximizer at either end raises MaximizerUnbounded, so
+    a wrong bound never becomes a grid-end value; so does a radius past the
+    last quotient of a capped array.  A finite M with J quotients is refused
+    when 2n + 1 >= J + 2: P grows with slope J + 2, so Q_n = inf.  The
+    returned sequence is divided by Q_0 to restore M_0 = 1, which stays in
+    the equivalence class; the `log_q0` diagnostic holds log Q_0.
     """
     require_weight_seq(m, "seq_Q")
-    tail_mids(m, 1)  # raises DivergentTail for a quasianalytic input
+    rho_lo = _q_left_end(m)
     if 2 * n + 1 >= m.max_index + 2:
         raise MaximizerUnbounded(f"seq_Q({m.name}): P grows with slope {m.max_index + 2:g}, so Q_{n} is infinite")
     w = _tilde(m)
 
     dx = Q_GRID_DX
-    i_lo = math.ceil(Q_GRID_START / dx)
-    # past log r = 0 at least: below it P lacks omega_M when mu_1 < 1 (`omega_from_seq` takes omega_M = 0 on t <= 1)
-    i_hi = max(math.ceil(_q_right_end(m, w.assoc._cap(), n) / dx), 1) + 1
+    rho = np.arange(math.floor(rho_lo / dx) - 1, math.ceil(_q_right_end(m, w.assoc._cap(), n) / dx) + 2) * dx
+    try:
+        p_half = 0.5 * poisson_batch(w, rho)
+    except TruncationExhausted as e:
+        raise MaximizerUnbounded(f"seq_Q({m.name}): radial sup needs P past the array; {e}") from None
     ks = np.arange(0, n + 1, dtype=float) + 0.5
-    for _ in range(DOUBLINGS):
-        rho = np.arange(i_lo, i_hi + 1) * dx
-        try:
-            p_half = 0.5 * poisson_batch(w, rho)
-        except TruncationExhausted as e:
-            raise MaximizerUnbounded(f"seq_Q({m.name}): radial sup needs P past the array; {e}") from None
-        rows = max(1, Q_TABLE_CELLS // len(rho))
-        arg = np.concatenate([np.argmax(np.outer(ks[i : i + rows], rho) - p_half[None, :], axis=1)
-                              for i in range(0, len(ks), rows)])
-        if arg.min() > 1:
-            break
-        i_lo *= 2
-    else:
-        raise MaximizerUnbounded(f"seq_Q({m.name}): radial sup still at the left grid end after {DOUBLINGS} doublings")
-    if arg.max() >= len(rho) - 1:
-        raise MaximizerUnbounded(f"seq_Q({m.name}): lattice maximizer at the certified right end log r = {rho[-1]:.6g}")
+    arg = np.searchsorted(np.diff(p_half) / dx, ks, side="left")  # P is convex: the slopes rise
+    if arg.min() == 0 or arg.max() >= len(rho) - 1:
+        end, log_r = ("left", rho[0]) if arg.min() == 0 else ("right", rho[-1])
+        raise MaximizerUnbounded(f"seq_Q({m.name}): lattice maximizer at the certified {end} end log r = {log_r:.6g}")
     log_q = ks * rho[arg] - p_half[arg]
 
     return WeightSeq.from_values(f"Q({m.name})", log_q - log_q[0], is_weight_seq=True,

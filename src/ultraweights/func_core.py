@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -351,12 +351,11 @@ class _AssocEvaluator:
         log_t = np.asarray(log_t, dtype=float)
         out = np.zeros_like(log_t)
         kstar = np.zeros_like(log_t)
-        pos = log_t > 0  # omega_M vanishes for t <= 1 (M_k >= M_0 = 1 need not hold, handled by sup with k=0)
         if not self.convex:
             vals = self.seq.values(self._cap())
             finite = log_t > -np.inf  # t = 0: omega_M = 0 and k* = 0
             sup, arg = _kernels.assoc_sup(vals, np.where(finite, log_t, 0.0))
-            if np.any((arg >= len(vals) - 1) & pos):
+            if np.any((arg >= len(vals) - 1) & finite):
                 raise TruncationExhausted(f"{self.seq.name}: associated-function scan hit the truncation")
             return np.where(finite, np.maximum(sup, 0.0), 0.0), np.where(finite, arg, 0).astype(float)
 
@@ -373,7 +372,6 @@ class _AssocEvaluator:
             val, kf = self._far(log_t[far])
             out[far] = np.maximum(val, 0.0)
             kstar[far] = kf
-        out[~pos] = 0.0
         return out, kstar
 
     def log_tail_mid_after(self, kstar: np.ndarray, log_t: np.ndarray) -> np.ndarray:
@@ -402,7 +400,7 @@ def omega_from_seq(seq: WeightSeq) -> WeightFn:
     return WeightFn(
         f"omega[{seq.name}]",
         lambda ys: ev.eval(ys)[0],
-        normalized=True,  # omega_M(t) = 0 for t <= 1 when M_0 = 1 and M_k >= 1
+        normalized=bool(ev.eval(np.zeros(1))[0][0] == 0.0),  # omega_M = 0 on [0, 1] iff every M_k >= 1
         assoc=ev,
     )
 
@@ -950,9 +948,7 @@ def fn_predicates(w: WeightFn) -> FnPredicateReport:
                            + ("; violation grows" if grow.holds else ""))
 
     if w.assoc is not None and w.assoc.convex:
-        nq = is_non_quasianalytic(w.assoc.seq)  # the tail bracket of the quotients decides
-        nq.relation = "fn-non-quasianalytic"
-        nq.lhs = w.name
+        nq = replace(is_non_quasianalytic(w.assoc.seq), relation="fn-non-quasianalytic", lhs=w.name)  # tails decide
     elif w.envelope is not None and w.envelope.theta < 1:
         nq = Verdict(Status.HOLDS, relation="fn-non-quasianalytic", lhs=w.name,
                      note=f"envelope exponent {w.envelope.theta:g} < 1 certifies the integral")

@@ -16,6 +16,7 @@ import csv
 import io
 import math
 import threading
+from dataclasses import replace
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, Optional
 
@@ -357,9 +358,8 @@ def has_moderate_growth(seq: WeightSeq, n: int) -> Verdict:
         return v
     m_star = int(ms[np.argmax(d)])
     j_star = int(argj[m_star])
-    v.witness = (j_star, m_star - j_star)
-    v.note = f"C-exponent estimate {float(np.max(d[len(d) // 2 :])):.6g}; " + v.note
-    return v
+    return replace(v, witness=(j_star, m_star - j_star),
+                   note=f"C-exponent estimate {float(np.max(d[len(d) // 2 :])):.6g}; " + v.note)
 
 
 def seq_preceq(m: WeightSeq, n: WeightSeq, n_terms: int) -> Verdict:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from enum import Enum
 from typing import Any
 
@@ -76,7 +76,7 @@ class Interval:
     __radd__ = __add__
 
 
-@dataclass
+@dataclass(frozen=True)
 class Verdict:
     """Outcome of an asymptotic check, with the evidence that produced it.
 
@@ -280,9 +280,6 @@ def trend_liminf_positive(log_values, xs=None, *, relation: str = "", lhs: str =
     log_values = np.asarray(log_values, dtype=float)
     v = trend_bounded(-log_values, xs, relation=relation, lhs=lhs)
     xs_arr = np.arange(1, len(log_values) + 1) if xs is None else np.asarray(xs)
-    v.trajectory = subsample(xs_arr, log_values)
-    if v.holds:
-        v.note = "liminf bounded away from zero: " + v.note
-    elif v.fails:
-        v.note = "decay to zero certified: " + v.note
-    return v
+    prefix = {Status.HOLDS: "liminf bounded away from zero: ",
+              Status.FAILS: "decay to zero certified: "}.get(v.status, "")
+    return replace(v, trajectory=subsample(xs_arr, log_values), note=prefix + v.note)

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from ultraweights.catalog import (
+    gammaln,
     make_factorial,
     make_gevrey,
     make_linear_weight,
@@ -9,6 +12,7 @@ from ultraweights.catalog import (
     make_power_weight,
     make_q_gevrey,
 )
+from ultraweights.seq_core import WeightSeq
 
 
 @pytest.fixture(scope="session")
@@ -24,6 +28,12 @@ def gevrey15():
 @pytest.fixture(scope="session")
 def gevrey3():
     return make_gevrey(3)
+
+
+@pytest.fixture(scope="session")
+def small_gevrey2():
+    # log M_k = k log 1e-4 + 2 log k!: quotients 1e-4 k^2, so mu_1 < 1 and omega_M > 0 below t = 1
+    return WeightSeq("small-gevrey2", lambda kk: kk * math.log(1e-4) + 2.0 * gammaln(kk + 1.0), is_weight_seq=True)
 
 
 @pytest.fixture(scope="session")

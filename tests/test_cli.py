@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,13 +258,12 @@ def test_check_resolves_a_shared_inner_uri_once(capsys, monkeypatch):
     assert resolved == ["mat:gevrey?s=3"] * 2
 
 
-def test_compute_K_on_the_power_matrix_matches_the_reference_table(capsys):
-    # the conjugate-built path: every member is a scaled Young conjugate
-    reference = json.loads((Path(__file__).resolve().parents[1] / "bench" / "reference.json").read_text())["K-power"]
-    rc, out, _ = run(capsys, "compute", "mat:omega?fn=power&beta=0.5", "--derive", "K", "--n", "64", "--grid", "0..1")
-    got = [v for member in json.loads(out)["members"] for v in member["log_m"]]
-    assert rc == 0 and len(got) == len(reference)
-    assert np.allclose(got, reference, rtol=1e-10, atol=1e-10)
+@pytest.mark.parametrize("a", [8, 12])
+def test_compute_omega_M_where_the_quotients_leave_float_range(capsys, a):
+    # mu_64^2 = (64^2 e^(64 a))^2 passes the float range, and mu_64 does at a = 12: t ends at 1e308
+    rc, out, _ = run(capsys, "compute", f"seq:expgevrey?p=2&a={a}", "--derive", "omega_M", "--n", "64")
+    rows = np.array([[float(x) for x in row.split(",")] for row in out.splitlines()[1:]])
+    assert rc == 0 and rows.shape == (64, 2) and np.all(np.isfinite(rows))
 
 
 def test_cli_imports_no_scipy():

@@ -20,6 +20,7 @@ from ultraweights.seq_core import (
     is_strongly_log_convex,
     log_convex_minorant,
     seq_preceq,
+    tail_mids,
 )
 from ultraweights.verdicts import Status
 
@@ -181,7 +182,7 @@ def test_Q_sandwich_between_kappa_sups(gevrey2):
     assert np.all(log_q >= lo_env - 1e-3)
 
 
-def test_Q_grid_grows_to_far_maximizers():
+def test_Q_window_reaches_far_maximizers():
     # the maximizer of Q_64 for quotients k^2 e^(8k) lies near log r = 1030
     Q = seq_Q(make_exp_gevrey_member(2.0, 8.0), 64)
     assert np.all(np.isfinite(Q.values(64)))
@@ -221,11 +222,25 @@ def _doubled_lattice_log_q(m, n):
         i_hi, i_lo = (2 * i_hi if at_right else i_hi), (2 * i_lo if at_left else i_lo)
 
 
+@pytest.fixture(scope="module")
+def gevrey2_S64(gevrey2):
+    # a complete finite sequence of 64 quotients: its right end is the closed form past log mu_64
+    return seq_S(gevrey2, 64)
+
+
+# a URI, or the name of a fixture for sequences the catalog does not build
 @pytest.mark.parametrize("uri, alpha, n", [("seq:gevrey?s=3", None, 256),
-                                           ("mat:omega?fn=power&beta=0.5", 8.0, 64)])
-def test_Q_matches_the_doubled_lattice(uri, alpha, n):
-    # the certified right end keeps every lattice maximizer of the doubled grid
-    m = resolve(uri) if alpha is None else resolve(uri, grid=[alpha]).member(alpha)
+                                           ("mat:omega?fn=power&beta=0.5", 8.0, 64),
+                                           ("seq:qgevrey?q=1.5", None, 64),
+                                           ("seq:expgevrey?p=2&a=8", None, 64),
+                                           ("small_gevrey2", None, 64),
+                                           ("gevrey2_S64", None, 32)])
+def test_Q_matches_the_doubled_lattice(request, uri, alpha, n):
+    # the certified ends keep every lattice maximizer of the doubled grid
+    if ":" not in uri:
+        m = request.getfixturevalue(uri)
+    else:
+        m = resolve(uri) if alpha is None else resolve(uri, grid=[alpha]).member(alpha)
     Q = seq_Q(m, n)
     log_q = Q.values(n) + Q.diagnostics["log_q0"]
     ref = _doubled_lattice_log_q(m, n)
@@ -254,6 +269,25 @@ def test_Q_refuses_a_lattice_maximizer_at_the_certified_end(gevrey2, monkeypatch
     # a wrong right end must raise, never turn into grid-end values
     monkeypatch.setattr(derived, "_q_right_end", lambda m, cap, n: 3.0)
     with pytest.raises(MaximizerUnbounded, match="certified right end"):
+        seq_Q(gevrey2, 64)
+
+
+@pytest.mark.parametrize("name", ["gevrey2", "small_gevrey2"])
+def test_Q_slope_ceiling_above_the_slope_of_P(request, name):
+    # P'(rho) <= e^rho ((2/pi) T_1 + 2) left of log mu_1; P is convex, so a forward difference is at least P'(rho)
+    m = request.getfixturevalue(name)
+    w = omega_tilde_from_seq(m)
+    log_mu1 = float(m.log_mu(1)[0])
+    t1 = math.exp(float(tail_mids(m, 1)[2][0]))
+    for rho in log_mu1 - np.array([0.5, 1.0, 2.0, 4.0]):
+        p_at, p_after = poisson_batch(w, [rho, rho + 1e-4])
+        assert (p_after - p_at) / 1e-4 <= math.exp(rho) * ((2.0 / math.pi) * t1 + 2.0)
+
+
+def test_Q_refuses_a_lattice_maximizer_at_the_certified_left_end(gevrey2, monkeypatch):
+    # a wrong left end must raise too: Q_0 of gevrey 2 has its maximizer left of log r = 3
+    monkeypatch.setattr(derived, "_q_left_end", lambda m: 3.0)
+    with pytest.raises(MaximizerUnbounded, match="certified left end"):
         seq_Q(gevrey2, 64)
 
 

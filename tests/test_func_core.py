@@ -265,6 +265,17 @@ def test_poisson_scaling_linearity(power_half):
     assert poisson_imag(doubled, 3.0) == pytest.approx(2 * poisson_imag(power_half, 3.0), rel=1e-8)
 
 
+def test_omega_of_a_sequence_with_mu1_below_one(small_gevrey2):
+    # omega_M(t) = sum_j log+(t/mu_j) > 0 on (mu_1, 1]: 12 quotients lie below log r = -4.2,
+    # so P' >= 9.15 there, and the matrix is built on the normalized representative
+    w = omega_tilde_from_seq(small_gevrey2)
+    p_before, p_at = poisson_batch(w, [-4.2 - 1e-4, -4.2])
+    assert (p_at - p_before) / 1e-4 >= 9.15
+    omega = omega_from_seq(small_gevrey2)
+    assert not omega.normalized
+    assert matrix_from_omega(omega).member(1.0).log_m(0) == 0.0
+
+
 def test_poisson_batch_matches_scalar():
     w = gevrey_tilde(2.0)
     ys = np.linspace(-2.0, 10.0, 9)
