@@ -182,8 +182,10 @@ def cmd_compute(args) -> int:
                 payload = _csv_table(["k", col], [(k, float(vals[k])) for k in range(n + 1)])
         elif derive == "omega_M":
             w = omega_from_seq(obj)
-            decades = int(max(float(obj.log_mu(min(n, 64))[-1]) / math.log(10.0), 1.0) * 2)
-            ts = log_t_grid(1.0, 10.0 ** min(max(4, decades), sys.float_info.max_10_exp), n)
+            log_mu = obj.log_mu(min(n, 64))
+            decades = int(max(float(log_mu[-1]) / math.log(10.0), 1.0) * 2)
+            t_lo = min(1.0, math.exp(float(log_mu[0])))  # omega_M > 0 on (mu_1, 1] when mu_1 < 1
+            ts = log_t_grid(t_lo, 10.0 ** min(max(4, decades), sys.float_info.max_10_exp), n)
             om = w.omega(ts)
             payload = _csv_table(["t", "omega"], zip(map(float, ts), map(float, om)))
         elif derive == "none":

@@ -19,6 +19,15 @@ kappa_interval and poisson_interval share one adaptive engine
 panels of all arguments at once, and one panel budget (PANEL_BUDGET per four
 arguments) whose exhaustion widens the brackets of the arguments left open.
 
+The conjugate maximizes the concave x y - phi(y) in two stages.  A lattice
+of fixed points y = 0, 2^(j/16) holds phi and its chord slopes, which are
+nondecreasing because phi is convex; one `searchsorted` of x in the slopes
+brackets the maximizer within four cells (`_Lattice`).  Golden section then
+shrinks the bracket until concavity certifies that no point beats the best
+probe by more than rounding (`_golden_max`).  Each x takes about 35 phi
+evaluations, and its steps and value depend only on phi and x.  The
+associated function's far path runs the same two stages over real k.
+
 The conjugate and Ti2 work over their arguments in blocks (PHI_STAR_BLOCK x
 values, TI2_ROWS rows), so that no temporary exceeds 64 KiB: glibc serves
 larger arrays with mmap, and each fresh one costs a page fault per page.
@@ -85,10 +94,17 @@ P_WINDOW = 8.0
 P_CHUNK = 2**14
 TI2_ROWS = 2**9
 PHI_STAR_BLOCK = 2**13
-PHI_Y_START = 8.0
 DOUBLINGS = 64
-GOLDEN_ITERS = 80
+LATTICE_STEPS = 16  # bracketing lattice points per doubling of y
+LATTICE_LOW = -8 * LATTICE_STEPS  # the lowest point above the base: y = 2^-8
+LATTICE_TOP = 67 * LATTICE_STEPS  # the conjugate's highest point: y = 8 * 2^64
+FAR_LATTICE_TOP = 1024 * LATTICE_STEPS - 1  # the far path's: the largest finite k on the lattice
+LATTICE_CHUNK = 4  # lattice points evaluated per extension
+GOLDEN_ITERS = 80  # cap on golden steps; the certificate stops smooth maxima near 33 and kinks near 60
+GOLDEN_CHECK = 3  # golden steps between certificate checks
+GOLDEN_TOL = 4.0 * np.finfo(float).eps  # certificate allowance, times 1 + |f|
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INVPHI2, _INVPHI3 = _INVPHI**2, _INVPHI**3
 
 DEFAULT_GRID = 2.0 ** np.arange(-3, 4)
 
@@ -113,12 +129,15 @@ class WeightFn:
     """A weight (or pre-weight) function given by phi(y) = omega(e^y).
 
     `phi` must accept float64 arrays of any y, -inf (t = 0) included, be
-    pure, and stay finite wherever phi is: the conjugate's bracket doubles y
-    up to 8 * 2^64.  `kappa_ref` (in y) is a closed form that `kappa_fn`
-    evaluates through; `phi_star_ref` (in x) is catalog metadata used as a
-    test oracle, never as the production path of the conjugate.  There is
-    no free-text description: the name says what the function is, and
-    `kappa_ref` or `assoc` decides how `kappa_fn` evaluates its transform.
+    pure and elementwise, and stay finite wherever phi is: the conjugate's
+    lattice (`_lattice`, extended on demand as far as the largest x needs)
+    reaches up to y = 8 * 2^64, and an x whose maximizer lies beyond it
+    raises UnboundedConjugate.  `kappa_ref` (in y) is a closed form that
+    `kappa_fn` evaluates through; `phi_star_ref` (in x) is catalog metadata
+    used as a test oracle, never as the production path of the conjugate.
+    There is no free-text description: the name says what the function is,
+    and `kappa_ref` or `assoc` decides how `kappa_fn` evaluates its
+    transform.
     """
 
     def __init__(
@@ -141,6 +160,7 @@ class WeightFn:
         self.phi_star_ref = phi_star_ref
         self.assoc = assoc
         self.include_log_term = include_log_term
+        self._lattice = _Lattice(0.0, LATTICE_TOP)
 
     def phi(self, y):
         yy = np.asarray(y, dtype=float)
@@ -159,67 +179,134 @@ class WeightFn:
 # -- Young conjugate ---------------------------------------------------------
 
 
-def _doubling(y: np.ndarray, still_open: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Double each component of y while `still_open` holds there, at most
-    DOUBLINGS times; returns y and the mask of components still open."""
-    for _ in range(DOUBLINGS):
-        grow = still_open(y)
-        if not np.any(grow):
-            return y, grow
-        y = np.where(grow, 2.0 * y, y)
-    return y, still_open(y)
+class _Lattice:
+    """Bracketing lattice for sup_{y >= base} (x y - g(y)), g convex.
+
+    The points are y_0 = base and the fixed y_j = 2^(j/LATTICE_STEPS) above
+    it, from j = LATTICE_LOW up to j = top, evaluated LATTICE_CHUNK at a
+    time and only as far as the largest x asked for needs.  `slope[i]` is
+    the running maximum of the chord slopes of cells 0..i (a NaN slope,
+    from g overflowing at both ends, is skipped), so it depends only on the
+    points up to y_(i+1).  If cell i is the first whose slope reaches x,
+    the objective rises to y_i and does not rise past it, so its maximizer
+    lies in [y_(i-1), y_(i+1)]; `bracket` adds one more cell on either side
+    as slack for rounding.
+    """
+
+    def __init__(self, base: float, top: int):
+        self._top = top
+        self._j = LATTICE_LOW
+        while 2.0 ** (self._j / LATTICE_STEPS) <= base:
+            self._j += 1
+        self.y, self.gy, self.slope = np.array([float(base)]), None, np.empty(0)
+        self._lock = threading.Lock()
+
+    def _extend(self, g: Callable[[np.ndarray], np.ndarray]) -> None:
+        y = 2.0 ** (np.arange(self._j, min(self._j + LATTICE_CHUNK, self._top + 1)) / LATTICE_STEPS)
+        gy = g(y)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf where g overflows
+            s = np.diff(np.concatenate([self.gy[-1:], gy])) / np.diff(np.concatenate([self.y[-1:], y]))
+        s = np.fmax.accumulate(np.concatenate([self.slope[-1:], s]))[-len(s):]
+        self.y, self.gy, self.slope = np.concatenate([self.y, y]), np.concatenate([self.gy, gy]), np.concatenate([self.slope, s])
+        self._j += len(y)
+
+    def bracket(
+        self, g: Callable[[np.ndarray], np.ndarray], xs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(a, b - a, f(a), f(b), unbracketed) per x, with f(y) = x y - g(y):
+        the lattice points two cells below and above y_i, and the mask of
+        the xs that no slope below the top reaches, or whose f(b) is NaN
+        (x b and g(b) both overflow, so the upper end says nothing; NaN xs
+        included).  Every call passes the same g, its owner's: the lattice
+        keeps no reference to it, so it makes no reference cycle."""
+        with self._lock:
+            if self.gy is None:
+                self.gy = g(self.y)
+            x_max = float(np.max(xs, initial=-np.inf))
+            while self._j <= self._top and np.searchsorted(self.slope, x_max) > len(self.slope) - 2:
+                self._extend(g)
+            i = np.searchsorted(self.slope, xs)
+            lo, hi = np.maximum(i - 2, 0), np.minimum(i + 2, len(self.y) - 1)
+            a, b, ga, gb, past_top = self.y[lo], self.y[hi], self.gy[lo], self.gy[hi], i == len(self.slope)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fb = xs * b - gb
+            return a, b - a, xs * a - ga, fb, past_top | np.isnan(fb)
 
 
-def _golden_max(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Maximizer of a unimodal f on [a, b] per component: fixed-count golden
-    section (GOLDEN_ITERS steps), returning the better of the last two probes."""
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(GOLDEN_ITERS):
-        left = fc >= fd  # keep [a, d] where the left probe wins
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        c_new = b - _INVPHI * (b - a)
-        d_new = a + _INVPHI * (b - a)
-        fresh = np.where(left, c_new, d_new)
-        f_fresh = f(fresh)
+def _golden_max(
+    g: Callable[[np.ndarray], np.ndarray], lattice: _Lattice, x: np.ndarray, refuse: Callable[[float], Exception]
+) -> tuple[np.ndarray, np.ndarray]:
+    """max over y >= base of f(y) = x y - g(y), g convex, and a point
+    attaining it, per component of x; raises refuse(x) for an x that the
+    lattice cannot bracket.
+
+    Golden section on the lattice bracket: ends a < b and probes c < d,
+    with f known at all four (a new end is always an old probe).
+    Concavity bounds sup f on [a, b] by the chord lines of (a, c), (c, d)
+    and (d, b) extended: with the golden proportions (c - a)/(d - c) = 1/r
+    and (d - c)/(c - a) = r, r = 0.618..., it is at most max(fc, fd) +
+    max(|fc - fd|/r, r min(fc - fa, fd - fb)).  Every GOLDEN_CHECK steps a
+    component whose bound exceeds best = max(fa, fc, fd, fb) by at most
+    GOLDEN_TOL (1 + |best|) stops and leaves the working arrays;
+    GOLDEN_ITERS steps stop any component.  The result is the best of the
+    four points.  A component's steps depend only on g and its own x.
+    """
+
+    def f(y: np.ndarray) -> np.ndarray:
+        return x * y - g(y)
+
+    a, w, fa, fb, unbracketed = lattice.bracket(g, x)
+    if np.any(unbracketed):
+        raise refuse(float(x[np.argmax(unbracketed)]))
+    val, arg = np.empty_like(x), np.empty_like(x)
+    live = np.arange(len(x))
+    fc, fd = f(a + _INVPHI2 * w), f(a + _INVPHI * w)
+    for step in range(GOLDEN_ITERS + 1):
+        if step % GOLDEN_CHECK == 0 or step == GOLDEN_ITERS:
+            hi = np.maximum(fc, fd)
+            best = np.maximum(hi, np.maximum(fa, fb))
+            with np.errstate(invalid="ignore"):  # -inf - -inf where g overflows at two points: not done
+                rise = np.maximum(np.abs(fc - fd) / _INVPHI, _INVPHI * np.minimum(fc - fa, fd - fb))
+                done = (hi - best) + rise <= GOLDEN_TOL * (1.0 + np.abs(best))
+            if step == GOLDEN_ITERS:
+                done[:] = True
+            if np.any(done):
+                top, a_, w_ = best[done], a[done], w[done]
+                at = np.where(fa[done] == top, a_, np.where(fc[done] == top, a_ + _INVPHI2 * w_,
+                              np.where(fd[done] == top, a_ + _INVPHI * w_, a_ + w_)))
+                val[live[done]], arg[live[done]] = top, at
+                keep = ~done
+                live, x, a, w, fa, fb, fc, fd = (v[keep] for v in (live, x, a, w, fa, fb, fc, fd))
+                if not len(live):
+                    break
+        left = fc >= fd  # keep [a, d] where the left probe wins, else [c, b]
+        fa, fb = np.where(left, fa, fc), np.where(left, fd, fb)
+        a += _INVPHI2 * w * ~left  # c - a = r^2 w; a and w are this call's own arrays
+        w *= _INVPHI
+        f_fresh = f(a + w * (_INVPHI - _INVPHI3 * left))  # at the new c (left) or the new d
         fc, fd = np.where(left, f_fresh, fd), np.where(left, fc, f_fresh)
-        c, d = c_new, d_new
-    return np.where(fc >= fd, c, d)
+    return val, arg
 
 
 def _phi_star_impl(w: WeightFn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sup_{y>=0} (x y - phi(y)) per component, with the maximizer,
-    PHI_STAR_BLOCK components at a time.  Every step of `_phi_star_block`
-    is elementwise, so the blocks give the values of a single pass."""
+    PHI_STAR_BLOCK components at a time.  Each component's bracket and
+    golden steps depend only on phi and its own x, so the blocks give the
+    values of a single pass.
+
+    The objective is concave in y (phi is convex): the lattice of w brackets
+    each maximizer, then `_golden_max`.  An x that no chord slope of phi
+    below y = 8 * 2^64 reaches has an unbounded conjugate (omega is at most
+    logarithmic).
+    """
+
+    def refuse(bad: float) -> Exception:
+        return UnboundedConjugate(f"{w.name}: no finite bracket for the conjugate at x={bad:.6g}")
+
     val, y_best = np.empty_like(xs), np.empty_like(xs)
     for i in range(0, len(xs), PHI_STAR_BLOCK):
         block = slice(i, i + PHI_STAR_BLOCK)
-        val[block], y_best[block] = _phi_star_block(w, xs[block])
-    return val, y_best
-
-
-def _phi_star_block(w: WeightFn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The conjugate and its maximizer on one block of xs.
-
-    The objective is concave in y (phi is convex), so: expand the bracket
-    [0, Y] by doubling until the objective decreases at the right end, then
-    fixed-count golden section.  If it still rises after DOUBLINGS doublings
-    (y = 8 * 2^64) the conjugate is unbounded (omega is at most logarithmic).
-    """
-
-    def f(y: np.ndarray) -> np.ndarray:
-        return xs * y - w.phi(y)
-
-    # a NaN slope counts as rising, so it ends in UnboundedConjugate
-    y_hi, rising = _doubling(np.full_like(xs, PHI_Y_START), lambda y: ~(f(y) - f(y * (1 - 1e-6)) < 0))
-    if np.any(rising):
-        bad = float(xs[np.argmax(rising)])
-        raise UnboundedConjugate(f"{w.name}: no finite bracket for the conjugate at x={bad:.6g}")
-
-    y_best = _golden_max(f, np.zeros_like(xs), y_hi)
-    val = np.maximum(f(y_best), f(np.zeros_like(xs)))
+        val[block], y_best[block] = _golden_max(w.phi, w._lattice, xs[block], refuse)
     return val, y_best
 
 
@@ -275,11 +362,11 @@ class _AssocEvaluator:
     grown by fours (up to ARRAY_CAP terms) until its last quotient covers
     the largest y asked for; the sequence extends its prefix of values, so
     each log M_k is evaluated once, and the tail brackets are computed once
-    per growth, at the final length.  Past the array (the conjugate's
-    bracket probes in seq_K) the sup is taken over real k >= n of the
-    sequence's own evaluator (`_far`), with the golden section that phi_star
-    uses.  Non-log-convex positive sequences use a full scan over the
-    truncation.
+    per growth, at the final length.  Past the array (conjugate lattice
+    points and golden probes in seq_K) the sup is taken over real k >= n of
+    the sequence's own evaluator (`_far`): a lattice over k with base n
+    brackets it and the certified golden section of phi_star finds it.
+    Non-log-convex positive sequences use a full scan over the truncation.
     """
 
     ARRAY_START = 4096
@@ -311,6 +398,7 @@ class _AssocEvaluator:
         # log_tail_lo/hi[c] bracket log sum_{j > c} 1/mu_j for counts c = 0..n
         lo, hi = log_tail_bracket(self.seq, np.arange(1, n + 2), n)
         self._n, self._vals, self._log_mu, self._log_tail_lo, self._log_tail_hi = n, vals, np.diff(vals), lo, hi
+        self._far_lattice = _Lattice(float(n), FAR_LATTICE_TOP)
 
     def ensure_cover(self, max_log_t: float) -> None:
         with self._lock:
@@ -323,25 +411,18 @@ class _AssocEvaluator:
     def _far(self, log_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(sup_{k >= n} (k y - log M_k), its k) for y past the array's last
         quotient, where k* >= n: the conjugate of the sequence's own evaluator
-        over real k.  The objective is concave in k, so unimodal in u = log k:
-        double u from log n while it rises, golden section on the bracket,
-        then the better of floor(k) and ceil(k) is the integer sup.  A
-        bracket still open after DOUBLINGS raises TruncationExhausted.
+        over real k, whose objective is concave in k.  The lattice with base
+        n brackets each maximizer, `_golden_max` finds it, and the better of
+        floor(k) and ceil(k) is the integer sup.  A y that no chord slope of
+        log M within the float range reaches raises TruncationExhausted.
         """
         n = float(self._n)
 
-        def f(u: np.ndarray) -> np.ndarray:
-            k = np.exp(u)
-            return k * log_t - self.seq.log_m(k)
+        def refuse(bad: float) -> Exception:
+            return TruncationExhausted(f"{self.seq.name}: associated function at y = {bad:.6g} has no finite bracket")
 
-        u0 = np.full_like(log_t, math.log(n))
-        with np.errstate(over="ignore", invalid="ignore"):  # k overflows only in a bracket that stays open
-            # a NaN slope counts as rising, so it ends in TruncationExhausted
-            u_hi, rising = _doubling(u0, lambda u: ~(f(u) - f(u * (1 - 1e-6)) < 0))
-        if np.any(rising):
-            bad = float(log_t[np.argmax(rising)])
-            raise TruncationExhausted(f"{self.seq.name}: associated function at y = {bad:.6g} has no finite bracket")
-        k = np.exp(_golden_max(f, u0, u_hi))
+        with np.errstate(over="ignore", invalid="ignore"):  # log M_k overflows only near the top
+            _, k = _golden_max(self.seq.log_m, self._far_lattice, log_t, refuse)
         k_lo, k_hi = np.maximum(np.floor(k), n), np.maximum(np.ceil(k), n)
         v_lo, v_hi = k_lo * log_t - self.seq.log_m(k_lo), k_hi * log_t - self.seq.log_m(k_hi)
         return np.maximum(v_lo, v_hi), np.where(v_hi > v_lo, k_hi, k_lo)
@@ -720,12 +801,14 @@ def normalize_fn(w: WeightFn) -> WeightFn:
     c = float(w.phi(0.0))
 
     def phi_vec(ys: np.ndarray) -> np.ndarray:
-        return np.where(ys <= 0.0, 0.0, np.maximum(w._phi(ys) - c, 0.0))
+        return np.maximum(w._phi(np.maximum(ys, 0.0)) - c, 0.0)  # phi(0) - c = 0 for y <= 0
 
-    # plateau end: the conjugate's bounded doubling, then bisection
-    (hi,), (flat,) = _doubling(np.array([1e-6]), lambda y: w.phi(y) <= c)
-    if flat:
-        raise UnboundedConjugate(f"{w.name}: constant up to y = {hi:.3g}, the normalized conjugate is unbounded")
+    # plateau end: double y from 1e-6 (at most DOUBLINGS times) while phi stays at c, then bisection
+    hi = 1e-6
+    while float(w.phi(hi)) <= c:
+        if hi >= 1e-6 * 2.0**DOUBLINGS:
+            raise UnboundedConjugate(f"{w.name}: constant up to y = {hi:.3g}, the normalized conjugate is unbounded")
+        hi *= 2.0
     y_c = 0.0
     if hi > 1e-6:
         lo = hi / 2
@@ -783,7 +866,7 @@ def kappa_fn(w: WeightFn) -> WeightFn:
     c = float(raw(np.array([0.0]))[0])
 
     def phi_vec(ys: np.ndarray) -> np.ndarray:
-        return np.where(ys <= 0.0, 0.0, np.maximum(raw(ys) - c, 0.0))
+        return np.maximum(raw(np.maximum(ys, 0.0)) - c, 0.0)  # raw(0) - c = 0 for y <= 0
 
     env = w.envelope  # kappa(t) <= a + b t^th / (1-th)
     kap_env = None if env is None else Envelope(env.theta, env.a, env.b / (1 - env.theta))

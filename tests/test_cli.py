@@ -224,7 +224,8 @@ def test_check_mg_with_one_term_is_inconclusive(capsys):
 
 
 def test_compute_K_reaches_past_the_assoc_array(capsys, monkeypatch):
-    # the conjugate's bracket probes y = 32, past log mu_J = 23.6 of the 2^17-term array
+    # at n = 65536 the conjugate's lattice bracket reaches y = 24.7, past
+    # log mu_J = 23.6 of the 2^17-term array
     far_ys = []
     far = func_core._AssocEvaluator._far
 
@@ -233,11 +234,21 @@ def test_compute_K_reaches_past_the_assoc_array(capsys, monkeypatch):
         return far(self, log_t)
 
     monkeypatch.setattr(func_core._AssocEvaluator, "_far", spy)
-    rc, out, _ = run(capsys, "compute", "seq:gevrey?s=2", "--derive", "K", "--n", "8192")
+    rc, out, _ = run(capsys, "compute", "seq:gevrey?s=2", "--derive", "K", "--n", "65536")
     vals = np.array([float(row.split(",")[1]) for row in out.splitlines()[1:]])
-    assert rc == 0 and len(vals) == 8193
+    assert rc == 0 and len(vals) == 65537
     assert np.all(np.diff(np.diff(vals)) >= -1e-9)  # log quotients non-decreasing up to rounding
-    assert 32.0 in far_ys
+    assert 2.0 ** (74 / 16) in far_ys
+
+
+def test_compute_omega_M_table_starts_below_one_when_mu_1_is(capsys):
+    # underline-L of gevrey 2 has mu_1 = 0.61: omega_M is positive on (mu_1, 1]
+    rc, out, _ = run(capsys, "compute", "derived:underlineL(seq:gevrey?s=2)", "--derive", "omega_M", "--n", "8")
+    t0, om0 = map(float, out.splitlines()[1].split(","))
+    assert rc == 0 and t0 < 1.0 and abs(om0) <= 1e-12  # omega_M(mu_1) = 0
+    # gevrey 2 has mu_1 = 1: the table still starts at t = 1
+    rc, out, _ = run(capsys, "compute", "seq:gevrey?s=2", "--derive", "omega_M", "--n", "8")
+    assert rc == 0 and out.splitlines()[1] == "1.0,0.0"
 
 
 def test_check_resolves_a_shared_inner_uri_once(capsys, monkeypatch):

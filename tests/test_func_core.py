@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from ultraweights import _kernels, func_core
-from ultraweights.catalog import gammaln, make_exp_gevrey_member, make_factorial, make_gevrey, make_power_weight
+from ultraweights.catalog import (
+    gammaln,
+    make_exp_gevrey_member,
+    make_factorial,
+    make_gevrey,
+    make_power_weight,
+    resolve,
+)
 from ultraweights.errors import EnvelopeRequired, QuasianalyticInput, TruncationExhausted, UnboundedConjugate
 from ultraweights.func_core import (
     Envelope,
@@ -86,6 +93,56 @@ def test_phi_star_unbounded_for_logarithmic_weight():
     w = WeightFn("slowlog", lambda ys: np.logaddexp(0.0, ys))  # log(1 + t)
     with pytest.raises(UnboundedConjugate):
         phi_star(w, 2.0)
+
+
+@pytest.mark.parametrize("uri", ["fn:power?beta=0.5", "fn:logsq"])
+@pytest.mark.parametrize("alpha", [0.125, 8.0])
+def test_phi_star_on_member_grids_matches_the_closed_form(uri, alpha):
+    # the grids x = alpha k, k = 0..2^17, on which the canonical matrix's members conjugate
+    w = normalize_fn(resolve(uri))
+    xs = alpha * np.arange(2**17 + 1, dtype=float)
+    ref = np.asarray(w.phi_star_ref(xs), dtype=float)
+    assert np.max(np.abs(phi_star(w, xs) - ref) / np.maximum(1.0, np.abs(ref))) <= 2e-15
+
+
+@pytest.mark.parametrize("cap", [func_core.GOLDEN_ITERS, 54])
+def test_phi_star_at_the_kinks_of_an_associated_function(gevrey2, cap, monkeypatch):
+    # omega_M is piecewise linear in y with slope k between log mu_k and
+    # log mu_(k+1): at x = k the sup log M_k is attained between two kinks,
+    # and at x = k + 1/2 only at the kink log mu_(k+1).  Near a kink the
+    # certificate's bound shrinks only linearly and holds after 57 to 66
+    # steps here, so a cap of 54 stops every half-integer x at its best probe
+    monkeypatch.setattr(func_core, "GOLDEN_ITERS", cap)
+    w = omega_from_seq(gevrey2)
+    ks = np.arange(65, dtype=float)
+    log_m, log_mu = gevrey2.values(64), gevrey2.log_mu(65)
+    want = np.concatenate([log_m, log_m + 0.5 * log_mu])
+    got = phi_star(w, np.concatenate([ks, ks + 0.5]))
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-13
+
+
+def test_phi_star_just_above_zero_on_the_plateau(power_half):
+    # normalize_fn clamps phi to 0 on [0, y_c].  For power_half y_c = 0 and
+    # x y - phi(y) peaks at y = 0 for x < 1/2; for max(|y| - 1, 0)^2,
+    # y_c = 1 and the conjugate x + x^2/4 is attained at 1 + x/2
+    xs = np.array([1e-300, 1e-12, 1e-6, 1e-3, 0.25])
+    assert np.all(phi_star(normalize_fn(power_half), xs) == 0.0)
+    flat = normalize_fn(WeightFn("plateau", lambda ys: np.maximum(np.abs(ys) - 1.0, 0.0) ** 2))
+    assert np.max(np.abs(phi_star(flat, xs) - (xs + xs**2 / 4.0))) <= 2e-15
+
+
+def test_phi_star_asks_for_at_most_48_points_per_x(power_half):
+    wn = normalize_fn(power_half)
+    inner, asked = wn._phi, []
+
+    def counted(ys):
+        asked.append(len(ys))
+        return inner(ys)
+
+    wn._phi = counted
+    xs = np.arange(2**17 + 1, dtype=float)
+    phi_star(wn, xs)
+    assert sum(asked) <= 48 * len(xs)
 
 
 @pytest.mark.parametrize("name", ["linear", "power_half", "logsq"])
@@ -328,6 +385,14 @@ def test_phi_star_blocks_match_per_block_calls(power_half, rng):
     xs = rng.uniform(0.0, 50.0, 2 * block + 1)
     per_block = np.concatenate([phi_star(power_half, xs[i : i + block]) for i in range(0, len(xs), block)])
     assert np.array_equal(phi_star(power_half, xs), per_block)
+
+
+def test_phi_star_does_not_depend_on_how_far_the_lattice_reaches(power_half):
+    xs = np.linspace(0.0, 50.0, 1001)
+    fresh = phi_star(normalize_fn(power_half), xs)
+    wn = normalize_fn(power_half)
+    phi_star(wn, 1e6)  # extends the lattice far past the maximizers of xs
+    assert np.array_equal(phi_star(wn, xs), fresh)
 
 
 def test_closed_form_P_past_the_array_overlaps_quadrature():
