@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _TAIL_HEAD = 64  # exact terms summed past the largest index before a remainder bound
+_TAIL_BLOCK = 2**13  # bracket entries widened at a time (64 KiB of temporary)
 
 
 def gammaln(x: np.ndarray) -> np.ndarray:
@@ -65,20 +66,25 @@ def gammaln(x: np.ndarray) -> np.ndarray:
 def _series_log_tail(neg_log_term, span: int, log_rem) -> Callable[[np.ndarray], LogBracket]:
     """`log_tail` of T_k = sum_{j>=k} exp(neg_log_term(j)): exact terms on
     k_min .. k_max + span, plus the log bracket `log_rem(top)` of the rest,
-    widened by the rounding of the sums (1e-13 plus a few ulps)."""
+    widened by the rounding of the sums (1e-13 plus a few ulps).
+    `neg_log_term` writes the terms over the index array it is given."""
 
     def log_tail(ks: np.ndarray) -> LogBracket:
         k0, top = int(ks.min()), int(ks.max()) + span + 1
         rem_lo, rem_hi = log_rem(float(top))
-        lo, hi = log_suffix_bracket(neg_log_term(np.arange(k0, top, dtype=float)), ks - k0, rem_hi, rem_lo)
-        ulps = np.abs(lo)  # widened in place, in the order lo - 1e-13 - 1e-15 |lo|
-        ulps *= 1e-15
-        lo -= 1e-13
-        lo -= ulps
-        np.abs(hi, out=ulps)
-        ulps *= 1e-15
-        hi += 1e-13
-        hi += ulps
+        terms = np.arange(k0, top + 1, dtype=float)  # the last slot is the remainder's
+        neg_log_term(terms[:-1])
+        lo, hi = log_suffix_bracket(terms, ks, k0, rem_hi, rem_lo)
+        ulps = np.empty(_TAIL_BLOCK)
+        for end, sign in ((lo, -1.0), (hi, 1.0)):
+            # widened in place, in the order end -+ 1e-13 -+ 1e-15 |end|, a
+            # block at a time so that the temporary stays small
+            for i in range(0, len(end), _TAIL_BLOCK):
+                part = end[i : i + _TAIL_BLOCK]
+                u = np.abs(part, out=ulps[: len(part)])
+                u *= sign * 1e-15
+                part += sign * 1e-13
+                part += u
         return lo, hi
 
     return log_tail
@@ -109,7 +115,11 @@ def make_gevrey(s: float) -> WeightSeq:
         base = (1.0 - s) * math.log(K) - math.log(s - 1.0)
         return base + math.log(c_lo), base + math.log(c_hi)
 
-    log_tail = _series_log_tail(lambda js: -s * np.log(js), _TAIL_HEAD, log_rem)
+    def neg_log_mu(js: np.ndarray) -> None:  # -s log j, over js
+        np.log(js, out=js)
+        js *= -s
+
+    log_tail = _series_log_tail(neg_log_mu, _TAIL_HEAD, log_rem)
     return WeightSeq(f"gevrey(s={s:g})", ev, log_tail=log_tail, is_weight_seq=True)
 
 
@@ -131,7 +141,13 @@ def make_q_gevrey(q: float) -> WeightSeq:
         v = -(2.0 * top - 1.0) * lq - math.log(-math.expm1(-2.0 * lq))
         return v, v
 
-    log_tail = _series_log_tail(lambda js: -(2.0 * js - 1.0) * lq, 0, log_rem)
+    def neg_log_mu(js: np.ndarray) -> None:  # -(2j - 1) log q, over js
+        js *= 2.0
+        js -= 1.0
+        np.negative(js, out=js)
+        js *= lq
+
+    log_tail = _series_log_tail(neg_log_mu, 0, log_rem)
     return WeightSeq(f"qgevrey(q={q:g})", lambda kk: kk**2 * lq, log_tail=log_tail, is_weight_seq=True)
 
 
@@ -149,11 +165,17 @@ def make_exp_gevrey_member(p: float, a: float) -> WeightSeq:
     def ev(kk: np.ndarray) -> np.ndarray:
         return p * gammaln(kk + 1.0) + a * kk * (kk + 1.0) / 2.0
 
-    def neg_log_mu(js):
-        return -(p * np.log(js) + a * js)
+    def neg_log_mu(js: np.ndarray) -> None:  # -(p log j + a j), over js
+        p_log = np.log(js)
+        p_log *= p
+        js *= a
+        js += p_log
+        np.negative(js, out=js)
 
     def log_rem(top: float) -> tuple[float, float]:  # mu_j / mu_{j+1} stays below e^-a
-        return -math.inf, float(neg_log_mu(top)) - math.log(-math.expm1(-a))
+        term = np.array([top])
+        neg_log_mu(term)
+        return -math.inf, float(term[0]) - math.log(-math.expm1(-a))
 
     log_tail = _series_log_tail(neg_log_mu, max(_TAIL_HEAD, int(40.0 / a)), log_rem)
     return WeightSeq(f"expgevrey(p={p:g},a={a:g})", ev, log_tail=log_tail, is_weight_seq=True)

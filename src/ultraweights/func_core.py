@@ -28,6 +28,15 @@ probe by more than rounding (`_golden_max`).  Each x takes about 35 phi
 evaluations, and its steps and value depend only on phi and x.  The
 associated function's far path runs the same two stages over real k.
 
+The canonical weight matrix has log M^(alpha)_k = phi*(alpha k)/alpha, so
+log M^(2 alpha)_k = log M^(alpha)_(2k) / 2.  In floats this holds bit for
+bit: alpha k is the same product either way, the conjugate value depends
+only on x, and dividing by 2 alpha is dividing by alpha and halving, which
+is exact.  A member therefore reads the indices it shares with the member
+at half its parameter from that member's cached prefix; on the dyadic
+DEFAULT_GRID, built in ascending order, the 7 members evaluate the
+conjugate at one full array of points and six half arrays.
+
 The conjugate and Ti2 work over their arguments in blocks (PHI_STAR_BLOCK x
 values, TI2_ROWS rows), so that no temporary exceeds 64 KiB: glibc serves
 larger arrays with mmap, and each fresh one costs a page fault per page.
@@ -99,7 +108,7 @@ LATTICE_STEPS = 16  # bracketing lattice points per doubling of y
 LATTICE_LOW = -8 * LATTICE_STEPS  # the lowest point above the base: y = 2^-8
 LATTICE_TOP = 67 * LATTICE_STEPS  # the conjugate's highest point: y = 8 * 2^64
 FAR_LATTICE_TOP = 1024 * LATTICE_STEPS - 1  # the far path's: the largest finite k on the lattice
-LATTICE_CHUNK = 4  # lattice points evaluated per extension
+LATTICE_CHUNK = 4  # lattice points evaluated per extension (the first one, on a doubling lattice)
 GOLDEN_ITERS = 80  # cap on golden steps; the certificate stops smooth maxima near 33 and kinks near 60
 GOLDEN_CHECK = 3  # golden steps between certificate checks
 GOLDEN_TOL = 4.0 * np.finfo(float).eps  # certificate allowance, times 1 + |f|
@@ -184,7 +193,12 @@ class _Lattice:
 
     The points are y_0 = base and the fixed y_j = 2^(j/LATTICE_STEPS) above
     it, from j = LATTICE_LOW up to j = top, evaluated LATTICE_CHUNK at a
-    time and only as far as the largest x asked for needs.  `slope[i]` is
+    time and only as far as the largest x asked for needs.  With `doubling`
+    each chunk is twice the last, so that a refusal at the top takes a
+    dozen extensions instead of thousands; it is for a g that grows no
+    array (the far path's log M_k), while a WeightFn's phi may grow an
+    associated-function array through `ensure_cover` and keeps the fixed
+    chunk.  The points are the same either way.  `slope[i]` is
     the running maximum of the chord slopes of cells 0..i (a NaN slope,
     from g overflowing at both ends, is skipped), so it depends only on the
     points up to y_(i+1).  If cell i is the first whose slope reaches x,
@@ -193,8 +207,8 @@ class _Lattice:
     as slack for rounding.
     """
 
-    def __init__(self, base: float, top: int):
-        self._top = top
+    def __init__(self, base: float, top: int, doubling: bool = False):
+        self._top, self._chunk, self._doubling = top, LATTICE_CHUNK, doubling
         self._j = LATTICE_LOW
         while 2.0 ** (self._j / LATTICE_STEPS) <= base:
             self._j += 1
@@ -202,13 +216,14 @@ class _Lattice:
         self._lock = threading.Lock()
 
     def _extend(self, g: Callable[[np.ndarray], np.ndarray]) -> None:
-        y = 2.0 ** (np.arange(self._j, min(self._j + LATTICE_CHUNK, self._top + 1)) / LATTICE_STEPS)
+        y = 2.0 ** (np.arange(self._j, min(self._j + self._chunk, self._top + 1)) / LATTICE_STEPS)
         gy = g(y)
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf where g overflows
             s = np.diff(np.concatenate([self.gy[-1:], gy])) / np.diff(np.concatenate([self.y[-1:], y]))
         s = np.fmax.accumulate(np.concatenate([self.slope[-1:], s]))[-len(s):]
         self.y, self.gy, self.slope = np.concatenate([self.y, y]), np.concatenate([self.gy, gy]), np.concatenate([self.slope, s])
         self._j += len(y)
+        self._chunk *= 2 if self._doubling else 1
 
     def bracket(
         self, g: Callable[[np.ndarray], np.ndarray], xs: np.ndarray
@@ -398,7 +413,10 @@ class _AssocEvaluator:
         # log_tail_lo/hi[c] bracket log sum_{j > c} 1/mu_j for counts c = 0..n
         lo, hi = log_tail_bracket(self.seq, np.arange(1, n + 2), n)
         self._n, self._vals, self._log_mu, self._log_tail_lo, self._log_tail_hi = n, vals, np.diff(vals), lo, hi
-        self._far_lattice = _Lattice(float(n), FAR_LATTICE_TOP)
+        top = FAR_LATTICE_TOP
+        if math.isfinite(self.seq.max_index):  # no chunk reaches past the last index
+            top = min(top, math.floor(LATTICE_STEPS * math.log2(max(self.seq.max_index, 1.0))))
+        self._far_lattice = _Lattice(float(n), top, doubling=True)
 
     def ensure_cover(self, max_log_t: float) -> None:
         with self._lock:
@@ -941,14 +959,35 @@ def matrix_from_omega(w: WeightFn, grid=None) -> WeightMatrix:
     Member alpha has log M^(alpha)_k = phi*_omega(alpha k)/alpha, computed on
     the normalized representative; for integer n the member n coincides with
     the n-fold power shift of member 1.
+
+    So log M^(alpha)_k = log M^(alpha/2)_(2k) / 2, and exactly so in floats:
+    alpha/2 and 2k are exact, so fl((alpha/2)(2k)) = fl(alpha k) and the
+    conjugate is the same number v (its value depends only on phi and x);
+    the member alpha/2 holds fl(v/(alpha/2)) = 2 fl(v/alpha), and halving
+    it is exact (scaling by 2 is, away from overflow and subnormals).  A
+    member made after the member at half its parameter therefore takes
+    log M_k, for every integer k >= 1 with 2k inside the prefix that member
+    has cached when k is evaluated (`WeightSeq.cached_values`), as that
+    value halved, and evaluates the conjugate only at the other indices.
+    The values are the same bit for bit in any order; making and growing
+    the members in ascending order only makes them cheaper.
     """
     wn = normalize_fn(w)
+    built: dict[float, WeightSeq] = {}
 
     def make(alpha: float) -> WeightSeq:
-        def ev(kk: np.ndarray) -> np.ndarray:
-            return phi_star(wn, alpha * kk) / alpha
+        half = built.get(alpha / 2)
 
-        return WeightSeq(f"M[{w.name};a={alpha:g}]", ev, is_weight_seq=True)
+        def ev(kk: np.ndarray) -> np.ndarray:
+            prefix = np.empty(0) if half is None else half.cached_values()
+            shared = (kk >= 1) & (2 * kk < len(prefix)) & (kk == np.floor(kk))
+            out = np.empty_like(kk)
+            out[shared] = prefix[2 * kk[shared].astype(np.int64)] / 2
+            out[~shared] = phi_star(wn, alpha * kk[~shared]) / alpha
+            return out
+
+        built[alpha] = WeightSeq(f"M[{w.name};a={alpha:g}]", ev, is_weight_seq=True)
+        return built[alpha]
 
     return WeightMatrix(
         f"matrix[{w.name}]",

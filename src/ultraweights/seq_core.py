@@ -69,7 +69,9 @@ class WeightSeq:
     log M_m by evaluating only the indices m+1 .. n, VALUES_BLOCK at a time
     into a preallocated array, and returns a read-only view of the prefix
     (a later growth replaces the prefix, so an earlier view keeps its
-    values).  The indices are floats
+    values).  `cached_values()` returns the prefix cached so far, read-only,
+    and never evaluates: a canonical weight matrix reads the member at half
+    its parameter through it.  The indices are floats
     because the associated function maximizes k y - log M_k over real k past
     its quotient array, where they may exceed 2^53; an evaluator should
     extend k -> log M_k convexly to real k.
@@ -147,6 +149,13 @@ class WeightSeq:
                     grown[i : i + VALUES_BLOCK] = self._eval(np.arange(i, min(i + VALUES_BLOCK, n + 1), dtype=float))
                 self._prefix = grown
             view = self._prefix[: n + 1]
+        view.flags.writeable = False
+        return view
+
+    def cached_values(self) -> np.ndarray:
+        """log M_0 .. log M_m for the prefix that `values` has cached so far
+        (m = 0 before its first growth): a read-only view, no evaluation."""
+        view = self._prefix[:]
         view.flags.writeable = False
         return view
 
@@ -251,16 +260,18 @@ def _tail_exponent(log_mu: np.ndarray) -> float | None:
     return p if p > 1.0 + 1e-6 else None
 
 
-def log_suffix_bracket(x: np.ndarray, idx: np.ndarray, log_rem_hi: float, log_rem_lo: float = -math.inf) -> LogBracket:
-    """Log bracket of sum_{j >= i} e^{x_j} + R at each i in `idx` (i = len(x)
-    leaves R, the remainder beyond the array, in [e^log_rem_lo, e^log_rem_hi]).
-    One backward logaddexp pass, written in place: O(len(x)) time and memory,
-    no underflow."""
-    suffix = np.empty(len(x) + 1)
-    suffix[-1] = -math.inf
-    np.logaddexp.accumulate(x[::-1], out=suffix[-2::-1])
-    hi = suffix[idx]
-    del suffix  # freed before the second result is allocated
+def log_suffix_bracket(x: np.ndarray, ks: np.ndarray, k0: int, log_rem_hi: float,
+                       log_rem_lo: float = -math.inf) -> LogBracket:
+    """Log bracket of sum_{j >= k} e^{x_(j - k0)} + R at each k in `ks`, where
+    x holds the terms of indices k0 .. k0 + len(x) - 2 and one slot more: at
+    k = k0 + len(x) - 1 only R is left, the remainder beyond the terms, in
+    [e^log_rem_lo, e^log_rem_hi].  One backward logaddexp pass, written over
+    x: O(len(x)) time, no underflow, and the memory of one result, since for
+    a contiguous range of ks the upper end is a slice of x, not a copy."""
+    x[-1] = -math.inf
+    np.logaddexp.accumulate(x[::-1], out=x[::-1])
+    contiguous = ks[-1] - ks[0] == len(ks) - 1 and bool(np.all(ks[1:] > ks[:-1]))
+    hi = x[ks[0] - k0 : ks[-1] - k0 + 1] if contiguous else x[ks - k0]
     lo = np.logaddexp(hi, log_rem_lo)
     np.logaddexp(hi, log_rem_hi, out=hi)
     return lo, hi
@@ -290,7 +301,9 @@ def log_tail_bracket(seq: WeightSeq, ks, n_max: int = DEFAULT_TAIL_N) -> LogBrac
     log_mu = seq.log_mu(n_max)  # k = 1..n_max
     p = _tail_exponent(log_mu)
     log_rem = math.inf if p is None else math.log(n_max / (p - 1.0)) - log_mu[-1]
-    return log_suffix_bracket(-log_mu, ks - 1, log_rem)
+    terms = np.empty(n_max + 1)
+    np.negative(log_mu, out=terms[:-1])
+    return log_suffix_bracket(terms, ks, 1, log_rem)
 
 
 def tail_recip_mu(seq: WeightSeq, k: int) -> Interval:

@@ -503,6 +503,66 @@ def test_matrix_members_equivalent_iff_value_doubling(power_half, logsq):
     assert not seq_equivalent(mat_l.member(0.125), mat_l.member(8.0), 256).holds
 
 
+def count_conjugate_points(monkeypatch) -> list[int]:
+    """Patch `func_core.phi_star` to record how many x each call asks for."""
+    asked, inner = [], func_core.phi_star
+
+    def counted(w, x):
+        asked.append(np.size(x))
+        return inner(w, x)
+
+    monkeypatch.setattr(func_core, "phi_star", counted)
+    return asked
+
+
+@pytest.mark.parametrize("uri", ["fn:power?beta=0.5", "fn:logsq"])
+def test_matrix_members_built_after_half_their_parameter_are_bitwise_unchanged(uri):
+    n = 2**17
+    mat = matrix_from_omega(resolve(uri))
+    for a in mat.grid:  # ascending: each member reads the one at half its parameter
+        mat.member(a).values(n)
+    for a in (0.25, 1.0, 8.0):
+        alone = matrix_from_omega(resolve(uri)).member(a).values(n)
+        assert np.array_equal(mat.member(a).values(n), alone)
+
+
+def test_matrix_members_do_not_depend_on_the_build_order(power_half):
+    n = 2**12
+    alone = {a: matrix_from_omega(power_half).member(a).values(n) for a in func_core.DEFAULT_GRID}
+    descending = matrix_from_omega(power_half)
+    for a in func_core.DEFAULT_GRID[::-1]:
+        assert np.array_equal(descending.member(a).values(n), alone[a])
+    # members at half the parameter cached to 2^10 and 2^11 only: member 2
+    # reads k <= 512 of member 1 and evaluates the rest
+    partial = matrix_from_omega(power_half)
+    partial.member(1.0).values(2**10)
+    partial.member(0.5).values(2**11)
+    for a in (2.0, 1.0, 4.0):
+        assert np.array_equal(partial.member(a).values(n), alone[a])
+    # k = 0, a real k and a k past every prefix take the conjugate; k = 3 is shared
+    ks = np.array([0.0, 3.0, 3.5, 2.0**20])
+    assert np.array_equal(partial.member(2.0).log_m(ks), matrix_from_omega(power_half).member(2.0).log_m(ks))
+
+
+def test_matrix_members_share_on_a_non_dyadic_grid(power_half, monkeypatch):
+    n = 2**12
+    alone = {a: matrix_from_omega(power_half, grid=[1.0, 1.5, 3.0]).member(a).values(n) for a in (1.0, 1.5, 3.0)}
+    asked = count_conjugate_points(monkeypatch)
+    mat = matrix_from_omega(power_half, grid=[1.0, 1.5, 3.0])
+    for a in mat.grid:
+        assert np.array_equal(mat.member(a).values(n), alone[a])
+    # 1 and 1.5 have no member at half their parameter; 3 reads k <= n/2 of 1.5
+    assert sum(asked) <= 2 * n + n // 2 + 8
+
+
+def test_matrix_members_at_double_the_parameter_evaluate_half_the_conjugates(power_half, monkeypatch):
+    asked = count_conjugate_points(monkeypatch)
+    mat = matrix_from_omega(power_half)
+    mat.member(0.125).values(2**17)
+    mat.member(0.25).values(2**17)
+    assert sum(asked) <= 2**17 + 2**16 + 64  # 2^18 + 2 when each member evaluates all its own
+
+
 @pytest.mark.parametrize("s", [1.5, 2.0, 3.0, 1.0])
 def test_assoc_far_path_matches_the_factorial_closed_form(s):
     # past the array the sup of k y - s log k! is at k* = floor(e^(y/s)); s = 1 is k!
@@ -541,6 +601,45 @@ def test_assoc_far_bracket_that_stays_open_is_refused(factorial):
     # k* = e^800 is past the float range, so no finite bracket exists
     with pytest.raises(TruncationExhausted):
         omega_from_seq(factorial).phi(800.0)
+
+
+def test_assoc_far_lattice_reaches_its_top_in_doubling_chunks(factorial, monkeypatch):
+    # the far lattice runs from k = 2^17 to 2^1024, 16 points per doubling of
+    # k: fixed 4-point chunks took 3991 extensions to refuse y = 800
+    extensions, inner = [], func_core._Lattice._extend
+
+    def counted(self, g):
+        extensions.append(1)
+        inner(self, g)
+
+    monkeypatch.setattr(func_core._Lattice, "_extend", counted)
+    w = omega_from_seq(factorial)
+    with pytest.raises(TruncationExhausted):
+        w.phi(800.0)
+    assert len(extensions) < 64
+
+
+def test_assoc_far_lattice_stops_at_the_last_index():
+    # log M_k = 2 log k! up to k = 2^18 only: the far lattice over k >= 2^17
+    # may reach k = 2^18, the lattice point 16 steps above the array's end.
+    # y needs points up to about 2^17.9, which a 16-point third chunk would
+    # overshoot into indices the sequence does not have
+    top = 2**18
+
+    def ev(kk: np.ndarray) -> np.ndarray:
+        if np.any(kk > top):
+            raise TruncationExhausted(f"index beyond {top}")
+        return 2.0 * gammaln(kk + 1.0)
+
+    assoc = omega_from_seq(WeightSeq("finite", ev, is_weight_seq=True, max_index=top)).assoc
+    assert assoc._n == 2**17
+    y = 2.0 * math.log(2.0 ** (17 + 12.5 / 16))
+    val, k = assoc.eval(np.array([y]))
+    ks = np.arange(top + 1, dtype=float)
+    assert k[0] > assoc._n and val[0] == pytest.approx(np.max(ks * y - ev(ks)), rel=1e-14)
+    assert assoc._far_lattice.y[-1] <= top
+    with pytest.raises(TruncationExhausted):  # k* past the last index
+        assoc.eval(np.array([2.0 * math.log(top) + 1.0]))
 
 
 # -- order relations and predicates ------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ultraweights.seq_core import (
     is_non_quasianalytic,
     is_strongly_log_convex,
     log_convex_minorant,
+    log_tail_bracket,
     mu,
     power_shift,
     seq_equivalent,
@@ -23,7 +25,7 @@ from ultraweights.seq_core import (
     tail_mids,
     tail_recip_mu,
 )
-from ultraweights.catalog import make_gevrey, resolve
+from ultraweights.catalog import make_exp_gevrey_member, make_gevrey, make_q_gevrey, resolve
 from ultraweights.verdicts import Interval
 
 PI2_6 = math.pi**2 / 6
@@ -112,6 +114,39 @@ def test_tail_generic_bracket_vs_exact(gevrey2):
     iv = tail_recip_mu(bare, 1)
     assert iv.lo <= PI2_6 <= iv.hi
     assert iv.width < 1e-3
+
+
+@pytest.mark.parametrize("make", [lambda: make_gevrey(3.0), lambda: make_q_gevrey(1.5),
+                                  lambda: make_exp_gevrey_member(2.0, 0.3),
+                                  lambda: WeightSeq("bare", make_gevrey(2.0)._eval, is_weight_seq=True)],
+                         ids=["gevrey", "qgevrey", "expgevrey", "generic"])
+def test_tail_bracket_of_a_range_matches_its_indices_in_any_order(make):
+    # a contiguous range takes its upper end as a slice of the suffix sums,
+    # any other index array as a copy: the same numbers either way
+    seq = make()
+    ks = np.arange(1, 4098)
+    lo, hi = log_tail_bracket(seq, ks, 4096)
+    lo_rev, hi_rev = log_tail_bracket(seq, ks[::-1].copy(), 4096)
+    assert np.array_equal(lo, lo_rev[::-1]) and np.array_equal(hi, hi_rev[::-1])
+    some = np.array([5, 3, 3, 4097, 1])
+    lo_some, hi_some = log_tail_bracket(seq, some, 4096)
+    assert np.array_equal(lo_some, lo[some - 1]) and np.array_equal(hi_some, hi[some - 1])
+
+
+def test_tail_bracket_of_a_long_range_allocates_little_beyond_its_two_ends(gevrey3):
+    # at 2^17 + 1 indices (1 MiB per array): the terms become the upper end
+    # in place and the widening works in small blocks, so an index copy, a
+    # separate suffix array or a full-size temporary would each break the bound
+    n = 2**17
+    ks = np.arange(1, n + 2)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        lo, hi = log_tail_bracket(gevrey3, ks, n)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * (n + 1) + 2**17
 
 
 def test_non_quasianalytic(gevrey2, factorial):
@@ -283,6 +318,22 @@ def test_values_is_a_read_only_view_of_the_prefix():
     assert not later.flags.writeable
     assert np.array_equal(early, kept) and np.array_equal(later[:9], kept)
     assert np.shares_memory(seq.values(32), later)  # no copy when the prefix covers n
+
+
+def test_cached_values_reads_the_prefix_without_evaluating():
+    asked = []
+
+    def ev(kk):
+        asked.append(len(kk))
+        return kk * kk
+
+    seq = WeightSeq("g", ev)
+    assert np.array_equal(seq.cached_values(), [0.0])
+    seq.values(8)
+    asked.clear()
+    cached = seq.cached_values()
+    assert np.array_equal(cached, np.arange(9.0) ** 2) and not cached.flags.writeable
+    assert asked == []
 
 
 def test_renormalized_restores_quotient():
