@@ -56,7 +56,6 @@ from .derived import derive_family, seq_K, seq_L, seq_Q, seq_S, seq_underline_L
 from .relations import (
     cond_invmg,
     cond_liminf,
-    cond_liminf2,
     cond_Mmg,
     cond_roquS,
     gamma1_implies_SV_check,

@@ -1,5 +1,8 @@
 """Command-line front end: catalog, compute, check, verify-chain, selftest.
 
+The relations that `check` decides are listed once, in `RELATIONS`: each row
+names the kinds of its operands and the call that decides it.
+
 Exit codes: 0 = success / verdict Holds, 1 = verdict Fails, 2 = precondition
 or usage error (a machine-readable JSON error object goes to stderr),
 3 = verdict Inconclusive.  Reports embed the resolved configuration and are
@@ -36,11 +39,12 @@ from .func_core import (
 from .relations import (
     cond_invmg,
     cond_liminf,
-    cond_liminf2,
     cond_Mmg,
     cond_roquS,
     lambda_membership,
     matrix_braces_preceq,
+    prec_gamma1,
+    prec_SV,
     r_moderate_growth,
 )
 from .seq_core import (
@@ -58,11 +62,29 @@ from .verdicts import Status, Verdict, combine_all
 DERIVE_CHOICES = ("none", *FAMILY_NAMES, "omega_M", "kappa", "poisson", "minorant")
 # sequence-to-sequence derivations of `compute --derive` and `derived:OP(...)` URIs
 SEQ_DERIVATIONS = CONSTRUCTORS | {"minorant": log_convex_minorant}
-CHECK_CHOICES = (
-    "preceq", "equiv", "sv", "gamma1", "st", "mg", "mmg",
-    "braces-preceq", "rmg", "liminf", "liminf2", "roquS", "invmg", "membership",
-)
-NEEDS_RHS = ("preceq", "equiv", "sv", "gamma1", "st", "braces-preceq", "membership")
+# The relations of `check`: name -> (lhs kind, rhs kind or None, call).  A kind
+# is what `_operand` makes of the operand's text: a catalog or derived URI that
+# must resolve to a "sequence", "matrix", "function" or "sequence or matrix",
+# or "csv", a file of coefficients read at its --column.  `call(lhs, [rhs,] n)`
+# gives the verdict; each names its function through this module at call time,
+# so that rebinding a module-level name here reaches the relation.
+RELATIONS: dict[str, tuple[str, str | None, Callable[..., Verdict]]] = {
+    "preceq": ("sequence", "sequence", lambda a, b, n: seq_preceq(a, b, n)),
+    "equiv": ("sequence", "sequence", lambda a, b, n: seq_equivalent(a, b, n)),
+    "sv": ("sequence", "sequence", lambda a, b, n: prec_SV(a, b, n)),
+    "gamma1": ("sequence", "sequence", lambda a, b, n: prec_gamma1(a, b, n)),
+    "st": ("function", "function", lambda a, b, n: prec_st(a, b)),
+    "mg": ("sequence", None, lambda a, n: has_moderate_growth(a, n)),
+    "mmg": ("sequence", None, lambda a, n: cond_Mmg(a, n)),
+    "braces-preceq": ("matrix", "matrix", lambda a, b, n: matrix_braces_preceq(a, b, n)),
+    "rmg": ("matrix", None, lambda a, n: r_moderate_growth(a, n)),
+    "liminf": ("matrix", None, lambda a, n: cond_liminf(a, n)),
+    "liminf2": ("matrix", None, lambda a, n: cond_liminf(a, n, shift=2)),
+    "roquS": ("matrix", None,
+              lambda a, n: cond_roquS(a if a.provenance.get("construction") == "S" else derive_family(a, "S", n), n)),
+    "invmg": ("matrix", None, lambda a, n: cond_invmg(a, n)),
+    "membership": ("csv", "sequence or matrix", lambda a, w, n: lambda_membership(a, w, min(n, len(a) - 1))),
+}
 
 
 class UsageError(UltraweightsError):
@@ -233,71 +255,31 @@ def cmd_compute(args) -> int:
 # -- check ----------------------------------------------------------------------
 
 
+def _operand(kind: str, spec: str, resolve: Callable[[str], object], column: str):
+    """The `check` operand `spec` as a `kind` of RELATIONS: the column of a
+    coefficient CSV as an array, or the object a URI resolves to, refused
+    with a CatalogError unless it is of that kind."""
+    if kind == "csv":
+        with open(spec, "r", encoding="utf-8") as fh:
+            return np.asarray([float(row[column]) for row in csv.DictReader(fh)])
+    obj = resolve(spec)
+    types = {"sequence": WeightSeq, "matrix": WeightMatrix, "function": WeightFn,
+             "sequence or matrix": (WeightSeq, WeightMatrix)}[kind]
+    if not isinstance(obj, types):
+        raise cat.CatalogError(f"{spec!r} is not a {kind}")
+    return obj
+
+
 def cmd_check(args) -> int:
-    if args.relation in NEEDS_RHS and args.rhs is None:
-        return _err("UsageError", f"check {args.relation} needs --rhs")
+    lhs_kind, rhs_kind, call = RELATIONS[args.relation]
+    if (rhs_kind is None) != (args.rhs is None):
+        raise UsageError(f"check {args.relation} {'needs' if args.rhs is None else 'takes no'} --rhs")
     cfg = _resolved_config(args, load_config(args.config))
     n = cfg["n"]
     resolve = _resolver(n, cfg["grid_values"])
-
-    def seq(uri):
-        o = resolve(uri)
-        if not isinstance(o, WeightSeq):
-            raise cat.CatalogError(f"{uri!r} is not a sequence")
-        return o
-
-    def mat(uri):
-        o = resolve(uri)
-        if not isinstance(o, WeightMatrix):
-            raise cat.CatalogError(f"{uri!r} is not a matrix")
-        return o
-
-    def fn(uri):
-        o = resolve(uri)
-        if not isinstance(o, WeightFn):
-            raise cat.CatalogError(f"{uri!r} is not a function")
-        return o
-
-    rel = args.relation
-    from .relations import prec_SV, prec_gamma1
-
-    if rel == "preceq":
-        v = seq_preceq(seq(args.lhs), seq(args.rhs), n)
-    elif rel == "equiv":
-        v = seq_equivalent(seq(args.lhs), seq(args.rhs), n)
-    elif rel == "sv":
-        v = prec_SV(seq(args.lhs), seq(args.rhs), n)
-    elif rel == "gamma1":
-        v = prec_gamma1(seq(args.lhs), seq(args.rhs), n)
-    elif rel == "st":
-        v = prec_st(fn(args.lhs), fn(args.rhs))
-    elif rel == "mg":
-        v = has_moderate_growth(seq(args.lhs), n)
-    elif rel == "mmg":
-        v = cond_Mmg(seq(args.lhs), n)
-    elif rel == "braces-preceq":
-        v = matrix_braces_preceq(mat(args.lhs), mat(args.rhs), n)
-    elif rel == "rmg":
-        v = r_moderate_growth(mat(args.lhs), n)
-    elif rel == "liminf":
-        v = cond_liminf(mat(args.lhs), n)
-    elif rel == "liminf2":
-        v = cond_liminf2(mat(args.lhs), n)
-    elif rel == "roquS":
-        m = mat(args.lhs)
-        v = cond_roquS(m if m.provenance.get("construction") == "S" else derive_family(m, "S", n), n)
-    elif rel == "invmg":
-        v = cond_invmg(mat(args.lhs), n)
-    elif rel == "membership":
-        with open(args.lhs, "r", encoding="utf-8") as fh:
-            a_log = [float(row[args.column]) for row in csv.DictReader(fh)]
-        weight = resolve(args.rhs)
-        if not isinstance(weight, (WeightSeq, WeightMatrix)):
-            raise cat.CatalogError(f"{args.rhs!r} is not a sequence or matrix")
-        v = lambda_membership(np.asarray(a_log), weight, min(n, len(a_log) - 1))
-    else:
-        return _err("UsageError", f"unknown relation {rel!r}")
-
+    operands = [_operand(kind, spec, resolve, args.column)
+                for kind, spec in ((lhs_kind, args.lhs), (rhs_kind, args.rhs)) if kind is not None]
+    v = call(*operands, n)
     print(v.to_json(indent=2))
     return v.exit_code()
 
@@ -432,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.set_defaults(func=cmd_compute)
 
     pk = sub.add_parser("check", help="decide an order relation, print the verdict JSON")
-    pk.add_argument("relation", choices=CHECK_CHOICES)
+    pk.add_argument("relation", choices=RELATIONS)
     pk.add_argument("--lhs", required=True)
     pk.add_argument("--rhs", default=None)
     pk.add_argument("--n", type=int, default=None)

@@ -1003,11 +1003,12 @@ def matrix_from_omega(w: WeightFn, grid=None) -> WeightMatrix:
 
 def fn_preceq(sigma: WeightFn, omega: WeightFn) -> Verdict:
     """sigma precedes omega when omega(t) = O(sigma(t)): trend on the ratio
-    over 64 log-spaced t in [4, 1e8]."""
+    over 64 log-spaced t in [4, 1e8].  Where sigma vanishes the ratio is inf
+    (an overflow certificate) or, where omega does too, NaN (Inconclusive)."""
     t_grid = log_t_grid(4.0, 1e8, 64)
-    num = omega.omega(t_grid)
-    den = np.maximum(sigma.omega(t_grid), 1e-300)
-    return trend_bounded(num / den, t_grid, relation="fn-preceq", lhs=sigma.name, rhs=omega.name)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = omega.omega(t_grid) / sigma.omega(t_grid)
+    return trend_bounded(ratio, t_grid, relation="fn-preceq", lhs=sigma.name, rhs=omega.name)
 
 
 def prec_st(sigma: WeightFn, omega: WeightFn) -> Verdict:
@@ -1042,11 +1043,11 @@ def fn_predicates(w: WeightFn) -> FnPredicateReport:
     """
     t_grid = log_t_grid(4.0, 1e8, 64)
     om = w.omega(t_grid)
-    den = np.maximum(om, 1e-300)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         log_ratio = np.log(om) - np.log(t_grid)  # -inf where omega vanishes
+        doubling_ratio = w.omega(2 * t_grid) / om  # where omega vanishes: NaN if omega(2t) does too, else inf
 
-    doubling = trend_bounded(w.omega(2 * t_grid) / den, t_grid, relation="doubling", lhs=w.name)
+    doubling = trend_bounded(doubling_ratio, t_grid, relation="doubling", lhs=w.name)
 
     # H candidates must stay decidable at grid scale: once H >= omega(t_max)/4
     # the additive +H makes the inequality vacuous on every sampled t
@@ -1089,7 +1090,8 @@ def fn_predicates(w: WeightFn) -> FnPredicateReport:
         little_o = Verdict(Status.FAILS, relation="omega=o(t)", lhs=w.name,
                            witness=lim.witness, note="omega(t)/t bounded away from zero")
     else:
-        dec = trend_bounded(np.log(np.maximum(ratio, 1e-300)), t_grid)
+        with np.errstate(invalid="ignore"):  # windows where omega vanishes give NaN slopes: no decay certified
+            dec = trend_bounded(log_ratio, t_grid)
         half = len(ratio) // 2
         shrinking = float(np.max(ratio[half:])) < 0.5 * float(np.max(ratio[:half]))
         if dec.holds and shrinking:

@@ -37,7 +37,6 @@ __all__ = [
     "matrix_r_equivalent",
     "r_moderate_growth",
     "cond_liminf",
-    "cond_liminf2",
     "cond_roquS",
     "cond_invmg",
     "lambda_membership",
@@ -204,10 +203,6 @@ def cond_liminf(mat: WeightMatrix, n: int, *, shift: int = 1) -> Verdict:
             return Verdict(Status.INCONCLUSIVE, relation=rel, note="divergent tail")
 
     return _exists_beta(mat.grid, _extended(mat.grid), test, rel, mat.name, mat.name)
-
-
-def cond_liminf2(mat: WeightMatrix, n: int) -> Verdict:
-    return cond_liminf(mat, n, shift=2)
 
 
 def cond_roquS(s_family: WeightMatrix, n: int) -> Verdict:

@@ -115,12 +115,13 @@ class WeightSeq:
         if abs(vals[0]) > 1e-12:
             vals = vals - vals[0]
         nmax = len(vals) - 1
+        ks = np.arange(nmax + 1, dtype=float)
 
         def ev(kk: np.ndarray) -> np.ndarray:
             kk = np.asarray(kk)
             if np.any(kk > nmax) or np.any(kk < 0):
                 raise TruncationExhausted(f"{name}: index beyond truncation {nmax}")
-            return vals[np.round(kk).astype(np.int64)]
+            return np.interp(kk, ks, vals)  # the chords between the values: exact at integer k, inf included
 
         seq = WeightSeq(name, ev, is_weight_seq=is_weight_seq, max_index=nmax, diagnostics=diagnostics)
         seq._prefix = vals

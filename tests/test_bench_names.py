@@ -4,7 +4,8 @@ The names that bench/spans.py wraps must stay bound in the package:
 `bench/run.py --trace 1` rebinds each listed function and method; one that a
 change renamed or deleted would make the traced benchmark raise.  The pair
 counters wrap `relations._exists_beta` positionally, so its signature and its
-calls of `test(alpha, beta)` must stay as they are.  Every `compute`
+calls of `test(alpha, beta)` must stay as they are, and a traced `check`
+must reach the wrapped function of its relation.  Every `compute`
 operation of bench/workloads.py must pass the benchmark's correctness gate
 against bench/reference.json.
 """
@@ -61,6 +62,23 @@ def test_pair_counters_under_the_traced_benchmark(capsys, lhs, rhs, tested, held
     assert json.loads(capsys.readouterr().out)["status"] == ("Holds" if held else "Fails")
     assert tracer.counts["relations.pairs_tested"] == tested
     assert tracer.counts["relations.pairs_held"] == held
+
+
+@pytest.mark.parametrize("argv, span", [
+    (("check", "sv", "--lhs", "seq:gevrey?s=3", "--rhs", "seq:gevrey?s=2"), "relations.prec_SV"),
+    (("check", "mg", "--lhs", "seq:gevrey?s=2"), "seq_core.has_moderate_growth"),
+    (("check", "rmg", "--lhs", "mat:expgevrey?p=2"), "relations.r_moderate_growth"),
+    (("check", "liminf2", "--lhs", "mat:expgevrey?p=2"), "relations.cond_liminf"),
+], ids=lambda x: x[1] if isinstance(x, tuple) else None)
+def test_traced_check_reaches_the_span_of_its_relation(capsys, argv, span):
+    from ultraweights.cli import main
+
+    spans = _bench("spans")
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        main([*argv, "--n", "64"])
+    capsys.readouterr()
+    assert tracer.spans[span][0] == 1
 
 
 @pytest.mark.parametrize("op", COMPUTE_OPS, ids=lambda op: op.name)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ultraweights import catalog, func_core
-from ultraweights.cli import load_config, main
+from ultraweights.cli import RELATIONS, load_config, main
 
 CHAIN5 = ["S_into_K", "K_into_Q", "Q_into_K", "K_into_uL", "uL_into_L"]
 CHAIN9 = CHAIN5 + ["uL_into_K", "kappaMatrix_into_K", "K_into_kappaMatrix", "family_moderate_growth"]
@@ -153,6 +153,79 @@ def test_check_without_rhs_is_a_usage_error(tmp_path, monkeypatch, capsys, relat
     monkeypatch.chdir(tmp_path)
     (tmp_path / "coeffs.csv").write_text("k,log_a\n" + "".join(f"{k},0.0\n" for k in range(65)))
     _usage_error(capsys, "check", relation, "--lhs", lhs, "--n", "64")
+
+
+S2, S3, EXPGEVREY = "seq:gevrey?s=2", "seq:gevrey?s=3", "mat:expgevrey?p=2"
+# relation, lhs, rhs, n, exit code, status: one end-to-end call of each relation
+CHECKS = [
+    ("preceq", S2, S3, 256, 0, "Holds"),
+    ("equiv", S2, S2, 256, 0, "Holds"),
+    ("sv", S3, S2, 256, 1, "Fails"),
+    ("gamma1", S3, S2, 256, 1, "Fails"),
+    ("st", "fn:power?beta=0.5", "fn:power?beta=0.5", None, 0, "Holds"),
+    ("st", "fn:logsq", "fn:power?beta=0.5", None, 1, "Fails"),
+    ("mg", S2, None, 256, 0, "Holds"),
+    ("mmg", S2, None, 256, 0, "Holds"),
+    ("braces-preceq", "mat:gevrey?s=2", "mat:gevrey?s=3", 64, 0, "Holds"),
+    ("rmg", EXPGEVREY, None, 256, 0, "Holds"),
+    ("liminf", EXPGEVREY, None, 256, 0, "Holds"),
+    ("liminf2", EXPGEVREY, None, 256, 0, "Holds"),
+    ("roquS", "mat:gevrey?s=2", None, 64, 0, "Holds"),
+    ("invmg", EXPGEVREY, None, 64, 0, "Holds"),
+    ("membership", "zeros.csv", S2, 256, 0, "Holds"),  # log a_k = 0 for k <= 256
+]
+# an operand of each URI kind of RELATIONS that is of another kind
+WRONG_KIND = {"sequence": "mat:gevrey?s=2", "matrix": S2, "function": S2, "sequence or matrix": "fn:power?beta=0.5"}
+
+
+def _check_argv(relation, lhs, rhs, n):
+    return ("check", relation, "--lhs", lhs, *(("--rhs", rhs) if rhs else ()), *(("--n", str(n)) if n else ()))
+
+
+@pytest.fixture
+def zeros_csv(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "zeros.csv").write_text("k,log_a\n" + "".join(f"{k},0.0\n" for k in range(257)))
+
+
+@pytest.mark.parametrize("relation, lhs, rhs, n, rc, status", CHECKS, ids=[f"{c[0]}-{c[5]}" for c in CHECKS])
+def test_check_decides_every_relation_end_to_end(zeros_csv, capsys, relation, lhs, rhs, n, rc, status):
+    got, out, err = run(capsys, *_check_argv(relation, lhs, rhs, n))
+    assert (got, json.loads(out)["status"], err) == (rc, status, "")
+
+
+@pytest.mark.parametrize("relation", list(RELATIONS))
+def test_check_refuses_an_operand_of_the_wrong_kind(zeros_csv, capsys, relation):
+    _, lhs, rhs, n, _, _ = next(row for row in CHECKS if row[0] == relation)
+    lhs_kind, rhs_kind, _ = RELATIONS[relation]
+    if lhs_kind == "csv":  # a CSV lhs is read as a file: the URI rhs gets the wrong kind
+        kind, rhs = rhs_kind, WRONG_KIND[rhs_kind]
+    else:
+        kind, lhs = lhs_kind, WRONG_KIND[lhs_kind]
+    rc, out, err = run(capsys, *_check_argv(relation, lhs, rhs, n))
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": "CatalogError", "message": f"{WRONG_KIND[kind]!r} is not a {kind}"}
+
+
+@pytest.mark.parametrize("relation", [r for r, (_, rhs_kind, _) in RELATIONS.items() if rhs_kind is None])
+def test_check_refuses_rhs_on_a_one_operand_relation(capsys, relation):
+    rc, out, err = run(capsys, "check", relation, "--lhs", "seq:nosuch", "--rhs", S3, "--n", "64")
+    assert (rc, out) == (2, "")  # refused before either operand resolves
+    assert json.loads(err) == {"error": "UsageError", "message": f"check {relation} takes no --rhs"}
+
+
+def test_check_refuses_the_lhs_before_the_rhs_resolves(tmp_path, capsys):
+    _usage_error(capsys, "check", "membership", "--lhs", str(tmp_path / "missing.csv"), "--rhs", "seq:nosuch",
+                 kind="FileNotFound")
+    rc, _, err = run(capsys, "check", "sv", "--lhs", "mat:gevrey?s=2", "--rhs", "seq:nosuch")
+    assert rc == 2 and json.loads(err)["message"] == "'mat:gevrey?s=2' is not a sequence"
+
+
+def test_selftest_passes(capsys):
+    rc, out, _ = run(capsys, "selftest")
+    lines = out.splitlines()
+    assert rc == 0 and lines[-1] == "selftest: ok"
+    assert len(lines) == 8 and all(line.startswith("[PASS] ") for line in lines[:-1])
 
 
 def test_check_roquS_needs_a_matrix(capsys):

@@ -642,6 +642,20 @@ def test_assoc_far_lattice_stops_at_the_last_index():
         assoc.eval(np.array([2.0 * math.log(top) + 1.0]))
 
 
+def test_assoc_far_path_of_a_tabulated_sequence_takes_the_sup_over_the_table():
+    # the same y over the table of log M_k = 2 log k!, k <= 2^18: the far
+    # path maximizes over real k, so the table must extend by its chords; a
+    # nearest-index step function sent the search to k = 224647 and lost 1.7
+    top = 2**18
+    vals = 2.0 * gammaln(np.arange(top + 1, dtype=float) + 1.0)
+    assoc = omega_from_seq(WeightSeq.from_values("table", vals, is_weight_seq=True)).assoc
+    y = 2.0 * math.log(2.0 ** (17 + 12.5 / 16))
+    val, k = assoc.eval(np.array([y]))
+    objective = np.arange(top + 1) * y - vals
+    assert k[0] == np.argmax(objective) == 225262
+    assert val[0] == pytest.approx(np.max(objective), rel=1e-12)
+
+
 # -- order relations and predicates ------------------------------------------------
 
 
@@ -650,6 +664,29 @@ def test_fn_preceq_examples(power_half):
     assert fn_preceq(power_half, power_half).holds
     assert fn_preceq(power_half, w04).holds  # t^0.4 = O(sqrt t)
     assert fn_preceq(w04, power_half).fails  # sqrt t != O(t^0.4)
+
+
+def late_weight() -> WeightFn:
+    # phi(y) = max(y - 20, 0): zero on the whole sampled range t in [4, 1e8]
+    return WeightFn("late", lambda ys: np.maximum(ys - 20.0, 0.0))
+
+
+def test_fn_preceq_where_the_weights_vanish(power_half):
+    late = late_weight()
+    v = fn_preceq(late, late)  # 0/0 on every t: no data, not a bound
+    assert v.inconclusive and v.note == "NaN in trajectory"
+    assert fn_preceq(late, power_half).fails  # sqrt t / 0: overflow certificate
+    assert fn_preceq(power_half, late).holds  # 0 / sqrt t
+
+
+def test_fn_predicates_where_the_weight_vanishes():
+    rep = fn_predicates(late_weight())
+    assert rep.doubling.inconclusive and rep.doubling.note == "NaN in trajectory"
+    assert rep.little_o.inconclusive
+    # phi(y) = max(y - 12, 0) vanishes below t = e^12, across the first two
+    # windows of the o(t) trend: their log ratios are -inf, no decay is certified
+    mid = WeightFn("mid", lambda ys: np.maximum(ys - 12.0, 0.0))
+    assert fn_predicates(mid).little_o.inconclusive
 
 
 def test_prec_st_power_self(power_half):

@@ -6,7 +6,7 @@ import pytest
 from ultraweights.catalog import resolve
 from ultraweights.verdicts import Status, Verdict
 from ultraweights.relations import (
-    cond_liminf2,
+    cond_liminf,
     gamma1_implies_SV_check,
     implication,
     lambda_membership,
@@ -20,7 +20,7 @@ def test_shifted_liminf_pairs_beta_four_alpha_on_exp_gevrey():
     # (mu^(b)_k / k) sum_{j>=2k} 1/mu^(a)_j ~ e^{(b - 2a) k} / k stays away
     # from 0 exactly when b > 2a; the first dyadic grid point is b = 4a
     mat = resolve("mat:expgevrey?p=2")
-    v = cond_liminf2(mat, 1024)
+    v = cond_liminf(mat, 1024, shift=2)
     assert v.holds
     assert [p["beta"] for p in v.pairing] == [4 * a for a in mat.grid]
 

@@ -264,6 +264,12 @@ def test_power_shift_requires_weight_seq():
 # -- minorant --------------------------------------------------------------------------
 
 
+def test_from_values_extends_by_chords_and_keeps_the_values():
+    seq = WeightSeq.from_values("toy", [0.0, 2.0, 2.5, math.inf])
+    assert np.array_equal(seq.log_m(np.arange(4.0)), [0.0, 2.0, 2.5, math.inf])
+    assert np.array_equal(seq.log_m(np.array([0.5, 1.25, 2.5])), [1.0, 2.125, math.inf])
+
+
 def test_minorant_chord():
     seq = WeightSeq.from_values("toy", [0.0, 2.0, 2.5])
     assert log_convex_minorant(seq, 2).log_m(1) == pytest.approx(1.25)
