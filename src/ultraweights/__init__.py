@@ -25,7 +25,6 @@ from .seq_core import (
     is_non_quasianalytic,
     is_strongly_log_convex,
     log_convex_minorant,
-    mu,
     power_shift,
     seq_equivalent,
     seq_preceq,

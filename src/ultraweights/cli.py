@@ -27,6 +27,7 @@ from .errors import UltraweightsError
 from .func_core import (
     WeightFn,
     WeightMatrix,
+    fn_preceq,
     kappa,
     kappa_fn,
     log_t_grid,
@@ -65,7 +66,8 @@ SEQ_DERIVATIONS = CONSTRUCTORS | {"minorant": log_convex_minorant}
 # The relations of `check`: name -> (lhs kind, rhs kind or None, call).  A kind
 # is what `_operand` makes of the operand's text: a catalog or derived URI that
 # must resolve to a "sequence", "matrix", "function" or "sequence or matrix",
-# or "csv", a file of coefficients read at its --column.  `call(lhs, [rhs,] n)`
+# or "csv", a file of coefficients read at its --column (log_a by default);
+# a relation without a "csv" operand refuses --column.  `call(lhs, [rhs,] n)`
 # gives the verdict; each names its function through this module at call time,
 # so that rebinding a module-level name here reaches the relation.
 RELATIONS: dict[str, tuple[str, str | None, Callable[..., Verdict]]] = {
@@ -74,6 +76,7 @@ RELATIONS: dict[str, tuple[str, str | None, Callable[..., Verdict]]] = {
     "sv": ("sequence", "sequence", lambda a, b, n: prec_SV(a, b, n)),
     "gamma1": ("sequence", "sequence", lambda a, b, n: prec_gamma1(a, b, n)),
     "st": ("function", "function", lambda a, b, n: prec_st(a, b)),
+    "fn-preceq": ("function", "function", lambda a, b, n: fn_preceq(a, b)),
     "mg": ("sequence", None, lambda a, n: has_moderate_growth(a, n)),
     "mmg": ("sequence", None, lambda a, n: cond_Mmg(a, n)),
     "braces-preceq": ("matrix", "matrix", lambda a, b, n: matrix_braces_preceq(a, b, n)),
@@ -255,11 +258,12 @@ def cmd_compute(args) -> int:
 # -- check ----------------------------------------------------------------------
 
 
-def _operand(kind: str, spec: str, resolve: Callable[[str], object], column: str):
+def _operand(kind: str, spec: str, resolve: Callable[[str], object], column: str | None):
     """The `check` operand `spec` as a `kind` of RELATIONS: the column of a
-    coefficient CSV as an array, or the object a URI resolves to, refused
-    with a CatalogError unless it is of that kind."""
+    coefficient CSV (log_a when none is given) as an array, or the object a
+    URI resolves to, refused with a CatalogError unless it is of that kind."""
     if kind == "csv":
+        column = "log_a" if column is None else column
         with open(spec, "r", encoding="utf-8") as fh:
             return np.asarray([float(row[column]) for row in csv.DictReader(fh)])
     obj = resolve(spec)
@@ -274,6 +278,8 @@ def cmd_check(args) -> int:
     lhs_kind, rhs_kind, call = RELATIONS[args.relation]
     if (rhs_kind is None) != (args.rhs is None):
         raise UsageError(f"check {args.relation} {'needs' if args.rhs is None else 'takes no'} --rhs")
+    if args.column is not None and "csv" not in (lhs_kind, rhs_kind):
+        raise UsageError(f"check {args.relation} takes no --column")
     cfg = _resolved_config(args, load_config(args.config))
     n = cfg["n"]
     resolve = _resolver(n, cfg["grid_values"])
@@ -418,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--lhs", required=True)
     pk.add_argument("--rhs", default=None)
     pk.add_argument("--n", type=int, default=None)
-    pk.add_argument("--column", default="log_a", help="CSV column for membership coefficients")
+    pk.add_argument("--column", default=None, help="CSV column for membership coefficients (default log_a)")
     pk.add_argument("--config", default=None)
     pk.add_argument("--grid", default=None)
     pk.set_defaults(func=cmd_check)

@@ -15,9 +15,10 @@ For associated functions both transforms are closed forms over the quotients
 they carry a certified growth envelope phi(y) <= a + b e^(theta y)
 (theta < 1), which supplies the cutoff and an explicit tail bracket.
 kappa_interval and poisson_interval share one adaptive engine
-(`_quadrature`): a 9-point Gauss-Legendre rule, global bisection over the
-panels of all arguments at once, and one panel budget (PANEL_BUDGET per four
-arguments) whose exhaustion widens the brackets of the arguments left open.
+(`_quadrature`), which integrates one argument per call: a 9-point
+Gauss-Legendre rule, bisection of the panels that miss their share of the
+tolerance, and a budget of PANEL_BUDGET panels whose exhaustion widens the
+bracket.
 
 The conjugate maximizes the concave x y - phi(y) in two stages.  A lattice
 of fixed points y = 0, 2^(j/16) holds phi and its chord slopes, which are
@@ -523,72 +524,70 @@ def omega_tilde_from_seq(seq: WeightSeq) -> WeightFn:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
 
-def _quadrature(g, edges: list[np.ndarray], tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Integrals of g(u, i) over [edges[i][0], edges[i][-1]], with error bounds.
+def _in_order(x: np.ndarray) -> float:
+    """0.0 + x_0 + x_1 + ..., left to right: `ndarray.sum` is pairwise, and
+    the builtin `sum` of floats is compensated from Python 3.12 on."""
+    return float(np.cumsum(x)[-1]) if len(x) else 0.0
 
-    The one adaptive engine behind kappa and P: a global bisection loop with
-    a fixed Gauss-Legendre rule over the open panels of all arguments at
-    once.  A panel's error is its difference from the sum of its two halves.
-    Argument i starts with the len(edges[i]) - 1 panels given (none when its
-    edges are empty), each with the share tol / n0_i of the tolerance, and
-    a bisection halves a panel's share.  All arguments draw on one budget of
-    PANEL_BUDGET panels per four arguments (at least PANEL_BUDGET), read at
-    call time.  When it runs out, the open panels are summed as they are and
-    their argument's bound widens by max(tol, 1e-8 * sum of |open panels|).
-    Deterministic by construction.
+
+def _quadrature(g: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> tuple[float, float]:
+    """Integral of g(u) over [edges[0], edges[-1]] (0 when edges is empty),
+    with an error bound.
+
+    The one adaptive engine behind kappa and P: bisection of the open panels
+    with a fixed Gauss-Legendre rule.  A panel's error is its difference from
+    the sum of its two halves; the panels given each start with the share
+    QUAD_ABS_TOL / (len(edges) - 1) of the tolerance, and every pass halves
+    it, since every open panel has then been bisected as often.  A pass adds
+    the sum of the panels it closes, in order, to the total.  Once more than
+    PANEL_BUDGET panels (read at call time) have been evaluated, the open
+    panels are summed as they are and the bound widens by
+    max(QUAD_ABS_TOL, 1e-8 * sum of |open panels|).  The bound includes
+    4e-15 |value| for the rounding of the sums.  Deterministic by
+    construction.
     """
-    n = len(edges)
-    counts = np.array([max(len(e) - 1, 0) for e in edges], dtype=np.int64)
-    idx = np.repeat(np.arange(n), counts)
-    lo = np.concatenate([np.empty(0), *(e[:-1] for e in edges)])
-    hi = np.concatenate([np.empty(0), *(e[1:] for e in edges)])
-    share = tol / counts[idx]
 
-    def panels(lo_: np.ndarray, hi_: np.ndarray, idx_: np.ndarray) -> np.ndarray:
-        if len(lo_) == 0:
-            return np.empty(0)
+    def panels(lo_: np.ndarray, hi_: np.ndarray) -> np.ndarray:
         half = 0.5 * (hi_ - lo_)
         pts = (0.5 * (lo_ + hi_))[:, None] + half[:, None] * _GL_NODES[None, :]
-        vals = g(pts.ravel(), np.repeat(idx_, GAUSS_ORDER)).reshape(pts.shape)
-        return half * (vals @ _GL_WEIGHTS)
+        return half * (g(pts.ravel()).reshape(pts.shape) @ _GL_WEIGHTS)
 
-    val = np.zeros(n)
-    err = np.zeros(n)
-    vals = panels(lo, hi, idx)
-    n_panels = len(lo)
-    budget = PANEL_BUDGET * max(1, n // 4)
+    lo, hi = edges[:-1], edges[1:]
+    if not len(lo):
+        return 0.0, 0.0
+    vals = panels(lo, hi)
+    share, n_panels = QUAD_ABS_TOL / len(lo), len(lo)
+    val = err = 0.0
     for _ in range(64):
-        if len(lo) == 0 or n_panels > budget:
+        if not len(lo) or n_panels > PANEL_BUDGET:
             break
         mid = 0.5 * (lo + hi)
-        halves = panels(np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.concatenate([idx, idx]))
+        halves = panels(np.concatenate([lo, mid]), np.concatenate([mid, hi]))
         left, right = halves[: len(lo)], halves[len(lo) :]
         refined = left + right
         perr = np.abs(vals - refined)
         done = perr <= share
-        val += np.bincount(idx[done], refined[done], minlength=n)
-        err += np.bincount(idx[done], perr[done], minlength=n)
+        val += _in_order(refined[done])
+        err += _in_order(perr[done])
         keep = ~done
         lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
-        idx = np.concatenate([idx[keep], idx[keep]])
-        share = np.tile(0.5 * share[keep], 2)
         vals = np.concatenate([left[keep], right[keep]])
-        n_panels += 2 * int(keep.sum())
+        share *= 0.5
+        n_panels += len(vals)
     if len(lo):
-        val += np.bincount(idx, vals, minlength=n)
-        widen = np.maximum(tol, 1e-8 * np.bincount(idx, np.abs(vals), minlength=n))
-        err += np.where(np.bincount(idx, minlength=n) > 0, widen, 0.0)
-    return val, err
+        val += _in_order(vals)
+        err += max(QUAD_ABS_TOL, 1e-8 * _in_order(np.abs(vals)))
+    return val, err + 4e-15 * abs(val)
 
 
-def _cutoff(env: Envelope, y, tol: float, c: float):
-    """Cutoff U per argument y = log x: `_envelope_tail(env, y, U, c)` is
-    below tol (each of its two terms below tol / 2), and U >= 4."""
-    th = env.theta
+def _cutoff(env: Envelope, y: float, c: float) -> float:
+    """Cutoff U at y = log x: `_envelope_tail(env, y, U, c)` is below
+    QUAD_ABS_TOL (each of its two terms below half of it), and U >= 4."""
+    th, tol = env.theta, QUAD_ABS_TOL
     u_a = math.log(max(2 * c * env.a / tol, 1.0) + 1.0)
     log_b = math.log(2 * c * env.b / ((1 - th) * tol)) if env.b > 0 else -math.inf
-    u_b = np.logaddexp(np.maximum(th * np.asarray(y, dtype=float) + log_b, 0.0), 0.0) / (1 - th)
-    return np.maximum(np.maximum(u_a, u_b), 4.0)
+    u_b = np.logaddexp(max(th * y + log_b, 0.0), 0.0) / (1 - th)
+    return float(max(u_a, u_b, 4.0))
 
 
 def _envelope_tail(env: Envelope, y, U, c: float):
@@ -621,14 +620,8 @@ def kappa_interval(w: WeightFn, t: float) -> Interval:
 
 
 def _kappa_bracket(w: WeightFn, env: Envelope, y: float) -> Interval:
-    U = float(_cutoff(env, y, QUAD_ABS_TOL, 1.0))
-
-    def g(u: np.ndarray, i: np.ndarray) -> np.ndarray:
-        return w.phi(y + u) * np.exp(-u)
-
-    vals, errs = _quadrature(g, [_initial_edges(w, 0.0, U, y)], QUAD_ABS_TOL)
-    val, err = float(vals[0]), float(errs[0])
-    err += 4e-15 * abs(val)  # accumulated rounding of the panel sums
+    U = _cutoff(env, y, 1.0)
+    val, err = _quadrature(lambda u: w.phi(y + u) * np.exp(-u), _initial_edges(w, 0.0, U, y))
     tail_lo = float(w.phi(y + U)) * math.exp(-U)
     tail_hi = max(float(_envelope_tail(env, y, U, 1.0)), tail_lo)
     return Interval(val - err + tail_lo, val + err + tail_hi)
@@ -688,44 +681,36 @@ def _initial_edges(w: WeightFn, L: float, U: float, y: float) -> np.ndarray:
     return edges
 
 
-def _poisson_brackets(w: WeightFn, env: Envelope, ys: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper ends of the P(ir) bracket for every y = log r in ys.
+def _poisson_bracket(w: WeightFn, env: Envelope, y: float) -> Interval:
+    """The P(ir) bracket at y = log r.
 
     P(ir) = (2/pi) int_0^inf omega(rs)/(1+s^2) ds becomes, after s = e^u,
-    (1/pi) int phi(log r + u) sech(u) du, integrated over [L, U] per radius.
-    For a normalized omega the integrand vanishes for log r + u <= 0, so
-    L = -log r; otherwise L is where the part below it is under tol, and
-    that part is bracketed by [0, (2/pi) phi(log r + L) e^L].  The part
-    beyond U = max(cutoff, L) is bracketed by [0, envelope tail], so a
-    radius with nothing between L and U still gets a certified bracket.
+    (1/pi) int phi(log r + u) sech(u) du, integrated over [L, U].  For a
+    normalized omega the integrand vanishes for log r + u <= 0, so L = -log r;
+    otherwise L is where the part below it is under QUAD_ABS_TOL, and that
+    part is bracketed by [0, (2/pi) phi(log r + L) e^L].  The part beyond
+    U = max(cutoff, L) is bracketed by [0, envelope tail], so a radius with
+    nothing between L and U still gets a certified bracket.
     """
     c = 2.0 / math.pi
     if w.normalized:
-        L = -ys
-        below = np.zeros(len(ys))
+        L, below = -y, 0.0
     else:
-        L = -(np.log(np.maximum(w.phi(ys), 1.0) / tol) + 2.0)
-        below = c * w.phi(ys + L) * np.exp(L)
-    U = np.maximum(_cutoff(env, ys, tol, c), L)
-
-    def g(u: np.ndarray, i: np.ndarray) -> np.ndarray:
-        return w.phi(ys[i] + u) / (np.pi * np.cosh(u))
-
-    edges = [_initial_edges(w, lo, hi, y) for lo, hi, y in zip(L, U, ys)]
-    val, err = _quadrature(g, edges, tol)
-    err += 4e-15 * np.abs(val)
-    return np.maximum(val - err, 0.0), val + err + _envelope_tail(env, ys, U, c) + below
+        L = -float(np.log(max(w.phi(y), 1.0) / QUAD_ABS_TOL) + 2.0)
+        below = c * w.phi(y + L) * float(np.exp(L))
+    U = max(_cutoff(env, y, c), L)
+    val, err = _quadrature(lambda u: w.phi(y + u) / (np.pi * np.cosh(u)), _initial_edges(w, L, U, y))
+    return Interval(max(val - err, 0.0), val + err + float(_envelope_tail(env, y, U, c)) + below)
 
 
 def poisson_interval(w: WeightFn, r: float) -> Interval:
     """Bracketed harmonic extension P(ir) on the imaginary axis, with
     envelope-certified cutoffs at absolute tolerance 1e-10; see
-    `_poisson_brackets`."""
+    `_poisson_bracket`."""
     env = _require_envelope(w, "poisson")
     if r <= 0:
         raise ValueError("the harmonic extension is evaluated at ir with r > 0")
-    lo, hi = _poisson_brackets(w, env, np.array([math.log(r)]), QUAD_ABS_TOL)
-    return Interval(float(lo[0]), float(hi[0]))
+    return _poisson_bracket(w, env, math.log(r))
 
 
 def poisson_imag(w: WeightFn, r: float) -> float:
@@ -859,8 +844,8 @@ def kappa_fn(w: WeightFn) -> WeightFn:
     """kappa as a WeightFn (normalized representative), for chaining transforms.
 
     Evaluates through the attached closed form when there is one, else the
-    piecewise closed form of an associated function, else memoized
-    quadrature midpoints (which need an envelope).
+    piecewise closed form of an associated function, else the midpoint of
+    the quadrature bracket at each point (which needs an envelope).
     """
     if w.kappa_ref is not None:
         raw = w.kappa_ref
@@ -868,19 +853,7 @@ def kappa_fn(w: WeightFn) -> WeightFn:
         raw = lambda ys: _kappa_assoc(w, ys)
     else:
         env = _require_envelope(w, "kappa")
-        cache: dict[float, float] = {}
-        lock = threading.Lock()
-
-        def raw(ys: np.ndarray) -> np.ndarray:
-            out = np.empty_like(ys)
-            with lock:
-                for i, y in enumerate(ys):
-                    y = float(y)
-                    if y not in cache:
-                        cache[y] = _kappa_bracket(w, env, y).mid
-                    out[i] = cache[y]
-            return out
-
+        raw = lambda ys: np.array([_kappa_bracket(w, env, float(y)).mid for y in ys])
     c = float(raw(np.array([0.0]))[0])
 
     def phi_vec(ys: np.ndarray) -> np.ndarray:

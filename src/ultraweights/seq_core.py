@@ -37,7 +37,6 @@ from .verdicts import (
 
 __all__ = [
     "WeightSeq",
-    "mu",
     "is_log_convex",
     "is_strongly_log_convex",
     "tail_recip_mu",
@@ -210,11 +209,6 @@ def require_weight_seq(seq: WeightSeq, op: str) -> None:
 
 
 # -- operations ------------------------------------------------------------
-
-
-def mu(seq: WeightSeq, k: int) -> float:
-    """Quotient mu_k = M_k / M_{k-1}, from the log evaluator."""
-    return seq.mu(k)
 
 
 def _monotone_check(seq: WeightSeq, n: int, shift: np.ndarray, what: str) -> Verdict:

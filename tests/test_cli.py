@@ -124,11 +124,14 @@ def test_check_roquS_on_gevrey(capsys):
 
 
 def test_check_membership_from_csv(tmp_path, capsys):
-    # a_k = (k!)^3 is not dominated by C sigma^k (k!)^2 for any sigma
+    # a_k = (k!)^3 is not dominated by C sigma^k (k!)^2 for any sigma; a_k = 1 is
     path = tmp_path / "coeffs.csv"
-    path.write_text("k,log_a\n" + "".join(f"{k},{3 * math.lgamma(k + 1)!r}\n" for k in range(257)))
-    rc, out, _ = run(capsys, "check", "membership", "--lhs", str(path), "--rhs", "seq:gevrey?s=2", "--n", "256")
+    path.write_text("k,log_a,zero\n" + "".join(f"{k},{3 * math.lgamma(k + 1)!r},0.0\n" for k in range(257)))
+    argv = ("check", "membership", "--lhs", str(path), "--rhs", "seq:gevrey?s=2", "--n", "256")
+    rc, out, _ = run(capsys, *argv)
     assert rc == 1 and json.loads(out)["status"] == "Fails"
+    rc, out, _ = run(capsys, *argv, "--column", "zero")
+    assert rc == 0 and json.loads(out)["status"] == "Holds"
 
 
 def test_load_config_skips_comments_and_blank_lines(tmp_path):
@@ -146,8 +149,8 @@ def _usage_error(capsys, *argv, kind="UsageError"):
 
 @pytest.mark.parametrize("relation, lhs", [
     ("sv", "seq:gevrey?s=2"), ("preceq", "seq:gevrey?s=2"), ("equiv", "seq:gevrey?s=2"),
-    ("gamma1", "seq:gevrey?s=2"), ("st", "fn:power?beta=0.5"), ("braces-preceq", "mat:gevrey?s=2"),
-    ("membership", "coeffs.csv"),
+    ("gamma1", "seq:gevrey?s=2"), ("st", "fn:power?beta=0.5"), ("fn-preceq", "fn:power?beta=0.5"),
+    ("braces-preceq", "mat:gevrey?s=2"), ("membership", "coeffs.csv"),
 ])
 def test_check_without_rhs_is_a_usage_error(tmp_path, monkeypatch, capsys, relation, lhs):
     monkeypatch.chdir(tmp_path)
@@ -164,6 +167,8 @@ CHECKS = [
     ("gamma1", S3, S2, 256, 1, "Fails"),
     ("st", "fn:power?beta=0.5", "fn:power?beta=0.5", None, 0, "Holds"),
     ("st", "fn:logsq", "fn:power?beta=0.5", None, 1, "Fails"),
+    ("fn-preceq", "fn:power?beta=0.5", "fn:logsq", None, 0, "Holds"),  # (log t)^2 = O(t^0.5)
+    ("fn-preceq", "fn:logsq", "fn:power?beta=0.5", None, 1, "Fails"),
     ("mg", S2, None, 256, 0, "Holds"),
     ("mmg", S2, None, 256, 0, "Holds"),
     ("braces-preceq", "mat:gevrey?s=2", "mat:gevrey?s=3", 64, 0, "Holds"),
@@ -212,6 +217,15 @@ def test_check_refuses_rhs_on_a_one_operand_relation(capsys, relation):
     rc, out, err = run(capsys, "check", relation, "--lhs", "seq:nosuch", "--rhs", S3, "--n", "64")
     assert (rc, out) == (2, "")  # refused before either operand resolves
     assert json.loads(err) == {"error": "UsageError", "message": f"check {relation} takes no --rhs"}
+
+
+@pytest.mark.parametrize("relation", [r for r in RELATIONS if r != "membership"])
+def test_check_refuses_column_on_a_relation_without_a_csv(capsys, relation):
+    _, rhs_kind, _ = RELATIONS[relation]
+    rhs = ("--rhs", "seq:nosuch") if rhs_kind else ()
+    rc, out, err = run(capsys, "check", relation, "--lhs", "seq:nosuch", *rhs, "--n", "64", "--column", "log_a")
+    assert (rc, out) == (2, "")  # refused before either operand resolves
+    assert json.loads(err) == {"error": "UsageError", "message": f"check {relation} takes no --column"}
 
 
 def test_check_refuses_the_lhs_before_the_rhs_resolves(tmp_path, capsys):
@@ -356,3 +370,31 @@ def test_cli_imports_no_scipy():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def _table(out: str) -> tuple[list[str], list[list[str]]]:
+    header, *rows = out.splitlines()
+    return header.split(","), [row.split(",") for row in rows]
+
+
+@pytest.mark.parametrize("derive, col, exact", [
+    ("kappa", 1, lambda t: 2.0 * t**0.5),
+    ("poisson", 1, lambda t: t**0.5 / math.cos(math.pi / 4)),
+    ("none", 2, lambda t: 2.0 * t**0.5),
+    ("none", 3, lambda t: t**0.5 / math.cos(math.pi / 4)),
+], ids=["kappa", "poisson", "none-kappa", "none-poisson"])
+def test_compute_on_a_function_entry(capsys, derive, col, exact):
+    rc, out, err = run(capsys, "compute", "fn:power?beta=0.5", "--derive", derive, "--n", "8")
+    assert (rc, err) == (0, "")
+    header, rows = _table(out)
+    assert header[:2] == ["t", "omega" if derive == "none" else derive] and len(rows) == 8
+    for row in rows:
+        t = float(row[0])
+        assert float(row[col]) == pytest.approx(exact(t), rel=1e-8), (derive, t)
+
+
+def test_compute_none_on_a_function_without_envelope_leaves_the_transforms_empty(capsys):
+    rc, out, _ = run(capsys, "compute", "fn:linear", "--derive", "none", "--n", "8")
+    header, rows = _table(out)
+    assert rc == 0 and header == ["t", "omega", "kappa", "poisson"] and len(rows) == 8
+    assert all(float(row[1]) == pytest.approx(float(row[0]), rel=1e-12) and row[2:] == ["", ""] for row in rows)

@@ -239,6 +239,24 @@ def test_brackets_hold_when_the_panel_budget_runs_out(power_half, monkeypatch, x
     assert pois_cut.lo <= x**0.5 / math.cos(math.pi / 4) <= pois_cut.hi and pois_cut.width > pois.width
 
 
+def test_brackets_widen_where_the_panel_budget_runs_out_by_itself(power_half):
+    # at t = 1e10 the integrands reach 1e5, so a panel's share of the 1e-10
+    # tolerance soon falls below the rounding of its sum: the bisection spends
+    # its budget and widens both brackets, far past the 1e-9 of a converged one
+    t = 1e10
+    kap, pois = kappa_interval(power_half, t), poisson_interval(power_half, t)
+    assert kap.lo <= t**0.5 / 0.5 <= kap.hi and 1e-7 < kap.width < 1e-5
+    assert pois.lo <= t**0.5 / math.cos(math.pi / 4) <= pois.hi and 1e-5 < pois.width < 1e-3
+
+
+def test_quadrature_sums_left_to_right():
+    # 1e16 absorbs each 1.0 in turn, so only the left-to-right order gives 0:
+    # the pairwise ndarray.sum and a compensated sum give 16
+    x = np.array([1e16, *[1.0] * 16, -1e16])
+    assert func_core._in_order(x) == 0.0 and x.sum() != 0.0 and math.fsum(x) == 16.0
+    assert func_core._in_order(np.empty(0)) == 0.0
+
+
 def test_kappa_dominates_omega(power_half, logsq):
     for w in (power_half, logsq):
         for t in log_t_grid(1.0, 1e6, 12):

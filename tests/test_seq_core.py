@@ -15,7 +15,6 @@ from ultraweights.seq_core import (
     is_strongly_log_convex,
     log_convex_minorant,
     log_tail_bracket,
-    mu,
     power_shift,
     seq_equivalent,
     seq_from_csv,
@@ -36,12 +35,12 @@ PI2_6 = math.pi**2 / 6
 
 def test_mu_gevrey2_quotient(gevrey2):
     # direct factorial ratio: (3!)^2/(2!)^2 = 9
-    assert mu(gevrey2, 3) == pytest.approx(9.0)
+    assert gevrey2.mu(3) == pytest.approx(9.0)
 
 
 def test_mu_factorial(factorial):
-    assert mu(factorial, 1) == pytest.approx(1.0)
-    assert mu(factorial, 5) == pytest.approx(5.0)
+    assert factorial.mu(1) == pytest.approx(1.0)
+    assert factorial.mu(5) == pytest.approx(5.0)
 
 
 # -- log-convexity ------------------------------------------------------------
@@ -239,8 +238,8 @@ def test_power_shift_quotient_bound(gevrey2):
     # mu_{2j} <= A mu^[4]_j with a bounded constant
     ps = power_shift(gevrey2, 4)
     js = np.arange(1, 65)
-    mus2j = np.array([mu(gevrey2, 2 * j) for j in js])
-    mups = np.array([mu(ps, j) for j in js])
+    mus2j = np.array([gevrey2.mu(2 * j) for j in js])
+    mups = np.array([ps.mu(j) for j in js])
     ratio = mus2j / mups
     assert np.max(ratio) < 64.0
     assert np.max(ratio[32:]) <= np.max(ratio[:32]) + 1e-9
