@@ -20,14 +20,19 @@ Gauss-Legendre rule, bisection of the panels that miss their share of the
 tolerance, and a budget of PANEL_BUDGET panels whose exhaustion widens the
 bracket.
 
-The conjugate maximizes the concave x y - phi(y) in two stages.  A lattice
-of fixed points y = 0, 2^(j/16) holds phi and its chord slopes, which are
-nondecreasing because phi is convex; one `searchsorted` of x in the slopes
-brackets the maximizer within four cells (`_Lattice`).  Golden section then
-shrinks the bracket until concavity certifies that no point beats the best
-probe by more than rounding (`_golden_max`).  Each x takes about 35 phi
-evaluations, and its steps and value depend only on phi and x.  The
-associated function's far path runs the same two stages over real k.
+The conjugate maximizes the concave x y - phi(y) in three stages.  A
+lattice of fixed points y = 0, 2^(j/16) holds phi and its chord slopes,
+which are nondecreasing because phi is convex; one `searchsorted` of x in
+the slopes brackets the maximizer within four cells (`_Lattice`).  Parabolic
+steps from the three lattice points around the maximizer then propose a
+golden bracket a few rounding widths across, which is kept only where
+concavity confirms that it holds the sup (`_seed`).  Golden section shrinks
+the bracket until concavity certifies that no point beats the best probe by
+more than rounding (`_golden_max`).  A smooth maximum takes about 16 phi
+evaluations per x; one whose seed falls back (a kink, a plateau) takes the
+35 to 60 of golden section from the lattice bracket and about 3 more.  Each
+x's probes and value depend only on phi and x.  The associated function's
+far path runs the same stages over real k.
 
 The canonical weight matrix has log M^(alpha)_k = phi*(alpha k)/alpha, so
 log M^(2 alpha)_k = log M^(alpha)_(2k) / 2.  In floats this holds bit for
@@ -41,6 +46,8 @@ conjugate at one full array of points and six half arrays.
 The conjugate and Ti2 work over their arguments in blocks (PHI_STAR_BLOCK x
 values, TI2_ROWS rows), so that no temporary exceeds 64 KiB: glibc serves
 larger arrays with mmap, and each fresh one costs a page fault per page.
+A phi call that batches several arrays of the conjugate's probes holds at
+most PHI_STAR_BLOCK points.
 """
 
 from __future__ import annotations
@@ -110,9 +117,11 @@ LATTICE_LOW = -8 * LATTICE_STEPS  # the lowest point above the base: y = 2^-8
 LATTICE_TOP = 67 * LATTICE_STEPS  # the conjugate's highest point: y = 8 * 2^64
 FAR_LATTICE_TOP = 1024 * LATTICE_STEPS - 1  # the far path's: the largest finite k on the lattice
 LATTICE_CHUNK = 4  # lattice points evaluated per extension (the first one, on a doubling lattice)
-GOLDEN_ITERS = 80  # cap on golden steps; the certificate stops smooth maxima near 33 and kinks near 60
+GOLDEN_ITERS = 80  # cap on golden steps; the certificate stops seeded maxima after 3, others near 33, kinks near 60
 GOLDEN_CHECK = 3  # golden steps between certificate checks
 GOLDEN_TOL = 4.0 * np.finfo(float).eps  # certificate allowance, times 1 + |f|
+SEED_ROUNDS = 3  # parabolic refinements of the lattice vertex before the seeded golden bracket
+SEED_WIDTH = 8.0  # the seeded bracket's width, in units of sqrt(GOLDEN_TOL (1 + |f|) / |f''|)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2, _INVPHI3 = _INVPHI**2, _INVPHI**3
 
@@ -228,13 +237,15 @@ class _Lattice:
 
     def bracket(
         self, g: Callable[[np.ndarray], np.ndarray], xs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(a, b - a, f(a), f(b), unbracketed) per x, with f(y) = x y - g(y):
-        the lattice points two cells below and above y_i, and the mask of
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple, tuple]:
+        """(a, b, f(a), f(b), unbracketed, ys, fs) per x, with f(y) = x y -
+        g(y): the lattice points two cells below and above y_i, the mask of
         the xs that no slope below the top reaches, or whose f(b) is NaN
         (x b and g(b) both overflow, so the upper end says nothing; NaN xs
-        included).  Every call passes the same g, its owner's: the lattice
-        keeps no reference to it, so it makes no reference cycle."""
+        included), and the lattice points y_(i-1), y_i, y_(i+1) (y_0, y_1,
+        y_2 when i = 0) with f at them, from the cached g.  Every call passes
+        the same g, its owner's: the lattice keeps no reference to it, so it
+        makes no reference cycle."""
         with self._lock:
             if self.gy is None:
                 self.gy = g(self.y)
@@ -242,41 +253,149 @@ class _Lattice:
             while self._j <= self._top and np.searchsorted(self.slope, x_max) > len(self.slope) - 2:
                 self._extend(g)
             i = np.searchsorted(self.slope, xs)
-            lo, hi = np.maximum(i - 2, 0), np.minimum(i + 2, len(self.y) - 1)
+            last = len(self.y) - 1
+            lo, hi = np.maximum(i - 2, 0), np.minimum(i + 2, last)
+            mid = np.clip(i, 1, max(last - 1, 1))  # a lattice of two points repeats one: no parabola
+            near = [np.minimum(mid + k, last) for k in (-1, 0, 1)]
             a, b, ga, gb, past_top = self.y[lo], self.y[hi], self.gy[lo], self.gy[hi], i == len(self.slope)
+            ys, gys = tuple(self.y[j] for j in near), tuple(self.gy[j] for j in near)
         with np.errstate(over="ignore", invalid="ignore"):
             fb = xs * b - gb
-            return a, b - a, xs * a - ga, fb, past_top | np.isnan(fb)
+            return a, b, xs * a - ga, fb, past_top | np.isnan(fb), ys, tuple(xs * y - gy for y, gy in zip(ys, gys))
 
 
 def _golden_max(
     g: Callable[[np.ndarray], np.ndarray], lattice: _Lattice, x: np.ndarray, refuse: Callable[[float], Exception]
 ) -> tuple[np.ndarray, np.ndarray]:
     """max over y >= base of f(y) = x y - g(y), g convex, and a point
-    attaining it, per component of x; raises refuse(x) for an x that the
-    lattice cannot bracket.
+    attaining it, per component of x, PHI_STAR_BLOCK components at a time;
+    raises refuse(x) for an x that the lattice cannot bracket.
 
-    Golden section on the lattice bracket: ends a < b and probes c < d,
-    with f known at all four (a new end is always an old probe).
-    Concavity bounds sup f on [a, b] by the chord lines of (a, c), (c, d)
-    and (d, b) extended: with the golden proportions (c - a)/(d - c) = 1/r
-    and (d - c)/(c - a) = r, r = 0.618..., it is at most max(fc, fd) +
+    The lattice bracket [a, b] holds the maximizer; `_seed` proposes a
+    narrower golden bracket [a', b'] inside it.  The quadruple a' < c' < d'
+    < b' is kept where f(c') >= f(a') and f(d') >= f(b'): f is concave, so
+    its chord slopes fall, and a y < a' has f(y) <= f(a') <= f(c'), a y > b'
+    has f(y) <= f(b') <= f(d'), so the sup over [a, b] is the sup over
+    [a', b'].  Every other component starts from its lattice bracket, as if
+    there were no seed.
+
+    Golden section then runs over all components together: ends a < b and
+    probes c < d, with f known at all four (a new end is always an old
+    probe).  Concavity bounds sup f on [a, b] by the chord lines of (a, c),
+    (c, d) and (d, b) extended: with the golden proportions (c - a)/(d - c)
+    = 1/r and (d - c)/(c - a) = r, r = 0.618..., it is at most max(fc, fd) +
     max(|fc - fd|/r, r min(fc - fa, fd - fb)).  Every GOLDEN_CHECK steps a
     component whose bound exceeds best = max(fa, fc, fd, fb) by at most
     GOLDEN_TOL (1 + |best|) stops and leaves the working arrays;
     GOLDEN_ITERS steps stop any component.  The result is the best of the
-    four points.  A component's steps depend only on g and its own x.
+    four points.  A component's probes, steps and value depend only on g,
+    the lattice and its own x, and every probe lies in its lattice bracket.
     """
+    val, arg = np.empty_like(x), np.empty_like(x)
+    for i in range(0, len(x), PHI_STAR_BLOCK):
+        block = slice(i, i + PHI_STAR_BLOCK)
+        val[block], arg[block] = _golden_block(g, lattice, x[block], refuse)
+    return val, arg
+
+
+def _g_rows(g: Callable[[np.ndarray], np.ndarray], rows: tuple) -> list:
+    """g at each array of rows: one call per run of neighbouring arrays
+    that together hold at most PHI_STAR_BLOCK points, so that a call on a
+    few x batches all of a stage's probes while no temporary exceeds 64 KiB."""
+    out, run = [], []
+    for y in (*rows, None):
+        if run and (y is None or sum(map(len, run)) + len(y) > PHI_STAR_BLOCK):
+            gy, at = g(np.concatenate(run)), 0
+            for v in run:
+                out.append(gy[at : at + len(v)])
+                at += len(v)
+            run = []
+        if y is not None:
+            run.append(y)
+    return out
+
+
+def _seed(
+    g: Callable[[np.ndarray], np.ndarray], lattice: _Lattice, x: np.ndarray, refuse: Callable[[float], Exception]
+) -> tuple[np.ndarray, ...]:
+    """(a, w, fa, fb, fc, fd): the golden quadruple a < c < d < a + w
+    that each component starts from, seeded by parabolic steps where the
+    concavity check of `_golden_max` confirms the seed, else its lattice
+    bracket [a, b]; raises refuse(x) for an x that the lattice cannot
+    bracket.
+
+    Round 0 fits the parabola through the three lattice points around the
+    maximizer, where g is cached.  Each of SEED_ROUNDS rounds fits it
+    through m - h, m, m + h around the last vertex m, moved inside [a, b],
+    with h = s = SEED_WIDTH sqrt(GOLDEN_TOL (1 + |f|) / |f''|) from the
+    last fit: over h the parabola's second difference is SEED_WIDTH^2
+    times the certificate's allowance, so rounding moves its curvature by
+    a few percent at most, and a round is a Newton step.  A component gives up its seed when a fit is
+    not strictly concave or not finite, when 2 s exceeds b - a, or when s
+    more than doubles in a round: a curvature that falls by 4 is rounding
+    on a linear piece (a kink, a plateau).  The seeded quadruple spans
+    [m - s/2, m + s/2], moved inside [a, b].
+
+    Each round evaluates its probes together (`_g_rows`).  The seeded
+    quadruples share a last evaluation with the lattice probes c and d of
+    the components that gave up, and seeded quadruples that fail the check
+    make one more for theirs.
+    """
+    a, b, fa, fb, unbracketed, ys, fs = lattice.bracket(g, x)
+    if np.any(unbracketed):
+        raise refuse(float(x[np.argmax(unbracketed)]))
+    w = b - a
+    live, xl, al, bl, wl = np.arange(len(x)), x, a, b, w
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for rnd in range(SEED_ROUNDS + 1):
+            if rnd:
+                h = s
+                lo = np.maximum(np.minimum(m - h, bl - 2.0 * h), al)
+                ys = (lo, lo + h, np.minimum(lo + 2.0 * h, bl))
+                fs = [xl * y - gy for y, gy in zip(ys, _g_rows(g, ys))]
+            (y0, y1, y2), (f0, f1, f2) = ys, fs
+            d1 = (f1 - f0) / (y1 - y0)
+            curv = 2.0 * ((f2 - f1) / (y2 - y1) - d1) / (y2 - y0)  # f'' of the parabola
+            m = 0.5 * (y0 + y1) - d1 / curv
+            s = SEED_WIDTH * np.sqrt(GOLDEN_TOL * (1.0 + np.abs(f1)) / -curv)
+            keep = (s > 0.0) & (2.0 * s < wl)  # a finite s > 0 needs finite f and curv < 0, so a finite m
+            if rnd:
+                keep &= s < 2.0 * h  # a curvature under a quarter of the last is rounding: a kink or a plateau
+            if not keep.all():
+                live, xl, al, bl, wl, m, s = (v[keep] for v in (live, xl, al, bl, wl, m, s))
+            if not len(live):
+                break
+    rest = np.ones(len(x), dtype=bool)
+    rest[live] = False
+    rest = np.flatnonzero(rest)
+    qa = np.maximum(np.minimum(m - 0.5 * s, bl - s), al)
+    ar, wr, xr = a[rest], w[rest], x[rest]
+    rows = (qa, qa + _INVPHI2 * s, qa + _INVPHI * s, np.minimum(qa + s, bl), ar + _INVPHI2 * wr, ar + _INVPHI * wr)
+    fqa, fqc, fqd, fqb, fcr, fdr = (xv * y - gy for xv, y, gy in zip((xl,) * 4 + (xr,) * 2, rows, _g_rows(g, rows)))
+    fc, fd = np.empty_like(x), np.empty_like(x)
+    fc[rest], fd[rest] = fcr, fdr
+    kept = (fqc >= fqa) & (fqd >= fqb)
+    late = live[~kept]
+    if len(late):
+        rows = (a[late] + _INVPHI2 * w[late], a[late] + _INVPHI * w[late])
+        fc[late], fd[late] = (x[late] * y - gy for y, gy in zip(rows, _g_rows(g, rows)))
+    won = live[kept]
+    a[won], w[won], fa[won], fb[won], fc[won], fd[won] = qa[kept], s[kept], fqa[kept], fqb[kept], fqc[kept], fqd[kept]
+    return a, w, fa, fb, fc, fd
+
+
+def _golden_block(
+    g: Callable[[np.ndarray], np.ndarray], lattice: _Lattice, x: np.ndarray, refuse: Callable[[float], Exception]
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_golden_max` on one block."""
 
     def f(y: np.ndarray) -> np.ndarray:
         return x * y - g(y)
 
-    a, w, fa, fb, unbracketed = lattice.bracket(g, x)
-    if np.any(unbracketed):
-        raise refuse(float(x[np.argmax(unbracketed)]))
+    a, w, fa, fb, fc, fd = _seed(g, lattice, x, refuse)
+
     val, arg = np.empty_like(x), np.empty_like(x)
     live = np.arange(len(x))
-    fc, fd = f(a + _INVPHI2 * w), f(a + _INVPHI * w)
     for step in range(GOLDEN_ITERS + 1):
         if step % GOLDEN_CHECK == 0 or step == GOLDEN_ITERS:
             hi = np.maximum(fc, fd)
@@ -305,10 +424,7 @@ def _golden_max(
 
 
 def _phi_star_impl(w: WeightFn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sup_{y>=0} (x y - phi(y)) per component, with the maximizer,
-    PHI_STAR_BLOCK components at a time.  Each component's bracket and
-    golden steps depend only on phi and its own x, so the blocks give the
-    values of a single pass.
+    """sup_{y>=0} (x y - phi(y)) per component, with the maximizer.
 
     The objective is concave in y (phi is convex): the lattice of w brackets
     each maximizer, then `_golden_max`.  An x that no chord slope of phi
@@ -319,11 +435,7 @@ def _phi_star_impl(w: WeightFn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     def refuse(bad: float) -> Exception:
         return UnboundedConjugate(f"{w.name}: no finite bracket for the conjugate at x={bad:.6g}")
 
-    val, y_best = np.empty_like(xs), np.empty_like(xs)
-    for i in range(0, len(xs), PHI_STAR_BLOCK):
-        block = slice(i, i + PHI_STAR_BLOCK)
-        val[block], y_best[block] = _golden_max(w.phi, w._lattice, xs[block], refuse)
-    return val, y_best
+    return _golden_max(w.phi, w._lattice, xs, refuse)
 
 
 def phi_star(w: WeightFn, x):

@@ -109,9 +109,11 @@ def test_phi_star_on_member_grids_matches_the_closed_form(uri, alpha):
 def test_phi_star_at_the_kinks_of_an_associated_function(gevrey2, cap, monkeypatch):
     # omega_M is piecewise linear in y with slope k between log mu_k and
     # log mu_(k+1): at x = k the sup log M_k is attained between two kinks,
-    # and at x = k + 1/2 only at the kink log mu_(k+1).  Near a kink the
-    # certificate's bound shrinks only linearly and holds after 57 to 66
-    # steps here, so a cap of 54 stops every half-integer x at its best probe
+    # and at x = k + 1/2 only at the kink log mu_(k+1).  Every parabolic
+    # seed falls back at these x, so golden section starts from the
+    # lattice bracket; near a kink the certificate's bound then shrinks
+    # only linearly and holds after 57 to 66 steps here, so a cap of 54
+    # stops every half-integer x at its best probe
     monkeypatch.setattr(func_core, "GOLDEN_ITERS", cap)
     w = omega_from_seq(gevrey2)
     ks = np.arange(65, dtype=float)
@@ -121,18 +123,48 @@ def test_phi_star_at_the_kinks_of_an_associated_function(gevrey2, cap, monkeypat
     assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-13
 
 
+def test_golden_max_at_the_kinks_adds_at_most_four_g_calls(gevrey2, monkeypatch):
+    # golden section from the lattice bracket makes GOLDEN_ITERS + 2 g calls
+    # at most (c and d, then one per step).  Seeding adds at most 4: one per
+    # round and one for the lattice probes of quadruples that fail the
+    # check, as the quadruples' own call takes over c and d.  Here every
+    # seed falls back and the cap of 54 binds
+    monkeypatch.setattr(func_core, "GOLDEN_ITERS", 54)
+    w = omega_from_seq(gevrey2)
+    ks = np.arange(65, dtype=float)
+    xs = np.concatenate([ks, ks + 0.5])
+    phi_star(w, xs)  # extends the lattice, so that the calls below are the search's own
+    calls = []
+
+    def g(ys):
+        calls.append(len(ys))
+        return w.phi(ys)
+
+    func_core._golden_max(g, w._lattice, xs, ValueError)
+    assert len(calls) <= func_core.GOLDEN_ITERS + 2 + 4
+
+
 def test_phi_star_just_above_zero_on_the_plateau(power_half):
     # normalize_fn clamps phi to 0 on [0, y_c].  For power_half y_c = 0 and
     # x y - phi(y) peaks at y = 0 for x < 1/2; for max(|y| - 1, 0)^2,
     # y_c = 1 and the conjugate x + x^2/4 is attained at 1 + x/2
     xs = np.array([1e-300, 1e-12, 1e-6, 1e-3, 0.25])
     assert np.all(phi_star(normalize_fn(power_half), xs) == 0.0)
-    flat = normalize_fn(WeightFn("plateau", lambda ys: np.maximum(np.abs(ys) - 1.0, 0.0) ** 2))
+    flat = normalize_fn(plateau())
     assert np.max(np.abs(phi_star(flat, xs) - (xs + xs**2 / 4.0))) <= 2e-15
 
 
-def test_phi_star_asks_for_at_most_48_points_per_x(power_half):
-    wn = normalize_fn(power_half)
+def plateau() -> WeightFn:
+    return WeightFn("plateau", lambda ys: np.maximum(np.abs(ys) - 1.0, 0.0) ** 2)
+
+
+@pytest.mark.parametrize("uri", ["fn:power?beta=0.5", "fn:logsq"])
+@pytest.mark.parametrize("alpha", [0.125, 1.0, 8.0])
+def test_phi_star_asks_for_at_most_22_points_per_x(uri, alpha):
+    # seeded golden section takes about 16 points per x on these grids,
+    # golden section from the lattice bracket about 35; no call holds more
+    # than a block's worth of points (64 KiB)
+    wn = normalize_fn(resolve(uri))
     inner, asked = wn._phi, []
 
     def counted(ys):
@@ -140,9 +172,45 @@ def test_phi_star_asks_for_at_most_48_points_per_x(power_half):
         return inner(ys)
 
     wn._phi = counted
-    xs = np.arange(2**17 + 1, dtype=float)
+    xs = alpha * np.arange(2**17 + 1, dtype=float)
     phi_star(wn, xs)
-    assert sum(asked) <= 48 * len(xs)
+    assert sum(asked) <= 22 * len(xs) and max(asked) <= func_core.PHI_STAR_BLOCK
+
+
+@pytest.mark.parametrize("name", ["power", "logsq", "gevrey2"])
+def test_phi_star_is_the_same_per_element_and_in_any_order(name, gevrey2, rng):
+    # each x's probes and value depend only on phi and x.  The gevrey 2
+    # associated function has kinks, where seeds fall back; its x stay at
+    # most 2^17, where the maximizers lie inside its quotient array
+    w, top = {
+        "power": (normalize_fn(resolve("fn:power?beta=0.5")), 2**17),
+        "logsq": (normalize_fn(resolve("fn:logsq")), 2**17),
+        "gevrey2": (omega_from_seq(gevrey2), 2**14),
+    }[name]
+    xs = rng.choice(func_core.DEFAULT_GRID, 300) * rng.integers(0, top + 1, 300)
+    together = phi_star(w, xs)
+    order = rng.permutation(len(xs))
+    shuffled = np.empty_like(xs)
+    shuffled[order] = phi_star(w, xs[order])
+    assert np.array_equal(shuffled, together)
+    assert np.array_equal(np.array([phi_star(w, x) for x in xs]), together)
+
+
+@pytest.mark.parametrize("w", [normalize_fn(make_power_weight(0.5)), normalize_fn(plateau())], ids=["power", "plateau"])
+def test_phi_star_probes_stay_in_the_lattice_bracket(w):
+    xs = np.concatenate([[1e-300, 1e-12, 1e-6, 1e-3, 0.25, 0.5], np.geomspace(0.5, 1e6, 40)])
+    phi_star(w, xs)  # extends the lattice, so that the probes below are the search's own
+    inner = w._phi
+    for x in xs:
+        a, b = w._lattice.bracket(w.phi, np.array([x]))[:2]
+        probes = []
+        w._phi = lambda ys: (probes.append(ys.copy()), inner(ys))[1]
+        try:
+            phi_star(w, x)
+        finally:
+            w._phi = inner
+        ys = np.concatenate(probes)
+        assert w._lattice.y[0] <= a[0] <= ys.min() and ys.max() <= b[0], x
 
 
 @pytest.mark.parametrize("name", ["linear", "power_half", "logsq"])
