@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import CatalogError
 from .func_core import Envelope, WeightFn, WeightMatrix, matrix_from_omega
-from .seq_core import LogBracket, WeightSeq, log_suffix_bracket, seq_from_csv
+from .seq_core import SeriesTail, WeightSeq, seq_from_csv
 
 __all__ = [
     "make_gevrey",
@@ -49,7 +49,6 @@ __all__ = [
 ]
 
 _TAIL_HEAD = 64  # exact terms summed past the largest index before a remainder bound
-_TAIL_BLOCK = 2**13  # bracket entries widened at a time (64 KiB of temporary)
 
 
 def gammaln(x: np.ndarray) -> np.ndarray:
@@ -61,33 +60,6 @@ def gammaln(x: np.ndarray) -> np.ndarray:
         1.0 / 12.0 - r * r * (1.0 / 360.0 - r * r * (1.0 / 1260.0 - r * r / 1680.0)))
     out[x < 20.0] = np.frompyfunc(math.lgamma, 1, 1)(x[x < 20.0])
     return out
-
-
-def _series_log_tail(neg_log_term, span: int, log_rem) -> Callable[[np.ndarray], LogBracket]:
-    """`log_tail` of T_k = sum_{j>=k} exp(neg_log_term(j)): exact terms on
-    k_min .. k_max + span, plus the log bracket `log_rem(top)` of the rest,
-    widened by the rounding of the sums (1e-13 plus a few ulps).
-    `neg_log_term` writes the terms over the index array it is given."""
-
-    def log_tail(ks: np.ndarray) -> LogBracket:
-        k0, top = int(ks.min()), int(ks.max()) + span + 1
-        rem_lo, rem_hi = log_rem(float(top))
-        terms = np.arange(k0, top + 1, dtype=float)  # the last slot is the remainder's
-        neg_log_term(terms[:-1])
-        lo, hi = log_suffix_bracket(terms, ks, k0, rem_hi, rem_lo)
-        ulps = np.empty(_TAIL_BLOCK)
-        for end, sign in ((lo, -1.0), (hi, 1.0)):
-            # widened in place, in the order end -+ 1e-13 -+ 1e-15 |end|, a
-            # block at a time so that the temporary stays small
-            for i in range(0, len(end), _TAIL_BLOCK):
-                part = end[i : i + _TAIL_BLOCK]
-                u = np.abs(part, out=ulps[: len(part)])
-                u *= sign * 1e-15
-                part += sign * 1e-13
-                part += u
-        return lo, hi
-
-    return log_tail
 
 
 # -- sequences ---------------------------------------------------------------
@@ -119,7 +91,7 @@ def make_gevrey(s: float) -> WeightSeq:
         np.log(js, out=js)
         js *= -s
 
-    log_tail = _series_log_tail(neg_log_mu, _TAIL_HEAD, log_rem)
+    log_tail = SeriesTail(neg_log_mu, _TAIL_HEAD, log_rem)
     return WeightSeq(f"gevrey(s={s:g})", ev, log_tail=log_tail, is_weight_seq=True)
 
 
@@ -147,7 +119,7 @@ def make_q_gevrey(q: float) -> WeightSeq:
         np.negative(js, out=js)
         js *= lq
 
-    log_tail = _series_log_tail(neg_log_mu, 0, log_rem)
+    log_tail = SeriesTail(neg_log_mu, 0, log_rem)
     return WeightSeq(f"qgevrey(q={q:g})", lambda kk: kk**2 * lq, log_tail=log_tail, is_weight_seq=True)
 
 
@@ -177,7 +149,7 @@ def make_exp_gevrey_member(p: float, a: float) -> WeightSeq:
         neg_log_mu(term)
         return -math.inf, float(term[0]) - math.log(-math.expm1(-a))
 
-    log_tail = _series_log_tail(neg_log_mu, max(_TAIL_HEAD, int(40.0 / a)), log_rem)
+    log_tail = SeriesTail(neg_log_mu, max(_TAIL_HEAD, int(40.0 / a)), log_rem)
     return WeightSeq(f"expgevrey(p={p:g},a={a:g})", ev, log_tail=log_tail, is_weight_seq=True)
 
 

@@ -11,9 +11,12 @@ extension P along the imaginary axis), and the canonical weight matrix
 attached to a weight function via the scaled conjugate.
 
 For associated functions both transforms are closed forms over the quotients
-(`kappa_assoc`, `poisson_batch`).  Other functions are integrated only when
-they carry a certified growth envelope phi(y) <= a + b e^(theta y)
-(theta < 1), which supplies the cutoff and an explicit tail bracket.
+(`kappa_assoc`, `poisson_batch`).  P is a sum of Ti2 terms, one per quotient:
+a 16-point rule takes those with |log mu_j - log r| <= P_CORE = 3, their
+alternating series through x^9 those out to P_WINDOW = 8, and a first-order
+bracket the rest.  Other functions are integrated only when they carry a
+certified growth envelope phi(y) <= a + b e^(theta y) (theta < 1), which
+supplies the cutoff and an explicit tail bracket.
 kappa_interval and poisson_interval share one adaptive engine
 (`_quadrature`), which integrates one argument per call: a 9-point
 Gauss-Legendre rule, bisection of the panels that miss their share of the
@@ -67,7 +70,7 @@ from .errors import (
     TruncationExhausted,
     UnboundedConjugate,
 )
-from .seq_core import WeightSeq, _log_mid, _tail_exponent, is_non_quasianalytic, log_tail_bracket
+from .seq_core import LogBracket, WeightSeq, _log_mid, _tail_exponent, is_non_quasianalytic, log_tail_reader
 from .verdicts import (
     Interval,
     Status,
@@ -108,6 +111,7 @@ PANEL_BUDGET = 10_000
 GAUSS_ORDER = 9
 TI2_ORDER = 16
 P_WINDOW = 8.0
+P_CORE = 3.0  # |log mu_j - log r| up to which P's terms take `_ti2`; the series past it errs by <= 7.8e-16
 P_CHUNK = 2**14
 TI2_ROWS = 2**9
 PHI_STAR_BLOCK = 2**13
@@ -489,11 +493,13 @@ class _AssocEvaluator:
     array answers every y up to its last quotient by binary search.  It is
     grown by fours (up to ARRAY_CAP terms) until its last quotient covers
     the largest y asked for; the sequence extends its prefix of values, so
-    each log M_k is evaluated once, and the tail brackets are computed once
-    per growth, at the final length.  Past the array (conjugate lattice
-    points and golden probes in seq_K) the sup is taken over real k >= n of
-    the sequence's own evaluator (`_far`): a lattice over k with base n
-    brackets it and the certified golden section of phi_star finds it.
+    each log M_k is evaluated once, and the tail's suffix log-sums are
+    computed once per growth, at the final length; the tail bracket is
+    evaluated only at the counts read (`log_tail_after`).  Past the array
+    (conjugate lattice points and golden probes in seq_K) the sup is taken
+    over real k >= n of the sequence's own evaluator (`_far`): a lattice over
+    k with base n brackets it and the certified golden section of phi_star
+    finds it.
     Non-log-convex positive sequences use a full scan over the truncation.
     """
 
@@ -523,9 +529,10 @@ class _AssocEvaluator:
 
     def _set(self, vals: np.ndarray) -> None:
         n = len(vals) - 1
-        # log_tail_lo/hi[c] bracket log sum_{j > c} 1/mu_j for counts c = 0..n
-        lo, hi = log_tail_bracket(self.seq, np.arange(1, n + 2), n)
-        self._n, self._vals, self._log_mu, self._log_tail_lo, self._log_tail_hi = n, vals, np.diff(vals), lo, hi
+        log_mu = np.diff(vals)
+        tail = log_tail_reader(self.seq, n)  # read at c + 1 for the counts c = 0..n
+        tail_p = _tail_exponent(log_mu) if self.convex else None  # the far branch's, fitted once per array
+        self._n, self._vals, self._log_mu, self._tail, self._tail_p = n, vals, log_mu, tail, tail_p
         top = FAR_LATTICE_TOP
         if math.isfinite(self.seq.max_index):  # no chunk reaches past the last index
             top = min(top, math.floor(LATTICE_STEPS * math.log2(max(self.seq.max_index, 1.0))))
@@ -586,19 +593,23 @@ class _AssocEvaluator:
             kstar[far] = kf
         return out, kstar
 
+    def log_tail_after(self, counts: np.ndarray) -> LogBracket:
+        """(log_lo, log_hi) bracketing sum_{j > c} 1/mu_j at integer counts
+        c = 0..n: `log_tail_bracket(seq, c + 1, n)`, evaluated only here."""
+        return self._tail(np.asarray(counts, dtype=np.int64) + 1)
+
     def log_tail_mid_after(self, kstar: np.ndarray, log_t: np.ndarray) -> np.ndarray:
         """Log of the midpoint of sum_{j > k*} 1/mu_j for the counts k* = k*(y)
         at an array of y = log t."""
         kstar, log_t = np.asarray(kstar, dtype=float), np.asarray(log_t, dtype=float)
         out = np.zeros_like(kstar)
-        near = kstar <= self._n  # the tail arrays have entries for counts 0..n
-        c = kstar[near].astype(np.int64)
-        out[near] = _log_mid(self._log_tail_lo[c], self._log_tail_hi[c])
+        near = kstar <= self._n  # the tail bracket is read at counts 0..n
+        out[near] = _log_mid(*self.log_tail_after(kstar[near]))
         far = ~near
         if np.any(far):
             # the power-law remainder k / ((p-1) mu_k) of `_tail_exponent`,
             # with log mu_k* <= y < log mu_{k*+1}
-            p = _tail_exponent(self._log_mu)
+            p = self._tail_p
             out[far] = np.inf if p is None else np.log(kstar[far] / (p - 1.0)) - log_t[far]
         return out
 
@@ -851,18 +862,33 @@ def _ti2(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ti2_series(x: np.ndarray) -> np.ndarray:
+    """x - x^3/9 + x^5/25 - x^7/49 + x^9/81, in Horner form: the alternating
+    series of Ti2 through x^9, so Ti2(x) lies between it and it minus x^11/121
+    for 0 <= x <= 1."""
+    z = x * x
+    return x * (1.0 + z * (-1.0 / 9.0 + z * (1.0 / 25.0 + z * (-1.0 / 49.0 + z * (1.0 / 81.0)))))
+
+
 def _poisson_assoc(w: WeightFn, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """P(ir) at every y = log r, and the ends of its bracket.
 
     For log-convex M, omega_M(t) = sum_j log+(t/mu_j) extends to (2/pi) sum_j
     Ti2(r/mu_j) at ir; by Ti2(x) = Ti2(1/x) + (pi/2) log x this is omega_M(r)
     + (2/pi) sum_j Ti2(e^-|log r - log mu_j|), and log(1+t^2) adds 2 log(1+r).
-    Terms with |log mu_j - log r| <= P_WINDOW are summed exactly, P_CHUNK at a
-    time; the rest as mu_j / r (a prefix log-sum) below and r T (the tail
-    bracket) above, off by at most e^(-2 P_WINDOW)/9 relative as x - x^3/9 <=
-    Ti2(x) <= x.  Past the array, Ti2(x)/x >= Ti2(x_J)/x_J with x_J = r/mu_J;
-    a finite M has no terms there.  A radius beyond the last quotient of an
-    array at its cap raises TruncationExhausted.
+    The terms are summed in three parts:
+      - the core, |log mu_j - log r| <= P_CORE: `_ti2`, exact to rounding;
+      - the band, P_CORE < |log mu_j - log r| <= P_WINDOW: the series
+        `_ti2_series`, which is at most x^11/121 <= 7.8e-16 x above each term;
+        the lower end of the bracket subtracts that remainder.  Core and band
+        are summed together, P_CHUNK terms at a time;
+      - the first-order part, the rest: mu_j / r (a prefix log-sum) below and
+        r T (the tail bracket) above, off by at most e^(-2 P_WINDOW)/9
+        relative as x - x^3/9 <= Ti2(x) <= x, which the lower end takes off.
+        Past the array, Ti2(x)/x >= Ti2(x_J)/x_J with x_J = r/mu_J takes its
+        place; a finite M has no terms there.
+    A radius beyond the last quotient of an array at its cap raises
+    TruncationExhausted.
     """
     ev = w.assoc
     if ev is None or not ev.convex:
@@ -875,29 +901,37 @@ def _poisson_assoc(w: WeightFn, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     i_lo = np.searchsorted(log_mu, ys - P_WINDOW, side="left")
     i_hi = np.searchsorted(log_mu, ys + P_WINDOW, side="right")
     offsets = np.concatenate([[0], np.cumsum(i_hi - i_lo)])
-    window = np.zeros(len(ys))
+    window, band_rem = np.zeros(len(ys)), np.zeros(len(ys))
     for start in range(0, int(offsets[-1]), P_CHUNK):
         term = np.arange(start, min(start + P_CHUNK, int(offsets[-1])))
         at = np.searchsorted(offsets, term, side="right") - 1  # the radius of each term
-        x = np.exp(-np.abs(ys[at] - log_mu[i_lo[at] + term - offsets[at]]))
-        window += np.bincount(at, _ti2(x), minlength=len(ys))
+        dist = np.abs(ys[at] - log_mu[i_lo[at] + term - offsets[at]])
+        x = np.exp(-dist)
+        core = dist <= P_CORE
+        ti2 = _ti2_series(x)
+        ti2[core] = _ti2(x[core])
+        window += np.bincount(at, ti2, minlength=len(ys))
+        band = ~core
+        band_rem += np.bincount(at[band], x[band] ** 11, minlength=len(ys))
+    band_rem /= 121.0
 
     below = np.exp(np.concatenate([[-np.inf], np.logaddexp.accumulate(log_mu[: i_lo.max(initial=0)])])[i_lo] - ys)
     past = i_hi == n
-    above_lo = np.where(past & complete, 0.0, np.exp(ys + ev._log_tail_lo[i_hi]))
-    above_hi = np.where(past & complete, 0.0, np.exp(ys + ev._log_tail_hi[i_hi]))
+    tail_lo, tail_hi = ev.log_tail_after(i_hi)
+    above_lo = np.where(past & complete, 0.0, np.exp(ys + tail_lo))
+    above_hi = np.where(past & complete, 0.0, np.exp(ys + tail_hi))
     above = 0.5 * (above_lo + above_hi)
     first_order = 1.0 - math.exp(-2.0 * P_WINDOW) / 9.0
     x_last = np.exp(np.minimum(ys - log_mu[-1], 0.0))
     above_lo *= np.where(past, np.divide(_ti2(x_last), x_last, out=np.ones_like(ys), where=x_last > 0), first_order)
 
     c = 2.0 / math.pi
-    exact = ev.eval(ys)[0] + c * window
+    windowed = ev.eval(ys)[0] + c * window
     if w.include_log_term:
-        exact = exact + 2.0 * np.logaddexp(0.0, ys)
-    p = exact + c * (below + above)
-    err = 1e-14 * np.abs(p)  # rounding: summing 1.3e5 window terms in order measured below 5.2e-15 |P|
-    return p, exact + c * (first_order * below + above_lo) - err, exact + c * (below + above_hi) + err
+        windowed = windowed + 2.0 * np.logaddexp(0.0, ys)
+    p = windowed + c * (below + above)
+    err = 1e-14 * np.abs(p)  # rounding: summing up to 1.3e5 core and band terms in order measured below 2.7e-15 |P|
+    return p, windowed + c * (first_order * below + above_lo - band_rem) - err, windowed + c * (below + above_hi) + err
 
 
 # -- normalization and derived weight functions ------------------------------

@@ -7,7 +7,9 @@ log-convexity is "mu increasing", non-quasianalyticity is "sum 1/mu_k finite",
 and the reciprocal-quotient tail sum T_k = sum_{l>=k} 1/mu_l is the main
 analytic input to the derived-weight constructions.
 Tails are log brackets over index arrays (`log_tail_bracket`, `tail_mids`),
-summed with logaddexp, so nothing underflows however fast mu grows.
+summed with logaddexp, so nothing underflows however fast mu grows.  A
+series tail is held as its suffix log-sums and remainder ends (`SuffixSums`),
+so that `log_tail_reader` evaluates the bracket only at the indices read.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import csv
 import io
 import math
 import threading
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, Optional
 
@@ -55,6 +57,7 @@ __all__ = [
 # Default truncation for tail partial sums when no analytic tail is attached.
 DEFAULT_TAIL_N = 4096
 VALUES_BLOCK = 2**13  # indices evaluated at a time when `WeightSeq.values` grows its prefix
+_TAIL_BLOCK = 2**13  # bracket entries widened at a time (64 KiB of temporary)
 
 LogBracket = tuple[np.ndarray, np.ndarray]
 
@@ -255,26 +258,94 @@ def _tail_exponent(log_mu: np.ndarray) -> float | None:
     return p if p > 1.0 + 1e-6 else None
 
 
-def log_suffix_bracket(x: np.ndarray, ks: np.ndarray, k0: int, log_rem_hi: float,
-                       log_rem_lo: float = -math.inf) -> LogBracket:
-    """Log bracket of sum_{j >= k} e^{x_(j - k0)} + R at each k in `ks`, where
-    x holds the terms of indices k0 .. k0 + len(x) - 2 and one slot more: at
-    k = k0 + len(x) - 1 only R is left, the remainder beyond the terms, in
-    [e^log_rem_lo, e^log_rem_hi].  One backward logaddexp pass, written over
-    x: O(len(x)) time, no underflow, and the memory of one result, since for
-    a contiguous range of ks the upper end is a slice of x, not a copy."""
-    x[-1] = -math.inf
-    np.logaddexp.accumulate(x[::-1], out=x[::-1])
-    contiguous = ks[-1] - ks[0] == len(ks) - 1 and bool(np.all(ks[1:] > ks[:-1]))
-    hi = x[ks[0] - k0 : ks[-1] - k0 + 1] if contiguous else x[ks - k0]
-    lo = np.logaddexp(hi, log_rem_lo)
-    np.logaddexp(hi, log_rem_hi, out=hi)
-    return lo, hi
+def _widen(end: np.ndarray, sign: float) -> None:
+    """end -+ 1e-13 -+ 1e-15 |end| in place, in that order, a block at a time
+    so that the temporary stays small: the rounding allowance of a series
+    tail's sums."""
+    ulps = np.empty(min(len(end), _TAIL_BLOCK))
+    for i in range(0, len(end), _TAIL_BLOCK):
+        part = end[i : i + _TAIL_BLOCK]
+        u = np.abs(part, out=ulps[: len(part)])
+        u *= sign * 1e-15
+        part += sign * 1e-13
+        part += u
+
+
+@dataclass(frozen=True)
+class SuffixSums:
+    """The log bracket of T_k = sum_{j >= k} e^(x_j) + R at k = k0 .. k0 +
+    len(sums) - 1, held before its remainder: sums[k - k0] is the log of the
+    exact terms' suffix sum, and R lies in [e^log_rem_lo, e^log_rem_hi].
+    `at(ks)` adds each remainder end and, with `widen`, the rounding
+    allowance of `_widen`.  Every step is elementwise, so the bracket read at
+    any ks is bit for bit the entries of the one over all of them."""
+
+    sums: np.ndarray
+    k0: int
+    log_rem_lo: float
+    log_rem_hi: float
+    widen: bool = False
+
+    @staticmethod
+    def of_terms(x: np.ndarray, k0: int, log_rem_lo: float, log_rem_hi: float, widen: bool = False) -> "SuffixSums":
+        """x holds the log terms of indices k0 .. k0 + len(x) - 2 and one slot
+        more, where only R is left.  One backward logaddexp pass, written over
+        x: O(len(x)) time and no underflow."""
+        x[-1] = -math.inf
+        np.logaddexp.accumulate(x[::-1], out=x[::-1])
+        return SuffixSums(x, k0, log_rem_lo, log_rem_hi, widen)
+
+    def at(self, ks: np.ndarray, spend: bool = False) -> LogBracket:
+        """The bracket at integer ks.  With `spend`, a contiguous range of ks
+        reads the sums as a slice and writes the upper end over them, so a
+        one-off bracket holds the memory of its two ends only."""
+        view = spend and ks[-1] - ks[0] == len(ks) - 1 and bool(np.all(ks[1:] > ks[:-1]))
+        s = self.sums[ks[0] - self.k0 : ks[-1] - self.k0 + 1] if view else self.sums[ks - self.k0]
+        # a remainder whose lower end is 0 leaves s as it is: logaddexp(s, -inf) is s
+        lo = s.copy() if self.log_rem_lo == -math.inf else np.logaddexp(s, self.log_rem_lo)
+        hi = np.logaddexp(s, self.log_rem_hi, out=s)
+        if self.widen:
+            _widen(lo, -1.0)
+            _widen(hi, 1.0)
+        return lo, hi
+
+
+class SeriesTail:
+    """A `log_tail` of T_k = sum_{j >= k} e^(neg_log_term(j)): exact terms on
+    k_min .. k_max + span, plus the log bracket `log_rem(top)` of the rest,
+    widened by the rounding of the sums (1e-13 plus a few ulps).
+    `neg_log_term` writes the terms over the index array it is given.
+    `sums(k0, k_last)` holds the same bracket for k0 .. k_last unevaluated."""
+
+    def __init__(self, neg_log_term: Callable[[np.ndarray], None], span: int,
+                 log_rem: Callable[[float], tuple[float, float]]):
+        self.neg_log_term, self.span, self.log_rem = neg_log_term, span, log_rem
+
+    def sums(self, k0: int, k_last: int) -> SuffixSums:
+        top = k_last + self.span + 1
+        rem_lo, rem_hi = self.log_rem(float(top))
+        terms = np.arange(k0, top + 1, dtype=float)  # the last slot is the remainder's
+        self.neg_log_term(terms[:-1])
+        return SuffixSums.of_terms(terms, k0, rem_lo, rem_hi, widen=True)
+
+    def __call__(self, ks: np.ndarray) -> LogBracket:
+        return self.sums(int(ks.min()), int(ks.max())).at(ks, spend=True)
 
 
 def _log_mid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Log of the arithmetic midpoint of the bracket [e^lo, e^hi]."""
     return np.logaddexp(lo, hi) - math.log(2.0)
+
+
+def _generic_sums(seq: WeightSeq, n_max: int) -> SuffixSums:
+    """Suffix sums of 1/mu_k to n_max; the remainder past them lies between 0
+    and the power-law bound of `_tail_exponent`, or +inf when it fits none."""
+    log_mu = seq.log_mu(n_max)  # k = 1..n_max
+    p = _tail_exponent(log_mu)
+    log_rem = math.inf if p is None else math.log(n_max / (p - 1.0)) - log_mu[-1]
+    terms = np.empty(n_max + 1)
+    np.negative(log_mu, out=terms[:-1])
+    return SuffixSums.of_terms(terms, 1, -math.inf, log_rem)
 
 
 def log_tail_bracket(seq: WeightSeq, ks, n_max: int = DEFAULT_TAIL_N) -> LogBracket:
@@ -293,12 +364,21 @@ def log_tail_bracket(seq: WeightSeq, ks, n_max: int = DEFAULT_TAIL_N) -> LogBrac
     n_max = int(min(n_max, seq.max_index))
     if ks.max() > n_max + 1:
         raise ValueError(f"tail start {int(ks.max())} beyond partial-sum range {n_max}")
-    log_mu = seq.log_mu(n_max)  # k = 1..n_max
-    p = _tail_exponent(log_mu)
-    log_rem = math.inf if p is None else math.log(n_max / (p - 1.0)) - log_mu[-1]
-    terms = np.empty(n_max + 1)
-    np.negative(log_mu, out=terms[:-1])
-    return log_suffix_bracket(terms, ks, 1, log_rem)
+    return _generic_sums(seq, n_max).at(ks, spend=True)
+
+
+def log_tail_reader(seq: WeightSeq, n: int) -> Callable[[np.ndarray], LogBracket]:
+    """`log_tail_bracket(seq, ks, n)` as a function of integer ks in 1 .. n + 1,
+    evaluated where it is read: bit for bit the entries of the full arrays.
+    A series tail (the generic suffix sums or a `SeriesTail`) keeps one array
+    of suffix log-sums instead of the two ends; any other analytic tail is
+    evaluated once over all of 1 .. n + 1."""
+    if seq.log_tail is None:
+        return _generic_sums(seq, int(min(n, seq.max_index))).at
+    if isinstance(seq.log_tail, SeriesTail):
+        return seq.log_tail.sums(1, n + 1).at
+    lo, hi = seq.log_tail(np.arange(1, n + 2))
+    return lambda ks: (lo[ks - 1], hi[ks - 1])
 
 
 def tail_recip_mu(seq: WeightSeq, k: int) -> Interval:

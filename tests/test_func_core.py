@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -429,8 +430,9 @@ def test_poisson_batch_matches_scalar():
 
 
 def test_poisson_batch_without_quadrature_matches_interval():
-    # the closed form lies inside the quadrature bracket wherever the
-    # window |log mu_j - log r| <= 8 stays inside the quotient array
+    # the closed form lies inside the quadrature bracket wherever the window
+    # |log mu_j - log r| <= 8 (`_ti2` to 3, the alternating series from 3 to
+    # 8) stays inside the quotient array
     for w in [gevrey_tilde(s) for s in (1.5, 2.0, 3.0)] + [expgevrey_tilde(a) for a in (0.125, 1.0, 8.0)]:
         for r in (0.5, 10.0, 1e3, 1e6):
             if r == 1e6 and w.assoc._log_mu[-1] < math.log(r) + func_core.P_WINDOW:
@@ -464,6 +466,84 @@ def test_ti2_blocks_match_one_pass(rng):
     x = rng.uniform(0.0, 1.0, 2**14 + 5)
     one_pass = np.arctan(np.multiply.outer(x, func_core._TI2_NODES)) @ func_core._TI2_COEFFS
     assert np.array_equal(func_core._ti2(x), one_pass)
+
+
+def test_ti2_series_brackets_ti2_past_the_core():
+    # Ti2(x) = x - x^3/9 + x^5/25 - ... alternates with falling terms, so the
+    # sum S through x^9 lies above Ti2 by at most x^11/121.  Against 40-digit
+    # values _ti2 errs by up to 1.3 ulps of x and S by up to 0.7: 3 eps x of slack
+    x = np.exp(-np.linspace(func_core.P_CORE, 40.0, 20001))
+    s, ti2 = func_core._ti2_series(x), func_core._ti2(x)
+    slack = 3.0 * np.finfo(float).eps * x
+    assert np.all(s - x**11 / 121.0 - slack <= ti2) and np.all(ti2 <= s + slack)
+    assert np.max(x**10 / 121.0) <= 7.8e-16  # the band's relative error per term
+
+
+@pytest.fixture(scope="module")
+def power_matrix(power_half):
+    return matrix_from_omega(power_half)
+
+
+def _p_families(power_matrix) -> list:
+    return ([gevrey_tilde(s) for s in (1.5, 2.0, 3.0)] + [expgevrey_tilde(a) for a in (0.125, 8.0)]
+            + [omega_tilde_from_seq(power_matrix.member(a)) for a in (0.125, 8.0)])
+
+
+def test_poisson_batch_band_series_matches_ti2_over_the_window(power_matrix, monkeypatch):
+    for w in _p_families(power_matrix):
+        ev = w.assoc
+        ev.ensure_cover(math.inf)  # the array at its cap: the last radius's window crosses its end
+        ys = np.array([math.log(0.5), math.log(10.0), math.log(1e3), ev._log_mu[-1] - 4.0])
+        p, lo, hi = func_core._poisson_assoc(w, ys)
+        assert np.searchsorted(ev._log_mu, ys[-1] + func_core.P_WINDOW) == ev._n < ev.seq.max_index, w.name
+        with monkeypatch.context() as m:
+            m.setattr(func_core, "P_CORE", func_core.P_WINDOW)  # `_ti2` on every window term
+            exact = func_core._poisson_assoc(w, ys)[0]
+        assert np.all(np.abs(p - exact) <= 1e-15 * np.abs(exact)), w.name
+        assert np.all((lo <= p) & (p <= hi)), w.name
+
+
+@pytest.mark.parametrize("member, n", [(1.0, 64), (None, 256)], ids=["power-1", "gevrey2"])
+def test_P_of_seq_Q_takes_ti2_at_a_tenth_of_the_window_terms(power_matrix, member, n, monkeypatch):
+    from ultraweights.derived import seq_Q
+
+    m = make_gevrey(2.0) if member is None else power_matrix.member(member)
+    points, ti2 = [], func_core._ti2
+    monkeypatch.setattr(func_core, "_ti2", lambda x: points.append(len(x)) or ti2(x))
+    q = seq_Q(m, n).values(n)
+    core = sum(points)
+    points.clear()
+    monkeypatch.setattr(func_core, "P_CORE", func_core.P_WINDOW)
+    assert np.allclose(seq_Q(m, n).values(n), q, rtol=1e-15, atol=0.0)
+    assert 10 * core <= sum(points), (core, sum(points))
+
+
+@pytest.mark.parametrize("kind", ["gevrey2", "power-1/8", "complete", "shifted"])
+def test_assoc_tail_reads_match_the_full_bracket(kind, power_matrix, rng):
+    # a series tail is evaluated only at the counts read, bit for bit as in
+    # the full arrays; another analytic tail (the power shift's) is held in full
+    seq = {"gevrey2": lambda: make_gevrey(2.0), "power-1/8": lambda: power_matrix.member(0.125),
+           "complete": lambda: WeightSeq.from_values("tab", make_gevrey(2.0).values(300), is_weight_seq=True),
+           "shifted": lambda: power_shift(make_gevrey(3.0), 2)}[kind]()
+    ev = omega_from_seq(seq).assoc
+    n = ev._n
+    assert (n == seq.max_index) == (kind == "complete")
+    lo, hi = log_tail_bracket(seq, np.arange(1, n + 2), n)
+    counts = np.concatenate([[0, n], rng.integers(0, n + 1, 1000)])
+    lo_c, hi_c = ev.log_tail_after(counts)
+    assert lo_c.tobytes() == lo[counts].tobytes() and hi_c.tobytes() == hi[counts].tobytes()
+
+
+def test_assoc_evaluator_keeps_three_arrays_of_its_length():
+    # log M, log mu and the tail's suffix log-sums; not the tail's two ends
+    omega_from_seq(make_gevrey(2.0))  # the modules that the first build imports
+    tracemalloc.start()
+    try:
+        ev = omega_from_seq(make_gevrey(2.0)).assoc
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ev._n == ev.ARRAY_CAP and kept <= 3 * 8 * (ev._n + 1) + 2**16
 
 
 def test_phi_star_blocks_match_per_block_calls(power_half, rng):
