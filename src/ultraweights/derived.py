@@ -147,12 +147,12 @@ def seq_K(m: WeightSeq, n: int) -> WeightSeq:
 
     kappa of omega~ is the exact piecewise form for sequence-associated
     functions, normalized so that K_0 = 1 exactly (subtract kappa(1), clamp
-    to zero on [0,1]): `kappa_fn`.
+    to zero on [0,1]): `kappa_fn`.  The conjugate runs over j = 1..n only:
+    log K_0 = 0.
     """
     require_weight_seq(m, "seq_K")
     tail_mids(m, 1)  # raises DivergentTail for a quasianalytic input
-    logk = phi_star(kappa_fn(_tilde(m)), np.arange(0, n + 1, dtype=float))
-    logk[0] = 0.0
+    logk = np.concatenate([[0.0], phi_star(kappa_fn(_tilde(m)), np.arange(1, n + 1, dtype=float))])
     return WeightSeq.from_values(f"K({m.name})", logk, is_weight_seq=True)
 
 

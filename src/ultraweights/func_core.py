@@ -29,13 +29,16 @@ which are nondecreasing because phi is convex; one `searchsorted` of x in
 the slopes brackets the maximizer within four cells (`_Lattice`).  Parabolic
 steps from the three lattice points around the maximizer then propose a
 golden bracket a few rounding widths across, which is kept only where
-concavity confirms that it holds the sup (`_seed`).  Golden section shrinks
-the bracket until concavity certifies that no point beats the best probe by
-more than rounding (`_golden_max`).  A smooth maximum takes about 16 phi
-evaluations per x; one whose seed falls back (a kink, a plateau) takes the
-35 to 60 of golden section from the lattice bracket and about 3 more.  Each
-x's probes and value depend only on phi and x.  The associated function's
-far path runs the same stages over real k.
+concavity confirms that it holds the sup (`_seed`); where it does not,
+golden section starts from the neighbours of the best point evaluated so
+far.  Golden section shrinks the bracket until concavity certifies that no
+point beats the best probe by more than rounding (`_golden_max`).  A smooth
+maximum takes about 16 phi evaluations per x; one whose seed falls back (a
+kink, a plateau) takes up to about 60 more, fewer the closer its seed
+came.  Each x's probes and value depend only on phi and x.  A WeightFn's
+lattice grows by at most an octave of y per phi call, so that a conjugate
+over a few x makes a few dozen calls.  The associated function's far path
+runs the same stages over real k.
 
 The canonical weight matrix has log M^(alpha)_k = phi*(alpha k)/alpha, so
 log M^(2 alpha)_k = log M^(alpha)_(2k) / 2.  In floats this holds bit for
@@ -120,7 +123,7 @@ LATTICE_STEPS = 16  # bracketing lattice points per doubling of y
 LATTICE_LOW = -8 * LATTICE_STEPS  # the lowest point above the base: y = 2^-8
 LATTICE_TOP = 67 * LATTICE_STEPS  # the conjugate's highest point: y = 8 * 2^64
 FAR_LATTICE_TOP = 1024 * LATTICE_STEPS - 1  # the far path's: the largest finite k on the lattice
-LATTICE_CHUNK = 4  # lattice points evaluated per extension (the first one, on a doubling lattice)
+LATTICE_CHUNK = 4  # lattice points of the first extension; each next one doubles, up to an octave unless doubling
 GOLDEN_ITERS = 80  # cap on golden steps; the certificate stops seeded maxima after 3, others near 33, kinks near 60
 GOLDEN_CHECK = 3  # golden steps between certificate checks
 GOLDEN_TOL = 4.0 * np.finfo(float).eps  # certificate allowance, times 1 + |f|
@@ -206,13 +209,16 @@ class _Lattice:
     """Bracketing lattice for sup_{y >= base} (x y - g(y)), g convex.
 
     The points are y_0 = base and the fixed y_j = 2^(j/LATTICE_STEPS) above
-    it, from j = LATTICE_LOW up to j = top, evaluated LATTICE_CHUNK at a
-    time and only as far as the largest x asked for needs.  With `doubling`
-    each chunk is twice the last, so that a refusal at the top takes a
-    dozen extensions instead of thousands; it is for a g that grows no
-    array (the far path's log M_k), while a WeightFn's phi may grow an
-    associated-function array through `ensure_cover` and keeps the fixed
-    chunk.  The points are the same either way.  `slope[i]` is
+    it, from j = LATTICE_LOW up to j = top, evaluated in chunks and only as
+    far as the largest x asked for needs.  Each chunk is twice the last,
+    from LATTICE_CHUNK points.  With `doubling` it grows without bound, so
+    that a refusal at the top takes a dozen extensions instead of
+    thousands; that is for a g that grows no array (the far path's log
+    M_k).  Otherwise it stops at LATTICE_STEPS, one octave of y: a
+    WeightFn's phi may grow an associated-function array through
+    `ensure_cover`, and an extension then overshoots the y it needs by at
+    most a factor of 2.  The points are the same under any schedule, so
+    brackets and values are too.  `slope[i]` is
     the running maximum of the chord slopes of cells 0..i (a NaN slope,
     from g overflowing at both ends, is skipped), so it depends only on the
     points up to y_(i+1).  If cell i is the first whose slope reaches x,
@@ -237,7 +243,7 @@ class _Lattice:
         s = np.fmax.accumulate(np.concatenate([self.slope[-1:], s]))[-len(s):]
         self.y, self.gy, self.slope = np.concatenate([self.y, y]), np.concatenate([self.gy, gy]), np.concatenate([self.slope, s])
         self._j += len(y)
-        self._chunk *= 2 if self._doubling else 1
+        self._chunk = 2 * self._chunk if self._doubling else min(2 * self._chunk, LATTICE_STEPS)
 
     def bracket(
         self, g: Callable[[np.ndarray], np.ndarray], xs: np.ndarray
@@ -280,8 +286,10 @@ def _golden_max(
     < b' is kept where f(c') >= f(a') and f(d') >= f(b'): f is concave, so
     its chord slopes fall, and a y < a' has f(y) <= f(a') <= f(c'), a y > b'
     has f(y) <= f(b') <= f(d'), so the sup over [a, b] is the sup over
-    [a', b'].  Every other component starts from its lattice bracket, as if
-    there were no seed.
+    [a', b'].  Every other component starts from the neighbours of its
+    best point among the lattice ends, the lattice points near its
+    maximizer, its seed probes and its quadruple (`_narrowed`): by
+    concavity the sup over [a, b] lies between them.
 
     Golden section then runs over all components together: ends a < b and
     probes c < d, with f known at all four (a new end is always an old
@@ -319,14 +327,36 @@ def _g_rows(g: Callable[[np.ndarray], np.ndarray], rows: tuple) -> list:
     return out
 
 
+def _narrowed(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray, points: list) -> tuple[np.ndarray, ...]:
+    """(lo, hi, f(lo), f(hi)) per component: the neighbours p_(i-1), p_(i+1)
+    of the best point p_i among a, b and `points` in [a, b], which are
+    (j, y, f) triples of component positions, points and f at them (a point
+    where f is NaN is skipped).  f is concave, so a y < p_(i-1) has f(y) <=
+    f(p_(i-1)) <= f(p_i) and a y > p_(i+1) has f(y) <= f(p_(i+1)) <= f(p_i):
+    the sup over [a, b] is the sup over [p_(i-1), p_(i+1)], and an end that
+    is p_i is its own neighbour."""
+    points = [(np.arange(len(a)), a, fa), *points]
+    p, fp = b.copy(), fb.copy()
+    for j, y, f in points:
+        up = f > fp[j]
+        p[j[up]], fp[j[up]] = y[up], f[up]
+    lo, hi, flo, fhi = a.copy(), b.copy(), fa.copy(), fb.copy()
+    for j, y, f in points:
+        known = ~np.isnan(f)
+        below, above = known & (y < p[j]) & (y > lo[j]), known & (y > p[j]) & (y < hi[j])
+        lo[j[below]], flo[j[below]] = y[below], f[below]
+        hi[j[above]], fhi[j[above]] = y[above], f[above]
+    return lo, hi, flo, fhi
+
+
 def _seed(
     g: Callable[[np.ndarray], np.ndarray], lattice: _Lattice, x: np.ndarray, refuse: Callable[[float], Exception]
 ) -> tuple[np.ndarray, ...]:
     """(a, w, fa, fb, fc, fd): the golden quadruple a < c < d < a + w
     that each component starts from, seeded by parabolic steps where the
-    concavity check of `_golden_max` confirms the seed, else its lattice
-    bracket [a, b]; raises refuse(x) for an x that the lattice cannot
-    bracket.
+    concavity check of `_golden_max` confirms the seed, else the part of
+    its lattice bracket [a, b] next to its best probe; raises refuse(x) for
+    an x that the lattice cannot bracket.
 
     Round 0 fits the parabola through the three lattice points around the
     maximizer, where g is cached.  Each of SEED_ROUNDS rounds fits it
@@ -340,16 +370,34 @@ def _seed(
     on a linear piece (a kink, a plateau).  The seeded quadruple spans
     [m - s/2, m + s/2], moved inside [a, b].
 
+    A component that falls back, in a round or at the check, starts from
+    [p_(i-1), p_(i+1)], the neighbours of its best point p_i among a, b,
+    the three lattice points and the probes it was evaluated at: those of
+    the round it gave up in, or the last round's and its quadruple's
+    (`_narrowed`).  Only the probes of the components that leave a round
+    are kept for this.
+
     Each round evaluates its probes together (`_g_rows`).  The seeded
-    quadruples share a last evaluation with the lattice probes c and d of
-    the components that gave up, and seeded quadruples that fail the check
+    quadruples share a last evaluation with the probes c and d of the
+    components that gave up, and seeded quadruples that fail the check
     make one more for theirs.
     """
-    a, b, fa, fb, unbracketed, ys, fs = lattice.bracket(g, x)
+    a, b, fa, fb, unbracketed, near, f_near = lattice.bracket(g, x)
     if np.any(unbracketed):
         raise refuse(float(x[np.argmax(unbracketed)]))
     w = b - a
+
+    def fall_back(idx: np.ndarray, probes: list) -> None:
+        """Narrow the brackets of the components idx (`_narrowed`)."""
+        pos = np.empty(len(x), dtype=np.intp)
+        pos[idx] = np.arange(len(idx))
+        every = np.arange(len(idx))
+        points = [(every, y[idx], f[idx]) for y, f in zip(near, f_near)] + [(pos[i], y, f) for i, y, f in probes]
+        lo, hi, fa[idx], fb[idx] = _narrowed(a[idx], b[idx], fa[idx], fb[idx], points)
+        a[idx], w[idx] = lo, hi - lo
+
     live, xl, al, bl, wl = np.arange(len(x)), x, a, b, w
+    ys, fs, gave_up = near, f_near, []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for rnd in range(SEED_ROUNDS + 1):
             if rnd:
@@ -357,6 +405,7 @@ def _seed(
                 lo = np.maximum(np.minimum(m - h, bl - 2.0 * h), al)
                 ys = (lo, lo + h, np.minimum(lo + 2.0 * h, bl))
                 fs = [xl * y - gy for y, gy in zip(ys, _g_rows(g, ys))]
+            round_live = live
             (y0, y1, y2), (f0, f1, f2) = ys, fs
             d1 = (f1 - f0) / (y1 - y0)
             curv = 2.0 * ((f2 - f1) / (y2 - y1) - d1) / (y2 - y0)  # f'' of the parabola
@@ -366,21 +415,31 @@ def _seed(
             if rnd:
                 keep &= s < 2.0 * h  # a curvature under a quarter of the last is rounding: a kink or a plateau
             if not keep.all():
+                if rnd:  # round 0's probes are the lattice points that every fallback takes
+                    gone = ~keep
+                    gave_up += [(live[gone], y[gone], f[gone]) for y, f in zip(ys, fs)]
                 live, xl, al, bl, wl, m, s = (v[keep] for v in (live, xl, al, bl, wl, m, s))
             if not len(live):
                 break
     rest = np.ones(len(x), dtype=bool)
     rest[live] = False
     rest = np.flatnonzero(rest)
+    if len(rest):
+        fall_back(rest, gave_up)
     qa = np.maximum(np.minimum(m - 0.5 * s, bl - s), al)
     ar, wr, xr = a[rest], w[rest], x[rest]
-    rows = (qa, qa + _INVPHI2 * s, qa + _INVPHI * s, np.minimum(qa + s, bl), ar + _INVPHI2 * wr, ar + _INVPHI * wr)
+    quad = (qa, qa + _INVPHI2 * s, qa + _INVPHI * s, np.minimum(qa + s, bl))
+    rows = (*quad, ar + _INVPHI2 * wr, ar + _INVPHI * wr)
     fqa, fqc, fqd, fqb, fcr, fdr = (xv * y - gy for xv, y, gy in zip((xl,) * 4 + (xr,) * 2, rows, _g_rows(g, rows)))
     fc, fd = np.empty_like(x), np.empty_like(x)
     fc[rest], fd[rest] = fcr, fdr
     kept = (fqc >= fqa) & (fqd >= fqb)
-    late = live[~kept]
-    if len(late):
+    if not kept.all():
+        failed = ~kept
+        late = live[failed]
+        at = np.searchsorted(round_live, late)  # where the last round's probes hold them
+        probes = [(late, y[at], f[at]) for y, f in zip(ys, fs)]
+        fall_back(late, probes + [(late, y[failed], f[failed]) for y, f in zip(quad, (fqa, fqc, fqd, fqb))])
         rows = (a[late] + _INVPHI2 * w[late], a[late] + _INVPHI * w[late])
         fc[late], fd[late] = (x[late] * y - gy for y, gy in zip(rows, _g_rows(g, rows)))
     won = live[kept]
@@ -800,7 +859,8 @@ def _initial_edges(w: WeightFn, L: float, U: float, y: float) -> np.ndarray:
     if w.assoc is not None and w.assoc.convex:
         kinks = w.assoc._log_mu[:64] - y
         kinks = kinks[(kinks > L + 1e-9) & (kinks < U - 1e-9)]
-        edges = np.unique(np.concatenate([edges, kinks]))
+        edges = np.sort(np.concatenate([edges, kinks]))
+        edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
     return edges
 
 

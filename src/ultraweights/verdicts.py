@@ -170,8 +170,8 @@ def subsample(xs, values) -> list:
     values = np.asarray(values, dtype=float)
     if len(xs) <= TRAJECTORY_SAMPLES:
         idx = np.arange(len(xs))
-    else:
-        idx = np.unique(np.linspace(0, len(xs) - 1, TRAJECTORY_SAMPLES).round().astype(int))
+    else:  # steps over 1 apart: the rounded indices strictly increase
+        idx = np.linspace(0, len(xs) - 1, TRAJECTORY_SAMPLES).round().astype(int)
     return [(float(xs[i]), float(values[i])) for i in idx]
 
 

@@ -372,6 +372,18 @@ def test_cli_imports_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_verify_chain_imports_no_numpy_ma():
+    # np.unique imports numpy.ma on first use, 14 ms in every forked command
+    src = os.path.dirname(os.path.dirname(func_core.__file__))
+    code = ("import contextlib, io, sys\nfrom ultraweights.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['verify-chain', 'mat:expgevrey?p=2', '--n', '64'])\n"
+            "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 def _table(out: str) -> tuple[list[str], list[list[str]]]:
     header, *rows = out.splitlines()
     return header.split(","), [row.split(",") for row in rows]

@@ -126,6 +126,24 @@ def test_K_zeroth_term_exact(gevrey2):
     assert seq_K(gevrey2, 32).log_m(0) == 0.0
 
 
+def test_K_conjugates_of_expgevrey_members_take_at_most_60_g_calls(monkeypatch):
+    # 64 x per conjugate: the lattice grows by octaves, and a seed that falls
+    # back starts golden section next to its best probe
+    calls, inner = [], derived.phi_star
+
+    def counted(w, x):
+        g, made = w._phi, []
+        w._phi = lambda ys: (made.append(len(ys)), g(ys))[1]
+        out = inner(w, x)
+        calls.append(len(made))
+        return out
+
+    monkeypatch.setattr(derived, "phi_star", counted)
+    for m in resolve("mat:expgevrey?p=2").members():
+        seq_K(m, 64)
+    assert len(calls) == 7 and max(calls) <= 60
+
+
 def test_K_is_weight_sequence(gevrey2):
     K = seq_K(gevrey2, 128)
     assert is_log_convex(K, 128).holds

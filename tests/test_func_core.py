@@ -92,8 +92,30 @@ def test_phi_star_maximizer_monotone(power_half):
 
 def test_phi_star_unbounded_for_logarithmic_weight():
     w = WeightFn("slowlog", lambda ys: np.logaddexp(0.0, ys))  # log(1 + t)
-    with pytest.raises(UnboundedConjugate):
+    with pytest.raises(UnboundedConjugate, match=r"^slowlog: no finite bracket for the conjugate at x=2$"):
         phi_star(w, 2.0)
+    assert w._lattice.y[-1] == 2.0 ** (func_core.LATTICE_TOP / func_core.LATTICE_STEPS)
+
+
+def test_lattice_chunks_change_no_point(power_half):
+    # chunks double from LATTICE_CHUNK to an octave, LATTICE_STEPS points;
+    # the points, their g and their slopes are those of any other schedule
+    g = normalize_fn(power_half).phi
+
+    def lattice() -> func_core._Lattice:
+        return func_core._Lattice(0.0, func_core.LATTICE_TOP)
+
+    whole, steps, fixed = lattice(), lattice(), lattice()
+    whole.bracket(g, np.array([1e3]))
+    for x in np.geomspace(1e-3, 1e3, 60):
+        steps.bracket(g, np.array([x]))
+    fixed.gy = g(fixed.y)
+    while len(fixed.y) < len(whole.y):
+        fixed._chunk = func_core.LATTICE_CHUNK
+        fixed._extend(g)
+    for lat in (steps, fixed):
+        for name in ("y", "gy", "slope"):
+            assert np.array_equal(getattr(lat, name), getattr(whole, name)), name
 
 
 @pytest.mark.parametrize("uri", ["fn:power?beta=0.5", "fn:logsq"])
@@ -112,9 +134,10 @@ def test_phi_star_at_the_kinks_of_an_associated_function(gevrey2, cap, monkeypat
     # log mu_(k+1): at x = k the sup log M_k is attained between two kinks,
     # and at x = k + 1/2 only at the kink log mu_(k+1).  Every parabolic
     # seed falls back at these x, so golden section starts from the
-    # lattice bracket; near a kink the certificate's bound then shrinks
-    # only linearly and holds after 57 to 66 steps here, so a cap of 54
-    # stops every half-integer x at its best probe
+    # neighbours of the best lattice point; near a kink the certificate's
+    # bound then shrinks only linearly and holds after 51 to 60 steps here,
+    # so a cap of 54 stops about half of the half-integer x at their best
+    # probe
     monkeypatch.setattr(func_core, "GOLDEN_ITERS", cap)
     w = omega_from_seq(gevrey2)
     ks = np.arange(65, dtype=float)
@@ -125,9 +148,9 @@ def test_phi_star_at_the_kinks_of_an_associated_function(gevrey2, cap, monkeypat
 
 
 def test_golden_max_at_the_kinks_adds_at_most_four_g_calls(gevrey2, monkeypatch):
-    # golden section from the lattice bracket makes GOLDEN_ITERS + 2 g calls
+    # golden section from a fallback bracket makes GOLDEN_ITERS + 2 g calls
     # at most (c and d, then one per step).  Seeding adds at most 4: one per
-    # round and one for the lattice probes of quadruples that fail the
+    # round and one for the probes c and d of quadruples that fail the
     # check, as the quadruples' own call takes over c and d.  Here every
     # seed falls back and the cap of 54 binds
     monkeypatch.setattr(func_core, "GOLDEN_ITERS", 54)
@@ -143,6 +166,32 @@ def test_golden_max_at_the_kinks_adds_at_most_four_g_calls(gevrey2, monkeypatch)
 
     func_core._golden_max(g, w._lattice, xs, ValueError)
     assert len(calls) <= func_core.GOLDEN_ITERS + 2 + 4
+
+
+def test_fallback_brackets_at_the_kinks_match_the_lattice_brackets(gevrey2, monkeypatch):
+    # omega_M has every maximizer at a kink log mu_k, where the seeds fall
+    # back.  Golden section from the neighbours of the best probe agrees
+    # with golden section from the lattice bracket within the certificate's
+    # allowance at each, and with the closed form, in fewer g calls
+    w = omega_from_seq(gevrey2)
+    xs = np.linspace(0.01, 40.0, 4001)
+    phi_star(w, xs)  # extends the lattice, so that the calls below are the search's own
+    calls = []
+
+    def g(ys):
+        calls.append(len(ys))
+        return w.phi(ys)
+
+    narrowed = func_core._golden_max(g, w._lattice, xs, ValueError)[0]
+    narrowed_calls = len(calls)
+    monkeypatch.setattr(func_core, "_narrowed", lambda a, b, fa, fb, points: (a, b, fa, fb))
+    calls.clear()
+    lattice = func_core._golden_max(g, w._lattice, xs, ValueError)[0]
+    assert np.all(np.abs(narrowed - lattice) <= 2.0 * func_core.GOLDEN_TOL * (1.0 + np.abs(lattice)))
+    assert narrowed_calls < len(calls)
+    k = np.floor(xs).astype(int)
+    exact = gevrey2.values(40)[k] + (xs - k) * gevrey2.log_mu(41)[k]
+    assert np.max(np.abs(narrowed - exact) / np.maximum(1.0, np.abs(exact))) <= 1e-13
 
 
 def test_phi_star_just_above_zero_on_the_plateau(power_half):
@@ -163,7 +212,7 @@ def plateau() -> WeightFn:
 @pytest.mark.parametrize("alpha", [0.125, 1.0, 8.0])
 def test_phi_star_asks_for_at_most_22_points_per_x(uri, alpha):
     # seeded golden section takes about 16 points per x on these grids,
-    # golden section from the lattice bracket about 35; no call holds more
+    # golden section from a fallback bracket up to about 35; no call holds more
     # than a block's worth of points (64 KiB)
     wn = normalize_fn(resolve(uri))
     inner, asked = wn._phi, []

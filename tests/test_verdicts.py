@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from ultraweights.verdicts import (
+    TRAJECTORY_SAMPLES,
     Interval,
     Status,
     Verdict,
     combine_all,
     first_holding,
+    subsample,
     trend_bounded,
     trend_liminf_positive,
     trend_to_infinity,
@@ -143,3 +145,12 @@ def test_trend_liminf_positive():
     log_vals = np.full(512, math.log(0.3))
     log_vals[-5] = -math.inf
     assert trend_liminf_positive(log_vals, ks).fails
+
+
+def test_subsample_keeps_distinct_increasing_indices():
+    # past TRAJECTORY_SAMPLES the rounded linspace indices step by more than 1
+    for n in range(1, 3000):
+        xs = np.arange(n)
+        picked = [int(x) for x, _ in subsample(xs, xs)]
+        assert len(picked) == min(n, TRAJECTORY_SAMPLES) and picked[0] == 0 and picked[-1] == n - 1
+        assert all(b > a for a, b in zip(picked, picked[1:])), n
