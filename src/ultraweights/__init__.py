@@ -25,7 +25,6 @@ from .seq_core import (
     is_non_quasianalytic,
     is_strongly_log_convex,
     log_convex_minorant,
-    power_shift,
     seq_equivalent,
     seq_preceq,
     tail_recip_mu,
@@ -57,7 +56,6 @@ from .relations import (
     cond_liminf,
     cond_Mmg,
     cond_roquS,
-    gamma1_implies_SV_check,
     implication,
     lambda_membership,
     matrix_braces_preceq,

@@ -73,7 +73,7 @@ from .errors import (
     TruncationExhausted,
     UnboundedConjugate,
 )
-from .seq_core import LogBracket, WeightSeq, _log_mid, _tail_exponent, is_non_quasianalytic, log_tail_reader
+from .seq_core import LogBracket, WeightSeq, _log_mid, _tail_exponent, is_non_quasianalytic, tail_sums
 from .verdicts import (
     Interval,
     Status,
@@ -552,13 +552,13 @@ class _AssocEvaluator:
     array answers every y up to its last quotient by binary search.  It is
     grown by fours (up to ARRAY_CAP terms) until its last quotient covers
     the largest y asked for; the sequence extends its prefix of values, so
-    each log M_k is evaluated once, and the tail's suffix log-sums are
-    computed once per growth, at the final length; the tail bracket is
-    evaluated only at the counts read (`log_tail_after`).  Past the array
-    (conjugate lattice points and golden probes in seq_K) the sup is taken
-    over real k >= n of the sequence's own evaluator (`_far`): a lattice over
-    k with base n brackets it and the certified golden section of phi_star
-    finds it.
+    each log M_k is evaluated once, and the tail's `SuffixSums` (from
+    `tail_sums`: the attached series or the generic one) are computed once
+    per growth, at the final length; the tail bracket is evaluated only at
+    the counts read (`log_tail_after`).  Past the array (conjugate lattice
+    points and golden probes in seq_K) the sup is taken over real k >= n of
+    the sequence's own evaluator (`_far`): a lattice over k with base n
+    brackets it and the certified golden section of phi_star finds it.
     Non-log-convex positive sequences use a full scan over the truncation.
     """
 
@@ -589,7 +589,7 @@ class _AssocEvaluator:
     def _set(self, vals: np.ndarray) -> None:
         n = len(vals) - 1
         log_mu = np.diff(vals)
-        tail = log_tail_reader(self.seq, n)  # read at c + 1 for the counts c = 0..n
+        tail = tail_sums(self.seq, 1, n + 1, n).at  # read at c + 1 for the counts c = 0..n
         tail_p = _tail_exponent(log_mu) if self.convex else None  # the far branch's, fitted once per array
         self._n, self._vals, self._log_mu, self._tail, self._tail_p = n, vals, log_mu, tail, tail_p
         top = FAR_LATTICE_TOP
@@ -654,7 +654,8 @@ class _AssocEvaluator:
 
     def log_tail_after(self, counts: np.ndarray) -> LogBracket:
         """(log_lo, log_hi) bracketing sum_{j > c} 1/mu_j at integer counts
-        c = 0..n: `log_tail_bracket(seq, c + 1, n)`, evaluated only here."""
+        c = 0..n: `log_tail_bracket(seq, c + 1, n)`, read from the array's
+        `SuffixSums` at these counts only."""
         return self._tail(np.asarray(counts, dtype=np.int64) + 1)
 
     def log_tail_mid_after(self, kstar: np.ndarray, log_t: np.ndarray) -> np.ndarray:
@@ -1136,8 +1137,8 @@ def matrix_from_omega(w: WeightFn, grid=None) -> WeightMatrix:
     """Canonical weight matrix of a pre-weight function.
 
     Member alpha has log M^(alpha)_k = phi*_omega(alpha k)/alpha, computed on
-    the normalized representative; for integer n the member n coincides with
-    the n-fold power shift of member 1.
+    the normalized representative; for integer n the member n at k is
+    member 1 at n k divided by n: log M^(n)_k = log M^(1)_(nk) / n.
 
     So log M^(alpha)_k = log M^(alpha/2)_(2k) / 2, and exactly so in floats:
     alpha/2 and 2k are exact, so fl((alpha/2)(2k)) = fl(alpha k) and the

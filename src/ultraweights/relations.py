@@ -31,7 +31,6 @@ from .verdicts import (
 __all__ = [
     "prec_SV",
     "prec_gamma1",
-    "gamma1_implies_SV_check",
     "cond_Mmg",
     "matrix_braces_preceq",
     "matrix_r_equivalent",
@@ -113,11 +112,6 @@ def implication(name: str, antecedent: Verdict | Iterable[Verdict], consequent: 
     if c_status is Status.INCONCLUSIVE:
         return Verdict(Status.INCONCLUSIVE, relation=name, witness=detail, note="skipped: consequent inconclusive")
     return Verdict(Status.FAILS, relation=name, witness=detail, note="antecedent holds but consequent fails")
-
-
-def gamma1_implies_SV_check(mp: WeightSeq, m: WeightSeq, n: int) -> Verdict:
-    """Cross-validation: the extension order implies the Borel order."""
-    return implication("gamma1=>SV", prec_gamma1(mp, m, n), prec_SV(mp, m, n))
 
 
 def _shifted_liminf(ma: WeightSeq, mb: WeightSeq, n: int, shift: int, **meta) -> Verdict:

@@ -7,9 +7,10 @@ log-convexity is "mu increasing", non-quasianalyticity is "sum 1/mu_k finite",
 and the reciprocal-quotient tail sum T_k = sum_{l>=k} 1/mu_l is the main
 analytic input to the derived-weight constructions.
 Tails are log brackets over index arrays (`log_tail_bracket`, `tail_mids`),
-summed with logaddexp, so nothing underflows however fast mu grows.  A
-series tail is held as its suffix log-sums and remainder ends (`SuffixSums`),
-so that `log_tail_reader` evaluates the bracket only at the indices read.
+summed with logaddexp, so nothing underflows however fast mu grows.  Every
+bracket is read from one `SuffixSums`, the suffix log-sums and remainder
+ends of a series: the attached `SeriesTail`'s or the generic one of the
+sequence's own quotients, chosen by `tail_sums`.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
     "has_moderate_growth",
     "seq_preceq",
     "seq_equivalent",
-    "power_shift",
     "log_convex_minorant",
     "require_weight_seq",
     "seq_to_csv",
@@ -77,8 +77,8 @@ class WeightSeq:
     because the associated function maximizes k y - log M_k over real k past
     its quotient array, where they may exceed 2^53; an evaluator should
     extend k -> log M_k convexly to real k.
-    `log_tail`, when present, maps an integer array of indices k >= 1 to
-    arrays (log_lo, log_hi) bracketing log sum_{l>=k} 1/mu_l analytically.
+    `log_tail`, when present, is a `SeriesTail`: the closed-form terms of
+    sum_{l>=k} 1/mu_l and a certified bracket of their remainder.
     `is_weight_seq` records whether the sequence was declared (and validated
     as) log-convex with mu -> infinity; merely positive sequences are
     accepted but some operations refuse them.  `diagnostics` holds the
@@ -91,7 +91,7 @@ class WeightSeq:
         name: str,
         log_m_vec: Callable[[np.ndarray], np.ndarray],
         *,
-        log_tail: Optional[Callable[[np.ndarray], LogBracket]] = None,
+        log_tail: Optional[SeriesTail] = None,
         is_weight_seq: bool = False,
         max_index: float = math.inf,
         diagnostics: Optional[Mapping[str, float]] = None,
@@ -182,7 +182,8 @@ class WeightSeq:
         """Rescale by a geometric factor so that mu_1 >= 1, if needed.
 
         Replaces M_k by M_k h^k with h = 1/mu_1; stays in the equivalence
-        class.  The factor is recorded in the name.
+        class.  The factor is recorded in the name.  The result has no
+        attached tail: its brackets are the generic ones.
         """
         lm1 = self.log_m(1)
         if lm1 >= -1e-12:
@@ -193,11 +194,9 @@ class WeightSeq:
         def ev(kk: np.ndarray) -> np.ndarray:
             return base._eval(kk) + logh * kk
 
-        log_tail = None if base.log_tail is None else (lambda ks: tuple(b - logh for b in base.log_tail(ks)))
         return WeightSeq(
             f"{self.name}*geom({logh:.4g})",
             ev,
-            log_tail=log_tail,
             is_weight_seq=self.is_weight_seq,
             max_index=self.max_index,
         )
@@ -250,10 +249,11 @@ def _tail_exponent(log_mu: np.ndarray) -> float | None:
     """Exponent p of the power-law minorant mu_l >= mu_n (l/n)^p past the
     last quotient, which bounds sum_{l > k} 1/mu_l by k / ((p - 1) mu_k) for
     k >= n; log_mu holds log mu_1 .. log mu_n.  p is the log-log least-squares
-    slope over the last dyadic window l = n/2 .. n.  None unless p > 1 + 1e-6:
-    a harmonic quotient fits p = 1 up to rounding, and its tail diverges."""
+    slope over the last dyadic window l = max(n/2, 1) .. n.  None unless
+    p > 1 + 1e-6: a harmonic quotient fits p = 1 up to rounding, and its tail
+    diverges; a single quotient fits no slope."""
     n = len(log_mu)
-    lo = n // 2
+    lo = max(n // 2, 1)
     p = _regression_slope(np.log(np.arange(lo, n + 1, dtype=float)), log_mu[lo - 1 :])
     return p if p > 1.0 + 1e-6 else None
 
@@ -311,11 +311,11 @@ class SuffixSums:
 
 
 class SeriesTail:
-    """A `log_tail` of T_k = sum_{j >= k} e^(neg_log_term(j)): exact terms on
-    k_min .. k_max + span, plus the log bracket `log_rem(top)` of the rest,
-    widened by the rounding of the sums (1e-13 plus a few ulps).
-    `neg_log_term` writes the terms over the index array it is given.
-    `sums(k0, k_last)` holds the same bracket for k0 .. k_last unevaluated."""
+    """The attached tail T_k = sum_{j >= k} e^(neg_log_term(j)) of a
+    `WeightSeq`: for k = k0 .. k_last, `sums(k0, k_last)` holds the exact
+    terms on k0 .. k_last + span and the log bracket `log_rem(top)` of the
+    rest, widened by the rounding of the sums (1e-13 plus a few ulps).
+    `neg_log_term` writes the terms over the index array it is given."""
 
     def __init__(self, neg_log_term: Callable[[np.ndarray], None], span: int,
                  log_rem: Callable[[float], tuple[float, float]]):
@@ -327,9 +327,6 @@ class SeriesTail:
         terms = np.arange(k0, top + 1, dtype=float)  # the last slot is the remainder's
         self.neg_log_term(terms[:-1])
         return SuffixSums.of_terms(terms, k0, rem_lo, rem_hi, widen=True)
-
-    def __call__(self, ks: np.ndarray) -> LogBracket:
-        return self.sums(int(ks.min()), int(ks.max())).at(ks, spend=True)
 
 
 def _log_mid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -348,37 +345,30 @@ def _generic_sums(seq: WeightSeq, n_max: int) -> SuffixSums:
     return SuffixSums.of_terms(terms, 1, -math.inf, log_rem)
 
 
+def tail_sums(seq: WeightSeq, k0: int, k_last: int, n_max: int) -> SuffixSums:
+    """The suffix sums that bracket T_k at k = k0 .. k_last: the attached
+    `SeriesTail`'s, or else the generic ones of `_generic_sums` to
+    min(n_max, max_index), which reach k = n_max + 1 at most."""
+    if seq.log_tail is not None:
+        return seq.log_tail.sums(k0, k_last)
+    n_max = int(min(n_max, seq.max_index))
+    if k_last > n_max + 1:
+        raise ValueError(f"tail start {k_last} beyond partial-sum range {n_max}")
+    return _generic_sums(seq, n_max)
+
+
 def log_tail_bracket(seq: WeightSeq, ks, n_max: int = DEFAULT_TAIL_N) -> LogBracket:
     """(log_lo, log_hi) arrays bracketing T_k = sum_{l >= k} 1/mu_l at integer ks >= 1.
 
-    Uses the analytic `log_tail` when attached.  Otherwise: suffix sums to
-    n_max (ks may reach n_max + 1, where only the remainder is left), the
-    remainder bounded below by 0 and above through the power-law minorant
-    of `_tail_exponent`, or +inf when it fits none.
+    Read from `tail_sums`: the attached `SeriesTail` when there is one.
+    Otherwise suffix sums to n_max (ks may reach n_max + 1, where only the
+    remainder is left), the remainder bounded below by 0 and above through
+    the power-law minorant of `_tail_exponent`, or +inf when it fits none.
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=np.int64))
     if ks.min() < 1:
         raise ValueError("tail is defined for k >= 1")
-    if seq.log_tail is not None:
-        return seq.log_tail(ks)
-    n_max = int(min(n_max, seq.max_index))
-    if ks.max() > n_max + 1:
-        raise ValueError(f"tail start {int(ks.max())} beyond partial-sum range {n_max}")
-    return _generic_sums(seq, n_max).at(ks, spend=True)
-
-
-def log_tail_reader(seq: WeightSeq, n: int) -> Callable[[np.ndarray], LogBracket]:
-    """`log_tail_bracket(seq, ks, n)` as a function of integer ks in 1 .. n + 1,
-    evaluated where it is read: bit for bit the entries of the full arrays.
-    A series tail (the generic suffix sums or a `SeriesTail`) keeps one array
-    of suffix log-sums instead of the two ends; any other analytic tail is
-    evaluated once over all of 1 .. n + 1."""
-    if seq.log_tail is None:
-        return _generic_sums(seq, int(min(n, seq.max_index))).at
-    if isinstance(seq.log_tail, SeriesTail):
-        return seq.log_tail.sums(1, n + 1).at
-    lo, hi = seq.log_tail(np.arange(1, n + 2))
-    return lambda ks: (lo[ks - 1], hi[ks - 1])
+    return tail_sums(seq, int(ks.min()), int(ks.max()), n_max).at(ks, spend=True)
 
 
 def tail_recip_mu(seq: WeightSeq, k: int) -> Interval:
@@ -468,41 +458,6 @@ def seq_equivalent(m: WeightSeq, n: WeightSeq, n_terms: int) -> Verdict:
         rhs=n.name,
         witness={"forward": fwd.status.value, "backward": bwd.status.value},
         note=f"preceq forward={fwd.status.value}, backward={bwd.status.value}",
-    )
-
-
-def power_shift(seq: WeightSeq, n: int) -> WeightSeq:
-    """The index-dilated sequence with log M^[n]_j = log M_{n j} / n.
-
-    Its reciprocal-quotient tail is bracketed from the base tail using
-    monotonicity of mu: (1/n) tail(nk) <= sum_{j>=k} 1/mu^[n]_j
-    <= (1/n) tail(n(k-2)+2) for k >= 2.
-    """
-    require_weight_seq(seq, "power_shift")
-    if n < 1:
-        raise ValueError("shift order must be a positive integer")
-    if n == 1:
-        return seq
-    base = seq
-
-    def ev(kk: np.ndarray) -> np.ndarray:
-        return base._eval(kk * n) / n
-
-    def shifted_log_tail(ks: np.ndarray) -> LogBracket:
-        k2 = np.maximum(ks, 2)
-        n_max = max(DEFAULT_TAIL_N, 4 * n * int(ks.max()))
-        lo = log_tail_bracket(base, n * k2, n_max)[0] - math.log(n)
-        hi = log_tail_bracket(base, n * (k2 - 2) + 2, n_max)[1] - math.log(n)
-        # k = 1 adds the term 1/mu^[n]_1 = M_n^{-1/n} to the k = 2 bracket
-        first = np.where(ks == 1, -base.log_m(n) / n, -math.inf)
-        return np.logaddexp(lo, first), np.logaddexp(hi, first)
-
-    return WeightSeq(
-        f"{seq.name}^[{n}]",
-        ev,
-        log_tail=shifted_log_tail,
-        is_weight_seq=seq.is_weight_seq,
-        max_index=seq.max_index / n,
     )
 
 

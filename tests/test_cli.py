@@ -56,6 +56,25 @@ def test_compute_S_on_csv_with_quotients_beyond_float_range(tmp_path, capsys):
     assert len(vals) == 65 and np.all(np.isfinite(vals))
 
 
+@pytest.mark.parametrize("argv, rc", [
+    (("compute", "seq:csv?path=two.csv&weight=1", "--derive", "omega_M", "--n", "1"), 0),
+    (("compute", "seq:csv?path=two.csv&weight=1", "--derive", "L", "--n", "1"), 2),
+    (("compute", "seq:csv?path=two.csv&weight=1", "--derive", "K", "--n", "1"), 2),
+    (("check", "gamma1", "--lhs", "seq:gevrey?s=2", "--rhs", "seq:csv?path=two.csv&weight=1", "--n", "1"), 2),
+], ids=["omega_M", "L", "K", "gamma1"])
+def test_csv_with_one_quotient_has_an_open_tail(tmp_path, monkeypatch, capsys, argv, rc):
+    # one quotient fits no power-law remainder: omega_M needs no tail, and
+    # whatever needs a finite one is refused as divergent
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "two.csv").write_text("k,log_m\n0,0\n1,1.5\n")
+    got, out, err = run(capsys, *argv)
+    assert got == rc
+    if rc == 2:
+        assert out == "" and json.loads(err)["error"] == "DivergentTail"
+    else:
+        assert out.splitlines()[0] == "t,omega" and err == ""
+
+
 def test_check_inconclusive_exits_three(capsys):
     rc, out, _ = run(capsys, "check", "preceq", "--lhs", "seq:gevrey?s=2", "--rhs", "seq:gevrey?s=2", "--n", "8")
     assert rc == 3

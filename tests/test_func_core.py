@@ -11,6 +11,7 @@ from ultraweights.catalog import (
     make_factorial,
     make_gevrey,
     make_power_weight,
+    make_q_gevrey,
     resolve,
 )
 from ultraweights.errors import EnvelopeRequired, QuasianalyticInput, TruncationExhausted, UnboundedConjugate
@@ -36,7 +37,7 @@ from ultraweights.func_core import (
     poisson_interval,
     prec_st,
 )
-from ultraweights.seq_core import WeightSeq, has_moderate_growth, log_tail_bracket, power_shift, seq_equivalent
+from ultraweights.seq_core import WeightSeq, has_moderate_growth, log_tail_bracket, seq_equivalent
 
 CATALAN = 0.915965594177219015054603514932
 
@@ -567,13 +568,15 @@ def test_P_of_seq_Q_takes_ti2_at_a_tenth_of_the_window_terms(power_matrix, membe
     assert 10 * core <= sum(points), (core, sum(points))
 
 
-@pytest.mark.parametrize("kind", ["gevrey2", "power-1/8", "complete", "shifted"])
+@pytest.mark.parametrize("kind", ["gevrey2", "qgevrey", "expgevrey", "power-1/8", "complete"])
 def test_assoc_tail_reads_match_the_full_bracket(kind, power_matrix, rng):
-    # a series tail is evaluated only at the counts read, bit for bit as in
-    # the full arrays; another analytic tail (the power shift's) is held in full
-    seq = {"gevrey2": lambda: make_gevrey(2.0), "power-1/8": lambda: power_matrix.member(0.125),
-           "complete": lambda: WeightSeq.from_values("tab", make_gevrey(2.0).values(300), is_weight_seq=True),
-           "shifted": lambda: power_shift(make_gevrey(3.0), 2)}[kind]()
+    # every tail is a series, evaluated only at the counts read, bit for bit
+    # as in the full arrays: the three catalog series tails (q-Gevrey's with
+    # no span and an exact remainder, exp-Gevrey's with a remainder whose log
+    # lower end is -inf) and the generic one of a conjugate-built member
+    seq = {"gevrey2": lambda: make_gevrey(2.0), "qgevrey": lambda: make_q_gevrey(1.5),
+           "expgevrey": lambda: make_exp_gevrey_member(2.0, 0.3), "power-1/8": lambda: power_matrix.member(0.125),
+           "complete": lambda: WeightSeq.from_values("tab", make_gevrey(2.0).values(300), is_weight_seq=True)}[kind]()
     ev = omega_from_seq(seq).assoc
     n = ev._n
     assert (n == seq.max_index) == (kind == "complete")
@@ -700,13 +703,13 @@ def test_matrix_member_of_linear_weight(linear):
 
 
 def test_matrix_power_shift_identity(power_half):
-    # member n equals the n-fold index dilation of member 1
+    # member n at k equals member 1 at n k divided by n
     mat = matrix_from_omega(power_half)
+    ks = np.arange(0, 65, dtype=float)
     for nshift in (2, 3):
-        lhs = mat.member(float(nshift))
-        rhs = power_shift(mat.member(1.0), nshift)
-        ks = np.arange(0, 65, dtype=float)
-        assert np.max(np.abs(lhs.log_m(ks) - rhs.log_m(ks))) < 1e-8
+        lhs = mat.member(float(nshift)).log_m(ks)
+        rhs = mat.member(1.0).log_m(nshift * ks) / nshift
+        assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
 def test_matrix_members_equivalent_iff_value_doubling(power_half, logsq):

@@ -7,11 +7,12 @@ from ultraweights.catalog import resolve
 from ultraweights.verdicts import Status, Verdict
 from ultraweights.relations import (
     cond_liminf,
-    gamma1_implies_SV_check,
     implication,
     lambda_membership,
     matrix_braces_preceq,
     matrix_r_equivalent,
+    prec_SV,
+    prec_gamma1,
     r_moderate_growth,
 )
 
@@ -30,7 +31,9 @@ def test_moderate_growth_of_the_exp_gevrey_family():
 
 
 def test_gamma1_implies_SV_between_gevrey_sequences():
-    v = gamma1_implies_SV_check(resolve("seq:gevrey?s=3"), resolve("seq:gevrey?s=2"), 1024)
+    # the extension order implies the Borel order
+    mp, m = resolve("seq:gevrey?s=3"), resolve("seq:gevrey?s=2")
+    v = implication("gamma1=>SV", prec_gamma1(mp, m, 1024), prec_SV(mp, m, 1024))
     assert not v.fails
 
 

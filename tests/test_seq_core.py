@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 
 from ultraweights.errors import DivergentTail, NotAWeightSequence, TruncationExhausted
 from ultraweights.seq_core import (
+    SeriesTail,
     WeightSeq,
+    _tail_exponent,
     has_moderate_growth,
     is_log_convex,
     is_non_quasianalytic,
     is_strongly_log_convex,
     log_convex_minorant,
     log_tail_bracket,
-    power_shift,
     seq_equivalent,
     seq_from_csv,
     seq_preceq,
@@ -105,6 +106,11 @@ def test_gammaln_matches_math_lgamma():
 
 def test_tail_harmonic_diverges(factorial):
     assert tail_recip_mu(factorial, 1).hi == math.inf
+
+
+def test_tail_exponent_of_one_quotient_is_open():
+    # one quotient fits no power law, so the generic remainder stays open
+    assert _tail_exponent(np.array([1.5])) is None
 
 
 def test_tail_generic_bracket_vs_exact(gevrey2):
@@ -210,54 +216,6 @@ def test_preceq_reflexive_on_random_weight_seqs(incs):
     vals = np.concatenate([[0.0], np.cumsum(np.sort(incs))])
     seq = WeightSeq.from_values("rand", vals, is_weight_seq=True)
     assert seq_preceq(seq, seq, len(vals) - 1).holds
-
-
-# -- power shift --------------------------------------------------------------------
-
-
-def test_power_shift_identity(factorial):
-    assert power_shift(factorial, 1) is factorial
-
-
-def test_power_shift_value(factorial):
-    ps = power_shift(factorial, 2)
-    assert ps.log_m(2) == pytest.approx(math.log(24.0) / 2.0)
-
-
-def test_power_shift_dominates_base(gevrey2):
-    ps = power_shift(gevrey2, 3)
-    ks = np.arange(0, 65, dtype=float)
-    assert np.all(gevrey2.log_m(ks) <= ps.log_m(ks) + 1e-9)
-
-
-def test_power_shift_preceq_back_under_moderate_growth(gevrey2):
-    assert seq_preceq(power_shift(gevrey2, 2), gevrey2, 200).holds
-
-
-def test_power_shift_quotient_bound(gevrey2):
-    # mu_{2j} <= A mu^[4]_j with a bounded constant
-    ps = power_shift(gevrey2, 4)
-    js = np.arange(1, 65)
-    mus2j = np.array([gevrey2.mu(2 * j) for j in js])
-    mups = np.array([ps.mu(j) for j in js])
-    ratio = mus2j / mups
-    assert np.max(ratio) < 64.0
-    assert np.max(ratio[32:]) <= np.max(ratio[:32]) + 1e-9
-
-
-def test_power_shift_tail_bracket(gevrey2):
-    ps = power_shift(gevrey2, 2)
-    # exact: sum_j 1/mu^[2]_j with mu^[2]_j = ((2j-1)(2j))  ... geometric mean of squares
-    js = np.arange(1, 4000)
-    exact = float(np.sum([1.0 / math.sqrt(((2 * j - 1) * (2 * j)) ** 2) for j in range(1, 20000)]))
-    iv = tail_recip_mu(ps, 1)
-    assert iv.lo <= exact <= iv.hi
-
-
-def test_power_shift_requires_weight_seq():
-    pos = WeightSeq.from_values("wiggle", [0.0, 2.0, 2.5, 5.0])
-    with pytest.raises(NotAWeightSequence):
-        power_shift(pos, 2)
 
 
 # -- minorant --------------------------------------------------------------------------
@@ -420,8 +378,10 @@ def test_divergent_tail_surfaces_in_derived(factorial):
 
 
 def test_tail_mids_raises_on_divergent_tail(factorial):
-    bare = WeightSeq("bare", factorial._eval, is_weight_seq=True)
-    for seq in (factorial, bare):  # analytic tail, then the integral-test bracket
+    # the generic bracket, then an attached series tail whose remainder is open
+    harmonic = SeriesTail(lambda js: np.negative(np.log(js, out=js), out=js), 0, lambda top: (-math.inf, math.inf))
+    attached = WeightSeq("attached", factorial._eval, log_tail=harmonic, is_weight_seq=True)
+    for seq in (factorial, attached):
         with pytest.raises(DivergentTail):
             tail_mids(seq, 8)
 
