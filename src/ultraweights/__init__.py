@@ -27,7 +27,6 @@ from .seq_core import (
     log_convex_minorant,
     seq_equivalent,
     seq_preceq,
-    tail_recip_mu,
 )
 from .func_core import (
     Envelope,
@@ -38,7 +37,6 @@ from .func_core import (
     kappa,
     kappa_assoc,
     kappa_fn,
-    kappa_interval,
     matrix_from_omega,
     normalize_fn,
     omega_from_seq,
@@ -47,7 +45,6 @@ from .func_core import (
     phi_star_involution_check,
     poisson_batch,
     poisson_imag,
-    poisson_interval,
     prec_st,
 )
 from .derived import derive_family, seq_K, seq_L, seq_Q, seq_S, seq_underline_L
@@ -59,7 +56,6 @@ from .relations import (
     implication,
     lambda_membership,
     matrix_braces_preceq,
-    matrix_r_equivalent,
     prec_SV,
     prec_gamma1,
     r_moderate_growth,

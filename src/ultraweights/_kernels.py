@@ -6,6 +6,11 @@ Every function takes and returns float64 arrays in the natural-log domain.
 (log-convex M), which every caller guarantees through `require_weight_seq`.
 Under that precondition each inner minimization or maximization is over a
 unimodal objective, so a quotient search replaces the scan over all pairs.
+
+`assoc_sup` is the tests' oracle for the associated function and has no
+caller in production code, which reads every associated function from the
+quotients of a log-convex sequence; it stays because the benchmark's tracer
+binds it by name.
 """
 
 from __future__ import annotations
@@ -111,8 +116,10 @@ def assoc_sup(log_m: np.ndarray, log_t: np.ndarray) -> tuple[np.ndarray, np.ndar
     """For each t: max over k of (k * log_t - log_m[k]) with the first argmax.
 
     Brute-force evaluation of the associated function of an array-backed
-    sequence; the production evaluator for log-convex sequences binary-searches
-    the quotients instead, and is tested against this.
+    sequence, kept as the oracle that the tests hold the production
+    evaluator to (it binary-searches the quotients of the log-convex
+    minorant); no production code calls it, and it stays because the
+    benchmark's tracer binds it by name.
     """
     log_m = np.asarray(log_m, dtype=np.float64)
     log_t = np.atleast_1d(np.asarray(log_t, dtype=np.float64))

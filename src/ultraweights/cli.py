@@ -207,7 +207,7 @@ def cmd_compute(args) -> int:
                 payload = _csv_table(["k", col], [(k, float(vals[k])) for k in range(n + 1)])
         elif derive == "omega_M":
             w = omega_from_seq(obj)
-            log_mu = obj.log_mu(min(n, 64))
+            log_mu = w.assoc.seq.log_mu(min(n, 64))  # the quotients omega_M sees: an undeclared table's minorant's
             decades = int(max(float(log_mu[-1]) / math.log(10.0), 1.0) * 2)
             t_lo = min(1.0, math.exp(float(log_mu[0])))  # omega_M > 0 on (mu_1, 1] when mu_1 < 1
             ts = log_t_grid(t_lo, 10.0 ** min(max(4, decades), sys.float_info.max_10_exp), n)

@@ -10,6 +10,14 @@ average kappa(t) = int_0^inf phi(log t + u) e^-u du and the harmonic
 extension P along the imaginary axis), and the canonical weight matrix
 attached to a weight function via the scaled conjugate.
 
+The associated function has one path.  sup_k (k y - log M_k) is the
+Legendre conjugate of the points (k, log M_k), and a conjugate sees only the
+lower convex hull of its points, so omega_M = omega_(M^lc) for the
+log-convex minorant M^lc (H. Komatsu, Ultradistributions I, 1973).  A
+sequence not declared log-convex is therefore replaced by the exact hull of
+its whole (finite) table before anything is evaluated, and every associated
+function is read from nondecreasing quotients.
+
 For associated functions both transforms are closed forms over the quotients
 (`kappa_assoc`, `poisson_batch`).  P is a sum of Ti2 terms, one per quotient:
 a 16-point rule takes those with |log mu_j - log r| <= P_CORE = 3, their
@@ -65,7 +73,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     EnvelopeRequired,
     NotAWeightSequence,
@@ -73,7 +80,15 @@ from .errors import (
     TruncationExhausted,
     UnboundedConjugate,
 )
-from .seq_core import LogBracket, WeightSeq, _log_mid, _tail_exponent, is_non_quasianalytic, tail_sums
+from .seq_core import (
+    LogBracket,
+    WeightSeq,
+    _log_mid,
+    _tail_exponent,
+    is_non_quasianalytic,
+    log_convex_minorant,
+    tail_sums,
+)
 from .verdicts import (
     Interval,
     Status,
@@ -548,7 +563,13 @@ class _AssocEvaluator:
     """Evaluator of phi_M(y) = omega_M(e^y) = sup_k (k y - log M_k), the
     Young conjugate of k -> log M_k, with the count k*(y) that attains it.
 
-    For log-convex sequences k*(y) = #{j : log mu_j <= y}.  A cached quotient
+    One path for every sequence: omega_M = omega_(M^lc), the conjugate of
+    the lower convex hull of the points (k, log M_k), so a sequence that is
+    not declared a weight sequence is replaced on entry by
+    `log_convex_minorant(seq, max_index)`, the exact hull of its whole
+    table; one with no last index has no table to hull and is refused with
+    NotAWeightSequence.  From there on the sequence is log-convex, and
+    k*(y) = #{j : log mu_j <= y}.  A cached quotient
     array answers every y up to its last quotient by binary search.  It is
     grown by fours (up to ARRAY_CAP terms) until its last quotient covers
     the largest y asked for; the sequence extends its prefix of values, so
@@ -559,21 +580,20 @@ class _AssocEvaluator:
     points and golden probes in seq_K) the sup is taken over real k >= n of
     the sequence's own evaluator (`_far`): a lattice over k with base n
     brackets it and the certified golden section of phi_star finds it.
-    Non-log-convex positive sequences use a full scan over the truncation.
     """
 
     ARRAY_START = 4096
     ARRAY_CAP = 2**17
 
     def __init__(self, seq: WeightSeq):
+        if not seq.is_weight_seq:
+            if not math.isfinite(seq.max_index):
+                raise NotAWeightSequence(f"{seq.name}: not declared log-convex, and no finite table to take the hull of")
+            seq = log_convex_minorant(seq, int(seq.max_index))
         self.seq = seq
-        self.convex = seq.is_weight_seq
         self._lock = threading.Lock()
-        vals = seq.values(min(self.ARRAY_START, self._cap()))
-        if self.convex:
-            # cover log mu_J >= 55: with 4096 terms the fitted far tail moves K-power by 2.9e-4
-            vals = self._grown(vals, 55.0)
-        self._set(vals)
+        # cover log mu_J >= 55: with 4096 terms the fitted far tail moves K-power by 2.9e-4
+        self._set(self._grown(seq.values(min(self.ARRAY_START, self._cap())), 55.0))
 
     def _cap(self) -> int:
         return int(min(self.ARRAY_CAP, self.seq.max_index))
@@ -590,7 +610,7 @@ class _AssocEvaluator:
         n = len(vals) - 1
         log_mu = np.diff(vals)
         tail = tail_sums(self.seq, 1, n + 1, n).at  # read at c + 1 for the counts c = 0..n
-        tail_p = _tail_exponent(log_mu) if self.convex else None  # the far branch's, fitted once per array
+        tail_p = _tail_exponent(log_mu)  # the far branch's, fitted once per array
         self._n, self._vals, self._log_mu, self._tail, self._tail_p = n, vals, log_mu, tail, tail_p
         top = FAR_LATTICE_TOP
         if math.isfinite(self.seq.max_index):  # no chunk reaches past the last index
@@ -629,14 +649,6 @@ class _AssocEvaluator:
         log_t = np.asarray(log_t, dtype=float)
         out = np.zeros_like(log_t)
         kstar = np.zeros_like(log_t)
-        if not self.convex:
-            vals = self.seq.values(self._cap())
-            finite = log_t > -np.inf  # t = 0: omega_M = 0 and k* = 0
-            sup, arg = _kernels.assoc_sup(vals, np.where(finite, log_t, 0.0))
-            if np.any((arg >= len(vals) - 1) & finite):
-                raise TruncationExhausted(f"{self.seq.name}: associated-function scan hit the truncation")
-            return np.where(finite, np.maximum(sup, 0.0), 0.0), np.where(finite, arg, 0).astype(float)
-
         self.ensure_cover(float(np.max(log_t, initial=0.0)))
         near = (log_t <= self._log_mu[-1]) | (self._n == self.seq.max_index)  # all of a finite M: k* <= n
         if np.any(near):
@@ -675,7 +687,8 @@ class _AssocEvaluator:
 
 
 def omega_from_seq(seq: WeightSeq) -> WeightFn:
-    """Associated function of a positive sequence with M_k^{1/k} -> infinity."""
+    """Associated function of a positive sequence with M_k^{1/k} -> infinity;
+    one not declared log-convex needs a finite table (`_AssocEvaluator`)."""
     growth = trend_to_infinity(seq.values(int(min(512, seq.max_index)))[1:] / np.arange(1, int(min(512, seq.max_index)) + 1))
     if growth.fails:
         raise NotAWeightSequence(f"{seq.name}: M_k^{{1/k}} appears bounded, associated function degenerates")
@@ -835,8 +848,9 @@ def _kappa_assoc(w: WeightFn, ys: np.ndarray) -> np.ndarray:
 def kappa_assoc(w: WeightFn, t) -> np.ndarray | float:
     """Exact piecewise closed form of kappa for sequence-associated functions.
 
-    For log-convex M the associated function is piecewise linear in log s
-    with breakpoints at the quotients, and the transform telescopes to
+    The evaluator's M is log-convex (an undeclared table's minorant), so
+    the associated function is piecewise linear in log s with breakpoints
+    at the quotients, and the transform telescopes to
     omega_M(t) + k*(t) + t * sum_{j > k*} 1/mu_j.  The log(1+s^2) component
     of the tilde representative has its own closed form.  Cross-validated
     against the generic quadrature in the test suite.
@@ -857,7 +871,7 @@ def _initial_edges(w: WeightFn, L: float, U: float, y: float) -> np.ndarray:
         return np.empty(0)
     n0 = max(8, int(math.ceil((U - L) / 2.0)))
     edges = np.linspace(L, U, n0 + 1)
-    if w.assoc is not None and w.assoc.convex:
+    if w.assoc is not None:
         kinks = w.assoc._log_mu[:64] - y
         kinks = kinks[(kinks > L + 1e-9) & (kinks < U - 1e-9)]
         edges = np.sort(np.concatenate([edges, kinks]))
@@ -934,9 +948,10 @@ def _ti2_series(x: np.ndarray) -> np.ndarray:
 def _poisson_assoc(w: WeightFn, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """P(ir) at every y = log r, and the ends of its bracket.
 
-    For log-convex M, omega_M(t) = sum_j log+(t/mu_j) extends to (2/pi) sum_j
-    Ti2(r/mu_j) at ir; by Ti2(x) = Ti2(1/x) + (pi/2) log x this is omega_M(r)
-    + (2/pi) sum_j Ti2(e^-|log r - log mu_j|), and log(1+t^2) adds 2 log(1+r).
+    M is log-convex (an undeclared table's minorant), so omega_M(t) = sum_j
+    log+(t/mu_j) extends to (2/pi) sum_j Ti2(r/mu_j) at ir; by Ti2(x) =
+    Ti2(1/x) + (pi/2) log x this is omega_M(r) + (2/pi) sum_j
+    Ti2(e^-|log r - log mu_j|), and log(1+t^2) adds 2 log(1+r).
     The terms are summed in three parts:
       - the core, |log mu_j - log r| <= P_CORE: `_ti2`, exact to rounding;
       - the band, P_CORE < |log mu_j - log r| <= P_WINDOW: the series
@@ -952,8 +967,8 @@ def _poisson_assoc(w: WeightFn, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     TruncationExhausted.
     """
     ev = w.assoc
-    if ev is None or not ev.convex:
-        raise ValueError(f"{w.name} is not associated with a log-convex sequence")
+    if ev is None:
+        raise ValueError(f"{w.name} is not sequence-associated")
     ev.ensure_cover(float(np.max(ys, initial=-np.inf)) + P_WINDOW)
     log_mu, n = ev._log_mu, ev._n
     complete = n == ev.seq.max_index
@@ -1047,20 +1062,23 @@ def normalize_fn(w: WeightFn) -> WeightFn:
     )
 
 
-def kappa_fn(w: WeightFn) -> WeightFn:
-    """kappa as a WeightFn (normalized representative), for chaining transforms.
-
-    Evaluates through the attached closed form when there is one, else the
-    piecewise closed form of an associated function, else the midpoint of
-    the quadrature bracket at each point (which needs an envelope).
-    """
+def _kappa_of(w: WeightFn) -> Callable[[np.ndarray], np.ndarray]:
+    """kappa at an array of y = log t: through the attached closed form when
+    there is one, else the piecewise closed form of an associated function,
+    else the midpoint of the quadrature bracket at each point (which needs
+    an envelope)."""
     if w.kappa_ref is not None:
-        raw = w.kappa_ref
-    elif w.assoc is not None:
-        raw = lambda ys: _kappa_assoc(w, ys)
-    else:
-        env = _require_envelope(w, "kappa")
-        raw = lambda ys: np.array([_kappa_bracket(w, env, float(y)).mid for y in ys])
+        return w.kappa_ref
+    if w.assoc is not None:
+        return lambda ys: _kappa_assoc(w, ys)
+    env = _require_envelope(w, "kappa")
+    return lambda ys: np.array([_kappa_bracket(w, env, float(y)).mid for y in ys])
+
+
+def kappa_fn(w: WeightFn) -> WeightFn:
+    """kappa as a WeightFn (normalized representative), for chaining
+    transforms, evaluated as `_kappa_of` chooses."""
+    raw = _kappa_of(w)
     c = float(raw(np.array([0.0]))[0])
 
     def phi_vec(ys: np.ndarray) -> np.ndarray:
@@ -1193,12 +1211,9 @@ def fn_preceq(sigma: WeightFn, omega: WeightFn) -> Verdict:
 
 def prec_st(sigma: WeightFn, omega: WeightFn) -> Verdict:
     """Strong order: kappa_omega(t) <= C sigma(t) + C over 40 log-spaced t in
-    [4, 1e8] (trend)."""
+    [4, 1e8] (trend), with kappa evaluated as `_kappa_of` chooses."""
     t_grid = log_t_grid(4.0, 1e8, 40)
-    if omega.assoc is not None:
-        kap = np.asarray(kappa_assoc(omega, t_grid), dtype=float)
-    else:
-        kap = np.array([kappa(omega, float(t)) for t in t_grid])
+    kap = _kappa_of(omega)(np.log(t_grid))
     ratio = kap / (sigma.omega(t_grid) + 1.0)
     return trend_bounded(ratio, t_grid, relation="prec_st", lhs=sigma.name, rhs=omega.name)
 
@@ -1250,7 +1265,7 @@ def fn_predicates(w: WeightFn) -> FnPredicateReport:
                       note=f"no dyadic H <= {h_top:g} works on the grid"
                            + ("; violation grows" if grow.holds else ""))
 
-    if w.assoc is not None and w.assoc.convex:
+    if w.assoc is not None:
         nq = replace(is_non_quasianalytic(w.assoc.seq), relation="fn-non-quasianalytic", lhs=w.name)  # tails decide
     elif w.envelope is not None and w.envelope.theta < 1:
         nq = Verdict(Status.HOLDS, relation="fn-non-quasianalytic", lhs=w.name,

@@ -33,7 +33,6 @@ __all__ = [
     "prec_gamma1",
     "cond_Mmg",
     "matrix_braces_preceq",
-    "matrix_r_equivalent",
     "r_moderate_growth",
     "cond_liminf",
     "cond_roquS",
@@ -162,15 +161,6 @@ def matrix_braces_preceq(a: WeightMatrix, b: WeightMatrix, n: int) -> Verdict:
         return seq_preceq(a.member(al), b.member(be), n)
 
     return _exists_beta(a.grid, _extended(b.grid), test, "braces-preceq", a.name, b.name)
-
-
-def matrix_r_equivalent(a: WeightMatrix, b: WeightMatrix, n: int) -> Verdict:
-    fwd = matrix_braces_preceq(a, b, n)
-    bwd = matrix_braces_preceq(b, a, n)
-    return Verdict(combine_all([fwd, bwd]), relation="r-equivalent", lhs=a.name, rhs=b.name,
-                   witness={"forward": fwd.status.value, "backward": bwd.status.value},
-                   pairing=[{"forward": fwd.pairing}, {"backward": bwd.pairing}],
-                   note=f"forward {fwd.status.value}, backward {bwd.status.value}")
 
 
 def r_moderate_growth(mat: WeightMatrix, n: int) -> Verdict:

@@ -173,11 +173,6 @@ class WeightSeq:
             self._tilde = build(self)
         return self._tilde
 
-    def mu(self, k: int) -> float:
-        if k < 1:
-            raise ValueError("mu is defined for k >= 1")
-        return float(np.exp(self.log_m(k) - self.log_m(k - 1)))
-
     def renormalized(self) -> "WeightSeq":
         """Rescale by a geometric factor so that mu_1 >= 1, if needed.
 

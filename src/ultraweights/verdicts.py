@@ -68,13 +68,6 @@ class Interval:
     def finite(self) -> bool:
         return math.isfinite(self.hi)
 
-    def __add__(self, other: "Interval | float") -> "Interval":
-        if isinstance(other, Interval):
-            return Interval(self.lo + other.lo, self.hi + other.hi)
-        return Interval(self.lo + other, self.hi + other)
-
-    __radd__ = __add__
-
 
 @dataclass(frozen=True)
 class Verdict:

@@ -5,9 +5,10 @@ The names that bench/spans.py wraps must stay bound in the package:
 change renamed or deleted would make the traced benchmark raise.  The pair
 counters wrap `relations._exists_beta` positionally, so its signature and its
 calls of `test(alpha, beta)` must stay as they are, and a traced `check`
-must reach the wrapped function of its relation.  Every `compute`
-operation of bench/workloads.py must pass the benchmark's correctness gate
-against bench/reference.json.
+must reach the wrapped function of its relation.  Every operation of
+bench/workloads.py must pass the benchmark's correctness gate (tables
+against bench/reference.json), so that a changed verdict fails here before
+the benchmark sees it.
 """
 
 import importlib.util
@@ -30,7 +31,7 @@ def _bench(name):
 
 
 WORKLOADS = _bench("workloads")
-COMPUTE_OPS = [op for ops in WORKLOADS.WORKLOADS.values() for op in ops if op.command == "compute"]
+OPS = [op for ops in WORKLOADS.WORKLOADS.values() for op in ops]
 
 
 def test_traced_names_are_bound_in_the_package():
@@ -81,7 +82,7 @@ def test_traced_check_reaches_the_span_of_its_relation(capsys, argv, span):
     assert tracer.spans[span][0] == 1
 
 
-@pytest.mark.parametrize("op", COMPUTE_OPS, ids=lambda op: op.name)
+@pytest.mark.parametrize("op", OPS, ids=lambda op: op.name)
 def test_compute_tables_pass_the_benchmark_gate(capsys, op):
     from ultraweights.cli import main
 

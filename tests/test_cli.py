@@ -357,6 +357,36 @@ def test_compute_omega_M_table_starts_below_one_when_mu_1_is(capsys):
     assert rc == 0 and out.splitlines()[1] == "1.0,0.0"
 
 
+@pytest.mark.parametrize("bumps", [(), (5, 20, 63)], ids=["log-convex", "bumped"])
+@pytest.mark.parametrize("entry", ["seq:csv?path=t.csv", "derived:minorant(seq:csv?path=t.csv)"])
+def test_compute_omega_M_of_an_undeclared_table_is_that_of_its_minorant(tmp_path, monkeypatch, capsys, bumps, entry):
+    # omega_M sees only the log-convex minorant: an undeclared table prints,
+    # byte for byte, the table of a declared CSV of its minorant; quotients
+    # of at least 2 keep the minorant's mu_1 above 1, so neither is rescaled
+    monkeypatch.chdir(tmp_path)
+    log_mu = 2.0 + np.log(np.arange(1, 65, dtype=float))
+    for k in bumps:  # raise log M_k by 1: mu_k up, mu_(k+1) down
+        log_mu[k - 1] += 1.0
+        log_mu[k] -= 1.0
+    log_m = np.concatenate([[0.0], np.cumsum(log_mu)])
+    (tmp_path / "t.csv").write_text("k,log_m\n" + "".join(f"{k},{float(v)!r}\n" for k, v in enumerate(log_m)))
+    rc, minorant, _ = run(capsys, "compute", "seq:csv?path=t.csv", "--derive", "minorant", "--n", "64")
+    assert rc == 0
+    (tmp_path / "m.csv").write_text(minorant)
+    rc, want, _ = run(capsys, "compute", "seq:csv?path=m.csv&weight=1", "--derive", "omega_M", "--n", "64")
+    assert rc == 0
+    rc, out, err = run(capsys, "compute", entry, "--derive", "omega_M", "--n", "64")
+    assert (rc, out, err) == (0, want, "")
+
+
+@pytest.mark.parametrize("n", ["64", "1024"])
+def test_compute_omega_M_of_L(capsys, n):
+    # L is an undeclared table of n + 1 values: its omega_M is its minorant's
+    rc, out, err = run(capsys, "compute", "derived:L(seq:gevrey?s=2)", "--derive", "omega_M", "--n", n)
+    rows = np.array([[float(x) for x in row.split(",")] for row in out.splitlines()[1:]])
+    assert rc == 0 and err == "" and rows.shape == (int(n), 2) and np.all(np.diff(rows[:, 1]) >= 0.0)
+
+
 def test_check_resolves_a_shared_inner_uri_once(capsys, monkeypatch):
     resolved = []
     plain = catalog.resolve

@@ -14,7 +14,13 @@ from ultraweights.catalog import (
     make_q_gevrey,
     resolve,
 )
-from ultraweights.errors import EnvelopeRequired, QuasianalyticInput, TruncationExhausted, UnboundedConjugate
+from ultraweights.errors import (
+    EnvelopeRequired,
+    NotAWeightSequence,
+    QuasianalyticInput,
+    TruncationExhausted,
+    UnboundedConjugate,
+)
 from ultraweights.func_core import (
     Envelope,
     WeightFn,
@@ -37,7 +43,7 @@ from ultraweights.func_core import (
     poisson_interval,
     prec_st,
 )
-from ultraweights.seq_core import WeightSeq, has_moderate_growth, log_tail_bracket, seq_equivalent
+from ultraweights.seq_core import WeightSeq, has_moderate_growth, log_convex_minorant, log_tail_bracket, seq_equivalent
 
 CATALAN = 0.915965594177219015054603514932
 
@@ -298,13 +304,31 @@ def test_assoc_gevrey2_asymptotics(gevrey2):
 
 
 def test_assoc_full_scan_for_positive_sequences():
+    # the full scan over the table is the oracle for the path through its minorant
     vals = np.concatenate([[0.0], np.cumsum(np.linspace(0.1, 3.0, 64))])
     vals[3] += 1.0  # break log-convexity
     seq = WeightSeq.from_values("pos", vals)
     w = omega_from_seq(seq)
-    ks = np.arange(len(vals))
-    t = 5.0
-    assert w.omega(t) == pytest.approx(float(np.max(ks * math.log(t) - vals)))
+    ts = np.array([0.5, 1.5, 5.0, 15.0])
+    sup, _ = _kernels.assoc_sup(vals, np.log(ts))
+    assert w.omega(ts) == pytest.approx(np.maximum(sup, 0.0), abs=1e-12)
+
+
+def test_assoc_of_an_undeclared_table_is_that_of_its_declared_minorant():
+    vals = 2.0 * gammaln(np.arange(257.0) + 1.0)
+    vals[[3, 40, 200]] += 4.0  # break log-convexity
+    undeclared = WeightSeq.from_values("bumped", vals)
+    minorant = WeightSeq.from_values("hull", log_convex_minorant(undeclared, 256).values(256), is_weight_seq=True)
+    ts, log_rs = np.exp(np.linspace(-2.0, 12.0, 57)), np.linspace(-2.0, 12.0, 29)
+    w, want = omega_tilde_from_seq(undeclared), omega_tilde_from_seq(minorant)
+    assert np.array_equal(kappa_assoc(w, ts), kappa_assoc(want, ts))
+    assert np.array_equal(poisson_batch(w, log_rs), poisson_batch(want, log_rs))
+
+
+def test_assoc_of_an_undeclared_sequence_without_a_last_index_is_refused():
+    seq = WeightSeq("undeclared", lambda kk: 2.0 * gammaln(kk + 1.0))
+    with pytest.raises(NotAWeightSequence):
+        omega_from_seq(seq)
 
 
 def test_assoc_quadrature_refused_without_envelope(factorial, gevrey2):

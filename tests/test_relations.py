@@ -10,7 +10,6 @@ from ultraweights.relations import (
     implication,
     lambda_membership,
     matrix_braces_preceq,
-    matrix_r_equivalent,
     prec_SV,
     prec_gamma1,
     r_moderate_growth,
@@ -40,11 +39,6 @@ def test_gamma1_implies_SV_between_gevrey_sequences():
 def test_braces_preceq_is_reflexive():
     mat = resolve("mat:gevrey?s=2")
     assert matrix_braces_preceq(mat, mat, 128).holds
-
-
-def test_r_equivalent_is_reflexive():
-    mat = resolve("mat:gevrey?s=2")
-    assert matrix_r_equivalent(mat, mat, 128).holds
 
 
 def _log_factorial(n: int) -> np.ndarray:
