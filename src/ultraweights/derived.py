@@ -10,7 +10,7 @@ T_k = sum_{l>=k} 1/mu_l:
      strongly log-convex, optimal for the extension-problem order.
   K: conjugate of the averaged associated function: K_j =
      exp(phi*_kappa(j)) where kappa is the (normalized) transform of
-     omega_M + log(1+t^2).
+     omega_M + log(1+t^2), in closed form over the quotients (`seq_K`).
   Q: the moment-problem weights log Q_k = sup_r ((k+1/2) log r - P(ir)/2)
      with P the harmonic extension of the same function (`poisson_batch`),
      taken over the lattice rho = log r = i Q_GRID_DX.
@@ -50,6 +50,21 @@ Lattice maximum: the samples of P on rho_i = i Q_GRID_DX are convex, so
 the first lattice maximizer of g_k is the first i whose slope (P_{i+1} -
 P_i)/(2 Q_GRID_DX) reaches k + 1/2: one quotient search for all k.
 
+Where the K maximizers lie.  On the piece log mu_k <= y < log mu_(k+1),
+kappa(y) = k y - log M_k + k + e^y T_k + l(y) with l the transform of
+log(1+t^2), so
+
+  kappa'(y) = k + e^y T_k + 2 e^y arctan(e^-y),
+
+continuous (at a breakpoint k rises by 1 and e^y T_k falls by 1) and
+increasing.  The maximizer of j y - kappa(y) over y >= 0 is 0 where
+kappa'(0) >= j, else the root of kappa' = j, in the piece found by one
+quotient search of j in kappa' at the piece starts.  For y >= 0 the last
+term lies in [pi/2, 2), so kappa' >= k + pi/2 and the root's piece has k <=
+j - 2: the associated-function array must reach past it, and grows until
+kappa' at its last quotient exceeds n.  The last piece of a complete finite
+M runs to +inf, its fitted tail remainder keeping e^y T_k growing.
+
 Tail uncertainty: the tails enter as log brackets (`tail_mids`).  L and S
 use the log of the bracket's arithmetic midpoint and re-evaluate with both
 endpoints; the observed spread is the result's `tail_spread` diagnostic.
@@ -67,7 +82,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import MaximizerUnbounded, TruncationExhausted
-from .func_core import WeightFn, WeightMatrix, kappa_fn, omega_tilde_from_seq, phi_star, poisson_batch
+from .func_core import WeightFn, WeightMatrix, kappa_star_assoc, omega_tilde_from_seq, poisson_batch
 from .seq_core import WeightSeq, log_convex_minorant, require_weight_seq, tail_mids
 from .verdicts import Status
 
@@ -147,12 +162,19 @@ def seq_K(m: WeightSeq, n: int) -> WeightSeq:
 
     kappa of omega~ is the exact piecewise form for sequence-associated
     functions, normalized so that K_0 = 1 exactly (subtract kappa(1), clamp
-    to zero on [0,1]): `kappa_fn`.  The conjugate runs over j = 1..n only:
-    log K_0 = 0.
+    to zero on [0,1]).  Its conjugate is read in closed form over the
+    quotients (`kappa_star_assoc`): on the piece log mu_k <= y < log
+    mu_(k+1), kappa'(y) = k + e^y T_k + 2 e^y arctan(e^-y), and log K_j is
+    j y - kappa(y) + kappa(0) at the root of kappa' = j, or 0 where kappa'(0)
+    >= j; no search over y.  Coverage: the root's piece has k <= j - 2, so
+    the associated-function array grows while kappa' at its last quotient
+    is <= n; a root past the last quotient of an array at its cap (n >
+    2^17 - 1) raises TruncationExhausted, and the last piece of a complete
+    finite M runs to +inf.  log K_0 = 0.
     """
     require_weight_seq(m, "seq_K")
     tail_mids(m, 1)  # raises DivergentTail for a quasianalytic input
-    logk = np.concatenate([[0.0], phi_star(kappa_fn(_tilde(m)), np.arange(1, n + 1, dtype=float))])
+    logk = np.concatenate([[0.0], kappa_star_assoc(_tilde(m), n)])
     return WeightSeq.from_values(f"K({m.name})", logk, is_weight_seq=True)
 
 

@@ -19,7 +19,11 @@ its whole (finite) table before anything is evaluated, and every associated
 function is read from nondecreasing quotients.
 
 For associated functions both transforms are closed forms over the quotients
-(`kappa_assoc`, `poisson_batch`).  P is a sum of Ti2 terms, one per quotient:
+(`kappa_assoc`, `poisson_batch`), and so is the conjugate of kappa, the
+derived weight log K_j (`kappa_star_assoc`): kappa' is k + e^y T_k + 2 e^y
+arctan(e^-y) on the quotient piece of count k, so each maximizer is a root
+of kappa' = j found by one quotient search and a few Newton steps, with no
+search over y.  P is a sum of Ti2 terms, one per quotient:
 a 16-point rule takes those with |log mu_j - log r| <= P_CORE = 3, their
 alternating series through x^9 those out to P_WINDOW = 8, and a first-order
 bracket the rest.  Other functions are integrated only when they carry a
@@ -40,13 +44,15 @@ golden bracket a few rounding widths across, which is kept only where
 concavity confirms that it holds the sup (`_seed`); where it does not,
 golden section starts from the neighbours of the best point evaluated so
 far.  Golden section shrinks the bracket until concavity certifies that no
-point beats the best probe by more than rounding (`_golden_max`).  A smooth
-maximum takes about 16 phi evaluations per x; one whose seed falls back (a
-kink, a plateau) takes up to about 60 more, fewer the closer its seed
-came.  Each x's probes and value depend only on phi and x.  A WeightFn's
-lattice grows by at most an octave of y per phi call, so that a conjugate
-over a few x makes a few dozen calls.  The associated function's far path
-runs the same stages over real k.
+point beats the best probe by more than rounding (`_golden_max`).  The
+seeded bracket is narrow enough (SEED_SPAN) for that certificate to hold
+at the seed, so a smooth maximum takes 13 phi evaluations per x, three per
+parabolic round and four for the bracket, and no golden step; one whose
+seed falls back (a kink, a plateau) takes up to about 60 more, fewer the
+closer its seed came.  Each x's probes and value depend only on phi and
+x.  A WeightFn's lattice grows by at most an octave of y per phi call, so
+that a conjugate over a few x makes a few dozen calls.  The associated
+function's far path runs the same stages over real k.
 
 The canonical weight matrix has log M^(alpha)_k = phi*(alpha k)/alpha, so
 log M^(2 alpha)_k = log M^(alpha)_(2k) / 2.  In floats this holds bit for
@@ -110,6 +116,7 @@ __all__ = [
     "kappa",
     "kappa_interval",
     "kappa_assoc",
+    "kappa_star_assoc",
     "kappa_fn",
     "poisson_imag",
     "poisson_interval",
@@ -139,11 +146,19 @@ LATTICE_LOW = -8 * LATTICE_STEPS  # the lowest point above the base: y = 2^-8
 LATTICE_TOP = 67 * LATTICE_STEPS  # the conjugate's highest point: y = 8 * 2^64
 FAR_LATTICE_TOP = 1024 * LATTICE_STEPS - 1  # the far path's: the largest finite k on the lattice
 LATTICE_CHUNK = 4  # lattice points of the first extension; each next one doubles, up to an octave unless doubling
-GOLDEN_ITERS = 80  # cap on golden steps; the certificate stops seeded maxima after 3, others near 33, kinks near 60
+GOLDEN_ITERS = 80  # cap on golden steps; the certificate stops seeded maxima before the first, others near 33, kinks near 60
 GOLDEN_CHECK = 3  # golden steps between certificate checks
 GOLDEN_TOL = 4.0 * np.finfo(float).eps  # certificate allowance, times 1 + |f|
 SEED_ROUNDS = 3  # parabolic refinements of the lattice vertex before the seeded golden bracket
-SEED_WIDTH = 8.0  # the seeded bracket's width, in units of sqrt(GOLDEN_TOL (1 + |f|) / |f''|)
+SEED_WIDTH = 8.0  # a round's probe spacing, in units of sigma = sqrt(GOLDEN_TOL (1 + |f|) / |f''|)
+# The seeded quadruple's span, in units of sigma.  On f(y) = f(m) - |f''| (y - m)^2 / 2
+# with m at the centre of a span W, the certificate of `_golden_max` reads
+# r (1/4 - (r - 1/2)^2) W^2 / 2 = 0.073 W^2 of its allowance at step 0, so it
+# holds for W <= 3.7; W = 3 spends 0.66 and leaves 0.34 for a vertex e sigma
+# off centre, which adds |f(c) - f(d)| / r = 0.38 W e, so e <= 0.3.
+SEED_SPAN = 3.0
+NEWTON_ITERS = 64  # cap on the safeguarded Newton steps of `kappa_star_assoc`, which take 8 at most on gevrey 2 at n = 65536
+NEWTON_PUSH = 2.0  # ulps by which such a step goes past its Newton point, so that its bracket closes from both sides
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2, _INVPHI3 = _INVPHI**2, _INVPHI**3
 
@@ -379,11 +394,15 @@ def _seed(
     with h = s = SEED_WIDTH sqrt(GOLDEN_TOL (1 + |f|) / |f''|) from the
     last fit: over h the parabola's second difference is SEED_WIDTH^2
     times the certificate's allowance, so rounding moves its curvature by
-    a few percent at most, and a round is a Newton step.  A component gives up its seed when a fit is
-    not strictly concave or not finite, when 2 s exceeds b - a, or when s
-    more than doubles in a round: a curvature that falls by 4 is rounding
-    on a linear piece (a kink, a plateau).  The seeded quadruple spans
-    [m - s/2, m + s/2], moved inside [a, b].
+    a few percent at most, and a round is a Newton step.  A component gives
+    up its seed when a fit is not strictly concave or not finite, when 2 s
+    exceeds b - a, or when s more than doubles in a round: a curvature that
+    falls by 4 is rounding on a linear piece (a kink, a plateau).  The
+    seeded quadruple spans q = (SEED_SPAN / SEED_WIDTH) s, SEED_SPAN sigma,
+    around the last vertex: [m - q/2, m + q/2], moved inside [a, b].  That
+    is narrow enough for the certificate to hold at once on a smooth
+    maximum, so such an x takes 13 g points (three per round, four for
+    the quadruple) and no golden step.
 
     A component that falls back, in a round or at the check, starts from
     [p_(i-1), p_(i+1)], the neighbours of its best point p_i among a, b,
@@ -441,9 +460,10 @@ def _seed(
     rest = np.flatnonzero(rest)
     if len(rest):
         fall_back(rest, gave_up)
-    qa = np.maximum(np.minimum(m - 0.5 * s, bl - s), al)
+    q = (SEED_SPAN / SEED_WIDTH) * s
+    qa = np.maximum(np.minimum(m - 0.5 * q, bl - q), al)
     ar, wr, xr = a[rest], w[rest], x[rest]
-    quad = (qa, qa + _INVPHI2 * s, qa + _INVPHI * s, np.minimum(qa + s, bl))
+    quad = (qa, qa + _INVPHI2 * q, qa + _INVPHI * q, np.minimum(qa + q, bl))
     rows = (*quad, ar + _INVPHI2 * wr, ar + _INVPHI * wr)
     fqa, fqc, fqd, fqb, fcr, fdr = (xv * y - gy for xv, y, gy in zip((xl,) * 4 + (xr,) * 2, rows, _g_rows(g, rows)))
     fc, fd = np.empty_like(x), np.empty_like(x)
@@ -457,8 +477,12 @@ def _seed(
         fall_back(late, probes + [(late, y[failed], f[failed]) for y, f in zip(quad, (fqa, fqc, fqd, fqb))])
         rows = (a[late] + _INVPHI2 * w[late], a[late] + _INVPHI * w[late])
         fc[late], fd[late] = (x[late] * y - gy for y, gy in zip(rows, _g_rows(g, rows)))
+    if len(live) == len(x):  # no seed gave up in a round: patch the few failed starts into the quadruple arrays
+        lost = ~kept
+        qa[lost], q[lost], fqa[lost], fqb[lost], fqc[lost], fqd[lost] = (v[lost] for v in (a, w, fa, fb, fc, fd))
+        return qa, q, fqa, fqb, fqc, fqd
     won = live[kept]
-    a[won], w[won], fa[won], fb[won], fc[won], fd[won] = qa[kept], s[kept], fqa[kept], fqb[kept], fqc[kept], fqd[kept]
+    a[won], w[won], fa[won], fb[won], fc[won], fd[won] = qa[kept], q[kept], fqa[kept], fqb[kept], fqc[kept], fqd[kept]
     return a, w, fa, fb, fc, fd
 
 
@@ -576,10 +600,12 @@ class _AssocEvaluator:
     each log M_k is evaluated once, and the tail's `SuffixSums` (from
     `tail_sums`: the attached series or the generic one) are computed once
     per growth, at the final length; the tail bracket is evaluated only at
-    the counts read (`log_tail_after`).  Past the array (conjugate lattice
-    points and golden probes in seq_K) the sup is taken over real k >= n of
-    the sequence's own evaluator (`_far`): a lattice over k with base n
-    brackets it and the certified golden section of phi_star finds it.
+    the counts read (`log_tail_after`); the quotients and the far tail's
+    power-law fit are made once and shared with the generic sums.  Past
+    the array (a conjugate lattice's points beyond it) the sup is taken
+    over real k >= n of the sequence's own evaluator (`_far`): a lattice
+    over k with base n brackets it and the certified golden section of
+    phi_star finds it.
     """
 
     ARRAY_START = 4096
@@ -609,8 +635,8 @@ class _AssocEvaluator:
     def _set(self, vals: np.ndarray) -> None:
         n = len(vals) - 1
         log_mu = np.diff(vals)
-        tail = tail_sums(self.seq, 1, n + 1, n).at  # read at c + 1 for the counts c = 0..n
-        tail_p = _tail_exponent(log_mu)  # the far branch's, fitted once per array
+        tail_p = _tail_exponent(log_mu)  # the far branch's and the generic sums', fitted once per array
+        tail = tail_sums(self.seq, 1, n + 1, n, fit=(log_mu, tail_p)).at  # read at c + 1 for the counts c = 0..n
         self._n, self._vals, self._log_mu, self._tail, self._tail_p = n, vals, log_mu, tail, tail_p
         top = FAR_LATTICE_TOP
         if math.isfinite(self.seq.max_index):  # no chunk reaches past the last index
@@ -861,6 +887,101 @@ def kappa_assoc(w: WeightFn, t) -> np.ndarray | float:
     with np.errstate(divide="ignore"):
         out = _kappa_assoc(w, np.log(np.atleast_1d(tt)))
     return out if tt.ndim else float(out[0])
+
+
+def _kappa_slope(ys: np.ndarray, log_tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(kappa' - k, kappa'') of the tilde representative at y >= 0 on a piece
+    of count k whose tail is T_k = e^log_tail: e^y T_k + 2 e^y arctan(e^-y)
+    and e^y T_k + 2 (e^y arctan(e^-y) - 1/(1 + e^-2y))."""
+    e = np.exp(ys + log_tail)
+    s = np.exp(-ys)
+    h = 2.0 * np.divide(np.arctan(s), s, out=np.ones_like(s), where=s > 0)
+    return e + h, e + h - 2.0 / (1.0 + s * s)
+
+
+def kappa_star_assoc(w: WeightFn, n: int) -> np.ndarray:
+    """log K_j = sup_{y >= 0} (j y - kappa(y) + kappa(0)) for j = 1..n, with
+    kappa = `_kappa_assoc` of the tilde representative w of a sequence: the
+    conjugate of the normalized kappa (`kappa_fn`), in closed form.
+
+    On the piece log mu_k <= y < log mu_(k+1), kappa(y) = k y - log M_k + k
+    + e^y T_k + l(y), with T_k the tail midpoint read at count k and l the
+    transform of log(1+t^2) (`_kappa_log_term`), so kappa'(y) = k + e^y T_k
+    + 2 e^y arctan(e^-y) (`_kappa_slope`).  At a breakpoint k rises by 1 and
+    e^y T_k falls by 1, so kappa' is continuous, and kappa'' > 0.  The
+    pieces start at y = 0 and at every log mu_k > 0; one `searchsorted` of j
+    in kappa' at the starts picks the piece of its root, and log K_j = 0
+    where kappa'(0) >= j.  As 2 e^y arctan(e^-y) lies in [pi/2, 2) for y >=
+    0, the root has e^y T_k in (j - k - 2, j - k - pi/2] and k <= j - 2;
+    safeguarded Newton narrows that bracket, met with the piece, to a few
+    ulps, each step pushed NEWTON_PUSH ulps on so that the root changes
+    sides.  One `_kappa_assoc` call at 0, the roots and the bracket ends
+    gives the values, the best of the three per j.
+
+    Coverage: the array grows (`ensure_cover`) while kappa' at its last
+    quotient is <= n, so that every root lies inside it; past the last
+    quotient of an array at its cap that raises TruncationExhausted.  The
+    last piece of a complete table runs to +inf, where its fitted
+    remainder keeps e^y T_k growing; a last piece with T_k = 0 has kappa' <
+    k + 2, and a j past it raises UnboundedConjugate.
+    """
+    ev = w.assoc
+    if ev is None or not w.include_log_term:
+        raise ValueError(f"{w.name} is not the tilde representative of a sequence")
+    while True:  # grow the array until kappa' at its last quotient exceeds n
+        top, y_top = ev._n, max(float(ev._log_mu[-1]), 0.0)
+        log_t = ev.log_tail_mid_after(np.array([top]), np.array([y_top]))
+        if top == ev.seq.max_index or top + _kappa_slope(np.array([y_top]), log_t)[0][0] > n:
+            break
+        if top >= ev._cap():
+            raise TruncationExhausted(f"{ev.seq.name}: K_{n} has its maximizer past the {top}-term array")
+        ev.ensure_cover(math.nextafter(float(ev._log_mu[-1]), math.inf))  # one growth by four
+    log_mu, top = ev._log_mu, ev._n
+    k0 = int(np.searchsorted(log_mu, 0.0, side="right"))  # the count at y = 0
+    last = min(top, max(n - 1, k0))  # a piece of count >= n - 1 starts with kappa' > n
+    counts = np.arange(k0, last + 1)
+    starts = np.concatenate([[0.0], log_mu[k0:last]])
+    log_tail = ev.log_tail_mid_after(counts, starts)
+    js = np.arange(1, n + 1, dtype=float)
+    piece = np.searchsorted(counts + _kappa_slope(starts, log_tail)[0], js, side="left") - 1
+    out = np.zeros(n)
+    at = np.flatnonzero(piece >= 0)
+    if not len(at):
+        return out
+    j, i = js[at], piece[at]
+    k, log_t = counts[i].astype(float), log_tail[i]
+    gap = j - k  # an integer >= 2
+    end = np.where(counts[i] < top, log_mu[np.minimum(counts[i], top - 1)], math.inf)
+    with np.errstate(divide="ignore"):
+        a = np.maximum(starts[i], np.log(gap - 2.0) - log_t)
+        b = np.minimum(end, np.log(gap - 0.5 * math.pi) - log_t)
+    if not np.all(np.isfinite(b)):
+        bad = int(j[np.argmin(np.isfinite(b))])
+        raise UnboundedConjugate(f"{ev.seq.name}: kappa' stays below {bad} on the last piece, K_{bad} is infinite")
+    y = 0.5 * (a + b)
+    live = np.arange(len(y))
+    for _ in range(NEWTON_ITERS):
+        yl, al, bl = y[live], a[live], b[live]
+        slope, curv = _kappa_slope(yl, log_t[live])
+        f = (k[live] - j[live]) + slope
+        below = f < 0.0
+        al, bl = np.where(below, yl, al), np.where(below, bl, yl)
+        a[live], b[live] = al, bl
+        done = (f == 0.0) | (bl - al <= 2.0 * NEWTON_PUSH * np.spacing(bl))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -f / curv
+            pushed = np.clip(yl + step + np.copysign(NEWTON_PUSH * np.spacing(yl), step),
+                             np.nextafter(al, math.inf), np.nextafter(bl, -math.inf))
+            sane = np.abs(step) < 2.0 * (bl - al)  # false where step is NaN (curv 0 or inf)
+        y[live] = np.where(done, yl, np.where(sane, pushed, 0.5 * (al + bl)))
+        live = live[~done]
+        if not len(live):
+            break
+    ys = np.concatenate([[0.0], y, a, b])
+    kap = _kappa_assoc(w, ys)
+    best = np.max((np.tile(j, 3) * ys[1:] - (kap[1:] - kap[0])).reshape(3, -1), axis=0)
+    out[at] = np.maximum(best, 0.0)
+    return out
 
 
 def _initial_edges(w: WeightFn, L: float, U: float, y: float) -> np.ndarray:

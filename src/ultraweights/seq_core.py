@@ -329,27 +329,33 @@ def _log_mid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.logaddexp(lo, hi) - math.log(2.0)
 
 
-def _generic_sums(seq: WeightSeq, n_max: int) -> SuffixSums:
-    """Suffix sums of 1/mu_k to n_max; the remainder past them lies between 0
-    and the power-law bound of `_tail_exponent`, or +inf when it fits none."""
-    log_mu = seq.log_mu(n_max)  # k = 1..n_max
-    p = _tail_exponent(log_mu)
+def _generic_sums(log_mu: np.ndarray, p: float | None) -> SuffixSums:
+    """Suffix sums of 1/mu_k for log_mu = log mu_1 .. log mu_n_max; the
+    remainder past them lies between 0 and the power-law bound of p, their
+    `_tail_exponent`, or +inf when it fits none (p is None)."""
+    n_max = len(log_mu)
     log_rem = math.inf if p is None else math.log(n_max / (p - 1.0)) - log_mu[-1]
     terms = np.empty(n_max + 1)
     np.negative(log_mu, out=terms[:-1])
     return SuffixSums.of_terms(terms, 1, -math.inf, log_rem)
 
 
-def tail_sums(seq: WeightSeq, k0: int, k_last: int, n_max: int) -> SuffixSums:
+def tail_sums(seq: WeightSeq, k0: int, k_last: int, n_max: int,
+              fit: tuple[np.ndarray, float | None] | None = None) -> SuffixSums:
     """The suffix sums that bracket T_k at k = k0 .. k_last: the attached
     `SeriesTail`'s, or else the generic ones of `_generic_sums` to
-    min(n_max, max_index), which reach k = n_max + 1 at most."""
+    min(n_max, max_index), which reach k = n_max + 1 at most.  `fit`, when
+    given, is (log mu_1 .. log mu_n_max, its `_tail_exponent`), which the
+    generic sums take instead of reading and fitting the quotients again."""
     if seq.log_tail is not None:
         return seq.log_tail.sums(k0, k_last)
     n_max = int(min(n_max, seq.max_index))
     if k_last > n_max + 1:
         raise ValueError(f"tail start {k_last} beyond partial-sum range {n_max}")
-    return _generic_sums(seq, n_max)
+    if fit is None:
+        log_mu = seq.log_mu(n_max)
+        fit = (log_mu, _tail_exponent(log_mu))
+    return _generic_sums(*fit)
 
 
 def log_tail_bracket(seq: WeightSeq, ks, n_max: int = DEFAULT_TAIL_N) -> LogBracket:
@@ -463,6 +469,8 @@ def log_convex_minorant(seq: WeightSeq, n: int) -> WeightSeq:
     B = max(16, n/4) (clamped to the available domain), then truncated to n:
     the hull value at k depends on later points, and the buffer makes the
     boundary distortion negligible for sequences with M_k^{1/k} -> infinity.
+    The result is log-convex by construction, so it is declared a weight
+    sequence whatever its input was.
     """
     buffer = max(16, n // 4)
     if math.isfinite(seq.max_index):
@@ -470,7 +478,7 @@ def log_convex_minorant(seq: WeightSeq, n: int) -> WeightSeq:
         buffer = max(buffer, 0)
     vals = seq.values(n + buffer)
     hull = _kernels.lower_hull(vals)[: n + 1]
-    return WeightSeq.from_values(f"minorant({seq.name})", hull, is_weight_seq=seq.is_weight_seq)
+    return WeightSeq.from_values(f"minorant({seq.name})", hull, is_weight_seq=True)
 
 
 # -- serialization ---------------------------------------------------------
@@ -508,6 +516,8 @@ def seq_from_csv(name: str, text: str, *, is_weight_seq: bool = False) -> Weight
     """Read (k, log_m) rows.  A declared weight sequence must be log-convex on
     the rows given; a quotient drop beyond LOG_TOL raises NotAWeightSequence."""
     rows = list(csv.DictReader(io.StringIO(text)))
+    if not rows:
+        raise ValueError("CSV has no rows")
     ks = [int(r["k"]) for r in rows]
     if ks != list(range(len(ks))):
         raise ValueError("CSV must list k = 0..n contiguously")

@@ -329,22 +329,39 @@ def test_check_mg_with_one_term_is_inconclusive(capsys):
     assert rc == 3 and "too few samples" in json.loads(out)["note"]
 
 
-def test_compute_K_reaches_past_the_assoc_array(capsys, monkeypatch):
-    # at n = 65536 the conjugate's lattice bracket reaches y = 24.7, past
-    # log mu_J = 23.6 of the 2^17-term array
-    far_ys = []
-    far = func_core._AssocEvaluator._far
-
-    def spy(self, log_t):
-        far_ys.extend(log_t.tolist())
-        return far(self, log_t)
-
-    monkeypatch.setattr(func_core._AssocEvaluator, "_far", spy)
+def test_compute_K_reaches_past_the_assoc_array(capsys):
+    # at n = 65536 a golden conjugate's lattice bracket reaches y = 24.7,
+    # past log mu_J = 23.6 of the 2^17-term array; the closed form's roots
+    # stay inside it and agree with that conjugate
     rc, out, _ = run(capsys, "compute", "seq:gevrey?s=2", "--derive", "K", "--n", "65536")
     vals = np.array([float(row.split(",")[1]) for row in out.splitlines()[1:]])
     assert rc == 0 and len(vals) == 65537
     assert np.all(np.diff(np.diff(vals)) >= -1e-9)  # log quotients non-decreasing up to rounding
-    assert 2.0 ** (74 / 16) in far_ys
+    js = np.array([1, 2, 3, 64, 4097, 30000, 65535, 65536])
+    want = func_core.phi_star(func_core.kappa_fn(func_core.omega_tilde_from_seq(catalog.resolve("seq:gevrey?s=2"))), js)
+    assert np.all(np.abs(vals[js] - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_compute_on_a_header_only_csv_is_a_catalog_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "e.csv").write_text("k,log_m\n")
+    rc, out, err = run(capsys, "compute", "seq:csv?path=e.csv", "--n", "4")
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": "CatalogError", "message": "'seq:csv?path=e.csv': CSV has no rows"}
+
+
+def test_compute_L_of_the_minorant_of_an_undeclared_table(tmp_path, monkeypatch, capsys):
+    # the minorant is log-convex by construction, so it is a declared weight
+    # sequence even where its table is not one
+    monkeypatch.chdir(tmp_path)
+    log_mu = 2.0 + 2.0 * np.log(np.arange(1, 33, dtype=float))
+    log_mu[[4, 5]] += [1.0, -1.0]  # mu_6 < mu_5
+    log_m = np.concatenate([[0.0], np.cumsum(log_mu)])
+    (tmp_path / "t.csv").write_text("k,log_m\n" + "".join(f"{k},{float(v)!r}\n" for k, v in enumerate(log_m)))
+    _usage_error(capsys, "compute", "seq:csv?path=t.csv", "--derive", "L", "--n", "4", kind="NotAWeightSequence")
+    rc, out, err = run(capsys, "compute", "derived:minorant(seq:csv?path=t.csv)", "--derive", "L", "--n", "4")
+    rows = np.array([[float(x) for x in row.split(",")] for row in out.splitlines()[1:]])
+    assert rc == 0 and err == "" and rows.shape == (5, 2) and np.all(np.isfinite(rows))
 
 
 def test_compute_omega_M_table_starts_below_one_when_mu_1_is(capsys):

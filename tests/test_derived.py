@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from ultraweights import derived
+from ultraweights import derived, func_core
 from ultraweights.catalog import exp_gevrey_matrix, make_exp_gevrey_member, make_power_weight, resolve
 from ultraweights.derived import FAMILY_NAMES, derive_family, seq_K, seq_L, seq_Q, seq_S, seq_underline_L
-from ultraweights.errors import DivergentTail, MaximizerUnbounded, NotAWeightSequence
+from ultraweights.errors import DivergentTail, MaximizerUnbounded, NotAWeightSequence, TruncationExhausted
 from ultraweights.func_core import (
     WeightMatrix,
     _AssocEvaluator,
+    kappa_fn,
     matrix_from_omega,
     omega_tilde_from_seq,
+    phi_star,
     poisson_batch,
 )
 from ultraweights.seq_core import (
@@ -19,6 +21,7 @@ from ultraweights.seq_core import (
     is_log_convex,
     is_strongly_log_convex,
     log_convex_minorant,
+    seq_from_csv,
     seq_preceq,
     tail_mids,
 )
@@ -126,22 +129,70 @@ def test_K_zeroth_term_exact(gevrey2):
     assert seq_K(gevrey2, 32).log_m(0) == 0.0
 
 
-def test_K_conjugates_of_expgevrey_members_take_at_most_60_g_calls(monkeypatch):
-    # 64 x per conjugate: the lattice grows by octaves, and a seed that falls
-    # back starts golden section next to its best probe
-    calls, inner = [], derived.phi_star
-
-    def counted(w, x):
-        g, made = w._phi, []
-        w._phi = lambda ys: (made.append(len(ys)), g(ys))[1]
-        out = inner(w, x)
-        calls.append(len(made))
-        return out
-
-    monkeypatch.setattr(derived, "phi_star", counted)
+def test_K_of_expgevrey_members_takes_at_most_3_kappa_evaluations(monkeypatch):
+    # the closed form reads kappa at 0, the roots and their bracket ends in
+    # one call, and runs no golden search: neither a conjugate of kappa nor
+    # the associated function's far path past its array
+    calls, searches, inner, golden = [], [], func_core._kappa_assoc, func_core._golden_max
+    monkeypatch.setattr(func_core, "_kappa_assoc", lambda w, ys: (calls.append(len(ys)), inner(w, ys))[1])
+    monkeypatch.setattr(func_core, "_golden_max", lambda *args: (searches.append(len(args[2])), golden(*args))[1])
     for m in resolve("mat:expgevrey?p=2").members():
+        before = len(calls)
         seq_K(m, 64)
-    assert len(calls) == 7 and max(calls) <= 60
+        assert len(calls) - before <= 3
+    assert len(calls) >= 7 and searches == []
+
+
+def _K_oracle(m: WeightSeq, js: np.ndarray) -> np.ndarray:
+    """The golden conjugate of the normalized kappa, the path seq_K took
+    before its closed form."""
+    return phi_star(kappa_fn(omega_tilde_from_seq(m)), js)
+
+
+def _csv_table(rows: int) -> WeightSeq:
+    # a declared table of gevrey 2 values: its fitted remainder keeps the
+    # last piece of kappa rising past the last quotient
+    text = "k,log_m\n" + "".join(f"{k},{2.0 * math.lgamma(k + 1)!r}\n" for k in range(rows))
+    return seq_from_csv("csv", text, is_weight_seq=True)
+
+
+def _low_table() -> WeightSeq:
+    # mu_1 = e^-2 and mu_2 = 4 e^-2 lie below 1: kappa's first piece at y = 0 has count 2
+    return WeightSeq.from_values("low", np.concatenate([[0.0], np.cumsum(-2.0 + 2.0 * np.log(np.arange(1.0, 129.0)))]),
+                                 is_weight_seq=True)
+
+
+K_CASES = {
+    "gevrey2": (lambda: resolve("seq:gevrey?s=2"), 256),
+    "gevrey3": (lambda: resolve("seq:gevrey?s=3"), 256),
+    **{f"expgevrey-{a:g}": (lambda a=a: resolve("mat:expgevrey?p=2").member(a), 64) for a in (0.125, 0.25, 0.5, 1, 2, 4, 8)},
+    **{f"{fn}-{a:g}": (lambda uri=uri, a=a: resolve(uri).member(a), 64)
+       for fn, uri in (("power", "mat:omega?fn=power&beta=0.5"), ("logsq", "mat:omega?fn=logsq"))
+       for a in (0.125, 1.0, 8.0)},
+    "csv-10-rows": (lambda: _csv_table(10), 64),
+    "mu1-below-1": (_low_table, 64),
+}
+
+
+@pytest.mark.parametrize("case", sorted(K_CASES))
+def test_K_closed_form_matches_the_golden_conjugate(case):
+    build, n = K_CASES[case]
+    m = build()
+    got = seq_K(m, n).values(n)[1:]
+    want = _K_oracle(m, np.arange(1, n + 1, dtype=float))
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
+
+
+def test_K_past_the_last_quotient_of_a_capped_array_is_refused(monkeypatch):
+    # kappa' at the last quotient of a 64-term gevrey 2 array is about 130:
+    # K_128 has its maximizer inside the array, K_256 past it
+    monkeypatch.setattr(_AssocEvaluator, "ARRAY_CAP", 64)
+    m = resolve("seq:gevrey?s=2")
+    got, want = seq_K(m, 128).values(128)[1:], _K_oracle(m, np.arange(1.0, 129.0))
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
+    with pytest.raises(TruncationExhausted):
+        seq_K(resolve("seq:gevrey?s=2"), 256)
 
 
 def test_K_is_weight_sequence(gevrey2):

@@ -218,9 +218,9 @@ def plateau() -> WeightFn:
 @pytest.mark.parametrize("uri", ["fn:power?beta=0.5", "fn:logsq"])
 @pytest.mark.parametrize("alpha", [0.125, 1.0, 8.0])
 def test_phi_star_asks_for_at_most_22_points_per_x(uri, alpha):
-    # seeded golden section takes about 16 points per x on these grids,
-    # golden section from a fallback bracket up to about 35; no call holds more
-    # than a block's worth of points (64 KiB)
+    # a seeded maximum takes 13 points per x on these grids, golden section
+    # from a fallback bracket up to about 35; no call holds more than a
+    # block's worth of points (64 KiB)
     wn = normalize_fn(resolve(uri))
     inner, asked = wn._phi, []
 
@@ -232,6 +232,20 @@ def test_phi_star_asks_for_at_most_22_points_per_x(uri, alpha):
     xs = alpha * np.arange(2**17 + 1, dtype=float)
     phi_star(wn, xs)
     assert sum(asked) <= 22 * len(xs) and max(asked) <= func_core.PHI_STAR_BLOCK
+
+
+def test_power_matrix_member_arrays_take_at_most_13_05_phi_points_per_conjugate_x(monkeypatch):
+    # a seeded maximum takes three points in each of SEED_ROUNDS rounds and
+    # four for its quadruple, which the certificate accepts before any
+    # golden step; the lattice and the normalization add the rest
+    w = resolve("fn:power?beta=0.5")
+    inner, points = w._phi, []
+    w._phi = lambda ys: (points.append(np.size(ys)), inner(ys))[1]
+    asked = count_conjugate_points(monkeypatch)
+    mat = matrix_from_omega(w)
+    for a in mat.grid:
+        mat.member(a).values(func_core._AssocEvaluator.ARRAY_CAP)
+    assert sum(asked) > 2**18 and sum(points) <= 13.05 * sum(asked)
 
 
 @pytest.mark.parametrize("name", ["power", "logsq", "gevrey2"])
@@ -277,6 +291,25 @@ def test_involution(name, request):
 
 
 # -- associated function ---------------------------------------------------------
+
+
+def test_assoc_array_fits_its_tail_once_and_shares_its_quotients(monkeypatch):
+    # one power-law fit and one log mu per array, with the generic sums bit
+    # for bit those that `tail_sums` builds from the sequence on its own
+    from ultraweights import seq_core
+
+    seq = WeightSeq("g2", lambda kk: 2.0 * gammaln(kk + 1.0), is_weight_seq=True)  # no attached tail
+    fits, reads = [], []
+    for mod in (func_core, seq_core):
+        real = mod._tail_exponent
+        monkeypatch.setattr(mod, "_tail_exponent", lambda log_mu, real=real: (fits.append(len(log_mu)), real(log_mu))[1])
+    monkeypatch.setattr(seq, "log_mu", lambda n: (reads.append(n), WeightSeq.log_mu(seq, n))[1])
+    ev = func_core._AssocEvaluator(seq)
+    assert fits == [ev._n] and reads == []
+    counts = np.arange(ev._n + 1)
+    own = seq_core.tail_sums(seq, 1, ev._n + 1, ev._n).at(counts + 1)
+    for got, want in zip(ev.log_tail_after(counts), own):
+        assert np.array_equal(got, want)
 
 
 def test_assoc_factorial_value(factorial):

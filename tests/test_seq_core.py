@@ -233,6 +233,12 @@ def test_minorant_chord():
     assert log_convex_minorant(seq, 2).log_m(1) == pytest.approx(1.25)
 
 
+def test_minorant_is_a_declared_weight_sequence():
+    # log-convex by construction, whatever its input was declared
+    seq = WeightSeq.from_values("toy", [0.0, 2.0, 2.5])
+    assert not seq.is_weight_seq and log_convex_minorant(seq, 2).is_weight_seq
+
+
 def test_minorant_fixed_point_on_convex(gevrey2):
     m = log_convex_minorant(gevrey2, 64)
     assert np.allclose(m.values(64), gevrey2.values(64), atol=1e-9)
@@ -313,6 +319,11 @@ def test_csv_roundtrip(gevrey2):
     assert "\r" not in text
     back = seq_from_csv("g2back", text, is_weight_seq=True)
     assert np.allclose(back.values(16), gevrey2.values(16), atol=1e-12)
+
+
+def test_csv_without_rows_is_refused():
+    with pytest.raises(ValueError, match="CSV has no rows"):
+        seq_from_csv("empty", "k,log_m\n")
 
 
 def test_csv_declared_weight_sequence_must_be_log_convex(tmp_path):
