@@ -35,23 +35,30 @@ Gauss-Legendre rule, bisection of the panels that miss their share of the
 tolerance, and a budget of PANEL_BUDGET panels whose exhaustion widens the
 bracket.
 
-The conjugate maximizes the concave x y - phi(y) in three stages.  A
+The conjugate maximizes the concave x y - phi(y) in four stages.  A
 lattice of fixed points y = 0, 2^(j/16) holds phi and its chord slopes,
 which are nondecreasing because phi is convex; one `searchsorted` of x in
 the slopes brackets the maximizer within four cells (`_Lattice`).  Parabolic
-steps from the three lattice points around the maximizer then propose a
-golden bracket a few rounding widths across, which is kept only where
-concavity confirms that it holds the sup (`_seed`); where it does not,
-golden section starts from the neighbours of the best point evaluated so
-far.  Golden section shrinks the bracket until concavity certifies that no
-point beats the best probe by more than rounding (`_golden_max`).  The
-seeded bracket is narrow enough (SEED_SPAN) for that certificate to hold
-at the seed, so a smooth maximum takes 13 phi evaluations per x, three per
-parabolic round and four for the bracket, and no golden step; one whose
-seed falls back (a kink, a plateau) takes up to about 60 more, fewer the
-closer its seed came.  Each x's probes and value depend only on phi and
-x.  A WeightFn's lattice grows by at most an octave of y per phi call, so
-that a conjugate over a few x makes a few dozen calls.  The associated
+steps from the three lattice points around the maximizer then find its
+vertex and the curvature there (`_rounds`).  A vertex table holds these
+at fixed nodes x = 2^(i/32), each solved once, when the first x between
+its neighbours needs it; the cubic through the four nodes around an x puts
+a golden bracket a few rounding widths across on its maximizer
+(`_Lattice.vertices`).  That bracket is kept only where concavity confirms
+that it holds the sup, which needs no lattice bracket (`_seed`); an x
+whose table seed is missing or fails runs the parabolic steps itself from
+its lattice bracket, and where their bracket fails too, golden section
+starts from the neighbours of the best point evaluated so far
+(`_lattice_seed`).  Golden section shrinks the bracket until concavity
+certifies that no point beats the best probe by more than rounding
+(`_golden_max`).  A seeded bracket is narrow enough (SEED_SPAN) for that
+certificate to hold at the seed, so a smooth maximum takes 4 phi
+evaluations per x from the table, besides its share of the node solves,
+or 13 from its own parabolic steps, and no golden step; one whose seed
+falls back (a kink, a plateau) takes up to about 60 more, fewer the closer
+its seed came.  Each x's probes and value depend only on phi and x.  A
+WeightFn's lattice grows by at most an octave of y per phi call, so that a
+conjugate over a few x makes a few dozen calls.  The associated
 function's far path runs the same stages over real k.
 
 The canonical weight matrix has log M^(alpha)_k = phi*(alpha k)/alpha, so
@@ -157,6 +164,15 @@ SEED_WIDTH = 8.0  # a round's probe spacing, in units of sigma = sqrt(GOLDEN_TOL
 # holds for W <= 3.7; W = 3 spends 0.66 and leaves 0.34 for a vertex e sigma
 # off centre, which adds |f(c) - f(d)| / r = 0.38 W e, so e <= 0.3.
 SEED_SPAN = 3.0
+# Vertex-table nodes x = 2^(i/VERTEX_STEPS) per doubling of x.  The cubic through
+# four nodes h = 1/VERTEX_STEPS apart in s = log2 x misses the vertex m by at most
+# (9/16) h^4 |m''''| / 4! between its middle two.  On phi(y) = y^2 (logsq), m = x/2
+# = 2^(s-1), so m'''' = (log 2)^4 m, while sigma = sqrt(GOLDEN_TOL (1 + m^2) / 2)
+# >= 2.1e-8 m: the miss is at most 2.6e5 h^4 sigma, 0.24 sigma at h = 1/32, within
+# the 0.3 sigma that SEED_SPAN leaves, and 3.9 sigma at h = 1/16.  On a power
+# weight m is linear in s, which the cubic reproduces.
+VERTEX_STEPS = 32
+VERTEX_TOP = 64 * VERTEX_STEPS  # the table's nodes run over |i| <= VERTEX_TOP: 2^-64 <= x <= 2^64
 NEWTON_ITERS = 64  # cap on the safeguarded Newton steps of `kappa_star_assoc`, which take 8 at most on gevrey 2 at n = 65536
 NEWTON_PUSH = 2.0  # ulps by which such a step goes past its Newton point, so that its bracket closes from both sides
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -254,7 +270,8 @@ class _Lattice:
     points up to y_(i+1).  If cell i is the first whose slope reaches x,
     the objective rises to y_i and does not rise past it, so its maximizer
     lies in [y_(i-1), y_(i+1)]; `bracket` adds one more cell on either side
-    as slack for rounding.
+    as slack for rounding.  The lattice also keeps the vertex table that
+    seeds the golden section of x between its nodes (`vertices`).
     """
 
     def __init__(self, base: float, top: int, doubling: bool = False):
@@ -263,6 +280,7 @@ class _Lattice:
         while 2.0 ** (self._j / LATTICE_STEPS) <= base:
             self._j += 1
         self.y, self.gy, self.slope = np.array([float(base)]), None, np.empty(0)
+        self._vertex = self._scale = None  # the vertex table (`vertices`), made on first use
         self._lock = threading.Lock()
 
     def _extend(self, g: Callable[[np.ndarray], np.ndarray]) -> None:
@@ -287,21 +305,92 @@ class _Lattice:
         the same g, its owner's: the lattice keeps no reference to it, so it
         makes no reference cycle."""
         with self._lock:
-            if self.gy is None:
-                self.gy = g(self.y)
-            x_max = float(np.max(xs, initial=-np.inf))
-            while self._j <= self._top and np.searchsorted(self.slope, x_max) > len(self.slope) - 2:
-                self._extend(g)
-            i = np.searchsorted(self.slope, xs)
-            last = len(self.y) - 1
-            lo, hi = np.maximum(i - 2, 0), np.minimum(i + 2, last)
-            mid = np.clip(i, 1, max(last - 1, 1))  # a lattice of two points repeats one: no parabola
-            near = [np.minimum(mid + k, last) for k in (-1, 0, 1)]
-            a, b, ga, gb, past_top = self.y[lo], self.y[hi], self.gy[lo], self.gy[hi], i == len(self.slope)
-            ys, gys = tuple(self.y[j] for j in near), tuple(self.gy[j] for j in near)
+            return self._bracket(g, xs)
+
+    def _bracket(
+        self, g: Callable[[np.ndarray], np.ndarray], xs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple, tuple]:
+        """`bracket`, with the lock held."""
+        if self.gy is None:
+            self.gy = g(self.y)
+        x_max = float(np.max(xs, initial=-np.inf))
+        while self._j <= self._top and np.searchsorted(self.slope, x_max) > len(self.slope) - 2:
+            self._extend(g)
+        i = np.searchsorted(self.slope, xs)
+        last = len(self.y) - 1
+        lo, hi = np.maximum(i - 2, 0), np.minimum(i + 2, last)
+        mid = np.clip(i, 1, max(last - 1, 1))  # a lattice of two points repeats one: no parabola
+        near = [np.minimum(mid + k, last) for k in (-1, 0, 1)]
+        a, b, ga, gb, past_top = self.y[lo], self.y[hi], self.gy[lo], self.gy[hi], i == len(self.slope)
+        ys, gys = tuple(self.y[j] for j in near), tuple(self.gy[j] for j in near)
         with np.errstate(over="ignore", invalid="ignore"):
             fb = xs * b - gb
             return a, b, xs * a - ga, fb, past_top | np.isnan(fb), ys, tuple(xs * y - gy for y, gy in zip(ys, gys))
+
+    def vertices(self, g: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(m, scale) per x from the vertex table, NaN where it has none.
+
+        The table holds, at the nodes x_i = 2^(i/VERTEX_STEPS), |i| <=
+        VERTEX_TOP, the vertex m_i of the last parabolic round of `_rounds`
+        and the allowance scale (1 + |f|) / |f''| of its fit, so that sigma
+        = sqrt(GOLDEN_TOL scale).  A node is solved once, from its lattice
+        bracket, the first time it is in the stencil x_(i-1) .. x_(i+2) of
+        an x with x_i <= x < x_(i+1).  It is invalid (NaN) where the lattice
+        cannot bracket it, where a round gives up (a kink, a plateau) or
+        where m_i leaves its bracket (a maximum at the base).  An invalid
+        node raises nothing, and one that the lattice cannot bracket probes
+        nothing.  Each x reads the cubic in log2 x through its stencil's
+        four m_j and the one through their scale_j (`_cubic`), NaN when a
+        node is invalid or x lies outside the table, so each value depends
+        only on g and x."""
+        m, scale = np.full(len(x), np.nan), np.full(len(x), np.nan)
+        on = np.flatnonzero((x >= 2.0 ** ((2 - VERTEX_TOP) / VERTEX_STEPS)) & (x < 2.0 ** ((VERTEX_TOP - 2) / VERTEX_STEPS)))
+        if not len(on):
+            return m, scale
+        t = VERTEX_STEPS * np.log2(x if len(on) == len(x) else x[on])
+        i = np.floor(t)
+        u = t - i
+        k = i.astype(np.intp) + VERTEX_TOP  # the table row of x_i
+        lo, hi = int(k.min()) - 1, int(k.max()) + 3  # the rows of every stencil, and some between them
+        with self._lock:
+            if self._vertex is None:
+                self._vertex, self._scale = np.full(2 * VERTEX_TOP + 1, np.inf), np.full(2 * VERTEX_TOP + 1, np.nan)
+            if np.isinf(self._vertex[lo:hi]).any():  # unsolved: solve those that a stencil holds
+                held = np.zeros(hi - lo, dtype=bool)
+                for d in range(4):
+                    held[k - (lo + 1) + d] = True
+                fresh = np.flatnonzero(held & np.isinf(self._vertex[lo:hi]))
+                if len(fresh):
+                    self._solve(g, lo + fresh)
+            with np.errstate(invalid="ignore"):  # inf - inf between the stencils
+                cm, cs = _cubic(self._vertex[lo:hi]), _cubic(self._scale[lo:hi])
+        j = k - (lo + 1)
+        vm = cm[0][j] + u * (cm[1][j] + u * (cm[2][j] + u * cm[3][j]))
+        vs = cs[0][j] + u * (cs[1][j] + u * (cs[2][j] + u * cs[3][j]))
+        if len(on) == len(x):
+            return vm, vs
+        m[on], scale[on] = vm, vs
+        return m, scale
+
+    def _solve(self, g: Callable[[np.ndarray], np.ndarray], rows: np.ndarray) -> None:
+        """Solve the vertex table's rows (see `vertices`); the lock is held."""
+        x = 2.0 ** ((rows - VERTEX_TOP) / VERTEX_STEPS)
+        a, b, _, _, unbracketed, near, f_near = self._bracket(g, x)
+        ok = np.flatnonzero(~unbracketed)
+        live, m, scale = _rounds(g, x[ok], a[ok], b[ok], tuple(y[ok] for y in near), tuple(f[ok] for f in f_near))[:3]
+        at = ok[live]
+        inside = (m > a[at]) & (m < b[at])
+        vertex, vscale = np.full(len(x), np.nan), np.full(len(x), np.nan)
+        vertex[at[inside]], vscale[at[inside]] = m[inside], scale[inside]
+        self._vertex[rows], self._scale[rows] = vertex, vscale
+
+
+def _cubic(v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(c0, c1, c2, c3) per interval i of the nodes v: the cubic c0 + c1 u +
+    c2 u^2 + c3 u^3 through (-1, v_(i-1)), (0, v_i), (1, v_(i+1)), (2,
+    v_(i+2)), for i = 1 .. len(v) - 3."""
+    p0, p1, p2, p3 = v[:-3], v[1:-2], v[2:-1], v[3:]
+    return p1, p2 - p0 / 3.0 - p1 / 2.0 - p3 / 6.0, (p0 + p2) / 2.0 - p1, (p3 - p0) / 6.0 + (p1 - p2) / 2.0
 
 
 def _golden_max(
@@ -311,13 +400,15 @@ def _golden_max(
     attaining it, per component of x, PHI_STAR_BLOCK components at a time;
     raises refuse(x) for an x that the lattice cannot bracket.
 
-    The lattice bracket [a, b] holds the maximizer; `_seed` proposes a
-    narrower golden bracket [a', b'] inside it.  The quadruple a' < c' < d'
-    < b' is kept where f(c') >= f(a') and f(d') >= f(b'): f is concave, so
-    its chord slopes fall, and a y < a' has f(y) <= f(a') <= f(c'), a y > b'
-    has f(y) <= f(b') <= f(d'), so the sup over [a, b] is the sup over
-    [a', b'].  Every other component starts from the neighbours of its
-    best point among the lattice ends, the lattice points near its
+    `_seed` proposes a golden quadruple a' < c' < d' < b' with a' >= base
+    for each component, and keeps it where f(c') >= f(a') and f(d') >=
+    f(b'): f is concave on all y >= base, so its chord slopes fall, and a
+    y in [base, a') has f(y) <= f(a') <= f(c'), a y > b' has f(y) <= f(b')
+    <= f(d'), so the sup over y >= base is the sup over [a', b'].  The check
+    alone contains the sup, so a quadruple from the vertex table needs no
+    lattice bracket.  Every other component starts from its lattice
+    bracket [a, b], which holds the maximizer, narrowed to the neighbours
+    of its best point among the lattice ends, the lattice points near its
     maximizer, its seed probes and its quadruple (`_narrowed`): by
     concavity the sup over [a, b] lies between them.
 
@@ -331,7 +422,8 @@ def _golden_max(
     GOLDEN_TOL (1 + |best|) stops and leaves the working arrays;
     GOLDEN_ITERS steps stop any component.  The result is the best of the
     four points.  A component's probes, steps and value depend only on g,
-    the lattice and its own x, and every probe lies in its lattice bracket.
+    the lattice and its own x.  Every probe lies in the component's lattice
+    bracket or, for a quadruple from the vertex table, in that quadruple.
     """
     val, arg = np.empty_like(x), np.empty_like(x)
     for i in range(0, len(x), PHI_STAR_BLOCK):
@@ -379,30 +471,111 @@ def _narrowed(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray, poin
     return lo, hi, flo, fhi
 
 
+def _rounds(
+    g: Callable[[np.ndarray], np.ndarray], x: np.ndarray, a: np.ndarray, b: np.ndarray, ys: tuple, fs: tuple
+) -> tuple:
+    """(live, m, scale, round_live, ys, fs, gave_up): parabolic steps
+    toward the maximizer of f(y) = x y - g(y) in each lattice bracket [a, b],
+    from the three lattice points ys around it, where f is fs.
+
+    Round 0 fits the parabola through the three lattice points, where g is
+    cached.  Each of SEED_ROUNDS rounds fits it through m - h, m, m + h
+    around the last vertex m, moved inside [a, b], with h = s = SEED_WIDTH
+    sqrt(GOLDEN_TOL scale) from the last fit, scale = (1 + |f|) / |f''|:
+    over h the parabola's second difference is SEED_WIDTH^2 times the
+    certificate's allowance, so rounding moves its curvature by a few
+    percent at most, and a round is a Newton step.  A component gives up
+    when a fit is not strictly concave or not finite, when 2 s exceeds b -
+    a, or when s more than doubles in a round: a curvature that falls by 4
+    is rounding on a linear piece (a kink, a plateau).  Each round
+    evaluates its probes together (`_g_rows`).
+
+    `live` holds the components that never gave up, with the vertex m and
+    the scale of their last fit; `round_live` those that entered the last
+    round, whose probes are ys and fs; `gave_up` the (components, y, f)
+    triples of the probes of the round each other one gave up in, after
+    round 0 (whose probes are the lattice points).
+    """
+    live, xl, al, bl, wl = np.arange(len(x)), x, a, b, b - a
+    gave_up = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for rnd in range(SEED_ROUNDS + 1):
+            if rnd:
+                h = s
+                lo = np.maximum(np.minimum(m - h, bl - 2.0 * h), al)
+                ys = (lo, lo + h, np.minimum(lo + 2.0 * h, bl))
+                fs = [xl * y - gy for y, gy in zip(ys, _g_rows(g, ys))]
+            round_live = live
+            (y0, y1, y2), (f0, f1, f2) = ys, fs
+            d1 = (f1 - f0) / (y1 - y0)
+            curv = 2.0 * ((f2 - f1) / (y2 - y1) - d1) / (y2 - y0)  # f'' of the parabola
+            m = 0.5 * (y0 + y1) - d1 / curv
+            scale = (1.0 + np.abs(f1)) / -curv
+            s = SEED_WIDTH * np.sqrt(GOLDEN_TOL * scale)
+            keep = (s > 0.0) & (2.0 * s < wl)  # a finite s > 0 needs finite f and curv < 0, so a finite m
+            if rnd:
+                keep &= s < 2.0 * h  # a curvature under a quarter of the last is rounding: a kink or a plateau
+            if not keep.all():
+                if rnd:
+                    gone = ~keep
+                    gave_up += [(live[gone], y[gone], f[gone]) for y, f in zip(ys, fs)]
+                live, xl, al, bl, wl, m, s, scale = (v[keep] for v in (live, xl, al, bl, wl, m, s, scale))
+            if not len(live):
+                break
+    return live, m, scale, round_live, ys, fs, gave_up
+
+
 def _seed(
     g: Callable[[np.ndarray], np.ndarray], lattice: _Lattice, x: np.ndarray, refuse: Callable[[float], Exception]
 ) -> tuple[np.ndarray, ...]:
     """(a, w, fa, fb, fc, fd): the golden quadruple a < c < d < a + w
-    that each component starts from, seeded by parabolic steps where the
-    concavity check of `_golden_max` confirms the seed, else the part of
-    its lattice bracket [a, b] next to its best probe; raises refuse(x) for
-    an x that the lattice cannot bracket.
+    that each component starts from; raises refuse(x) for an x that the
+    lattice cannot bracket.
 
-    Round 0 fits the parabola through the three lattice points around the
-    maximizer, where g is cached.  Each of SEED_ROUNDS rounds fits it
-    through m - h, m, m + h around the last vertex m, moved inside [a, b],
-    with h = s = SEED_WIDTH sqrt(GOLDEN_TOL (1 + |f|) / |f''|) from the
-    last fit: over h the parabola's second difference is SEED_WIDTH^2
-    times the certificate's allowance, so rounding moves its curvature by
-    a few percent at most, and a round is a Newton step.  A component gives
-    up its seed when a fit is not strictly concave or not finite, when 2 s
-    exceeds b - a, or when s more than doubles in a round: a curvature that
-    falls by 4 is rounding on a linear piece (a kink, a plateau).  The
-    seeded quadruple spans q = (SEED_SPAN / SEED_WIDTH) s, SEED_SPAN sigma,
-    around the last vertex: [m - q/2, m + q/2], moved inside [a, b].  That
-    is narrow enough for the certificate to hold at once on a smooth
-    maximum, so such an x takes 13 g points (three per round, four for
-    the quadruple) and no golden step.
+    A component whose vertex table stencil is valid (`_Lattice.vertices`)
+    takes the quadruple of span q = SEED_SPAN sigma, sigma = sqrt(GOLDEN_TOL
+    scale), around its interpolated vertex m: [m - q/2, m + q/2], moved up
+    to the base.  It keeps it where the concavity check of `_golden_max`
+    holds, f(c) >= f(a) and f(d) >= f(b): f is concave on all y >= base, so
+    the sup lies inside, with no lattice bracket.  Within 0.3 sigma of the
+    maximizer (VERTEX_STEPS) the certificate holds at once, so a smooth
+    maximum takes 4 g points per x and no golden step, besides its share of
+    the table's node solves.  Every other component takes the rounds-seeded
+    quadruple of `_lattice_seed`.
+    """
+    m, scale = lattice.vertices(g, x)
+    on = np.flatnonzero(scale > 0.0)  # NaN where the table has no seed
+    if not len(on):
+        return _lattice_seed(g, lattice, x, refuse)
+    xo, m, scale = (x, m, scale) if len(on) == len(x) else (x[on], m[on], scale[on])
+    q = SEED_SPAN * np.sqrt(GOLDEN_TOL * scale)
+    qa = np.maximum(m - 0.5 * q, lattice.y[0])
+    quad = (qa, qa + _INVPHI2 * q, qa + _INVPHI * q, qa + q)
+    fqa, fqc, fqd, fqb = (xo * y - gy for y, gy in zip(quad, _g_rows(g, quad)))
+    kept = (fqc >= fqa) & (fqd >= fqb)
+    if len(on) == len(x) and kept.all():
+        return qa, q, fqa, fqb, fqc, fqd
+    won, out = on[kept], tuple(np.empty_like(x) for _ in range(6))
+    rest = np.ones(len(x), dtype=bool)
+    rest[won] = False
+    rest = np.flatnonzero(rest)
+    for o, seeded, fallen in zip(out, (qa, q, fqa, fqb, fqc, fqd), _lattice_seed(g, lattice, x[rest], refuse)):
+        o[won], o[rest] = seeded[kept], fallen
+    return out
+
+
+def _lattice_seed(
+    g: Callable[[np.ndarray], np.ndarray], lattice: _Lattice, x: np.ndarray, refuse: Callable[[float], Exception]
+) -> tuple[np.ndarray, ...]:
+    """`_seed` from the lattice bracket [a, b] of each component: the
+    quadruple seeded by `_rounds` where the concavity check confirms it,
+    else the part of [a, b] next to its best probe; raises refuse(x) for an
+    x that the lattice cannot bracket.
+
+    The seeded quadruple spans q = SEED_SPAN sigma around the last vertex:
+    [m - q/2, m + q/2], moved inside [a, b].  That is narrow enough for the
+    certificate to hold at once on a smooth maximum, so such an x takes 13
+    g points (three per round, four for the quadruple) and no golden step.
 
     A component that falls back, in a round or at the check, starts from
     [p_(i-1), p_(i+1)], the neighbours of its best point p_i among a, b,
@@ -411,10 +584,9 @@ def _seed(
     (`_narrowed`).  Only the probes of the components that leave a round
     are kept for this.
 
-    Each round evaluates its probes together (`_g_rows`).  The seeded
-    quadruples share a last evaluation with the probes c and d of the
-    components that gave up, and seeded quadruples that fail the check
-    make one more for theirs.
+    The seeded quadruples share a last evaluation with the probes c and d
+    of the components that gave up, and seeded quadruples that fail the
+    check make one more for theirs.
     """
     a, b, fa, fb, unbracketed, near, f_near = lattice.bracket(g, x)
     if np.any(unbracketed):
@@ -430,37 +602,14 @@ def _seed(
         lo, hi, fa[idx], fb[idx] = _narrowed(a[idx], b[idx], fa[idx], fb[idx], points)
         a[idx], w[idx] = lo, hi - lo
 
-    live, xl, al, bl, wl = np.arange(len(x)), x, a, b, w
-    ys, fs, gave_up = near, f_near, []
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for rnd in range(SEED_ROUNDS + 1):
-            if rnd:
-                h = s
-                lo = np.maximum(np.minimum(m - h, bl - 2.0 * h), al)
-                ys = (lo, lo + h, np.minimum(lo + 2.0 * h, bl))
-                fs = [xl * y - gy for y, gy in zip(ys, _g_rows(g, ys))]
-            round_live = live
-            (y0, y1, y2), (f0, f1, f2) = ys, fs
-            d1 = (f1 - f0) / (y1 - y0)
-            curv = 2.0 * ((f2 - f1) / (y2 - y1) - d1) / (y2 - y0)  # f'' of the parabola
-            m = 0.5 * (y0 + y1) - d1 / curv
-            s = SEED_WIDTH * np.sqrt(GOLDEN_TOL * (1.0 + np.abs(f1)) / -curv)
-            keep = (s > 0.0) & (2.0 * s < wl)  # a finite s > 0 needs finite f and curv < 0, so a finite m
-            if rnd:
-                keep &= s < 2.0 * h  # a curvature under a quarter of the last is rounding: a kink or a plateau
-            if not keep.all():
-                if rnd:  # round 0's probes are the lattice points that every fallback takes
-                    gone = ~keep
-                    gave_up += [(live[gone], y[gone], f[gone]) for y, f in zip(ys, fs)]
-                live, xl, al, bl, wl, m, s = (v[keep] for v in (live, xl, al, bl, wl, m, s))
-            if not len(live):
-                break
+    live, m, scale, round_live, ys, fs, gave_up = _rounds(g, x, a, b, near, f_near)
+    xl, al, bl = x[live], a[live], b[live]
     rest = np.ones(len(x), dtype=bool)
     rest[live] = False
     rest = np.flatnonzero(rest)
     if len(rest):
         fall_back(rest, gave_up)
-    q = (SEED_SPAN / SEED_WIDTH) * s
+    q = SEED_SPAN * np.sqrt(GOLDEN_TOL * scale)
     qa = np.maximum(np.minimum(m - 0.5 * q, bl - q), al)
     ar, wr, xr = a[rest], w[rest], x[rest]
     quad = (qa, qa + _INVPHI2 * q, qa + _INVPHI * q, np.minimum(qa + q, bl))
@@ -543,7 +692,7 @@ def _phi_star_impl(w: WeightFn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def phi_star(w: WeightFn, x):
     """Young conjugate of phi at x >= 0 (scalar or array)."""
     xx = np.asarray(x, dtype=float)
-    if np.any(xx < 0):
+    if not np.all(xx >= 0):  # NaN too
         raise ValueError("conjugate is defined for x >= 0")
     val, _ = _phi_star_impl(w, np.atleast_1d(xx.astype(float)))
     return float(val[0]) if xx.ndim == 0 else val
@@ -618,7 +767,10 @@ class _AssocEvaluator:
             seq = log_convex_minorant(seq, int(seq.max_index))
         self.seq = seq
         self._lock = threading.Lock()
-        # cover log mu_J >= 55: with 4096 terms the fitted far tail moves K-power by 2.9e-4
+        # cover log mu_J >= 55, or reach the cap.  Past the array the generic tail is bracketed by
+        # [0, power-law bound] and read at its midpoint; taking the bound whole moves K-power by
+        # 3.7e-3 (9.4e-6 relative), and capping the arrays at 65,536 or 16,384 terms moves it by
+        # 9.4e-6 or 6.6e-5 relative, past the 1e-6 of bench/reference.json's gate
         self._set(self._grown(seq.values(min(self.ARRAY_START, self._cap())), 55.0))
 
     def _cap(self) -> int:

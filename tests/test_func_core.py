@@ -10,6 +10,7 @@ from ultraweights.catalog import (
     make_exp_gevrey_member,
     make_factorial,
     make_gevrey,
+    make_log_square_weight,
     make_power_weight,
     make_q_gevrey,
     resolve,
@@ -102,6 +103,14 @@ def test_phi_star_unbounded_for_logarithmic_weight():
     with pytest.raises(UnboundedConjugate, match=r"^slowlog: no finite bracket for the conjugate at x=2$"):
         phi_star(w, 2.0)
     assert w._lattice.y[-1] == 2.0 ** (func_core.LATTICE_TOP / func_core.LATTICE_STEPS)
+
+
+@pytest.mark.parametrize("x", [math.nan, [1.0, math.nan]])
+def test_phi_star_refuses_nan_before_the_lattice_grows(power_half, x):
+    wn = normalize_fn(power_half)
+    with pytest.raises(ValueError, match=r"^conjugate is defined for x >= 0$"):
+        phi_star(wn, x)
+    assert len(wn._lattice.y) == 1 and wn._lattice._vertex is None
 
 
 def test_lattice_chunks_change_no_point(power_half):
@@ -218,9 +227,11 @@ def plateau() -> WeightFn:
 @pytest.mark.parametrize("uri", ["fn:power?beta=0.5", "fn:logsq"])
 @pytest.mark.parametrize("alpha", [0.125, 1.0, 8.0])
 def test_phi_star_asks_for_at_most_22_points_per_x(uri, alpha):
-    # a seeded maximum takes 13 points per x on these grids, golden section
-    # from a fallback bracket up to about 35; no call holds more than a
-    # block's worth of points (64 KiB)
+    # a maximum seeded from the vertex table takes 4 points per x on these
+    # grids and the table's node solves a few hundred in all, one seeded by
+    # its own parabolic rounds 13 more, golden section from a fallback
+    # bracket up to about 35; no call holds more than a block's worth of
+    # points (64 KiB)
     wn = normalize_fn(resolve(uri))
     inner, asked = wn._phi, []
 
@@ -234,10 +245,11 @@ def test_phi_star_asks_for_at_most_22_points_per_x(uri, alpha):
     assert sum(asked) <= 22 * len(xs) and max(asked) <= func_core.PHI_STAR_BLOCK
 
 
-def test_power_matrix_member_arrays_take_at_most_13_05_phi_points_per_conjugate_x(monkeypatch):
-    # a seeded maximum takes three points in each of SEED_ROUNDS rounds and
-    # four for its quadruple, which the certificate accepts before any
-    # golden step; the lattice and the normalization add the rest
+def test_power_matrix_member_arrays_take_at_most_4_1_phi_points_per_conjugate_x(monkeypatch):
+    # a maximum seeded from the vertex table takes the four points of its
+    # quadruple, which the certificate accepts before any golden step; the
+    # table's node solves, the x that its seeds miss, the lattice and the
+    # normalization add the rest
     w = resolve("fn:power?beta=0.5")
     inner, points = w._phi, []
     w._phi = lambda ys: (points.append(np.size(ys)), inner(ys))[1]
@@ -245,7 +257,7 @@ def test_power_matrix_member_arrays_take_at_most_13_05_phi_points_per_conjugate_
     mat = matrix_from_omega(w)
     for a in mat.grid:
         mat.member(a).values(func_core._AssocEvaluator.ARRAY_CAP)
-    assert sum(asked) > 2**18 and sum(points) <= 13.05 * sum(asked)
+    assert sum(asked) > 2**18 and sum(points) <= 4.1 * sum(asked)
 
 
 @pytest.mark.parametrize("name", ["power", "logsq", "gevrey2"])
@@ -267,7 +279,65 @@ def test_phi_star_is_the_same_per_element_and_in_any_order(name, gevrey2, rng):
     assert np.array_equal(np.array([phi_star(w, x) for x in xs]), together)
 
 
-@pytest.mark.parametrize("w", [normalize_fn(make_power_weight(0.5)), normalize_fn(plateau())], ids=["power", "plateau"])
+def test_phi_star_solves_at_most_four_table_nodes_per_x(power_half):
+    # each x reads the four nodes around it, each solved once; a sparse call
+    # solves those and none between them
+    wn = normalize_fn(power_half)
+    phi_star(wn, np.arange(65.0))
+    assert np.sum(~np.isinf(wn._lattice._vertex)) <= 4 * 65
+    sparse = normalize_fn(power_half)
+    phi_star(sparse, np.array([1.0, 1e3, 1e6]))
+    assert np.sum(~np.isinf(sparse._lattice._vertex)) == 12
+
+
+def test_table_nodes_with_their_maximum_at_the_base_are_invalid(power_half):
+    # for x < 1/2 the maximum of x y - phi(y) lies at y = 0, where the
+    # parabolic vertex falls below the lattice bracket: such x take their
+    # seeds from the lattice, not from a quadruple pushed up to the base
+    wn = normalize_fn(power_half)
+    assert phi_star(wn, 0.25) == 0.0
+    solved = wn._lattice._vertex[~np.isinf(wn._lattice._vertex)]
+    assert len(solved) == 4 and np.all(np.isnan(solved))
+
+
+@pytest.mark.parametrize("name", ["power", "logsq", "gevrey2"])
+def test_vertex_table_built_in_pieces_matches_one_build(name, gevrey2):
+    g = {
+        "power": normalize_fn(make_power_weight(0.5)).phi,
+        "logsq": make_log_square_weight().phi,
+        "gevrey2": omega_from_seq(gevrey2).phi,
+    }[name]
+    xs = np.geomspace(0.3, 2e4, 300)
+
+    def table(*parts) -> func_core._Lattice:
+        lattice = func_core._Lattice(0.0, func_core.LATTICE_TOP)
+        for part in parts:
+            lattice.vertices(g, part)
+        return lattice
+
+    whole = table(xs)
+    for pieces in (table(xs[:150], xs[150:]), table(xs[150:], xs[:150]), table(xs[::2], xs[1::2])):
+        assert np.array_equal(pieces._vertex, whole._vertex, equal_nan=True)
+        assert np.array_equal(pieces._scale, whole._scale, equal_nan=True)
+        for got, want in zip(pieces.vertices(g, xs), whole.vertices(g, xs)):
+            assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("uri", ["fn:power?beta=0.1", "fn:power?beta=0.5", "fn:power?beta=0.9", "fn:logsq"])
+def test_table_seeded_conjugates_match_rounds_seeded_ones(uri, monkeypatch):
+    # both are certified within GOLDEN_TOL (1 + |f|) of the sup
+    xs = np.concatenate([alpha * np.arange(2**17 + 1, dtype=float) for alpha in (0.125, 8.0)])
+    table = phi_star(normalize_fn(resolve(uri)), xs)
+    monkeypatch.setattr(func_core._Lattice, "vertices", lambda self, g, x: (np.full(len(x), np.nan),) * 2)
+    rounds = phi_star(normalize_fn(resolve(uri)), xs)
+    assert np.all(np.abs(table - rounds) <= 2.0 * func_core.GOLDEN_TOL * (1.0 + np.abs(rounds)))
+
+
+@pytest.mark.parametrize(
+    "w",
+    [normalize_fn(make_power_weight(0.5)), normalize_fn(plateau()), make_log_square_weight()],
+    ids=["power", "plateau", "logsq"],
+)
 def test_phi_star_probes_stay_in_the_lattice_bracket(w):
     xs = np.concatenate([[1e-300, 1e-12, 1e-6, 1e-3, 0.25, 0.5], np.geomspace(0.5, 1e6, 40)])
     phi_star(w, xs)  # extends the lattice, so that the probes below are the search's own
