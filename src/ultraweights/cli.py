@@ -123,8 +123,8 @@ def _resolved_config(args, cfg: dict) -> dict:
         n, lo, hi = int(n_spec), int(lo_s), int(hi_s)
     except ValueError:
         raise UsageError(f"need an integer n and a grid LO..HI of integers, got n={n_spec!r}, grid={grid_spec!r}") from None
-    if n < 1 or lo > hi:
-        raise UsageError(f"need n >= 1 and a grid LO..HI with LO <= HI, got n={n}, grid={grid_spec!r}")
+    if n < 1 or not -1022 <= lo <= hi <= 1023:  # each 2^e a normal float
+        raise UsageError(f"need n >= 1 and a grid LO..HI with -1022 <= LO <= HI <= 1023, got n={n}, grid={grid_spec!r}")
     return {
         "n": n,
         "grid": grid_spec,
@@ -442,8 +442,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _grid_joined(argv: list[str]) -> list[str]:
+    """argv with `--grid LO..HI` written `--grid=LO..HI` where LO is
+    negative: argparse takes -3..3, which is no negative number to it, for
+    a flag of its own."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--grid" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--grid={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_grid_joined(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except UltraweightsError as e:

@@ -35,31 +35,30 @@ Gauss-Legendre rule, bisection of the panels that miss their share of the
 tolerance, and a budget of PANEL_BUDGET panels whose exhaustion widens the
 bracket.
 
-The conjugate maximizes the concave x y - phi(y) in four stages.  A
+The conjugate maximizes the concave x y - phi(y) in three stages.  A
 lattice of fixed points y = 0, 2^(j/16) holds phi and its chord slopes,
 which are nondecreasing because phi is convex; one `searchsorted` of x in
-the slopes brackets the maximizer within four cells (`_Lattice`).  Parabolic
-steps from the three lattice points around the maximizer then find its
-vertex and the curvature there (`_rounds`).  A vertex table holds these
-at fixed nodes x = 2^(i/32), each solved once, when the first x between
-its neighbours needs it; the cubic through the four nodes around an x puts
-a golden bracket a few rounding widths across on its maximizer
-(`_Lattice.vertices`).  That bracket is kept only where concavity confirms
-that it holds the sup, which needs no lattice bracket (`_seed`); an x
-whose table seed is missing or fails runs the parabolic steps itself from
-its lattice bracket, and where their bracket fails too, golden section
-starts from the neighbours of the best point evaluated so far
+the slopes brackets the maximizer within four cells (`_Lattice`).  A vertex
+table holds the maximizer and the curvature there at fixed nodes x =
+2^(i/32), each found once by parabolic steps from the three lattice points
+around it (`_rounds`), when the first x between its neighbours needs it;
+the cubic through the four nodes around an x puts a golden bracket a few
+rounding widths across on its maximizer (`_Lattice.vertices`).  That
+bracket is kept only where concavity confirms that it holds the sup, which
+needs no lattice bracket (`_seed`); an x whose table seed is missing or
+fails starts golden section from the neighbours of its best lattice point
 (`_lattice_seed`).  Golden section shrinks the bracket until concavity
 certifies that no point beats the best probe by more than rounding
 (`_golden_max`).  A seeded bracket is narrow enough (SEED_SPAN) for that
 certificate to hold at the seed, so a smooth maximum takes 4 phi
 evaluations per x from the table, besides its share of the node solves,
-or 13 from its own parabolic steps, and no golden step; one whose seed
-falls back (a kink, a plateau) takes up to about 60 more, fewer the closer
-its seed came.  Each x's probes and value depend only on phi and x.  A
-WeightFn's lattice grows by at most an octave of y per phi call, so that a
-conjugate over a few x makes a few dozen calls.  The associated
-function's far path runs the same stages over real k.
+and no golden step; any other x (outside the table, a maximum at the
+base, a kink, a plateau) takes 2 for its golden probes and 1 per golden
+step, 24 to 33 steps off a kink and up to about 60 at one.  Each x's
+probes and value depend only on phi and x.  A WeightFn's lattice grows by
+at most an octave of y per phi call, so that a conjugate over a few x
+makes a few dozen calls.  The associated function's far path runs the
+same stages over real k.
 
 The canonical weight matrix has log M^(alpha)_k = phi*(alpha k)/alpha, so
 log M^(2 alpha)_k = log M^(alpha)_(2k) / 2.  In floats this holds bit for
@@ -153,10 +152,10 @@ LATTICE_LOW = -8 * LATTICE_STEPS  # the lowest point above the base: y = 2^-8
 LATTICE_TOP = 67 * LATTICE_STEPS  # the conjugate's highest point: y = 8 * 2^64
 FAR_LATTICE_TOP = 1024 * LATTICE_STEPS - 1  # the far path's: the largest finite k on the lattice
 LATTICE_CHUNK = 4  # lattice points of the first extension; each next one doubles, up to an octave unless doubling
-GOLDEN_ITERS = 80  # cap on golden steps; the certificate stops seeded maxima before the first, others near 33, kinks near 60
+GOLDEN_ITERS = 80  # cap on golden steps; the certificate stops table-seeded maxima before the first, others 24 to 33, kinks near 60
 GOLDEN_CHECK = 3  # golden steps between certificate checks
 GOLDEN_TOL = 4.0 * np.finfo(float).eps  # certificate allowance, times 1 + |f|
-SEED_ROUNDS = 3  # parabolic refinements of the lattice vertex before the seeded golden bracket
+SEED_ROUNDS = 3  # parabolic refinements of a vertex-table node's maximizer after the lattice vertex
 SEED_WIDTH = 8.0  # a round's probe spacing, in units of sigma = sqrt(GOLDEN_TOL (1 + |f|) / |f''|)
 # The seeded quadruple's span, in units of sigma.  On f(y) = f(m) - |f''| (y - m)^2 / 2
 # with m at the centre of a span W, the certificate of `_golden_max` reads
@@ -271,7 +270,8 @@ class _Lattice:
     the objective rises to y_i and does not rise past it, so its maximizer
     lies in [y_(i-1), y_(i+1)]; `bracket` adds one more cell on either side
     as slack for rounding.  The lattice also keeps the vertex table that
-    seeds the golden section of x between its nodes (`vertices`).
+    seeds the golden section of x between its nodes (`vertices`), whose
+    nodes alone take parabolic steps (`_rounds`).
     """
 
     def __init__(self, base: float, top: int, doubling: bool = False):
@@ -377,7 +377,7 @@ class _Lattice:
         x = 2.0 ** ((rows - VERTEX_TOP) / VERTEX_STEPS)
         a, b, _, _, unbracketed, near, f_near = self._bracket(g, x)
         ok = np.flatnonzero(~unbracketed)
-        live, m, scale = _rounds(g, x[ok], a[ok], b[ok], tuple(y[ok] for y in near), tuple(f[ok] for f in f_near))[:3]
+        live, m, scale = _rounds(g, x[ok], a[ok], b[ok], tuple(y[ok] for y in near), tuple(f[ok] for f in f_near))
         at = ok[live]
         inside = (m > a[at]) & (m < b[at])
         vertex, vscale = np.full(len(x), np.nan), np.full(len(x), np.nan)
@@ -408,9 +408,9 @@ def _golden_max(
     alone contains the sup, so a quadruple from the vertex table needs no
     lattice bracket.  Every other component starts from its lattice
     bracket [a, b], which holds the maximizer, narrowed to the neighbours
-    of its best point among the lattice ends, the lattice points near its
-    maximizer, its seed probes and its quadruple (`_narrowed`): by
-    concavity the sup over [a, b] lies between them.
+    of its best point among the lattice ends and the three lattice points
+    near its maximizer (`_narrowed`): by concavity the sup over [a, b] lies
+    between them (`_lattice_seed`).
 
     Golden section then runs over all components together: ends a < b and
     probes c < d, with f known at all four (a new end is always an old
@@ -449,34 +449,33 @@ def _g_rows(g: Callable[[np.ndarray], np.ndarray], rows: tuple) -> list:
     return out
 
 
-def _narrowed(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray, points: list) -> tuple[np.ndarray, ...]:
+def _narrowed(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray, ys: tuple, fs: tuple) -> tuple[np.ndarray, ...]:
     """(lo, hi, f(lo), f(hi)) per component: the neighbours p_(i-1), p_(i+1)
-    of the best point p_i among a, b and `points` in [a, b], which are
-    (j, y, f) triples of component positions, points and f at them (a point
-    where f is NaN is skipped).  f is concave, so a y < p_(i-1) has f(y) <=
-    f(p_(i-1)) <= f(p_i) and a y > p_(i+1) has f(y) <= f(p_(i+1)) <= f(p_i):
-    the sup over [a, b] is the sup over [p_(i-1), p_(i+1)], and an end that
-    is p_i is its own neighbour."""
-    points = [(np.arange(len(a)), a, fa), *points]
+    of the best point p_i among a, b and the points ys in [a, b], where f is
+    fs (a point where f is NaN is skipped).  f is concave, so a y < p_(i-1)
+    has f(y) <= f(p_(i-1)) <= f(p_i) and a y > p_(i+1) has f(y) <=
+    f(p_(i+1)) <= f(p_i): the sup over [a, b] is the sup over [p_(i-1),
+    p_(i+1)], and an end that is p_i is its own neighbour."""
     p, fp = b.copy(), fb.copy()
-    for j, y, f in points:
-        up = f > fp[j]
-        p[j[up]], fp[j[up]] = y[up], f[up]
+    for y, f in ((a, fa), *zip(ys, fs)):
+        up = f > fp
+        p[up], fp[up] = y[up], f[up]
     lo, hi, flo, fhi = a.copy(), b.copy(), fa.copy(), fb.copy()
-    for j, y, f in points:
+    for y, f in zip(ys, fs):
         known = ~np.isnan(f)
-        below, above = known & (y < p[j]) & (y > lo[j]), known & (y > p[j]) & (y < hi[j])
-        lo[j[below]], flo[j[below]] = y[below], f[below]
-        hi[j[above]], fhi[j[above]] = y[above], f[above]
+        below, above = known & (y < p) & (y > lo), known & (y > p) & (y < hi)
+        lo[below], flo[below] = y[below], f[below]
+        hi[above], fhi[above] = y[above], f[above]
     return lo, hi, flo, fhi
 
 
 def _rounds(
     g: Callable[[np.ndarray], np.ndarray], x: np.ndarray, a: np.ndarray, b: np.ndarray, ys: tuple, fs: tuple
-) -> tuple:
-    """(live, m, scale, round_live, ys, fs, gave_up): parabolic steps
-    toward the maximizer of f(y) = x y - g(y) in each lattice bracket [a, b],
-    from the three lattice points ys around it, where f is fs.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(live, m, scale): parabolic steps toward the maximizer of f(y) = x y
+    - g(y) in each lattice bracket [a, b], from the three lattice points ys
+    around it, where f is fs; they solve the vertex table's nodes
+    (`_Lattice.vertices`).
 
     Round 0 fits the parabola through the three lattice points, where g is
     cached.  Each of SEED_ROUNDS rounds fits it through m - h, m, m + h
@@ -488,16 +487,10 @@ def _rounds(
     when a fit is not strictly concave or not finite, when 2 s exceeds b -
     a, or when s more than doubles in a round: a curvature that falls by 4
     is rounding on a linear piece (a kink, a plateau).  Each round
-    evaluates its probes together (`_g_rows`).
-
-    `live` holds the components that never gave up, with the vertex m and
-    the scale of their last fit; `round_live` those that entered the last
-    round, whose probes are ys and fs; `gave_up` the (components, y, f)
-    triples of the probes of the round each other one gave up in, after
-    round 0 (whose probes are the lattice points).
+    evaluates its probes together (`_g_rows`).  `live` holds the components
+    that never gave up, with the vertex m and the scale of their last fit.
     """
     live, xl, al, bl, wl = np.arange(len(x)), x, a, b, b - a
-    gave_up = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for rnd in range(SEED_ROUNDS + 1):
             if rnd:
@@ -505,7 +498,6 @@ def _rounds(
                 lo = np.maximum(np.minimum(m - h, bl - 2.0 * h), al)
                 ys = (lo, lo + h, np.minimum(lo + 2.0 * h, bl))
                 fs = [xl * y - gy for y, gy in zip(ys, _g_rows(g, ys))]
-            round_live = live
             (y0, y1, y2), (f0, f1, f2) = ys, fs
             d1 = (f1 - f0) / (y1 - y0)
             curv = 2.0 * ((f2 - f1) / (y2 - y1) - d1) / (y2 - y0)  # f'' of the parabola
@@ -516,13 +508,10 @@ def _rounds(
             if rnd:
                 keep &= s < 2.0 * h  # a curvature under a quarter of the last is rounding: a kink or a plateau
             if not keep.all():
-                if rnd:
-                    gone = ~keep
-                    gave_up += [(live[gone], y[gone], f[gone]) for y, f in zip(ys, fs)]
                 live, xl, al, bl, wl, m, s, scale = (v[keep] for v in (live, xl, al, bl, wl, m, s, scale))
             if not len(live):
                 break
-    return live, m, scale, round_live, ys, fs, gave_up
+    return live, m, scale
 
 
 def _seed(
@@ -540,8 +529,8 @@ def _seed(
     the sup lies inside, with no lattice bracket.  Within 0.3 sigma of the
     maximizer (VERTEX_STEPS) the certificate holds at once, so a smooth
     maximum takes 4 g points per x and no golden step, besides its share of
-    the table's node solves.  Every other component takes the rounds-seeded
-    quadruple of `_lattice_seed`.
+    the table's node solves.  Every other component takes the narrowed
+    lattice bracket of `_lattice_seed`, with its golden probes.
     """
     m, scale = lattice.vertices(g, x)
     on = np.flatnonzero(scale > 0.0)  # NaN where the table has no seed
@@ -567,71 +556,18 @@ def _seed(
 def _lattice_seed(
     g: Callable[[np.ndarray], np.ndarray], lattice: _Lattice, x: np.ndarray, refuse: Callable[[float], Exception]
 ) -> tuple[np.ndarray, ...]:
-    """`_seed` from the lattice bracket [a, b] of each component: the
-    quadruple seeded by `_rounds` where the concavity check confirms it,
-    else the part of [a, b] next to its best probe; raises refuse(x) for an
-    x that the lattice cannot bracket.
-
-    The seeded quadruple spans q = SEED_SPAN sigma around the last vertex:
-    [m - q/2, m + q/2], moved inside [a, b].  That is narrow enough for the
-    certificate to hold at once on a smooth maximum, so such an x takes 13
-    g points (three per round, four for the quadruple) and no golden step.
-
-    A component that falls back, in a round or at the check, starts from
-    [p_(i-1), p_(i+1)], the neighbours of its best point p_i among a, b,
-    the three lattice points and the probes it was evaluated at: those of
-    the round it gave up in, or the last round's and its quadruple's
-    (`_narrowed`).  Only the probes of the components that leave a round
-    are kept for this.
-
-    The seeded quadruples share a last evaluation with the probes c and d
-    of the components that gave up, and seeded quadruples that fail the
-    check make one more for theirs.
-    """
+    """`_seed` from the lattice bracket [a, b] of each component, narrowed
+    to [p_(i-1), p_(i+1)], the neighbours of its best point p_i among a, b
+    and the three lattice points near its maximizer (`_narrowed`), with the
+    golden probes c and d of that bracket, its only g points; raises
+    refuse(x) for an x that the lattice cannot bracket."""
     a, b, fa, fb, unbracketed, near, f_near = lattice.bracket(g, x)
     if np.any(unbracketed):
         raise refuse(float(x[np.argmax(unbracketed)]))
+    a, b, fa, fb = _narrowed(a, b, fa, fb, near, f_near)
     w = b - a
-
-    def fall_back(idx: np.ndarray, probes: list) -> None:
-        """Narrow the brackets of the components idx (`_narrowed`)."""
-        pos = np.empty(len(x), dtype=np.intp)
-        pos[idx] = np.arange(len(idx))
-        every = np.arange(len(idx))
-        points = [(every, y[idx], f[idx]) for y, f in zip(near, f_near)] + [(pos[i], y, f) for i, y, f in probes]
-        lo, hi, fa[idx], fb[idx] = _narrowed(a[idx], b[idx], fa[idx], fb[idx], points)
-        a[idx], w[idx] = lo, hi - lo
-
-    live, m, scale, round_live, ys, fs, gave_up = _rounds(g, x, a, b, near, f_near)
-    xl, al, bl = x[live], a[live], b[live]
-    rest = np.ones(len(x), dtype=bool)
-    rest[live] = False
-    rest = np.flatnonzero(rest)
-    if len(rest):
-        fall_back(rest, gave_up)
-    q = SEED_SPAN * np.sqrt(GOLDEN_TOL * scale)
-    qa = np.maximum(np.minimum(m - 0.5 * q, bl - q), al)
-    ar, wr, xr = a[rest], w[rest], x[rest]
-    quad = (qa, qa + _INVPHI2 * q, qa + _INVPHI * q, np.minimum(qa + q, bl))
-    rows = (*quad, ar + _INVPHI2 * wr, ar + _INVPHI * wr)
-    fqa, fqc, fqd, fqb, fcr, fdr = (xv * y - gy for xv, y, gy in zip((xl,) * 4 + (xr,) * 2, rows, _g_rows(g, rows)))
-    fc, fd = np.empty_like(x), np.empty_like(x)
-    fc[rest], fd[rest] = fcr, fdr
-    kept = (fqc >= fqa) & (fqd >= fqb)
-    if not kept.all():
-        failed = ~kept
-        late = live[failed]
-        at = np.searchsorted(round_live, late)  # where the last round's probes hold them
-        probes = [(late, y[at], f[at]) for y, f in zip(ys, fs)]
-        fall_back(late, probes + [(late, y[failed], f[failed]) for y, f in zip(quad, (fqa, fqc, fqd, fqb))])
-        rows = (a[late] + _INVPHI2 * w[late], a[late] + _INVPHI * w[late])
-        fc[late], fd[late] = (x[late] * y - gy for y, gy in zip(rows, _g_rows(g, rows)))
-    if len(live) == len(x):  # no seed gave up in a round: patch the few failed starts into the quadruple arrays
-        lost = ~kept
-        qa[lost], q[lost], fqa[lost], fqb[lost], fqc[lost], fqd[lost] = (v[lost] for v in (a, w, fa, fb, fc, fd))
-        return qa, q, fqa, fqb, fqc, fqd
-    won = live[kept]
-    a[won], w[won], fa[won], fb[won], fc[won], fd[won] = qa[kept], q[kept], fqa[kept], fqb[kept], fqc[kept], fqd[kept]
+    probes = (a + _INVPHI2 * w, a + _INVPHI * w)
+    fc, fd = (x * y - gy for y, gy in zip(probes, _g_rows(g, probes)))
     return a, w, fa, fb, fc, fd
 
 

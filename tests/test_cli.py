@@ -277,6 +277,28 @@ def test_empty_grid_is_a_usage_error(capsys, argv):
     _usage_error(capsys, *argv, "--grid", "3..1", "--n", "32")
 
 
+@pytest.mark.parametrize("grid", ["-1023..0", "-1100..-1100", "0..1024", "0..1100"])
+def test_grid_exponents_past_the_float_range_are_a_usage_error(capsys, grid):
+    # 2^e underflows to 0 below -1074 and overflows past 1023
+    _usage_error(capsys, "compute", "mat:omega?fn=power&beta=0.5", "--n", "3", f"--grid={grid}")
+
+
+def test_grid_exponents_at_the_float_range_are_accepted(capsys):
+    rc, out, _ = run(capsys, "compute", "mat:omega?fn=power&beta=0.5", "--n", "3", "--grid", "-1022..-1022",
+                     "--format", "json")
+    assert rc == 0 and json.loads(out)["members"][0]["log_m"] == [0.0] * 4
+    assert run(capsys, "compute", "seq:gevrey?s=2", "--n", "4", "--grid", "-1022..1023")[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "seq:gevrey?s=2", "--n", "4"), ("compute", "mat:gevrey?s=2", "--n", "4", "--format", "json"),
+    ("check", "liminf", "--lhs", "mat:gevrey?s=2", "--n", "32"), ("verify-chain", "mat:gevrey?s=2", "--n", "32"),
+])
+def test_grid_with_a_negative_lo_may_follow_its_flag(capsys, argv):
+    joined = run(capsys, *argv, "--grid=-3..-2")
+    assert joined[0] != 2 and joined[1] and run(capsys, *argv, "--grid", "-3..-2") == joined
+
+
 @pytest.mark.parametrize("argv", [
     ("compute", "seq:gevrey?s=2", "--derive", "L"), ("compute", "seq:gevrey?s=2", "--derive", "S"),
     ("verify-chain", "mat:gevrey?s=2"),

@@ -148,8 +148,8 @@ def test_phi_star_on_member_grids_matches_the_closed_form(uri, alpha):
 def test_phi_star_at_the_kinks_of_an_associated_function(gevrey2, cap, monkeypatch):
     # omega_M is piecewise linear in y with slope k between log mu_k and
     # log mu_(k+1): at x = k the sup log M_k is attained between two kinks,
-    # and at x = k + 1/2 only at the kink log mu_(k+1).  Every parabolic
-    # seed falls back at these x, so golden section starts from the
+    # and at x = k + 1/2 only at the kink log mu_(k+1).  No vertex-table
+    # node is valid at these x, so golden section starts from the
     # neighbours of the best lattice point; near a kink the certificate's
     # bound then shrinks only linearly and holds after 51 to 60 steps here,
     # so a cap of 54 stops about half of the half-integer x at their best
@@ -164,11 +164,11 @@ def test_phi_star_at_the_kinks_of_an_associated_function(gevrey2, cap, monkeypat
 
 
 def test_golden_max_at_the_kinks_adds_at_most_four_g_calls(gevrey2, monkeypatch):
-    # golden section from a fallback bracket makes GOLDEN_ITERS + 2 g calls
-    # at most (c and d, then one per step).  Seeding adds at most 4: one per
-    # round and one for the probes c and d of quadruples that fail the
-    # check, as the quadruples' own call takes over c and d.  Here every
-    # seed falls back and the cap of 54 binds
+    # golden section from a lattice bracket makes GOLDEN_ITERS + 1 g calls
+    # at most: one for the probes c and d, then one per step.  Seeding adds
+    # none here: every vertex-table node at a kink is invalid, so no x takes
+    # a quadruple, and the lattice holds every bracket already.  The cap of
+    # 54 binds
     monkeypatch.setattr(func_core, "GOLDEN_ITERS", 54)
     w = omega_from_seq(gevrey2)
     ks = np.arange(65, dtype=float)
@@ -181,14 +181,15 @@ def test_golden_max_at_the_kinks_adds_at_most_four_g_calls(gevrey2, monkeypatch)
         return w.phi(ys)
 
     func_core._golden_max(g, w._lattice, xs, ValueError)
-    assert len(calls) <= func_core.GOLDEN_ITERS + 2 + 4
+    assert len(calls) <= func_core.GOLDEN_ITERS + 1
 
 
 def test_fallback_brackets_at_the_kinks_match_the_lattice_brackets(gevrey2, monkeypatch):
-    # omega_M has every maximizer at a kink log mu_k, where the seeds fall
-    # back.  Golden section from the neighbours of the best probe agrees
-    # with golden section from the lattice bracket within the certificate's
-    # allowance at each, and with the closed form, in fewer g calls
+    # omega_M has every maximizer at a kink log mu_k, where the vertex table
+    # has no seed.  Golden section from the neighbours of the best lattice
+    # point agrees with golden section from the lattice bracket within the
+    # certificate's allowance at each, and with the closed form, in fewer g
+    # calls
     w = omega_from_seq(gevrey2)
     xs = np.linspace(0.01, 40.0, 4001)
     phi_star(w, xs)  # extends the lattice, so that the calls below are the search's own
@@ -200,7 +201,7 @@ def test_fallback_brackets_at_the_kinks_match_the_lattice_brackets(gevrey2, monk
 
     narrowed = func_core._golden_max(g, w._lattice, xs, ValueError)[0]
     narrowed_calls = len(calls)
-    monkeypatch.setattr(func_core, "_narrowed", lambda a, b, fa, fb, points: (a, b, fa, fb))
+    monkeypatch.setattr(func_core, "_narrowed", lambda a, b, fa, fb, ys, fs: (a, b, fa, fb))
     calls.clear()
     lattice = func_core._golden_max(g, w._lattice, xs, ValueError)[0]
     assert np.all(np.abs(narrowed - lattice) <= 2.0 * func_core.GOLDEN_TOL * (1.0 + np.abs(lattice)))
@@ -228,10 +229,10 @@ def plateau() -> WeightFn:
 @pytest.mark.parametrize("alpha", [0.125, 1.0, 8.0])
 def test_phi_star_asks_for_at_most_22_points_per_x(uri, alpha):
     # a maximum seeded from the vertex table takes 4 points per x on these
-    # grids and the table's node solves a few hundred in all, one seeded by
-    # its own parabolic rounds 13 more, golden section from a fallback
-    # bracket up to about 35; no call holds more than a block's worth of
-    # points (64 KiB)
+    # grids and the table's node solves a few hundred in all; an x without a
+    # table seed (x = 0, a maximum at the base) takes golden section from its
+    # lattice bracket, 2 points and one per step, 24 to 33 steps; no call
+    # holds more than a block's worth of points (64 KiB)
     wn = normalize_fn(resolve(uri))
     inner, asked = wn._phi, []
 
@@ -324,13 +325,25 @@ def test_vertex_table_built_in_pieces_matches_one_build(name, gevrey2):
 
 
 @pytest.mark.parametrize("uri", ["fn:power?beta=0.1", "fn:power?beta=0.5", "fn:power?beta=0.9", "fn:logsq"])
-def test_table_seeded_conjugates_match_rounds_seeded_ones(uri, monkeypatch):
-    # both are certified within GOLDEN_TOL (1 + |f|) of the sup
+def test_table_seeded_conjugates_match_golden_section_from_the_lattice_bracket(uri, monkeypatch):
+    # both are certified within GOLDEN_TOL (1 + |f|) of the sup; with no
+    # table seed every x takes golden section from its narrowed lattice bracket
     xs = np.concatenate([alpha * np.arange(2**17 + 1, dtype=float) for alpha in (0.125, 8.0)])
     table = phi_star(normalize_fn(resolve(uri)), xs)
     monkeypatch.setattr(func_core._Lattice, "vertices", lambda self, g, x: (np.full(len(x), np.nan),) * 2)
-    rounds = phi_star(normalize_fn(resolve(uri)), xs)
-    assert np.all(np.abs(table - rounds) <= 2.0 * func_core.GOLDEN_TOL * (1.0 + np.abs(rounds)))
+    golden = phi_star(normalize_fn(resolve(uri)), xs)
+    assert np.all(np.abs(table - golden) <= 2.0 * func_core.GOLDEN_TOL * (1.0 + np.abs(golden)))
+
+
+@pytest.mark.parametrize("uri", ["fn:power?beta=0.1", "fn:power?beta=0.5", "fn:logsq"])
+def test_phi_star_outside_the_vertex_table_matches_the_closed_form(uri):
+    # the table's nodes stop at 2^-64 and 2^64, so these x take golden
+    # section from their lattice brackets
+    w = normalize_fn(resolve(uri))
+    xs = np.concatenate([2.0 ** np.linspace(-90.0, -65.0, 26), 2.0 ** np.linspace(64.0, 67.0, 31)])
+    assert not np.any(w._lattice.vertices(w.phi, xs)[1] > 0.0)
+    ref = np.asarray(w.phi_star_ref(xs), dtype=float)
+    assert np.max(np.abs(phi_star(w, xs) - ref) / np.maximum(1.0, np.abs(ref))) <= 2e-15
 
 
 @pytest.mark.parametrize(
