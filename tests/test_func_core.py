@@ -325,9 +325,11 @@ def test_vertex_table_built_in_pieces_matches_one_build(name, gevrey2):
 
 
 @pytest.mark.parametrize("uri", ["fn:power?beta=0.1", "fn:power?beta=0.5", "fn:power?beta=0.9", "fn:logsq"])
-def test_table_seeded_conjugates_match_golden_section_from_the_lattice_bracket(uri, monkeypatch):
-    # both are certified within GOLDEN_TOL (1 + |f|) of the sup; with no
-    # table seed every x takes golden section from its narrowed lattice bracket
+def test_table_seeded_conjugates_match_rounds_seeded_ones(uri, monkeypatch):
+    # both are certified within GOLDEN_TOL (1 + |f|) of the sup.  With the
+    # vertex table forced empty every x takes golden section from its
+    # narrowed lattice bracket (that path was once seeded by parabolic
+    # rounds, hence the name)
     xs = np.concatenate([alpha * np.arange(2**17 + 1, dtype=float) for alpha in (0.125, 8.0)])
     table = phi_star(normalize_fn(resolve(uri)), xs)
     monkeypatch.setattr(func_core._Lattice, "vertices", lambda self, g, x: (np.full(len(x), np.nan),) * 2)
