@@ -22,8 +22,8 @@ For associated functions both transforms are closed forms over the quotients
 (`kappa_assoc`, `poisson_batch`), and so is the conjugate of kappa, the
 derived weight log K_j (`kappa_star_assoc`): kappa' is k + e^y T_k + 2 e^y
 arctan(e^-y) on the quotient piece of count k, so each maximizer is a root
-of kappa' = j found by one quotient search and a few Newton steps, with no
-search over y.  P is a sum of Ti2 terms, one per quotient:
+of kappa' = j found by one quotient search and ROOT_HALVINGS halvings of
+its bracket, with no search over y.  P is a sum of Ti2 terms, one per quotient:
 a 16-point rule takes those with |log mu_j - log r| <= P_CORE = 3, their
 alternating series through x^9 those out to P_WINDOW = 8, and a first-order
 bracket the rest.  Other functions are integrated only when they carry a
@@ -172,8 +172,10 @@ SEED_SPAN = 3.0
 # weight m is linear in s, which the cubic reproduces.
 VERTEX_STEPS = 32
 VERTEX_TOP = 64 * VERTEX_STEPS  # the table's nodes run over |i| <= VERTEX_TOP: 2^-64 <= x <= 2^64
-NEWTON_ITERS = 64  # cap on the safeguarded Newton steps of `kappa_star_assoc`, which take 8 at most on gevrey 2 at n = 65536
-NEWTON_PUSH = 2.0  # ulps by which such a step goes past its Newton point, so that its bracket closes from both sides
+# Halvings of a root bracket of kappa' = j (`kappa_star_assoc`).  A bracket W wide ends with its
+# midpoint within W 2^-41 of the root, and as kappa'' <= j on it, the value there within j W^2 2^-83
+# of the sup: j 2^-61 for W <= 2^11 (7.2 at most on the benchmark, 700 on q-Gevrey q = 1e300).
+ROOT_HALVINGS = 40
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2, _INVPHI3 = _INVPHI**2, _INVPHI**3
 
@@ -285,8 +287,8 @@ class _Lattice:
 
     def _extend(self, g: Callable[[np.ndarray], np.ndarray]) -> None:
         y = 2.0 ** (np.arange(self._j, min(self._j + self._chunk, self._top + 1)) / LATTICE_STEPS)
-        gy = g(y)
-        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf where g overflows
+        with np.errstate(invalid="ignore", over="ignore"):  # g may overflow to inf, and then inf - inf is NaN
+            gy = g(y)
             s = np.diff(np.concatenate([self.gy[-1:], gy])) / np.diff(np.concatenate([self.y[-1:], y]))
         s = np.fmax.accumulate(np.concatenate([self.slope[-1:], s]))[-len(s):]
         self.y, self.gy, self.slope = np.concatenate([self.y, y]), np.concatenate([self.gy, gy]), np.concatenate([self.slope, s])
@@ -977,14 +979,11 @@ def kappa_assoc(w: WeightFn, t) -> np.ndarray | float:
     return out if tt.ndim else float(out[0])
 
 
-def _kappa_slope(ys: np.ndarray, log_tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(kappa' - k, kappa'') of the tilde representative at y >= 0 on a piece
-    of count k whose tail is T_k = e^log_tail: e^y T_k + 2 e^y arctan(e^-y)
-    and e^y T_k + 2 (e^y arctan(e^-y) - 1/(1 + e^-2y))."""
-    e = np.exp(ys + log_tail)
+def _kappa_slope(ys: np.ndarray, log_tail: np.ndarray) -> np.ndarray:
+    """kappa' - k of the tilde representative at y >= 0 on a piece of count k
+    whose tail is T_k = e^log_tail: e^y T_k + 2 e^y arctan(e^-y)."""
     s = np.exp(-ys)
-    h = 2.0 * np.divide(np.arctan(s), s, out=np.ones_like(s), where=s > 0)
-    return e + h, e + h - 2.0 / (1.0 + s * s)
+    return np.exp(ys + log_tail) + 2.0 * np.divide(np.arctan(s), s, out=np.ones_like(s), where=s > 0)
 
 
 def kappa_star_assoc(w: WeightFn, n: int) -> np.ndarray:
@@ -1001,10 +1000,8 @@ def kappa_star_assoc(w: WeightFn, n: int) -> np.ndarray:
     in kappa' at the starts picks the piece of its root, and log K_j = 0
     where kappa'(0) >= j.  As 2 e^y arctan(e^-y) lies in [pi/2, 2) for y >=
     0, the root has e^y T_k in (j - k - 2, j - k - pi/2] and k <= j - 2;
-    safeguarded Newton narrows that bracket, met with the piece, to a few
-    ulps, each step pushed NEWTON_PUSH ulps on so that the root changes
-    sides.  One `_kappa_assoc` call at 0, the roots and the bracket ends
-    gives the values, the best of the three per j.
+    that bracket, met with the piece, is halved ROOT_HALVINGS times, and one
+    `_kappa_assoc` call at 0 and its midpoints gives the values.
 
     Coverage: the array grows (`ensure_cover`) while kappa' at its last
     quotient is <= n, so that every root lies inside it; past the last
@@ -1019,7 +1016,7 @@ def kappa_star_assoc(w: WeightFn, n: int) -> np.ndarray:
     while True:  # grow the array until kappa' at its last quotient exceeds n
         top, y_top = ev._n, max(float(ev._log_mu[-1]), 0.0)
         log_t = ev.log_tail_mid_after(np.array([top]), np.array([y_top]))
-        if top == ev.seq.max_index or top + _kappa_slope(np.array([y_top]), log_t)[0][0] > n:
+        if top == ev.seq.max_index or top + _kappa_slope(np.array([y_top]), log_t)[0] > n:
             break
         if top >= ev._cap():
             raise TruncationExhausted(f"{ev.seq.name}: K_{n} has its maximizer past the {top}-term array")
@@ -1031,14 +1028,13 @@ def kappa_star_assoc(w: WeightFn, n: int) -> np.ndarray:
     starts = np.concatenate([[0.0], log_mu[k0:last]])
     log_tail = ev.log_tail_mid_after(counts, starts)
     js = np.arange(1, n + 1, dtype=float)
-    piece = np.searchsorted(counts + _kappa_slope(starts, log_tail)[0], js, side="left") - 1
+    piece = np.searchsorted(counts + _kappa_slope(starts, log_tail), js, side="left") - 1
     out = np.zeros(n)
     at = np.flatnonzero(piece >= 0)
     if not len(at):
         return out
     j, i = js[at], piece[at]
-    k, log_t = counts[i].astype(float), log_tail[i]
-    gap = j - k  # an integer >= 2
+    log_t, gap = log_tail[i], j - counts[i]  # gap = j - k, an integer >= 2
     end = np.where(counts[i] < top, log_mu[np.minimum(counts[i], top - 1)], math.inf)
     with np.errstate(divide="ignore"):
         a = np.maximum(starts[i], np.log(gap - 2.0) - log_t)
@@ -1046,29 +1042,12 @@ def kappa_star_assoc(w: WeightFn, n: int) -> np.ndarray:
     if not np.all(np.isfinite(b)):
         bad = int(j[np.argmin(np.isfinite(b))])
         raise UnboundedConjugate(f"{ev.seq.name}: kappa' stays below {bad} on the last piece, K_{bad} is infinite")
-    y = 0.5 * (a + b)
-    live = np.arange(len(y))
-    for _ in range(NEWTON_ITERS):
-        yl, al, bl = y[live], a[live], b[live]
-        slope, curv = _kappa_slope(yl, log_t[live])
-        f = (k[live] - j[live]) + slope
-        below = f < 0.0
-        al, bl = np.where(below, yl, al), np.where(below, bl, yl)
-        a[live], b[live] = al, bl
-        done = (f == 0.0) | (bl - al <= 2.0 * NEWTON_PUSH * np.spacing(bl))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = -f / curv
-            pushed = np.clip(yl + step + np.copysign(NEWTON_PUSH * np.spacing(yl), step),
-                             np.nextafter(al, math.inf), np.nextafter(bl, -math.inf))
-            sane = np.abs(step) < 2.0 * (bl - al)  # false where step is NaN (curv 0 or inf)
-        y[live] = np.where(done, yl, np.where(sane, pushed, 0.5 * (al + bl)))
-        live = live[~done]
-        if not len(live):
-            break
-    ys = np.concatenate([[0.0], y, a, b])
-    kap = _kappa_assoc(w, ys)
-    best = np.max((np.tile(j, 3) * ys[1:] - (kap[1:] - kap[0])).reshape(3, -1), axis=0)
-    out[at] = np.maximum(best, 0.0)
+    y, h = 0.5 * (a + b), 0.5 * (b - a)  # the bracket's midpoint and half width
+    for _ in range(ROOT_HALVINGS):
+        h *= 0.5
+        y += np.where(_kappa_slope(y, log_t) < gap, h, -h)
+    kap = _kappa_assoc(w, np.concatenate([[0.0], y]))
+    out[at] = np.maximum(j * y - (kap[1:] - kap[0]), 0.0)
     return out
 
 
@@ -1164,9 +1143,10 @@ def _poisson_assoc(w: WeightFn, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     The terms are summed in three parts:
       - the core, |log mu_j - log r| <= P_CORE: `_ti2`, exact to rounding;
       - the band, P_CORE < |log mu_j - log r| <= P_WINDOW: the series
-        `_ti2_series`, which is at most x^11/121 <= 7.8e-16 x above each term;
-        the lower end of the bracket subtracts that remainder.  Core and band
-        are summed together, P_CHUNK terms at a time;
+        `_ti2_series`, which is at most x^11/121 <= 7.8e-16 x above each term,
+        so (2/pi) times their sum is at most 7.8e-16 P above; the rounding
+        allowance of both ends covers it.  Core and band are summed
+        together, P_CHUNK terms at a time;
       - the first-order part, the rest: mu_j / r (a prefix log-sum) below and
         r T (the tail bracket) above, off by at most e^(-2 P_WINDOW)/9
         relative as x - x^3/9 <= Ti2(x) <= x, which the lower end takes off.
@@ -1186,7 +1166,7 @@ def _poisson_assoc(w: WeightFn, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     i_lo = np.searchsorted(log_mu, ys - P_WINDOW, side="left")
     i_hi = np.searchsorted(log_mu, ys + P_WINDOW, side="right")
     offsets = np.concatenate([[0], np.cumsum(i_hi - i_lo)])
-    window, band_rem = np.zeros(len(ys)), np.zeros(len(ys))
+    window = np.zeros(len(ys))
     for start in range(0, int(offsets[-1]), P_CHUNK):
         term = np.arange(start, min(start + P_CHUNK, int(offsets[-1])))
         at = np.searchsorted(offsets, term, side="right") - 1  # the radius of each term
@@ -1196,9 +1176,6 @@ def _poisson_assoc(w: WeightFn, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray,
         ti2 = _ti2_series(x)
         ti2[core] = _ti2(x[core])
         window += np.bincount(at, ti2, minlength=len(ys))
-        band = ~core
-        band_rem += np.bincount(at[band], x[band] ** 11, minlength=len(ys))
-    band_rem /= 121.0
 
     below = np.exp(np.concatenate([[-np.inf], np.logaddexp.accumulate(log_mu[: i_lo.max(initial=0)])])[i_lo] - ys)
     past = i_hi == n
@@ -1215,8 +1192,8 @@ def _poisson_assoc(w: WeightFn, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     if w.include_log_term:
         windowed = windowed + 2.0 * np.logaddexp(0.0, ys)
     p = windowed + c * (below + above)
-    err = 1e-14 * np.abs(p)  # rounding: summing up to 1.3e5 core and band terms in order measured below 2.7e-15 |P|
-    return p, windowed + c * (first_order * below + above_lo - band_rem) - err, windowed + c * (below + above_hi) + err
+    err = 1e-14 * np.abs(p)  # rounding (below 2.7e-15 |P| measured over up to 1.3e5 terms) and the band's remainder
+    return p, windowed + c * (first_order * below + above_lo) - err, windowed + c * (below + above_hi) + err
 
 
 # -- normalization and derived weight functions ------------------------------
@@ -1364,8 +1341,9 @@ def matrix_from_omega(w: WeightFn, grid=None) -> WeightMatrix:
     """Canonical weight matrix of a pre-weight function.
 
     Member alpha has log M^(alpha)_k = phi*_omega(alpha k)/alpha, computed on
-    the normalized representative; for integer n the member n at k is
-    member 1 at n k divided by n: log M^(n)_k = log M^(1)_(nk) / n.
+    the normalized representative, and an alpha k that overflows raises
+    UnboundedConjugate; for integer n the member n at k is member 1 at n k
+    divided by n: log M^(n)_k = log M^(1)_(nk) / n.
 
     So log M^(alpha)_k = log M^(alpha/2)_(2k) / 2, and exactly so in floats:
     alpha/2 and 2k are exact, so fl((alpha/2)(2k)) = fl(alpha k) and the
@@ -1390,7 +1368,12 @@ def matrix_from_omega(w: WeightFn, grid=None) -> WeightMatrix:
             shared = (kk >= 1) & (2 * kk < len(prefix)) & (kk == np.floor(kk))
             out = np.empty_like(kk)
             out[shared] = prefix[2 * kk[shared].astype(np.int64)] / 2
-            out[~shared] = phi_star(wn, alpha * kk[~shared]) / alpha
+            with np.errstate(over="ignore"):
+                x = alpha * kk[~shared]
+            if np.any(np.isinf(x)):
+                k = kk[~shared][np.isinf(x)][0]
+                raise UnboundedConjugate(f"{w.name}: alpha k overflows at alpha={alpha:g}, k={k:g}")
+            out[~shared] = phi_star(wn, x) / alpha
             return out
 
         built[alpha] = WeightSeq(f"M[{w.name};a={alpha:g}]", ev, is_weight_seq=True)

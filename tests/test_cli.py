@@ -290,6 +290,22 @@ def test_grid_exponents_at_the_float_range_are_accepted(capsys):
     assert run(capsys, "compute", "seq:gevrey?s=2", "--n", "4", "--grid", "-1022..1023")[0] == 0
 
 
+@pytest.mark.parametrize("fn", ["logsq", "power&beta=0.5"])
+def test_grid_exponent_where_alpha_k_overflows_is_refused(capsys, fn):
+    # alpha = 2^1023: alpha k overflows for k >= 2, a refusal and no RuntimeWarning
+    rc, out, err = run(capsys, "compute", f"mat:omega?fn={fn}", "--n", "3", "--grid", "1023..1023")
+    assert (rc, out) == (2, "") and len(err.splitlines()) == 1
+    error = json.loads(err)
+    assert error["error"] == "UnboundedConjugate" and "at alpha=8.98847e+307, k=2" in error["message"]
+
+
+def test_grid_exponent_where_phi_overflows_on_the_lattice_is_computed(capsys):
+    # e^(y/2) overflows on the conjugate's lattice past y = 1420; those points are skipped
+    rc, out, err = run(capsys, "compute", "mat:omega?fn=power&beta=0.5", "--n", "3", "--grid", "1000..1000")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["members"][0]["log_m"] == [0.0, 1385.6806554810105, 2774.133899684261, 4163.63364017504]
+
+
 @pytest.mark.parametrize("argv", [
     ("compute", "seq:gevrey?s=2", "--n", "4"), ("compute", "mat:gevrey?s=2", "--n", "4", "--format", "json"),
     ("check", "liminf", "--lhs", "mat:gevrey?s=2", "--n", "32"), ("verify-chain", "mat:gevrey?s=2", "--n", "32"),
@@ -498,3 +514,54 @@ def test_compute_none_on_a_function_without_envelope_leaves_the_transforms_empty
     header, rows = _table(out)
     assert rc == 0 and header == ["t", "omega", "kappa", "poisson"] and len(rows) == 8
     assert all(float(row[1]) == pytest.approx(float(row[0]), rel=1e-12) and row[2:] == ["", ""] for row in rows)
+
+
+@pytest.mark.parametrize("flag", [(), ("--json",)], ids=["text", "json"])
+def test_catalog_lists_every_entry(capsys, flag):
+    rc, out, err = run(capsys, "catalog", *flag)
+    keys = [e.key for e in catalog.entries()]
+    assert (rc, err) == (0, "")
+    if flag:
+        assert [row["key"] for row in json.loads(out)] == keys
+    else:
+        assert [line.split()[0] for line in out.splitlines()] == keys
+
+
+def test_compute_out_writes_the_table_to_the_file(tmp_path, capsys):
+    argv = ("compute", "seq:gevrey?s=2", "--derive", "K", "--n", "16")
+    table = run(capsys, *argv)[1]
+    path = tmp_path / "k.csv"
+    assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert path.read_text(encoding="utf-8") == table
+
+
+def test_compute_derived_sequence_as_json(capsys):
+    rc, out, err = run(capsys, "compute", "seq:gevrey?s=2", "--derive", "L", "--format", "json", "--n", "16")
+    doc = json.loads(out)
+    assert (rc, err) == (0, "") and doc["name"] == "L(gevrey(s=2))" and len(doc["log_m"]) == 17
+    assert doc["config"]["n"] == 16
+
+
+def test_verify_chain_on_a_sequence_is_a_usage_error(capsys):
+    _usage_error(capsys, "verify-chain", "seq:gevrey?s=2", "--n", "16")
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("derived:L(seq:gevrey?s=2", "malformed derived URI"),
+    ("derived:nope(seq:gevrey?s=2)", "unknown derived op 'nope'"),
+    ("derived:L(fn:power?beta=0.5)", "derived:L expects a sequence or matrix"),
+    ("derived:minorant(mat:gevrey?s=2)", "unknown family op 'minorant'"),
+], ids=["malformed", "unknown-op", "function", "minorant-of-a-matrix"])
+def test_derived_uri_refusals(capsys, entry, message):
+    rc, out, err = run(capsys, "compute", entry, "--n", "16")
+    assert (rc, out) == (2, "")
+    assert json.loads(err)["error"] == "CatalogError" and message in json.loads(err)["message"]
+
+
+def test_module_entry_point_runs_under_the_warning_policy():
+    # the __main__ guard, with RuntimeWarnings raised outside pytest's filter too
+    src = os.path.dirname(os.path.dirname(func_core.__file__))
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "ultraweights.cli", "catalog", "--json"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert [row["key"] for row in json.loads(done.stdout)] == [e.key for e in catalog.entries()]

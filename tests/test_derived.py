@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from ultraweights import derived, func_core
-from ultraweights.catalog import exp_gevrey_matrix, make_exp_gevrey_member, make_power_weight, resolve
+from ultraweights.catalog import (
+    exp_gevrey_matrix,
+    make_exp_gevrey_member,
+    make_gevrey,
+    make_power_weight,
+    make_q_gevrey,
+    resolve,
+)
 from ultraweights.derived import FAMILY_NAMES, derive_family, seq_K, seq_L, seq_Q, seq_S, seq_underline_L
 from ultraweights.errors import DivergentTail, MaximizerUnbounded, NotAWeightSequence, TruncationExhausted
 from ultraweights.func_core import (
@@ -130,16 +137,16 @@ def test_K_zeroth_term_exact(gevrey2):
 
 
 def test_K_of_expgevrey_members_takes_at_most_3_kappa_evaluations(monkeypatch):
-    # the closed form reads kappa at 0, the roots and their bracket ends in
-    # one call, and runs no golden search: neither a conjugate of kappa nor
-    # the associated function's far path past its array
+    # the closed form reads kappa at 0 and the roots, n + 1 points at most,
+    # in one call, and runs no golden search: neither a conjugate of kappa
+    # nor the associated function's far path past its array
     calls, searches, inner, golden = [], [], func_core._kappa_assoc, func_core._golden_max
     monkeypatch.setattr(func_core, "_kappa_assoc", lambda w, ys: (calls.append(len(ys)), inner(w, ys))[1])
     monkeypatch.setattr(func_core, "_golden_max", lambda *args: (searches.append(len(args[2])), golden(*args))[1])
     for m in resolve("mat:expgevrey?p=2").members():
         before = len(calls)
         seq_K(m, 64)
-        assert len(calls) - before <= 3
+        assert len(calls) - before == 1 and calls[-1] <= 65
     assert len(calls) >= 7 and searches == []
 
 
@@ -193,6 +200,43 @@ def test_K_past_the_last_quotient_of_a_capped_array_is_refused(monkeypatch):
     assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
     with pytest.raises(TruncationExhausted):
         seq_K(resolve("seq:gevrey?s=2"), 256)
+
+
+def test_K_grows_the_array_until_it_holds_every_root():
+    # kappa' at the last quotient of q-Gevrey 2's first array of 4096 terms
+    # is below 5000: the array grows by four, once
+    m = make_q_gevrey(2)
+    got = seq_K(m, 5000).values(5000)
+    assert derived._tilde(m).assoc._n == 16384
+    js = np.array([1.0, 64.0, 4097.0, 5000.0])
+    want = _K_oracle(m, js)
+    assert np.max(np.abs(got[js.astype(int)] - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
+
+
+def test_K_is_zero_while_kappa_at_0_rises_faster(gevrey2):
+    # kappa'(0) is about 3.2 for gevrey 2: j y - kappa(y) + kappa(0) peaks at y = 0 for j <= 3
+    assert seq_K(gevrey2, 3).values(3).tolist() == [0.0] * 4
+
+
+# log K_1..log K_n where a quotient piece is hundreds wide in y and kappa''
+# rounds to 0 on it, as a safeguarded Newton solve of kappa' = j gave them
+EXTREME_K = {
+    "seq:qgevrey?q=1e200": [0.0, 0.2639435073548384, 459.7809621061641, 1840.3320179025914, 4141.917110896638,
+                            7364.536241088301, 11508.189408477581, 16572.876613064484],
+    "seq:qgevrey?q=1e300": [0.0, 0.2639435073548384, 690.0394714055687, 2761.3660551002095, 6214.243694591276,
+                            11048.672389878775, 17264.6521409627, 24862.18294784305],
+    "seq:expgevrey?a=700": [0.0, 0.2639435073548384, 699.263943507355, 2099.6502378684745, 4200.84746244581,
+                            7002.620051168047],
+}
+
+
+@pytest.mark.parametrize("uri", sorted(EXTREME_K))
+def test_K_across_extreme_quotient_jumps(uri):
+    # the suite turns every RuntimeWarning (an overflow, a 0/0) into a failure
+    want = np.array(EXTREME_K[uri])
+    got = seq_K(resolve(uri), len(want)).values(len(want))[1:]
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-14
 
 
 def test_K_is_weight_sequence(gevrey2):
@@ -404,6 +448,9 @@ def test_family_K_members_all_equivalent_for_power(power_mat):
 def test_family_monotone_warning_tolerated():
     fam = derive_family(exp_gevrey_matrix(2.0, grid=[0.5, 1.0, 2.0]), "L", 48)
     assert isinstance(fam.warnings, list)  # populated or not, never raises
+    # gevrey 3 at alpha = 1 lies above gevrey 2.5 at alpha = 2, and so do their K
+    fam = derive_family(WeightMatrix("dec", lambda a: make_gevrey(2 + 1 / a), grid=[1, 2]), "K", 64)
+    assert len(fam.warnings) == 1 and "(tolerated for derived families)" in fam.warnings[0]
 
 
 @pytest.mark.parametrize("uri, n, grid", [("mat:gevrey?s=2", 32, None), ("mat:omega?fn=power&beta=0.5", 16, [1.0])])
