@@ -2,22 +2,23 @@
 
 These entries are the ground truth of the test suite: each carries tightly
 bracketed log tail sums over index arrays and, where available, closed-form
-reference values for the integral transforms and the Young conjugate.  Entries are
+reference values for the integral transforms and the closed-form maximizer
+of the Young conjugate, which `phi_star` evaluates through.  Entries are
 addressed by URI-like names, e.g. seq:gevrey?s=2, fn:power?beta=0.5,
 mat:omega?fn=power&beta=0.5.  The registry `_ENTRIES` is the one list of
 them: `entries()` lists it and `resolve` dispatches through it, calling the
 entry's `make(params, grid)`; `seq:csv?path=...` is the one unlisted URI.
 
-Functions and their kappa/P references take y = log t; conjugates take x.
+Functions and their kappa/P references take y = log t; maximizers take x.
 Closed forms used:
   - Gevrey index s: log M_k = s log k!, mu_k = k^s, tail sum the Hurwitz
     zeta value zeta(s, k): exact terms plus an Euler-Maclaurin remainder.
   - geometric-quadratic base q: log M_k = k^2 log q, mu_k = q^{2k-1},
     exact geometric tails.
   - power weight t^beta: phi = kappa (1-beta) = P cos(pi beta/2) = e^(beta y),
-    conjugate (x/beta)(log(x/beta) - 1) for x >= beta.
+    conjugate (x/beta)(log(x/beta) - 1) for x >= beta, at y = log(x/beta)/beta.
   - squared-log weight (max(0, log t))^2: phi = max(y, 0)^2, kappa =
-    y^2 + 2y + 2 for y >= 0 (2e^y below), conjugate x^2/4.
+    y^2 + 2y + 2 for y >= 0 (2e^y below), conjugate x^2/4 at y = x/2.
 """
 
 from __future__ import annotations
@@ -159,10 +160,11 @@ def make_exp_gevrey_member(p: float, a: float) -> WeightSeq:
 def make_power_weight(beta: float) -> WeightFn:
     """omega(t) = t^beta for beta in (0,1): the strong weight workhorse.
 
-    Exact envelope (beta, 0, 1).  Attached references: kappa = t^beta/(1-beta)
-    and the conjugate (x/beta)(log(x/beta)-1) for x >= beta, -1 below (the
-    objective peaks at the y = 0 boundary there).  P(ir) = r^beta / cos(pi
-    beta / 2) is not attached: only the test suite compares against it.
+    Exact envelope (beta, 0, 1).  Attached closed forms: kappa =
+    t^beta/(1-beta), and the conjugate's maximizer log(x/beta)/beta for x >=
+    beta, where the conjugate is (x/beta)(log(x/beta)-1), and 0 below (the
+    objective peaks at the y = 0 boundary there, at -1).  P(ir) = r^beta /
+    cos(pi beta / 2) is not attached: only the test suite compares against it.
     """
     if not 0 < beta < 1:
         raise ValueError("exponent must lie in (0, 1)")
@@ -170,9 +172,9 @@ def make_power_weight(beta: float) -> WeightFn:
     def phi(ys):
         return np.exp(beta * ys)
 
-    def phi_star_ref(xs):
-        xs = np.asarray(xs, dtype=float)
-        return np.where(xs >= beta, (xs / beta) * (np.log(np.maximum(xs, beta) / beta) - 1.0), -1.0)
+    def maximizer(xs):
+        with np.errstate(divide="ignore"):  # log 0 = -inf at x = 0
+            return np.maximum(np.log(xs / beta) / beta, 0.0)
 
     return WeightFn(
         f"power(beta={beta:g})",
@@ -180,7 +182,7 @@ def make_power_weight(beta: float) -> WeightFn:
         envelope=Envelope(beta, 0.0, 1.0),
         normalized=False,
         kappa_ref=lambda ys: phi(ys) / (1.0 - beta),
-        phi_star_ref=phi_star_ref,
+        maximizer=maximizer,
     )
 
 
@@ -190,7 +192,7 @@ def make_log_square_weight() -> WeightFn:
     It is non-quasianalytic and doubling but has no growth-doubling constant
     (no H with 2 omega(t) <= omega(Ht) + H), so the members of its canonical
     matrix are inequivalent.  kappa = y^2 + 2y + 2 for y >= 0 and 2e^y
-    below; conjugate x^2/4.
+    below; conjugate x^2/4, at the maximizer y = x/2.
     """
 
     def kappa_ref(ys):
@@ -202,27 +204,28 @@ def make_log_square_weight() -> WeightFn:
         envelope=Envelope(0.5, 17.0, 1.0),  # max(y^2 - e^(y/2)) ~ 16.31
         normalized=True,
         kappa_ref=kappa_ref,
-        phi_star_ref=lambda xs: np.asarray(xs, dtype=float) ** 2 / 4.0,
+        maximizer=lambda xs: xs / 2.0,
     )
 
 
 def make_linear_weight() -> WeightFn:
-    """omega(t) = t, phi(y) = e^y: quasianalytic; conjugate x log x - x for x >= 1.
+    """omega(t) = t, phi(y) = e^y: quasianalytic; conjugate x log x - x for x >= 1,
+    at the maximizer y = log x, and -1 below, at y = 0.
 
     No envelope is attached (no theta < 1 works), so the integral transforms
     refuse it; it exercises the conjugate and predicate paths.
     """
 
-    def phi_star_ref(xs):
-        xs = np.asarray(xs, dtype=float)
-        return np.where(xs >= 1.0, xs * (np.log(np.maximum(xs, 1.0)) - 1.0), -1.0)
+    def maximizer(xs):
+        with np.errstate(divide="ignore"):  # log 0 = -inf at x = 0
+            return np.maximum(np.log(xs), 0.0)
 
     return WeightFn(
         "linear",
         np.exp,
         envelope=None,
         normalized=False,
-        phi_star_ref=phi_star_ref,
+        maximizer=maximizer,
     )
 
 

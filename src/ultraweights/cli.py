@@ -5,7 +5,9 @@ names the kinds of its operands and the call that decides it.
 
 Exit codes: 0 = success / verdict Holds, 1 = verdict Fails, 2 = precondition
 or usage error (a machine-readable JSON error object goes to stderr),
-3 = verdict Inconclusive.  Reports embed the resolved configuration and are
+3 = verdict Inconclusive, 141 = standard output closed by its reader (a
+broken pipe: the run stops with nothing on stderr, as a process killed by
+SIGPIPE reports in a shell).  Reports embed the resolved configuration and are
 byte-stable for identical inputs (no timestamps, deterministic numerics).
 """
 
@@ -16,6 +18,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from typing import Callable
 
@@ -458,7 +461,12 @@ def _grid_joined(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(_grid_joined(sys.argv[1:] if argv is None else list(argv)))
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not in the flush at exit
+        return rc
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the flush at exit writes what is left there
+        return 141
     except UltraweightsError as e:
         return _err(type(e).__name__, str(e))
     except FileNotFoundError as e:

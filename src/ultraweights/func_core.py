@@ -2,9 +2,10 @@
 
 A weight function is held as phi(y) = omega(e^y); every transform below
 evaluates phi at log arguments, and `WeightFn.omega(t)` is the view
-phi(log t) for t grids.  Covers the Young conjugate phi* (bracketed concave
-maximization), the associated function of a sequence (sup_k (k y - log M_k),
-binary search on quotients, the same bracketed maximization past them), the
+phi(log t) for t grids.  Covers the Young conjugate phi* (a closed-form
+maximizer, or bracketed concave maximization), the associated function of a
+sequence (sup_k (k y - log M_k), binary search on quotients, the same
+bracketed maximization past them), the
 two integral transforms used by the Borel-optimality constructions (the
 average kappa(t) = int_0^inf phi(log t + u) e^-u du and the harmonic
 extension P along the imaginary axis), and the canonical weight matrix
@@ -35,30 +36,26 @@ Gauss-Legendre rule, bisection of the panels that miss their share of the
 tolerance, and a budget of PANEL_BUDGET panels whose exhaustion widens the
 bracket.
 
-The conjugate maximizes the concave x y - phi(y) in three stages.  A
-lattice of fixed points y = 0, 2^(j/16) holds phi and its chord slopes,
-which are nondecreasing because phi is convex; one `searchsorted` of x in
-the slopes brackets the maximizer within four cells (`_Lattice`).  A vertex
-table holds the maximizer and the curvature there at fixed nodes x =
-2^(i/32), each found once by parabolic steps from the three lattice points
-around it (`_rounds`), when the first x between its neighbours needs it;
-the cubic through the four nodes around an x puts a golden bracket a few
-rounding widths across on its maximizer (`_Lattice.vertices`).  That
-bracket is kept only where concavity confirms that it holds the sup, which
-needs no lattice bracket (`_seed`); an x whose table seed is missing or
-fails starts golden section from the neighbours of its best lattice point
-(`_lattice_seed`).  Golden section shrinks the bracket until concavity
-certifies that no point beats the best probe by more than rounding
-(`_golden_max`).  A seeded bracket is narrow enough (SEED_SPAN) for that
-certificate to hold at the seed, so a smooth maximum takes 4 phi
-evaluations per x from the table, besides its share of the node solves,
-and no golden step; any other x (outside the table, a maximum at the
-base, a kink, a plateau) takes 2 for its golden probes and 1 per golden
-step, 24 to 33 steps off a kink and up to about 60 at one.  Each x's
-probes and value depend only on phi and x.  A WeightFn's lattice grows by
-at most an octave of y per phi call, so that a conjugate over a few x
-makes a few dozen calls.  The associated function's far path runs the
-same stages over real k.
+The conjugate takes one of two paths, chosen by the function alone.  A
+WeightFn that carries `maximizer`, the closed-form argmax over y >= 0 of
+x y - phi(y) (the catalog's power, squared-log and linear weights and
+their normalized representatives), gives the objective at that point: a
+feasible value, so never above the sup beyond the rounding of its two
+terms, at 1 or 2 phi points per x, and a non-finite one is refused.  Any
+other function (`kappa_fn`'s, the involution check's outer conjugate, the
+associated function's far path) goes through the numeric engine, which
+maximizes the concave x y - phi(y) in two stages.  A lattice of fixed
+points y = 0, 2^(j/16) holds phi and its chord slopes, which are
+nondecreasing because phi is convex; one `searchsorted` of x in the slopes
+brackets the maximizer within four cells (`_Lattice`), and the bracket
+narrows to the neighbours of its best lattice point (`_seed`).  Golden
+section shrinks it until concavity certifies that no point beats the best
+probe by more than rounding (`_golden_max`): 2 phi evaluations per x for
+its probes and 1 per golden step, 24 to 33 steps off a kink and up to
+about 60 at one.  Each x's probes and value depend only on phi and x.  A
+WeightFn's lattice grows by at most an octave of y per phi call, so that a
+conjugate over a few x makes a few dozen calls.  The associated function's
+far path runs the same stages over real k.
 
 The canonical weight matrix has log M^(alpha)_k = phi*(alpha k)/alpha, so
 log M^(2 alpha)_k = log M^(alpha)_(2k) / 2.  In floats this holds bit for
@@ -152,26 +149,9 @@ LATTICE_LOW = -8 * LATTICE_STEPS  # the lowest point above the base: y = 2^-8
 LATTICE_TOP = 67 * LATTICE_STEPS  # the conjugate's highest point: y = 8 * 2^64
 FAR_LATTICE_TOP = 1024 * LATTICE_STEPS - 1  # the far path's: the largest finite k on the lattice
 LATTICE_CHUNK = 4  # lattice points of the first extension; each next one doubles, up to an octave unless doubling
-GOLDEN_ITERS = 80  # cap on golden steps; the certificate stops table-seeded maxima before the first, others 24 to 33, kinks near 60
+GOLDEN_ITERS = 80  # cap on golden steps; the certificate stops most maxima after 24 to 33, kinks near 60
 GOLDEN_CHECK = 3  # golden steps between certificate checks
 GOLDEN_TOL = 4.0 * np.finfo(float).eps  # certificate allowance, times 1 + |f|
-SEED_ROUNDS = 3  # parabolic refinements of a vertex-table node's maximizer after the lattice vertex
-SEED_WIDTH = 8.0  # a round's probe spacing, in units of sigma = sqrt(GOLDEN_TOL (1 + |f|) / |f''|)
-# The seeded quadruple's span, in units of sigma.  On f(y) = f(m) - |f''| (y - m)^2 / 2
-# with m at the centre of a span W, the certificate of `_golden_max` reads
-# r (1/4 - (r - 1/2)^2) W^2 / 2 = 0.073 W^2 of its allowance at step 0, so it
-# holds for W <= 3.7; W = 3 spends 0.66 and leaves 0.34 for a vertex e sigma
-# off centre, which adds |f(c) - f(d)| / r = 0.38 W e, so e <= 0.3.
-SEED_SPAN = 3.0
-# Vertex-table nodes x = 2^(i/VERTEX_STEPS) per doubling of x.  The cubic through
-# four nodes h = 1/VERTEX_STEPS apart in s = log2 x misses the vertex m by at most
-# (9/16) h^4 |m''''| / 4! between its middle two.  On phi(y) = y^2 (logsq), m = x/2
-# = 2^(s-1), so m'''' = (log 2)^4 m, while sigma = sqrt(GOLDEN_TOL (1 + m^2) / 2)
-# >= 2.1e-8 m: the miss is at most 2.6e5 h^4 sigma, 0.24 sigma at h = 1/32, within
-# the 0.3 sigma that SEED_SPAN leaves, and 3.9 sigma at h = 1/16.  On a power
-# weight m is linear in s, which the cubic reproduces.
-VERTEX_STEPS = 32
-VERTEX_TOP = 64 * VERTEX_STEPS  # the table's nodes run over |i| <= VERTEX_TOP: 2^-64 <= x <= 2^64
 # Halvings of a root bracket of kappa' = j (`kappa_star_assoc`).  A bracket W wide ends with its
 # midpoint within W 2^-41 of the root, and as kappa'' <= j on it, the value there within j W^2 2^-83
 # of the sup: j 2^-61 for W <= 2^11 (7.2 at most on the benchmark, 700 on q-Gevrey q = 1e300).
@@ -202,14 +182,17 @@ class WeightFn:
     """A weight (or pre-weight) function given by phi(y) = omega(e^y).
 
     `phi` must accept float64 arrays of any y, -inf (t = 0) included, be
-    pure and elementwise, and stay finite wherever phi is: the conjugate's
-    lattice (`_lattice`, extended on demand as far as the largest x needs)
+    pure and elementwise, and stay finite wherever phi is.  `maximizer` (in
+    x) is the closed-form argmax over y >= 0 of x y - phi(y); where it is
+    attached it is the production path of the conjugate, which takes the
+    objective there, as `kappa_ref` (in y) is the closed form that
+    `kappa_fn` evaluates through.  The numeric engine stays its oracle: a
+    copy of the function without it conjugates through the lattice
+    (`_lattice`, extended on demand as far as the largest x needs), which
     reaches up to y = 8 * 2^64, and an x whose maximizer lies beyond it
-    raises UnboundedConjugate.  `kappa_ref` (in y) is a closed form that
-    `kappa_fn` evaluates through; `phi_star_ref` (in x) is catalog metadata
-    used as a test oracle, never as the production path of the conjugate.
-    There is no free-text description: the name says what the function is,
-    and `kappa_ref` or `assoc` decides how `kappa_fn` evaluates its
+    raises UnboundedConjugate.  There is no free-text description: the name
+    says what the function is, `maximizer` decides how `phi_star`
+    conjugates it, and `kappa_ref` or `assoc` how `kappa_fn` evaluates its
     transform.
     """
 
@@ -221,7 +204,7 @@ class WeightFn:
         envelope: Optional[Envelope] = None,
         normalized: bool = False,
         kappa_ref: Optional[Callable] = None,
-        phi_star_ref: Optional[Callable] = None,
+        maximizer: Optional[Callable] = None,
         assoc: Optional["_AssocEvaluator"] = None,
         include_log_term: bool = False,
     ):
@@ -230,7 +213,7 @@ class WeightFn:
         self.envelope = envelope
         self.normalized = normalized
         self.kappa_ref = kappa_ref
-        self.phi_star_ref = phi_star_ref
+        self.maximizer = maximizer
         self.assoc = assoc
         self.include_log_term = include_log_term
         self._lattice = _Lattice(0.0, LATTICE_TOP)
@@ -271,9 +254,7 @@ class _Lattice:
     points up to y_(i+1).  If cell i is the first whose slope reaches x,
     the objective rises to y_i and does not rise past it, so its maximizer
     lies in [y_(i-1), y_(i+1)]; `bracket` adds one more cell on either side
-    as slack for rounding.  The lattice also keeps the vertex table that
-    seeds the golden section of x between its nodes (`vertices`), whose
-    nodes alone take parabolic steps (`_rounds`).
+    as slack for rounding.
     """
 
     def __init__(self, base: float, top: int, doubling: bool = False):
@@ -282,7 +263,6 @@ class _Lattice:
         while 2.0 ** (self._j / LATTICE_STEPS) <= base:
             self._j += 1
         self.y, self.gy, self.slope = np.array([float(base)]), None, np.empty(0)
-        self._vertex = self._scale = None  # the vertex table (`vertices`), made on first use
         self._lock = threading.Lock()
 
     def _extend(self, g: Callable[[np.ndarray], np.ndarray]) -> None:
@@ -307,92 +287,22 @@ class _Lattice:
         the same g, its owner's: the lattice keeps no reference to it, so it
         makes no reference cycle."""
         with self._lock:
-            return self._bracket(g, xs)
-
-    def _bracket(
-        self, g: Callable[[np.ndarray], np.ndarray], xs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple, tuple]:
-        """`bracket`, with the lock held."""
-        if self.gy is None:
-            self.gy = g(self.y)
-        x_max = float(np.max(xs, initial=-np.inf))
-        while self._j <= self._top and np.searchsorted(self.slope, x_max) > len(self.slope) - 2:
-            self._extend(g)
-        i = np.searchsorted(self.slope, xs)
-        last = len(self.y) - 1
+            if self.gy is None:
+                self.gy = g(self.y)
+            x_max = float(np.max(xs, initial=-np.inf))
+            while self._j <= self._top and np.searchsorted(self.slope, x_max) > len(self.slope) - 2:
+                self._extend(g)
+            y, gy, slope = self.y, self.gy, self.slope  # an extension replaces them, and changes no point
+        i = np.searchsorted(slope, xs)
+        last = len(y) - 1
         lo, hi = np.maximum(i - 2, 0), np.minimum(i + 2, last)
         mid = np.clip(i, 1, max(last - 1, 1))  # a lattice of two points repeats one: no parabola
         near = [np.minimum(mid + k, last) for k in (-1, 0, 1)]
-        a, b, ga, gb, past_top = self.y[lo], self.y[hi], self.gy[lo], self.gy[hi], i == len(self.slope)
-        ys, gys = tuple(self.y[j] for j in near), tuple(self.gy[j] for j in near)
+        a, b, ga, gb, past_top = y[lo], y[hi], gy[lo], gy[hi], i == len(slope)
+        ys, gys = tuple(y[j] for j in near), tuple(gy[j] for j in near)
         with np.errstate(over="ignore", invalid="ignore"):
             fb = xs * b - gb
-            return a, b, xs * a - ga, fb, past_top | np.isnan(fb), ys, tuple(xs * y - gy for y, gy in zip(ys, gys))
-
-    def vertices(self, g: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(m, scale) per x from the vertex table, NaN where it has none.
-
-        The table holds, at the nodes x_i = 2^(i/VERTEX_STEPS), |i| <=
-        VERTEX_TOP, the vertex m_i of the last parabolic round of `_rounds`
-        and the allowance scale (1 + |f|) / |f''| of its fit, so that sigma
-        = sqrt(GOLDEN_TOL scale).  A node is solved once, from its lattice
-        bracket, the first time it is in the stencil x_(i-1) .. x_(i+2) of
-        an x with x_i <= x < x_(i+1).  It is invalid (NaN) where the lattice
-        cannot bracket it, where a round gives up (a kink, a plateau) or
-        where m_i leaves its bracket (a maximum at the base).  An invalid
-        node raises nothing, and one that the lattice cannot bracket probes
-        nothing.  Each x reads the cubic in log2 x through its stencil's
-        four m_j and the one through their scale_j (`_cubic`), NaN when a
-        node is invalid or x lies outside the table, so each value depends
-        only on g and x."""
-        m, scale = np.full(len(x), np.nan), np.full(len(x), np.nan)
-        on = np.flatnonzero((x >= 2.0 ** ((2 - VERTEX_TOP) / VERTEX_STEPS)) & (x < 2.0 ** ((VERTEX_TOP - 2) / VERTEX_STEPS)))
-        if not len(on):
-            return m, scale
-        t = VERTEX_STEPS * np.log2(x if len(on) == len(x) else x[on])
-        i = np.floor(t)
-        u = t - i
-        k = i.astype(np.intp) + VERTEX_TOP  # the table row of x_i
-        lo, hi = int(k.min()) - 1, int(k.max()) + 3  # the rows of every stencil, and some between them
-        with self._lock:
-            if self._vertex is None:
-                self._vertex, self._scale = np.full(2 * VERTEX_TOP + 1, np.inf), np.full(2 * VERTEX_TOP + 1, np.nan)
-            if np.isinf(self._vertex[lo:hi]).any():  # unsolved: solve those that a stencil holds
-                held = np.zeros(hi - lo, dtype=bool)
-                for d in range(4):
-                    held[k - (lo + 1) + d] = True
-                fresh = np.flatnonzero(held & np.isinf(self._vertex[lo:hi]))
-                if len(fresh):
-                    self._solve(g, lo + fresh)
-            with np.errstate(invalid="ignore"):  # inf - inf between the stencils
-                cm, cs = _cubic(self._vertex[lo:hi]), _cubic(self._scale[lo:hi])
-        j = k - (lo + 1)
-        vm = cm[0][j] + u * (cm[1][j] + u * (cm[2][j] + u * cm[3][j]))
-        vs = cs[0][j] + u * (cs[1][j] + u * (cs[2][j] + u * cs[3][j]))
-        if len(on) == len(x):
-            return vm, vs
-        m[on], scale[on] = vm, vs
-        return m, scale
-
-    def _solve(self, g: Callable[[np.ndarray], np.ndarray], rows: np.ndarray) -> None:
-        """Solve the vertex table's rows (see `vertices`); the lock is held."""
-        x = 2.0 ** ((rows - VERTEX_TOP) / VERTEX_STEPS)
-        a, b, _, _, unbracketed, near, f_near = self._bracket(g, x)
-        ok = np.flatnonzero(~unbracketed)
-        live, m, scale = _rounds(g, x[ok], a[ok], b[ok], tuple(y[ok] for y in near), tuple(f[ok] for f in f_near))
-        at = ok[live]
-        inside = (m > a[at]) & (m < b[at])
-        vertex, vscale = np.full(len(x), np.nan), np.full(len(x), np.nan)
-        vertex[at[inside]], vscale[at[inside]] = m[inside], scale[inside]
-        self._vertex[rows], self._scale[rows] = vertex, vscale
-
-
-def _cubic(v: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(c0, c1, c2, c3) per interval i of the nodes v: the cubic c0 + c1 u +
-    c2 u^2 + c3 u^3 through (-1, v_(i-1)), (0, v_i), (1, v_(i+1)), (2,
-    v_(i+2)), for i = 1 .. len(v) - 3."""
-    p0, p1, p2, p3 = v[:-3], v[1:-2], v[2:-1], v[3:]
-    return p1, p2 - p0 / 3.0 - p1 / 2.0 - p3 / 6.0, (p0 + p2) / 2.0 - p1, (p3 - p0) / 6.0 + (p1 - p2) / 2.0
+            return a, b, xs * a - ga, fb, past_top | np.isnan(fb), ys, tuple(xs * p - gp for p, gp in zip(ys, gys))
 
 
 def _golden_max(
@@ -402,17 +312,11 @@ def _golden_max(
     attaining it, per component of x, PHI_STAR_BLOCK components at a time;
     raises refuse(x) for an x that the lattice cannot bracket.
 
-    `_seed` proposes a golden quadruple a' < c' < d' < b' with a' >= base
-    for each component, and keeps it where f(c') >= f(a') and f(d') >=
-    f(b'): f is concave on all y >= base, so its chord slopes fall, and a
-    y in [base, a') has f(y) <= f(a') <= f(c'), a y > b' has f(y) <= f(b')
-    <= f(d'), so the sup over y >= base is the sup over [a', b'].  The check
-    alone contains the sup, so a quadruple from the vertex table needs no
-    lattice bracket.  Every other component starts from its lattice
-    bracket [a, b], which holds the maximizer, narrowed to the neighbours
-    of its best point among the lattice ends and the three lattice points
-    near its maximizer (`_narrowed`): by concavity the sup over [a, b] lies
-    between them (`_lattice_seed`).
+    Each component starts from its lattice bracket [a, b], which holds the
+    maximizer, narrowed to the neighbours of its best point among the
+    lattice ends and the three lattice points near its maximizer
+    (`_narrowed`): by concavity the sup over [a, b] lies between them
+    (`_seed`).
 
     Golden section then runs over all components together: ends a < b and
     probes c < d, with f known at all four (a new end is always an old
@@ -425,12 +329,15 @@ def _golden_max(
     GOLDEN_ITERS steps stop any component.  The result is the best of the
     four points.  A component's probes, steps and value depend only on g,
     the lattice and its own x.  Every probe lies in the component's lattice
-    bracket or, for a quadruple from the vertex table, in that quadruple.
+    bracket.  The probes run under the lattice's errstate: near the float
+    limit g may overflow to inf there, which makes f -inf, or NaN where x y
+    overflows too, and neither is ever the best point of a bracketed x.
     """
     val, arg = np.empty_like(x), np.empty_like(x)
-    for i in range(0, len(x), PHI_STAR_BLOCK):
-        block = slice(i, i + PHI_STAR_BLOCK)
-        val[block], arg[block] = _golden_block(g, lattice, x[block], refuse)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(x), PHI_STAR_BLOCK):
+            block = slice(i, i + PHI_STAR_BLOCK)
+            val[block], arg[block] = _golden_block(g, lattice, x[block], refuse)
     return val, arg
 
 
@@ -471,98 +378,16 @@ def _narrowed(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray, ys: 
     return lo, hi, flo, fhi
 
 
-def _rounds(
-    g: Callable[[np.ndarray], np.ndarray], x: np.ndarray, a: np.ndarray, b: np.ndarray, ys: tuple, fs: tuple
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(live, m, scale): parabolic steps toward the maximizer of f(y) = x y
-    - g(y) in each lattice bracket [a, b], from the three lattice points ys
-    around it, where f is fs; they solve the vertex table's nodes
-    (`_Lattice.vertices`).
-
-    Round 0 fits the parabola through the three lattice points, where g is
-    cached.  Each of SEED_ROUNDS rounds fits it through m - h, m, m + h
-    around the last vertex m, moved inside [a, b], with h = s = SEED_WIDTH
-    sqrt(GOLDEN_TOL scale) from the last fit, scale = (1 + |f|) / |f''|:
-    over h the parabola's second difference is SEED_WIDTH^2 times the
-    certificate's allowance, so rounding moves its curvature by a few
-    percent at most, and a round is a Newton step.  A component gives up
-    when a fit is not strictly concave or not finite, when 2 s exceeds b -
-    a, or when s more than doubles in a round: a curvature that falls by 4
-    is rounding on a linear piece (a kink, a plateau).  Each round
-    evaluates its probes together (`_g_rows`).  `live` holds the components
-    that never gave up, with the vertex m and the scale of their last fit.
-    """
-    live, xl, al, bl, wl = np.arange(len(x)), x, a, b, b - a
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for rnd in range(SEED_ROUNDS + 1):
-            if rnd:
-                h = s
-                lo = np.maximum(np.minimum(m - h, bl - 2.0 * h), al)
-                ys = (lo, lo + h, np.minimum(lo + 2.0 * h, bl))
-                fs = [xl * y - gy for y, gy in zip(ys, _g_rows(g, ys))]
-            (y0, y1, y2), (f0, f1, f2) = ys, fs
-            d1 = (f1 - f0) / (y1 - y0)
-            curv = 2.0 * ((f2 - f1) / (y2 - y1) - d1) / (y2 - y0)  # f'' of the parabola
-            m = 0.5 * (y0 + y1) - d1 / curv
-            scale = (1.0 + np.abs(f1)) / -curv
-            s = SEED_WIDTH * np.sqrt(GOLDEN_TOL * scale)
-            keep = (s > 0.0) & (2.0 * s < wl)  # a finite s > 0 needs finite f and curv < 0, so a finite m
-            if rnd:
-                keep &= s < 2.0 * h  # a curvature under a quarter of the last is rounding: a kink or a plateau
-            if not keep.all():
-                live, xl, al, bl, wl, m, s, scale = (v[keep] for v in (live, xl, al, bl, wl, m, s, scale))
-            if not len(live):
-                break
-    return live, m, scale
-
-
 def _seed(
     g: Callable[[np.ndarray], np.ndarray], lattice: _Lattice, x: np.ndarray, refuse: Callable[[float], Exception]
 ) -> tuple[np.ndarray, ...]:
-    """(a, w, fa, fb, fc, fd): the golden quadruple a < c < d < a + w
-    that each component starts from; raises refuse(x) for an x that the
-    lattice cannot bracket.
-
-    A component whose vertex table stencil is valid (`_Lattice.vertices`)
-    takes the quadruple of span q = SEED_SPAN sigma, sigma = sqrt(GOLDEN_TOL
-    scale), around its interpolated vertex m: [m - q/2, m + q/2], moved up
-    to the base.  It keeps it where the concavity check of `_golden_max`
-    holds, f(c) >= f(a) and f(d) >= f(b): f is concave on all y >= base, so
-    the sup lies inside, with no lattice bracket.  Within 0.3 sigma of the
-    maximizer (VERTEX_STEPS) the certificate holds at once, so a smooth
-    maximum takes 4 g points per x and no golden step, besides its share of
-    the table's node solves.  Every other component takes the narrowed
-    lattice bracket of `_lattice_seed`, with its golden probes.
-    """
-    m, scale = lattice.vertices(g, x)
-    on = np.flatnonzero(scale > 0.0)  # NaN where the table has no seed
-    if not len(on):
-        return _lattice_seed(g, lattice, x, refuse)
-    xo, m, scale = (x, m, scale) if len(on) == len(x) else (x[on], m[on], scale[on])
-    q = SEED_SPAN * np.sqrt(GOLDEN_TOL * scale)
-    qa = np.maximum(m - 0.5 * q, lattice.y[0])
-    quad = (qa, qa + _INVPHI2 * q, qa + _INVPHI * q, qa + q)
-    fqa, fqc, fqd, fqb = (xo * y - gy for y, gy in zip(quad, _g_rows(g, quad)))
-    kept = (fqc >= fqa) & (fqd >= fqb)
-    if len(on) == len(x) and kept.all():
-        return qa, q, fqa, fqb, fqc, fqd
-    won, out = on[kept], tuple(np.empty_like(x) for _ in range(6))
-    rest = np.ones(len(x), dtype=bool)
-    rest[won] = False
-    rest = np.flatnonzero(rest)
-    for o, seeded, fallen in zip(out, (qa, q, fqa, fqb, fqc, fqd), _lattice_seed(g, lattice, x[rest], refuse)):
-        o[won], o[rest] = seeded[kept], fallen
-    return out
-
-
-def _lattice_seed(
-    g: Callable[[np.ndarray], np.ndarray], lattice: _Lattice, x: np.ndarray, refuse: Callable[[float], Exception]
-) -> tuple[np.ndarray, ...]:
-    """`_seed` from the lattice bracket [a, b] of each component, narrowed
-    to [p_(i-1), p_(i+1)], the neighbours of its best point p_i among a, b
-    and the three lattice points near its maximizer (`_narrowed`), with the
-    golden probes c and d of that bracket, its only g points; raises
-    refuse(x) for an x that the lattice cannot bracket."""
+    """(a, w, fa, fb, fc, fd): the golden quadruple a < c < d < a + w that
+    each component starts from, with f at its points; raises refuse(x) for
+    an x that the lattice cannot bracket.  [a, a + w] is the lattice
+    bracket of the component narrowed to [p_(i-1), p_(i+1)], the neighbours
+    of its best point p_i among the bracket's ends and the three lattice
+    points near its maximizer (`_narrowed`), and its golden probes c and d
+    are its only g points."""
     a, b, fa, fb, unbracketed, near, f_near = lattice.bracket(g, x)
     if np.any(unbracketed):
         raise refuse(float(x[np.argmax(unbracketed)]))
@@ -589,9 +414,9 @@ def _golden_block(
         if step % GOLDEN_CHECK == 0 or step == GOLDEN_ITERS:
             hi = np.maximum(fc, fd)
             best = np.maximum(hi, np.maximum(fa, fb))
-            with np.errstate(invalid="ignore"):  # -inf - -inf where g overflows at two points: not done
-                rise = np.maximum(np.abs(fc - fd) / _INVPHI, _INVPHI * np.minimum(fc - fa, fd - fb))
-                done = (hi - best) + rise <= GOLDEN_TOL * (1.0 + np.abs(best))
+            # -inf - -inf is NaN where g overflows at two points: not done
+            rise = np.maximum(np.abs(fc - fd) / _INVPHI, _INVPHI * np.minimum(fc - fa, fd - fb))
+            done = (hi - best) + rise <= GOLDEN_TOL * (1.0 + np.abs(best))
             if step == GOLDEN_ITERS:
                 done[:] = True
             if np.any(done):
@@ -615,16 +440,29 @@ def _golden_block(
 def _phi_star_impl(w: WeightFn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sup_{y>=0} (x y - phi(y)) per component, with the maximizer.
 
-    The objective is concave in y (phi is convex): the lattice of w brackets
-    each maximizer, then `_golden_max`.  An x that no chord slope of phi
-    below y = 8 * 2^64 reaches has an unbounded conjugate (omega is at most
-    logarithmic).
+    Where w carries `maximizer`, the objective at it; near the float limit
+    x y or phi(y) overflows there, and a value that is not finite is
+    refused.  Otherwise the objective is
+    concave in y (phi is convex): the lattice of w brackets each maximizer,
+    then `_golden_max`, and an x that no chord slope of phi below y = 8 *
+    2^64 reaches has an unbounded conjugate (omega is at most logarithmic).
     """
 
     def refuse(bad: float) -> Exception:
         return UnboundedConjugate(f"{w.name}: no finite bracket for the conjugate at x={bad:.6g}")
 
-    return _golden_max(w.phi, w._lattice, xs, refuse)
+    if w.maximizer is None:
+        return _golden_max(w.phi, w._lattice, xs, refuse)
+    val, y = np.empty_like(xs), np.empty_like(xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(xs), PHI_STAR_BLOCK):
+            block = slice(i, i + PHI_STAR_BLOCK)
+            y[block] = w.maximizer(xs[block])
+            val[block] = xs[block] * y[block] - w.phi(y[block])
+    finite = np.isfinite(val)
+    if not finite.all():
+        raise refuse(float(xs[np.argmin(finite)]))
+    return val, y
 
 
 def phi_star(w: WeightFn, x):
@@ -1202,10 +1040,13 @@ def _poisson_assoc(w: WeightFn, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 def normalize_fn(w: WeightFn) -> WeightFn:
     """Normalized representative: max(0, phi(y) - phi(0)), zero for y <= 0.
 
-    A closed-form conjugate transports exactly through this shift: with
-    c = phi(0) and y_c the largest y where phi(y) <= c, the normalized
-    conjugate is max(x y_c, phi*(x) + c) (the objective is x y on the
-    clamped region and shifts by c beyond it).
+    A closed-form maximizer transports through this shift: with c = phi(0)
+    and y_c the largest y where phi(y) <= c, the normalized objective is
+    x y on the clamped region [0, y_c], the largest at y_c, and the old
+    objective plus c beyond it, the largest at max(y*, y_c) for the old
+    maximizer y*; of the two, the one with the larger objective is kept.
+    The normalized phi vanishes at y_c, so the objective there is x y_c,
+    and only x whose y* lies past y_c evaluate phi.
     """
     if w.normalized:
         return w
@@ -1231,20 +1072,23 @@ def normalize_fn(w: WeightFn) -> WeightFn:
                 hi = mid
         y_c = lo
 
-    ref = None
-    if w.phi_star_ref is not None:
-        base_ref = w.phi_star_ref
+    maximizer = None
+    if w.maximizer is not None:
+        base = w.maximizer
 
-        def ref(xs):
-            xs = np.asarray(xs, dtype=float)
-            return np.maximum(xs * y_c, np.asarray(base_ref(xs), dtype=float) + c)
+        def maximizer(xs: np.ndarray) -> np.ndarray:
+            y = np.maximum(base(xs), y_c)
+            past = np.flatnonzero(y > y_c)
+            below = xs[past] * y[past] - phi_vec(y[past]) < xs[past] * y_c
+            y[past[below]] = y_c
+            return y
 
     return WeightFn(
         f"norm({w.name})",
         phi_vec,
         envelope=w.envelope,  # still an upper bound
         normalized=True,
-        phi_star_ref=ref,
+        maximizer=maximizer,
     )
 
 

@@ -300,10 +300,40 @@ def test_grid_exponent_where_alpha_k_overflows_is_refused(capsys, fn):
 
 
 def test_grid_exponent_where_phi_overflows_on_the_lattice_is_computed(capsys):
-    # e^(y/2) overflows on the conjugate's lattice past y = 1420; those points are skipped
+    # e^(y/2) overflows past y = 1420, where the numeric engine's lattice
+    # reaches; the closed-form maximizer evaluates phi at y = 2 log(2 alpha k)
+    # only.  log M_3 = 4163.633640175040187 to 19 digits (mpmath)
     rc, out, err = run(capsys, "compute", "mat:omega?fn=power&beta=0.5", "--n", "3", "--grid", "1000..1000")
     assert (rc, err) == (0, "")
-    assert json.loads(out)["members"][0]["log_m"] == [0.0, 1385.6806554810105, 2774.133899684261, 4163.63364017504]
+    assert json.loads(out)["members"][0]["log_m"] == [0.0, 1385.6806554810105, 2774.133899684261, 4163.6336401750405]
+
+
+def test_grid_exponent_where_golden_probes_overflowed_phi_is_computed(capsys):
+    # alpha = 2^1010: log M_k = 2k (log(2 alpha k) - 1) + 1/alpha, with no
+    # RuntimeWarning (the suite raises them)
+    rc, out, err = run(capsys, "compute", "mat:omega?fn=power&beta=0.5", "--n", "3", "--grid", "1010..1010")
+    assert (rc, err) == (0, "")
+    want = [2.0 * k * (1011 * math.log(2.0) + math.log(k) - 1.0) for k in (1, 2, 3)]
+    assert json.loads(out)["members"][0]["log_m"] == pytest.approx([0.0] + want, rel=1e-15)
+
+
+@pytest.mark.parametrize("fn", ["logsq", "power&beta=0.5"])
+@pytest.mark.parametrize("e", [1020, 1022])
+def test_grid_exponent_where_the_conjugate_overflows_is_refused(capsys, fn, e):
+    # x y overflows at the maximizer of x = alpha = 2^e (k = 1)
+    rc, out, err = run(capsys, "compute", f"mat:omega?fn={fn}", "--n", "3", "--grid", f"{e}..{e}")
+    assert (rc, out) == (2, "") and len(err.splitlines()) == 1
+    error = json.loads(err)
+    assert error["error"] == "UnboundedConjugate"
+    assert error["message"].endswith(f": no finite bracket for the conjugate at x={2.0**e:.6g}")
+
+
+def test_grid_exponent_past_the_lattice_top_is_computed(capsys):
+    # alpha = 2^70 puts the maximizer alpha k / 2 past y = 8 * 2^64, the top
+    # of the numeric engine's lattice, which refused it; log M_k = alpha k^2 / 4
+    rc, out, err = run(capsys, "compute", "mat:omega?fn=logsq", "--n", "3", "--grid", "70..70")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["members"][0]["log_m"] == [2.0**70 * k * k / 4.0 for k in range(4)]
 
 
 @pytest.mark.parametrize("argv", [
@@ -565,3 +595,23 @@ def test_module_entry_point_runs_under_the_warning_policy():
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert (done.returncode, done.stderr) == (0, "")
     assert [row["key"] for row in json.loads(done.stdout)] == [e.key for e in catalog.entries()]
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_output_into_a_closed_pipe_stops_quietly(buffered):
+    # the reader has gone before the first write, which fails in print when
+    # stdout is unbuffered and in the flush when it is buffered: no
+    # traceback, no "Exception ignored" line from the flush at exit, and
+    # the status of a broken pipe
+    src = os.path.dirname(os.path.dirname(func_core.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | {"PYTHONPATH": src}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "ultraweights.cli", "catalog", "--json"], stdout=write,
+                              stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, "")
