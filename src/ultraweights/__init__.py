@@ -11,6 +11,7 @@ from .errors import (
     DivergentTail,
     EnvelopeRequired,
     MaximizerUnbounded,
+    NoClosedForm,
     NotAWeightSequence,
     QuasianalyticInput,
     TruncationExhausted,

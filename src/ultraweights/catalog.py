@@ -1,9 +1,10 @@
 """Built-in weight families with closed-form evaluators, tails, and envelopes.
 
 These entries are the ground truth of the test suite: each carries tightly
-bracketed log tail sums over index arrays and, where available, closed-form
-reference values for the integral transforms and the closed-form maximizer
-of the Young conjugate, which `phi_star` evaluates through.  Entries are
+bracketed log tail sums over index arrays and, where available, the closed
+forms of the integral transforms kappa and P, through which every transform
+of a catalog function is evaluated, and the closed-form maximizer of the
+Young conjugate, which `phi_star` evaluates through.  Entries are
 addressed by URI-like names, e.g. seq:gevrey?s=2, fn:power?beta=0.5,
 mat:omega?fn=power&beta=0.5.  The registry `_ENTRIES` is the one list of
 them: `entries()` lists it and `resolve` dispatches through it, calling the
@@ -18,7 +19,9 @@ Closed forms used:
   - power weight t^beta: phi = kappa (1-beta) = P cos(pi beta/2) = e^(beta y),
     conjugate (x/beta)(log(x/beta) - 1) for x >= beta, at y = log(x/beta)/beta.
   - squared-log weight (max(0, log t))^2: phi = max(y, 0)^2, kappa =
-    y^2 + 2y + 2 for y >= 0 (2e^y below), conjugate x^2/4 at y = x/2.
+    y^2 + 2y + 2 for y >= 0 (2e^y below), P(ir) = l^2 + pi^2/4 - (4/pi)
+    Ti3(e^-l) for l = log r >= 0 ((4/pi) Ti3(e^l) below), conjugate x^2/4
+    at y = x/2.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from urllib.parse import parse_qsl
 import numpy as np
 
 from .errors import CatalogError
-from .func_core import Envelope, WeightFn, WeightMatrix, matrix_from_omega
+from .func_core import Envelope, WeightFn, WeightMatrix, _ti3, matrix_from_omega
 from .seq_core import SeriesTail, WeightSeq, seq_from_csv
 
 __all__ = [
@@ -161,10 +164,10 @@ def make_power_weight(beta: float) -> WeightFn:
     """omega(t) = t^beta for beta in (0,1): the strong weight workhorse.
 
     Exact envelope (beta, 0, 1).  Attached closed forms: kappa =
-    t^beta/(1-beta), and the conjugate's maximizer log(x/beta)/beta for x >=
-    beta, where the conjugate is (x/beta)(log(x/beta)-1), and 0 below (the
-    objective peaks at the y = 0 boundary there, at -1).  P(ir) = r^beta /
-    cos(pi beta / 2) is not attached: only the test suite compares against it.
+    t^beta/(1-beta), P(ir) = r^beta / cos(pi beta / 2), and the conjugate's
+    maximizer log(x/beta)/beta for x >= beta, where the conjugate is
+    (x/beta)(log(x/beta)-1), and 0 below (the objective peaks at the y = 0
+    boundary there, at -1).
     """
     if not 0 < beta < 1:
         raise ValueError("exponent must lie in (0, 1)")
@@ -182,6 +185,7 @@ def make_power_weight(beta: float) -> WeightFn:
         envelope=Envelope(beta, 0.0, 1.0),
         normalized=False,
         kappa_ref=lambda ys: phi(ys) / (1.0 - beta),
+        poisson_ref=lambda ys: phi(ys) / math.cos(0.5 * math.pi * beta),
         maximizer=maximizer,
     )
 
@@ -193,10 +197,19 @@ def make_log_square_weight() -> WeightFn:
     (no H with 2 omega(t) <= omega(Ht) + H), so the members of its canonical
     matrix are inequivalent.  kappa = y^2 + 2y + 2 for y >= 0 and 2e^y
     below; conjugate x^2/4, at the maximizer y = x/2.
+
+    P: (log+ t)^2 = 2 int_0^inf log+(t e^-v) dv, and log+(t/mu) extends to
+    (2/pi) Ti2(r/mu) at ir, so P(ir) = (4/pi) int_0^inf Ti2(r e^-v) dv =
+    (4/pi) Ti3(r) for r <= 1.  Past 1, Ti2(x) = Ti2(1/x) + (pi/2) log x gives
+    P = l^2 + pi^2/4 - (4/pi) Ti3(1/r) with l = log r, as Ti3(1) = pi^3/32.
     """
 
     def kappa_ref(ys):
         return np.where(ys >= 0.0, ys * ys + 2.0 * ys + 2.0, 2.0 * np.exp(np.minimum(ys, 0.0)))
+
+    def poisson_ref(ys):
+        ti3 = (4.0 / math.pi) * _ti3(np.exp(-np.abs(ys)))
+        return np.where(ys >= 0.0, ys * ys + 0.25 * math.pi**2 - ti3, ti3)
 
     return WeightFn(
         "logsq",
@@ -204,6 +217,7 @@ def make_log_square_weight() -> WeightFn:
         envelope=Envelope(0.5, 17.0, 1.0),  # max(y^2 - e^(y/2)) ~ 16.31
         normalized=True,
         kappa_ref=kappa_ref,
+        poisson_ref=poisson_ref,
         maximizer=lambda xs: xs / 2.0,
     )
 

@@ -225,20 +225,16 @@ def cmd_compute(args) -> int:
             return _err("UsageError", f"derivation {derive!r} does not apply to a sequence")
     elif isinstance(obj, WeightFn):
         ts = log_t_grid(1.0, 1e8, n)
-        if derive == "kappa":
-            payload = _csv_table(["t", "kappa"], [(float(t), kappa(obj, float(t))) for t in ts])
-        elif derive == "poisson":
-            payload = _csv_table(["t", "poisson"], [(float(t), poisson_imag(obj, float(t))) for t in ts])
+        if derive in ("kappa", "poisson"):
+            vals = (kappa if derive == "kappa" else poisson_imag)(obj, ts)
+            payload = _csv_table(["t", derive], zip(map(float, ts), map(float, vals)))
         elif derive == "none":
-            rows = []
-            for t in ts:
-                row = [float(t), float(obj.omega(float(t)))]
-                try:
-                    row += [kappa(obj, float(t)), poisson_imag(obj, float(t))]
-                except UltraweightsError:
-                    row += ["", ""]
-                rows.append(row)
-            payload = _csv_table(["t", "omega", "kappa", "poisson"], rows)
+            try:
+                transforms = [list(map(float, kappa(obj, ts))), list(map(float, poisson_imag(obj, ts)))]
+            except UltraweightsError:  # a function without closed forms lists omega alone
+                transforms = [[""] * n] * 2
+            payload = _csv_table(["t", "omega", "kappa", "poisson"],
+                                 zip(map(float, ts), map(float, obj.omega(ts)), *transforms))
         else:
             return _err("UsageError", f"derivation {derive!r} does not apply to a function")
     elif isinstance(obj, WeightMatrix):
@@ -365,20 +361,17 @@ def cmd_selftest(args) -> int:
         ok = ok and passed
         print(f"[{'PASS' if passed else 'FAIL'}] {name}" + (f": {detail}" if detail else ""))
 
-    w = cat.make_power_weight(0.5)
-    ts = log_t_grid(1.0, 1e6, 10)
-    rel = max(abs(kappa(w, float(t)) / float(w.kappa_ref(math.log(t))) - 1.0) for t in ts)
-    report("transform matches closed form (power 1/2)", rel < 1e-6, f"max rel {rel:.2e}")
+    w, sq = cat.make_power_weight(0.5), cat.make_log_square_weight()
+    k = kappa(sq, math.e)
+    report("transform at e (squared log)", abs(k - 5.0) < 1e-12, f"kappa(e)={k:.12f}")
 
-    P = poisson_imag(w, 1.0)
-    report("harmonic extension at i (power 1/2)", abs(P - math.sqrt(2)) < 1e-6, f"P(i)={P:.9f}")
+    P, P_sq = poisson_imag(w, 1.0), poisson_imag(sq, 1.0)
+    report("harmonic extension at i (power 1/2, squared log)",
+           abs(P - math.sqrt(2)) < 1e-12 and abs(P_sq - math.pi**2 / 8) < 1e-12, f"P(i)={P:.12f}, {P_sq:.12f}")
 
-    sandwich = all(
-        poisson_imag(w, float(r)) <= (4 / math.pi) * kappa(w, float(r)) + 1e-6
-        and (4 / math.pi) * kappa(w, float(r)) <= 4 * poisson_imag(w, float(r)) + 1e-6
-        for r in log_t_grid(1.0, 1e6, 8)
-    )
-    report("transform sandwich", sandwich)
+    rs = log_t_grid(1.0, 1e6, 8)
+    P, K = poisson_imag(w, rs), (4 / math.pi) * kappa(w, rs)
+    report("transform sandwich", bool(np.all(P <= K + 1e-6) and np.all(K <= 4 * P + 1e-6)))
 
     report("biconjugate identity (squared log)", phi_star_involution_check(cat.make_log_square_weight()).holds)
 

@@ -22,11 +22,19 @@ class UnboundedConjugate(UltraweightsError):
 
 
 class QuasianalyticInput(UltraweightsError):
-    """Integral transform refused: the weight grows too fast for a convergent tail."""
+    """Refused: the weight may be quasianalytic.  An integral transform of a
+    function without a closed form refuses an envelope exponent >= 1, and
+    verify-chain a matrix member not certified non-quasianalytic."""
 
 
 class EnvelopeRequired(UltraweightsError):
-    """Integral transform refused: no certified growth envelope is attached."""
+    """Integral transform refused: the function has no closed form for it and
+    no growth envelope that certifies it non-quasianalytic."""
+
+
+class NoClosedForm(UltraweightsError):
+    """Integral transform refused: the function is certified non-quasianalytic
+    but carries no closed form for it and is not sequence-associated."""
 
 
 class MaximizerUnbounded(UltraweightsError):

@@ -27,14 +27,10 @@ of kappa' = j found by one quotient search and ROOT_HALVINGS halvings of
 its bracket, with no search over y.  P is a sum of Ti2 terms, one per quotient:
 a 16-point rule takes those with |log mu_j - log r| <= P_CORE = 3, their
 alternating series through x^9 those out to P_WINDOW = 8, and a first-order
-bracket the rest.  Other functions are integrated only when they carry a
-certified growth envelope phi(y) <= a + b e^(theta y) (theta < 1), which
-supplies the cutoff and an explicit tail bracket.
-kappa_interval and poisson_interval share one adaptive engine
-(`_quadrature`), which integrates one argument per call: a 9-point
-Gauss-Legendre rule, bisection of the panels that miss their share of the
-tolerance, and a budget of PANEL_BUDGET panels whose exhaustion widens the
-bracket.
+bracket the rest.  Any other function has its transforms only as closed forms
+that it carries (`kappa_ref`, `poisson_ref`: the catalog's power and
+squared-log weights); there is no quadrature, and a function with neither a
+closed form nor a quotient sequence is refused (`_no_closed_form`).
 
 The conjugate takes one of two paths, chosen by the function alone.  A
 WeightFn that carries `maximizer`, the closed-form argmax over y >= 0 of
@@ -84,9 +80,11 @@ import numpy as np
 
 from .errors import (
     EnvelopeRequired,
+    NoClosedForm,
     NotAWeightSequence,
     QuasianalyticInput,
     TruncationExhausted,
+    UltraweightsError,
     UnboundedConjugate,
 )
 from .seq_core import (
@@ -134,9 +132,7 @@ __all__ = [
     "log_t_grid",
 ]
 
-QUAD_ABS_TOL = 1e-10
-PANEL_BUDGET = 10_000
-GAUSS_ORDER = 9
+ROUNDING = 1e-14  # relative allowance on either side of a closed-form transform for its rounding
 TI2_ORDER = 16
 P_WINDOW = 8.0
 P_CORE = 3.0  # |log mu_j - log r| up to which P's terms take `_ti2`; the series past it errs by <= 7.8e-16
@@ -168,7 +164,11 @@ def log_t_grid(lo: float = 1.0, hi: float = 1e8, n: int = 50) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Envelope:
-    """Certificate phi(y) <= a + b * e^(theta y) for all real y, theta in (0,1)."""
+    """Certificate phi(y) <= a + b * e^(theta y) for all real y, theta in (0,1).
+
+    It certifies non-quasianalyticity (`fn_predicates`), and it decides how a
+    transform of a function without a closed form is refused
+    (`_no_closed_form`); no transform is computed from it."""
 
     theta: float
     a: float
@@ -185,15 +185,17 @@ class WeightFn:
     pure and elementwise, and stay finite wherever phi is.  `maximizer` (in
     x) is the closed-form argmax over y >= 0 of x y - phi(y); where it is
     attached it is the production path of the conjugate, which takes the
-    objective there, as `kappa_ref` (in y) is the closed form that
-    `kappa_fn` evaluates through.  The numeric engine stays its oracle: a
-    copy of the function without it conjugates through the lattice
-    (`_lattice`, extended on demand as far as the largest x needs), which
-    reaches up to y = 8 * 2^64, and an x whose maximizer lies beyond it
-    raises UnboundedConjugate.  There is no free-text description: the name
-    says what the function is, `maximizer` decides how `phi_star`
-    conjugates it, and `kappa_ref` or `assoc` how `kappa_fn` evaluates its
-    transform.
+    objective there.  `kappa_ref` and `poisson_ref` (in y = log t, log r)
+    are the closed forms of kappa and of P(ir), through which every
+    transform of the function is read (`_kappa_of`, `_poisson_of`).  The
+    numeric engine stays the conjugate's oracle: a copy of the function
+    without `maximizer` conjugates through the lattice (`_lattice`, extended
+    on demand as far as the largest x needs), which reaches up to y = 8 *
+    2^64, and an x whose maximizer lies beyond it raises
+    UnboundedConjugate.  There is no free-text description: the name says
+    what the function is, `maximizer` decides how `phi_star` conjugates it,
+    and `kappa_ref`, `poisson_ref` or `assoc` how its transforms are
+    evaluated.
     """
 
     def __init__(
@@ -204,6 +206,7 @@ class WeightFn:
         envelope: Optional[Envelope] = None,
         normalized: bool = False,
         kappa_ref: Optional[Callable] = None,
+        poisson_ref: Optional[Callable] = None,
         maximizer: Optional[Callable] = None,
         assoc: Optional["_AssocEvaluator"] = None,
         include_log_term: bool = False,
@@ -213,6 +216,7 @@ class WeightFn:
         self.envelope = envelope
         self.normalized = normalized
         self.kappa_ref = kappa_ref
+        self.poisson_ref = poisson_ref
         self.maximizer = maximizer
         self.assoc = assoc
         self.include_log_term = include_log_term
@@ -671,115 +675,37 @@ def omega_tilde_from_seq(seq: WeightSeq) -> WeightFn:
 # -- integral transforms -----------------------------------------------------
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
-
-
-def _in_order(x: np.ndarray) -> float:
-    """0.0 + x_0 + x_1 + ..., left to right: `ndarray.sum` is pairwise, and
-    the builtin `sum` of floats is compensated from Python 3.12 on."""
-    return float(np.cumsum(x)[-1]) if len(x) else 0.0
-
-
-def _quadrature(g: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> tuple[float, float]:
-    """Integral of g(u) over [edges[0], edges[-1]] (0 when edges is empty),
-    with an error bound.
-
-    The one adaptive engine behind kappa and P: bisection of the open panels
-    with a fixed Gauss-Legendre rule.  A panel's error is its difference from
-    the sum of its two halves; the panels given each start with the share
-    QUAD_ABS_TOL / (len(edges) - 1) of the tolerance, and every pass halves
-    it, since every open panel has then been bisected as often.  A pass adds
-    the sum of the panels it closes, in order, to the total.  Once more than
-    PANEL_BUDGET panels (read at call time) have been evaluated, the open
-    panels are summed as they are and the bound widens by
-    max(QUAD_ABS_TOL, 1e-8 * sum of |open panels|).  The bound includes
-    4e-15 |value| for the rounding of the sums.  Deterministic by
-    construction.
-    """
-
-    def panels(lo_: np.ndarray, hi_: np.ndarray) -> np.ndarray:
-        half = 0.5 * (hi_ - lo_)
-        pts = (0.5 * (lo_ + hi_))[:, None] + half[:, None] * _GL_NODES[None, :]
-        return half * (g(pts.ravel()).reshape(pts.shape) @ _GL_WEIGHTS)
-
-    lo, hi = edges[:-1], edges[1:]
-    if not len(lo):
-        return 0.0, 0.0
-    vals = panels(lo, hi)
-    share, n_panels = QUAD_ABS_TOL / len(lo), len(lo)
-    val = err = 0.0
-    for _ in range(64):
-        if not len(lo) or n_panels > PANEL_BUDGET:
-            break
-        mid = 0.5 * (lo + hi)
-        halves = panels(np.concatenate([lo, mid]), np.concatenate([mid, hi]))
-        left, right = halves[: len(lo)], halves[len(lo) :]
-        refined = left + right
-        perr = np.abs(vals - refined)
-        done = perr <= share
-        val += _in_order(refined[done])
-        err += _in_order(perr[done])
-        keep = ~done
-        lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
-        vals = np.concatenate([left[keep], right[keep]])
-        share *= 0.5
-        n_panels += len(vals)
-    if len(lo):
-        val += _in_order(vals)
-        err += max(QUAD_ABS_TOL, 1e-8 * _in_order(np.abs(vals)))
-    return val, err + 4e-15 * abs(val)
-
-
-def _cutoff(env: Envelope, y: float, c: float) -> float:
-    """Cutoff U at y = log x: `_envelope_tail(env, y, U, c)` is below
-    QUAD_ABS_TOL (each of its two terms below half of it), and U >= 4."""
-    th, tol = env.theta, QUAD_ABS_TOL
-    u_a = math.log(max(2 * c * env.a / tol, 1.0) + 1.0)
-    log_b = math.log(2 * c * env.b / ((1 - th) * tol)) if env.b > 0 else -math.inf
-    u_b = np.logaddexp(max(th * y + log_b, 0.0), 0.0) / (1 - th)
-    return float(max(u_a, u_b, 4.0))
-
-
-def _envelope_tail(env: Envelope, y, U, c: float):
-    """c * int_U^inf (a + b e^(theta (y+u))) e^-u du, which bounds both transforms'
-    integrals beyond U: kappa with c = 1, and P with c = 2/pi (1/cosh u <= 2 e^-u)."""
-    th = env.theta
-    return c * (env.a * np.exp(-U) + env.b * np.exp(th * y - (1 - th) * U) / (1 - th))
-
-
-def _require_envelope(w: WeightFn, op: str) -> Envelope:
+def _no_closed_form(w: WeightFn, op: str) -> UltraweightsError:
+    """The refusal of transform `op` for a function with no closed form for
+    it and no quotient sequence: EnvelopeRequired without a growth envelope,
+    QuasianalyticInput where the envelope's exponent is not below 1 (the
+    transform may diverge), and NoClosedForm otherwise."""
     if w.envelope is None:
-        raise EnvelopeRequired(f"{op} refused for {w.name}: no growth envelope attached")
+        return EnvelopeRequired(f"{op} refused for {w.name}: no growth envelope attached")
     if not (0 < w.envelope.theta < 1):
-        raise QuasianalyticInput(f"{op} refused for {w.name}: envelope exponent {w.envelope.theta} >= 1")
-    return w.envelope
+        return QuasianalyticInput(f"{op} refused for {w.name}: envelope exponent {w.envelope.theta} >= 1")
+    return NoClosedForm(f"{op} refused for {w.name}: no closed form attached")
+
+
+def kappa(w: WeightFn, t):
+    """kappa(t) = int_0^inf phi(log t + u) e^-u du at t >= 0 (scalar or
+    array), read from its closed form (`_kappa_of`); kappa(0) = 0."""
+    of = _kappa_of(w)
+    tt = np.asarray(t, dtype=float)
+    if not np.all(tt >= 0):  # NaN too
+        raise ValueError("kappa is defined for t >= 0")
+    with np.errstate(divide="ignore"):
+        out = of(np.log(np.atleast_1d(tt)))
+    return out if tt.ndim else float(out[0])
 
 
 def kappa_interval(w: WeightFn, t: float) -> Interval:
-    """Bracketed kappa(t) = int_0^inf phi(log t + u) e^-u du by adaptive quadrature.
-
-    The cutoff U makes the envelope tail < 1e-10; the remaining tail is
-    bracketed between phi(log t + U) e^-U (monotonicity) and the envelope bound.
-    """
-    env = _require_envelope(w, "kappa")
-    if t < 0:
-        raise ValueError("kappa is defined for t >= 0")
-    if t == 0.0:
-        return Interval(0.0, 0.0)
-    return _kappa_bracket(w, env, math.log(t))
-
-
-def _kappa_bracket(w: WeightFn, env: Envelope, y: float) -> Interval:
-    U = _cutoff(env, y, 1.0)
-    val, err = _quadrature(lambda u: w.phi(y + u) * np.exp(-u), _initial_edges(w, 0.0, U, y))
-    tail_lo = float(w.phi(y + U)) * math.exp(-U)
-    tail_hi = max(float(_envelope_tail(env, y, U, 1.0)), tail_lo)
-    return Interval(val - err + tail_lo, val + err + tail_hi)
-
-
-def kappa(w: WeightFn, t: float) -> float:
-    """Midpoint of the bracketed transform; see kappa_interval."""
-    return kappa_interval(w, t).mid
+    """kappa(t) with the rounding allowance ROUNDING |kappa| on either side.
+    The allowance covers the rounding of a closed form; for an associated
+    function the tail sum is read at the midpoint of its bracket, as
+    everywhere (`_kappa_assoc`), and the bracket's width is not included."""
+    v = kappa(w, t)
+    return Interval(v - ROUNDING * abs(v), v + ROUNDING * abs(v))
 
 
 def _kappa_log_term(ys: np.ndarray) -> np.ndarray:
@@ -806,8 +732,9 @@ def kappa_assoc(w: WeightFn, t) -> np.ndarray | float:
     the associated function is piecewise linear in log s with breakpoints
     at the quotients, and the transform telescopes to
     omega_M(t) + k*(t) + t * sum_{j > k*} 1/mu_j.  The log(1+s^2) component
-    of the tilde representative has its own closed form.  Cross-validated
-    against the generic quadrature in the test suite.
+    of the tilde representative has its own closed form.  The test suite
+    checks it against 30-digit values of the definition
+    (tests/data/oracle.json).
     """
     if w.assoc is None:
         raise ValueError(f"{w.name} is not sequence-associated")
@@ -889,56 +816,28 @@ def kappa_star_assoc(w: WeightFn, n: int) -> np.ndarray:
     return out
 
 
-def _initial_edges(w: WeightFn, L: float, U: float, y: float) -> np.ndarray:
-    """Coarse panel edges on [L, U], none when U <= L; for sequence-associated
-    integrands the first quotient breakpoints (where the integrand has kinks)
-    are inserted, which removes most of the bisection depth."""
-    if U <= L:
-        return np.empty(0)
-    n0 = max(8, int(math.ceil((U - L) / 2.0)))
-    edges = np.linspace(L, U, n0 + 1)
-    if w.assoc is not None:
-        kinks = w.assoc._log_mu[:64] - y
-        kinks = kinks[(kinks > L + 1e-9) & (kinks < U - 1e-9)]
-        edges = np.sort(np.concatenate([edges, kinks]))
-        edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
-    return edges
-
-
-def _poisson_bracket(w: WeightFn, env: Envelope, y: float) -> Interval:
-    """The P(ir) bracket at y = log r.
-
-    P(ir) = (2/pi) int_0^inf omega(rs)/(1+s^2) ds becomes, after s = e^u,
-    (1/pi) int phi(log r + u) sech(u) du, integrated over [L, U].  For a
-    normalized omega the integrand vanishes for log r + u <= 0, so L = -log r;
-    otherwise L is where the part below it is under QUAD_ABS_TOL, and that
-    part is bracketed by [0, (2/pi) phi(log r + L) e^L].  The part beyond
-    U = max(cutoff, L) is bracketed by [0, envelope tail], so a radius with
-    nothing between L and U still gets a certified bracket.
-    """
-    c = 2.0 / math.pi
-    if w.normalized:
-        L, below = -y, 0.0
-    else:
-        L = -float(np.log(max(w.phi(y), 1.0) / QUAD_ABS_TOL) + 2.0)
-        below = c * w.phi(y + L) * float(np.exp(L))
-    U = max(_cutoff(env, y, c), L)
-    val, err = _quadrature(lambda u: w.phi(y + u) / (np.pi * np.cosh(u)), _initial_edges(w, L, U, y))
-    return Interval(max(val - err, 0.0), val + err + float(_envelope_tail(env, y, U, c)) + below)
+def _poisson_at(w: WeightFn, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P, lo, hi) as 1-d arrays at r > 0, a scalar or an array (`_poisson_of`)."""
+    of = _poisson_of(w)
+    rr = np.atleast_1d(np.asarray(r, dtype=float))
+    if not np.all(rr > 0):  # NaN too
+        raise ValueError("the harmonic extension is evaluated at ir with r > 0")
+    return of(np.log(rr))
 
 
 def poisson_interval(w: WeightFn, r: float) -> Interval:
-    """Bracketed harmonic extension P(ir) on the imaginary axis, with
-    envelope-certified cutoffs at absolute tolerance 1e-10; see
-    `_poisson_bracket`."""
-    env = _require_envelope(w, "poisson")
-    if r <= 0:
-        raise ValueError("the harmonic extension is evaluated at ir with r > 0")
-    return _poisson_bracket(w, env, math.log(r))
+    """The bracket of the harmonic extension P(ir), r > 0: the closed form's
+    rounding allowance ROUNDING |P| on either side, or for an associated
+    function the bracket of `_poisson_assoc`."""
+    _, lo, hi = _poisson_at(w, r)
+    return Interval(float(lo[0]), float(hi[0]))
 
 
-def poisson_imag(w: WeightFn, r: float) -> float:
-    return poisson_interval(w, r).mid
+def poisson_imag(w: WeightFn, r):
+    """The harmonic extension P(ir) at r > 0 (scalar or array), read from its
+    closed form (`_poisson_of`)."""
+    p = _poisson_at(w, r)[0]
+    return p if np.ndim(r) else float(p[0])
 
 
 def poisson_batch(w: WeightFn, log_rs) -> np.ndarray:
@@ -961,6 +860,13 @@ def _ti2(x: np.ndarray) -> np.ndarray:
     for i in range(0, len(x), TI2_ROWS):
         out[i : i + TI2_ROWS] = np.arctan(np.multiply.outer(x[i : i + TI2_ROWS], _TI2_NODES)) @ _TI2_COEFFS
     return out
+
+
+def _ti3(x: np.ndarray) -> np.ndarray:
+    """Ti3(x) = int_0^1 Ti2(x w)/w dw, 0 <= x <= 1 (Lewin 1981, ch. 3), by
+    the rule of `_ti2` over w, exact to rounding for the same reason: the
+    branch points of Ti2(x w) lie at w = +-i/x."""
+    return _ti2(np.multiply.outer(x, _TI2_NODES).ravel()).reshape(len(x), TI2_ORDER) @ _TI2_COEFFS
 
 
 def _ti2_series(x: np.ndarray) -> np.ndarray:
@@ -1030,7 +936,7 @@ def _poisson_assoc(w: WeightFn, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     if w.include_log_term:
         windowed = windowed + 2.0 * np.logaddexp(0.0, ys)
     p = windowed + c * (below + above)
-    err = 1e-14 * np.abs(p)  # rounding (below 2.7e-15 |P| measured over up to 1.3e5 terms) and the band's remainder
+    err = ROUNDING * np.abs(p)  # rounding (below 2.7e-15 |P| measured over up to 1.3e5 terms) and the band's remainder
     return p, windowed + c * (first_order * below + above_lo) - err, windowed + c * (below + above_hi) + err
 
 
@@ -1093,16 +999,31 @@ def normalize_fn(w: WeightFn) -> WeightFn:
 
 
 def _kappa_of(w: WeightFn) -> Callable[[np.ndarray], np.ndarray]:
-    """kappa at an array of y = log t: through the attached closed form when
-    there is one, else the piecewise closed form of an associated function,
-    else the midpoint of the quadrature bracket at each point (which needs
-    an envelope)."""
+    """kappa at an array of y = log t, by closed form: the attached
+    `kappa_ref` where there is one, else the piecewise closed form of an
+    associated function (`_kappa_assoc`); any other function is refused
+    (`_no_closed_form`)."""
     if w.kappa_ref is not None:
         return w.kappa_ref
     if w.assoc is not None:
         return lambda ys: _kappa_assoc(w, ys)
-    env = _require_envelope(w, "kappa")
-    return lambda ys: np.array([_kappa_bracket(w, env, float(y)).mid for y in ys])
+    raise _no_closed_form(w, "kappa")
+
+
+def _poisson_of(w: WeightFn) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(P, lo, hi) at an array of y = log r, by closed form: the attached
+    `poisson_ref` with its rounding allowance ROUNDING |P|, else the sum
+    over the quotients of an associated function with its bracket
+    (`_poisson_assoc`); any other function is refused (`_no_closed_form`)."""
+    if w.poisson_ref is not None:
+        def ref(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            p = w.poisson_ref(ys)
+            return p, p - ROUNDING * np.abs(p), p + ROUNDING * np.abs(p)
+
+        return ref
+    if w.assoc is not None:
+        return lambda ys: _poisson_assoc(w, ys)
+    raise _no_closed_form(w, "poisson")
 
 
 def kappa_fn(w: WeightFn) -> WeightFn:

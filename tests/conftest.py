@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,11 @@ from ultraweights.catalog import (
     make_power_weight,
     make_q_gevrey,
 )
+from ultraweights.catalog import resolve
+from ultraweights.func_core import omega_tilde_from_seq
 from ultraweights.seq_core import WeightSeq
+
+ORACLE = Path(__file__).resolve().parent / "data" / "oracle.json"
 
 
 @pytest.fixture(scope="session")
@@ -64,3 +70,34 @@ def linear():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def oracle() -> dict:
+    """30-digit values of kappa and P from their definitions, written by
+    tests/make_oracle.py: {"kappa" | "poisson": {uri: [(t or r, value)]}}.
+    Each value's own error bound is checked to lie far below the tolerances
+    that the tests hold the package to (1e-14 relative at the tightest)."""
+    doc = json.loads(ORACLE.read_text())
+    out: dict = {"kappa": {}, "poisson": {}}
+    for kind, at in (("kappa", "t"), ("poisson", "r")):
+        for case in doc[kind]:
+            value = float(case["value"])
+            assert case["err"] <= 1e-17 * abs(value), case
+            out[kind].setdefault(case["fn"], []).append((case[at], value))
+    return out
+
+
+@pytest.fixture(scope="session")
+def oracle_fn():
+    """The function that an oracle URI names: a catalog function, or the
+    tilde representative omega~ of a catalog sequence; one per URI."""
+    made: dict = {}
+
+    def make(uri: str):
+        if uri not in made:
+            obj = resolve(uri)
+            made[uri] = omega_tilde_from_seq(obj) if uri.startswith("seq:") else obj
+        return made[uri]
+
+    return make

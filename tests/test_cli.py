@@ -81,10 +81,6 @@ def test_check_inconclusive_exits_three(capsys):
     assert json.loads(out)["status"] == "Inconclusive"  # too few samples for the trend test
 
 
-def _no_quadrature(*args, **kwargs):
-    raise AssertionError("the quadrature engine ran")
-
-
 def _verify_chain(path, uri: str, n: int) -> tuple[int, dict]:
     rc = main(["verify-chain", uri, "--n", str(n), "--report", str(path)])
     report = json.loads(path.read_text())
@@ -93,14 +89,9 @@ def _verify_chain(path, uri: str, n: int) -> tuple[int, dict]:
 
 @pytest.fixture(scope="module")
 def chains(tmp_path_factory):
-    """Link statuses of four catalog chains, each run once with the
-    quadrature engine replaced by a function that raises."""
-    out = {}
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(func_core, "_quadrature", _no_quadrature)
-        for name, (uri, n, _links) in GOLDEN.items():
-            out[name] = _verify_chain(tmp_path_factory.mktemp(name) / "report.json", uri, n)
-    return out
+    """Link statuses of four catalog chains, each run once."""
+    return {name: _verify_chain(tmp_path_factory.mktemp(name) / "report.json", uri, n)
+            for name, (uri, n, _links) in GOLDEN.items()}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -120,11 +111,12 @@ def test_verify_chain_on_squared_log_completes(chains):
     assert all(status == "Holds" for status in links.values())
 
 
-def test_verify_chain_runs_no_quadrature(chains, tmp_path, monkeypatch):
-    # the chains fixture ran with the engine disabled; so does gevrey2 at
-    # n = 64, whose K_into_Q and K_into_uL stay Inconclusive at that n
+def test_verify_chain_runs_no_quadrature(chains, tmp_path):
+    # every transform is a closed form, and the package has no quadrature
+    # engine to fall back on; gevrey2 at n = 64 keeps K_into_Q and K_into_uL
+    # Inconclusive at that n
+    assert not any("quadrature" in name for name in vars(func_core))
     assert chains["gevrey2"][0] == 0 and chains["expgevrey"][0] == 0
-    monkeypatch.setattr(func_core, "_quadrature", _no_quadrature)
     rc, links = _verify_chain(tmp_path / "report.json", "mat:gevrey?s=2", 64)
     assert rc in (0, 3) and "Fails" not in links.values()
 
@@ -537,6 +529,28 @@ def test_compute_on_a_function_entry(capsys, derive, col, exact):
     for row in rows:
         t = float(row[0])
         assert float(row[col]) == pytest.approx(exact(t), rel=1e-8), (derive, t)
+
+
+@pytest.mark.parametrize("entry", ["fn:power?beta=0.5", "fn:logsq"])
+@pytest.mark.parametrize("derive", ["kappa", "poisson", "none"])
+def test_compute_on_a_function_entry_matches_the_oracle(capsys, oracle, entry, derive):
+    # every row against 30-digit values of the definitions, at the oracle's t
+    rc, out, err = run(capsys, "compute", entry, "--derive", derive, "--n", "16")
+    assert (rc, err) == (0, "")
+    header, rows = _table(out)
+    assert len(rows) == 16
+    for kind in ("kappa", "poisson") if derive == "none" else (derive,):
+        want = dict(oracle[kind][entry])
+        for row in rows:
+            t, got = float(row[0]), float(row[header.index(kind)])
+            assert abs(got - want[t]) <= 1e-12 * abs(want[t]), (kind, t)
+
+
+@pytest.mark.parametrize("derive", ["kappa", "poisson"])
+def test_compute_a_transform_of_a_function_without_envelope_is_refused(capsys, derive):
+    rc, out, err = run(capsys, "compute", "fn:linear", "--derive", derive, "--n", "8")
+    assert (rc, out) == (2, "") and json.loads(err) == {
+        "error": "EnvelopeRequired", "message": f"{derive} refused for linear: no growth envelope attached"}
 
 
 def test_compute_none_on_a_function_without_envelope_leaves_the_transforms_empty(capsys):

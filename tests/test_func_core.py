@@ -17,6 +17,7 @@ from ultraweights.catalog import (
 )
 from ultraweights.errors import (
     EnvelopeRequired,
+    NoClosedForm,
     NotAWeightSequence,
     QuasianalyticInput,
     TruncationExhausted,
@@ -49,17 +50,8 @@ from ultraweights.seq_core import WeightSeq, has_moderate_growth, log_convex_min
 CATALAN = 0.915965594177219015054603514932
 
 
-def proven(seq, theta: float, b: float) -> WeightFn:
-    """omega~ of seq with the envelope log 2 + b e^(theta y), so that the
-    quadrature can serve as a reference for the closed forms."""
-    w = omega_tilde_from_seq(seq)
-    return WeightFn(w.name, w._phi, envelope=Envelope(theta, math.log(2.0), b), assoc=w.assoc, include_log_term=True)
-
-
 def gevrey_tilde(s: float) -> WeightFn:
-    # log k! >= k log(k/e) gives omega_M(e^y) <= sup_k k (y - s log k + s) =
-    # s e^(y/s); log(1+t^2) <= log 2 + max(2y, 0) and 2y <= (2s/e) e^(y/s)
-    return proven(make_gevrey(s), 1.0 / s, s + 2.0 * s / math.e)
+    return omega_tilde_from_seq(make_gevrey(s))
 
 
 def engine(w: WeightFn) -> WeightFn:
@@ -74,9 +66,11 @@ def max_rel(got: np.ndarray, want: np.ndarray) -> float:
 
 
 def expgevrey_tilde(a: float) -> WeightFn:
-    # log M_k >= a k^2/2 gives omega_M(e^y) <= max(y, 0)^2/(2a), and
-    # y^2 e^(-y/2) <= 16/e^2; log(1+t^2) <= log 2 + max(2y, 0), 2y <= (4/e) e^(y/2)
-    return proven(make_exp_gevrey_member(2.0, a), 0.5, 8.0 / (a * math.e**2) + 4.0 / math.e)
+    return omega_tilde_from_seq(make_exp_gevrey_member(2.0, a))
+
+
+def oracle_rel(got, want: float) -> float:
+    return abs(got - want) / abs(want)
 
 
 # -- Young conjugate -----------------------------------------------------------
@@ -430,23 +424,25 @@ def test_assoc_of_an_undeclared_sequence_without_a_last_index_is_refused():
 
 
 def test_assoc_quadrature_refused_without_envelope(factorial, gevrey2):
-    # associated functions carry no envelope: their transforms are closed forms
-    for seq in (factorial, gevrey2):
-        w = omega_from_seq(seq)
-        with pytest.raises(EnvelopeRequired):
-            kappa(w, 2.0)
-        with pytest.raises(EnvelopeRequired):
-            poisson_interval(omega_tilde_from_seq(seq), 2.0)
+    # associated functions carry no envelope, and need none: their transforms
+    # are closed forms over the quotients (kappa is infinite for the
+    # quasianalytic factorial sequence, whose tail diverges)
+    assert kappa(omega_from_seq(factorial), 2.0) == math.inf
+    base = omega_from_seq(gevrey2)
+    assert kappa(base, 2.0) == kappa_assoc(base, 2.0)
     w = omega_tilde_from_seq(gevrey2)
+    iv = poisson_interval(w, 2.0)
+    assert iv.lo <= poisson_batch(w, [math.log(2.0)])[0] <= iv.hi
     kap = kappa_fn(w)
     assert kap.envelope is None
     assert kap.phi(3.0) == pytest.approx(kappa_assoc(w, math.e**3) - kappa_assoc(w, 1.0), rel=1e-12)
 
 
 def test_proven_envelopes_cover_samples():
+    # the catalog's envelopes certify non-quasianalyticity (`fn_predicates`)
     ys = np.linspace(-5.0, 400.0, 2000)
-    for w in [gevrey_tilde(s) for s in (1.5, 2.0, 3.0)] + [expgevrey_tilde(a) for a in (0.125, 1.0, 8.0)]:
-        assert np.all(w.envelope.bound(ys) - w.phi(ys) >= 0.5), w.name
+    for w in [make_power_weight(beta) for beta in (0.3, 0.5, 0.7)] + [make_log_square_weight()]:
+        assert np.all(w.envelope.bound(ys) - w.phi(ys) >= 0.0), w.name
 
 
 # -- integral transforms -----------------------------------------------------------
@@ -469,33 +465,6 @@ def test_kappa_interval_brackets_truth(power_half, t):
 def test_poisson_interval_brackets_truth(power_half, r):
     iv = poisson_interval(power_half, r)
     assert iv.lo <= r**0.5 / math.cos(math.pi / 4) <= iv.hi and iv.width < 1e-9
-
-
-@pytest.mark.parametrize("x", [1.0, 4.0, 123.0, 1e6])
-def test_brackets_hold_when_the_panel_budget_runs_out(power_half, monkeypatch, x):
-    kap, pois = kappa_interval(power_half, x), poisson_interval(power_half, x)
-    monkeypatch.setattr(func_core, "PANEL_BUDGET", 1)
-    kap_cut, pois_cut = kappa_interval(power_half, x), poisson_interval(power_half, x)
-    assert kap_cut.lo <= x**0.5 / 0.5 <= kap_cut.hi and kap_cut.width > kap.width
-    assert pois_cut.lo <= x**0.5 / math.cos(math.pi / 4) <= pois_cut.hi and pois_cut.width > pois.width
-
-
-def test_brackets_widen_where_the_panel_budget_runs_out_by_itself(power_half):
-    # at t = 1e10 the integrands reach 1e5, so a panel's share of the 1e-10
-    # tolerance soon falls below the rounding of its sum: the bisection spends
-    # its budget and widens both brackets, far past the 1e-9 of a converged one
-    t = 1e10
-    kap, pois = kappa_interval(power_half, t), poisson_interval(power_half, t)
-    assert kap.lo <= t**0.5 / 0.5 <= kap.hi and 1e-7 < kap.width < 1e-5
-    assert pois.lo <= t**0.5 / math.cos(math.pi / 4) <= pois.hi and 1e-5 < pois.width < 1e-3
-
-
-def test_quadrature_sums_left_to_right():
-    # 1e16 absorbs each 1.0 in turn, so only the left-to-right order gives 0:
-    # the pairwise ndarray.sum and a compensated sum give 16
-    x = np.array([1e16, *[1.0] * 16, -1e16])
-    assert func_core._in_order(x) == 0.0 and x.sum() != 0.0 and math.fsum(x) == 16.0
-    assert func_core._in_order(np.empty(0)) == 0.0
 
 
 def test_kappa_dominates_omega(power_half, logsq):
@@ -524,28 +493,52 @@ def test_kappa_refuses_theta_ge_one(power_half):
         kappa(w, 2.0)
 
 
-def test_kappa_assoc_matches_quadrature():
-    # t = 1e6 grows the quotient array past 10^4 terms, where the tail
-    # remainder must still come from the right index
+def test_kappa_assoc_matches_quadrature(oracle):
+    # against 30-digit values of the definition; t = 1e6 grows the quotient
+    # array past 10^4 terms, where the tail remainder must still come from
+    # the right index
     for s in (2.0, 1.5, 3.0):
         w = gevrey_tilde(s)
-        for t in (0.5, 3.0, 100.0, 1e4, 1e6):
-            assert kappa_assoc(w, t) == pytest.approx(kappa(w, t), rel=1e-7)
+        for t, want in oracle["kappa"][f"seq:gevrey?s={s:g}"]:
+            assert oracle_rel(kappa_assoc(w, t), want) <= 1e-13, (s, t)
 
 
-def test_kappa_assoc_matches_quadrature_exp_gevrey():
-    w = expgevrey_tilde(1.0)
-    for t in (2.0, 50.0, 1e3):
-        assert kappa_assoc(w, t) == pytest.approx(kappa(w, t), rel=1e-6)
+def test_kappa_assoc_matches_quadrature_exp_gevrey(oracle):
+    for a in (0.125, 1.0, 8.0):
+        w = expgevrey_tilde(a)
+        for t, want in oracle["kappa"][f"seq:expgevrey?p=2&a={a:g}"]:
+            assert oracle_rel(kappa_assoc(w, t), want) <= 1e-13, (a, t)
 
 
-def test_kappa_assoc_inside_quadrature_bracket_at_large_t():
+def test_kappa_assoc_inside_quadrature_bracket_at_large_t(oracle):
     # the transform of log(1+t^2) is log(1+t^2) + 2t arctan(1/t) -> 2; written
     # as t (pi - 2 arctan t) it cancels to rounding noise beyond t ~ 1e8
     w = expgevrey_tilde(8.0)
+    cases = {round(math.log(t)): want for t, want in oracle["kappa"]["seq:expgevrey?p=2&a=8"]}
     for y in (20.0, 50.0, 400.0):
-        iv = kappa_interval(w, math.exp(y))
-        assert iv.lo <= kappa_assoc(w, math.exp(y)) <= iv.hi, y
+        assert oracle_rel(kappa_assoc(w, math.exp(y)), cases[y]) <= 1e-13, y
+
+
+@pytest.mark.parametrize("uri", ["fn:power?beta=0.5", "fn:power?beta=0.3", "fn:logsq"])
+def test_catalog_transforms_match_the_oracle(oracle, oracle_fn, uri):
+    # the attached closed forms against 30-digit quadrature of the definitions,
+    # at r, t = 0.1, 0.5 and the 16 points of `compute --n 16`, 1 to 1e8
+    w = oracle_fn(uri)
+    for kind, transform, interval in (("kappa", kappa, kappa_interval), ("poisson", poisson_imag, poisson_interval)):
+        xs, want = map(np.array, zip(*oracle[kind][uri]))
+        assert np.all(np.abs(transform(w, xs) - want) <= 1e-14 * np.abs(want)), kind
+        for x, v in zip(xs, want):
+            iv = interval(w, float(x))
+            assert iv.lo <= v <= iv.hi, (kind, x)
+
+
+def test_transforms_without_a_closed_form_are_refused(power_half):
+    for envelope, error in ((None, EnvelopeRequired), (Envelope(1.0, 0.0, 1.0), QuasianalyticInput),
+                            (power_half.envelope, NoClosedForm)):
+        w = WeightFn("bare", power_half._phi, envelope=envelope)
+        for transform in (kappa, kappa_interval, poisson_imag, poisson_interval, kappa_fn):
+            with pytest.raises(error, match=" refused for bare: "):
+                transform(w, 2.0) if transform is not kappa_fn else transform(w)
 
 
 def test_kappa_fn_of_logsq_is_exact_at_large_y(logsq):
@@ -576,11 +569,6 @@ def test_poisson_power_closed_form(beta):
         assert poisson_imag(w, r) == pytest.approx(r**beta / math.cos(math.pi * beta / 2), rel=1e-7)
 
 
-def test_poisson_scaling_linearity(power_half):
-    doubled = WeightFn("2w", lambda ys: 2.0 * power_half._phi(ys), envelope=Envelope(0.5, 0.0, 2.0))
-    assert poisson_imag(doubled, 3.0) == pytest.approx(2 * poisson_imag(power_half, 3.0), rel=1e-8)
-
-
 def test_omega_of_a_sequence_with_mu1_below_one(small_gevrey2):
     # omega_M(t) = sum_j log+(t/mu_j) > 0 on (mu_1, 1]: 12 quotients lie below log r = -4.2,
     # so P' >= 9.15 there, and the matrix is built on the normalized representative
@@ -592,35 +580,32 @@ def test_omega_of_a_sequence_with_mu1_below_one(small_gevrey2):
     assert matrix_from_omega(omega).member(1.0).log_m(0) == 0.0
 
 
-def test_poisson_batch_matches_scalar():
+def test_poisson_batch_matches_scalar(oracle):
+    # nine radii in one call, against 30-digit values and one radius at a time
     w = gevrey_tilde(2.0)
-    ys = np.linspace(-2.0, 10.0, 9)
-    batch = poisson_batch(w, ys)
-    single = np.array([poisson_imag(w, float(r)) for r in np.exp(ys)])
+    rs, want = map(np.array, zip(*oracle["poisson"]["seq:gevrey?s=2"]))
+    batch = poisson_batch(w, np.log(rs))
+    single = np.array([poisson_imag(w, float(r)) for r in rs])
+    assert np.allclose(batch, want, rtol=1e-9, atol=1e-9)
     assert np.allclose(batch, single, rtol=1e-9, atol=1e-9)
     assert poisson_batch(w, []).shape == (0,)
 
 
-def test_poisson_batch_without_quadrature_matches_interval():
-    # the closed form lies inside the quadrature bracket wherever the window
-    # |log mu_j - log r| <= 8 (`_ti2` to 3, the alternating series from 3 to
-    # 8) stays inside the quotient array
-    for w in [gevrey_tilde(s) for s in (1.5, 2.0, 3.0)] + [expgevrey_tilde(a) for a in (0.125, 1.0, 8.0)]:
-        for r in (0.5, 10.0, 1e3, 1e6):
-            if r == 1e6 and w.assoc._log_mu[-1] < math.log(r) + func_core.P_WINDOW:
-                continue
+def test_poisson_batch_without_quadrature_matches_interval(oracle, oracle_fn):
+    # the 30-digit value lies inside the closed form's bracket, and so does
+    # the closed form, also where the window |log mu_j - log r| <= 8
+    # (`_ti2` to 3, the alternating series from 3 to 8) passes the end of the
+    # quotient array (gevrey 1.5 at r = 1e6); gevrey 1.5, 2, 3 and the
+    # exp-Gevrey members a = 0.125, 1, 8
+    for uri, cases in oracle["poisson"].items():
+        if not uri.startswith("seq:"):
+            continue
+        w = oracle_fn(uri)
+        for r, want in cases:
+            p, lo, hi = func_core._poisson_assoc(w, np.array([math.log(r)]))
+            assert lo[0] <= want <= hi[0] and lo[0] <= p[0] <= hi[0], (uri, r)
             iv = poisson_interval(w, r)
-            assert iv.lo <= poisson_batch(w, [math.log(r)])[0] <= iv.hi, (w.name, r)
-
-
-def test_poisson_interval_of_a_radius_past_the_cutoff():
-    # omega vanishes on [0, 1], so for r = 1e-3 the integral starts at
-    # u = -log r, beyond the cutoff: the whole value is the envelope tail
-    w = WeightFn("tiny", lambda ys: 1e-12 * np.sqrt(np.maximum(np.expm1(ys), 0.0)),
-                 envelope=Envelope(0.5, 0.0, 1e-12), normalized=True)
-    y = math.log(1e-3)
-    iv = poisson_interval(w, 1e-3)
-    assert iv.lo == 0.0 and iv.hi == float(func_core._envelope_tail(w.envelope, y, -y, 2.0 / math.pi)) > 0.0
+            assert (iv.lo, iv.hi) == (lo[0], hi[0]) and poisson_imag(w, r) == p[0]
 
 
 def test_ti2_is_catalan_at_one_and_inverts():
@@ -735,14 +720,15 @@ def test_phi_star_does_not_depend_on_how_far_the_lattice_reaches(power_half):
     assert np.array_equal(phi_star(wn, xs), fresh)
 
 
-def test_closed_form_P_past_the_array_overlaps_quadrature():
+def test_closed_form_P_past_the_array_overlaps_quadrature(oracle):
     # gevrey 1.5 at r = 1e6: log mu_J = 17.7 < log r + 8, so the terms past
-    # the 2^17-term array are only bracketed
+    # the 2^17-term array are only bracketed, and the bracket holds the
+    # 30-digit value
     w = gevrey_tilde(1.5)
     p, lo, hi = func_core._poisson_assoc(w, np.array([math.log(1e6)]))
     assert w.assoc._log_mu[-1] < math.log(1e6) + func_core.P_WINDOW
-    iv = poisson_interval(w, 1e6)
-    assert lo[0] <= iv.hi and iv.lo <= hi[0] and lo[0] <= p[0] <= hi[0]
+    want = dict(oracle["poisson"]["seq:gevrey?s=1.5"])[1e6]
+    assert lo[0] <= want <= hi[0] and lo[0] <= p[0] <= hi[0]
 
 
 def test_closed_form_P_at_huge_radius():
@@ -1081,11 +1067,11 @@ def test_fn_predicates_logsq(logsq):
 
 def test_equivalence_transports_to_kappa(power_half):
     # omega and its dilate are equivalent, so their transforms are too
-    dil = WeightFn("dilate", lambda ys: power_half._phi(ys + math.log(2.0)), envelope=Envelope(0.5, 0.0, 2.0))
+    # (kappa of omega(2t) is kappa(2t))
+    dil = WeightFn("dilate", lambda ys: power_half._phi(ys + math.log(2.0)), envelope=Envelope(0.5, 0.0, 2.0),
+                   kappa_ref=lambda ys: power_half.kappa_ref(ys + math.log(2.0)))
     assert fn_preceq(power_half, dil).holds and fn_preceq(dil, power_half).holds
-    # without the closed form of the power weight both transforms come from quadrature
-    bare = WeightFn("power-bare", power_half._phi, envelope=power_half.envelope)
-    k1, k2 = kappa_fn(bare), kappa_fn(dil)
+    k1, k2 = kappa_fn(power_half), kappa_fn(dil)
     assert fn_preceq(k1, k2).holds and fn_preceq(k2, k1).holds
 
 
