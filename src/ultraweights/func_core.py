@@ -39,19 +39,16 @@ their normalized representatives), gives the objective at that point: a
 feasible value, so never above the sup beyond the rounding of its two
 terms, at 1 or 2 phi points per x, and a non-finite one is refused.  Any
 other function (`kappa_fn`'s, the involution check's outer conjugate, the
-associated function's far path) goes through the numeric engine, which
-maximizes the concave x y - phi(y) in two stages.  A lattice of fixed
-points y = 0, 2^(j/16) holds phi and its chord slopes, which are
-nondecreasing because phi is convex; one `searchsorted` of x in the slopes
-brackets the maximizer within four cells (`_Lattice`), and the bracket
-narrows to the neighbours of its best lattice point (`_seed`).  Golden
-section shrinks it until concavity certifies that no point beats the best
-probe by more than rounding (`_golden_max`): 2 phi evaluations per x for
-its probes and 1 per golden step, 24 to 33 steps off a kink and up to
-about 60 at one.  Each x's probes and value depend only on phi and x.  A
-WeightFn's lattice grows by at most an octave of y per phi call, so that a
-conjugate over a few x makes a few dozen calls.  The associated function's
-far path runs the same stages over real k.
+associated function's far path, over real k) goes through the numeric
+engine, which keeps no state between calls.  It evaluates phi at the fixed
+points y = 0, 2^(j/16) as far as the largest x needs; the chord slopes are
+nondecreasing as phi is convex, and one `searchsorted` of x in them
+brackets the maximizer between the neighbours of the point after which
+the objective stops rising (`_bracket`).  Golden section shrinks the
+bracket until concavity certifies that no point beats the best probe by
+more than rounding (`_golden_max`): 1 phi evaluation per x for each probe
+and golden step, 24 to 33 steps off a kink and up to about 60 at one.
+Each x's probes and value depend only on phi and x.
 
 The canonical weight matrix has log M^(alpha)_k = phi*(alpha k)/alpha, so
 log M^(2 alpha)_k = log M^(alpha)_(2k) / 2.  In floats this holds bit for
@@ -65,8 +62,7 @@ conjugate at one full array of points and six half arrays.
 The conjugate and Ti2 work over their arguments in blocks (PHI_STAR_BLOCK x
 values, TI2_ROWS rows), so that no temporary exceeds 64 KiB: glibc serves
 larger arrays with mmap, and each fresh one costs a page fault per page.
-A phi call that batches several arrays of the conjugate's probes holds at
-most PHI_STAR_BLOCK points.
+A phi call of the conjugate holds at most PHI_STAR_BLOCK points.
 """
 
 from __future__ import annotations
@@ -140,11 +136,10 @@ P_CHUNK = 2**14
 TI2_ROWS = 2**9
 PHI_STAR_BLOCK = 2**13
 DOUBLINGS = 64
-LATTICE_STEPS = 16  # bracketing lattice points per doubling of y
+LATTICE_STEPS = 16  # the conjugate's fixed bracket points per doubling of y
 LATTICE_LOW = -8 * LATTICE_STEPS  # the lowest point above the base: y = 2^-8
-LATTICE_TOP = 67 * LATTICE_STEPS  # the conjugate's highest point: y = 8 * 2^64
-FAR_LATTICE_TOP = 1024 * LATTICE_STEPS - 1  # the far path's: the largest finite k on the lattice
-LATTICE_CHUNK = 4  # lattice points of the first extension; each next one doubles, up to an octave unless doubling
+LATTICE_TOP = 8.0 * 2.0**64  # the highest point of `phi_star`'s brackets
+LATTICE_CHUNK = 4  # points of the first chunk; each next one doubles, up to an octave unless doubling
 GOLDEN_ITERS = 80  # cap on golden steps; the certificate stops most maxima after 24 to 33, kinks near 60
 GOLDEN_CHECK = 3  # golden steps between certificate checks
 GOLDEN_TOL = 4.0 * np.finfo(float).eps  # certificate allowance, times 1 + |f|
@@ -189,13 +184,13 @@ class WeightFn:
     are the closed forms of kappa and of P(ir), through which every
     transform of the function is read (`_kappa_of`, `_poisson_of`).  The
     numeric engine stays the conjugate's oracle: a copy of the function
-    without `maximizer` conjugates through the lattice (`_lattice`, extended
-    on demand as far as the largest x needs), which reaches up to y = 8 *
-    2^64, and an x whose maximizer lies beyond it raises
-    UnboundedConjugate.  There is no free-text description: the name says
-    what the function is, `maximizer` decides how `phi_star` conjugates it,
-    and `kappa_ref`, `poisson_ref` or `assoc` how its transforms are
-    evaluated.
+    without `maximizer` conjugates by golden section from a stateless
+    bracket between fixed points up to y = LATTICE_TOP = 8 * 2^64
+    (`_bracket`), and an x whose maximizer lies beyond raises
+    UnboundedConjugate; the function holds no conjugate state.  There is no
+    free-text description: the name says what the function is, `maximizer`
+    decides how `phi_star` conjugates it, and `kappa_ref`, `poisson_ref` or
+    `assoc` how its transforms are evaluated.
     """
 
     def __init__(
@@ -220,7 +215,6 @@ class WeightFn:
         self.maximizer = maximizer
         self.assoc = assoc
         self.include_log_term = include_log_term
-        self._lattice = _Lattice(0.0, LATTICE_TOP)
 
     def phi(self, y):
         yy = np.asarray(y, dtype=float)
@@ -239,178 +233,84 @@ class WeightFn:
 # -- Young conjugate ---------------------------------------------------------
 
 
-class _Lattice:
-    """Bracketing lattice for sup_{y >= base} (x y - g(y)), g convex.
-
-    The points are y_0 = base and the fixed y_j = 2^(j/LATTICE_STEPS) above
-    it, from j = LATTICE_LOW up to j = top, evaluated in chunks and only as
-    far as the largest x asked for needs.  Each chunk is twice the last,
-    from LATTICE_CHUNK points.  With `doubling` it grows without bound, so
-    that a refusal at the top takes a dozen extensions instead of
-    thousands; that is for a g that grows no array (the far path's log
-    M_k).  Otherwise it stops at LATTICE_STEPS, one octave of y: a
-    WeightFn's phi may grow an associated-function array through
-    `ensure_cover`, and an extension then overshoots the y it needs by at
-    most a factor of 2.  The points are the same under any schedule, so
-    brackets and values are too.  `slope[i]` is
-    the running maximum of the chord slopes of cells 0..i (a NaN slope,
-    from g overflowing at both ends, is skipped), so it depends only on the
-    points up to y_(i+1).  If cell i is the first whose slope reaches x,
-    the objective rises to y_i and does not rise past it, so its maximizer
-    lies in [y_(i-1), y_(i+1)]; `bracket` adds one more cell on either side
-    as slack for rounding.
-    """
-
-    def __init__(self, base: float, top: int, doubling: bool = False):
-        self._top, self._chunk, self._doubling = top, LATTICE_CHUNK, doubling
-        self._j = LATTICE_LOW
-        while 2.0 ** (self._j / LATTICE_STEPS) <= base:
-            self._j += 1
-        self.y, self.gy, self.slope = np.array([float(base)]), None, np.empty(0)
-        self._lock = threading.Lock()
-
-    def _extend(self, g: Callable[[np.ndarray], np.ndarray]) -> None:
-        y = 2.0 ** (np.arange(self._j, min(self._j + self._chunk, self._top + 1)) / LATTICE_STEPS)
-        with np.errstate(invalid="ignore", over="ignore"):  # g may overflow to inf, and then inf - inf is NaN
-            gy = g(y)
-            s = np.diff(np.concatenate([self.gy[-1:], gy])) / np.diff(np.concatenate([self.y[-1:], y]))
-        s = np.fmax.accumulate(np.concatenate([self.slope[-1:], s]))[-len(s):]
-        self.y, self.gy, self.slope = np.concatenate([self.y, y]), np.concatenate([self.gy, gy]), np.concatenate([self.slope, s])
-        self._j += len(y)
-        self._chunk = 2 * self._chunk if self._doubling else min(2 * self._chunk, LATTICE_STEPS)
-
-    def bracket(
-        self, g: Callable[[np.ndarray], np.ndarray], xs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple, tuple]:
-        """(a, b, f(a), f(b), unbracketed, ys, fs) per x, with f(y) = x y -
-        g(y): the lattice points two cells below and above y_i, the mask of
-        the xs that no slope below the top reaches, or whose f(b) is NaN
-        (x b and g(b) both overflow, so the upper end says nothing; NaN xs
-        included), and the lattice points y_(i-1), y_i, y_(i+1) (y_0, y_1,
-        y_2 when i = 0) with f at them, from the cached g.  Every call passes
-        the same g, its owner's: the lattice keeps no reference to it, so it
-        makes no reference cycle."""
-        with self._lock:
-            if self.gy is None:
-                self.gy = g(self.y)
-            x_max = float(np.max(xs, initial=-np.inf))
-            while self._j <= self._top and np.searchsorted(self.slope, x_max) > len(self.slope) - 2:
-                self._extend(g)
-            y, gy, slope = self.y, self.gy, self.slope  # an extension replaces them, and changes no point
-        i = np.searchsorted(slope, xs)
-        last = len(y) - 1
-        lo, hi = np.maximum(i - 2, 0), np.minimum(i + 2, last)
-        mid = np.clip(i, 1, max(last - 1, 1))  # a lattice of two points repeats one: no parabola
-        near = [np.minimum(mid + k, last) for k in (-1, 0, 1)]
-        a, b, ga, gb, past_top = y[lo], y[hi], gy[lo], gy[hi], i == len(slope)
-        ys, gys = tuple(y[j] for j in near), tuple(gy[j] for j in near)
-        with np.errstate(over="ignore", invalid="ignore"):
-            fb = xs * b - gb
-            return a, b, xs * a - ga, fb, past_top | np.isnan(fb), ys, tuple(xs * p - gp for p, gp in zip(ys, gys))
+def _bracket(g: Callable, base: float, top: float, x: np.ndarray, refuse: Callable, doubling: bool = False) -> tuple:
+    """(a, b, f(a), f(b)) per component of x, f(y) = x y - g(y), g convex:
+    a bracket of the maximizer over y >= base between the fixed points y_0
+    = base and y_j = 2^(j/LATTICE_STEPS) > base, j >= LATTICE_LOW, up to
+    `top`; raises refuse(x) for an x that none brackets.  g is evaluated at
+    the points once for all x, in chunks from LATTICE_CHUNK points, each
+    twice the last, and only as far as the largest x needs.  Chunks stop
+    growing at an octave, as a WeightFn's phi may grow an associated-function
+    array through `ensure_cover`, unless `doubling` (the far path's log M_k,
+    which grows none, refuses at its top in a dozen calls instead of a
+    thousand).  slope[i] is the running maximum of the chord slopes of the
+    cells [y_l, y_(l+1)], l <= i (a NaN one, where g overflows at both ends,
+    is skipped).  If cell i is the first whose slope reaches x, f rises up
+    to y_i and not past it, so the maximizer lies in [y_(i-1), y_(i+1)].  An
+    x that no slope reaches, or whose f(b) is NaN (x b and g(b) overflow),
+    is refused."""
+    j = LATTICE_LOW
+    while 2.0 ** (j / LATTICE_STEPS) <= base:
+        j += 1
+    chunk, y = LATTICE_CHUNK, np.array([float(base)])
+    gy, slope = g(y), np.empty(0)
+    x_max = float(np.max(x, initial=-np.inf))
+    while np.searchsorted(slope, x_max) > len(slope) - 2:
+        new = 2.0 ** (np.arange(j, j + chunk) / LATTICE_STEPS)
+        new = new[new <= top]  # none past top; past the float range they are inf
+        if not len(new):
+            break
+        g_new = g(new)
+        s = np.diff(np.concatenate([gy[-1:], g_new])) / np.diff(np.concatenate([y[-1:], new]))
+        slope = np.concatenate([slope, np.fmax.accumulate(np.concatenate([slope[-1:], s]))[-len(s):]])
+        y, gy = np.concatenate([y, new]), np.concatenate([gy, g_new])
+        j += chunk
+        chunk = 2 * chunk if doubling else min(2 * chunk, LATTICE_STEPS)
+    i = np.searchsorted(slope, x)
+    lo, hi = np.maximum(i - 1, 0), np.minimum(i + 1, len(y) - 1)
+    fa, fb = x * y[lo] - gy[lo], x * y[hi] - gy[hi]
+    unbracketed = (i == len(slope)) | np.isnan(fb)
+    if np.any(unbracketed):
+        raise refuse(float(x[np.argmax(unbracketed)]))
+    return y[lo], y[hi], fa, fb
 
 
-def _golden_max(
-    g: Callable[[np.ndarray], np.ndarray], lattice: _Lattice, x: np.ndarray, refuse: Callable[[float], Exception]
-) -> tuple[np.ndarray, np.ndarray]:
+def _golden_max(g: Callable, base: float, top: float, x: np.ndarray, refuse: Callable, doubling: bool = False) -> tuple:
     """max over y >= base of f(y) = x y - g(y), g convex, and a point
-    attaining it, per component of x, PHI_STAR_BLOCK components at a time;
-    raises refuse(x) for an x that the lattice cannot bracket.
+    attaining it, per component of x, from its `_bracket` [a, b].
 
-    Each component starts from its lattice bracket [a, b], which holds the
-    maximizer, narrowed to the neighbours of its best point among the
-    lattice ends and the three lattice points near its maximizer
-    (`_narrowed`): by concavity the sup over [a, b] lies between them
-    (`_seed`).
-
-    Golden section then runs over all components together: ends a < b and
-    probes c < d, with f known at all four (a new end is always an old
-    probe).  Concavity bounds sup f on [a, b] by the chord lines of (a, c),
-    (c, d) and (d, b) extended: with the golden proportions (c - a)/(d - c)
-    = 1/r and (d - c)/(c - a) = r, r = 0.618..., it is at most max(fc, fd) +
-    max(|fc - fd|/r, r min(fc - fa, fd - fb)).  Every GOLDEN_CHECK steps a
-    component whose bound exceeds best = max(fa, fc, fd, fb) by at most
-    GOLDEN_TOL (1 + |best|) stops and leaves the working arrays;
-    GOLDEN_ITERS steps stop any component.  The result is the best of the
-    four points.  A component's probes, steps and value depend only on g,
-    the lattice and its own x.  Every probe lies in the component's lattice
-    bracket.  The probes run under the lattice's errstate: near the float
-    limit g may overflow to inf there, which makes f -inf, or NaN where x y
-    overflows too, and neither is ever the best point of a bracketed x.
+    Golden section runs over all components of a block of PHI_STAR_BLOCK
+    together: ends a < b and probes c < d, with f known at all four (a new
+    end is always an old probe).  Concavity bounds sup f on [a, b] by the
+    chord lines of (a, c), (c, d) and (d, b) extended: with the golden
+    proportions (c - a)/(d - c) = 1/r and (d - c)/(c - a) = r, r =
+    0.618..., it is at most max(fc, fd) + max(|fc - fd|/r, r min(fc - fa,
+    fd - fb)).  Every GOLDEN_CHECK steps a component whose bound exceeds
+    best = max(fa, fc, fd, fb) by at most GOLDEN_TOL (1 + |best|) stops and
+    leaves the working arrays; GOLDEN_ITERS steps stop any component.  The
+    result is the best of the four points.  A component's probes, steps and
+    value depend only on g, base and its own x, and every probe lies in its
+    bracket.  Everything runs under errstate: near the float limit g may
+    overflow to inf, which makes f -inf, or NaN where x y overflows too, and
+    neither is ever the best point of a bracketed x.
     """
     val, arg = np.empty_like(x), np.empty_like(x)
     with np.errstate(over="ignore", invalid="ignore"):
+        a, b, fa, fb = _bracket(g, base, top, x, refuse, doubling)
         for i in range(0, len(x), PHI_STAR_BLOCK):
             block = slice(i, i + PHI_STAR_BLOCK)
-            val[block], arg[block] = _golden_block(g, lattice, x[block], refuse)
+            val[block], arg[block] = _golden_block(g, x[block], a[block], b[block], fa[block], fb[block])
     return val, arg
 
 
-def _g_rows(g: Callable[[np.ndarray], np.ndarray], rows: tuple) -> list:
-    """g at each array of rows: one call per run of neighbouring arrays
-    that together hold at most PHI_STAR_BLOCK points, so that a call on a
-    few x batches all of a stage's probes while no temporary exceeds 64 KiB."""
-    out, run = [], []
-    for y in (*rows, None):
-        if run and (y is None or sum(map(len, run)) + len(y) > PHI_STAR_BLOCK):
-            gy, at = g(np.concatenate(run)), 0
-            for v in run:
-                out.append(gy[at : at + len(v)])
-                at += len(v)
-            run = []
-        if y is not None:
-            run.append(y)
-    return out
-
-
-def _narrowed(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray, ys: tuple, fs: tuple) -> tuple[np.ndarray, ...]:
-    """(lo, hi, f(lo), f(hi)) per component: the neighbours p_(i-1), p_(i+1)
-    of the best point p_i among a, b and the points ys in [a, b], where f is
-    fs (a point where f is NaN is skipped).  f is concave, so a y < p_(i-1)
-    has f(y) <= f(p_(i-1)) <= f(p_i) and a y > p_(i+1) has f(y) <=
-    f(p_(i+1)) <= f(p_i): the sup over [a, b] is the sup over [p_(i-1),
-    p_(i+1)], and an end that is p_i is its own neighbour."""
-    p, fp = b.copy(), fb.copy()
-    for y, f in ((a, fa), *zip(ys, fs)):
-        up = f > fp
-        p[up], fp[up] = y[up], f[up]
-    lo, hi, flo, fhi = a.copy(), b.copy(), fa.copy(), fb.copy()
-    for y, f in zip(ys, fs):
-        known = ~np.isnan(f)
-        below, above = known & (y < p) & (y > lo), known & (y > p) & (y < hi)
-        lo[below], flo[below] = y[below], f[below]
-        hi[above], fhi[above] = y[above], f[above]
-    return lo, hi, flo, fhi
-
-
-def _seed(
-    g: Callable[[np.ndarray], np.ndarray], lattice: _Lattice, x: np.ndarray, refuse: Callable[[float], Exception]
-) -> tuple[np.ndarray, ...]:
-    """(a, w, fa, fb, fc, fd): the golden quadruple a < c < d < a + w that
-    each component starts from, with f at its points; raises refuse(x) for
-    an x that the lattice cannot bracket.  [a, a + w] is the lattice
-    bracket of the component narrowed to [p_(i-1), p_(i+1)], the neighbours
-    of its best point p_i among the bracket's ends and the three lattice
-    points near its maximizer (`_narrowed`), and its golden probes c and d
-    are its only g points."""
-    a, b, fa, fb, unbracketed, near, f_near = lattice.bracket(g, x)
-    if np.any(unbracketed):
-        raise refuse(float(x[np.argmax(unbracketed)]))
-    a, b, fa, fb = _narrowed(a, b, fa, fb, near, f_near)
-    w = b - a
-    probes = (a + _INVPHI2 * w, a + _INVPHI * w)
-    fc, fd = (x * y - gy for y, gy in zip(probes, _g_rows(g, probes)))
-    return a, w, fa, fb, fc, fd
-
-
-def _golden_block(
-    g: Callable[[np.ndarray], np.ndarray], lattice: _Lattice, x: np.ndarray, refuse: Callable[[float], Exception]
-) -> tuple[np.ndarray, np.ndarray]:
-    """`_golden_max` on one block."""
+def _golden_block(g: Callable, x: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> tuple:
+    """`_golden_max` on one block, from its brackets [a, b] and f there."""
 
     def f(y: np.ndarray) -> np.ndarray:
         return x * y - g(y)
 
-    a, w, fa, fb, fc, fd = _seed(g, lattice, x, refuse)
+    w = b - a
+    fc, fd = f(a + _INVPHI2 * w), f(a + _INVPHI * w)
 
     val, arg = np.empty_like(x), np.empty_like(x)
     live = np.arange(len(x))
@@ -434,7 +334,7 @@ def _golden_block(
                     break
         left = fc >= fd  # keep [a, d] where the left probe wins, else [c, b]
         fa, fb = np.where(left, fa, fc), np.where(left, fd, fb)
-        a += _INVPHI2 * w * ~left  # c - a = r^2 w; a and w are this call's own arrays
+        a += _INVPHI2 * w * ~left  # c - a = r^2 w; a is a block of `_golden_max`'s own bracket, w this call's own
         w *= _INVPHI
         f_fresh = f(a + w * (_INVPHI - _INVPHI3 * left))  # at the new c (left) or the new d
         fc, fd = np.where(left, f_fresh, fd), np.where(left, fc, f_fresh)
@@ -446,17 +346,17 @@ def _phi_star_impl(w: WeightFn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     Where w carries `maximizer`, the objective at it; near the float limit
     x y or phi(y) overflows there, and a value that is not finite is
-    refused.  Otherwise the objective is
-    concave in y (phi is convex): the lattice of w brackets each maximizer,
-    then `_golden_max`, and an x that no chord slope of phi below y = 8 *
-    2^64 reaches has an unbounded conjugate (omega is at most logarithmic).
+    refused.  Otherwise the objective is concave in y (phi is convex):
+    `_golden_max` from y = 0, and an x that no chord slope of phi below y =
+    LATTICE_TOP reaches has an unbounded conjugate (omega is at most
+    logarithmic).
     """
 
     def refuse(bad: float) -> Exception:
         return UnboundedConjugate(f"{w.name}: no finite bracket for the conjugate at x={bad:.6g}")
 
     if w.maximizer is None:
-        return _golden_max(w.phi, w._lattice, xs, refuse)
+        return _golden_max(w.phi, 0.0, LATTICE_TOP, xs, refuse)
     val, y = np.empty_like(xs), np.empty_like(xs)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, len(xs), PHI_STAR_BLOCK):
@@ -531,9 +431,9 @@ class _AssocEvaluator:
     per growth, at the final length; the tail bracket is evaluated only at
     the counts read (`log_tail_after`); the quotients and the far tail's
     power-law fit are made once and shared with the generic sums.  Past
-    the array (a conjugate lattice's points beyond it) the sup is taken
-    over real k >= n of the sequence's own evaluator (`_far`): a lattice
-    over k with base n brackets it and the certified golden section of
+    the array (a conjugate bracket's points beyond it) the sup is taken
+    over real k >= n of the sequence's own evaluator (`_far`): a bracket
+    over k from base n holds it and the certified golden section of
     phi_star finds it.
     """
 
@@ -570,10 +470,6 @@ class _AssocEvaluator:
         tail_p = _tail_exponent(log_mu)  # the far branch's and the generic sums', fitted once per array
         tail = tail_sums(self.seq, 1, n + 1, n, fit=(log_mu, tail_p)).at  # read at c + 1 for the counts c = 0..n
         self._n, self._vals, self._log_mu, self._tail, self._tail_p = n, vals, log_mu, tail, tail_p
-        top = FAR_LATTICE_TOP
-        if math.isfinite(self.seq.max_index):  # no chunk reaches past the last index
-            top = min(top, math.floor(LATTICE_STEPS * math.log2(max(self.seq.max_index, 1.0))))
-        self._far_lattice = _Lattice(float(n), top, doubling=True)
 
     def ensure_cover(self, max_log_t: float) -> None:
         with self._lock:
@@ -586,18 +482,20 @@ class _AssocEvaluator:
     def _far(self, log_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(sup_{k >= n} (k y - log M_k), its k) for y past the array's last
         quotient, where k* >= n: the conjugate of the sequence's own evaluator
-        over real k, whose objective is concave in k.  The lattice with base
-        n brackets each maximizer, `_golden_max` finds it, and the better of
-        floor(k) and ceil(k) is the integer sup.  A y that no chord slope of
-        log M within the float range reaches raises TruncationExhausted.
+        over real k, whose objective is concave in k.  `_golden_max` from
+        base n, with bracket points up to the last index or the float range,
+        finds its maximizer, and the better of floor(k) and ceil(k) is the
+        integer sup.  A y that no chord slope of log M there reaches raises
+        TruncationExhausted.
         """
         n = float(self._n)
+        top = min(self.seq.max_index, np.finfo(float).max)
 
         def refuse(bad: float) -> Exception:
             return TruncationExhausted(f"{self.seq.name}: associated function at y = {bad:.6g} has no finite bracket")
 
         with np.errstate(over="ignore", invalid="ignore"):  # log M_k overflows only near the top
-            _, k = _golden_max(self.seq.log_m, self._far_lattice, log_t, refuse)
+            _, k = _golden_max(self.seq.log_m, n, top, log_t, refuse, doubling=True)
         k_lo, k_hi = np.maximum(np.floor(k), n), np.maximum(np.ceil(k), n)
         v_lo, v_hi = k_lo * log_t - self.seq.log_m(k_lo), k_hi * log_t - self.seq.log_m(k_hi)
         return np.maximum(v_lo, v_hi), np.where(v_hi > v_lo, k_hi, k_lo)
@@ -700,12 +598,26 @@ def kappa(w: WeightFn, t):
 
 
 def kappa_interval(w: WeightFn, t: float) -> Interval:
-    """kappa(t) with the rounding allowance ROUNDING |kappa| on either side.
-    The allowance covers the rounding of a closed form; for an associated
-    function the tail sum is read at the midpoint of its bracket, as
-    everywhere (`_kappa_assoc`), and the bracket's width is not included."""
+    """kappa(t) of a closed form with ROUNDING |kappa| on either side.  An
+    associated function's value reads T_(k*+1) at the midpoint of its
+    bracket (`_kappa_assoc`); its ends read the bracket's ends
+    (`log_tail_after`), each widened by ROUNDING.  Past the array's last
+    quotient only a power-law fit of the tail exists, which bounds nothing:
+    the lower end takes the tail as 0 and the upper end is +inf."""
     v = kappa(w, t)
-    return Interval(v - ROUNDING * abs(v), v + ROUNDING * abs(v))
+    ev = w.assoc
+    if w.kappa_ref is not None or ev is None:
+        return Interval(v - ROUNDING * abs(v), v + ROUNDING * abs(v))
+    with np.errstate(divide="ignore"):
+        y = np.log(np.atleast_1d(float(t)))
+    om, kstar = ev.eval(y)
+    log_term = float(_kappa_log_term(y)[0]) if w.include_log_term else 0.0
+    if kstar[0] > ev._n:
+        tails = (0.0, math.inf)
+    else:
+        tails = (math.exp(y[0] + float(end[0])) if t > 0 else 0.0 for end in ev.log_tail_after(kstar))
+    lo, hi = (float(om[0] + kstar[0] + tail + log_term) for tail in tails)
+    return Interval(lo - ROUNDING * abs(lo), hi + ROUNDING * abs(hi))
 
 
 def _kappa_log_term(ys: np.ndarray) -> np.ndarray:
@@ -719,9 +631,11 @@ def _kappa_log_term(ys: np.ndarray) -> np.ndarray:
 
 def _kappa_assoc(w: WeightFn, ys: np.ndarray) -> np.ndarray:
     """kappa_assoc at y = log t: phi_M(y) + k* + e^(y + log T_{k*+1}), plus
-    the transform of log(1+t^2) for the tilde representative."""
+    the transform of log(1+t^2) for the tilde representative.  At t = 0 the
+    tail term t T is 0, also where T diverges (a quasianalytic M)."""
     om, kstar = w.assoc.eval(ys)
-    out = om + kstar + np.exp(ys + w.assoc.log_tail_mid_after(kstar, ys))
+    log_tail = np.add(ys, w.assoc.log_tail_mid_after(kstar, ys), out=np.full_like(ys, -np.inf), where=ys > -np.inf)
+    out = om + kstar + np.exp(log_tail)
     return out + _kappa_log_term(ys) if w.include_log_term else out
 
 
@@ -936,8 +850,11 @@ def _poisson_assoc(w: WeightFn, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     if w.include_log_term:
         windowed = windowed + 2.0 * np.logaddexp(0.0, ys)
     p = windowed + c * (below + above)
-    err = ROUNDING * np.abs(p)  # rounding (below 2.7e-15 |P| measured over up to 1.3e5 terms) and the band's remainder
-    return p, windowed + c * (first_order * below + above_lo) - err, windowed + c * (below + above_hi) + err
+    lo, hi = windowed + c * (first_order * below + above_lo), windowed + c * (below + above_hi)
+    # rounding (below 2.7e-15 |P| measured over up to 1.3e5 terms) and the band's remainder; a P
+    # made infinite by a divergent tail (a quasianalytic M) leaves the lower end its own
+    err = ROUNDING * np.abs(np.where(np.isfinite(p), p, lo))
+    return p, lo - err, hi + err
 
 
 # -- normalization and derived weight functions ------------------------------

@@ -74,13 +74,14 @@ def rng():
 
 @pytest.fixture(scope="session")
 def oracle() -> dict:
-    """30-digit values of kappa and P from their definitions, written by
-    tests/make_oracle.py: {"kappa" | "poisson": {uri: [(t or r, value)]}}.
-    Each value's own error bound is checked to lie far below the tolerances
-    that the tests hold the package to (1e-14 relative at the tightest)."""
+    """30-digit values of kappa, P and log K from their definitions, written
+    by tests/make_oracle.py: {"kappa" | "poisson" | "K": {uri: [(t, r or j,
+    value)]}}.  Each value's own error bound is checked to lie far below the
+    tolerances that the tests hold the package to (1e-14 relative at the
+    tightest); a log K_j of 0 is exact."""
     doc = json.loads(ORACLE.read_text())
-    out: dict = {"kappa": {}, "poisson": {}}
-    for kind, at in (("kappa", "t"), ("poisson", "r")):
+    out: dict = {"kappa": {}, "poisson": {}, "K": {}}
+    for kind, at in (("kappa", "t"), ("poisson", "r"), ("K", "j")):
         for case in doc[kind]:
             value = float(case["value"])
             assert case["err"] <= 1e-17 * abs(value), case

@@ -1,5 +1,6 @@
 """Write tests/data/oracle.json: kappa and the harmonic extension P of
-catalog weights, computed from their definitions at 30 digits.
+catalog weights, and the derived weight K of Gevrey sequences, computed from
+their definitions at 30 digits.
 
 Run by hand, from the repository root, when the set of cases changes:
 
@@ -33,6 +34,15 @@ with `err`, a bound on its own error:
     kappa(t) = int_0^inf omega(t e^u) e^-u du and P(ir) = (2/pi)
     int_0^inf omega(r s)/(1 + s^2) ds, with the quadrature's own error
     estimate.
+  - log K_j = sup_{y >= 0} (j y - kappa(y) + kappa(0)) of omega~ of a
+    Gevrey sequence, y = log t, with kappa as above.  The objective F is
+    concave, and F' = j - kappa' with kappa' = kappa - phi (integration by
+    parts of kappa(y) = int_0^inf phi(y + u) e^-u du, phi(y) = omega~(e^y)).
+    Where kappa'(0) >= j the sup is F(0) = 0 exactly.  Otherwise the root
+    of F' is bisected K_HALVINGS times from a bracket [0, Y] with F'(Y) < 0,
+    and F is taken at the last midpoint m; the tangent F(m) + F'(m) (y - m)
+    bounds F above, so the sup is at most |F'(m)| times the half width
+    above F(m), plus the error bounds of the two kappa values.
 To each bound the script adds the rounding of the working precision: eps
 times the number of terms and the sum of their magnitudes.
 """
@@ -54,9 +64,12 @@ SEQ_T = (0.5, 3.0, 100.0, 1e4, 1e6)
 SEQ_R = (0.5, 10.0, 1e3, 1e6)
 FN_GRID = [float(t) for t in np.exp(np.linspace(0.0, np.log(1e8), 16))]  # `compute fn:... --n 16`
 FN_R = (0.1, 0.5)  # below the grid, where log+ t vanishes
+K_GEVREY = (2.0, 3.0)
+K_J = (1, 2, 3, 5, 8, 12, 64)
+K_HALVINGS = 120
 
 
-def _case(fn: str, at: str, x: float, value, err) -> dict:
+def _case(fn: str, at: str, x, value, err) -> dict:
     return {"fn": fn, at: x, "value": mp.nstr(value, 30), "err": float(err)}
 
 
@@ -86,6 +99,32 @@ def gevrey_kappa(s: float, t: float) -> tuple:
     head = k * (mp.log(t_) + 1) - s_ * mp.loggamma(k + 1)
     value = head + t_ * mp.zeta(s_, k + 1) + _log_term_kappa(t_)
     return value, _rounding(16, abs(head) + abs(value))
+
+
+def gevrey_K(s: float, j: int) -> tuple:
+    s_, j_ = mp.mpf(s), mp.mpf(j)
+
+    def kappa_at(y: mp.mpf) -> tuple:
+        return gevrey_kappa(s, mp.exp(y))
+
+    def slope(y: mp.mpf) -> mp.mpf:  # kappa' = kappa - phi, phi = omega_M + log(1 + t^2)
+        t = mp.exp(y)
+        k = _count(lambda i: s_ * mp.log(i), y)
+        return kappa_at(y)[0] - (k * y - s_ * mp.loggamma(k + 1) + mp.log(1 + t * t))
+
+    if slope(mp.mpf(0)) >= j_:
+        return mp.mpf(0), 0.0
+    lo, hi = mp.mpf(0), mp.mpf(1)
+    while slope(hi) <= j_:
+        lo, hi = hi, 2 * hi
+    for _ in range(K_HALVINGS):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if slope(mid) < j_ else (lo, mid)
+    m = (lo + hi) / 2
+    (k_m, err_m), (k_0, err_0) = kappa_at(m), kappa_at(mp.mpf(0))
+    value = j_ * m - k_m + k_0
+    tangent = abs(j_ - slope(m)) * (hi - lo) / 2
+    return value, tangent + err_m + err_0 + _rounding(4, abs(j_ * m) + abs(k_m) + abs(k_0))
 
 
 def expgevrey_kappa(a: float, t: float) -> tuple:
@@ -165,7 +204,7 @@ def logsq_poisson(r: float) -> tuple:
 
 
 def main() -> None:
-    kappa, poisson = [], []
+    kappa, poisson, K = [], [], []
     for s in GEVREY:
         uri = f"seq:gevrey?s={s:g}"
         kappa += [_case(uri, "t", t, *gevrey_kappa(s, t)) for t in SEQ_T]
@@ -183,12 +222,15 @@ def main() -> None:
     ):
         kappa += [_case(uri, "t", t, *kap(t)) for t in (*FN_R, *FN_GRID)]
         poisson += [_case(uri, "r", r, *pois(r)) for r in (*FN_R, *FN_GRID)]
+    for s in K_GEVREY:
+        K += [_case(f"seq:gevrey?s={s:g}", "j", j, *gevrey_K(s, j)) for j in K_J]
     doc = {
-        "about": "kappa and P from their definitions at 30 digits; written by tests/make_oracle.py, see its docstring",
+        "about": "kappa, P and K from their definitions at 30 digits; written by tests/make_oracle.py, see its docstring",
         "mpmath": mp.__version__,
         "dps": mp.mp.dps,
         "kappa": kappa,
         "poisson": poisson,
+        "K": K,
     }
     OUT.write_text(json.dumps(doc, indent=1) + "\n")
 

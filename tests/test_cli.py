@@ -292,8 +292,8 @@ def test_grid_exponent_where_alpha_k_overflows_is_refused(capsys, fn):
 
 
 def test_grid_exponent_where_phi_overflows_on_the_lattice_is_computed(capsys):
-    # e^(y/2) overflows past y = 1420, where the numeric engine's lattice
-    # reaches; the closed-form maximizer evaluates phi at y = 2 log(2 alpha k)
+    # e^(y/2) overflows past y = 1420, where the numeric engine's bracket
+    # points reach; the closed-form maximizer evaluates phi at y = 2 log(2 alpha k)
     # only.  log M_3 = 4163.633640175040187 to 19 digits (mpmath)
     rc, out, err = run(capsys, "compute", "mat:omega?fn=power&beta=0.5", "--n", "3", "--grid", "1000..1000")
     assert (rc, err) == (0, "")
@@ -322,7 +322,7 @@ def test_grid_exponent_where_the_conjugate_overflows_is_refused(capsys, fn, e):
 
 def test_grid_exponent_past_the_lattice_top_is_computed(capsys):
     # alpha = 2^70 puts the maximizer alpha k / 2 past y = 8 * 2^64, the top
-    # of the numeric engine's lattice, which refused it; log M_k = alpha k^2 / 4
+    # of the numeric engine's brackets, which refused it; log M_k = alpha k^2 / 4
     rc, out, err = run(capsys, "compute", "mat:omega?fn=logsq", "--n", "3", "--grid", "70..70")
     assert (rc, err) == (0, "")
     assert json.loads(out)["members"][0]["log_m"] == [2.0**70 * k * k / 4.0 for k in range(4)]
@@ -390,7 +390,7 @@ def test_check_mg_with_one_term_is_inconclusive(capsys):
 
 
 def test_compute_K_reaches_past_the_assoc_array(capsys):
-    # at n = 65536 a golden conjugate's lattice bracket reaches y = 24.7,
+    # at n = 65536 a golden conjugate's bracket points reach y = 24.7,
     # past log mu_J = 23.6 of the 2^17-term array; the closed form's roots
     # stay inside it and agree with that conjugate
     rc, out, _ = run(capsys, "compute", "seq:gevrey?s=2", "--derive", "K", "--n", "65536")

@@ -1,0 +1,49 @@
+"""No dead knobs: every UPPER_CASE module constant of the numeric modules is
+read by the package somewhere other than its own definition."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ultraweights"
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """(name, statement) for each UPPER_CASE name a module-level assignment binds."""
+    out = []
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+        for target in targets:
+            for name in target.elts if isinstance(target, ast.Tuple) else [target]:
+                if isinstance(name, ast.Name) and CONSTANT.fullmatch(name.id):
+                    out.append((name.id, node))
+    return out
+
+
+def _reads(node: ast.AST, name: str) -> int:
+    return sum(
+        (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id == name)
+        or (isinstance(n, ast.Attribute) and n.attr == name)
+        for n in ast.walk(node)
+    )
+
+
+@pytest.mark.parametrize("module", ["func_core.py", "seq_core.py", "derived.py"])
+def test_every_module_constant_is_read_in_src(module):
+    trees = _trees()
+    definitions = _definitions(trees[module])
+    assert definitions
+    dead = []
+    for name, statement in definitions:
+        # a read inside its own (or another) defining statement, such as x = f(x), does not count
+        own = sum(_reads(s, name) for n, s in definitions if n == name)
+        if sum(_reads(tree, name) for tree in trees.values()) - own == 0:
+            dead.append(name)
+    assert dead == [], f"{module}: constants that nothing in src/ reads"

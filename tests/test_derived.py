@@ -142,12 +142,24 @@ def test_K_of_expgevrey_members_takes_at_most_3_kappa_evaluations(monkeypatch):
     # nor the associated function's far path past its array
     calls, searches, inner, golden = [], [], func_core._kappa_assoc, func_core._golden_max
     monkeypatch.setattr(func_core, "_kappa_assoc", lambda w, ys: (calls.append(len(ys)), inner(w, ys))[1])
-    monkeypatch.setattr(func_core, "_golden_max", lambda *args: (searches.append(len(args[2])), golden(*args))[1])
+    monkeypatch.setattr(func_core, "_golden_max", lambda *a, **kw: (searches.append(len(a[3])), golden(*a, **kw))[1])
     for m in resolve("mat:expgevrey?p=2").members():
         before = len(calls)
         seq_K(m, 64)
         assert len(calls) - before == 1 and calls[-1] <= 65
     assert len(calls) >= 7 and searches == []
+
+
+@pytest.mark.parametrize("s", [2.0, 3.0])
+def test_K_matches_the_30_digit_oracle(oracle, s):
+    # log K_j of omega~ from the definition (tests/make_oracle.py: Hurwitz
+    # zeta kappa, bisection on kappa' = kappa - phi), at j = 1, 2, 3, 5, 8, 12
+    # and 64; the zeros, where the sup is at y = 0, are exact
+    cases = oracle["K"][f"seq:gevrey?s={s:g}"]
+    got = seq_K(make_gevrey(s), 64).values(64)
+    assert len(cases) == 7 and any(want == 0.0 for _, want in cases)
+    for j, want in cases:
+        assert abs(got[j] - want) <= 1e-12 * abs(want), j
 
 
 def _K_oracle(m: WeightSeq, js: np.ndarray) -> np.ndarray:

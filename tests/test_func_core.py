@@ -56,7 +56,7 @@ def gevrey_tilde(s: float) -> WeightFn:
 
 def engine(w: WeightFn) -> WeightFn:
     """w without its closed-form maximizer: a copy whose conjugate goes
-    through the numeric engine (lattice bracket, then golden section)."""
+    through the numeric engine (fixed-point bracket, then golden section)."""
     return WeightFn(w.name, w._phi, envelope=w.envelope, normalized=w.normalized, kappa_ref=w.kappa_ref,
                     assoc=w.assoc, include_log_term=w.include_log_term)
 
@@ -109,39 +109,45 @@ def test_phi_star_maximizer_monotone(power_half):
 
 
 def test_phi_star_unbounded_for_logarithmic_weight():
-    w = WeightFn("slowlog", lambda ys: np.logaddexp(0.0, ys))  # log(1 + t)
+    asked = []
+    w = WeightFn("slowlog", lambda ys: (asked.append(ys.copy()), np.logaddexp(0.0, ys))[1])  # log(1 + t)
     with pytest.raises(UnboundedConjugate, match=r"^slowlog: no finite bracket for the conjugate at x=2$"):
         phi_star(w, 2.0)
-    assert w._lattice.y[-1] == 2.0 ** (func_core.LATTICE_TOP / func_core.LATTICE_STEPS)
+    # the bracket walks the fixed points up to the top, y = 8 * 2^64, and no further
+    assert np.concatenate(asked).max() == func_core.LATTICE_TOP == 2.0**67
 
 
 @pytest.mark.parametrize("x", [math.nan, [1.0, math.nan]])
 def test_phi_star_refuses_nan_before_the_lattice_grows(power_half, x):
+    # refused before the bracket's walk starts: no phi call at all
     for wn in (normalize_fn(power_half), engine(normalize_fn(power_half))):
+        inner, asked = wn._phi, []
+        wn._phi = lambda ys: (asked.append(len(ys)), inner(ys))[1]
         with pytest.raises(ValueError, match=r"^conjugate is defined for x >= 0$"):
             phi_star(wn, x)
-        assert len(wn._lattice.y) == 1
+        assert asked == []
+
+
+def bracket(g, xs: np.ndarray, doubling: bool = False) -> tuple[np.ndarray, ...]:
+    """`phi_star`'s bracket of each x: (a, b, f(a), f(b))."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return func_core._bracket(g, 0.0, func_core.LATTICE_TOP, xs, ValueError, doubling)
 
 
 def test_lattice_chunks_change_no_point(power_half):
-    # chunks double from LATTICE_CHUNK to an octave, LATTICE_STEPS points;
-    # the points, their g and their slopes are those of any other schedule
+    # chunks double from LATTICE_CHUNK to an octave, LATTICE_STEPS points, or
+    # without bound; an x alone stops the walk early.  The bracket of each x
+    # is the same under every schedule, and its ends are fixed points
     g = normalize_fn(power_half).phi
-
-    def lattice() -> func_core._Lattice:
-        return func_core._Lattice(0.0, func_core.LATTICE_TOP)
-
-    whole, steps, fixed = lattice(), lattice(), lattice()
-    whole.bracket(g, np.array([1e3]))
-    for x in np.geomspace(1e-3, 1e3, 60):
-        steps.bracket(g, np.array([x]))
-    fixed.gy = g(fixed.y)
-    while len(fixed.y) < len(whole.y):
-        fixed._chunk = func_core.LATTICE_CHUNK
-        fixed._extend(g)
-    for lat in (steps, fixed):
-        for name in ("y", "gy", "slope"):
-            assert np.array_equal(getattr(lat, name), getattr(whole, name)), name
+    xs = np.geomspace(1e-3, 1e3, 60)
+    together = bracket(g, xs)
+    alone = [np.concatenate(v) for v in zip(*(bracket(g, xs[i : i + 1]) for i in range(len(xs))))]
+    for got in (alone, bracket(g, xs, doubling=True)):
+        for want, v in zip(together, got):
+            assert np.array_equal(v, want)
+    ends = np.concatenate(together[:2])
+    j = np.round(func_core.LATTICE_STEPS * np.log2(ends[ends > 0]))
+    assert np.array_equal(ends[ends > 0], 2.0 ** (j / func_core.LATTICE_STEPS)) and j.min() >= func_core.LATTICE_LOW
 
 
 @pytest.mark.parametrize("uri", ["fn:power?beta=0.5", "fn:logsq"])
@@ -184,44 +190,51 @@ def test_phi_star_at_the_kinks_of_an_associated_function(gevrey2, cap, monkeypat
 
 
 def test_golden_max_at_the_kinks_adds_at_most_four_g_calls(gevrey2, monkeypatch):
-    # golden section from a lattice bracket makes GOLDEN_ITERS + 1 g calls
-    # at most: one for the probes c and d, then one per step; the lattice
-    # holds every bracket already.  The cap of 54 binds
+    # golden section from the bracket makes GOLDEN_ITERS + 2 g calls at
+    # most past the bracket's walk: one for each of the probes c and d,
+    # then one per step.  The cap of 54 binds
     monkeypatch.setattr(func_core, "GOLDEN_ITERS", 54)
     w = omega_from_seq(gevrey2)
     ks = np.arange(65, dtype=float)
     xs = np.concatenate([ks, ks + 0.5])
-    phi_star(w, xs)  # extends the lattice, so that the calls below are the search's own
     calls = []
 
     def g(ys):
         calls.append(len(ys))
         return w.phi(ys)
 
-    func_core._golden_max(g, w._lattice, xs, ValueError)
-    assert len(calls) <= func_core.GOLDEN_ITERS + 1
+    bracket(g, xs)
+    walk = len(calls)
+    calls.clear()
+    func_core._golden_max(g, 0.0, func_core.LATTICE_TOP, xs, ValueError)
+    assert len(calls) <= walk + func_core.GOLDEN_ITERS + 2
 
 
-def test_fallback_brackets_at_the_kinks_match_the_lattice_brackets(gevrey2, monkeypatch):
+def test_fallback_brackets_at_the_kinks_match_the_lattice_brackets(gevrey2):
     # omega_M has every maximizer at a kink log mu_k.  Golden section from
-    # the neighbours of the best lattice
-    # point agrees with golden section from the lattice bracket within the
-    # certificate's allowance at each, and with the closed form, in fewer g
-    # calls
+    # the two-cell bracket around the point after which f stops rising
+    # agrees, within the certificate's allowance at each, with golden
+    # section from the bracket one fixed point wider on either side (the
+    # four cells that a lattice once bracketed in), and with the closed
+    # form, in fewer g calls
     w = omega_from_seq(gevrey2)
     xs = np.linspace(0.01, 40.0, 4001)
-    phi_star(w, xs)  # extends the lattice, so that the calls below are the search's own
+    assert len(xs) <= func_core.PHI_STAR_BLOCK
     calls = []
 
     def g(ys):
         calls.append(len(ys))
         return w.phi(ys)
 
-    narrowed = func_core._golden_max(g, w._lattice, xs, ValueError)[0]
-    narrowed_calls = len(calls)
-    monkeypatch.setattr(func_core, "_narrowed", lambda a, b, fa, fb, ys, fs: (a, b, fa, fb))
+    a, b, fa, fb = bracket(g, xs)
+    step = 2.0 ** (1.0 / func_core.LATTICE_STEPS)
+    a4, b4 = np.where(a > 2.0 ** (func_core.LATTICE_LOW / func_core.LATTICE_STEPS), a / step, 0.0), b * step
+    fa4, fb4 = xs * a4 - w.phi(a4), xs * b4 - w.phi(b4)
     calls.clear()
-    lattice = func_core._golden_max(g, w._lattice, xs, ValueError)[0]
+    narrowed = func_core._golden_block(g, xs, a, b, fa, fb)[0]
+    narrowed_calls = len(calls)
+    calls.clear()
+    lattice = func_core._golden_block(g, xs, a4, b4, fa4, fb4)[0]
     assert np.all(np.abs(narrowed - lattice) <= 2.0 * func_core.GOLDEN_TOL * (1.0 + np.abs(lattice)))
     assert narrowed_calls < len(calls)
     k = np.floor(xs).astype(int)
@@ -328,19 +341,22 @@ def test_phi_star_outside_the_vertex_table_matches_the_closed_form(uri):
     ids=["power", "plateau", "logsq"],
 )
 def test_phi_star_probes_stay_in_the_lattice_bracket(w):
+    # past the calls of the bracket's walk over the fixed points, every phi
+    # point of a conjugate lies in the bracket of its x
     xs = np.concatenate([[1e-300, 1e-12, 1e-6, 1e-3, 0.25, 0.5], np.geomspace(0.5, 1e6, 40)])
-    phi_star(w, xs)  # extends the lattice, so that the probes below are the search's own
     inner = w._phi
     for x in xs:
-        a, b = w._lattice.bracket(w.phi, np.array([x]))[:2]
         probes = []
         w._phi = lambda ys: (probes.append(ys.copy()), inner(ys))[1]
         try:
+            a, b = bracket(w.phi, np.array([x]))[:2]
+            walk = len(probes)
+            probes.clear()
             phi_star(w, x)
         finally:
             w._phi = inner
-        ys = np.concatenate(probes)
-        assert w._lattice.y[0] <= a[0] <= ys.min() and ys.max() <= b[0], x
+        ys = np.concatenate(probes[walk:])
+        assert 0.0 <= a[0] <= ys.min() and ys.max() <= b[0], x
 
 
 @pytest.mark.parametrize("name", ["linear", "power_half", "logsq"])
@@ -517,6 +533,42 @@ def test_kappa_assoc_inside_quadrature_bracket_at_large_t(oracle):
     cases = {round(math.log(t)): want for t, want in oracle["kappa"]["seq:expgevrey?p=2&a=8"]}
     for y in (20.0, 50.0, 400.0):
         assert oracle_rel(kappa_assoc(w, math.exp(y)), cases[y]) <= 1e-13, y
+
+
+def test_kappa_interval_of_an_associated_function_brackets_the_oracle(oracle, oracle_fn):
+    # the ends read the tail bracket at k*: the 30-digit value of gevrey 1.5
+    # at t = 1e6 lies 1.08e-14 relative below the value, outside a bare
+    # ROUNDING allowance around it
+    for uri, cases in oracle["kappa"].items():
+        if not uri.startswith("seq:"):
+            continue
+        w = oracle_fn(uri)
+        for t, want in cases:
+            iv = kappa_interval(w, t)
+            assert iv.lo <= want <= iv.hi and iv.lo <= kappa(w, t) <= iv.hi, (uri, t)
+            assert math.isfinite(iv.hi) and iv.width <= 1e-9 * abs(want), (uri, t)
+
+
+def test_kappa_interval_past_the_array_has_no_upper_end():
+    # past the last quotient the tail has only a power-law fit: the lower end
+    # takes the tail as 0, the upper end is +inf
+    w = gevrey_tilde(1.5)
+    t = math.exp(w.assoc._log_mu[-1] + 1.0)
+    iv = kappa_interval(w, t)
+    assert iv.lo < kappa(w, t) and iv.hi == math.inf
+
+
+def test_quasianalytic_transforms_have_no_nan_and_no_infinite_lower_end():
+    # mu_k = k: sum 1/mu_k diverges.  kappa(0) = 0 with no -inf + inf at
+    # y = -inf, and P's lower end stays finite where P is infinite (the
+    # suite raises RuntimeWarnings)
+    w = omega_from_seq(make_factorial())
+    out = kappa(w, [0.0, 2.0])
+    assert out[0] == 0.0 and out[1] == math.inf
+    assert kappa_interval(w, 0.0) == func_core.Interval(0.0, 0.0)
+    for v in (w, omega_tilde_from_seq(make_factorial())):
+        p, lo, hi = func_core._poisson_assoc(v, np.array([0.7]))
+        assert p[0] == hi[0] == math.inf and 0.0 < lo[0] < math.inf, v.name
 
 
 @pytest.mark.parametrize("uri", ["fn:power?beta=0.5", "fn:power?beta=0.3", "fn:logsq"])
@@ -716,7 +768,7 @@ def test_phi_star_does_not_depend_on_how_far_the_lattice_reaches(power_half):
     xs = np.linspace(0.0, 50.0, 1001)
     fresh = phi_star(normalize_fn(power_half), xs)
     wn = normalize_fn(power_half)
-    phi_star(wn, 1e6)  # extends the lattice far past the maximizers of xs
+    phi_star(wn, 1e6)  # walks the fixed points far past the maximizers of xs
     assert np.array_equal(phi_star(wn, xs), fresh)
 
 
@@ -944,20 +996,17 @@ def test_assoc_far_bracket_that_stays_open_is_refused(factorial):
         omega_from_seq(factorial).phi(800.0)
 
 
-def test_assoc_far_lattice_reaches_its_top_in_doubling_chunks(factorial, monkeypatch):
-    # the far lattice runs from k = 2^17 to 2^1024, 16 points per doubling of
-    # k: fixed 4-point chunks took 3991 extensions to refuse y = 800
-    extensions, inner = [], func_core._Lattice._extend
-
-    def counted(self, g):
-        extensions.append(1)
-        inner(self, g)
-
-    monkeypatch.setattr(func_core._Lattice, "_extend", counted)
-    w = omega_from_seq(factorial)
+def test_assoc_far_lattice_reaches_its_top_in_doubling_chunks():
+    # the far path's bracket points run from k = 2^17 to 2^1024, 16 per
+    # doubling of k: fixed 4-point chunks took 3991 log M calls to refuse
+    # y = 800, and one-octave chunks about 1000
+    seq = make_factorial()
+    w = omega_from_seq(seq)
+    inner, calls = seq.log_m, []
+    seq.log_m = lambda kk: (calls.append(np.size(kk)), inner(kk))[1]
     with pytest.raises(TruncationExhausted):
         w.phi(800.0)
-    assert len(extensions) < 64
+    assert 0 < len(calls) < 64
 
 
 def test_assoc_far_lattice_stops_at_the_last_index():
@@ -965,9 +1014,10 @@ def test_assoc_far_lattice_stops_at_the_last_index():
     # may reach k = 2^18, the lattice point 16 steps above the array's end.
     # y needs points up to about 2^17.9, which a 16-point third chunk would
     # overshoot into indices the sequence does not have
-    top = 2**18
+    top, asked = 2**18, []
 
     def ev(kk: np.ndarray) -> np.ndarray:
+        asked.append(np.max(kk, initial=0.0))
         if np.any(kk > top):
             raise TruncationExhausted(f"index beyond {top}")
         return 2.0 * gammaln(kk + 1.0)
@@ -976,9 +1026,9 @@ def test_assoc_far_lattice_stops_at_the_last_index():
     assert assoc._n == 2**17
     y = 2.0 * math.log(2.0 ** (17 + 12.5 / 16))
     val, k = assoc.eval(np.array([y]))
+    assert max(asked) == top  # the walk reached the last index, and went no further
     ks = np.arange(top + 1, dtype=float)
     assert k[0] > assoc._n and val[0] == pytest.approx(np.max(ks * y - ev(ks)), rel=1e-14)
-    assert assoc._far_lattice.y[-1] <= top
     with pytest.raises(TruncationExhausted):  # k* past the last index
         assoc.eval(np.array([2.0 * math.log(top) + 1.0]))
 
