@@ -1,6 +1,7 @@
 """Numpy kernels behind the derived sequences and the order relations.
 
-Every function takes and returns float64 arrays in the natural-log domain.
+Every function takes and returns float64 arrays in the natural-log domain;
+`log_suffix_sums` writes its result over its argument.
 
 `min_chord` and `sv_sup` require `log_m` to have nondecreasing quotients
 (log-convex M), which every caller guarantees through `require_weight_seq`.
@@ -15,7 +16,11 @@ binds it by name.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+_LOG_TINY = math.log(np.finfo(np.float64).tiny)  # -708.4: below it e^x leaves the normal floats
 
 
 def lower_hull(y: np.ndarray) -> np.ndarray:
@@ -40,6 +45,47 @@ def lower_hull(y: np.ndarray) -> np.ndarray:
         hx.append(i)
     hxa = np.asarray(hx)
     return np.interp(np.arange(m), hxa, y[hxa])
+
+
+def log_suffix_sums(x: np.ndarray, block: int) -> None:
+    """x[i] <- log sum_{j >= i} e^(x[j]), in place, `block` terms at a time.
+
+    The blocks are walked from the end, and `carry` is the log sum of the
+    terms after the block.  A block is shifted by s = max(its max, carry),
+    exponentiated, summed with `cumsum` from its end, given e^(carry - s),
+    and taken back to logs.  Every shifted finite term is then a normal
+    float, so each sum is accurate to about block * eps relative inside a
+    block, plus one rounding of the carry per block (Higham, SIAM J. Sci.
+    Comput. 14, 1993).  A block with a finite term more than the normal
+    exponent range (-_LOG_TINY) below s, where e^(x - s) would underflow,
+    keeps the sequential `np.logaddexp.accumulate`, which rounds once per
+    term but never underflows.  -inf terms add nothing, and a suffix of
+    them stays -inf.
+    """
+    buf = np.empty(min(block, len(x)))
+    carry = -math.inf
+    for end in range(len(x), 0, -block):
+        y = x[max(end - block, 0) : end]
+        s = max(float(y.max()), carry)
+        if s == -math.inf:  # only -inf so far: the suffix sums are the -inf in place
+            continue
+        lo = float(y.min())
+        if lo == -math.inf:  # the range is that of the finite terms
+            lo = float(np.min(y, where=y > -math.inf, initial=s))
+        if s - lo <= -_LOG_TINY:
+            e = buf[: len(y)]
+            np.subtract(y, s, out=e)
+            np.exp(e, out=e)
+            np.cumsum(e[::-1], out=e[::-1])
+            e += math.exp(carry - s)
+            with np.errstate(divide="ignore"):  # a trailing run of -inf terms sums to 0
+                np.log(e, out=e)
+            np.add(e, s, out=y)
+        else:  # wider than the float range, or an infinite or NaN s
+            r = y[::-1]
+            r[0] = np.logaddexp(r[0], carry)
+            np.logaddexp.accumulate(r, out=r)
+        carry = float(y[0])
 
 
 def min_chord(log_m: np.ndarray, coef: np.ndarray) -> np.ndarray:

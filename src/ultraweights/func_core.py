@@ -68,7 +68,6 @@ A phi call of the conjugate holds at most PHI_STAR_BLOCK points.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -446,7 +445,6 @@ class _AssocEvaluator:
                 raise NotAWeightSequence(f"{seq.name}: not declared log-convex, and no finite table to take the hull of")
             seq = log_convex_minorant(seq, int(seq.max_index))
         self.seq = seq
-        self._lock = threading.Lock()
         # cover log mu_J >= 55, or reach the cap.  Past the array the generic tail is bracketed by
         # [0, power-law bound] and read at its midpoint; taking the bound whole moves K-power by
         # 3.7e-3 (9.4e-6 relative), and capping the arrays at 65,536 or 16,384 terms moves it by
@@ -472,10 +470,9 @@ class _AssocEvaluator:
         self._n, self._vals, self._log_mu, self._tail, self._tail_p = n, vals, log_mu, tail, tail_p
 
     def ensure_cover(self, max_log_t: float) -> None:
-        with self._lock:
-            vals = self._grown(self._vals, max_log_t)
-            if len(vals) - 1 > self._n:
-                self._set(vals)
+        vals = self._grown(self._vals, max_log_t)
+        if len(vals) - 1 > self._n:
+            self._set(vals)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -977,14 +974,12 @@ class WeightMatrix:
         self.source_fn = source_fn  # the weight function of a canonical matrix
         self.warnings: list[str] = []
         self._cache: dict[float, WeightSeq] = {}
-        self._lock = threading.Lock()
 
     def member(self, alpha: float) -> WeightSeq:
         alpha = float(alpha)
-        with self._lock:
-            if alpha not in self._cache:
-                self._cache[alpha] = self._member_fn(alpha)
-            return self._cache[alpha]
+        if alpha not in self._cache:
+            self._cache[alpha] = self._member_fn(alpha)
+        return self._cache[alpha]
 
     def members(self) -> list[WeightSeq]:
         return [self.member(a) for a in self.grid]

@@ -2,15 +2,19 @@
 
 A sequence M is represented by an evaluator k -> log M_k (natural logs;
 factorial-scale magnitudes overflow floats, so nothing is ever exponentiated
-except quotients).  Quotients mu_k = M_k / M_{k-1} drive everything:
-log-convexity is "mu increasing", non-quasianalyticity is "sum 1/mu_k finite",
-and the reciprocal-quotient tail sum T_k = sum_{l>=k} 1/mu_l is the main
-analytic input to the derived-weight constructions.
+except quotients and terms shifted into the float range).  Quotients
+mu_k = M_k / M_{k-1} drive everything: log-convexity is "mu increasing",
+non-quasianalyticity is "sum 1/mu_k finite", and the reciprocal-quotient
+tail sum T_k = sum_{l>=k} 1/mu_l is the main analytic input to the
+derived-weight constructions.
 Tails are log brackets over index arrays (`log_tail_bracket`, `tail_mids`),
-summed with logaddexp, so nothing underflows however fast mu grows.  Every
-bracket is read from one `SuffixSums`, the suffix log-sums and remainder
-ends of a series: the attached `SeriesTail`'s or the generic one of the
-sequence's own quotients, chosen by `tail_sums`.
+summed from the end a block at a time: each block is shifted into the float
+range, exponentiated and summed linearly, and a block that spans more than
+the float exponent range is summed with a logaddexp scan instead, so
+nothing underflows however fast mu grows.  Every bracket is read from one
+`SuffixSums`, the suffix log-sums and remainder ends of a series: the
+attached `SeriesTail`'s or the generic one of the sequence's own quotients,
+chosen by `tail_sums`.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import threading
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, Optional
@@ -57,7 +60,7 @@ __all__ = [
 # Default truncation for tail partial sums when no analytic tail is attached.
 DEFAULT_TAIL_N = 4096
 VALUES_BLOCK = 2**13  # indices evaluated at a time when `WeightSeq.values` grows its prefix
-_TAIL_BLOCK = 2**13  # bracket entries widened at a time (64 KiB of temporary)
+_TAIL_BLOCK = 2**13  # tail terms summed, and bracket entries widened, at a time (64 KiB of temporary each)
 
 LogBracket = tuple[np.ndarray, np.ndarray]
 
@@ -104,7 +107,6 @@ class WeightSeq:
         self.diagnostics: Mapping[str, float] = MappingProxyType(dict(diagnostics or {}))
         self._tilde = None  # omega~ of this sequence, built once by `tilde`
         self._prefix = np.zeros(1)
-        self._lock = threading.Lock()
         m0 = float(self.log_m(0))
         if abs(m0) > 1e-12:
             raise ValueError(f"{name}: log M_0 = {m0}, sequences must be normalized to M_0 = 1")
@@ -143,15 +145,14 @@ class WeightSeq:
         the exact 0 that the constructor checks."""
         if n > self.max_index:
             raise TruncationExhausted(f"{self.name}: values({n}) beyond truncation {self.max_index}")
-        with self._lock:
-            have = len(self._prefix)
-            if have <= n:
-                grown = np.empty(n + 1)
-                grown[:have] = self._prefix
-                for i in range(have, n + 1, VALUES_BLOCK):
-                    grown[i : i + VALUES_BLOCK] = self._eval(np.arange(i, min(i + VALUES_BLOCK, n + 1), dtype=float))
-                self._prefix = grown
-            view = self._prefix[: n + 1]
+        have = len(self._prefix)
+        if have <= n:
+            grown = np.empty(n + 1)
+            grown[:have] = self._prefix
+            for i in range(have, n + 1, VALUES_BLOCK):
+                grown[i : i + VALUES_BLOCK] = self._eval(np.arange(i, min(i + VALUES_BLOCK, n + 1), dtype=float))
+            self._prefix = grown
+        view = self._prefix[: n + 1]
         view.flags.writeable = False
         return view
 
@@ -284,10 +285,15 @@ class SuffixSums:
     @staticmethod
     def of_terms(x: np.ndarray, k0: int, log_rem_lo: float, log_rem_hi: float, widen: bool = False) -> "SuffixSums":
         """x holds the log terms of indices k0 .. k0 + len(x) - 2 and one slot
-        more, where only R is left.  One backward logaddexp pass, written over
-        x: O(len(x)) time and no underflow."""
+        more, where only R is left.  `_kernels.log_suffix_sums` sums them from
+        the end over x, _TAIL_BLOCK terms at a time: O(len(x)) time, linear
+        sums of shifted exponentials, accurate to about _TAIL_BLOCK * eps
+        relative inside a block plus one rounding per block (Higham, SIAM J.
+        Sci. Comput. 14, 1993).  A block whose terms span more than
+        the float exponent range keeps a logaddexp scan, so nothing
+        underflows however fast mu grows."""
         x[-1] = -math.inf
-        np.logaddexp.accumulate(x[::-1], out=x[::-1])
+        _kernels.log_suffix_sums(x, _TAIL_BLOCK)
         return SuffixSums(x, k0, log_rem_lo, log_rem_hi, widen)
 
     def at(self, ks: np.ndarray, spend: bool = False) -> LogBracket:

@@ -30,7 +30,10 @@ def test_check_holds_exits_zero_and_is_byte_stable(capsys):
     argv = ("check", "liminf2", "--lhs", "mat:expgevrey?p=2", "--n", "1024")
     rc, out, _ = run(capsys, *argv)
     assert rc == 0
-    assert json.loads(out)["status"] == "Holds"
+    doc = json.loads(out)
+    assert doc["status"] == "Holds"
+    # the first dyadic beta past 2 alpha: a tail sum that underflows moves it
+    assert [(p["alpha"], p["beta"]) for p in doc["pairing"]] == [(a, 4 * a) for a in doc["grid"]]
     assert run(capsys, *argv)[1] == out
 
 

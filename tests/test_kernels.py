@@ -1,9 +1,14 @@
-"""Kernel results against brute force over every pair."""
+"""Kernel results against brute force over every pair, and the suffix sums
+against exact summation."""
+
+import math
 
 import numpy as np
 import pytest
 
 from ultraweights import _kernels
+from ultraweights.catalog import resolve
+from ultraweights.seq_core import _TAIL_BLOCK as B
 
 
 def _random_logm(rng, n):
@@ -139,3 +144,63 @@ def test_assoc_sup_matches_bruteforce(rng):
         table = ks * lt - log_m
         assert vals[i] == pytest.approx(table.max())
         assert arg[i] == int(np.argmax(table))
+
+
+def _scan(x):
+    # the sequential logaddexp scan: the suffix sums one term at a time
+    out = x.copy()
+    np.logaddexp.accumulate(out[::-1], out=out[::-1])
+    return out
+
+
+def _suffix_sums(x):
+    out = np.array(x, dtype=float)
+    _kernels.log_suffix_sums(out, B)
+    return out
+
+
+def test_log_suffix_sums_match_exact_sums_on_a_conjugate_member():
+    # 2^17 reciprocal quotients of member 1; the sequential scan errs by
+    # 1.2e-13 at k = 20000, and the blocked sums by at most 1.8e-15
+    log_mu = np.diff(resolve("mat:omega?fn=power&beta=0.5").member(1.0).values(2**17))
+    x = np.append(-log_mu, -math.inf)
+    got = _suffix_sums(x)
+    terms = np.exp(x[:-1]).tolist()
+    for k in (1, 10, 100, 1000, 5000, 20000, 65536, 131000):
+        assert abs(got[k - 1] - math.log(math.fsum(terms[k - 1 :]))) <= 1e-14, k
+
+
+def _wide_block(rng):
+    # one block of terms that falls by 1200 in log, after blocks that do not
+    return np.concatenate([rng.normal(size=B + 5), -np.linspace(0.0, 1200.0, B)])
+
+
+@pytest.mark.parametrize("terms", [
+    _wide_block,
+    lambda rng: -np.diff(resolve("mat:expgevrey?p=2").member(1.0).values(3 * B)),
+], ids=["span-1200", "expgevrey"])
+def test_log_suffix_sums_past_the_float_range_match_the_scan(rng, terms):
+    x = terms(rng)
+    got, want = _suffix_sums(x), _scan(x)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+    assert np.all(np.isfinite(got[np.isfinite(x)]))
+
+
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+@pytest.mark.parametrize("neg_inf", ["none", "remainder", "last block", "middle block", "all"])
+def test_log_suffix_sums_edge_shapes(rng, n, neg_inf):
+    x = rng.normal(scale=3.0, size=n)
+    if neg_inf == "remainder":
+        x[-1] = -math.inf
+    elif neg_inf == "last block":
+        x[-B:] = -math.inf
+    elif neg_inf == "middle block":
+        x[-2 * B : -B] = -math.inf
+    elif neg_inf == "all":
+        x[:] = -math.inf
+    with np.errstate(all="raise"):
+        got = _suffix_sums(x)
+    want = _scan(x)
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    fin = np.isfinite(want)
+    assert np.all(np.abs(got[fin] - want[fin]) <= 1e-13)

@@ -155,6 +155,23 @@ def test_tail_bracket_of_a_long_range_allocates_little_beyond_its_two_ends(gevre
     assert peak <= 2 * 8 * (n + 1) + 2**17
 
 
+def test_series_tail_bracket_keeps_its_rounding_allowance():
+    # _widen allows 1e-13 in log for the rounding of the sums; at most 1e-14
+    # of it may go to that rounding, checked against exact sums of the terms
+    seq = resolve("seq:gevrey?s=2")
+    n, tail = 2**17, seq.log_tail
+    top = n + tail.span + 1
+    terms = np.arange(1, top, dtype=float)
+    tail.neg_log_term(terms)
+    terms = np.exp(terms).tolist()
+    rems = [math.exp(r) for r in tail.log_rem(float(top))]
+    ks = np.union1d(np.geomspace(1, n, 24).astype(np.int64), [20000, 65536])
+    lo, hi = tail.sums(1, n).at(ks)
+    for i, k in enumerate(ks):
+        assert lo[i] <= math.log(math.fsum(terms[k - 1 :] + rems[:1])) - 9e-14, k
+        assert hi[i] >= math.log(math.fsum(terms[k - 1 :] + rems[1:])) + 9e-14, k
+
+
 def test_non_quasianalytic(gevrey2, factorial):
     assert is_non_quasianalytic(gevrey2).holds
     assert is_non_quasianalytic(factorial).fails
