@@ -50,15 +50,6 @@ more than rounding (`_golden_max`): 1 phi evaluation per x for each probe
 and golden step, 24 to 33 steps off a kink and up to about 60 at one.
 Each x's probes and value depend only on phi and x.
 
-The canonical weight matrix has log M^(alpha)_k = phi*(alpha k)/alpha, so
-log M^(2 alpha)_k = log M^(alpha)_(2k) / 2.  In floats this holds bit for
-bit: alpha k is the same product either way, the conjugate value depends
-only on x, and dividing by 2 alpha is dividing by alpha and halving, which
-is exact.  A member therefore reads the indices it shares with the member
-at half its parameter from that member's cached prefix; on the dyadic
-DEFAULT_GRID, built in ascending order, the 7 members evaluate the
-conjugate at one full array of points and six half arrays.
-
 The conjugate and Ti2 work over their arguments in blocks (PHI_STAR_BLOCK x
 values, TI2_ROWS rows), so that no temporary exceeds 64 KiB: glibc serves
 larger arrays with mmap, and each fresh one costs a page fault per page.
@@ -138,7 +129,6 @@ DOUBLINGS = 64
 LATTICE_STEPS = 16  # the conjugate's fixed bracket points per doubling of y
 LATTICE_LOW = -8 * LATTICE_STEPS  # the lowest point above the base: y = 2^-8
 LATTICE_TOP = 8.0 * 2.0**64  # the highest point of `phi_star`'s brackets
-LATTICE_CHUNK = 4  # points of the first chunk; each next one doubles, up to an octave unless doubling
 GOLDEN_ITERS = 80  # cap on golden steps; the certificate stops most maxima after 24 to 33, kinks near 60
 GOLDEN_CHECK = 3  # golden steps between certificate checks
 GOLDEN_TOL = 4.0 * np.finfo(float).eps  # certificate allowance, times 1 + |f|
@@ -237,21 +227,21 @@ def _bracket(g: Callable, base: float, top: float, x: np.ndarray, refuse: Callab
     a bracket of the maximizer over y >= base between the fixed points y_0
     = base and y_j = 2^(j/LATTICE_STEPS) > base, j >= LATTICE_LOW, up to
     `top`; raises refuse(x) for an x that none brackets.  g is evaluated at
-    the points once for all x, in chunks from LATTICE_CHUNK points, each
-    twice the last, and only as far as the largest x needs.  Chunks stop
-    growing at an octave, as a WeightFn's phi may grow an associated-function
-    array through `ensure_cover`, unless `doubling` (the far path's log M_k,
-    which grows none, refuses at its top in a dozen calls instead of a
-    thousand).  slope[i] is the running maximum of the chord slopes of the
-    cells [y_l, y_(l+1)], l <= i (a NaN one, where g overflows at both ends,
-    is skipped).  If cell i is the first whose slope reaches x, f rises up
-    to y_i and not past it, so the maximizer lies in [y_(i-1), y_(i+1)].  An
-    x that no slope reaches, or whose f(b) is NaN (x b and g(b) overflow),
-    is refused."""
+    the points once for all x, an octave (LATTICE_STEPS points) at a time,
+    and only as far as the largest x needs: a WeightFn's phi may grow an
+    associated-function array through `ensure_cover`.  With `doubling` each
+    chunk is twice the last instead (the far path's log M_k, which grows
+    none, refuses at its top in a dozen calls instead of a thousand).
+    slope[i] is the running maximum of the chord slopes of the cells
+    [y_l, y_(l+1)], l <= i (a NaN one, where g overflows at both ends, is
+    skipped).  If cell i is the first whose slope reaches x, f rises up to
+    y_i and not past it, so the maximizer lies in [y_(i-1), y_(i+1)].  An x
+    that no slope reaches, or whose f(b) is NaN (x b and g(b) overflow), is
+    refused."""
     j = LATTICE_LOW
     while 2.0 ** (j / LATTICE_STEPS) <= base:
         j += 1
-    chunk, y = LATTICE_CHUNK, np.array([float(base)])
+    chunk, y = LATTICE_STEPS, np.array([float(base)])
     gy, slope = g(y), np.empty(0)
     x_max = float(np.max(x, initial=-np.inf))
     while np.searchsorted(slope, x_max) > len(slope) - 2:
@@ -264,7 +254,8 @@ def _bracket(g: Callable, base: float, top: float, x: np.ndarray, refuse: Callab
         slope = np.concatenate([slope, np.fmax.accumulate(np.concatenate([slope[-1:], s]))[-len(s):]])
         y, gy = np.concatenate([y, new]), np.concatenate([gy, g_new])
         j += chunk
-        chunk = 2 * chunk if doubling else min(2 * chunk, LATTICE_STEPS)
+        if doubling:
+            chunk *= 2
     i = np.searchsorted(slope, x)
     lo, hi = np.maximum(i - 1, 0), np.minimum(i + 1, len(y) - 1)
     fa, fb = x * y[lo] - gy[lo], x * y[hi] - gy[hi]
@@ -1020,41 +1011,22 @@ def matrix_from_omega(w: WeightFn, grid=None) -> WeightMatrix:
     Member alpha has log M^(alpha)_k = phi*_omega(alpha k)/alpha, computed on
     the normalized representative, and an alpha k that overflows raises
     UnboundedConjugate; for integer n the member n at k is member 1 at n k
-    divided by n: log M^(n)_k = log M^(1)_(nk) / n.
-
-    So log M^(alpha)_k = log M^(alpha/2)_(2k) / 2, and exactly so in floats:
-    alpha/2 and 2k are exact, so fl((alpha/2)(2k)) = fl(alpha k) and the
-    conjugate is the same number v (its value depends only on phi and x);
-    the member alpha/2 holds fl(v/(alpha/2)) = 2 fl(v/alpha), and halving
-    it is exact (scaling by 2 is, away from overflow and subnormals).  A
-    member made after the member at half its parameter therefore takes
-    log M_k, for every integer k >= 1 with 2k inside the prefix that member
-    has cached when k is evaluated (`WeightSeq.cached_values`), as that
-    value halved, and evaluates the conjugate only at the other indices.
-    The values are the same bit for bit in any order; making and growing
-    the members in ascending order only makes them cheaper.
+    divided by n: log M^(n)_k = log M^(1)_(nk) / n.  Each member evaluates
+    the conjugate at every index it is asked for, so its values do not depend
+    on the other members or on the order in which they are built.
     """
     wn = normalize_fn(w)
-    built: dict[float, WeightSeq] = {}
 
     def make(alpha: float) -> WeightSeq:
-        half = built.get(alpha / 2)
-
         def ev(kk: np.ndarray) -> np.ndarray:
-            prefix = np.empty(0) if half is None else half.cached_values()
-            shared = (kk >= 1) & (2 * kk < len(prefix)) & (kk == np.floor(kk))
-            out = np.empty_like(kk)
-            out[shared] = prefix[2 * kk[shared].astype(np.int64)] / 2
             with np.errstate(over="ignore"):
-                x = alpha * kk[~shared]
+                x = alpha * kk
             if np.any(np.isinf(x)):
-                k = kk[~shared][np.isinf(x)][0]
+                k = kk[np.isinf(x)][0]
                 raise UnboundedConjugate(f"{w.name}: alpha k overflows at alpha={alpha:g}, k={k:g}")
-            out[~shared] = phi_star(wn, x) / alpha
-            return out
+            return phi_star(wn, x) / alpha
 
-        built[alpha] = WeightSeq(f"M[{w.name};a={alpha:g}]", ev, is_weight_seq=True)
-        return built[alpha]
+        return WeightSeq(f"M[{w.name};a={alpha:g}]", ev, is_weight_seq=True)
 
     return WeightMatrix(
         f"matrix[{w.name}]",

@@ -74,12 +74,10 @@ class WeightSeq:
     log M_m by evaluating only the indices m+1 .. n, VALUES_BLOCK at a time
     into a preallocated array, and returns a read-only view of the prefix
     (a later growth replaces the prefix, so an earlier view keeps its
-    values).  `cached_values()` returns the prefix cached so far, read-only,
-    and never evaluates: a canonical weight matrix reads the member at half
-    its parameter through it.  The indices are floats
-    because the associated function maximizes k y - log M_k over real k past
-    its quotient array, where they may exceed 2^53; an evaluator should
-    extend k -> log M_k convexly to real k.
+    values).  The indices are floats because the associated function
+    maximizes k y - log M_k over real k past its quotient array, where they
+    may exceed 2^53; an evaluator should extend k -> log M_k convexly to
+    real k.
     `log_tail`, when present, is a `SeriesTail`: the closed-form terms of
     sum_{l>=k} 1/mu_l and a certified bracket of their remainder.
     `is_weight_seq` records whether the sequence was declared (and validated
@@ -153,13 +151,6 @@ class WeightSeq:
                 grown[i : i + VALUES_BLOCK] = self._eval(np.arange(i, min(i + VALUES_BLOCK, n + 1), dtype=float))
             self._prefix = grown
         view = self._prefix[: n + 1]
-        view.flags.writeable = False
-        return view
-
-    def cached_values(self) -> np.ndarray:
-        """log M_0 .. log M_m for the prefix that `values` has cached so far
-        (m = 0 before its first growth): a read-only view, no evaluation."""
-        view = self._prefix[:]
         view.flags.writeable = False
         return view
 
@@ -256,8 +247,8 @@ def _tail_exponent(log_mu: np.ndarray) -> float | None:
 
 def _widen(end: np.ndarray, sign: float) -> None:
     """end -+ 1e-13 -+ 1e-15 |end| in place, in that order, a block at a time
-    so that the temporary stays small: the rounding allowance of a series
-    tail's sums."""
+    so that the temporary stays small: the rounding allowance of the suffix
+    sums."""
     ulps = np.empty(min(len(end), _TAIL_BLOCK))
     for i in range(0, len(end), _TAIL_BLOCK):
         part = end[i : i + _TAIL_BLOCK]
@@ -272,18 +263,17 @@ class SuffixSums:
     """The log bracket of T_k = sum_{j >= k} e^(x_j) + R at k = k0 .. k0 +
     len(sums) - 1, held before its remainder: sums[k - k0] is the log of the
     exact terms' suffix sum, and R lies in [e^log_rem_lo, e^log_rem_hi].
-    `at(ks)` adds each remainder end and, with `widen`, the rounding
-    allowance of `_widen`.  Every step is elementwise, so the bracket read at
-    any ks is bit for bit the entries of the one over all of them."""
+    `at(ks)` adds each remainder end and the rounding allowance of `_widen`.
+    Every step is elementwise, so the bracket read at any ks is bit for bit
+    the entries of the one over all of them."""
 
     sums: np.ndarray
     k0: int
     log_rem_lo: float
     log_rem_hi: float
-    widen: bool = False
 
     @staticmethod
-    def of_terms(x: np.ndarray, k0: int, log_rem_lo: float, log_rem_hi: float, widen: bool = False) -> "SuffixSums":
+    def of_terms(x: np.ndarray, k0: int, log_rem_lo: float, log_rem_hi: float) -> "SuffixSums":
         """x holds the log terms of indices k0 .. k0 + len(x) - 2 and one slot
         more, where only R is left.  `_kernels.log_suffix_sums` sums them from
         the end over x, _TAIL_BLOCK terms at a time: O(len(x)) time, linear
@@ -294,7 +284,7 @@ class SuffixSums:
         underflows however fast mu grows."""
         x[-1] = -math.inf
         _kernels.log_suffix_sums(x, _TAIL_BLOCK)
-        return SuffixSums(x, k0, log_rem_lo, log_rem_hi, widen)
+        return SuffixSums(x, k0, log_rem_lo, log_rem_hi)
 
     def at(self, ks: np.ndarray, spend: bool = False) -> LogBracket:
         """The bracket at integer ks.  With `spend`, a contiguous range of ks
@@ -305,9 +295,8 @@ class SuffixSums:
         # a remainder whose lower end is 0 leaves s as it is: logaddexp(s, -inf) is s
         lo = s.copy() if self.log_rem_lo == -math.inf else np.logaddexp(s, self.log_rem_lo)
         hi = np.logaddexp(s, self.log_rem_hi, out=s)
-        if self.widen:
-            _widen(lo, -1.0)
-            _widen(hi, 1.0)
+        _widen(lo, -1.0)
+        _widen(hi, 1.0)
         return lo, hi
 
 
@@ -327,7 +316,7 @@ class SeriesTail:
         rem_lo, rem_hi = self.log_rem(float(top))
         terms = np.arange(k0, top + 1, dtype=float)  # the last slot is the remainder's
         self.neg_log_term(terms[:-1])
-        return SuffixSums.of_terms(terms, k0, rem_lo, rem_hi, widen=True)
+        return SuffixSums.of_terms(terms, k0, rem_lo, rem_hi)
 
 
 def _log_mid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""No dead knobs: every UPPER_CASE module constant of the numeric modules is
-read by the package somewhere other than its own definition."""
+"""No dead knobs: every UPPER_CASE module constant of the package is read by
+the package somewhere other than its own definition.  `KERNEL_BACKEND` is
+exempt: the benchmark reports it."""
 
 import ast
 import re
@@ -9,6 +10,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ultraweights"
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+EXEMPT = {("__init__.py", "KERNEL_BACKEND")}
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -35,15 +37,14 @@ def _reads(node: ast.AST, name: str) -> int:
     )
 
 
-@pytest.mark.parametrize("module", ["func_core.py", "seq_core.py", "derived.py"])
+@pytest.mark.parametrize("module", [name for name, tree in _trees().items() if _definitions(tree)])
 def test_every_module_constant_is_read_in_src(module):
     trees = _trees()
     definitions = _definitions(trees[module])
-    assert definitions
     dead = []
     for name, statement in definitions:
         # a read inside its own (or another) defining statement, such as x = f(x), does not count
         own = sum(_reads(s, name) for n, s in definitions if n == name)
-        if sum(_reads(tree, name) for tree in trees.values()) - own == 0:
+        if (module, name) not in EXEMPT and sum(_reads(tree, name) for tree in trees.values()) - own == 0:
             dead.append(name)
     assert dead == [], f"{module}: constants that nothing in src/ reads"

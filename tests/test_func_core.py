@@ -135,8 +135,8 @@ def bracket(g, xs: np.ndarray, doubling: bool = False) -> tuple[np.ndarray, ...]
 
 
 def test_lattice_chunks_change_no_point(power_half):
-    # chunks double from LATTICE_CHUNK to an octave, LATTICE_STEPS points, or
-    # without bound; an x alone stops the walk early.  The bracket of each x
+    # chunks are an octave, LATTICE_STEPS points, or double from it without
+    # bound; an x alone stops the walk early.  The bracket of each x
     # is the same under every schedule, and its ends are fixed points
     g = normalize_fn(power_half).phi
     xs = np.geomspace(1e-3, 1e3, 60)
@@ -282,15 +282,21 @@ def test_power_matrix_member_arrays_take_at_most_4_1_phi_points_per_conjugate_x(
     # now at most 2 (the name keeps the bound of the former vertex-table
     # seeds): phi at the closed-form maximizer, and at the candidate past the
     # plateau for the x > beta whose maximizer is not at the base; the x at
-    # the base save more than the normalization's plateau search spends
-    w = resolve("fn:power?beta=0.5")
-    inner, points = w._phi, []
-    w._phi = lambda ys: (points.append(np.size(ys)), inner(ys))[1]
+    # the base save more than the normalization's plateau search spends.
+    # Each member asks for the conjugate once per index: its log M_0 check
+    # and k = 1 .. 2^17
+    n = func_core._AssocEvaluator.ARRAY_CAP
     asked = count_conjugate_points(monkeypatch)
-    mat = matrix_from_omega(w)
-    for a in mat.grid:
-        mat.member(a).values(func_core._AssocEvaluator.ARRAY_CAP)
-    assert sum(asked) > 2**18 and sum(points) <= 2 * sum(asked)
+    for uri in ("fn:power?beta=0.5", "fn:logsq"):
+        w = resolve(uri)
+        inner, points = w._phi, []
+        w._phi = lambda ys: (points.append(np.size(ys)), inner(ys))[1]
+        asked.clear()
+        mat = matrix_from_omega(w)
+        for a in mat.grid:
+            mat.member(a).values(n)
+        assert sum(asked) == len(mat.grid) * (n + 1) == 917_511, uri
+        assert sum(points) <= 2 * sum(asked), uri
 
 
 @pytest.mark.parametrize("name", ["power", "logsq", "gevrey2"])
@@ -909,7 +915,7 @@ def count_conjugate_points(monkeypatch) -> list[int]:
 def test_matrix_members_built_after_half_their_parameter_are_bitwise_unchanged(uri):
     n = 2**17
     mat = matrix_from_omega(resolve(uri))
-    for a in mat.grid:  # ascending: each member reads the one at half its parameter
+    for a in mat.grid:  # ascending: each after the member at half its parameter
         mat.member(a).values(n)
     for a in (0.25, 1.0, 8.0):
         alone = matrix_from_omega(resolve(uri)).member(a).values(n)
@@ -922,35 +928,15 @@ def test_matrix_members_do_not_depend_on_the_build_order(power_half):
     descending = matrix_from_omega(power_half)
     for a in func_core.DEFAULT_GRID[::-1]:
         assert np.array_equal(descending.member(a).values(n), alone[a])
-    # members at half the parameter cached to 2^10 and 2^11 only: member 2
-    # reads k <= 512 of member 1 and evaluates the rest
+    # members at half the parameter grown to 2^10 and 2^11 only
     partial = matrix_from_omega(power_half)
     partial.member(1.0).values(2**10)
     partial.member(0.5).values(2**11)
     for a in (2.0, 1.0, 4.0):
         assert np.array_equal(partial.member(a).values(n), alone[a])
-    # k = 0, a real k and a k past every prefix take the conjugate; k = 3 is shared
+    # k = 0, an integer k, a real k and a k past every prefix
     ks = np.array([0.0, 3.0, 3.5, 2.0**20])
     assert np.array_equal(partial.member(2.0).log_m(ks), matrix_from_omega(power_half).member(2.0).log_m(ks))
-
-
-def test_matrix_members_share_on_a_non_dyadic_grid(power_half, monkeypatch):
-    n = 2**12
-    alone = {a: matrix_from_omega(power_half, grid=[1.0, 1.5, 3.0]).member(a).values(n) for a in (1.0, 1.5, 3.0)}
-    asked = count_conjugate_points(monkeypatch)
-    mat = matrix_from_omega(power_half, grid=[1.0, 1.5, 3.0])
-    for a in mat.grid:
-        assert np.array_equal(mat.member(a).values(n), alone[a])
-    # 1 and 1.5 have no member at half their parameter; 3 reads k <= n/2 of 1.5
-    assert sum(asked) <= 2 * n + n // 2 + 8
-
-
-def test_matrix_members_at_double_the_parameter_evaluate_half_the_conjugates(power_half, monkeypatch):
-    asked = count_conjugate_points(monkeypatch)
-    mat = matrix_from_omega(power_half)
-    mat.member(0.125).values(2**17)
-    mat.member(0.25).values(2**17)
-    assert sum(asked) <= 2**17 + 2**16 + 64  # 2^18 + 2 when each member evaluates all its own
 
 
 @pytest.mark.parametrize("s", [1.5, 2.0, 3.0, 1.0])
@@ -1012,8 +998,8 @@ def test_assoc_far_lattice_reaches_its_top_in_doubling_chunks():
 def test_assoc_far_lattice_stops_at_the_last_index():
     # log M_k = 2 log k! up to k = 2^18 only: the far lattice over k >= 2^17
     # may reach k = 2^18, the lattice point 16 steps above the array's end.
-    # y needs points up to about 2^17.9, which a 16-point third chunk would
-    # overshoot into indices the sequence does not have
+    # y needs points up to about 2^17.9; the first chunk, one octave, ends at
+    # k = 2^18, and the walk must not go on into indices the sequence does not have
     top, asked = 2**18, []
 
     def ev(kk: np.ndarray) -> np.ndarray:

@@ -172,6 +172,22 @@ def test_series_tail_bracket_keeps_its_rounding_allowance():
         assert hi[i] >= math.log(math.fsum(terms[k - 1 :] + rems[1:])) + 9e-14, k
 
 
+def test_generic_tail_bracket_keeps_its_rounding_allowance():
+    # a member of a canonical matrix has no attached tail: its bracket is the
+    # generic one, the suffix sums of 1/mu_k to n, with the remainder past n
+    # between 0 and the power-law bound.  It takes the same allowance
+    seq = resolve("mat:omega?fn=power&beta=0.5").member(1.0)
+    n = 2**17
+    log_mu = seq.log_mu(n)
+    terms = np.exp(-log_mu).tolist()
+    rem = n / ((_tail_exponent(log_mu) - 1.0) * math.exp(log_mu[-1]))
+    ks = np.array([1, 10, 100, 1000, 20000, 131000])
+    lo, hi = log_tail_bracket(seq, ks, n)
+    for i, k in enumerate(ks):
+        assert lo[i] <= math.log(math.fsum(terms[k - 1 :])) - 9e-14, k
+        assert hi[i] >= math.log(math.fsum(terms[k - 1 :] + [rem])) + 9e-14, k
+
+
 def test_non_quasianalytic(gevrey2, factorial):
     assert is_non_quasianalytic(gevrey2).holds
     assert is_non_quasianalytic(factorial).fails
@@ -305,22 +321,6 @@ def test_values_is_a_read_only_view_of_the_prefix():
     assert not later.flags.writeable
     assert np.array_equal(early, kept) and np.array_equal(later[:9], kept)
     assert np.shares_memory(seq.values(32), later)  # no copy when the prefix covers n
-
-
-def test_cached_values_reads_the_prefix_without_evaluating():
-    asked = []
-
-    def ev(kk):
-        asked.append(len(kk))
-        return kk * kk
-
-    seq = WeightSeq("g", ev)
-    assert np.array_equal(seq.cached_values(), [0.0])
-    seq.values(8)
-    asked.clear()
-    cached = seq.cached_values()
-    assert np.array_equal(cached, np.arange(9.0) ** 2) and not cached.flags.writeable
-    assert asked == []
 
 
 def test_renormalized_restores_quotient():
