@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import CatalogError
 from .func_core import Envelope, WeightFn, WeightMatrix, _ti3, matrix_from_omega
-from .seq_core import SeriesTail, WeightSeq, seq_from_csv
+from .seq_core import LogRange, SeriesTail, WeightSeq, seq_from_csv
 
 __all__ = [
     "make_gevrey",
@@ -84,12 +84,12 @@ def make_gevrey(s: float) -> WeightSeq:
     def ev(kk: np.ndarray) -> np.ndarray:
         return s * gammaln(kk + 1.0)
 
-    def log_rem(K: float) -> tuple[float, float]:
+    def log_rem(K: float) -> LogRange:
         x = 1.0 / K
         c_hi = 1.0 + (s - 1.0) * x / 2.0 + (s - 1.0) * s * x * x / 12.0
         c_lo = max(c_hi - (s - 1.0) * s * (s + 1.0) * (s + 2.0) * x**4 / 720.0, 1.0)
         base = (1.0 - s) * math.log(K) - math.log(s - 1.0)
-        return base + math.log(c_lo), base + math.log(c_hi)
+        return LogRange(base + math.log(c_lo), base + math.log(c_hi))
 
     def neg_log_mu(js: np.ndarray) -> None:  # -s log j, over js
         np.log(js, out=js)
@@ -113,9 +113,9 @@ def make_q_gevrey(q: float) -> WeightSeq:
         raise ValueError("base must be > 1")
     lq = math.log(q)
 
-    def log_rem(top: float) -> tuple[float, float]:  # the exact geometric tail
+    def log_rem(top: float) -> LogRange:  # the exact geometric tail
         v = -(2.0 * top - 1.0) * lq - math.log(-math.expm1(-2.0 * lq))
-        return v, v
+        return LogRange(v, v)
 
     def neg_log_mu(js: np.ndarray) -> None:  # -(2j - 1) log q, over js
         js *= 2.0
@@ -148,10 +148,10 @@ def make_exp_gevrey_member(p: float, a: float) -> WeightSeq:
         js += p_log
         np.negative(js, out=js)
 
-    def log_rem(top: float) -> tuple[float, float]:  # mu_j / mu_{j+1} stays below e^-a
+    def log_rem(top: float) -> LogRange:  # mu_j / mu_{j+1} stays below e^-a
         term = np.array([top])
         neg_log_mu(term)
-        return -math.inf, float(term[0]) - math.log(-math.expm1(-a))
+        return LogRange(-math.inf, float(term[0]) - math.log(-math.expm1(-a)))
 
     log_tail = SeriesTail(neg_log_mu, max(_TAIL_HEAD, int(40.0 / a)), log_rem)
     return WeightSeq(f"expgevrey(p={p:g},a={a:g})", ev, log_tail=log_tail, is_weight_seq=True)

@@ -65,9 +65,9 @@ j - 2: the associated-function array must reach past it, and grows until
 kappa' at its last quotient exceeds n.  The last piece of a complete finite
 M runs to +inf, its fitted tail remainder keeping e^y T_k growing.
 
-Tail uncertainty: the tails enter as log brackets (`tail_mids`).  L and S
-use the log of the bracket's arithmetic midpoint and re-evaluate with both
-endpoints; the observed spread is the result's `tail_spread` diagnostic.
+Tail uncertainty: the tails enter as one `LogRange` (`tail_mids`).  L and S
+use its `mid`, the log of the bracket's arithmetic midpoint, and re-evaluate
+with both ends; the observed spread is the result's `tail_spread` diagnostic.
 The by-products of a construction are read from the result's `diagnostics`
 mapping: `tail_spread` (L, underline-L, S), `sigma_rescale` (S) and
 `log_q0` (Q); `derive_family` copies the first two into its provenance.
@@ -83,7 +83,7 @@ import numpy as np
 from . import _kernels
 from .errors import MaximizerUnbounded, TruncationExhausted
 from .func_core import WeightFn, WeightMatrix, kappa_star_assoc, omega_tilde_from_seq, poisson_batch
-from .seq_core import WeightSeq, log_convex_minorant, require_weight_seq, tail_mids
+from .seq_core import LogRange, WeightSeq, log_convex_minorant, require_weight_seq, tail_mids
 from .verdicts import Status
 
 __all__ = ["seq_L", "seq_S", "seq_K", "seq_Q", "seq_underline_L", "derive_family", "CONSTRUCTORS", "FAMILY_NAMES"]
@@ -96,15 +96,13 @@ def _tilde(m: WeightSeq) -> WeightFn:
     return m.tilde(omega_tilde_from_seq)
 
 
-def _centre_and_spread(build, tails) -> tuple[np.ndarray, float]:
-    """`build` at the tail midpoint, and the largest log deviation from it
-    when the midpoint is replaced by either bracket end (0 for exact tails);
-    `tails` is the (lo, mid, hi) of `tail_mids`."""
-    t_lo, t_mid, t_hi = tails
-    center = build(t_mid)
-    if not float(np.max(t_hi - t_lo)) > 0:
+def _centre_and_spread(build, tails: LogRange) -> tuple[np.ndarray, float]:
+    """`build` at the tail bracket's `mid`, and the largest log deviation
+    from it when `mid` is replaced by either end (0 for exact tails)."""
+    center = build(tails.mid)
+    if not float(np.max(tails.hi - tails.lo)) > 0:
         return center, 0.0
-    return center, float(max(np.max(np.abs(build(t_lo) - center)), np.max(np.abs(build(t_hi) - center))))
+    return center, float(max(np.max(np.abs(build(tails.lo) - center)), np.max(np.abs(build(tails.hi) - center))))
 
 
 def seq_L(m: WeightSeq, n: int) -> WeightSeq:
@@ -187,7 +185,7 @@ def _slope_floor(k, log_sum_mu, rho):
 
 def _q_left_end(m: WeightSeq) -> float:
     """rho_L of the module docstring; raises DivergentTail for a quasianalytic input."""
-    log_t1 = float(tail_mids(m, 1)[2][0])
+    log_t1 = float(tail_mids(m, 1).hi[0])
     return min(float(m.log_mu(1)[0]), -float(np.logaddexp(math.log(2.0 / math.pi) + log_t1, math.log(2.0))))
 
 

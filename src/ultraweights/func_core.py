@@ -74,9 +74,8 @@ from .errors import (
     UnboundedConjugate,
 )
 from .seq_core import (
-    LogBracket,
+    LogRange,
     WeightSeq,
-    _log_mid,
     _tail_exponent,
     is_non_quasianalytic,
     log_convex_minorant,
@@ -419,7 +418,8 @@ class _AssocEvaluator:
     each log M_k is evaluated once, and the tail's `SuffixSums` (from
     `tail_sums`: the attached series or the generic one) are computed once
     per growth, at the final length; the tail bracket is evaluated only at
-    the counts read (`log_tail_after`); the quotients and the far tail's
+    the counts read, as one `LogRange` (`log_tail_after`, whose `mid`
+    `log_tail_mid_after` reads); the quotients and the far tail's
     power-law fit are made once and shared with the generic sums.  Past
     the array (a conjugate bracket's points beyond it) the sup is taken
     over real k >= n of the sequence's own evaluator (`_far`): a bracket
@@ -508,9 +508,9 @@ class _AssocEvaluator:
             kstar[far] = kf
         return out, kstar
 
-    def log_tail_after(self, counts: np.ndarray) -> LogBracket:
-        """(log_lo, log_hi) bracketing sum_{j > c} 1/mu_j at integer counts
-        c = 0..n: `log_tail_bracket(seq, c + 1, n)`, read from the array's
+    def log_tail_after(self, counts: np.ndarray) -> LogRange:
+        """The `LogRange` of sum_{j > c} 1/mu_j at integer counts c = 0..n:
+        `log_tail_bracket(seq, c + 1, n)`, read from the array's
         `SuffixSums` at these counts only."""
         return self._tail(np.asarray(counts, dtype=np.int64) + 1)
 
@@ -520,7 +520,7 @@ class _AssocEvaluator:
         kstar, log_t = np.asarray(kstar, dtype=float), np.asarray(log_t, dtype=float)
         out = np.zeros_like(kstar)
         near = kstar <= self._n  # the tail bracket is read at counts 0..n
-        out[near] = _log_mid(*self.log_tail_after(kstar[near]))
+        out[near] = self.log_tail_after(kstar[near]).mid
         far = ~near
         if np.any(far):
             # the power-law remainder k / ((p-1) mu_k) of `_tail_exponent`,
@@ -603,7 +603,8 @@ def kappa_interval(w: WeightFn, t: float) -> Interval:
     if kstar[0] > ev._n:
         tails = (0.0, math.inf)
     else:
-        tails = (math.exp(y[0] + float(end[0])) if t > 0 else 0.0 for end in ev.log_tail_after(kstar))
+        tail = ev.log_tail_after(kstar)
+        tails = (math.exp(y[0] + float(end[0])) if t > 0 else 0.0 for end in (tail.lo, tail.hi))
     lo, hi = (float(om[0] + kstar[0] + tail + log_term) for tail in tails)
     return Interval(lo - ROUNDING * abs(lo), hi + ROUNDING * abs(hi))
 
@@ -825,9 +826,9 @@ def _poisson_assoc(w: WeightFn, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 
     below = np.exp(np.concatenate([[-np.inf], np.logaddexp.accumulate(log_mu[: i_lo.max(initial=0)])])[i_lo] - ys)
     past = i_hi == n
-    tail_lo, tail_hi = ev.log_tail_after(i_hi)
-    above_lo = np.where(past & complete, 0.0, np.exp(ys + tail_lo))
-    above_hi = np.where(past & complete, 0.0, np.exp(ys + tail_hi))
+    tail = ev.log_tail_after(i_hi)
+    above_lo = np.where(past & complete, 0.0, np.exp(ys + tail.lo))
+    above_hi = np.where(past & complete, 0.0, np.exp(ys + tail.hi))
     above = 0.5 * (above_lo + above_hi)
     first_order = 1.0 - math.exp(-2.0 * P_WINDOW) / 9.0
     x_last = np.exp(np.minimum(ys - log_mu[-1], 0.0))

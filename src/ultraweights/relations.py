@@ -63,7 +63,7 @@ def prec_SV(mp: WeightSeq, m: WeightSeq, n: int) -> Verdict:
     log-convex (`_kernels.sv_sup`); M' may be any positive sequence.
     """
     require_weight_seq(m, "prec_SV rhs")
-    log_t = tail_mids(m, n)[1]
+    log_t = tail_mids(m, n).mid
     log_mp = mp.values(n)
     log_m = m.values(n)
     js = np.arange(1, n + 1, dtype=float)
@@ -87,7 +87,7 @@ def prec_SV(mp: WeightSeq, m: WeightSeq, n: int) -> Verdict:
 def prec_gamma1(mp: WeightSeq, m: WeightSeq, n: int) -> Verdict:
     """Whitney-extension order: trend test on log((mu'_j / j) * T_j)."""
     require_weight_seq(m, "prec_gamma1 rhs")
-    log_t = tail_mids(m, n)[1]
+    log_t = tail_mids(m, n).mid
     js = np.arange(1, n + 1, dtype=float)
     return trend_bounded(mp.log_mu(n) - np.log(js) + log_t, js, relation="prec_gamma1", lhs=mp.name, rhs=m.name)
 
@@ -116,7 +116,7 @@ def implication(name: str, antecedent: Verdict | Iterable[Verdict], consequent: 
 def _shifted_liminf(ma: WeightSeq, mb: WeightSeq, n: int, shift: int, **meta) -> Verdict:
     """`trend_liminf_positive` on log((mu^b_k / k) sum_{j >= shift k} 1/mu^a_j),
     k = 1..n; raises DivergentTail when the tail of `ma` has no finite bracket."""
-    mid = tail_mids(ma, shift * n)[1]
+    mid = tail_mids(ma, shift * n).mid
     js = np.arange(1, n + 1, dtype=float)
     return trend_liminf_positive(mb.log_mu(n) - np.log(js) + mid[shift * np.arange(1, n + 1) - 1], js, **meta)
 

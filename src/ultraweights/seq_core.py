@@ -7,14 +7,15 @@ mu_k = M_k / M_{k-1} drive everything: log-convexity is "mu increasing",
 non-quasianalyticity is "sum 1/mu_k finite", and the reciprocal-quotient
 tail sum T_k = sum_{l>=k} 1/mu_l is the main analytic input to the
 derived-weight constructions.
-Tails are log brackets over index arrays (`log_tail_bracket`, `tail_mids`),
-summed from the end a block at a time: each block is shifted into the float
-range, exponentiated and summed linearly, and a block that spans more than
-the float exponent range is summed with a logaddexp scan instead, so
-nothing underflows however fast mu grows.  Every bracket is read from one
-`SuffixSums`, the suffix log-sums and remainder ends of a series: the
-attached `SeriesTail`'s or the generic one of the sequence's own quotients,
-chosen by `tail_sums`.
+Every tail bracket is one `LogRange`, the log ends of T_k over an index
+array (`log_tail_bracket`, `tail_mids`), and so is the remainder of a series
+past its exact terms.  Tails are summed from the end a block at a time: each
+block is shifted into the float range, exponentiated and summed linearly,
+and a block that spans more than the float exponent range is summed with a
+logaddexp scan instead, so nothing underflows however fast mu grows.  Every
+bracket is read from one `SuffixSums`, the suffix log-sums and remainder of
+a series: the attached `SeriesTail`'s or the generic one of the sequence's
+own quotients, chosen by `tail_sums`.
 """
 
 from __future__ import annotations
@@ -62,7 +63,23 @@ DEFAULT_TAIL_N = 4096
 VALUES_BLOCK = 2**13  # indices evaluated at a time when `WeightSeq.values` grows its prefix
 _TAIL_BLOCK = 2**13  # tail terms summed, and bracket entries widened, at a time (64 KiB of temporary each)
 
-LogBracket = tuple[np.ndarray, np.ndarray]
+
+@dataclass(frozen=True)
+class LogRange:
+    """The log ends of a positive quantity, e^lo <= value <= e^hi,
+    elementwise over float arrays or scalars.  The ends are not compared on
+    construction: `SuffixSums.at` holds a bracket to the memory of its two
+    ends, and a full-size comparison would add a temporary of their length."""
+
+    lo: np.ndarray | float
+    hi: np.ndarray | float
+
+    @property
+    def mid(self) -> np.ndarray | float:
+        """Log of the arithmetic midpoint of [e^lo, e^hi], held to the ends:
+        where they are equal (an exact remainder) the rounding of the sum
+        alone could put it an ulp outside."""
+        return np.clip(np.logaddexp(self.lo, self.hi) - math.log(2.0), self.lo, self.hi)
 
 
 class WeightSeq:
@@ -262,18 +279,17 @@ def _widen(end: np.ndarray, sign: float) -> None:
 class SuffixSums:
     """The log bracket of T_k = sum_{j >= k} e^(x_j) + R at k = k0 .. k0 +
     len(sums) - 1, held before its remainder: sums[k - k0] is the log of the
-    exact terms' suffix sum, and R lies in [e^log_rem_lo, e^log_rem_hi].
-    `at(ks)` adds each remainder end and the rounding allowance of `_widen`.
+    exact terms' suffix sum, and `rem` is the `LogRange` of R.  `at(ks)`
+    adds each remainder end and the rounding allowance of `_widen`.
     Every step is elementwise, so the bracket read at any ks is bit for bit
     the entries of the one over all of them."""
 
     sums: np.ndarray
     k0: int
-    log_rem_lo: float
-    log_rem_hi: float
+    rem: LogRange
 
     @staticmethod
-    def of_terms(x: np.ndarray, k0: int, log_rem_lo: float, log_rem_hi: float) -> "SuffixSums":
+    def of_terms(x: np.ndarray, k0: int, rem: LogRange) -> "SuffixSums":
         """x holds the log terms of indices k0 .. k0 + len(x) - 2 and one slot
         more, where only R is left.  `_kernels.log_suffix_sums` sums them from
         the end over x, _TAIL_BLOCK terms at a time: O(len(x)) time, linear
@@ -284,44 +300,38 @@ class SuffixSums:
         underflows however fast mu grows."""
         x[-1] = -math.inf
         _kernels.log_suffix_sums(x, _TAIL_BLOCK)
-        return SuffixSums(x, k0, log_rem_lo, log_rem_hi)
+        return SuffixSums(x, k0, rem)
 
-    def at(self, ks: np.ndarray, spend: bool = False) -> LogBracket:
+    def at(self, ks: np.ndarray, spend: bool = False) -> LogRange:
         """The bracket at integer ks.  With `spend`, a contiguous range of ks
         reads the sums as a slice and writes the upper end over them, so a
         one-off bracket holds the memory of its two ends only."""
         view = spend and ks[-1] - ks[0] == len(ks) - 1 and bool(np.all(ks[1:] > ks[:-1]))
         s = self.sums[ks[0] - self.k0 : ks[-1] - self.k0 + 1] if view else self.sums[ks - self.k0]
         # a remainder whose lower end is 0 leaves s as it is: logaddexp(s, -inf) is s
-        lo = s.copy() if self.log_rem_lo == -math.inf else np.logaddexp(s, self.log_rem_lo)
-        hi = np.logaddexp(s, self.log_rem_hi, out=s)
+        lo = s.copy() if self.rem.lo == -math.inf else np.logaddexp(s, self.rem.lo)
+        hi = np.logaddexp(s, self.rem.hi, out=s)
         _widen(lo, -1.0)
         _widen(hi, 1.0)
-        return lo, hi
+        return LogRange(lo, hi)
 
 
 class SeriesTail:
     """The attached tail T_k = sum_{j >= k} e^(neg_log_term(j)) of a
     `WeightSeq`: for k = k0 .. k_last, `sums(k0, k_last)` holds the exact
-    terms on k0 .. k_last + span and the log bracket `log_rem(top)` of the
+    terms on k0 .. k_last + span and the `LogRange` `log_rem(top)` of the
     rest, widened by the rounding of the sums (1e-13 plus a few ulps).
     `neg_log_term` writes the terms over the index array it is given."""
 
     def __init__(self, neg_log_term: Callable[[np.ndarray], None], span: int,
-                 log_rem: Callable[[float], tuple[float, float]]):
+                 log_rem: Callable[[float], LogRange]):
         self.neg_log_term, self.span, self.log_rem = neg_log_term, span, log_rem
 
     def sums(self, k0: int, k_last: int) -> SuffixSums:
         top = k_last + self.span + 1
-        rem_lo, rem_hi = self.log_rem(float(top))
         terms = np.arange(k0, top + 1, dtype=float)  # the last slot is the remainder's
         self.neg_log_term(terms[:-1])
-        return SuffixSums.of_terms(terms, k0, rem_lo, rem_hi)
-
-
-def _log_mid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Log of the arithmetic midpoint of the bracket [e^lo, e^hi]."""
-    return np.logaddexp(lo, hi) - math.log(2.0)
+        return SuffixSums.of_terms(terms, k0, self.log_rem(float(top)))
 
 
 def _generic_sums(log_mu: np.ndarray, p: float | None) -> SuffixSums:
@@ -332,7 +342,7 @@ def _generic_sums(log_mu: np.ndarray, p: float | None) -> SuffixSums:
     log_rem = math.inf if p is None else math.log(n_max / (p - 1.0)) - log_mu[-1]
     terms = np.empty(n_max + 1)
     np.negative(log_mu, out=terms[:-1])
-    return SuffixSums.of_terms(terms, 1, -math.inf, log_rem)
+    return SuffixSums.of_terms(terms, 1, LogRange(-math.inf, log_rem))
 
 
 def tail_sums(seq: WeightSeq, k0: int, k_last: int, n_max: int,
@@ -353,8 +363,8 @@ def tail_sums(seq: WeightSeq, k0: int, k_last: int, n_max: int,
     return _generic_sums(*fit)
 
 
-def log_tail_bracket(seq: WeightSeq, ks, n_max: int = DEFAULT_TAIL_N) -> LogBracket:
-    """(log_lo, log_hi) arrays bracketing T_k = sum_{l >= k} 1/mu_l at integer ks >= 1.
+def log_tail_bracket(seq: WeightSeq, ks, n_max: int = DEFAULT_TAIL_N) -> LogRange:
+    """The `LogRange` of T_k = sum_{l >= k} 1/mu_l at integer ks >= 1.
 
     Read from `tail_sums`: the attached `SeriesTail` when there is one.
     Otherwise suffix sums to n_max (ks may reach n_max + 1, where only the
@@ -369,20 +379,21 @@ def log_tail_bracket(seq: WeightSeq, ks, n_max: int = DEFAULT_TAIL_N) -> LogBrac
 
 def tail_recip_mu(seq: WeightSeq, k: int) -> Interval:
     """Bracket sum_{l >= k} 1/mu_l: `log_tail_bracket` at one index."""
-    lo, hi = log_tail_bracket(seq, k)
-    return Interval(math.exp(lo[0]), math.exp(hi[0]))
+    tail = log_tail_bracket(seq, k)
+    return Interval(math.exp(tail.lo[0]), math.exp(tail.hi[0]))
 
 
-def tail_mids(seq: WeightSeq, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Log arrays (lo, mid, hi) of the tail bracket for k = 1..n (index k-1).
+def tail_mids(seq: WeightSeq, n: int) -> LogRange:
+    """The tail bracket for k = 1..n (index k-1), whose `mid` the derived
+    constructions and relations read; `bench/spans.py` binds this name.
 
-    mid is the log of the arithmetic midpoint.  Generic brackets sum to
-    max(DEFAULT_TAIL_N, 2n).  Raises DivergentTail when an upper end is not finite.
+    Generic brackets sum to max(DEFAULT_TAIL_N, 2n).  Raises DivergentTail
+    when an upper end is not finite.
     """
-    lo, hi = log_tail_bracket(seq, np.arange(1, n + 1), max(DEFAULT_TAIL_N, 2 * n))
-    if not np.all(np.isfinite(hi)):
+    tail = log_tail_bracket(seq, np.arange(1, n + 1), max(DEFAULT_TAIL_N, 2 * n))
+    if not np.all(np.isfinite(tail.hi)):
         raise DivergentTail(f"{seq.name}: reciprocal-quotient tail has no finite bracket")
-    return lo, _log_mid(lo, hi), hi
+    return tail
 
 
 def is_non_quasianalytic(seq: WeightSeq) -> Verdict:

@@ -124,6 +124,45 @@ def test_verify_chain_runs_no_quadrature(chains, tmp_path):
     assert rc in (0, 3) and "Fails" not in links.values()
 
 
+@pytest.mark.parametrize("argv, calls, xs", [
+    (("verify-chain", "mat:omega?fn=power&beta=0.5", "--n", "64"), 14, 455),
+    (("verify-chain", "mat:omega?fn=logsq", "--n", "64"), 14, 455),
+    (("verify-chain", "mat:gevrey?s=2", "--n", "256"), 0, 0),
+    (("verify-chain", "mat:expgevrey?p=2", "--n", "64"), 0, 0),
+    (("selftest",), 1, 24),
+], ids=["power", "logsq", "gevrey2", "expgevrey", "selftest"])
+def test_golden_section_work_budget(monkeypatch, capsys, argv, calls, xs):
+    # golden section conjugates only what has no closed-form maximizer: in a
+    # mat:omega chain the 7 members of the kappa matrix, each asked for its
+    # log M_0 check and then k = 1 .. 64, and in selftest the involution
+    # check's outer conjugate at 24 points.  Every block stops on its
+    # certificate: two probes and one phi call per golden step make
+    # GOLDEN_ITERS + 2 calls at the cap, and the most today is 44 (logsq)
+    asked, phi_calls = [], []
+    golden_max, golden_block = func_core._golden_max, func_core._golden_block
+
+    def counted_max(g, base, top, x, refuse, doubling=False):
+        asked.append(len(x))
+        return golden_max(g, base, top, x, refuse, doubling)
+
+    def counted_block(g, *args):
+        count = [0]
+
+        def counted_g(y):
+            count[0] += 1
+            return g(y)
+
+        out = golden_block(counted_g, *args)
+        phi_calls.append(count[0])
+        return out
+
+    monkeypatch.setattr(func_core, "_golden_max", counted_max)
+    monkeypatch.setattr(func_core, "_golden_block", counted_block)
+    assert run(capsys, *argv)[0] == 0
+    assert (len(asked), sum(asked)) == (calls, xs)
+    assert len(phi_calls) == calls and max(phi_calls, default=0) < func_core.GOLDEN_ITERS + 2
+
+
 def test_check_invmg(capsys):
     rc, out, _ = run(capsys, "check", "invmg", "--lhs", "mat:expgevrey?p=2")
     assert rc == 0 and json.loads(out)["status"] == "Holds"

@@ -1,6 +1,8 @@
-"""No dead knobs: every UPPER_CASE module constant of the package is read by
-the package somewhere other than its own definition.  `KERNEL_BACKEND` is
-exempt: the benchmark reports it."""
+"""No dead knobs or leftovers: every UPPER_CASE module constant of the
+package, and every private (leading underscore) module-level function or
+class and private method of a module-level class, is read by the package
+somewhere other than its own definition.  `KERNEL_BACKEND` is exempt: the
+benchmark reports it."""
 
 import ast
 import re
@@ -48,3 +50,26 @@ def test_every_module_constant_is_read_in_src(module):
         if (module, name) not in EXEMPT and sum(_reads(tree, name) for tree in trees.values()) - own == 0:
             dead.append(name)
     assert dead == [], f"{module}: constants that nothing in src/ reads"
+
+
+def _helpers(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """(name, definition) for each private module-level function or class and
+    each private method of a module-level class; Python itself calls the
+    dunder methods."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for node in tree.body:
+        if isinstance(node, defs):
+            out.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            out += [(m.name, m) for m in node.body if isinstance(m, defs)]
+    return [(name, node) for name, node in out if name.startswith("_") and not name.endswith("__")]
+
+
+@pytest.mark.parametrize("module", [name for name, tree in _trees().items() if _helpers(tree)])
+def test_every_private_helper_is_read_in_src(module):
+    trees = _trees()
+    # a read inside its own definition, such as a recursive call, does not count
+    dead = [name for name, node in _helpers(trees[module])
+            if sum(_reads(tree, name) for tree in trees.values()) - _reads(node, name) == 0]
+    assert dead == [], f"{module}: private helpers that nothing in src/ reads"

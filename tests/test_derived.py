@@ -403,7 +403,7 @@ def test_Q_slope_ceiling_above_the_slope_of_P(request, name):
     m = request.getfixturevalue(name)
     w = omega_tilde_from_seq(m)
     log_mu1 = float(m.log_mu(1)[0])
-    t1 = math.exp(float(tail_mids(m, 1)[2][0]))
+    t1 = math.exp(float(tail_mids(m, 1).hi[0]))
     for rho in log_mu1 - np.array([0.5, 1.0, 2.0, 4.0]):
         p_at, p_after = poisson_batch(w, [rho, rho + 1e-4])
         assert (p_after - p_at) / 1e-4 <= math.exp(rho) * ((2.0 / math.pi) * t1 + 2.0)

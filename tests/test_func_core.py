@@ -388,8 +388,8 @@ def test_assoc_array_fits_its_tail_once_and_shares_its_quotients(monkeypatch):
     ev = func_core._AssocEvaluator(seq)
     assert fits == [ev._n] and reads == []
     counts = np.arange(ev._n + 1)
-    own = seq_core.tail_sums(seq, 1, ev._n + 1, ev._n).at(counts + 1)
-    for got, want in zip(ev.log_tail_after(counts), own):
+    mine, own = ev.log_tail_after(counts), seq_core.tail_sums(seq, 1, ev._n + 1, ev._n).at(counts + 1)
+    for got, want in ((mine.lo, own.lo), (mine.hi, own.hi)):
         assert np.array_equal(got, want)
 
 
@@ -745,10 +745,10 @@ def test_assoc_tail_reads_match_the_full_bracket(kind, power_matrix, rng):
     ev = omega_from_seq(seq).assoc
     n = ev._n
     assert (n == seq.max_index) == (kind == "complete")
-    lo, hi = log_tail_bracket(seq, np.arange(1, n + 2), n)
+    full = log_tail_bracket(seq, np.arange(1, n + 2), n)
     counts = np.concatenate([[0, n], rng.integers(0, n + 1, 1000)])
-    lo_c, hi_c = ev.log_tail_after(counts)
-    assert lo_c.tobytes() == lo[counts].tobytes() and hi_c.tobytes() == hi[counts].tobytes()
+    read = ev.log_tail_after(counts)
+    assert read.lo.tobytes() == full.lo[counts].tobytes() and read.hi.tobytes() == full.hi[counts].tobytes()
 
 
 def test_assoc_evaluator_keeps_three_arrays_of_its_length():
@@ -971,7 +971,7 @@ def test_kappa_past_the_array_of_a_quasianalytic_sequence_is_infinite():
     # window fits p = 1 + 1.4e-14; past the array the tail remainder must be
     # refused by the same rule as the tail bracket, not read as k / (p - 1)
     h = WeightSeq("h", lambda kk: gammaln(kk + 1.0) + 7.0 * kk, is_weight_seq=True)
-    assert log_tail_bracket(h, [1])[1][0] == np.inf
+    assert log_tail_bracket(h, [1]).hi[0] == np.inf
     w = omega_from_seq(h)
     assert kappa_assoc(w, math.exp(w.assoc._log_mu[-1] + 5.0)) == np.inf
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ultraweights.errors import DivergentTail, NotAWeightSequence, TruncationExhausted
 from ultraweights.seq_core import (
+    LogRange,
     SeriesTail,
     WeightSeq,
     _tail_exponent,
@@ -24,6 +25,7 @@ from ultraweights.seq_core import (
     seq_to_json,
     tail_mids,
     tail_recip_mu,
+    tail_sums,
 )
 from ultraweights.catalog import make_exp_gevrey_member, make_gevrey, make_q_gevrey, resolve
 from ultraweights.verdicts import Interval
@@ -92,9 +94,9 @@ def test_gevrey_tail_brackets_hurwitz_zeta(gevrey15, gevrey3):
         for k in (9000, 16385, 131073):
             iv = tail_recip_mu(seq, k)
             assert iv.lo <= zeta(s, k) <= iv.hi
-        lo, _, hi = tail_mids(seq, 4096)
+        tail = tail_mids(seq, 4096)
         log_zeta = np.log(zeta(s, np.arange(1, 4097, dtype=float)))
-        assert np.all((lo <= log_zeta) & (log_zeta <= hi))
+        assert np.all((tail.lo <= log_zeta) & (log_zeta <= tail.hi))
 
 
 def test_gammaln_matches_math_lgamma():
@@ -131,12 +133,12 @@ def test_tail_bracket_of_a_range_matches_its_indices_in_any_order(make):
     # any other index array as a copy: the same numbers either way
     seq = make()
     ks = np.arange(1, 4098)
-    lo, hi = log_tail_bracket(seq, ks, 4096)
-    lo_rev, hi_rev = log_tail_bracket(seq, ks[::-1].copy(), 4096)
-    assert np.array_equal(lo, lo_rev[::-1]) and np.array_equal(hi, hi_rev[::-1])
+    tail = log_tail_bracket(seq, ks, 4096)
+    rev = log_tail_bracket(seq, ks[::-1].copy(), 4096)
+    assert np.array_equal(tail.lo, rev.lo[::-1]) and np.array_equal(tail.hi, rev.hi[::-1])
     some = np.array([5, 3, 3, 4097, 1])
-    lo_some, hi_some = log_tail_bracket(seq, some, 4096)
-    assert np.array_equal(lo_some, lo[some - 1]) and np.array_equal(hi_some, hi[some - 1])
+    picked = log_tail_bracket(seq, some, 4096)
+    assert np.array_equal(picked.lo, tail.lo[some - 1]) and np.array_equal(picked.hi, tail.hi[some - 1])
 
 
 def test_tail_bracket_of_a_long_range_allocates_little_beyond_its_two_ends(gevrey3):
@@ -148,7 +150,7 @@ def test_tail_bracket_of_a_long_range_allocates_little_beyond_its_two_ends(gevre
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        lo, hi = log_tail_bracket(gevrey3, ks, n)
+        tail = log_tail_bracket(gevrey3, ks, n)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -164,12 +166,13 @@ def test_series_tail_bracket_keeps_its_rounding_allowance():
     terms = np.arange(1, top, dtype=float)
     tail.neg_log_term(terms)
     terms = np.exp(terms).tolist()
-    rems = [math.exp(r) for r in tail.log_rem(float(top))]
+    rem = tail.log_rem(float(top))
+    rems = [math.exp(rem.lo), math.exp(rem.hi)]
     ks = np.union1d(np.geomspace(1, n, 24).astype(np.int64), [20000, 65536])
-    lo, hi = tail.sums(1, n).at(ks)
+    bracket = tail.sums(1, n).at(ks)
     for i, k in enumerate(ks):
-        assert lo[i] <= math.log(math.fsum(terms[k - 1 :] + rems[:1])) - 9e-14, k
-        assert hi[i] >= math.log(math.fsum(terms[k - 1 :] + rems[1:])) + 9e-14, k
+        assert bracket.lo[i] <= math.log(math.fsum(terms[k - 1 :] + rems[:1])) - 9e-14, k
+        assert bracket.hi[i] >= math.log(math.fsum(terms[k - 1 :] + rems[1:])) + 9e-14, k
 
 
 def test_generic_tail_bracket_keeps_its_rounding_allowance():
@@ -182,10 +185,10 @@ def test_generic_tail_bracket_keeps_its_rounding_allowance():
     terms = np.exp(-log_mu).tolist()
     rem = n / ((_tail_exponent(log_mu) - 1.0) * math.exp(log_mu[-1]))
     ks = np.array([1, 10, 100, 1000, 20000, 131000])
-    lo, hi = log_tail_bracket(seq, ks, n)
+    tail = log_tail_bracket(seq, ks, n)
     for i, k in enumerate(ks):
-        assert lo[i] <= math.log(math.fsum(terms[k - 1 :])) - 9e-14, k
-        assert hi[i] >= math.log(math.fsum(terms[k - 1 :] + [rem])) + 9e-14, k
+        assert tail.lo[i] <= math.log(math.fsum(terms[k - 1 :])) - 9e-14, k
+        assert tail.hi[i] >= math.log(math.fsum(terms[k - 1 :] + [rem])) + 9e-14, k
 
 
 def test_non_quasianalytic(gevrey2, factorial):
@@ -408,7 +411,7 @@ def test_divergent_tail_surfaces_in_derived(factorial):
 
 def test_tail_mids_raises_on_divergent_tail(factorial):
     # the generic bracket, then an attached series tail whose remainder is open
-    harmonic = SeriesTail(lambda js: np.negative(np.log(js, out=js), out=js), 0, lambda top: (-math.inf, math.inf))
+    harmonic = SeriesTail(lambda js: np.negative(np.log(js, out=js), out=js), 0, lambda top: LogRange(-math.inf, math.inf))
     attached = WeightSeq("attached", factorial._eval, log_tail=harmonic, is_weight_seq=True)
     for seq in (factorial, attached):
         with pytest.raises(DivergentTail):
@@ -419,3 +422,42 @@ def test_divergent_tail_makes_shifted_liminf_inconclusive(factorial):
     from ultraweights.relations import cond_Mmg
 
     assert cond_Mmg(factorial, 32).inconclusive
+
+
+TAIL_SOURCES = {
+    "gevrey2": lambda: resolve("seq:gevrey?s=2"),
+    "qgevrey2": lambda: resolve("seq:qgevrey?q=2"),
+    "qgevrey1.01": lambda: resolve("seq:qgevrey?q=1.01"),
+    "expgevrey-1": lambda: resolve("mat:expgevrey?p=2").member(1.0),
+    "power-1/8": lambda: resolve("mat:omega?fn=power&beta=0.5").member(0.125),
+    "csv-table": lambda: seq_from_csv("table", seq_to_csv(make_gevrey(2.0), 300), is_weight_seq=True),
+}
+
+
+def _assert_ordered(bracket):
+    # a comparison with NaN is False, so this also fails on a NaN end or mid
+    assert isinstance(bracket, LogRange)
+    assert np.all(bracket.lo <= bracket.mid) and np.all(bracket.mid <= bracket.hi)
+
+
+@pytest.mark.parametrize("source", TAIL_SOURCES)
+def test_every_tail_producer_returns_an_ordered_log_range(source):
+    # the series tails of the catalog (an exact remainder for q-Gevrey, whose
+    # midpoint at q = 1.01 and top = 1 rounds below it unless held to the
+    # ends; an open lower end for exp-Gevrey), the generic sums of a
+    # conjugate-built member and those of a complete table
+    from ultraweights.func_core import omega_from_seq
+
+    seq = TAIL_SOURCES[source]()
+    for top in (1, 2, 40, 299):
+        ks = np.arange(1, top + 1)
+        sums = tail_sums(seq, 1, top, top)
+        _assert_ordered(sums.rem)
+        _assert_ordered(sums.at(ks))
+        _assert_ordered(log_tail_bracket(seq, ks, top))
+        _assert_ordered(tail_mids(seq, top))
+    if seq.log_tail is not None:
+        for top in (1.0, 2.0, 65.0, 300.0, 2.0**17, 1e12):
+            _assert_ordered(seq.log_tail.log_rem(top))
+    ev = omega_from_seq(seq).assoc
+    _assert_ordered(ev.log_tail_after(np.arange(ev._n + 1)))
