@@ -34,21 +34,28 @@ closed form nor a quotient sequence is refused (`_no_closed_form`).
 
 The conjugate takes one of two paths, chosen by the function alone.  A
 WeightFn that carries `maximizer`, the closed-form argmax over y >= 0 of
-x y - phi(y) (the catalog's power, squared-log and linear weights and
-their normalized representatives), gives the objective at that point: a
-feasible value, so never above the sup beyond the rounding of its two
-terms, at 1 or 2 phi points per x, and a non-finite one is refused.  Any
-other function (`kappa_fn`'s, the involution check's outer conjugate, the
-associated function's far path, over real k) goes through the numeric
-engine, which keeps no state between calls.  It evaluates phi at the fixed
-points y = 0, 2^(j/16) as far as the largest x needs; the chord slopes are
-nondecreasing as phi is convex, and one `searchsorted` of x in them
-brackets the maximizer between the neighbours of the point after which
-the objective stops rising (`_bracket`).  Golden section shrinks the
+x y - phi(y) (the catalog's power, squared-log and linear weights, their
+normalized representatives, and `kappa_fn` of a function with `kappa_ref`),
+gives the objective at that point: a feasible value, so never above the sup
+beyond the rounding of its two terms, at 1 phi point per x, and a
+non-finite one is refused.  Past a plateau of the normalized representative
+the objective is compared, in the same pass, with its value x y_c at the
+plateau's end (`WeightFn.plateau_end`).  kappa' = kappa - phi, as kappa(y) =
+e^y int_y^inf phi(v) e^-v dv, so kappa's maximizer is the root of
+kappa_ref - phi = x, bracketed by doubling y and halved ROOT_HALVINGS times
+(`_root`, one slope evaluation per halving), as `kappa_star_assoc` halves
+its roots.  Any other function (the associated function's far path over
+real k, `kappa_fn` of an associated function, which has no `kappa_ref`,
+and the involution check's outer conjugate) goes through the numeric
+engine, which keeps no state between calls.  It evaluates phi at the
+fixed points y = 0, 2^(j/16) as far as the largest x needs; the chord
+slopes are nondecreasing as phi is convex, and one `searchsorted` of x in
+them brackets the maximizer between the neighbours of the point after
+which the objective stops rising (`_bracket`).  Golden section shrinks the
 bracket until concavity certifies that no point beats the best probe by
 more than rounding (`_golden_max`): 1 phi evaluation per x for each probe
 and golden step, 24 to 33 steps off a kink and up to about 60 at one.
-Each x's probes and value depend only on phi and x.
+Each x's probes and value depend only on phi and x, on either path.
 
 The conjugate and Ti2 work over their arguments in blocks (PHI_STAR_BLOCK x
 values, TI2_ROWS rows), so that no temporary exceeds 64 KiB: glibc serves
@@ -131,9 +138,11 @@ LATTICE_TOP = 8.0 * 2.0**64  # the highest point of `phi_star`'s brackets
 GOLDEN_ITERS = 80  # cap on golden steps; the certificate stops most maxima after 24 to 33, kinks near 60
 GOLDEN_CHECK = 3  # golden steps between certificate checks
 GOLDEN_TOL = 4.0 * np.finfo(float).eps  # certificate allowance, times 1 + |f|
-# Halvings of a root bracket of kappa' = j (`kappa_star_assoc`).  A bracket W wide ends with its
-# midpoint within W 2^-41 of the root, and as kappa'' <= j on it, the value there within j W^2 2^-83
-# of the sup: j 2^-61 for W <= 2^11 (7.2 at most on the benchmark, 700 on q-Gevrey q = 1e300).
+# Halvings of a root bracket of kappa' = x (`_root`).  A bracket W wide ends with its midpoint
+# within W 2^-41 of the root, and the value there within kappa'' W^2 2^-83 of the sup.  In
+# `kappa_star_assoc` kappa'' <= j: j 2^-61 for W <= 2^11 (7.2 at most on the benchmark, 700 on
+# q-Gevrey q = 1e300).  In `kappa_fn` doubling gives W = y/2 for the root y: kappa'' y^2 2^-85,
+# below 1e-22 of the value for the catalog's power (kappa'' = beta x) and squared log (kappa'' = 2).
 ROOT_HALVINGS = 40
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2, _INVPHI3 = _INVPHI**2, _INVPHI**3
@@ -166,19 +175,24 @@ class WeightFn:
 
     `phi` must accept float64 arrays of any y, -inf (t = 0) included, be
     pure and elementwise, and stay finite wherever phi is.  `maximizer` (in
-    x) is the closed-form argmax over y >= 0 of x y - phi(y); where it is
-    attached it is the production path of the conjugate, which takes the
-    objective there.  `kappa_ref` and `poisson_ref` (in y = log t, log r)
-    are the closed forms of kappa and of P(ir), through which every
-    transform of the function is read (`_kappa_of`, `_poisson_of`).  The
-    numeric engine stays the conjugate's oracle: a copy of the function
-    without `maximizer` conjugates by golden section from a stateless
-    bracket between fixed points up to y = LATTICE_TOP = 8 * 2^64
-    (`_bracket`), and an x whose maximizer lies beyond raises
-    UnboundedConjugate; the function holds no conjugate state.  There is no
-    free-text description: the name says what the function is, `maximizer`
-    decides how `phi_star` conjugates it, and `kappa_ref`, `poisson_ref` or
-    `assoc` how its transforms are evaluated.
+    x) is the closed-form argmax over y >= plateau_end (0 by default) of x
+    y - phi(y); where it is attached it is the production path of the
+    conjugate, which evaluates phi once at it and takes the objective
+    there.  `plateau_end`, set by `normalize_fn`, is the end y_c of the
+    interval [0, y_c] on which a normalized phi vanishes: there the
+    objective x y peaks at y_c, and the conjugate keeps the better of that
+    and the maximizer's objective.  `kappa_ref` and `poisson_ref` (in y =
+    log t, log r) are the closed forms of kappa and of P(ir), through which
+    every transform of the function is read (`_kappa_of`, `_poisson_of`);
+    `kappa_fn` of a function with `kappa_ref` carries a maximizer, the root
+    of kappa' = kappa_ref - phi.  The numeric engine stays the conjugate's
+    oracle: a copy of the function without `maximizer` conjugates by golden
+    section from a stateless bracket between fixed points up to y =
+    LATTICE_TOP = 8 * 2^64 (`_bracket`), and an x whose maximizer lies
+    beyond raises UnboundedConjugate; the function holds no conjugate
+    state.  There is no free-text description: the name says what the
+    function is, `maximizer` decides how `phi_star` conjugates it, and
+    `kappa_ref`, `poisson_ref` or `assoc` how its transforms are evaluated.
     """
 
     def __init__(
@@ -191,6 +205,7 @@ class WeightFn:
         kappa_ref: Optional[Callable] = None,
         poisson_ref: Optional[Callable] = None,
         maximizer: Optional[Callable] = None,
+        plateau_end: Optional[float] = None,
         assoc: Optional["_AssocEvaluator"] = None,
         include_log_term: bool = False,
     ):
@@ -201,6 +216,7 @@ class WeightFn:
         self.kappa_ref = kappa_ref
         self.poisson_ref = poisson_ref
         self.maximizer = maximizer
+        self.plateau_end = plateau_end
         self.assoc = assoc
         self.include_log_term = include_log_term
 
@@ -333,12 +349,13 @@ def _golden_block(g: Callable, x: np.ndarray, a: np.ndarray, b: np.ndarray, fa: 
 def _phi_star_impl(w: WeightFn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sup_{y>=0} (x y - phi(y)) per component, with the maximizer.
 
-    Where w carries `maximizer`, the objective at it; near the float limit
-    x y or phi(y) overflows there, and a value that is not finite is
-    refused.  Otherwise the objective is concave in y (phi is convex):
-    `_golden_max` from y = 0, and an x that no chord slope of phi below y =
-    LATTICE_TOP reaches has an unbounded conjugate (omega is at most
-    logarithmic).
+    Where w carries `maximizer`, the objective at it, phi evaluated once per
+    x; with a `plateau_end` y_c, x y_c where that is larger, in the same
+    pass.  Near the float limit x y or phi(y) overflows there, and a value
+    that is not finite is refused.  Otherwise the objective is concave in y
+    (phi is convex): `_golden_max` from y = 0, and an x that no chord slope
+    of phi below y = LATTICE_TOP reaches has an unbounded conjugate (omega
+    is at most logarithmic).
     """
 
     def refuse(bad: float) -> Exception:
@@ -347,11 +364,17 @@ def _phi_star_impl(w: WeightFn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     if w.maximizer is None:
         return _golden_max(w.phi, 0.0, LATTICE_TOP, xs, refuse)
     val, y = np.empty_like(xs), np.empty_like(xs)
+    y_c = w.plateau_end
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, len(xs), PHI_STAR_BLOCK):
             block = slice(i, i + PHI_STAR_BLOCK)
-            y[block] = w.maximizer(xs[block])
-            val[block] = xs[block] * y[block] - w.phi(y[block])
+            x = xs[block]
+            yb = w.maximizer(x)
+            vb = x * yb - w.phi(yb)
+            if y_c is not None:
+                flat = vb < x * y_c  # phi vanishes at y_c
+                yb, vb = np.where(flat, y_c, yb), np.where(flat, x * y_c, vb)
+            y[block], val[block] = yb, vb
     finite = np.isfinite(val)
     if not finite.all():
         raise refuse(float(xs[np.argmin(finite)]))
@@ -654,6 +677,45 @@ def _kappa_slope(ys: np.ndarray, log_tail: np.ndarray) -> np.ndarray:
     return np.exp(ys + log_tail) + 2.0 * np.divide(np.arctan(s), s, out=np.ones_like(s), where=s > 0)
 
 
+def _root(slope: Callable, target: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The root of slope(y) = target in its bracket [a, b], per component,
+    slope nondecreasing: the bracket's midpoint, moved ROOT_HALVINGS times
+    by half its last step toward the root, so within (b - a) 2^-41 of it.
+    One slope call per halving; a NaN slope counts as above the target."""
+    y, h = 0.5 * (a + b), 0.5 * (b - a)  # the bracket's midpoint and half width
+    for _ in range(ROOT_HALVINGS):
+        h *= 0.5
+        y += np.where(slope(y) < target, h, -h)
+    return y
+
+
+def _doubling_root(slope: Callable, s0: float, xs: np.ndarray) -> np.ndarray:
+    """The argmax over y >= 0 of x y - g(y) for g convex with g' = slope and
+    g'(0) = s0, per component of x: 0 where s0 >= x, else the root of
+    slope(y) = x.  The root's bracket is [y/2, y] ([0, 1] for y = 1), for
+    the first y of 1, 2, 4, ... whose slope reaches x; those points are
+    evaluated once for all x, up to LATTICE_TOP and only as far as the
+    largest x needs, and `_root` halves the bracket.  A NaN slope (g and
+    phi both overflow) counts as above every x.  An x that no slope up to
+    LATTICE_TOP reaches gets NaN, whose objective the conjugate refuses."""
+    out = np.zeros_like(xs)
+    rising = xs > s0
+    if not np.any(rising):
+        return out
+    x = xs[rising]
+    x_max = float(np.max(x))
+    tops, slopes = [1.0], [float(slope(np.ones(1))[0])]
+    while slopes[-1] < x_max and tops[-1] < LATTICE_TOP:
+        tops.append(2.0 * tops[-1])
+        slopes.append(float(slope(np.array(tops[-1:]))[0]))
+    slopes = np.array(slopes)
+    i = np.searchsorted(np.where(np.isnan(slopes), np.inf, slopes), x)  # the first top whose slope reaches x
+    b = np.array(tops)[np.minimum(i, len(tops) - 1)]
+    y = _root(slope, x, np.where(i > 0, 0.5 * b, 0.0), b)
+    out[rising] = np.where(i < len(tops), y, np.nan)
+    return out
+
+
 def kappa_star_assoc(w: WeightFn, n: int) -> np.ndarray:
     """log K_j = sup_{y >= 0} (j y - kappa(y) + kappa(0)) for j = 1..n, with
     kappa = `_kappa_assoc` of the tilde representative w of a sequence: the
@@ -668,8 +730,9 @@ def kappa_star_assoc(w: WeightFn, n: int) -> np.ndarray:
     in kappa' at the starts picks the piece of its root, and log K_j = 0
     where kappa'(0) >= j.  As 2 e^y arctan(e^-y) lies in [pi/2, 2) for y >=
     0, the root has e^y T_k in (j - k - 2, j - k - pi/2] and k <= j - 2;
-    that bracket, met with the piece, is halved ROOT_HALVINGS times, and one
-    `_kappa_assoc` call at 0 and its midpoints gives the values.
+    that bracket, met with the piece, is halved ROOT_HALVINGS times
+    (`_root`), and one `_kappa_assoc` call at 0 and its midpoints gives the
+    values.
 
     Coverage: the array grows (`ensure_cover`) while kappa' at its last
     quotient is <= n, so that every root lies inside it; past the last
@@ -710,10 +773,7 @@ def kappa_star_assoc(w: WeightFn, n: int) -> np.ndarray:
     if not np.all(np.isfinite(b)):
         bad = int(j[np.argmin(np.isfinite(b))])
         raise UnboundedConjugate(f"{ev.seq.name}: kappa' stays below {bad} on the last piece, K_{bad} is infinite")
-    y, h = 0.5 * (a + b), 0.5 * (b - a)  # the bracket's midpoint and half width
-    for _ in range(ROOT_HALVINGS):
-        h *= 0.5
-        y += np.where(_kappa_slope(y, log_t) < gap, h, -h)
+    y = _root(lambda ys: _kappa_slope(ys, log_t), gap, a, b)
     kap = _kappa_assoc(w, np.concatenate([[0.0], y]))
     out[at] = np.maximum(j * y - (kap[1:] - kap[0]), 0.0)
     return out
@@ -856,9 +916,10 @@ def normalize_fn(w: WeightFn) -> WeightFn:
     and y_c the largest y where phi(y) <= c, the normalized objective is
     x y on the clamped region [0, y_c], the largest at y_c, and the old
     objective plus c beyond it, the largest at max(y*, y_c) for the old
-    maximizer y*; of the two, the one with the larger objective is kept.
-    The normalized phi vanishes at y_c, so the objective there is x y_c,
-    and only x whose y* lies past y_c evaluate phi.
+    maximizer y*.  The normalized function's maximizer is max(y*, y_c),
+    and y_c its `plateau_end`: the conjugate evaluates phi once at the
+    maximizer and keeps y_c where x y - phi(y) < x y_c (the normalized phi
+    vanishes at y_c), elementwise in the same pass (`_phi_star_impl`).
     """
     if w.normalized:
         return w
@@ -884,23 +945,14 @@ def normalize_fn(w: WeightFn) -> WeightFn:
                 hi = mid
         y_c = lo
 
-    maximizer = None
-    if w.maximizer is not None:
-        base = w.maximizer
-
-        def maximizer(xs: np.ndarray) -> np.ndarray:
-            y = np.maximum(base(xs), y_c)
-            past = np.flatnonzero(y > y_c)
-            below = xs[past] * y[past] - phi_vec(y[past]) < xs[past] * y_c
-            y[past[below]] = y_c
-            return y
-
+    base = w.maximizer
     return WeightFn(
         f"norm({w.name})",
         phi_vec,
         envelope=w.envelope,  # still an upper bound
         normalized=True,
-        maximizer=maximizer,
+        maximizer=None if base is None else (lambda xs: np.maximum(base(xs), y_c)),
+        plateau_end=None if base is None else y_c,
     )
 
 
@@ -934,12 +986,31 @@ def _poisson_of(w: WeightFn) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndar
 
 def kappa_fn(w: WeightFn) -> WeightFn:
     """kappa as a WeightFn (normalized representative), for chaining
-    transforms, evaluated as `_kappa_of` chooses."""
+    transforms, evaluated as `_kappa_of` chooses.
+
+    Where w has `kappa_ref` the result carries a closed-form maximizer.
+    kappa(y) = e^y int_y^inf phi(v) e^-v dv gives kappa' = kappa - phi
+    (power: beta e^(beta y)/(1 - beta); squared log: 2y + 2), nondecreasing
+    as phi is convex, so the argmax over y >= 0 of x y - kappa(y) is 0 where
+    kappa'(0) >= x and else the root of kappa_ref - phi = x
+    (`_doubling_root`).  kappa of an associated function, which has no
+    `kappa_ref`, is conjugated by the numeric engine.
+    """
     raw = _kappa_of(w)
     c = float(raw(np.array([0.0]))[0])
 
     def phi_vec(ys: np.ndarray) -> np.ndarray:
         return np.maximum(raw(np.maximum(ys, 0.0)) - c, 0.0)  # raw(0) - c = 0 for y <= 0
+
+    maximizer = None
+    if w.kappa_ref is not None:
+        def slope(ys: np.ndarray) -> np.ndarray:
+            return raw(ys) - w.phi(ys)  # kappa' at y >= 0
+
+        s0 = float(slope(np.zeros(1))[0])
+
+        def maximizer(xs: np.ndarray) -> np.ndarray:
+            return _doubling_root(slope, s0, xs)
 
     env = w.envelope  # kappa(t) <= a + b t^th / (1-th)
     kap_env = None if env is None else Envelope(env.theta, env.a, env.b / (1 - env.theta))
@@ -948,6 +1019,7 @@ def kappa_fn(w: WeightFn) -> WeightFn:
         phi_vec,
         envelope=kap_env,
         normalized=True,
+        maximizer=maximizer,
     )
 
 

@@ -194,9 +194,9 @@ def trend_bounded(values, xs=None, *, relation: str = "", lhs: str = "", rhs: st
     """
     values = np.asarray(values, dtype=float)
     xs = np.arange(1, len(values) + 1, dtype=float) if xs is None else np.asarray(xs, dtype=float)
-    meta = dict(relation=relation, lhs=lhs, rhs=rhs, trajectory=subsample(xs, values))
     if len(values) != len(xs):
         raise ValueError("values and xs length mismatch")
+    meta = dict(relation=relation, lhs=lhs, rhs=rhs, trajectory=subsample(xs, values))
 
     if np.any(np.isnan(values)):
         i = int(np.argmax(np.isnan(values)))
@@ -247,11 +247,20 @@ def trend_bounded(values, xs=None, *, relation: str = "", lhs: str = "", rhs: st
 
 
 def _regression_slope(x: np.ndarray, y: np.ndarray) -> float:
-    x = x - x.mean()
-    denom = float(x @ x)
+    """Least-squares slope of y on x.  Means and sums are `np.add.reduce`,
+    not `@` or `np.mean`: a BLAS dot product with more than one BLAS thread
+    costs more in thread hand-offs than the sums take, and the Python
+    wrappers of `np.mean` and `np.sum` cost more than the sums of the short
+    windows of the trend tests."""
+    add, n = np.add.reduce, len(x)
+    dx = x - add(x) / n
+    prod = y - add(y) / n
+    prod *= dx
+    dx *= dx
+    denom = float(add(dx))
     if denom == 0.0:
         return 0.0
-    return float(x @ (y - y.mean())) / denom
+    return float(add(prod)) / denom
 
 
 def trend_to_infinity(values, xs=None) -> Verdict:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -260,11 +261,12 @@ def plateau() -> WeightFn:
 @pytest.mark.parametrize("uri", ["fn:power?beta=0.5", "fn:logsq"])
 @pytest.mark.parametrize("alpha", [0.125, 1.0, 8.0])
 def test_phi_star_asks_for_at_most_22_points_per_x(uri, alpha):
-    # the closed-form maximizer takes phi at the maximizer and, for a
-    # normalized power weight, at the candidate past the plateau: at most 2
-    # points per x (the numeric engine takes 32 to 35 on these grids, 2 for
-    # its golden probes and one per step); no call holds more than a
-    # block's worth of points (64 KiB)
+    # now exactly 1 point per x (the name keeps the bound of the former
+    # vertex-table seeds): the closed-form maximizer takes phi at the
+    # maximizer only, and the plateau check of a normalized power weight
+    # reuses that objective (the numeric engine takes 32 to 35 on these
+    # grids, 2 for its golden probes and one per step); no call holds more
+    # than a block's worth of points (64 KiB)
     wn = normalize_fn(resolve(uri))
     inner, asked = wn._phi, []
 
@@ -275,39 +277,42 @@ def test_phi_star_asks_for_at_most_22_points_per_x(uri, alpha):
     wn._phi = counted
     xs = alpha * np.arange(2**17 + 1, dtype=float)
     phi_star(wn, xs)
-    assert sum(asked) <= 2 * len(xs) and max(asked) <= func_core.PHI_STAR_BLOCK
+    assert sum(asked) == len(xs) and max(asked) <= func_core.PHI_STAR_BLOCK
 
 
-def test_power_matrix_member_arrays_take_at_most_4_1_phi_points_per_conjugate_x(monkeypatch):
-    # now at most 2 (the name keeps the bound of the former vertex-table
-    # seeds): phi at the closed-form maximizer, and at the candidate past the
-    # plateau for the x > beta whose maximizer is not at the base; the x at
-    # the base save more than the normalization's plateau search spends.
-    # Each member asks for the conjugate once per index: its log M_0 check
-    # and k = 1 .. 2^17
+def test_canonical_matrix_member_arrays_take_one_phi_point_per_conjugate_x(monkeypatch):
+    # phi at the closed-form maximizer, past the normalization's plateau
+    # search (2 points for the power weight; the squared log is normalized
+    # already).  Each member asks for the conjugate once per index: its log
+    # M_0 check and k = 1 .. 2^17
     n = func_core._AssocEvaluator.ARRAY_CAP
     asked = count_conjugate_points(monkeypatch)
-    for uri in ("fn:power?beta=0.5", "fn:logsq"):
+    for uri, plateau_search in (("fn:power?beta=0.5", 2), ("fn:logsq", 0)):
         w = resolve(uri)
         inner, points = w._phi, []
         w._phi = lambda ys: (points.append(np.size(ys)), inner(ys))[1]
         asked.clear()
         mat = matrix_from_omega(w)
+        assert sum(points) == plateau_search, uri
         for a in mat.grid:
             mat.member(a).values(n)
         assert sum(asked) == len(mat.grid) * (n + 1) == 917_511, uri
-        assert sum(points) <= 2 * sum(asked), uri
+        assert sum(points) == plateau_search + sum(asked), uri
 
 
-@pytest.mark.parametrize("name", ["power", "logsq", "gevrey2"])
+@pytest.mark.parametrize("name", ["power", "logsq", "kappa-power", "kappa-logsq", "gevrey2"])
 def test_phi_star_is_the_same_per_element_and_in_any_order(name, gevrey2, rng):
     # each x's probes and value depend only on phi and x, on the numeric
-    # engine and on the closed form.  The gevrey 2 associated function has
-    # kinks; its x stay at most 2^14, where the maximizers lie inside its
-    # quotient array
+    # engine and on the closed form; the root of kappa' = x brackets each x
+    # by the first doubling point past it, however far the largest x of the
+    # call takes the doubling.  The gevrey 2 associated function has kinks;
+    # its x stay at most 2^14, where the maximizers lie inside its quotient
+    # array
     w, top = {
         "power": (normalize_fn(resolve("fn:power?beta=0.5")), 2**17),
         "logsq": (normalize_fn(resolve("fn:logsq")), 2**17),
+        "kappa-power": (kappa_fn(resolve("fn:power?beta=0.5")), 2**17),
+        "kappa-logsq": (kappa_fn(resolve("fn:logsq")), 2**17),
         "gevrey2": (omega_from_seq(gevrey2), 2**14),
     }[name]
     xs = rng.choice(func_core.DEFAULT_GRID, 300) * rng.integers(0, top + 1, 300)
@@ -603,6 +608,79 @@ def test_kappa_fn_of_logsq_is_exact_at_large_y(logsq):
     # kappa = y^2 + 2y + 2 for y >= 0, normalized by kappa(1) = 2; t = e^800
     # is beyond the float range
     assert kappa_fn(logsq).phi(800.0) == 800.0**2 + 2 * 800.0
+
+
+KAPPA_URIS = ["fn:power?beta=0.25", "fn:power?beta=0.5", "fn:power?beta=0.95", "fn:logsq"]
+
+
+@pytest.mark.parametrize("uri", KAPPA_URIS)
+def test_kappa_slope_is_kappa_ref_minus_phi(uri):
+    # kappa(y) = e^y int_y^inf phi(v) e^-v dv, so kappa' = kappa - phi, the
+    # slope whose root is kappa_fn's maximizer: against a central difference
+    w = resolve(uri)
+    ys = np.linspace(0.0, 40.0, 161)
+    h = 1e-5
+    diff = (w.kappa_ref(ys + h) - w.kappa_ref(ys - h)) / (2.0 * h)
+    slope = w.kappa_ref(ys) - w.phi(ys)
+    assert np.max(np.abs(diff - slope) / slope) <= 1e-8
+
+
+@pytest.mark.parametrize("uri", KAPPA_URIS)
+def test_kappa_matrix_members_by_the_root_match_the_golden_conjugate(uri):
+    # members 1/8 .. 8, 16 and 32 of the kappa matrix, k = 0 .. 64: the
+    # root of kappa' = x against golden section, compared as conjugates f =
+    # alpha log M_k (alpha is a power of 2).  The certificate puts golden
+    # section within GOLDEN_TOL (1 + |f|) of the sup, but each value is the
+    # objective x y - (kappa(y) - kappa(0)) evaluated at a point, rounded at
+    # the scale of its terms: for beta = 0.95, where kappa(0) = 20 and f is
+    # below 1, the two differ by up to 3.6 GOLDEN_TOL (1 + |f|), and by 0.5
+    # at most for the other weights
+    w = resolve(uri)
+    kf = kappa_fn(w)
+    assert kf.maximizer is not None
+    grid = [*func_core.DEFAULT_GRID, 16.0, 32.0]
+    root, golden = matrix_from_omega(kf, grid=grid), matrix_from_omega(engine(kf), grid=grid)
+    for a in grid:
+        xs = a * np.arange(65.0)
+        got, want = a * root.member(a).values(64), a * golden.member(a).values(64)
+        y = phi_star_maximizer(kf, xs)
+        terms = xs * y + w.kappa_ref(y)
+        assert np.all(np.abs(got - want) <= 2.0 * func_core.GOLDEN_TOL * (1.0 + np.abs(want) + terms)), a
+
+
+@pytest.mark.parametrize("uri", ["fn:power?beta=0.5", "fn:logsq"])
+def test_kappa_root_takes_at_most_doublings_plus_root_halvings_plus_1_slope_calls_per_block(uri):
+    # the slope kappa_ref - phi is evaluated at y = 1, 2, 4, ... up to the
+    # first point past the largest root, then once per halving; phi itself
+    # is read nowhere else by the conjugate of kappa
+    w = resolve(uri)
+    kf = kappa_fn(w)
+    inner, calls = w._phi, []
+    w._phi = lambda ys: (calls.append(len(ys)), inner(ys))[1]
+    for alpha, n in [*((a, 64) for a in (*func_core.DEFAULT_GRID, 16.0, 32.0)), (8.0, 2**17)]:
+        xs = alpha * np.arange(n + 1, dtype=float)
+        calls.clear()
+        phi_star(kf, xs)
+        slopes = len(calls)
+        blocks = -(-len(xs) // func_core.PHI_STAR_BLOCK)
+        doublings = max(0, math.ceil(math.log2(phi_star_maximizer(kf, xs[-1]))))
+        assert slopes <= blocks * (doublings + func_core.ROOT_HALVINGS + 1), (alpha, n)
+
+
+def test_kappa_fn_of_an_associated_function_keeps_the_numeric_engine(gevrey2):
+    # omega~ has no kappa_ref, so its kappa is conjugated by golden section
+    assert kappa_fn(omega_tilde_from_seq(gevrey2)).maximizer is None
+
+
+@pytest.mark.parametrize("uri, x", [("fn:logsq", 2.0**70), ("fn:power?beta=0.5", 1e306)])
+def test_kappa_root_refuses_an_unbounded_conjugate(uri, x):
+    # kappa' of the squared log is 2y + 2, below 2^70 up to y = LATTICE_TOP:
+    # no bracket.  For the power weight x y overflows at the root.  Both
+    # refuse as the numeric engine does
+    kf = kappa_fn(resolve(uri))
+    for v in (kf, engine(kf)):
+        with pytest.raises(UnboundedConjugate, match=rf"^{re.escape(kf.name)}: no finite bracket for the conjugate at x="):
+            phi_star(v, np.array([1.0, x]))
 
 
 def test_tilde_log_term_is_exact_for_every_y(gevrey2, qgevrey2):

@@ -6,6 +6,7 @@ import pytest
 
 from ultraweights.verdicts import (
     TRAJECTORY_SAMPLES,
+    _regression_slope,
     Interval,
     Status,
     Verdict,
@@ -123,6 +124,24 @@ def test_trend_bounded_overflow_certificate():
 def test_trend_bounded_large_finite_values_are_no_certificate():
     # a bounded log trajectory above 700 holds: only +inf certifies overflow
     assert trend_bounded(np.full(64, 800.0), np.arange(1, 65)).holds
+
+
+@pytest.mark.parametrize("n_values, n_xs", [(64, 80), (80, 64)])
+def test_trend_bounded_refuses_a_length_mismatch_before_it_subsamples(n_values, n_xs):
+    # 64 values with 80 xs once reached `subsample` first and raised IndexError
+    with pytest.raises(ValueError, match=r"^values and xs length mismatch$"):
+        trend_bounded(np.zeros(n_values), np.arange(1.0, n_xs + 1.0))
+
+
+def test_regression_slope_matches_exact_sums():
+    # the tail fit's length: 65,537 log-log points, against sums of the
+    # centred products taken exactly (math.fsum)
+    x = np.log(np.arange(65536, 131073, dtype=float))
+    y = 2.0 * x + np.sin(np.arange(len(x)))
+    x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    xc, yc = [v - x_mean for v in x], [v - y_mean for v in y]
+    want = math.fsum(a * b for a, b in zip(xc, yc)) / math.fsum(a * a for a in xc)
+    assert abs(_regression_slope(x, y) - want) <= 1e-13 * abs(want)
 
 
 def test_trend_bounded_too_short_is_inconclusive():
