@@ -183,7 +183,6 @@ def make_power_weight(beta: float) -> WeightFn:
         f"power(beta={beta:g})",
         phi,
         envelope=Envelope(beta, 0.0, 1.0),
-        normalized=False,
         kappa_ref=lambda ys: phi(ys) / (1.0 - beta),
         poisson_ref=lambda ys: phi(ys) / math.cos(0.5 * math.pi * beta),
         maximizer=maximizer,
@@ -215,7 +214,6 @@ def make_log_square_weight() -> WeightFn:
         "logsq",
         lambda ys: np.maximum(ys, 0.0) ** 2,
         envelope=Envelope(0.5, 17.0, 1.0),  # max(y^2 - e^(y/2)) ~ 16.31
-        normalized=True,
         kappa_ref=kappa_ref,
         poisson_ref=poisson_ref,
         maximizer=lambda xs: xs / 2.0,
@@ -238,7 +236,6 @@ def make_linear_weight() -> WeightFn:
         "linear",
         np.exp,
         envelope=None,
-        normalized=False,
         maximizer=maximizer,
     )
 

@@ -210,7 +210,7 @@ def cmd_compute(args) -> int:
                 payload = _csv_table(["k", col], [(k, float(vals[k])) for k in range(n + 1)])
         elif derive == "omega_M":
             w = omega_from_seq(obj)
-            log_mu = w.assoc.seq.log_mu(min(n, 64))  # the quotients omega_M sees: an undeclared table's minorant's
+            log_mu = w.assoc.seq.log_mu(int(min(n, 64, w.assoc.seq.max_index)))  # an undeclared table's minorant's
             decades = int(max(float(log_mu[-1]) / math.log(10.0), 1.0) * 2)
             t_lo = min(1.0, math.exp(float(log_mu[0])))  # omega_M > 0 on (mu_1, 1] when mu_1 < 1
             ts = log_t_grid(t_lo, 10.0 ** min(max(4, decades), sys.float_info.max_10_exp), n)
@@ -260,11 +260,18 @@ def cmd_compute(args) -> int:
 def _operand(kind: str, spec: str, resolve: Callable[[str], object], column: str | None):
     """The `check` operand `spec` as a `kind` of RELATIONS: the column of a
     coefficient CSV (log_a when none is given) as an array, or the object a
-    URI resolves to, refused with a CatalogError unless it is of that kind."""
+    URI resolves to, refused with a CatalogError unless it is of that kind.
+    A CSV line without a number in the column raises UsageError."""
     if kind == "csv":
         column = "log_a" if column is None else column
         with open(spec, "r", encoding="utf-8") as fh:
-            return np.asarray([float(row[column]) for row in csv.DictReader(fh)])
+            rows = csv.DictReader(fh, restval="")  # a short line gives "", which float refuses
+            try:
+                return np.asarray([float(row[column]) for row in rows])
+            except KeyError:
+                raise UsageError(f"{spec}: line {rows.line_num} has no column {column!r}") from None
+            except ValueError as e:
+                raise UsageError(f"{spec}: line {rows.line_num}, column {column!r}: {e}") from None
     obj = resolve(spec)
     types = {"sequence": WeightSeq, "matrix": WeightMatrix, "function": WeightFn,
              "sequence or matrix": (WeightSeq, WeightMatrix)}[kind]

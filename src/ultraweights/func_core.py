@@ -38,24 +38,24 @@ x y - phi(y) (the catalog's power, squared-log and linear weights, their
 normalized representatives, and `kappa_fn` of a function with `kappa_ref`),
 gives the objective at that point: a feasible value, so never above the sup
 beyond the rounding of its two terms, at 1 phi point per x, and a
-non-finite one is refused.  Past a plateau of the normalized representative
-the objective is compared, in the same pass, with its value x y_c at the
-plateau's end (`WeightFn.plateau_end`).  kappa' = kappa - phi, as kappa(y) =
-e^y int_y^inf phi(v) e^-v dv, so kappa's maximizer is the root of
-kappa_ref - phi = x, bracketed by doubling y and halved ROOT_HALVINGS times
-(`_root`, one slope evaluation per halving), as `kappa_star_assoc` halves
-its roots.  Any other function (the associated function's far path over
-real k, `kappa_fn` of an associated function, which has no `kappa_ref`,
-and the involution check's outer conjugate) goes through the numeric
-engine, which keeps no state between calls.  It evaluates phi at the
-fixed points y = 0, 2^(j/16) as far as the largest x needs; the chord
-slopes are nondecreasing as phi is convex, and one `searchsorted` of x in
-them brackets the maximizer between the neighbours of the point after
-which the objective stops rising (`_bracket`).  Golden section shrinks the
-bracket until concavity certifies that no point beats the best probe by
-more than rounding (`_golden_max`): 1 phi evaluation per x for each probe
-and golden step, 24 to 33 steps off a kink and up to about 60 at one.
-Each x's probes and value depend only on phi and x, on either path.
+non-finite one is refused.  Every phi is a pre-weight, phi >= 0 and
+nondecreasing in y, so a maximizer lies past any plateau of phi(0) and
+holds for the normalized representative too (`normalize_fn`).  kappa' =
+kappa - phi, as kappa(y) = e^y int_y^inf phi(v) e^-v dv, so kappa's
+maximizer is the root of kappa_ref - phi = x, bracketed by doubling y and
+halved ROOT_HALVINGS times (`_root`, one slope evaluation per halving), as
+`kappa_star_assoc` halves its roots.  Any other function (the associated
+function's far path over real k, `kappa_fn` of an associated function,
+which has no `kappa_ref`, and the involution check's outer conjugate) goes
+through the numeric engine, which keeps no state between calls.  It
+evaluates phi at the fixed points y = 0, 2^(j/16) as far as the largest x
+needs; the chord slopes are nondecreasing as phi is convex, and one
+`searchsorted` of x in them brackets the maximizer between the neighbours of
+the point after which the objective stops rising (`_bracket`).  Golden
+section shrinks the bracket until concavity certifies that no point beats
+the best probe by more than rounding (`_golden_max`): 1 phi evaluation per x
+for each probe and golden step, 24 to 33 steps off a kink and up to about 60
+at one.  Each x's probes and value depend only on phi and x, on either path.
 
 The conjugate and Ti2 work over their arguments in blocks (PHI_STAR_BLOCK x
 values, TI2_ROWS rows), so that no temporary exceeds 64 KiB: glibc serves
@@ -131,7 +131,6 @@ P_CORE = 3.0  # |log mu_j - log r| up to which P's terms take `_ti2`; the series
 P_CHUNK = 2**14
 TI2_ROWS = 2**9
 PHI_STAR_BLOCK = 2**13
-DOUBLINGS = 64
 LATTICE_STEPS = 16  # the conjugate's fixed bracket points per doubling of y
 LATTICE_LOW = -8 * LATTICE_STEPS  # the lowest point above the base: y = 2^-8
 LATTICE_TOP = 8.0 * 2.0**64  # the highest point of `phi_star`'s brackets
@@ -174,14 +173,12 @@ class WeightFn:
     """A weight (or pre-weight) function given by phi(y) = omega(e^y).
 
     `phi` must accept float64 arrays of any y, -inf (t = 0) included, be
-    pure and elementwise, and stay finite wherever phi is.  `maximizer` (in
-    x) is the closed-form argmax over y >= plateau_end (0 by default) of x
-    y - phi(y); where it is attached it is the production path of the
+    pure and elementwise, and stay finite wherever phi is.  It must be
+    nonnegative and nondecreasing in y (a pre-weight), as `normalize_fn`
+    relies on.  `maximizer` (in x) is the closed-form argmax over y >= 0 of
+    x y - phi(y); where it is attached it is the production path of the
     conjugate, which evaluates phi once at it and takes the objective
-    there.  `plateau_end`, set by `normalize_fn`, is the end y_c of the
-    interval [0, y_c] on which a normalized phi vanishes: there the
-    objective x y peaks at y_c, and the conjugate keeps the better of that
-    and the maximizer's objective.  `kappa_ref` and `poisson_ref` (in y =
+    there.  `kappa_ref` and `poisson_ref` (in y =
     log t, log r) are the closed forms of kappa and of P(ir), through which
     every transform of the function is read (`_kappa_of`, `_poisson_of`);
     `kappa_fn` of a function with `kappa_ref` carries a maximizer, the root
@@ -201,22 +198,18 @@ class WeightFn:
         phi: Callable[[np.ndarray], np.ndarray],
         *,
         envelope: Optional[Envelope] = None,
-        normalized: bool = False,
         kappa_ref: Optional[Callable] = None,
         poisson_ref: Optional[Callable] = None,
         maximizer: Optional[Callable] = None,
-        plateau_end: Optional[float] = None,
         assoc: Optional["_AssocEvaluator"] = None,
         include_log_term: bool = False,
     ):
         self.name = name
         self._phi = phi
         self.envelope = envelope
-        self.normalized = normalized
         self.kappa_ref = kappa_ref
         self.poisson_ref = poisson_ref
         self.maximizer = maximizer
-        self.plateau_end = plateau_end
         self.assoc = assoc
         self.include_log_term = include_log_term
 
@@ -350,8 +343,7 @@ def _phi_star_impl(w: WeightFn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """sup_{y>=0} (x y - phi(y)) per component, with the maximizer.
 
     Where w carries `maximizer`, the objective at it, phi evaluated once per
-    x; with a `plateau_end` y_c, x y_c where that is larger, in the same
-    pass.  Near the float limit x y or phi(y) overflows there, and a value
+    x.  Near the float limit x y or phi(y) overflows there, and a value
     that is not finite is refused.  Otherwise the objective is concave in y
     (phi is convex): `_golden_max` from y = 0, and an x that no chord slope
     of phi below y = LATTICE_TOP reaches has an unbounded conjugate (omega
@@ -364,17 +356,12 @@ def _phi_star_impl(w: WeightFn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     if w.maximizer is None:
         return _golden_max(w.phi, 0.0, LATTICE_TOP, xs, refuse)
     val, y = np.empty_like(xs), np.empty_like(xs)
-    y_c = w.plateau_end
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, len(xs), PHI_STAR_BLOCK):
             block = slice(i, i + PHI_STAR_BLOCK)
             x = xs[block]
             yb = w.maximizer(x)
-            vb = x * yb - w.phi(yb)
-            if y_c is not None:
-                flat = vb < x * y_c  # phi vanishes at y_c
-                yb, vb = np.where(flat, y_c, yb), np.where(flat, x * y_c, vb)
-            y[block], val[block] = yb, vb
+            y[block], val[block] = yb, x * yb - w.phi(yb)
     finite = np.isfinite(val)
     if not finite.all():
         raise refuse(float(xs[np.argmin(finite)]))
@@ -560,12 +547,7 @@ def omega_from_seq(seq: WeightSeq) -> WeightFn:
     if growth.fails:
         raise NotAWeightSequence(f"{seq.name}: M_k^{{1/k}} appears bounded, associated function degenerates")
     ev = _AssocEvaluator(seq)
-    return WeightFn(
-        f"omega[{seq.name}]",
-        lambda ys: ev.eval(ys)[0],
-        normalized=bool(ev.eval(np.zeros(1))[0][0] == 0.0),  # omega_M = 0 on [0, 1] iff every M_k >= 1
-        assoc=ev,
-    )
+    return WeightFn(f"omega[{seq.name}]", lambda ys: ev.eval(ys)[0], assoc=ev)
 
 
 def omega_tilde_from_seq(seq: WeightSeq) -> WeightFn:
@@ -575,7 +557,6 @@ def omega_tilde_from_seq(seq: WeightSeq) -> WeightFn:
     return WeightFn(
         f"omega~[{seq.name}]",
         lambda ys: base._phi(ys) + np.logaddexp(0.0, 2.0 * ys),
-        normalized=False,  # log(1+t^2) > 0 on (0,1]
         assoc=base.assoc,
         include_log_term=True,
     )
@@ -910,50 +891,21 @@ def _poisson_assoc(w: WeightFn, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 
 
 def normalize_fn(w: WeightFn) -> WeightFn:
-    """Normalized representative: max(0, phi(y) - phi(0)), zero for y <= 0.
-
-    A closed-form maximizer transports through this shift: with c = phi(0)
-    and y_c the largest y where phi(y) <= c, the normalized objective is
-    x y on the clamped region [0, y_c], the largest at y_c, and the old
-    objective plus c beyond it, the largest at max(y*, y_c) for the old
-    maximizer y*.  The normalized function's maximizer is max(y*, y_c),
-    and y_c its `plateau_end`: the conjugate evaluates phi once at the
-    maximizer and keeps y_c where x y - phi(y) < x y_c (the normalized phi
-    vanishes at y_c), elementwise in the same pass (`_phi_star_impl`).
+    """Normalized representative max(0, phi(y) - phi(0)) under w's name, from
+    one phi point, c = phi(0); w itself where c = 0, as a pre-weight
+    (nonnegative, nondecreasing in y) then vanishes for y <= 0 already.  For
+    x > 0 the objective x y - phi(y) rises on any plateau [0, y_c] where phi
+    = c, so w's maximizer lies past it and carries over; a phi that stays at
+    c for good has no bracket, and `phi_star` refuses it (UnboundedConjugate).
     """
-    if w.normalized:
-        return w
     c = float(w.phi(0.0))
+    if c == 0.0:
+        return w
 
     def phi_vec(ys: np.ndarray) -> np.ndarray:
         return np.maximum(w._phi(np.maximum(ys, 0.0)) - c, 0.0)  # phi(0) - c = 0 for y <= 0
 
-    # plateau end: double y from 1e-6 (at most DOUBLINGS times) while phi stays at c, then bisection
-    hi = 1e-6
-    while float(w.phi(hi)) <= c:
-        if hi >= 1e-6 * 2.0**DOUBLINGS:
-            raise UnboundedConjugate(f"{w.name}: constant up to y = {hi:.3g}, the normalized conjugate is unbounded")
-        hi *= 2.0
-    y_c = 0.0
-    if hi > 1e-6:
-        lo = hi / 2
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if float(w.phi(mid)) <= c:
-                lo = mid
-            else:
-                hi = mid
-        y_c = lo
-
-    base = w.maximizer
-    return WeightFn(
-        f"norm({w.name})",
-        phi_vec,
-        envelope=w.envelope,  # still an upper bound
-        normalized=True,
-        maximizer=None if base is None else (lambda xs: np.maximum(base(xs), y_c)),
-        plateau_end=None if base is None else y_c,
-    )
+    return WeightFn(w.name, phi_vec, envelope=w.envelope, maximizer=w.maximizer)  # the envelope still bounds
 
 
 def _kappa_of(w: WeightFn) -> Callable[[np.ndarray], np.ndarray]:
@@ -985,8 +937,9 @@ def _poisson_of(w: WeightFn) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndar
 
 
 def kappa_fn(w: WeightFn) -> WeightFn:
-    """kappa as a WeightFn (normalized representative), for chaining
-    transforms, evaluated as `_kappa_of` chooses.
+    """kappa as a WeightFn named kappa(...), for chaining transforms: the
+    normalized representative (`normalize_fn`) of kappa, a pre-weight as an
+    average of phi's translates, evaluated as `_kappa_of` chooses.
 
     Where w has `kappa_ref` the result carries a closed-form maximizer.
     kappa(y) = e^y int_y^inf phi(v) e^-v dv gives kappa' = kappa - phi
@@ -997,11 +950,6 @@ def kappa_fn(w: WeightFn) -> WeightFn:
     `kappa_ref`, is conjugated by the numeric engine.
     """
     raw = _kappa_of(w)
-    c = float(raw(np.array([0.0]))[0])
-
-    def phi_vec(ys: np.ndarray) -> np.ndarray:
-        return np.maximum(raw(np.maximum(ys, 0.0)) - c, 0.0)  # raw(0) - c = 0 for y <= 0
-
     maximizer = None
     if w.kappa_ref is not None:
         def slope(ys: np.ndarray) -> np.ndarray:
@@ -1014,13 +962,7 @@ def kappa_fn(w: WeightFn) -> WeightFn:
 
     env = w.envelope  # kappa(t) <= a + b t^th / (1-th)
     kap_env = None if env is None else Envelope(env.theta, env.a, env.b / (1 - env.theta))
-    return WeightFn(
-        f"kappa({w.name})",
-        phi_vec,
-        envelope=kap_env,
-        normalized=True,
-        maximizer=maximizer,
-    )
+    return normalize_fn(WeightFn(f"kappa({w.name})", raw, envelope=kap_env, maximizer=maximizer))
 
 
 # -- weight matrices ----------------------------------------------------------

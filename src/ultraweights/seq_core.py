@@ -349,14 +349,14 @@ def tail_sums(seq: WeightSeq, k0: int, k_last: int, n_max: int,
               fit: tuple[np.ndarray, float | None] | None = None) -> SuffixSums:
     """The suffix sums that bracket T_k at k = k0 .. k_last: the attached
     `SeriesTail`'s, or else the generic ones of `_generic_sums` to
-    min(n_max, max_index), which reach k = n_max + 1 at most.  `fit`, when
-    given, is (log mu_1 .. log mu_n_max, its `_tail_exponent`), which the
-    generic sums take instead of reading and fitting the quotients again."""
+    min(n_max, max_index), up to k = n_max + 1 (TruncationExhausted past it).
+    `fit`, when given, is (log mu_1 .. log mu_n_max, its `_tail_exponent`),
+    read and fitted once by the caller for the generic sums to reuse."""
     if seq.log_tail is not None:
         return seq.log_tail.sums(k0, k_last)
     n_max = int(min(n_max, seq.max_index))
     if k_last > n_max + 1:
-        raise ValueError(f"tail start {k_last} beyond partial-sum range {n_max}")
+        raise TruncationExhausted(f"{seq.name}: tail start {k_last} beyond partial-sum range {n_max}")
     if fit is None:
         log_mu = seq.log_mu(n_max)
         fit = (log_mu, _tail_exponent(log_mu))
@@ -521,7 +521,11 @@ def seq_to_json(seq: WeightSeq, n: int) -> dict:
 def seq_from_csv(name: str, text: str, *, is_weight_seq: bool = False) -> WeightSeq:
     """Read (k, log_m) rows.  A declared weight sequence must be log-convex on
     the rows given; a quotient drop beyond LOG_TOL raises NotAWeightSequence."""
-    rows = list(csv.DictReader(io.StringIO(text)))
+    reader = csv.DictReader(io.StringIO(text))
+    rows = list(reader)
+    for column in ("k", "log_m"):
+        if column not in (reader.fieldnames or ()):
+            raise ValueError(f"CSV has no column {column!r}")
     if not rows:
         raise ValueError("CSV has no rows")
     ks = [int(r["k"]) for r in rows]

@@ -186,6 +186,61 @@ def test_check_membership_from_csv(tmp_path, capsys):
     assert rc == 0 and json.loads(out)["status"] == "Holds"
 
 
+@pytest.mark.parametrize("text, column, message", [
+    ("k,log_a\n0,0.0\n1,abc\n", "log_a", "line 3, column 'log_a': could not convert string to float: 'abc'"),
+    ("k,log_a\n0,0.0\n1\n", "log_a", "line 3, column 'log_a': could not convert string to float: ''"),
+    ("k,log_a\n0,0.0\n", "nope", "line 2 has no column 'nope'"),
+], ids=["non-numeric", "short-row", "missing-column"])
+def test_check_membership_refuses_a_bad_coefficient_csv(tmp_path, capsys, text, column, message):
+    path = tmp_path / "coeffs.csv"
+    path.write_text(text)
+    rc, out, err = run(capsys, "check", "membership", "--lhs", str(path), "--column", column,
+                       "--rhs", "seq:gevrey?s=2", "--n", "8")
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": "UsageError", "message": f"{path}: {message}"}
+
+
+FOUR_ROWS = "k,log_m\n0,0.0\n1,0.5\n2,1.5\n3,3.0\n"
+TABLE = "seq:csv?path=t4.csv&weight=1"
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", TABLE, "--derive", "L"),
+    ("compute", TABLE, "--derive", "underlineL"),
+    ("compute", TABLE, "--derive", "S"),
+    ("check", "sv", "--lhs", TABLE, "--rhs", TABLE),
+    ("check", "gamma1", "--lhs", TABLE, "--rhs", TABLE),
+    ("check", "mmg", "--lhs", TABLE),
+], ids=["L", "underlineL", "S", "sv", "gamma1", "mmg"])
+def test_tails_past_the_last_row_of_a_table_are_refused(tmp_path, monkeypatch, capsys, argv):
+    # a 4-row table read at n = 8: the tail sums stop at its last index
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t4.csv").write_text(FOUR_ROWS)
+    rc, out, err = run(capsys, *argv, "--n", "8")
+    assert (rc, out) == (2, "") and len(err.splitlines()) == 1
+    error = json.loads(err)
+    assert error["error"] == "TruncationExhausted" and error["message"].startswith("t4.csv: tail start ")
+
+
+def test_omega_M_of_a_table_takes_n_t_points_past_its_last_row(tmp_path, monkeypatch, capsys):
+    # n counts t points: the t range reads the quotients up to the table's last index
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t4.csv").write_text(FOUR_ROWS)
+    rc, out, err = run(capsys, "compute", TABLE, "--derive", "omega_M", "--n", "8")
+    rows = out.splitlines()
+    assert (rc, err, rows[0]) == (0, "", "t,omega") and len(rows) == 9
+    assert float(rows[1].split(",")[1]) == 0.0 and float(rows[-1].split(",")[0]) == pytest.approx(1e4)
+
+
+@pytest.mark.parametrize("header, column", [("k,foo", "log_m"), ("j,log_m", "k")])
+def test_csv_sequence_without_a_column_names_it(tmp_path, monkeypatch, capsys, header, column):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.csv").write_text(f"{header}\n0,0.0\n1,0.5\n")
+    rc, out, err = run(capsys, "compute", "seq:csv?path=t.csv", "--n", "1")
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": "CatalogError", "message": f"'seq:csv?path=t.csv': CSV has no column {column!r}"}
+
+
 def test_load_config_skips_comments_and_blank_lines(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# a comment line\n\nn = 128  # trailing comment\n   \ngrid=-1..2\n#n=4\n")

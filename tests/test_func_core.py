@@ -58,8 +58,8 @@ def gevrey_tilde(s: float) -> WeightFn:
 def engine(w: WeightFn) -> WeightFn:
     """w without its closed-form maximizer: a copy whose conjugate goes
     through the numeric engine (fixed-point bracket, then golden section)."""
-    return WeightFn(w.name, w._phi, envelope=w.envelope, normalized=w.normalized, kappa_ref=w.kappa_ref,
-                    assoc=w.assoc, include_log_term=w.include_log_term)
+    return WeightFn(w.name, w._phi, envelope=w.envelope, kappa_ref=w.kappa_ref, assoc=w.assoc,
+                    include_log_term=w.include_log_term)
 
 
 def max_rel(got: np.ndarray, want: np.ndarray) -> float:
@@ -244,8 +244,8 @@ def test_fallback_brackets_at_the_kinks_match_the_lattice_brackets(gevrey2):
 
 
 def test_phi_star_just_above_zero_on_the_plateau(power_half):
-    # normalize_fn clamps phi to 0 on [0, y_c].  For power_half y_c = 0 and
-    # x y - phi(y) peaks at y = 0 for x < 1/2; for max(|y| - 1, 0)^2,
+    # the normalized phi vanishes on [0, y_c].  For power_half y_c = 0 and
+    # x y - phi(y) peaks at y = 0 for x < 1/2; for max(y - 1, 0)^2,
     # y_c = 1 and the conjugate x + x^2/4 is attained at 1 + x/2
     xs = np.array([1e-300, 1e-12, 1e-6, 1e-3, 0.25])
     for wn in (normalize_fn(power_half), engine(normalize_fn(power_half))):
@@ -255,7 +255,7 @@ def test_phi_star_just_above_zero_on_the_plateau(power_half):
 
 
 def plateau() -> WeightFn:
-    return WeightFn("plateau", lambda ys: np.maximum(np.abs(ys) - 1.0, 0.0) ** 2)
+    return WeightFn("plateau", lambda ys: np.maximum(ys - 1.0, 0.0) ** 2)
 
 
 @pytest.mark.parametrize("uri", ["fn:power?beta=0.5", "fn:logsq"])
@@ -263,8 +263,7 @@ def plateau() -> WeightFn:
 def test_phi_star_asks_for_at_most_22_points_per_x(uri, alpha):
     # now exactly 1 point per x (the name keeps the bound of the former
     # vertex-table seeds): the closed-form maximizer takes phi at the
-    # maximizer only, and the plateau check of a normalized power weight
-    # reuses that objective (the numeric engine takes 32 to 35 on these
+    # maximizer only (the numeric engine takes 32 to 35 on these
     # grids, 2 for its golden probes and one per step); no call holds more
     # than a block's worth of points (64 KiB)
     wn = normalize_fn(resolve(uri))
@@ -281,23 +280,22 @@ def test_phi_star_asks_for_at_most_22_points_per_x(uri, alpha):
 
 
 def test_canonical_matrix_member_arrays_take_one_phi_point_per_conjugate_x(monkeypatch):
-    # phi at the closed-form maximizer, past the normalization's plateau
-    # search (2 points for the power weight; the squared log is normalized
-    # already).  Each member asks for the conjugate once per index: its log
+    # phi at the closed-form maximizer, past the normalization's one point,
+    # phi(0).  Each member asks for the conjugate once per index: its log
     # M_0 check and k = 1 .. 2^17
     n = func_core._AssocEvaluator.ARRAY_CAP
     asked = count_conjugate_points(monkeypatch)
-    for uri, plateau_search in (("fn:power?beta=0.5", 2), ("fn:logsq", 0)):
+    for uri, normalization in (("fn:power?beta=0.5", 1), ("fn:logsq", 1)):
         w = resolve(uri)
         inner, points = w._phi, []
         w._phi = lambda ys: (points.append(np.size(ys)), inner(ys))[1]
         asked.clear()
         mat = matrix_from_omega(w)
-        assert sum(points) == plateau_search, uri
+        assert sum(points) == normalization, uri
         for a in mat.grid:
             mat.member(a).values(n)
         assert sum(asked) == len(mat.grid) * (n + 1) == 917_511, uri
-        assert sum(points) == plateau_search + sum(asked), uri
+        assert sum(points) == normalization + sum(asked) == 1 + 917_511, uri
 
 
 @pytest.mark.parametrize("name", ["power", "logsq", "kappa-power", "kappa-logsq", "gevrey2"])
@@ -712,7 +710,7 @@ def test_omega_of_a_sequence_with_mu1_below_one(small_gevrey2):
     p_before, p_at = poisson_batch(w, [-4.2 - 1e-4, -4.2])
     assert (p_at - p_before) / 1e-4 >= 9.15
     omega = omega_from_seq(small_gevrey2)
-    assert not omega.normalized
+    assert omega.phi(0.0) > 0.0 and normalize_fn(omega) is not omega
     assert matrix_from_omega(omega).member(1.0).log_m(0) == 0.0
 
 
@@ -909,19 +907,21 @@ def test_appendix_bound_stable(power_half):
 # -- normalization and the canonical matrix --------------------------------------
 
 
-def test_normalize_fn_zero_on_unit_interval(power_half):
+def test_normalize_fn_zero_on_unit_interval(power_half, logsq):
     wn = normalize_fn(power_half)
-    assert wn.normalized
+    assert wn is not power_half and wn.name == power_half.name
+    # phi(0) = 0: the function is its own normalized representative
+    assert normalize_fn(wn) is wn and normalize_fn(logsq) is logsq
     assert wn.omega(0.5) == 0.0 and wn.omega(1.0) == 0.0
     assert wn.omega(4.0) == pytest.approx(1.0)
 
 
 def test_normalize_fn_refuses_a_flat_weight():
     # omega constant past 1: the normalized function vanishes and its
-    # conjugate sup_y x y is unbounded; the plateau search must stop
+    # conjugate sup_y x y is unbounded; the conjugate's bracket must stop
     flat = WeightFn("flat", lambda ys: np.minimum(ys, 0.0))
-    with pytest.raises(UnboundedConjugate):
-        normalize_fn(flat)
+    with pytest.raises(UnboundedConjugate, match=r"^flat: no finite bracket for the conjugate at x=1$"):
+        phi_star(normalize_fn(flat), 1.0)
 
 
 def test_normalize_transported_conjugate(power_half):
@@ -935,11 +935,10 @@ def test_normalize_transported_conjugate(power_half):
         want = np.where(xs > 0.5, 2.0 * xs * (np.log(2.0 * xs) - 1.0) + 1.0, 0.0)
     assert max_rel(got, want) <= 2e-15
     # phi = max(y - 1, 0)^2 has its plateau end at y_c = 1 and the maximizer
-    # 1 + x/2 past it; a maximizer that misses is overruled by the plateau end
+    # 1 + x/2 past it
     x = xs[:4]
-    for guess, want in ((lambda v: 1.0 + v / 2.0, x + x**2 / 4.0), (lambda v: np.full_like(v, 50.0), x)):
-        flat = WeightFn("plateau", lambda ys: np.maximum(ys - 1.0, 0.0) ** 2, maximizer=guess)
-        assert max_rel(phi_star(normalize_fn(flat), x), want) <= 2e-15
+    flat = WeightFn("plateau", lambda ys: np.maximum(ys - 1.0, 0.0) ** 2, maximizer=lambda v: 1.0 + v / 2.0)
+    assert max_rel(phi_star(normalize_fn(flat), x), x + x**2 / 4.0) <= 2e-15
 
 
 def test_matrix_member_zero_and_monotone(power_half):
