@@ -204,7 +204,8 @@ def make_log_square_weight() -> WeightFn:
     """
 
     def kappa_ref(ys):
-        return np.where(ys >= 0.0, ys * ys + 2.0 * ys + 2.0, 2.0 * np.exp(np.minimum(ys, 0.0)))
+        y = np.maximum(ys, 0.0)  # no inf - inf at y = -inf (t = 0)
+        return np.where(ys >= 0.0, y * y + 2.0 * y + 2.0, 2.0 * np.exp(np.minimum(ys, 0.0)))
 
     def poisson_ref(ys):
         ti3 = (4.0 / math.pi) * _ti3(np.exp(-np.abs(ys)))

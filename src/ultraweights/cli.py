@@ -261,17 +261,21 @@ def _operand(kind: str, spec: str, resolve: Callable[[str], object], column: str
     """The `check` operand `spec` as a `kind` of RELATIONS: the column of a
     coefficient CSV (log_a when none is given) as an array, or the object a
     URI resolves to, refused with a CatalogError unless it is of that kind.
-    A CSV line without a number in the column raises UsageError."""
+    A CSV line without a number in the column, or a CSV of fewer than two
+    rows (k = 0 and 1, the least a ratio test reads), raises UsageError."""
     if kind == "csv":
         column = "log_a" if column is None else column
         with open(spec, "r", encoding="utf-8") as fh:
             rows = csv.DictReader(fh, restval="")  # a short line gives "", which float refuses
             try:
-                return np.asarray([float(row[column]) for row in rows])
+                a = np.asarray([float(row[column]) for row in rows])
             except KeyError:
                 raise UsageError(f"{spec}: line {rows.line_num} has no column {column!r}") from None
             except ValueError as e:
                 raise UsageError(f"{spec}: line {rows.line_num}, column {column!r}: {e}") from None
+        if len(a) < 2:
+            raise UsageError(f"{spec}: need coefficient rows for k = 0 and 1, got {len(a)}")
+        return a
     obj = resolve(spec)
     types = {"sequence": WeightSeq, "matrix": WeightMatrix, "function": WeightFn,
              "sequence or matrix": (WeightSeq, WeightMatrix)}[kind]

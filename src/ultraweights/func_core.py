@@ -19,18 +19,21 @@ sequence not declared log-convex is therefore replaced by the exact hull of
 its whole (finite) table before anything is evaluated, and every associated
 function is read from nondecreasing quotients.
 
-For associated functions both transforms are closed forms over the quotients
-(`kappa_assoc`, `poisson_batch`), and so is the conjugate of kappa, the
-derived weight log K_j (`kappa_star_assoc`): kappa' is k + e^y T_k + 2 e^y
-arctan(e^-y) on the quotient piece of count k, so each maximizer is a root
-of kappa' = j found by one quotient search and ROOT_HALVINGS halvings of
-its bracket, with no search over y.  P is a sum of Ti2 terms, one per quotient:
-a 16-point rule takes those with |log mu_j - log r| <= P_CORE = 3, their
-alternating series through x^9 those out to P_WINDOW = 8, and a first-order
-bracket the rest.  Any other function has its transforms only as closed forms
-that it carries (`kappa_ref`, `poisson_ref`: the catalog's power and
-squared-log weights); there is no quadrature, and a function with neither a
-closed form nor a quotient sequence is refused (`_no_closed_form`).
+Both transforms, kappa and P, are read through one dispatcher,
+`_transform_of`, as (value, lo, hi) at an array of log arguments.  A
+function that carries a closed form (`kappa_ref`, `poisson_ref`: the
+catalog's power and squared-log weights) gets ROUNDING |value| on either
+side of it.  An associated function gets a closed form over its quotients
+with its bracket (`_kappa_assoc`, `_poisson_assoc`), each from one read of
+the tail bracket.  There is no quadrature: any other function is refused
+(`_no_closed_form`).  The conjugate of kappa of an associated function, the
+derived weight log K_j (`kappa_star_assoc`), is a closed form too: kappa'
+is k + e^y T_k + 2 e^y arctan(e^-y) on the quotient piece of count k, so
+each maximizer is a root of kappa' = j found by one quotient search and
+ROOT_HALVINGS halvings of its bracket, with no search over y.  P is a sum
+of Ti2 terms, one per quotient: a 16-point rule takes those with |log mu_j
+- log r| <= P_CORE = 3, their alternating series through x^9 those out to
+P_WINDOW = 8, and a first-order bracket the rest.
 
 The conjugate takes one of two paths, chosen by the function alone.  A
 WeightFn that carries `maximizer`, the closed-form argmax over y >= 0 of
@@ -178,10 +181,10 @@ class WeightFn:
     relies on.  `maximizer` (in x) is the closed-form argmax over y >= 0 of
     x y - phi(y); where it is attached it is the production path of the
     conjugate, which evaluates phi once at it and takes the objective
-    there.  `kappa_ref` and `poisson_ref` (in y =
-    log t, log r) are the closed forms of kappa and of P(ir), through which
-    every transform of the function is read (`_kappa_of`, `_poisson_of`);
-    `kappa_fn` of a function with `kappa_ref` carries a maximizer, the root
+    there.  `kappa_ref` and `poisson_ref` (in y = log t, log r) are the
+    closed forms of kappa and of P(ir), which `_transform_of`, the one
+    dispatcher of both transforms, reads before `assoc`; `kappa_fn` of a
+    function with `kappa_ref` carries a maximizer, the root
     of kappa' = kappa_ref - phi.  The numeric engine stays the conjugate's
     oracle: a copy of the function without `maximizer` conjugates by golden
     section from a stateless bracket between fixed points up to y =
@@ -428,13 +431,12 @@ class _AssocEvaluator:
     each log M_k is evaluated once, and the tail's `SuffixSums` (from
     `tail_sums`: the attached series or the generic one) are computed once
     per growth, at the final length; the tail bracket is evaluated only at
-    the counts read, as one `LogRange` (`log_tail_after`, whose `mid`
-    `log_tail_mid_after` reads); the quotients and the far tail's
-    power-law fit are made once and shared with the generic sums.  Past
-    the array (a conjugate bracket's points beyond it) the sup is taken
-    over real k >= n of the sequence's own evaluator (`_far`): a bracket
-    over k from base n holds it and the certified golden section of
-    phi_star finds it.
+    the counts read, as one `LogRange` (`log_tail_after`); the quotients
+    and the far tail's power-law fit are made once and shared with the
+    generic sums.  Past the array (a conjugate bracket's points beyond it)
+    the sup is taken over real k >= n of the sequence's own evaluator
+    (`_far`): a bracket over k from base n holds it and the certified
+    golden section of phi_star finds it.
     """
 
     ARRAY_START = 4096
@@ -524,21 +526,6 @@ class _AssocEvaluator:
         `SuffixSums` at these counts only."""
         return self._tail(np.asarray(counts, dtype=np.int64) + 1)
 
-    def log_tail_mid_after(self, kstar: np.ndarray, log_t: np.ndarray) -> np.ndarray:
-        """Log of the midpoint of sum_{j > k*} 1/mu_j for the counts k* = k*(y)
-        at an array of y = log t."""
-        kstar, log_t = np.asarray(kstar, dtype=float), np.asarray(log_t, dtype=float)
-        out = np.zeros_like(kstar)
-        near = kstar <= self._n  # the tail bracket is read at counts 0..n
-        out[near] = self.log_tail_after(kstar[near]).mid
-        far = ~near
-        if np.any(far):
-            # the power-law remainder k / ((p-1) mu_k) of `_tail_exponent`,
-            # with log mu_k* <= y < log mu_{k*+1}
-            p = self._tail_p
-            out[far] = np.inf if p is None else np.log(kstar[far] / (p - 1.0)) - log_t[far]
-        return out
-
 
 def omega_from_seq(seq: WeightSeq) -> WeightFn:
     """Associated function of a positive sequence with M_k^{1/k} -> infinity;
@@ -577,40 +564,63 @@ def _no_closed_form(w: WeightFn, op: str) -> UltraweightsError:
     return NoClosedForm(f"{op} refused for {w.name}: no closed form attached")
 
 
+def _transform_of(w: WeightFn, op: str) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Transform `op` ("kappa" or "poisson") of w as (value, lo, hi) at an
+    array of y = log t: the attached closed form (`kappa_ref`,
+    `poisson_ref`) with its rounding allowance ROUNDING |value| on either
+    side, else the sum over the quotients of an associated function with its
+    bracket (`_kappa_assoc`, `_poisson_assoc`); any other function is
+    refused (`_no_closed_form`)."""
+    ref = w.kappa_ref if op == "kappa" else w.poisson_ref
+    if ref is not None:
+        def closed(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            v = ref(ys)
+            return v, v - ROUNDING * np.abs(v), v + ROUNDING * np.abs(v)
+
+        return closed
+    if w.assoc is not None:
+        assoc = _kappa_assoc if op == "kappa" else _poisson_assoc
+        return lambda ys: assoc(w, ys)
+    raise _no_closed_form(w, op)
+
+
+def _transform_at(w: WeightFn, op: str, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_transform_of(w, op)` as 1-d arrays at t, a scalar or an array: t >= 0
+    for kappa (kappa(0) = 0), r > 0 for P(ir)."""
+    of = _transform_of(w, op)
+    tt = np.atleast_1d(np.asarray(t, dtype=float))
+    if op == "kappa" and not np.all(tt >= 0):  # NaN too
+        raise ValueError("kappa is defined for t >= 0")
+    if op == "poisson" and not np.all(tt > 0):
+        raise ValueError("the harmonic extension is evaluated at ir with r > 0")
+    with np.errstate(divide="ignore"):
+        return of(np.log(tt))
+
+
 def kappa(w: WeightFn, t):
     """kappa(t) = int_0^inf phi(log t + u) e^-u du at t >= 0 (scalar or
-    array), read from its closed form (`_kappa_of`); kappa(0) = 0."""
-    of = _kappa_of(w)
-    tt = np.asarray(t, dtype=float)
-    if not np.all(tt >= 0):  # NaN too
-        raise ValueError("kappa is defined for t >= 0")
-    with np.errstate(divide="ignore"):
-        out = of(np.log(np.atleast_1d(tt)))
-    return out if tt.ndim else float(out[0])
+    array), the value of `_transform_of`; kappa(0) = 0."""
+    out = _transform_at(w, "kappa", t)[0]
+    return out if np.ndim(t) else float(out[0])
 
 
 def kappa_interval(w: WeightFn, t: float) -> Interval:
-    """kappa(t) of a closed form with ROUNDING |kappa| on either side.  An
-    associated function's value reads T_(k*+1) at the midpoint of its
-    bracket (`_kappa_assoc`); its ends read the bracket's ends
-    (`log_tail_after`), each widened by ROUNDING.  Past the array's last
-    quotient only a power-law fit of the tail exists, which bounds nothing:
-    the lower end takes the tail as 0 and the upper end is +inf."""
-    v = kappa(w, t)
-    ev = w.assoc
-    if w.kappa_ref is not None or ev is None:
-        return Interval(v - ROUNDING * abs(v), v + ROUNDING * abs(v))
-    with np.errstate(divide="ignore"):
-        y = np.log(np.atleast_1d(float(t)))
-    om, kstar = ev.eval(y)
-    log_term = float(_kappa_log_term(y)[0]) if w.include_log_term else 0.0
-    if kstar[0] > ev._n:
-        tails = (0.0, math.inf)
-    else:
-        tail = ev.log_tail_after(kstar)
-        tails = (math.exp(y[0] + float(end[0])) if t > 0 else 0.0 for end in (tail.lo, tail.hi))
-    lo, hi = (float(om[0] + kstar[0] + tail + log_term) for tail in tails)
-    return Interval(lo - ROUNDING * abs(lo), hi + ROUNDING * abs(hi))
+    """The bracket of kappa(t), t >= 0, from `_transform_of`."""
+    _, lo, hi = _transform_at(w, "kappa", t)
+    return Interval(float(lo[0]), float(hi[0]))
+
+
+def poisson_imag(w: WeightFn, r):
+    """The harmonic extension P(ir) at r > 0 (scalar or array), the value of
+    `_transform_of`."""
+    p = _transform_at(w, "poisson", r)[0]
+    return p if np.ndim(r) else float(p[0])
+
+
+def poisson_interval(w: WeightFn, r: float) -> Interval:
+    """The bracket of the harmonic extension P(ir), r > 0, from `_transform_of`."""
+    _, lo, hi = _transform_at(w, "poisson", r)
+    return Interval(float(lo[0]), float(hi[0]))
 
 
 def _kappa_log_term(ys: np.ndarray) -> np.ndarray:
@@ -622,14 +632,30 @@ def _kappa_log_term(ys: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, 2.0 * ys) + 2.0 * np.where(ys >= 0, above, s * (0.5 * math.pi - atan))
 
 
-def _kappa_assoc(w: WeightFn, ys: np.ndarray) -> np.ndarray:
-    """kappa_assoc at y = log t: phi_M(y) + k* + e^(y + log T_{k*+1}), plus
-    the transform of log(1+t^2) for the tilde representative.  At t = 0 the
-    tail term t T is 0, also where T diverges (a quasianalytic M)."""
-    om, kstar = w.assoc.eval(ys)
-    log_tail = np.add(ys, w.assoc.log_tail_mid_after(kstar, ys), out=np.full_like(ys, -np.inf), where=ys > -np.inf)
-    out = om + kstar + np.exp(log_tail)
-    return out + _kappa_log_term(ys) if w.include_log_term else out
+def _kappa_assoc(w: WeightFn, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """kappa at every y = log t, phi_M(y) + k* + e^(y + log T_(k*+1)) plus
+    the transform of log(1+t^2) for the tilde representative, and the ends
+    of its bracket, from one read of the tail bracket at k* (`log_tail_after`):
+    the value takes its midpoint and the ends its ends, each widened by
+    ROUNDING.  Past the array's last quotient only the power-law remainder
+    k* / ((p-1) mu_k*) of `_tail_exponent` exists, with log mu_k* <= y: the
+    value takes it (+inf without a fit), and as it bounds nothing the lower
+    end takes the tail as 0 and the upper end is +inf.  At t = 0 the tail term t T is 0, also
+    where T diverges (a quasianalytic M)."""
+    ev = w.assoc
+    om, kstar = ev.eval(ys)
+    near = kstar <= ev._n  # the tail bracket is read at counts 0..n
+    tail = ev.log_tail_after(kstar[near])
+    mid, lo, hi = np.full_like(ys, np.inf), np.full_like(ys, -np.inf), np.full_like(ys, np.inf)
+    mid[near], lo[near], hi[near] = tail.mid, tail.lo, tail.hi
+    if ev._tail_p is not None:
+        mid[~near] = np.log(kstar[~near] / (ev._tail_p - 1.0)) - ys[~near]
+    log_term = _kappa_log_term(ys) if w.include_log_term else 0.0
+    v, lo, hi = (
+        om + kstar + np.exp(np.add(ys, log_tail, out=np.full_like(ys, -np.inf), where=ys > -np.inf)) + log_term
+        for log_tail in (mid, lo, hi)
+    )
+    return v, lo - ROUNDING * np.abs(lo), hi + ROUNDING * np.abs(hi)
 
 
 def kappa_assoc(w: WeightFn, t) -> np.ndarray | float:
@@ -647,7 +673,7 @@ def kappa_assoc(w: WeightFn, t) -> np.ndarray | float:
         raise ValueError(f"{w.name} is not sequence-associated")
     tt = np.asarray(t, dtype=float)
     with np.errstate(divide="ignore"):
-        out = _kappa_assoc(w, np.log(np.atleast_1d(tt)))
+        out = _kappa_assoc(w, np.log(np.atleast_1d(tt)))[0]
     return out if tt.ndim else float(out[0])
 
 
@@ -727,7 +753,7 @@ def kappa_star_assoc(w: WeightFn, n: int) -> np.ndarray:
         raise ValueError(f"{w.name} is not the tilde representative of a sequence")
     while True:  # grow the array until kappa' at its last quotient exceeds n
         top, y_top = ev._n, max(float(ev._log_mu[-1]), 0.0)
-        log_t = ev.log_tail_mid_after(np.array([top]), np.array([y_top]))
+        log_t = ev.log_tail_after(np.array([top])).mid
         if top == ev.seq.max_index or top + _kappa_slope(np.array([y_top]), log_t)[0] > n:
             break
         if top >= ev._cap():
@@ -738,7 +764,7 @@ def kappa_star_assoc(w: WeightFn, n: int) -> np.ndarray:
     last = min(top, max(n - 1, k0))  # a piece of count >= n - 1 starts with kappa' > n
     counts = np.arange(k0, last + 1)
     starts = np.concatenate([[0.0], log_mu[k0:last]])
-    log_tail = ev.log_tail_mid_after(counts, starts)
+    log_tail = ev.log_tail_after(counts).mid
     js = np.arange(1, n + 1, dtype=float)
     piece = np.searchsorted(counts + _kappa_slope(starts, log_tail), js, side="left") - 1
     out = np.zeros(n)
@@ -755,38 +781,16 @@ def kappa_star_assoc(w: WeightFn, n: int) -> np.ndarray:
         bad = int(j[np.argmin(np.isfinite(b))])
         raise UnboundedConjugate(f"{ev.seq.name}: kappa' stays below {bad} on the last piece, K_{bad} is infinite")
     y = _root(lambda ys: _kappa_slope(ys, log_t), gap, a, b)
-    kap = _kappa_assoc(w, np.concatenate([[0.0], y]))
+    kap = _kappa_assoc(w, np.concatenate([[0.0], y]))[0]
     out[at] = np.maximum(j * y - (kap[1:] - kap[0]), 0.0)
     return out
-
-
-def _poisson_at(w: WeightFn, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(P, lo, hi) as 1-d arrays at r > 0, a scalar or an array (`_poisson_of`)."""
-    of = _poisson_of(w)
-    rr = np.atleast_1d(np.asarray(r, dtype=float))
-    if not np.all(rr > 0):  # NaN too
-        raise ValueError("the harmonic extension is evaluated at ir with r > 0")
-    return of(np.log(rr))
-
-
-def poisson_interval(w: WeightFn, r: float) -> Interval:
-    """The bracket of the harmonic extension P(ir), r > 0: the closed form's
-    rounding allowance ROUNDING |P| on either side, or for an associated
-    function the bracket of `_poisson_assoc`."""
-    _, lo, hi = _poisson_at(w, r)
-    return Interval(float(lo[0]), float(hi[0]))
-
-
-def poisson_imag(w: WeightFn, r):
-    """The harmonic extension P(ir) at r > 0 (scalar or array), read from its
-    closed form (`_poisson_of`)."""
-    p = _poisson_at(w, r)[0]
-    return p if np.ndim(r) else float(p[0])
 
 
 def poisson_batch(w: WeightFn, log_rs) -> np.ndarray:
     """Closed-form P(ir) of a sequence-associated function at y = log r (as
     `kappa_assoc` is the closed form of kappa); see `_poisson_assoc`."""
+    if w.assoc is None:
+        raise ValueError(f"{w.name} is not sequence-associated")
     return _poisson_assoc(w, np.asarray(log_rs, dtype=float))[0]
 
 
@@ -844,8 +848,6 @@ def _poisson_assoc(w: WeightFn, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     TruncationExhausted.
     """
     ev = w.assoc
-    if ev is None:
-        raise ValueError(f"{w.name} is not sequence-associated")
     ev.ensure_cover(float(np.max(ys, initial=-np.inf)) + P_WINDOW)
     log_mu, n = ev._log_mu, ev._n
     complete = n == ev.seq.max_index
@@ -908,38 +910,10 @@ def normalize_fn(w: WeightFn) -> WeightFn:
     return WeightFn(w.name, phi_vec, envelope=w.envelope, maximizer=w.maximizer)  # the envelope still bounds
 
 
-def _kappa_of(w: WeightFn) -> Callable[[np.ndarray], np.ndarray]:
-    """kappa at an array of y = log t, by closed form: the attached
-    `kappa_ref` where there is one, else the piecewise closed form of an
-    associated function (`_kappa_assoc`); any other function is refused
-    (`_no_closed_form`)."""
-    if w.kappa_ref is not None:
-        return w.kappa_ref
-    if w.assoc is not None:
-        return lambda ys: _kappa_assoc(w, ys)
-    raise _no_closed_form(w, "kappa")
-
-
-def _poisson_of(w: WeightFn) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(P, lo, hi) at an array of y = log r, by closed form: the attached
-    `poisson_ref` with its rounding allowance ROUNDING |P|, else the sum
-    over the quotients of an associated function with its bracket
-    (`_poisson_assoc`); any other function is refused (`_no_closed_form`)."""
-    if w.poisson_ref is not None:
-        def ref(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            p = w.poisson_ref(ys)
-            return p, p - ROUNDING * np.abs(p), p + ROUNDING * np.abs(p)
-
-        return ref
-    if w.assoc is not None:
-        return lambda ys: _poisson_assoc(w, ys)
-    raise _no_closed_form(w, "poisson")
-
-
 def kappa_fn(w: WeightFn) -> WeightFn:
     """kappa as a WeightFn named kappa(...), for chaining transforms: the
     normalized representative (`normalize_fn`) of kappa, a pre-weight as an
-    average of phi's translates, evaluated as `_kappa_of` chooses.
+    average of phi's translates, with the value of `_transform_of`.
 
     Where w has `kappa_ref` the result carries a closed-form maximizer.
     kappa(y) = e^y int_y^inf phi(v) e^-v dv gives kappa' = kappa - phi
@@ -949,7 +923,11 @@ def kappa_fn(w: WeightFn) -> WeightFn:
     (`_doubling_root`).  kappa of an associated function, which has no
     `kappa_ref`, is conjugated by the numeric engine.
     """
-    raw = _kappa_of(w)
+    of = _transform_of(w, "kappa")
+
+    def raw(ys: np.ndarray) -> np.ndarray:
+        return of(ys)[0]
+
     maximizer = None
     if w.kappa_ref is not None:
         def slope(ys: np.ndarray) -> np.ndarray:
@@ -1067,9 +1045,9 @@ def fn_preceq(sigma: WeightFn, omega: WeightFn) -> Verdict:
 
 def prec_st(sigma: WeightFn, omega: WeightFn) -> Verdict:
     """Strong order: kappa_omega(t) <= C sigma(t) + C over 40 log-spaced t in
-    [4, 1e8] (trend), with kappa evaluated as `_kappa_of` chooses."""
+    [4, 1e8] (trend), with kappa the value of `_transform_of`."""
     t_grid = log_t_grid(4.0, 1e8, 40)
-    kap = _kappa_of(omega)(np.log(t_grid))
+    kap = _transform_of(omega, "kappa")(np.log(t_grid))[0]
     ratio = kap / (sigma.omega(t_grid) + 1.0)
     return trend_bounded(ratio, t_grid, relation="prec_st", lhs=sigma.name, rhs=omega.name)
 

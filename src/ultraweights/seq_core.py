@@ -182,29 +182,6 @@ class WeightSeq:
             self._tilde = build(self)
         return self._tilde
 
-    def renormalized(self) -> "WeightSeq":
-        """Rescale by a geometric factor so that mu_1 >= 1, if needed.
-
-        Replaces M_k by M_k h^k with h = 1/mu_1; stays in the equivalence
-        class.  The factor is recorded in the name.  The result has no
-        attached tail: its brackets are the generic ones.
-        """
-        lm1 = self.log_m(1)
-        if lm1 >= -1e-12:
-            return self
-        logh = -lm1
-        base = self
-
-        def ev(kk: np.ndarray) -> np.ndarray:
-            return base._eval(kk) + logh * kk
-
-        return WeightSeq(
-            f"{self.name}*geom({logh:.4g})",
-            ev,
-            is_weight_seq=self.is_weight_seq,
-            max_index=self.max_index,
-        )
-
     def __repr__(self) -> str:
         return f"WeightSeq({self.name!r})"
 
@@ -519,22 +496,38 @@ def seq_to_json(seq: WeightSeq, n: int) -> dict:
 
 
 def seq_from_csv(name: str, text: str, *, is_weight_seq: bool = False) -> WeightSeq:
-    """Read (k, log_m) rows.  A declared weight sequence must be log-convex on
-    the rows given; a quotient drop beyond LOG_TOL raises NotAWeightSequence."""
-    reader = csv.DictReader(io.StringIO(text))
-    rows = list(reader)
+    """Read (k, log_m) rows.  A row without a number in either column, or
+    with a log_m that is not finite, raises ValueError naming its line.  A
+    declared weight sequence must be log-convex on the rows given; a
+    quotient drop beyond LOG_TOL raises NotAWeightSequence.  Where mu_1 < 1
+    the table is rescaled to log M_k + k log h, h = 1/mu_1, so that mu_1 =
+    1: the same equivalence class, with the factor recorded in the name and
+    the generic tail brackets."""
+    reader = csv.DictReader(io.StringIO(text), restval="")  # a short line gives "", which int and float refuse
     for column in ("k", "log_m"):
         if column not in (reader.fieldnames or ()):
             raise ValueError(f"CSV has no column {column!r}")
-    if not rows:
+    ks, vals = [], []
+    for row in reader:
+        for column, cast, cells in (("k", int, ks), ("log_m", float, vals)):
+            try:
+                cells.append(cast(row[column]))
+            except ValueError as e:
+                raise ValueError(f"line {reader.line_num}, column {column!r}: {e}") from None
+        if not math.isfinite(vals[-1]):
+            raise ValueError(f"line {reader.line_num}, column 'log_m': {vals[-1]} is not finite")
+    if not ks:
         raise ValueError("CSV has no rows")
-    ks = [int(r["k"]) for r in rows]
     if ks != list(range(len(ks))):
         raise ValueError("CSV must list k = 0..n contiguously")
-    vals = np.array([float(r["log_m"]) for r in rows])
     seq = WeightSeq.from_values(name, vals, is_weight_seq=is_weight_seq)
     if is_weight_seq and len(vals) > 2:
         convex = is_log_convex(seq, len(vals) - 1)
         if convex.fails:
             raise NotAWeightSequence(f"{name}: declared a weight sequence, but {convex.note}")
-    return seq.renormalized()
+    log_h = -seq.log_m(1)  # log 1/mu_1; a one-row table has no mu_1: TruncationExhausted
+    if log_h <= 1e-12:
+        return seq
+    log_m = seq.values(len(vals) - 1)
+    return WeightSeq.from_values(f"{name}*geom({log_h:.4g})", log_m + log_h * np.arange(len(log_m), dtype=float),
+                                 is_weight_seq=is_weight_seq)

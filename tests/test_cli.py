@@ -241,6 +241,41 @@ def test_csv_sequence_without_a_column_names_it(tmp_path, monkeypatch, capsys, h
     assert json.loads(err) == {"error": "CatalogError", "message": f"'seq:csv?path=t.csv': CSV has no column {column!r}"}
 
 
+@pytest.mark.parametrize("text, message", [
+    ("k,log_m\n0,0\n1,1\n2\n", "line 4, column 'log_m': could not convert string to float: ''"),
+    ("k,log_m\n0,0\n,1\n", "line 3, column 'k': invalid literal for int() with base 10: ''"),
+], ids=["log_m", "k"])
+def test_csv_sequence_with_a_missing_cell_names_its_line(tmp_path, monkeypatch, capsys, text, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.csv").write_text(text)
+    rc, out, err = run(capsys, "compute", "seq:csv?path=s.csv", "--n", "2")
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": "CatalogError", "message": f"'seq:csv?path=s.csv': {message}"}
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("derive", [(), ("--derive", "omega_M")], ids=["none", "omega_M"])
+def test_csv_sequence_with_a_non_finite_log_m_is_refused(tmp_path, monkeypatch, capsys, cell, derive):
+    # NaN passes the log-convexity check, as every comparison with it is false
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan.csv").write_text(f"k,log_m\n0,0\n1,{cell}\n2,3\n")
+    entry = "seq:csv?path=nan.csv&weight=1"
+    rc, out, err = run(capsys, "compute", entry, *derive, "--n", "3")
+    assert (rc, out) == (2, "")
+    value = float(cell)
+    assert json.loads(err) == {"error": "CatalogError", "message": f"{entry!r}: line 3, column 'log_m': {value} is not finite"}
+
+
+@pytest.mark.parametrize("text", ["k,log_a\n", "", "k,log_a\n0,0\n"], ids=["header-only", "empty", "one-row"])
+def test_check_membership_refuses_a_csv_of_fewer_than_two_rows(tmp_path, capsys, text):
+    path = tmp_path / "coeffs.csv"
+    path.write_text(text)
+    rc, out, err = run(capsys, "check", "membership", "--lhs", str(path), "--rhs", "seq:gevrey?s=2", "--n", "8")
+    assert (rc, out) == (2, "")
+    rows = text.count("\n") - 1 if text else 0
+    assert json.loads(err) == {"error": "UsageError", "message": f"{path}: need coefficient rows for k = 0 and 1, got {rows}"}
+
+
 def test_load_config_skips_comments_and_blank_lines(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# a comment line\n\nn = 128  # trailing comment\n   \ngrid=-1..2\n#n=4\n")

@@ -602,6 +602,33 @@ def test_transforms_without_a_closed_form_are_refused(power_half):
                 transform(w, 2.0) if transform is not kappa_fn else transform(w)
 
 
+ONE_PATH_FNS = {
+    "power": lambda: resolve("fn:power?beta=0.5"),
+    "logsq": lambda: resolve("fn:logsq"),
+    "gevrey2-tilde": lambda: omega_tilde_from_seq(resolve("seq:gevrey?s=2")),
+    "factorial": lambda: omega_from_seq(resolve("seq:factorial")),
+}
+
+
+@pytest.mark.parametrize("fn", ONE_PATH_FNS)
+@pytest.mark.parametrize("op, value, interval", [("kappa", kappa, kappa_interval), ("poisson", poisson_imag, poisson_interval)],
+                         ids=["kappa", "poisson"])
+def test_transforms_read_value_and_ends_from_one_dispatcher_call(fn, op, value, interval):
+    # kappa and P both come from `_transform_of` as (value, lo, hi): the value
+    # lies in the bracket of the same call, and the public readers return that
+    # call's numbers exactly.  Past an associated function's array (at its cap
+    # for both sequences) kappa's upper end is +inf; the factorial's kappa and
+    # P are infinite, as its tail diverges
+    w = ONE_PATH_FNS[fn]()
+    points = [1.0, math.exp(5.0)] + ([0.0] if op == "kappa" else [])
+    past = math.exp(float(w.assoc._log_mu[-1]) + 1.0) if w.assoc is not None and op == "kappa" else None
+    for t in points + ([past] if past else []):
+        (v,), (lo,), (hi,) = func_core._transform_at(w, op, t)
+        assert lo <= v <= hi, t
+        assert value(w, t) == v and interval(w, t) == func_core.Interval(lo, hi), t
+        assert (hi == math.inf) == (t == past or fn == "factorial" and t > 0), t
+
+
 def test_kappa_fn_of_logsq_is_exact_at_large_y(logsq):
     # kappa = y^2 + 2y + 2 for y >= 0, normalized by kappa(1) = 2; t = e^800
     # is beyond the float range

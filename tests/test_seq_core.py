@@ -327,10 +327,11 @@ def test_values_is_a_read_only_view_of_the_prefix():
 
 
 def test_renormalized_restores_quotient():
-    seq = WeightSeq.from_values("drop", [0.0, -1.0, -1.5, -1.0, 1.0])
-    fixed = seq.renormalized()
+    # a table with mu_1 < 1 is read as log M_k + k log h, h = 1/mu_1
+    fixed = seq_from_csv("drop", "k,log_m\n0,0.0\n1,-1.0\n2,-1.5\n3,-1.0\n4,1.0\n")
     assert fixed.log_m(1) >= -1e-12
     assert fixed.name == "drop*geom(1)"
+    assert np.array_equal(fixed.values(4), [0.0, 0.0, 0.5, 2.0, 5.0])
 
 
 def test_csv_roundtrip(gevrey2):
